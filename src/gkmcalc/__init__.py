@@ -9,7 +9,7 @@ from .polyring import (
     solve_congruences,
 )
 from .graph import CohClass, Edge, GkmGraph, Vertex, is_gkm_class, is_relative_class, skeleton, validate
-from .coxeter import GCM, CosetRep, Root, enumerate_cosets, real_roots, reflect, reflection_of_root
+from .coxeter import GCM, CosetRep, Root, enumerate_cosets, real_roots, reflect
 from .builders import (
     build_chain_graph,
     build_flag_graph,
@@ -19,7 +19,7 @@ from .builders import (
     moment_embedding,
 )
 from .solver import GeneratorBasis, canonical_generators, expand_in_basis, verify_generator_conditions
-from .ring_ops import multiply, ordinary_reduction, poincare_series, power_coefficient
+from .ring_ops import ordinary_reduction, poincare_series, power_coefficient
 from .oracle import brute_force_classes, divided_difference_schubert, s2n_relative_image
 
 __version__ = "0.1.0"

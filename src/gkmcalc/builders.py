@@ -36,15 +36,10 @@ from .coxeter import (
     coset_orbit,
     generic_dominant_vector,
     marks,
-    real_roots,
+    reflect,
     reflect_dual,
-    reflection_word,
 )
-from .errors import (
-    BadBasePointError,
-    ClosureFailureError,
-    UnsupportedTypeError,
-)
+from .errors import BadBasePointError, UnsupportedTypeError
 from .graph import Edge, GkmGraph, Vertex
 from .polyring import Weight, solve_linear_system
 
@@ -63,9 +58,6 @@ __all__ = [
     "coset_id",
     "word_from_id",
 ]
-
-_MAX_HEIGHT_DOUBLINGS = 8
-
 
 def type_a(n: int) -> GCM:
     """Cartan matrix of type A_n (n >= 1)."""
@@ -231,10 +223,12 @@ def build_flag_graph(
 ) -> GkmGraph:
     """The decorated graph of G/P truncated at cell dimension ``2*degree``.
 
-    Every retained vertex carries all of its down-edges: the root height
-    cutoff starts at ``2*degree + 2`` and doubles until the down-edge
-    count of each vertex equals its word length, so truncations are honest
-    induced subgraphs of the full graph.
+    Every edge is a down-edge of its upper endpoint, and the down-edges of
+    a vertex with reduced word ``w = s_{a1}...s_{al}`` are its ``l`` letter
+    deletions: deleting letter ``j`` gives ``r_beta w`` for the inversion
+    root ``beta = s_{a1}...s_{a(j-1)}(alpha_{aj})``, which labels the edge
+    (subword property).  Each retained vertex thus carries all of its
+    down-edges, so truncations are induced subgraphs of the full graph.
     """
     if degree < 0:
         raise ValueError("degree cutoff must be non-negative")
@@ -245,43 +239,17 @@ def build_flag_graph(
     vertices = [
         Vertex(coset_id(rep.word), 2 * rep.length, label=rep.label()) for rep, _ in reps
     ]
-    lengths = {coset_id(rep.word): rep.length for rep, _ in reps}
-
-    height = 2 * degree + 2
-    edges: list[Edge] | None = None
-    for _ in range(_MAX_HEIGHT_DOUBLINGS):
-        roots = real_roots(gcm, height)
-        words = {r: reflection_word(gcm, r) for r in roots}
-        found: dict[tuple[str, str, tuple[int, ...]], Edge] = {}
-        for rep, vec in reps:
-            uid = coset_id(rep.word)
-            for root, rword in words.items():
-                v2 = apply_word_dual(gcm, rword, vec)
-                if v2 == vec:
-                    continue
-                other = table.get(v2)
-                if other is None:
-                    continue
-                oid = coset_id(other.word)
-                key = (min(uid, oid), max(uid, oid), root.coords)
-                if key not in found:
-                    found[key] = Edge(uid, oid, tb.weight(root))
-        down_count = {vid: 0 for vid in lengths}
-        for (a, b, _), e in found.items():
-            la, lb = lengths[e.u], lengths[e.v]
-            if la > lb:
-                down_count[e.u] += 1
-            elif lb > la:
-                down_count[e.v] += 1
-        if all(down_count[vid] == lengths[vid] for vid in lengths):
-            edges = list(found.values())
-            break
-        height *= 2
-    if edges is None:
-        raise ClosureFailureError(
-            f"could not close down-edges within height {height}; "
-            "the Cartan matrix may not define a locally finite graph"
-        )
+    mu = reps[0][1]  # the identity coset's orbit vector
+    edges = []
+    for rep, _ in reps:
+        w = rep.word
+        uid = coset_id(w)
+        for j, a in enumerate(w):
+            beta = tuple(1 if t == a else 0 for t in range(gcm.n))
+            for i in reversed(w[:j]):
+                beta = reflect(gcm, i, beta)
+            lower = table[apply_word_dual(gcm, w[:j] + w[j + 1:], mu)]
+            edges.append(Edge(uid, coset_id(lower.word), tb.weight(Root(beta))))
 
     graph = GkmGraph(tb.k, mode, vertices, edges)
     if embed and tb.kind in ("finite", "affine"):
@@ -352,27 +320,25 @@ def build_chain_graph(weights, mode: str = "Q", rank: int | None = None) -> GkmG
     return GkmGraph(rank, mode, vertices, edges)
 
 
-def _preset_a_flag(n, degree, mode):
-    gcm = type_a(n)
-    return build_flag_graph(gcm, frozenset(), degree, mode=mode)
-
-
+# name -> (Cartan matrix, parabolic, default degree)
 PRESETS = {
-    "A1-flag": (lambda d, m: _preset_a_flag(1, d, m), 1),
-    "A2-flag": (lambda d, m: _preset_a_flag(2, d, m), 3),
-    "B2-flag": (lambda d, m: build_flag_graph(type_b2(), frozenset(), d, mode=m), 4),
-    "omega-su2": (lambda d, m: build_omega_k("SU(2)", d, mode=m), 4),
-    "omega-su3": (lambda d, m: build_omega_k("SU(3)", d, mode=m), 2),
-    "A1-4-twisted": (lambda d, m: build_twisted_example(d, mode=m), 4),
+    "A1-flag": (type_a(1), frozenset(), 1),
+    "A2-flag": (type_a(2), frozenset(), 3),
+    "B2-flag": (type_b2(), frozenset(), 4),
+    "omega-su2": (affine_type_a(1), frozenset({1}), 4),
+    "omega-su3": (affine_type_a(2), frozenset({1, 2}), 2),
+    "A1-4-twisted": (TWISTED_A1_4, frozenset({1}), 4),
 }
 
 
 def build_preset(name: str, degree: int | None = None, mode: str = "Z") -> GkmGraph:
     """Build a named preset graph; ``degree`` defaults per preset."""
     try:
-        builder, default_degree = PRESETS[name]
+        gcm, parabolic, default_degree = PRESETS[name]
     except KeyError:
         raise UnsupportedTypeError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         ) from None
-    return builder(degree if degree is not None else default_degree, mode)
+    return build_flag_graph(
+        gcm, parabolic, degree if degree is not None else default_degree, mode=mode
+    )

@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success; 1 validation (or membership) failure; 2 unsolvable
-or non-expandable systems; 3 non-integral results in Z-mode; 4 I/O or
-parse errors.  A graph argument of ``-`` (or omitted where allowed) reads
-JSON from stdin, so subcommands compose in a pipeline::
+or non-expandable systems; 3 non-integral results in Z-mode; 4 I/O, parse
+or invalid-input errors.  A graph argument of ``-`` (or omitted where
+allowed) reads JSON from stdin, so subcommands compose in a pipeline::
 
     gkm build omega-su2 --degree 4 | gkm poincare
 """
@@ -16,7 +16,7 @@ import random
 import sys
 
 from . import builders, oracle, render, ring_ops
-from .coxeter import CosetRep, GCM
+from .coxeter import GCM, CosetRep, classify
 from .errors import (
     GkmError,
     NoSolutionError,
@@ -161,7 +161,7 @@ def _cmd_poincare(args) -> int:
 
 def _cmd_power(args) -> int:
     if args.preset is not None:
-        graph = builders.build_preset(args.preset, max(args.n, builders.PRESETS[args.preset][1]))
+        graph = builders.build_preset(args.preset, max(args.n, builders.PRESETS[args.preset][2]))
     else:
         graph = _load_graph(args.graph)
     basis = canonical_generators(graph, args.n)
@@ -189,13 +189,8 @@ def _cmd_oracle(args) -> int:
             gcm = _load_gcm(args.gcm)
         else:
             preset = args.preset or "A2-flag"
-            if preset == "A2-flag":
-                gcm = builders.type_a(2)
-            elif preset == "B2-flag":
-                gcm = builders.type_b2()
-            elif preset == "A1-flag":
-                gcm = builders.type_a(1)
-            else:
+            gcm = builders.PRESETS[preset][0] if preset in builders.PRESETS else None
+            if gcm is None or classify(gcm) != "finite":
                 print(f"oracle: no finite Cartan matrix for preset {preset!r}", file=sys.stderr)
                 return 4
         degree = args.degree if args.degree is not None else 16
@@ -223,8 +218,11 @@ def _cmd_oracle(args) -> int:
             ok = ok and got == want
         return 0 if ok else 1
     if args.kind == "s2n":
-        rng = random.Random(args.seed)
         rank = args.rank
+        if rank < 2:
+            # rank 1 has no two non-proportional weights to draw
+            raise ValueError(f"s2n needs --rank >= 2, got {rank}")
+        rng = random.Random(args.seed)
         failures = 0
         for _ in range(args.trials):
             ws = _random_coprime_weights(rng, rank, rng.choice((2, 3)))
@@ -350,8 +348,8 @@ def main(argv=None) -> int:
     except NonIntegralError as err:
         print(f"non-integral result: {err}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError, KeyError, PolynomialParseError) as err:
-        print(f"I/O or parse error: {err!r}", file=sys.stderr)
+    except (OSError, ValueError, KeyError, PolynomialParseError) as err:
+        print(f"I/O, parse or input error: {err!r}", file=sys.stderr)
         return 4
     except GkmError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -37,7 +37,6 @@ __all__ = [
     "coset_orbit",
     "generic_dominant_vector",
     "apply_word_dual",
-    "reflection_of_root",
     "word_matrix",
 ]
 
@@ -351,23 +350,6 @@ def enumerate_cosets(gcm: GCM, parabolic, length_cutoff: int) -> list[CosetRep]:
     """
     reps, _ = coset_orbit(gcm, parabolic, length_cutoff)
     return [r for r, _ in reps]
-
-
-def reflection_of_root(gcm: GCM, root: Root, w: CosetRep, parabolic) -> CosetRep | None:
-    """The minimal representative of ``[r_beta w]``, or None when the
-    reflection does not move the coset."""
-    mu = generic_dominant_vector(gcm, parabolic)
-    vw = apply_word_dual(gcm, w.word, mu)
-    rword = reflection_word(gcm, root)
-    v2 = apply_word_dual(gcm, rword, vw)
-    if v2 == vw:
-        return None
-    bound = w.length + len(rword)
-    _, table = coset_orbit(gcm, parabolic, bound)
-    rep = table.get(v2)
-    if rep is None:
-        raise RuntimeError("reflected coset not found within the length bound")
-    return rep
 
 
 def word_matrix(gcm: GCM, word) -> tuple[tuple[int, ...], ...]:

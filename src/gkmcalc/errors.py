@@ -66,10 +66,6 @@ class UnsupportedTypeError(GkmError):
     """No builder is available for the requested group or Cartan matrix."""
 
 
-class ClosureFailureError(GkmError):
-    """The root height cutoff could not be raised enough to close the graph."""
-
-
 class BadBasePointError(GkmError):
     """The moment-embedding base point does not have stabilizer W_P."""
 

@@ -81,6 +81,14 @@ class Edge:
         return (self.u, self.v)
 
 
+def _json_int(value, what: str) -> int:
+    """An integer read from JSON; floats, strings and booleans are rejected,
+    never truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _vertex_key(v: Vertex) -> tuple[int, str]:
     return (v.cell_dim, v.id)
 
@@ -113,6 +121,8 @@ class GkmGraph:
         self._rank = rank
         self._mode = mode
         self._index = index
+        self._vertices = tuple(vs)
+        self._vertex_ids = tuple(v.id for v in vs)
         self._edges = tuple(norm_edges)
         inc: dict[str, list[Edge]] = {vid: [] for vid in index}
         for e in self._edges:
@@ -132,11 +142,11 @@ class GkmGraph:
 
     @property
     def vertices(self) -> tuple[Vertex, ...]:
-        return tuple(self._index[vid] for vid in self.vertex_ids)
+        return self._vertices
 
     @property
     def vertex_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._index, key=lambda vid: _vertex_key(self._index[vid])))
+        return self._vertex_ids
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -232,22 +242,27 @@ class GkmGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GkmGraph":
-        rank = int(data["rank"])
+        rank = _json_int(data["rank"], "rank")
         vs = []
         for vd in data["vertices"]:
             pos = vd.get("position")
             vs.append(
                 Vertex(
                     str(vd["id"]),
-                    int(vd["cell_dim"]),
+                    _json_int(vd["cell_dim"], f"cell_dim of {vd['id']!r}"),
                     tuple(Fraction(p) for p in pos) if pos is not None else None,
                     vd.get("label"),
                 )
             )
-        es = [
-            Edge(str(ed["from"]), str(ed["to"]), Weight(tuple(ed["weight"])))
-            for ed in data["edges"]
-        ]
+        es = []
+        for ed in data["edges"]:
+            coeffs = tuple(ed["weight"])
+            if any(type(c) is not int for c in coeffs):
+                raise ValueError(
+                    f"weight of edge ({ed['from']}, {ed['to']}) must be an integer vector, "
+                    f"got {list(coeffs)!r}"
+                )
+            es.append(Edge(str(ed["from"]), str(ed["to"]), Weight(coeffs)))
         return cls(rank, data.get("mode", "Z"), vs, es)
 
     @classmethod

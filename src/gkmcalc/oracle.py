@@ -1,5 +1,5 @@
 """Independent verifiers: brute-force graph cohomology, the sphere lemmas,
-and root-product Schubert restrictions.
+root-product Schubert restrictions, and flag-graph edges by root search.
 
 Everything here is quarantined from the solver module: the only shared
 code is the base polynomial ring, so agreement between an oracle and the
@@ -15,12 +15,15 @@ from .coxeter import (
     CosetRep,
     apply_word_dual,
     classify,
+    coset_orbit,
     enumerate_cosets,
     generic_dominant_vector,
+    real_roots,
     reflect,
+    reflection_word,
 )
 from .errors import CoprimalityViolatedError, NotFiniteTypeError
-from .graph import CohClass, GkmGraph
+from .graph import CohClass, Edge, GkmGraph
 from .polyring import (
     Polynomial,
     Weight,
@@ -36,6 +39,7 @@ __all__ = [
     "expected_gkm_dimension",
     "s2n_relative_image",
     "divided_difference_schubert",
+    "reflection_edges",
 ]
 
 
@@ -187,3 +191,34 @@ def divided_difference_schubert(gcm: GCM, w: CosetRep) -> CohClass:
             total = total + term
         values[coset_id(word)] = total
     return CohClass(values, m)
+
+
+def reflection_edges(gcm: GCM, parabolic, degree: int, height: int) -> list[Edge]:
+    """Edges of the truncated graph of G/P, found by searching real roots.
+
+    Applies a reflection word for every positive real root of height at
+    most ``height`` to every retained coset, and keeps each move onto
+    another retained coset, labeled by the root in torus coordinates.
+    The result is complete only when ``height`` is large enough; a caller
+    checks that by counting each vertex's down-edges against its length.
+    Independent of the builder's inversion-root rule.
+    """
+    from .builders import _torus_basis, coset_id
+
+    J = frozenset(parabolic)
+    reps, table = coset_orbit(gcm, J, degree)
+    tb = _torus_basis(gcm, J)
+    words = {root: reflection_word(gcm, root) for root in real_roots(gcm, height)}
+    found: dict[tuple[str, str, tuple[int, ...]], Edge] = {}
+    for rep, vec in reps:
+        uid = coset_id(rep.word)
+        for root, rword in words.items():
+            v2 = apply_word_dual(gcm, rword, vec)
+            other = table.get(v2)
+            if v2 == vec or other is None:
+                continue
+            oid = coset_id(other.word)
+            key = (min(uid, oid), max(uid, oid), root.coords)
+            if key not in found:
+                found[key] = Edge(uid, oid, tb.weight(root))
+    return list(found.values())

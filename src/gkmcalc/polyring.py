@@ -40,9 +40,6 @@ from .errors import (
 __all__ = [
     "Weight",
     "Polynomial",
-    "add",
-    "mul",
-    "scale",
     "divide_by_weight",
     "pairwise_coprime",
     "solve_congruences",
@@ -334,18 +331,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
-
-
-def add(a: Polynomial, b: Polynomial) -> Polynomial:
-    return a + b
-
-
-def mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    return a * b
-
-
-def scale(c, a: Polynomial) -> Polynomial:
-    return a * _as_fraction(c)
 
 
 def monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:

@@ -5,21 +5,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import CutoffTooSmallError
-from .graph import CohClass, GkmGraph
+from .graph import GkmGraph
 from .polyring import Polynomial
 from .solver import GeneratorBasis, expand_in_basis
 
 __all__ = [
-    "multiply",
     "poincare_series",
     "ordinary_reduction",
     "power_coefficient",
 ]
-
-
-def multiply(f: CohClass, g: CohClass) -> CohClass:
-    """Pointwise product of two classes; degrees add when both are set."""
-    return f * g
 
 
 def poincare_series(graph: GkmGraph, degree: int) -> list[int]:

@@ -14,7 +14,9 @@ from gkmcalc.builders import (
     moment_embedding,
     type_a,
     type_b2,
+    word_from_id,
 )
+from gkmcalc.coxeter import GCM, word_matrix
 from gkmcalc.errors import BadBasePointError, UnsupportedTypeError
 from gkmcalc.graph import skeleton, validate
 from gkmcalc.polyring import Weight
@@ -72,6 +74,36 @@ def test_twisted_one_vertex_per_length():
     assert sorted(v.cell_dim for v in g.vertices) == [0, 2, 4, 6, 8]
     rep = validate(g)
     assert rep.ok  # Z-mode: includes primitivity of all edge labels
+
+
+def _edges_at_identity(g):
+    return {e.weight.coeffs: e.other("e") for e in g.edges_at("e")}
+
+
+def test_simple_root_edge_at_identity():
+    assert _edges_at_identity(build_flag_graph(type_a(2), (), 3))[(1, 0)] == "0"
+
+
+def test_highest_root_edge_at_identity_a2():
+    g = build_flag_graph(type_a(2), (), 3)
+    top = _edges_at_identity(g)[(1, 1)]
+    assert g.vertex(top).cell_dim == 6
+    assert word_matrix(type_a(2), word_from_id(top)) == word_matrix(type_a(2), (0, 1, 0))
+
+
+def test_parabolic_root_labels_no_edge_at_identity():
+    # r_{alpha_1} fixes the base coset of the affine Grassmannian; alpha_1
+    # has torus weight (1, 0) and still labels edges higher up
+    g = build_preset("omega-su2", 4)
+    assert (1, 0) not in _edges_at_identity(g)
+    assert any(e.weight.coeffs == (1, 0) and {e.u, e.v} == {"0", "1-0"} for e in g.edges)
+
+
+def test_hyperbolic_build_validates():
+    # the real-root search could not close this case; inversion roots can
+    g = build_flag_graph(GCM(((2, -3), (-3, 2))), (), 9)
+    assert len(g.vertices) == 19 and len(g.edges) == 90
+    assert validate(g).ok
 
 
 def test_truncation_monotonicity():

@@ -179,3 +179,36 @@ def test_build_chain_graph(capsys):
     g = GkmGraph.loads(out)
     assert [v.cell_dim for v in g.vertices] == [0, 2, 4, 6]
     assert g.mode == "Q"
+
+
+def test_non_integral_weight_exit_code(tmp_path, capsys):
+    graph = {
+        "rank": 2,
+        "mode": "Z",
+        "vertices": [{"id": "n", "cell_dim": 0}, {"id": "s", "cell_dim": 2}],
+        "edges": [{"from": "n", "to": "s", "weight": [1.5, 0]}],
+    }
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(graph))
+    code, out, err = run(["validate", str(path)], capsys)
+    assert code == 4
+    assert "overall" not in out and "must be an integer" in err
+
+
+def test_negative_degree_exit_code(capsys):
+    code, out, err = run(["build", "omega-su2", "--degree", "-1"], capsys)
+    assert code == 4
+    assert not out and "non-negative" in err
+
+
+def test_s2n_rank_below_two_exit_code(capsys):
+    for rank in ("0", "1"):
+        code, out, err = run(["oracle", "s2n", "--rank", rank, "--trials", "1"], capsys)
+        assert code == 4
+        assert not out and "--rank >= 2" in err
+
+
+def test_schubert_compare_needs_finite_preset(capsys):
+    code, _, err = run(["oracle", "schubert-compare", "--preset", "omega-su2"], capsys)
+    assert code == 4
+    assert "no finite Cartan matrix for preset 'omega-su2'" in err

@@ -5,10 +5,9 @@ from collections import Counter
 
 import pytest
 
+from gkmcalc.builders import build_flag_graph
 from gkmcalc.coxeter import (
     GCM,
-    CosetRep,
-    Root,
     apply_word_dual,
     classify,
     enumerate_cosets,
@@ -16,7 +15,6 @@ from gkmcalc.coxeter import (
     marks,
     real_roots,
     reflect,
-    reflection_of_root,
     reflection_word,
     word_matrix,
 )
@@ -149,28 +147,11 @@ def test_dedup_agrees_with_matrix_representation():
 
 def test_reflection_parity():
     # l(r_b w) and l(w) always differ in parity (full flag case)
-    for gcm, h, cutoff in ((A2, 2, 3), (B2, 3, 4), (AFF_A1, 4, 4)):
-        for w in enumerate_cosets(gcm, (), cutoff):
-            for root in real_roots(gcm, h):
-                image = reflection_of_root(gcm, root, w, ())
-                assert image is not None  # J is empty: reflections always move
-                assert (image.length - w.length) % 2 == 1
-
-
-def test_reflection_of_root_simple():
-    rep = reflection_of_root(A2, Root((1, 0)), CosetRep(()), ())
-    assert rep.word == (0,)
-
-
-def test_reflection_of_root_highest_root_a2():
-    rep = reflection_of_root(A2, Root((1, 1)), CosetRep(()), ())
-    assert rep.length == 3
-    assert word_matrix(A2, rep.word) == word_matrix(A2, (0, 1, 0))
-
-
-def test_reflection_of_root_same_coset():
-    # reflecting by a parabolic root fixes the base coset
-    assert reflection_of_root(AFF_A1, Root((0, 1)), CosetRep(()), (1,)) is None
+    for gcm, cutoff in ((A2, 3), (B2, 4), (AFF_A1, 4)):
+        g = build_flag_graph(gcm, (), cutoff)
+        assert g.edges
+        for e in g.edges:
+            assert (g.vertex(e.u).cell_dim - g.vertex(e.v).cell_dim) // 2 % 2 == 1
 
 
 def test_generic_vector_stabilizer():

@@ -208,6 +208,25 @@ def test_json_schema_keys(tmp_path):
     assert GkmGraph.load(path) == g
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("weight", [1.5, 0]), ("weight", ["1", 0]), ("cell_dim", 2.0), ("cell_dim", True)],
+)
+def test_from_dict_rejects_non_integers(field, value):
+    data = {
+        "rank": 2,
+        "mode": "Z",
+        "vertices": [{"id": "n", "cell_dim": 0}, {"id": "s", "cell_dim": 2}],
+        "edges": [{"from": "n", "to": "s", "weight": [1, 0]}],
+    }
+    if field == "weight":
+        data["edges"][0]["weight"] = value
+    else:
+        data["vertices"][1]["cell_dim"] = value
+    with pytest.raises(ValueError, match="must be an integer"):
+        GkmGraph.from_dict(data)
+
+
 def test_cohclass_homogeneity_enforced():
     with pytest.raises(ValueError):
         CohClass({"n": X + Polynomial.one(2)}, degree=1)

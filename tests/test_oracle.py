@@ -4,7 +4,15 @@ import random
 
 import pytest
 
-from gkmcalc.builders import build_preset, type_a, type_b2, word_from_id
+from gkmcalc.builders import (
+    TWISTED_A1_4,
+    affine_type_a,
+    build_flag_graph,
+    build_preset,
+    type_a,
+    type_b2,
+    word_from_id,
+)
 from gkmcalc.coxeter import GCM, CosetRep
 from gkmcalc.errors import CoprimalityViolatedError, NotFiniteTypeError
 from gkmcalc.graph import Edge, GkmGraph, Vertex, is_gkm_class
@@ -12,6 +20,7 @@ from gkmcalc.oracle import (
     brute_force_classes,
     divided_difference_schubert,
     expected_gkm_dimension,
+    reflection_edges,
     s2n_relative_image,
 )
 from gkmcalc.polyring import Polynomial, Weight, monomials, parse_polynomial
@@ -133,3 +142,26 @@ def test_schubert_oracle_agrees_with_solver(gcm_builder, preset):
 def test_schubert_requires_finite_type():
     with pytest.raises(NotFiniteTypeError):
         divided_difference_schubert(GCM(((2, -2), (-2, 2))), CosetRep(()))
+
+
+@pytest.mark.parametrize(
+    "gcm, parabolic, degree, height",
+    [
+        (type_a(3), (), 6, 3),
+        (GCM(((2, -1), (-3, 2))), (), 6, 5),
+        (type_a(3), (0, 2), 4, 3),
+        (affine_type_a(1), (1,), 8, 16),
+        (TWISTED_A1_4, (1,), 6, 18),
+        (affine_type_a(2), (1, 2), 4, 6),
+        (affine_type_a(2), (), 3, 4),
+        (GCM(((2, -3), (-3, 2))), (), 6, 200),
+    ],
+    ids=["A3", "G2", "Gr(2,4)", "omega-su2", "twisted", "omega-su3", "affine-A2", "hyperbolic"],
+)
+def test_flag_graph_edges_match_reflection_search(gcm, parabolic, degree, height):
+    g = build_flag_graph(gcm, parabolic, degree, embed=False)
+    ref = GkmGraph(g.rank, g.mode, g.vertices, reflection_edges(gcm, parabolic, degree, height))
+    # the search is complete at this height: every vertex has all its down-edges
+    for v in ref.vertices:
+        assert len(ref.down_edges(v.id)) == v.cell_dim // 2, v.id
+    assert ref.edges == g.edges

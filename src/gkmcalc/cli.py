@@ -19,11 +19,13 @@ from . import builders, oracle, render, ring_ops
 from .coxeter import GCM, CosetRep, classify
 from .errors import (
     GkmError,
+    InvalidParabolicError,
     NoSolutionError,
     NonIntegralError,
     NonUniqueError,
     NotInSpanError,
     PolynomialParseError,
+    UnsupportedTypeError,
     ValidationFailureError,
 )
 from .graph import CohClass, GkmGraph, is_gkm_class, validate
@@ -65,7 +67,11 @@ def _load_gcm(path: str) -> GCM:
             ) from None
         data = tomllib.loads(text)
     rows = data["gcm"] if isinstance(data, dict) else data
-    return GCM(tuple(tuple(int(v) for v in row) for row in rows))
+    if not isinstance(rows, list) or any(
+        not isinstance(row, list) or any(type(v) is not int for v in row) for row in rows
+    ):
+        raise ValueError(f"{path}: a Cartan matrix must be a list of integer rows, got {rows!r}")
+    return GCM(tuple(tuple(row) for row in rows))
 
 
 def _parse_parabolic(text: str) -> frozenset[int]:
@@ -348,7 +354,8 @@ def main(argv=None) -> int:
     except NonIntegralError as err:
         print(f"non-integral result: {err}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, KeyError, PolynomialParseError) as err:
+    except (OSError, ValueError, KeyError, PolynomialParseError,
+            UnsupportedTypeError, InvalidParabolicError) as err:
         print(f"I/O, parse or input error: {err!r}", file=sys.stderr)
         return 4
     except GkmError as err:

@@ -76,10 +76,6 @@ class GCM:
     def a(self, i: int, j: int) -> int:
         return self.rows[i][j]
 
-    def submatrix(self, keep) -> "GCM":
-        keep = list(keep)
-        return GCM(tuple(tuple(self.rows[i][j] for j in keep) for i in keep))
-
 
 @dataclass(frozen=True)
 class Root:
@@ -93,9 +89,6 @@ class Root:
     @property
     def height(self) -> int:
         return sum(self.coords)
-
-    def is_positive(self) -> bool:
-        return any(self.coords) and all(c >= 0 for c in self.coords)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coords) + ")"

@@ -131,6 +131,10 @@ class GkmGraph:
         self._incidence: dict[str, tuple[Edge, ...]] = {
             vid: tuple(es) for vid, es in inc.items()
         }
+        self._down: dict[str, tuple[Edge, ...]] = {
+            vid: tuple(e for e in es if index[e.other(vid)].cell_dim < index[vid].cell_dim)
+            for vid, es in inc.items()
+        }
 
     @property
     def rank(self) -> int:
@@ -162,16 +166,7 @@ class GkmGraph:
         return self._incidence[vid]
 
     def down_edges(self, vid: str) -> tuple[Edge, ...]:
-        d = self._index[vid].cell_dim
-        return tuple(
-            e for e in self._incidence[vid] if self._index[e.other(vid)].cell_dim < d
-        )
-
-    def up_edges(self, vid: str) -> tuple[Edge, ...]:
-        d = self._index[vid].cell_dim
-        return tuple(
-            e for e in self._incidence[vid] if self._index[e.other(vid)].cell_dim > d
-        )
+        return self._down[vid]
 
     def bottom_vertices(self) -> tuple[Vertex, ...]:
         return tuple(v for v in self.vertices if v.cell_dim == 0)

@@ -116,10 +116,7 @@ def s2n_relative_image(weights, g: Polynomial) -> bool:
     if not pairwise_coprime(ws, "Q"):
         raise CoprimalityViolatedError("weights are not pairwise coprime")
     each = all(_divides(w, g) for w in ws)
-    prod = Polynomial.one(g.nvars)
-    for w in ws:
-        prod = prod * w.to_polynomial()
-    whole = g.is_zero() or _product_divides(prod, ws, g)
+    whole = g.is_zero() or _product_divides(ws, g)
     if each != whole:
         raise AssertionError(
             "divisibility by each weight and by the product disagree; "
@@ -128,7 +125,7 @@ def s2n_relative_image(weights, g: Polynomial) -> bool:
     return each
 
 
-def _product_divides(prod: Polynomial, ws, g: Polynomial) -> bool:
+def _product_divides(ws, g: Polynomial) -> bool:
     q = g
     for w in ws:
         try:

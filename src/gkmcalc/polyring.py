@@ -14,8 +14,9 @@ arithmetic:
   output is deterministic.
 * :func:`divide_by_weight` -- exact division by a linear form, the
   primitive that all divisibility (congruence) checks reduce to.
-* :func:`solve_congruences` -- the homogeneous Chinese-remainder solver
-  used to propagate generator values up a graph.
+* :func:`solve_congruences` -- the homogeneous congruence solver used to
+  propagate generator values up a graph; it matches remainders modulo
+  each weight, with the coefficients of the solution as its only unknowns.
 
 Z-mode is a certificate layered on Q computation: solving happens over the
 rationals and integrality of the result is checked afterwards.
@@ -380,11 +381,25 @@ def divide_by_weight(p: Polynomial, w: Weight) -> Polynomial:
         raise ValueError("polynomial and weight live in different rings")
     if p.is_zero():
         return p
+    quot, rem = _divmod_weight(p.terms, w)
+    if rem:
+        raise NotDivisibleError(f"{w} does not divide {p}")
+    return Polynomial(p.nvars, quot)
+
+
+def _divmod_weight(terms, w: Weight):
+    """Long division of the polynomial with the given terms by ``w``.
+
+    Divides with respect to the first variable ``x_j`` carrying a nonzero
+    coefficient in ``w`` and returns ``(quotient, remainder)`` as term
+    dicts.  The remainder is free of ``x_j``: it is the restriction to the
+    hyperplane ``w = 0``, written in the other variables.
+    """
     j = next(i for i, c in enumerate(w.coeffs) if c != 0)
     cj = Fraction(w.coeffs[j])
     wterms = w.to_polynomial().terms
 
-    rem = dict(p.terms)
+    rem = dict(terms)
     quot: dict[tuple[int, ...], Fraction] = {}
     while True:
         top = max((e[j] for e in rem), default=0)
@@ -405,9 +420,7 @@ def divide_by_weight(p: Polynomial, w: Weight) -> Polynomial:
                     rem.pop(t, None)
                 else:
                     rem[t] = s
-    if rem:
-        raise NotDivisibleError(f"{w} does not divide {p}")
-    return Polynomial(p.nvars, quot)
+    return quot, rem
 
 
 def pairwise_coprime(weights, mode: str = "Q") -> bool:
@@ -511,12 +524,15 @@ def solve_congruences(constraints, degree: int, mode: str = "Q") -> Polynomial:
 
     ``constraints`` is a list of (Weight, Polynomial) pairs with pairwise
     coprime weights and each polynomial zero or homogeneous of ``degree``.
-    The witnesses ``g_i`` with ``h - p_i = a_i * g_i`` are solved for
-    alongside ``h`` as one exact linear system over Q in the monomial
-    coefficients.  Uniqueness holds whenever the number of constraints
-    exceeds ``degree`` (two solutions differ by a multiple of the product
-    of the weights, whose degree is then too large); otherwise
-    :class:`NonUniqueError` reports the dimension of the solution space.
+    A congruence ``h == p_i (mod a_i)`` says that ``h`` and ``p_i`` have the
+    same restriction to the hyperplane ``a_i = 0``, i.e. the same remainder
+    under long division by ``a_i``.  Remainders are linear, so matching
+    them coefficient by coefficient is one exact linear system over Q whose
+    only unknowns are the monomial coefficients of ``h``.  Uniqueness holds
+    whenever the number of constraints exceeds ``degree`` (two solutions
+    differ by a multiple of the product of the weights, whose degree is
+    then too large); otherwise :class:`NonUniqueError` reports the
+    dimension of the solution space.
 
     In Z-mode the unique solution must have integer coefficients, else
     :class:`NonIntegralError` carries it as witness.
@@ -525,6 +541,8 @@ def solve_congruences(constraints, degree: int, mode: str = "Q") -> Polynomial:
     constraints = list(constraints)
     if not constraints:
         raise ValueError("at least one congruence is required")
+    if degree < 0:
+        raise ValueError(f"degree must be non-negative, got {degree}")
     nvars = constraints[0][0].rank
     for w, p in constraints:
         if w.is_zero():
@@ -537,28 +555,22 @@ def solve_congruences(constraints, degree: int, mode: str = "Q") -> Polynomial:
         raise ValueError("congruence moduli must be pairwise coprime")
 
     mons_h = monomials(nvars, degree)
-    mons_g = monomials(nvars, degree - 1)
-    h_index = {e: i for i, e in enumerate(mons_h)}
-    g_index = {e: i for i, e in enumerate(mons_g)}
-    nh, ng = len(mons_h), len(mons_g)
-    ncols = nh + ng * len(constraints)
-
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
-    for ci, (w, p) in enumerate(constraints):
-        base = nh + ci * ng
-        for e in mons_h:
-            row = [Fraction(0)] * ncols
-            row[h_index[e]] = Fraction(1)
-            # coefficient of monomial e in  w * g_i
-            for t, wc in enumerate(w.coeffs):
-                if wc == 0 or e[t] == 0:
-                    continue
-                ge = list(e)
-                ge[t] -= 1
-                row[base + g_index[tuple(ge)]] = -Fraction(wc)
-            rows.append(row)
-            rhs.append(p.coefficient(e))
+    for w, p in constraints:
+        # one row per remainder monomial t:  sum_e h_e * rem(x^e)[t] = rem(p)[t]
+        rems = [_divmod_weight({e: Fraction(1)}, w)[1] for e in mons_h]
+        target = _divmod_weight(p.terms, w)[1]
+        keys = set(target).union(*rems)
+        for t in mons_h:
+            if t in keys:
+                rows.append([r.get(t, Fraction(0)) for r in rems])
+                rhs.append(target.get(t, Fraction(0)))
+    if not rows:
+        # rank 1: every remainder is a constant, so degree >= 1 leaves h free
+        raise NonUniqueError(
+            f"congruence system underdetermined in degree {degree}", dimension=len(mons_h)
+        )
 
     try:
         particular, null = solve_linear_system(rows, rhs)
@@ -568,7 +580,7 @@ def solve_congruences(constraints, degree: int, mode: str = "Q") -> Polynomial:
         raise NonUniqueError(
             f"congruence system underdetermined in degree {degree}", dimension=len(null)
         )
-    h = Polynomial(nvars, {e: particular[h_index[e]] for e in mons_h})
+    h = Polynomial(nvars, dict(zip(mons_h, particular)))
     if mode == "Z" and not h.is_integral():
         raise NonIntegralError(f"solution {h} is not integral", witness=h)
     return h

@@ -25,7 +25,7 @@ module use positive-root representatives.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     NoSolutionError,
@@ -34,7 +34,7 @@ from .errors import (
     NotInSpanError,
     ValidationFailureError,
 )
-from .graph import CohClass, GkmGraph, is_gkm_class, validate
+from .graph import CohClass, GkmGraph, ValidationEntry, ValidationReport, is_gkm_class, validate
 from .polyring import Polynomial, divide_by_weight, solve_congruences
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "canonical_generators",
     "verify_generator_conditions",
     "expand_in_basis",
-    "ConditionReport",
 ]
 
 
@@ -152,46 +151,31 @@ def canonical_generators(graph: GkmGraph, degree: int, mode: str | None = None) 
     return GeneratorBasis(graph, degree, mode, generators)
 
 
-@dataclass
-class ConditionReport:
-    entries: list[tuple[str, str, bool, str]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, _, ok, _ in self.entries)
-
-    def failures(self):
-        return [e for e in self.entries if not e[2]]
-
-    def __bool__(self):
-        return self.ok
-
-
-def verify_generator_conditions(basis: GeneratorBasis) -> ConditionReport:
+def verify_generator_conditions(basis: GeneratorBasis) -> ValidationReport:
     """Re-check conditions 1-4 and GKM membership for every generator."""
     graph = basis.graph
-    rep = ConditionReport()
+    rep = ValidationReport()
     add = rep.entries.append
     for vid, cls in basis.items():
         d = graph.vertex(vid).cell_dim // 2
         ok1 = all(p.is_homogeneous(d) for p in cls.values.values())
-        add((vid, "homogeneous", ok1, f"every value homogeneous of degree {d} or zero"))
+        add(ValidationEntry(vid, "homogeneous", ok1, f"every value homogeneous of degree {d} or zero"))
         ok2 = all(
             cls.values[w.id].is_zero()
             for w in graph.vertices
             if w.cell_dim < graph.vertex(vid).cell_dim
         )
-        add((vid, "vanish_below", ok2, "zero on lower-dimensional vertices"))
+        add(ValidationEntry(vid, "vanish_below", ok2, "zero on lower-dimensional vertices"))
         ok3 = all(
             cls.values[w.id].is_zero()
             for w in graph.vertices
             if w.cell_dim == graph.vertex(vid).cell_dim and w.id != vid
         )
-        add((vid, "vanish_beside", ok3, "zero on other vertices of equal dimension"))
+        add(ValidationEntry(vid, "vanish_beside", ok3, "zero on other vertices of equal dimension"))
         ok4 = cls.values[vid] == _down_weight_product(graph, vid)
-        add((vid, "diagonal_value", ok4, "f_v(v) is the product of down-edge weights"))
+        add(ValidationEntry(vid, "diagonal_value", ok4, "f_v(v) is the product of down-edge weights"))
         okg = bool(is_gkm_class(graph, cls))
-        add((vid, "gkm_membership", okg, "divisibility across every edge"))
+        add(ValidationEntry(vid, "gkm_membership", okg, "divisibility across every edge"))
     return rep
 
 

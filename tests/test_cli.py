@@ -168,9 +168,10 @@ def test_oracle_subcommands(tmp_path, capsys):
 
 
 def test_unknown_preset_exit(capsys):
-    code, _, err = run(["build", "E9-flag"], capsys)
-    assert code == 1
-    assert "unknown preset" in err
+    for name in ("E9-flag", "nosuch"):
+        code, out, err = run(["build", name], capsys)
+        assert code == 4
+        assert not out and f"unknown preset {name!r}" in err
 
 
 def test_build_chain_graph(capsys):
@@ -212,3 +213,20 @@ def test_schubert_compare_needs_finite_preset(capsys):
     code, _, err = run(["oracle", "schubert-compare", "--preset", "omega-su2"], capsys)
     assert code == 4
     assert "no finite Cartan matrix for preset 'omega-su2'" in err
+
+
+def test_non_integer_gcm_exit_code(tmp_path, capsys):
+    gcm_path = tmp_path / "gcm.json"
+    for bad in ({"gcm": [[2, -1.5], [-1, 2]]}, [[2, True], [-1, 2]], {"gcm": 5}):
+        gcm_path.write_text(json.dumps(bad))
+        code, out, err = run(["build", "--gcm", str(gcm_path)], capsys)
+        assert code == 4
+        assert not out and "must be a list of integer rows" in err
+
+
+def test_parabolic_outside_diagram_exit_code(tmp_path, capsys):
+    gcm_path = tmp_path / "gcm.json"
+    gcm_path.write_text(json.dumps({"gcm": [[2, -1], [-1, 2]]}))
+    code, out, err = run(["build", "--gcm", str(gcm_path), "--parabolic", "5"], capsys)
+    assert code == 4
+    assert not out and "not a subset" in err

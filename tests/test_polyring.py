@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkmcalc.errors import (
     NoSolutionError,
@@ -194,6 +197,50 @@ def test_solution_satisfies_all_congruences():
     h = solve_congruences(constraints, 1)
     for w, p in constraints:
         divide_by_weight(h - p, w)  # must not raise
+
+
+def _direction(coeffs):
+    """Canonical representative of the line through a nonzero vector."""
+    g = 0
+    for c in coeffs:
+        g = gcd(g, c)
+    sign = 1 if next(c for c in coeffs if c) > 0 else -1
+    return tuple(sign * c // g for c in coeffs)
+
+
+@st.composite
+def _forced_congruences(draw):
+    """A system h == p_i (mod a_i) with p_i = h0 + a_i * g_i over pairwise
+    non-collinear weights a_i, in rank 1-3 and degree 0-3."""
+    k = draw(st.integers(1, 3))
+    d = draw(st.integers(0, 3))
+    vectors = st.tuples(*[st.integers(-3, 3)] * k).filter(any)
+    ws = draw(st.lists(vectors, min_size=1, max_size=1 if k == 1 else 4, unique_by=_direction))
+
+    def poly(deg):
+        coeff = st.fractions(-3, 3, max_denominator=3)
+        return Polynomial(k, {m: draw(coeff) for m in monomials(k, deg)})
+
+    h0 = poly(d)
+    constraints = [(Weight(w), h0 + Weight(w).to_polynomial() * poly(d - 1)) for w in ws]
+    return k, d, h0, constraints
+
+
+@settings(deadline=None)
+@given(_forced_congruences())
+def test_solve_congruences_property(system):
+    k, d, h0, constraints = system
+    m = len(constraints)
+    if m > d:
+        h = solve_congruences(constraints, d)
+        assert h == h0
+        for w, p in constraints:
+            divide_by_weight(h - p, w)  # must not raise
+    else:
+        # solutions are h0 + (a_1 ... a_m) * q for any q of degree d - m
+        with pytest.raises(NonUniqueError) as err:
+            solve_congruences(constraints, d)
+        assert err.value.dimension == comb(d - m + k - 1, k - 1)
 
 
 def test_parse_round_trip():

@@ -31,7 +31,6 @@ from fractions import Fraction
 from .coxeter import (
     GCM,
     Root,
-    apply_word_dual,
     classify,
     coset_orbit,
     generic_dominant_vector,
@@ -167,7 +166,14 @@ def _default_base_point(gcm: GCM, parabolic, tb: _TorusBasis):
 
 
 def _orbit_positions(gcm, parabolic, tb, words, base_point):
-    """Map each coset word to its moment-image coordinates."""
+    """Map each coset word to its moment-image coordinates.
+
+    A word ``w = s_i w'`` moves the base point to ``s_i(w' lambda)``, so its
+    dual vector and energy slot (the delta-dual coordinate, tracked only in
+    affine cases) are one reflection from those of its suffix ``w'``; both
+    are memoized per suffix.  Dual vectors then map to torus coordinates
+    through the inverse of the (classical) Cartan matrix.
+    """
     lam = tuple(Fraction(x) for x in base_point)
     if len(lam) != gcm.n:
         raise BadBasePointError(f"base point must have {gcm.n} coordinates")
@@ -178,37 +184,32 @@ def _orbit_positions(gcm, parabolic, tb, words, base_point):
             raise BadBasePointError(f"base point is moved by the parabolic generator s{i}")
         if i not in J and fixes:
             raise BadBasePointError(f"base point is fixed by s{i} outside the parabolic")
-
-    if tb.kind == "finite":
-        inv = _invert(gcm.rows)
-
-        def position(word):
-            mu = apply_word_dual(gcm, word, lam)
-            return tuple(sum(inv[i][j] * mu[j] for j in range(gcm.n)) for i in range(gcm.n))
-
-    elif tb.kind == "affine":
-        others = [i for i in range(gcm.n) if i != tb.z]
-        sub = [[Fraction(gcm.a(i, j)) for j in others] for i in others]
-        inv = _invert(sub)
-
-        def position(word):
-            mu = lam
-            s = Fraction(0)
-            # act letter by letter, tracking the delta-dual (energy) slot
-            for i in reversed(tuple(word)):
-                if i == tb.z:
-                    s = s - mu[i]
-                mu = reflect_dual(gcm, i, mu)
-            classical = [mu[j] for j in others]
-            pos = [
-                sum(inv[r][c] * classical[c] for c in range(len(others)))
-                for r in range(len(others))
-            ]
-            pos.append(s)
-            return tuple(pos)
-
-    else:
+    if tb.kind not in ("finite", "affine"):
         raise UnsupportedTypeError("moment embedding needs a finite or affine Cartan matrix")
+
+    others = [i for i in range(gcm.n) if i != tb.z]
+    inv = _invert([[gcm.a(i, j) for j in others] for i in others])
+    orbit = {(): (lam, Fraction(0))}  # suffix -> (dual vector, energy slot)
+
+    def position(word):
+        k = 0
+        while word[k:] not in orbit:
+            k += 1
+        mu, s = orbit[word[k:]]
+        for t in reversed(range(k)):
+            i = word[t]
+            if i == tb.z:
+                s = s - mu[i]
+            mu = reflect_dual(gcm, i, mu)
+            orbit[word[t:]] = (mu, s)
+        classical = [mu[j] for j in others]
+        pos = [
+            sum(inv[r][c] * classical[c] for c in range(len(others)))
+            for r in range(len(others))
+        ]
+        if tb.kind == "affine":
+            pos.append(s)
+        return tuple(pos)
 
     return {coset_id(w): position(w) for w in words}
 
@@ -229,34 +230,47 @@ def build_flag_graph(
     root ``beta = s_{a1}...s_{a(j-1)}(alpha_{aj})``, which labels the edge
     (subword property).  Each retained vertex thus carries all of its
     down-edges, so truncations are induced subgraphs of the full graph.
+
+    Every word is ``w = s_i w'`` with its parent ``w'`` built first, so the
+    down-edges of ``w`` are the edge to ``w'`` labeled ``alpha_i`` followed
+    by ``s_i`` applied to each down-edge of ``w'``: the edge from ``w'`` to
+    ``u`` labeled ``beta`` gives the edge from ``w`` to ``s_i u`` labeled
+    ``s_i(beta)``.
+
+    >>> g = build_flag_graph(GCM(((2, -1), (-1, 2))), (), 3)
+    >>> len(g.vertices), len(g.edges)
+    (6, 9)
+    >>> [(e.other("0-1"), str(e.weight)) for e in g.down_edges("0-1")]
+    [('0', 'x1 + x2'), ('1', 'x1')]
     """
     if degree < 0:
         raise ValueError("degree cutoff must be non-negative")
     J = frozenset(parabolic)
-    reps, table = coset_orbit(gcm, J, degree)
+    reps, _ = coset_orbit(gcm, J, degree)
     tb = _torus_basis(gcm, J)
-
-    vertices = [
-        Vertex(coset_id(rep.word), 2 * rep.length, label=rep.label()) for rep, _ in reps
-    ]
-    mu = reps[0][1]  # the identity coset's orbit vector
-    edges = []
-    for rep, _ in reps:
-        w = rep.word
-        uid = coset_id(w)
-        for j, a in enumerate(w):
-            beta = tuple(1 if t == a else 0 for t in range(gcm.n))
-            for i in reversed(w[:j]):
-                beta = reflect(gcm, i, beta)
-            lower = table[apply_word_dual(gcm, w[:j] + w[j + 1:], mu)]
-            edges.append(Edge(uid, coset_id(lower.word), tb.weight(Root(beta))))
-
-    graph = GkmGraph(tb.k, mode, vertices, edges)
+    positions = {}
     if embed and tb.kind in ("finite", "affine"):
         base = base_point if base_point is not None else _default_base_point(gcm, J, tb)
         positions = _orbit_positions(gcm, J, tb, [rep.word for rep, _ in reps], base)
-        graph = graph.with_positions(positions)
-    return graph
+
+    ids = {vec: coset_id(rep.word) for rep, vec in reps}
+    down = {(): ()}  # word -> its down-edges as (lower orbit vector, label root)
+    vertices = []
+    edges = []
+    for rep, vec in reps:
+        w = rep.word
+        uid = ids[vec]
+        vertices.append(Vertex(uid, 2 * rep.length, positions.get(uid), rep.label()))
+        if not w:
+            continue
+        i = w[0]
+        simple = tuple(1 if t == i else 0 for t in range(gcm.n))
+        down[w] = ((reflect_dual(gcm, i, vec), simple),) + tuple(
+            (reflect_dual(gcm, i, low), reflect(gcm, i, beta)) for low, beta in down[w[1:]]
+        )
+        for low, beta in down[w]:
+            edges.append(Edge(uid, ids[low], tb.weight(Root(beta))))
+    return GkmGraph(tb.k, mode, vertices, edges)
 
 
 def moment_embedding(graph: GkmGraph, gcm: GCM, parabolic, base_point=None) -> GkmGraph:

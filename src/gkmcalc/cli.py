@@ -2,8 +2,9 @@
 
 Exit codes: 0 success; 1 validation (or membership) failure; 2 unsolvable
 or non-expandable systems; 3 non-integral results in Z-mode; 4 I/O, parse
-or invalid-input errors.  A graph argument of ``-`` (or omitted where
-allowed) reads JSON from stdin, so subcommands compose in a pipeline::
+or invalid-input errors, command-line usage errors included.  A graph
+argument of ``-`` (or omitted where allowed) reads JSON from stdin, so
+subcommands compose in a pipeline::
 
     gkm build omega-su2 --degree 4 | gkm poincare
 """
@@ -167,10 +168,11 @@ def _cmd_poincare(args) -> int:
 
 def _cmd_power(args) -> int:
     if args.preset is not None:
-        graph = builders.build_preset(args.preset, max(args.n, builders.PRESETS[args.preset][2]))
+        degree = max(args.n, builders.PRESETS[args.preset][2])
+        graph = builders.build_preset(args.preset, degree, mode=args.mode or "Z")
     else:
         graph = _load_graph(args.graph)
-    basis = canonical_generators(graph, args.n)
+    basis = canonical_generators(graph, args.n, mode=args.mode)
     value = ring_ops.power_coefficient(graph, basis, args.n)
     print(value)
     return 0
@@ -268,8 +270,16 @@ def _random_coprime_weights(rng: random.Random, rank: int, count: int) -> list[W
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors with exit code 4 (invalid input), not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(4, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gkm", description="equivariant cohomology of GKM cell complexes"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -317,6 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", nargs="?", default="-")
     p.add_argument("--preset", choices=sorted(builders.PRESETS))
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--mode", choices=("Z", "Q"))
     p.set_defaults(func=_cmd_power)
 
     p = sub.add_parser("render", help="emit DOT or SVG")

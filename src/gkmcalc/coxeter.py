@@ -46,6 +46,15 @@ _PRIMES = (
 )
 
 
+def _int_tuple(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple; any entry whose type is not ``int`` (``bool``
+    and ``float`` included) is rejected rather than truncated."""
+    out = tuple(values)
+    if any(type(v) is not int for v in out):
+        raise ValueError(f"{what} must be integers, got {out!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class GCM:
     """A generalized Cartan matrix: 2 on the diagonal, non-positive integers
@@ -54,7 +63,7 @@ class GCM:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        rows = tuple(_int_tuple(row, "Cartan matrix entries") for row in self.rows)
         object.__setattr__(self, "rows", rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
@@ -84,7 +93,7 @@ class Root:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        object.__setattr__(self, "coords", _int_tuple(self.coords, "root coordinates"))
 
     @property
     def height(self) -> int:
@@ -102,7 +111,7 @@ class CosetRep:
     word: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "word", tuple(int(i) for i in self.word))
+        object.__setattr__(self, "word", _int_tuple(self.word, "word letters"))
 
     @property
     def length(self) -> int:

@@ -83,7 +83,10 @@ class Weight:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        coeffs = tuple(self.coeffs)
+        if any(type(c) is not int for c in coeffs):
+            raise ValueError(f"weight coefficients must be integers, got {coeffs!r}")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def rank(self) -> int:

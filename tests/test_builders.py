@@ -5,18 +5,22 @@ from fractions import Fraction
 import pytest
 
 from gkmcalc.builders import (
+    TWISTED_A1_4,
+    _default_base_point,
+    _torus_basis,
     affine_type_a,
     build_chain_graph,
     build_flag_graph,
     build_omega_k,
     build_preset,
     build_twisted_example,
+    coset_id,
     moment_embedding,
     type_a,
     type_b2,
     word_from_id,
 )
-from gkmcalc.coxeter import GCM, word_matrix
+from gkmcalc.coxeter import GCM, Root, apply_word_dual, coset_orbit, reflect, word_matrix
 from gkmcalc.errors import BadBasePointError, UnsupportedTypeError
 from gkmcalc.graph import skeleton, validate
 from gkmcalc.polyring import Weight
@@ -104,6 +108,76 @@ def test_hyperbolic_build_validates():
     g = build_flag_graph(GCM(((2, -3), (-3, 2))), (), 9)
     assert len(g.vertices) == 19 and len(g.edges) == 90
     assert validate(g).ok
+
+
+# Independent references for the parent-word recurrence of build_flag_graph:
+# every down-edge and position recomputed from the full coset word.
+
+RECURRENCE_CASES = {
+    "hyperbolic-9": (GCM(((2, -3), (-3, 2))), (), 9),
+    "omega-su2-30": (affine_type_a(1), (1,), 30),
+    "omega-su3-6": (affine_type_a(2), (1, 2), 6),
+    "twisted-20": (TWISTED_A1_4, (1,), 20),
+    "affine-A2-flag-5": (affine_type_a(2), (), 5),
+    "A3-flag": (type_a(3), (), 6),
+    "Gr(2,4)": (type_a(3), (0, 2), 4),
+}
+
+
+def _direct_down_edges(gcm, parabolic, degree):
+    """Per vertex, the sorted (lower id, label) pairs of its letter deletions:
+    deleting letter j of w = s_{a1}...s_{al} gives the coset of the deleted
+    word, labeled s_{a1}...s_{a(j-1)}(alpha_{aj})."""
+    reps, table = coset_orbit(gcm, parabolic, degree)
+    tb = _torus_basis(gcm, frozenset(parabolic))
+    mu = reps[0][1]
+    down = {}
+    for rep, _ in reps:
+        w = rep.word
+        pairs = []
+        for j, a in enumerate(w):
+            beta = tuple(1 if t == a else 0 for t in range(gcm.n))
+            for i in reversed(w[:j]):
+                beta = reflect(gcm, i, beta)
+            lower = table[apply_word_dual(gcm, w[:j] + w[j + 1:], mu)]
+            pairs.append((coset_id(lower.word), tb.weight(Root(beta)).coeffs))
+        down[coset_id(w)] = sorted(pairs)
+    return down
+
+
+@pytest.mark.parametrize("case", sorted(RECURRENCE_CASES))
+def test_down_edges_match_letter_deletions(case):
+    gcm, parabolic, degree = RECURRENCE_CASES[case]
+    g = build_flag_graph(gcm, parabolic, degree, embed=False)
+    built = {
+        vid: sorted((e.other(vid), e.weight.coeffs) for e in g.down_edges(vid))
+        for vid in g.vertex_ids
+    }
+    assert built == _direct_down_edges(gcm, parabolic, degree)
+
+
+@pytest.mark.parametrize("case", sorted(set(RECURRENCE_CASES) - {"hyperbolic-9"}))
+def test_positions_match_full_word_action(case):
+    # A position p of the word w satisfies A' p' = (w lambda)' on the
+    # classical nodes (all nodes for a finite matrix; A' is invertible there),
+    # and in affine cases its last slot is the delta-dual energy: the sum of
+    # -(u lambda)_z over the suffixes s_z u of w.
+    gcm, parabolic, degree = RECURRENCE_CASES[case]
+    tb = _torus_basis(gcm, frozenset(parabolic))
+    lam = tuple(Fraction(x) for x in _default_base_point(gcm, frozenset(parabolic), tb))
+    others = [i for i in range(gcm.n) if i != tb.z]
+    g = build_flag_graph(gcm, parabolic, degree)
+    for v in g.vertices:
+        w = word_from_id(v.id)
+        mu = apply_word_dual(gcm, w, lam)
+        p = v.position
+        for i in others:
+            assert sum(gcm.a(i, j) * p[c] for c, j in enumerate(others)) == mu[i], v.id
+        if tb.kind == "affine":
+            suffixes = [w[t + 1:] for t in range(len(w)) if w[t] == tb.z]
+            assert p[-1] == sum(-apply_word_dual(gcm, u, lam)[tb.z] for u in suffixes), v.id
+    bare = build_flag_graph(gcm, parabolic, degree, embed=False)
+    assert moment_embedding(bare, gcm, parabolic) == g
 
 
 def test_truncation_monotonicity():

@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from gkmcalc.cli import main
 from gkmcalc.graph import GkmGraph
 
@@ -230,3 +232,29 @@ def test_parabolic_outside_diagram_exit_code(tmp_path, capsys):
     code, out, err = run(["build", "--gcm", str(gcm_path), "--parabolic", "5"], capsys)
     assert code == 4
     assert not out and "not a subset" in err
+
+
+def test_power_mode(tmp_path, capsys):
+    for mode in ("Z", "Q"):
+        code, out, _ = run(["power", "--preset", "omega-su2", "--n", "3", "--mode", mode], capsys)
+        assert code == 0 and out.strip() == "6"
+    graph_path = tmp_path / "twisted.json"
+    build = ["build", "A1-4-twisted", "--degree", "3", "--mode", "Q", "-o", str(graph_path)]
+    assert run(build, capsys)[0] == 0
+    for extra in ([], ["--mode", "Z"]):
+        code, out, _ = run(["power", str(graph_path), "--n", "3", *extra], capsys)
+        assert code == 0 and out.strip() == "12"
+
+
+def test_usage_error_exit_code(capsys):
+    for argv in ([], ["power", "--preset", "omega-su2"], ["power", "--n", "3", "--mode", "X"],
+                 ["build", "--no-such-option"], ["nosuch"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 4, argv
+        assert "error:" in capsys.readouterr().err
+    for argv in (["--help"], ["power", "--help"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 0, argv
+        assert "usage:" in capsys.readouterr().out

@@ -2,12 +2,15 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from gkmcalc.builders import build_flag_graph
 from gkmcalc.coxeter import (
     GCM,
+    CosetRep,
+    Root,
     apply_word_dual,
     classify,
     enumerate_cosets,
@@ -159,3 +162,19 @@ def test_generic_vector_stabilizer():
     assert mu[1] == 0 and mu[0] != 0
     with pytest.raises(InvalidParabolicError):
         generic_dominant_vector(A2, (-1,))
+
+
+def test_value_types_reject_non_integers():
+    for bad in (((2, -1.5), (-1, 2)), ((2, True), (True, 2)), ((2, Fraction(-1)), (-1, 2))):
+        with pytest.raises(ValueError, match="must be integers"):
+            GCM(bad)
+    for bad in ((1.7, 0), (True, 0), (Fraction(1), 0)):
+        with pytest.raises(ValueError, match="must be integers"):
+            Root(bad)
+    for bad in ((0.9,), (False,), ("0",)):
+        with pytest.raises(ValueError, match="must be integers"):
+            CosetRep(bad)
+    # any iterable of ints is still accepted and stored as a tuple
+    assert GCM([[2, -1], [-1, 2]]).rows == ((2, -1), (-1, 2))
+    assert Root([1, 0]).coords == (1, 0)
+    assert CosetRep([0, 1]).word == (0, 1)

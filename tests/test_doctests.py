@@ -2,6 +2,7 @@
 
 import doctest
 
+import gkmcalc.builders
 import gkmcalc.coxeter
 import gkmcalc.polyring
 
@@ -13,4 +14,9 @@ def test_polyring_doctests():
 
 def test_coxeter_doctests():
     failures, tried = doctest.testmod(gkmcalc.coxeter)
+    assert tried > 0 and failures == 0
+
+
+def test_builders_doctests():
+    failures, tried = doctest.testmod(gkmcalc.builders)
     assert tried > 0 and failures == 0

@@ -84,6 +84,13 @@ def test_weight_basics():
     assert str(Weight((1, -2))) == "x1 - 2*x2"
 
 
+def test_weight_rejects_non_integers():
+    for bad in ((1.5, 0), (True, 0), (Fraction(1), 0), ("1", 0)):
+        with pytest.raises(ValueError, match="must be integers"):
+            Weight(bad)
+    assert Weight([1, 0]).coeffs == (1, 0)
+
+
 def test_homogeneity_helpers():
     assert (X * Y).is_homogeneous(2)
     assert not (X + Polynomial.one(2)).is_homogeneous()
@@ -241,6 +248,53 @@ def test_solve_congruences_property(system):
         with pytest.raises(NonUniqueError) as err:
             solve_congruences(constraints, d)
         assert err.value.dimension == comb(d - m + k - 1, k - 1)
+
+
+@st.composite
+def _sparse_polynomial(draw, k):
+    """A polynomial in ``k`` variables with a few terms of degree <= 3 and
+    rational coefficients, the zero polynomial included."""
+    exponents = st.tuples(*[st.integers(0, 3)] * k)
+    coeff = st.fractions(-50, 50, max_denominator=12)
+    return Polynomial(k, draw(st.dictionaries(exponents, coeff, max_size=6)))
+
+
+@st.composite
+def _polynomial_and_weight(draw):
+    k = draw(st.integers(1, 3))
+    w = Weight(draw(st.tuples(*[st.integers(-4, 4)] * k).filter(any)))
+    return k, draw(_sparse_polynomial(k)), w
+
+
+@settings(deadline=None)
+@given(_polynomial_and_weight())
+def test_divide_by_weight_inverts_multiplication(case):
+    k, p, w = case
+    assert divide_by_weight(p * w.to_polynomial(), w) == p
+
+
+@settings(deadline=None)
+@given(_polynomial_and_weight(), st.data())
+def test_divide_by_weight_rejects_nonzero_remainder(case, data):
+    # r is free of the first variable that w involves, so r restricted to the
+    # hyperplane w = 0 is r itself: p = q*w + r is divisible only if r == 0
+    k, q, w = case
+    pivot = next(i for i, c in enumerate(w.coeffs) if c)
+    r = data.draw(_sparse_polynomial(k))
+    r = Polynomial(k, {e: c for e, c in r.terms.items() if e[pivot] == 0})
+    p = q * w.to_polynomial() + r
+    if r.is_zero():
+        assert divide_by_weight(p, w) == q
+    else:
+        with pytest.raises(NotDivisibleError):
+            divide_by_weight(p, w)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(k), _sparse_polynomial(k))))
+def test_parse_inverts_str(case):
+    k, p = case
+    assert parse_polynomial(str(p), k) == p
 
 
 def test_parse_round_trip():

@@ -22,6 +22,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InvalidParabolicError
+from .polyring import _int_tuple, nullspace_basis
 
 __all__ = [
     "GCM",
@@ -44,15 +45,6 @@ _PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
     53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
 )
-
-
-def _int_tuple(values, what: str) -> tuple[int, ...]:
-    """``values`` as a tuple; any entry whose type is not ``int`` (``bool``
-    and ``float`` included) is rejected rather than truncated."""
-    out = tuple(values)
-    if any(type(v) is not int for v in out):
-        raise ValueError(f"{what} must be integers, got {out!r}")
-    return out
 
 
 @dataclass(frozen=True)
@@ -209,8 +201,6 @@ def marks(gcm: GCM) -> tuple[int, ...]:
     """The primitive positive integer vector spanning the kernel of an
     affine Cartan matrix; its entries are the coefficients of the simple
     roots in the null root delta."""
-    from .polyring import nullspace_basis
-
     rows = [[Fraction(v) for v in row] for row in gcm.rows]
     null = nullspace_basis(rows, gcm.n)
     if len(null) != 1:

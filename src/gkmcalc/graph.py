@@ -251,13 +251,13 @@ class GkmGraph:
             )
         es = []
         for ed in data["edges"]:
-            coeffs = tuple(ed["weight"])
-            if any(type(c) is not int for c in coeffs):
+            try:
+                weight = Weight(ed["weight"])
+            except ValueError as exc:
                 raise ValueError(
-                    f"weight of edge ({ed['from']}, {ed['to']}) must be an integer vector, "
-                    f"got {list(coeffs)!r}"
-                )
-            es.append(Edge(str(ed["from"]), str(ed["to"]), Weight(coeffs)))
+                    f"weight of edge ({ed['from']}, {ed['to']}) must be an integer vector: {exc}"
+                ) from None
+            es.append(Edge(str(ed["from"]), str(ed["to"]), weight))
         return cls(rank, data.get("mode", "Z"), vs, es)
 
     @classmethod

@@ -59,6 +59,15 @@ def _as_fraction(c) -> Fraction:
     raise TypeError(f"expected an int or Fraction coefficient, got {type(c).__name__}")
 
 
+def _int_tuple(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple; any entry whose type is not ``int`` (``bool``
+    and ``float`` included) is rejected rather than truncated."""
+    out = tuple(values)
+    if any(type(v) is not int for v in out):
+        raise ValueError(f"{what} must be integers, got {out!r}")
+    return out
+
+
 def _normalize_mode(mode: str) -> str:
     m = str(mode).upper()
     if m not in ("Z", "Q"):
@@ -83,10 +92,7 @@ class Weight:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(self.coeffs)
-        if any(type(c) is not int for c in coeffs):
-            raise ValueError(f"weight coefficients must be integers, got {coeffs!r}")
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", _int_tuple(self.coeffs, "weight coefficients"))
 
     @property
     def rank(self) -> int:

@@ -20,13 +20,16 @@ class PolynomialParseError(GkmError):
 class NoSolutionError(GkmError):
     """A congruence system has no homogeneous solution.
 
-    Carries ``vertex`` when raised while solving on a graph: the graph is
-    then not realizable as a cell complex satisfying the validator's rules.
+    Carries ``generator`` (the vertex whose generator failed) and ``vertex``
+    (where its value could not be solved) when raised while solving on a
+    graph: the graph is then not realizable as a cell complex satisfying
+    the validator's rules.
     """
 
-    def __init__(self, message, vertex=None):
+    def __init__(self, message, vertex=None, generator=None):
         super().__init__(message)
         self.vertex = vertex
+        self.generator = generator
 
 
 class NonUniqueError(GkmError):
@@ -41,13 +44,15 @@ class NonIntegralError(GkmError):
     """A Z-mode computation produced a non-integer coefficient.
 
     This is a first-class outcome, not a crash: ``witness`` holds the
-    offending polynomial and ``vertex`` the graph vertex when applicable.
+    offending polynomial, ``vertex`` the graph vertex and ``generator`` the
+    vertex whose generator was being solved, when applicable.
     """
 
-    def __init__(self, message, witness=None, vertex=None):
+    def __init__(self, message, witness=None, vertex=None, generator=None):
         super().__init__(message)
         self.witness = witness
         self.vertex = vertex
+        self.generator = generator
 
 
 class MissingVertexValueError(GkmError):
@@ -82,12 +87,14 @@ class NotInSpanError(GkmError):
     """A class could not be expanded in the generator basis.
 
     Signals either an insufficient degree cutoff or an input that is not a
-    GKM class; ``vertex`` names where the expansion broke down.
+    GKM class; ``vertex`` names where the expansion broke down and ``edge``
+    the down-edge whose weight did not divide the residual, if one did not.
     """
 
-    def __init__(self, message, vertex=None):
+    def __init__(self, message, vertex=None, edge=None):
         super().__init__(message)
         self.vertex = vertex
+        self.edge = edge
 
 
 class CutoffTooSmallError(GkmError):

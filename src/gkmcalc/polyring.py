@@ -9,9 +9,10 @@ arithmetic:
 * :class:`Weight` -- an integer linear form, the label type for graph
   edges; weights have polynomial degree 1 (cohomological degree 2).
 * :class:`Polynomial` -- sparse polynomial keyed by exponent vectors with
-  :class:`fractions.Fraction` coefficients; zero coefficients are never
-  stored and printing follows a fixed graded-lexicographic order, so text
-  output is deterministic.
+  exact rational coefficients: an ``int`` when integral, else a
+  :class:`fractions.Fraction` (never one with denominator 1); zero
+  coefficients are never stored and printing follows a fixed
+  graded-lexicographic order, so text output is deterministic.
 * :func:`divide_by_weight` -- exact division by a linear form, the
   primitive that all divisibility (congruence) checks reduce to.
 * :func:`solve_congruences` -- the homogeneous congruence solver used to
@@ -24,6 +25,7 @@ rationals and integrality of the result is checked afterwards.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,6 +58,26 @@ def _as_fraction(c) -> Fraction:
         return c
     if isinstance(c, int):
         return Fraction(c)
+    raise TypeError(f"expected an int or Fraction coefficient, got {type(c).__name__}")
+
+
+def _normal(c: Fraction) -> int | Fraction:
+    """``c`` in coefficient normal form: an ``int`` when integral, else the
+    ``Fraction`` itself (denominator > 1)."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _normal_terms(terms: dict) -> dict:
+    """``terms`` without zero coefficients, integral ones as ``int``."""
+    return {e: c if type(c) is int else _normal(c) for e, c in terms.items() if c}
+
+
+def _coeff(c) -> int | Fraction:
+    """A user-supplied coefficient, type-checked, in normal form."""
+    if isinstance(c, Fraction):
+        return _normal(c)
+    if isinstance(c, int):
+        return int(c)
     raise TypeError(f"expected an int or Fraction coefficient, got {type(c).__name__}")
 
 
@@ -131,8 +153,8 @@ class Weight:
             if c:
                 e = [0] * len(self.coeffs)
                 e[i] = 1
-                terms[tuple(e)] = Fraction(c)
-        return Polynomial(len(self.coeffs), terms)
+                terms[tuple(e)] = c
+        return Polynomial._make(len(self.coeffs), terms)
 
     def __str__(self) -> str:
         return str(self.to_polynomial())
@@ -145,8 +167,13 @@ def _grlex_key(exps: tuple[int, ...]) -> tuple:
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    Instances are immutable by convention: no method mutates ``terms``
-    after construction, so values may be shared freely across threads.
+    ``terms`` maps exponent vectors to nonzero coefficients, each an ``int``
+    when integral and a :class:`fractions.Fraction` otherwise, so two equal
+    polynomials have equal ``terms``.  The constructor checks and normalizes
+    its input; results of the ring operations are built in normal form and
+    skip those checks.  Instances are immutable by convention: no method
+    mutates ``terms`` after construction, so values may be shared freely
+    across threads.
 
     >>> x = Polynomial.variable(0, 2)
     >>> y = Polynomial.variable(1, 2)
@@ -157,9 +184,9 @@ class Polynomial:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], int | Fraction] = {}
         for exps, c in (terms or {}).items():
-            c = _as_fraction(c)
+            c = _coeff(c)
             if c == 0:
                 continue
             exps = tuple(int(e) for e in exps)
@@ -170,6 +197,15 @@ class Polynomial:
             clean[exps] = c
         object.__setattr__(self, "nvars", int(nvars))
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _make(cls, nvars: int, terms: dict) -> "Polynomial":
+        """Unchecked constructor: ``terms`` must already be in normal form
+        (valid exponent vectors, no zero, no integral ``Fraction``)."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -182,11 +218,11 @@ class Polynomial:
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(1)})
+        return cls(nvars, {(0,) * nvars: 1})
 
     @classmethod
     def constant(cls, c, nvars: int) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: _as_fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, index: int, nvars: int) -> "Polynomial":
@@ -194,7 +230,7 @@ class Polynomial:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
         e = [0] * nvars
         e[index] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
+        return cls(nvars, {tuple(e): 1})
 
     # -- structure --------------------------------------------------------
 
@@ -224,76 +260,80 @@ class Polynomial:
         return d is None or h == d
 
     def homogeneous_component(self, d: int) -> "Polynomial":
-        return Polynomial(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d})
+        return Polynomial._make(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d})
 
-    def coefficient(self, exps: tuple[int, ...]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: tuple[int, ...]) -> int | Fraction:
+        return self.terms.get(tuple(exps), 0)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+    def constant_term(self) -> int | Fraction:
+        return self.terms.get((0,) * self.nvars, 0)
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
+        return all(type(c) is int for c in self.terms.values())
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
         """Terms in descending graded-lexicographic order."""
         return [(e, self.terms[e]) for e in sorted(self.terms, key=_grlex_key, reverse=True)]
 
     # -- arithmetic -------------------------------------------------------
 
-    def _check_compatible(self, other: "Polynomial"):
+    def _operand(self, other):
+        """``other`` as a polynomial in this ring, or None for a foreign type."""
+        if isinstance(other, (int, Fraction)):
+            return Polynomial.constant(other, self.nvars)
+        if not isinstance(other, Polynomial):
+            return None
         if self.nvars != other.nvars:
             raise ValueError("polynomials live in different rings")
+        return other
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other, self.nvars)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_compatible(other)
+    def _combine(self, other, op) -> "Polynomial":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
+            s = op(out.get(e, 0), c)
+            if not s:
+                del out[e]  # c != 0, so e was present
             else:
-                out[e] = s
-        return Polynomial(self.nvars, out)
+                out[e] = s if type(s) is int else _normal(s)
+        return Polynomial._make(self.nvars, out)
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._make(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other, self.nvars)
-        if not isinstance(other, Polynomial):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = _coeff(other)
             if c == 0:
                 return Polynomial.zero(self.nvars)
-            return Polynomial(self.nvars, {e: c * v for e, v in self.terms.items()})
-        if not isinstance(other, Polynomial):
+            scaled = {e: c * v for e, v in self.terms.items()}
+            return Polynomial._make(self.nvars, _normal_terms(scaled))
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check_compatible(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
+        add = operator.add
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Polynomial(self.nvars, out)
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return Polynomial._make(self.nvars, _normal_terms(out))
 
     __rmul__ = __mul__
 
@@ -393,7 +433,7 @@ def divide_by_weight(p: Polynomial, w: Weight) -> Polynomial:
     quot, rem = _divmod_weight(p.terms, w)
     if rem:
         raise NotDivisibleError(f"{w} does not divide {p}")
-    return Polynomial(p.nvars, quot)
+    return Polynomial._make(p.nvars, quot)
 
 
 def _divmod_weight(terms, w: Weight):
@@ -402,14 +442,15 @@ def _divmod_weight(terms, w: Weight):
     Divides with respect to the first variable ``x_j`` carrying a nonzero
     coefficient in ``w`` and returns ``(quotient, remainder)`` as term
     dicts.  The remainder is free of ``x_j``: it is the restriction to the
-    hyperplane ``w = 0``, written in the other variables.
+    hyperplane ``w = 0``, written in the other variables.  Both are in
+    coefficient normal form when ``terms`` is.
     """
     j = next(i for i, c in enumerate(w.coeffs) if c != 0)
-    cj = Fraction(w.coeffs[j])
+    cj = w.coeffs[j]
     wterms = w.to_polynomial().terms
 
     rem = dict(terms)
-    quot: dict[tuple[int, ...], Fraction] = {}
+    quot: dict[tuple[int, ...], int | Fraction] = {}
     while True:
         top = max((e[j] for e in rem), default=0)
         if top == 0:
@@ -419,16 +460,18 @@ def _divmod_weight(terms, w: Weight):
             qe = list(e)
             qe[j] -= 1
             qe = tuple(qe)
-            qc = c / cj
-            quot[qe] = quot.get(qe, Fraction(0)) + qc
+            # each qe is reached once (qe[j] = top - 1 falls every round);
+            # c / cj is integral only if c is an int that cj divides
+            qc = c // cj if type(c) is int and c % cj == 0 else Fraction(c, cj)
+            quot[qe] = qc
             # subtract (qc * x^qe) * w from the remainder
             for we, wc in wterms.items():
                 t = tuple(a + b for a, b in zip(qe, we))
-                s = rem.get(t, Fraction(0)) - qc * wc
-                if s == 0:
-                    rem.pop(t, None)
+                s = rem.get(t, 0) - qc * wc
+                if not s:
+                    del rem[t]
                 else:
-                    rem[t] = s
+                    rem[t] = s if type(s) is int else _normal(s)
     return quot, rem
 
 
@@ -568,13 +611,13 @@ def solve_congruences(constraints, degree: int, mode: str = "Q") -> Polynomial:
     rhs: list[Fraction] = []
     for w, p in constraints:
         # one row per remainder monomial t:  sum_e h_e * rem(x^e)[t] = rem(p)[t]
-        rems = [_divmod_weight({e: Fraction(1)}, w)[1] for e in mons_h]
+        rems = [_divmod_weight({e: 1}, w)[1] for e in mons_h]
         target = _divmod_weight(p.terms, w)[1]
         keys = set(target).union(*rems)
         for t in mons_h:
             if t in keys:
-                rows.append([r.get(t, Fraction(0)) for r in rems])
-                rhs.append(target.get(t, Fraction(0)))
+                rows.append([r.get(t, 0) for r in rems])
+                rhs.append(target.get(t, 0))
     if not rows:
         # rank 1: every remainder is a constant, so degree >= 1 leaves h free
         raise NonUniqueError(
@@ -620,7 +663,7 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
     if not tokens:
         raise PolynomialParseError("empty polynomial text")
     pos = 0
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], int | Fraction] = {}
 
     def peek():
         return tokens[pos] if pos < len(tokens) else None
@@ -631,7 +674,7 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
         pos += 1
         return tok
 
-    def read_factor(exps: list[int]) -> Fraction | None:
+    def read_factor(exps: list[int]) -> int | Fraction | None:
         tok = take()
         if tok.startswith("x"):
             idx = int(tok[1:]) - 1
@@ -646,18 +689,23 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
                 e = int(take())
             exps[idx] += e
             return None
-        if re.fullmatch(r"\d+(/\d+)?", tok):
-            return Fraction(tok)
+        if tok[0].isdigit():
+            num, _, den = tok.partition("/")
+            if not den:
+                return int(num)
+            if int(den) == 0:
+                raise PolynomialParseError(f"zero denominator in {tok!r}")
+            return Fraction(int(num), int(den))
         raise PolynomialParseError(f"unexpected token {tok!r}")
 
     while pos < len(tokens):
-        sign = Fraction(1)
+        sign = 1
         while peek() in ("+", "-"):
             if take() == "-":
                 sign = -sign
         if peek() is None:
             raise PolynomialParseError("dangling sign")
-        coeff = Fraction(1)
+        coeff = 1
         exps = [0] * nvars
         while True:
             c = read_factor(exps)
@@ -667,10 +715,9 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
                 take()
                 continue
             break
+        # a term ends at a sign or the end: "3x1" or "2 3" is not a sum
+        if peek() not in (None, "+", "-"):
+            raise PolynomialParseError(f"unexpected token {peek()!r} after a term in {text!r}")
         e = tuple(exps)
-        total = sign * coeff + terms.get(e, Fraction(0))
-        if total == 0:
-            terms.pop(e, None)
-        else:
-            terms[e] = total
+        terms[e] = terms.get(e, 0) + sign * coeff
     return Polynomial(nvars, terms)

@@ -30,11 +30,12 @@ def poincare_series(graph: GkmGraph, degree: int) -> list[int]:
     return ranks
 
 
-def ordinary_reduction(expansion: dict[str, Polynomial]) -> dict[str, Fraction]:
+def ordinary_reduction(expansion: dict[str, Polynomial]) -> dict[str, int | Fraction]:
     """Set all torus variables to zero in an expansion's coefficients.
 
     This recovers the ordinary cohomology coefficients from equivariant
-    ones (tensoring out the coefficient ring of a point).
+    ones (tensoring out the coefficient ring of a point): exact rationals,
+    an ``int`` when integral and a ``Fraction`` otherwise.
     """
     return {vid: c.constant_term() for vid, c in expansion.items()}
 
@@ -51,8 +52,9 @@ def _unique_vertex_of_dim(graph: GkmGraph, cell_dim: int) -> str:
     return hits[0]
 
 
-def power_coefficient(graph: GkmGraph, basis: GeneratorBasis, n: int) -> Fraction:
-    """Ordinary coefficient of the degree-2n generator in (degree-2 gen)^n.
+def power_coefficient(graph: GkmGraph, basis: GeneratorBasis, n: int) -> int | Fraction:
+    """Ordinary coefficient of the degree-2n generator in (degree-2 gen)^n,
+    an ``int`` when integral and a ``Fraction`` otherwise.
 
     For the loop-space presets this realizes the divided-powers law: the
     value is n! for loops in SU(2) and n! * 2^(n // 2) for the twisted

@@ -107,9 +107,9 @@ def canonical_generators(graph: GkmGraph, degree: int, mode: str | None = None) 
     """Solve for every generator ``f_v`` with ``cell_dim(v)/2 <= degree``.
 
     Raises :class:`ValidationFailureError` on an invalid graph,
-    :class:`NoSolutionError` (with the offending vertex) when some
-    congruence system is unsolvable, and in Z-mode
-    :class:`NonIntegralError` with the witness vertex and value.
+    :class:`NoSolutionError` (with the offending generator and vertex) when
+    some congruence system is unsolvable, and in Z-mode
+    :class:`NonIntegralError` with the generator, witness vertex and value.
     """
     report = validate(graph)
     if not report.ok:
@@ -140,12 +140,14 @@ def canonical_generators(graph: GkmGraph, degree: int, mode: str | None = None) 
                         f"no value for generator {vid!r} at vertex {wid!r}: "
                         "the decorated graph is not realizable as a cell complex",
                         vertex=wid,
+                        generator=vid,
                     ) from None
                 except NonIntegralError as err:
                     raise NonIntegralError(
                         f"generator {vid!r} is not integral at vertex {wid!r}: {err.witness}",
                         witness=err.witness,
                         vertex=wid,
+                        generator=vid,
                     ) from None
         generators[vid] = CohClass(values, d)
     return GeneratorBasis(graph, degree, mode, generators)
@@ -186,7 +188,8 @@ def expand_in_basis(cls: CohClass, basis: GeneratorBasis) -> dict[str, Polynomia
     divisible by the product of that vertex's down-edge weights (divided
     out one weight at a time), which yields ``c_v``; the residual must be
     identically zero after the last vertex, else :class:`NotInSpanError`
-    reports where the expansion failed.  In Z-mode every coefficient must
+    reports where the expansion failed (the vertex, and the down-edge whose
+    weight does not divide the residual).  In Z-mode every coefficient must
     be integral.
     """
     graph = basis.graph
@@ -204,6 +207,7 @@ def expand_in_basis(cls: CohClass, basis: GeneratorBasis) -> dict[str, Polynomia
                     f"residual at {vid!r} is not divisible by its down-edge weights; "
                     "the class is not in the span of the basis within the cutoff",
                     vertex=vid,
+                    edge=e,
                 ) from None
         if basis.mode == "Z" and not c.is_integral():
             raise NonIntegralError(
@@ -215,7 +219,9 @@ def expand_in_basis(cls: CohClass, basis: GeneratorBasis) -> dict[str, Polynomia
         if not c.is_zero():
             gen = basis.generators[vid]
             for wid in graph.vertex_ids:
-                residual[wid] = residual[wid] - c * gen.values[wid]
+                value = gen.values[wid]
+                if not value.is_zero():  # most generator values are zero
+                    residual[wid] = residual[wid] - c * value
     for vid in graph.vertex_ids:
         if not residual[vid].is_zero():
             raise NotInSpanError(

@@ -124,6 +124,23 @@ def test_check_class(tmp_path, capsys):
     assert run(["check", str(gpath), str(bad)], capsys)[0] == 1
 
 
+def test_check_class_parse_error_exit_code(tmp_path, capsys):
+    graph = {
+        "rank": 2,
+        "mode": "Z",
+        "vertices": [{"id": "n", "cell_dim": 0}, {"id": "s", "cell_dim": 2}],
+        "edges": [{"from": "n", "to": "s", "weight": [1, 0]}],
+    }
+    gpath = tmp_path / "s2.json"
+    gpath.write_text(json.dumps(graph))
+    for text in ("1/0", "3x1"):
+        cpath = tmp_path / "bad.json"
+        cpath.write_text(json.dumps({"values": {"n": "0", "s": text}}))
+        code, _, err = run(["check", str(gpath), str(cpath)], capsys)
+        assert code == 4, text
+        assert "Traceback" not in err
+
+
 def test_render_to_file(tmp_path, capsys):
     gpath = tmp_path / "a2.json"
     out = tmp_path / "a2.dot"

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkmcalc.errors import (
@@ -312,9 +312,81 @@ def test_parse_errors():
         parse_polynomial("x1 + ", 2)
     with pytest.raises(PolynomialParseError):
         parse_polynomial("2y + 1", 2)
+    # juxtaposed factors or terms are not a sum, and 1/0 is not a number
+    for text in ("3x1", "x1x2", "2 3", "x1 x2", "x1^2 3", "1/0", "x1 - 2/0*x2"):
+        with pytest.raises(PolynomialParseError):
+            parse_polynomial(text, 2)
 
 
 def test_monomials_order():
     assert monomials(2, 2) == [(2, 0), (1, 1), (0, 2)]
     assert monomials(3, 0) == [(0, 0, 0)]
     assert monomials(2, -1) == []
+
+
+# -- coefficient normal form -------------------------------------------------
+# References below work on plain {exponents: Fraction} dicts, independently of
+# Polynomial's own arithmetic.
+
+
+def _ref_clean(terms):
+    return {e: Fraction(c) for e, c in terms.items() if c}
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return _ref_clean(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return _ref_clean(out)
+
+
+def _assert_normal(p, expected):
+    """No zero and no integral Fraction is stored, and p equals ``expected``."""
+    for c in p.terms.values():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+    assert {e: Fraction(c) for e, c in p.terms.items()} == expected
+
+
+_COEFF = st.one_of(
+    st.integers(-30, 30),
+    st.integers(-30, 30).map(Fraction),  # integral Fractions, denominator 1
+    st.fractions(-30, 30, max_denominator=6),
+)
+
+
+@st.composite
+def _normal_form_case(draw):
+    k = draw(st.integers(1, 3))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * k), _COEFF, max_size=6)
+    w = draw(st.tuples(*[st.integers(-4, 4)] * k).filter(any))
+    return k, draw(terms), draw(terms), draw(_COEFF), w
+
+
+@settings(deadline=None)
+@given(_normal_form_case())
+# long division by 2*x1 + 2*x2 leaves the integral remainder 3 - 1/2*2 on x1*x2
+@example((2, {(1, 0): Fraction(1, 2), (0, 1): 1}, {}, 1, (2, 2)))
+def test_coefficient_normal_form(case):
+    k, a, b, scalar, w = case
+    ra, rb = _ref_clean(a), _ref_clean(b)
+    p, q = Polynomial(k, a), Polynomial(k, b)
+    _assert_normal(p, ra)
+    _assert_normal(p + q, _ref_add(ra, rb))
+    _assert_normal(p - q, _ref_add(ra, rb, -1))
+    _assert_normal(-p, _ref_add({}, ra, -1))
+    _assert_normal(p * q, _ref_mul(ra, rb))
+    _assert_normal(p * scalar, _ref_clean({e: c * scalar for e, c in ra.items()}))
+    _assert_normal(scalar * p, _ref_clean({e: c * scalar for e, c in ra.items()}))
+    rw = {tuple(int(i == j) for i in range(k)): Fraction(c) for j, c in enumerate(w) if c}
+    _assert_normal(divide_by_weight(Polynomial(k, _ref_mul(ra, rw)), Weight(w)), ra)
+    _assert_normal(parse_polynomial(str(p), k), ra)

@@ -190,8 +190,10 @@ def test_expand_rejects_non_class():
     junk = CohClass(
         {vid: (poly2("x1") if vid == "1-0-1" else Polynomial.zero(2)) for vid in g.vertex_ids}
     )
-    with pytest.raises(NotInSpanError):
+    with pytest.raises(NotInSpanError) as err:
         expand_in_basis(junk, basis)
+    assert err.value.vertex == "1-0-1"
+    assert err.value.edge in g.down_edges("1-0-1")
 
 
 def non_integral_graph():
@@ -214,6 +216,7 @@ def test_non_integral_is_reported_with_witness():
     with pytest.raises(NonIntegralError) as err:
         canonical_generators(g, 2, mode="Z")
     assert err.value.vertex == "t"
+    assert err.value.generator == "a"
     basis = canonical_generators(g, 2, mode="Q")
     fa = basis.generator("a")
     assert fa.values["t"] == poly2("x1") - Fraction(1, 2) * poly2("x2")
@@ -239,6 +242,7 @@ def test_no_solution_reports_vertex():
     with pytest.raises(NoSolutionError) as err:
         canonical_generators(no_solution_graph(), 2)
     assert err.value.vertex == "t"
+    assert err.value.generator == "a"
 
 
 def test_generator_support_invariant():

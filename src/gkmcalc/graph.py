@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import MissingVertexValueError, NotDivisibleError
-from .polyring import Polynomial, Weight, divide_by_weight, pairwise_coprime
+from .polyring import Polynomial, Weight, _normalize_mode, divide_by_weight, pairwise_coprime
 
 __all__ = [
     "Vertex",
@@ -97,9 +97,7 @@ class GkmGraph:
     """Immutable decorated graph with a torus rank and coefficient mode."""
 
     def __init__(self, rank: int, mode: str, vertices, edges):
-        mode = str(mode).upper()
-        if mode not in ("Z", "Q"):
-            raise ValueError(f"mode must be 'Z' or 'Q', got {mode!r}")
+        mode = _normalize_mode(mode)
         vs = sorted(vertices, key=_vertex_key)
         index: dict[str, Vertex] = {}
         for v in vs:

@@ -16,11 +16,11 @@ arithmetic:
 * :func:`divide_by_weight` -- exact division by a linear form, the
   primitive that all divisibility (congruence) checks reduce to.
 * :func:`solve_congruences` -- the homogeneous congruence solver used to
-  propagate generator values up a graph; it matches remainders modulo
-  each weight, with the coefficients of the solution as its only unknowns.
+  propagate generator values up a graph; it lifts the solution through
+  one weight at a time by exact division (Chinese remaindering).
 
-Z-mode is a certificate layered on Q computation: solving happens over the
-rationals and integrality of the result is checked afterwards.
+Z-mode is a certificate layered on Q computation: the divisions are exact
+over the rationals and integrality of the result is checked afterwards.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from .errors import (
     NoSolutionError,
@@ -51,14 +51,6 @@ __all__ = [
     "solve_linear_system",
     "nullspace_basis",
 ]
-
-
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"expected an int or Fraction coefficient, got {type(c).__name__}")
 
 
 def _normal(c: Fraction) -> int | Fraction:
@@ -184,18 +176,20 @@ class Polynomial:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
+        if type(nvars) is not int:
+            raise ValueError(f"nvars must be an integer, got {nvars!r}")
         clean: dict[tuple[int, ...], int | Fraction] = {}
         for exps, c in (terms or {}).items():
             c = _coeff(c)
             if c == 0:
                 continue
-            exps = tuple(int(e) for e in exps)
+            exps = _int_tuple(exps, "exponents")
             if len(exps) != nvars:
                 raise ValueError(f"exponent vector {exps} has length != {nvars}")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
             clean[exps] = c
-        object.__setattr__(self, "nvars", int(nvars))
+        object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
 
     @classmethod
@@ -539,7 +533,7 @@ def solve_linear_system(rows, rhs):
     if not rows:
         raise ValueError("empty system")
     ncols = len(rows[0])
-    aug = [[_as_fraction(v) for v in row] + [_as_fraction(b)] for row, b in zip(rows, rhs)]
+    aug = [[Fraction(_coeff(v)) for v in row] + [Fraction(_coeff(b))] for row, b in zip(rows, rhs)]
     pivots = _rref(aug)
     if ncols in pivots:
         raise _InconsistentSystem()
@@ -576,18 +570,22 @@ def solve_congruences(constraints, degree: int, mode: str = "Q") -> Polynomial:
 
     ``constraints`` is a list of (Weight, Polynomial) pairs with pairwise
     coprime weights and each polynomial zero or homogeneous of ``degree``.
-    A congruence ``h == p_i (mod a_i)`` says that ``h`` and ``p_i`` have the
-    same restriction to the hyperplane ``a_i = 0``, i.e. the same remainder
-    under long division by ``a_i``.  Remainders are linear, so matching
-    them coefficient by coefficient is one exact linear system over Q whose
-    only unknowns are the monomial coefficients of ``h``.  Uniqueness holds
-    whenever the number of constraints exceeds ``degree`` (two solutions
-    differ by a multiple of the product of the weights, whose degree is
-    then too large); otherwise :class:`NonUniqueError` reports the
-    dimension of the solution space.
+    ``h`` is lifted one modulus at a time (Newton's form of the Chinese
+    remainder theorem).  From ``h = p_1``, each ``a_k`` takes the remainder
+    ``r`` of ``p_k - h`` modulo ``a_k`` (its restriction to ``a_k = 0``),
+    divides it there by each earlier ``a_i`` -- on ``a_k = 0`` that is the
+    integer form ``c*a_i - a_i[j]*a_k`` over ``c = a_k[j]``, the first
+    nonzero entry of ``a_k`` -- and adds ``(a_1 ... a_{k-1}) * r`` to ``h``.
+    After ``degree + 1`` moduli ``h`` is unique, so each later ``r`` must be
+    zero.  A failed division or a nonzero late ``r`` raises
+    :class:`NoSolutionError`; with at most ``degree`` moduli, solutions
+    differ by multiples of their product and :class:`NonUniqueError`
+    reports the dimension of that space.  In Z-mode a solution with a
+    non-integer coefficient is the witness of :class:`NonIntegralError`.
 
-    In Z-mode the unique solution must have integer coefficients, else
-    :class:`NonIntegralError` carries it as witness.
+    >>> x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    >>> str(solve_congruences([(Weight((1, 0)), x2), (Weight((0, 1)), x1)], 1))
+    'x1 + x2'
     """
     mode = _normalize_mode(mode)
     constraints = list(constraints)
@@ -606,33 +604,28 @@ def solve_congruences(constraints, degree: int, mode: str = "Q") -> Polynomial:
     if not pairwise_coprime([w for w, _ in constraints], "Q"):
         raise ValueError("congruence moduli must be pairwise coprime")
 
-    mons_h = monomials(nvars, degree)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for w, p in constraints:
-        # one row per remainder monomial t:  sum_e h_e * rem(x^e)[t] = rem(p)[t]
-        rems = [_divmod_weight({e: 1}, w)[1] for e in mons_h]
-        target = _divmod_weight(p.terms, w)[1]
-        keys = set(target).union(*rems)
-        for t in mons_h:
-            if t in keys:
-                rows.append([r.get(t, 0) for r in rems])
-                rhs.append(target.get(t, 0))
-    if not rows:
-        # rank 1: every remainder is a constant, so degree >= 1 leaves h free
+    h = constraints[0][1]
+    prod = Polynomial.one(nvars)  # the product of the moduli that h meets
+    for k, (ak, pk) in enumerate(constraints[1:], 1):
+        if k <= degree:
+            prod = prod * constraints[k - 1][0].to_polynomial()
+        r = _divmod_weight((pk - h).terms, ak)[1]
+        if not r:
+            continue
+        if k > degree:
+            raise NoSolutionError("congruence system has no homogeneous solution")
+        j, c = next((i, c) for i, c in enumerate(ak.coeffs) if c)
+        for ai, _ in constraints[:k]:
+            b = Weight(tuple(c * x - ai.coeffs[j] * y for x, y in zip(ai.coeffs, ak.coeffs)))
+            r, rem = _divmod_weight(r, b)
+            if rem:
+                raise NoSolutionError("congruence system has no homogeneous solution")
+        h = h + prod * Polynomial._make(nvars, r) * c**k
+    if len(constraints) <= degree:  # h + (a_1 ... a_m) * q solves for every q
         raise NonUniqueError(
-            f"congruence system underdetermined in degree {degree}", dimension=len(mons_h)
+            f"congruence system underdetermined in degree {degree}",
+            dimension=comb(degree - len(constraints) + nvars - 1, nvars - 1),
         )
-
-    try:
-        particular, null = solve_linear_system(rows, rhs)
-    except _InconsistentSystem:
-        raise NoSolutionError("congruence system has no homogeneous solution") from None
-    if null:
-        raise NonUniqueError(
-            f"congruence system underdetermined in degree {degree}", dimension=len(null)
-        )
-    h = Polynomial(nvars, dict(zip(mons_h, particular)))
     if mode == "Z" and not h.is_integral():
         raise NonIntegralError(f"solution {h} is not integral", witness=h)
     return h

@@ -34,8 +34,22 @@ from .errors import (
     NotInSpanError,
     ValidationFailureError,
 )
-from .graph import CohClass, GkmGraph, ValidationEntry, ValidationReport, is_gkm_class, validate
-from .polyring import Polynomial, divide_by_weight, solve_congruences
+from .graph import (
+    CohClass,
+    GkmGraph,
+    ValidationEntry,
+    ValidationReport,
+    _json_int,
+    is_gkm_class,
+    validate,
+)
+from .polyring import (
+    Polynomial,
+    _normalize_mode,
+    divide_by_weight,
+    parse_polynomial,
+    solve_congruences,
+)
 
 __all__ = [
     "GeneratorBasis",
@@ -81,14 +95,14 @@ class GeneratorBasis:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorBasis":
-        from .polyring import parse_polynomial
-
         graph = GkmGraph.from_dict(data["graph"])
+        degree = _json_int(data["degree"], "basis degree")
+        mode = _normalize_mode(data.get("mode", graph.mode))
         gens = {}
         for vid, values in data["generators"].items():
             parsed = {w: parse_polynomial(t, graph.rank) for w, t in values.items()}
             gens[vid] = CohClass(parsed, graph.vertex(vid).cell_dim // 2)
-        return cls(graph, int(data["degree"]), data.get("mode", graph.mode), gens)
+        return cls(graph, degree, mode, gens)
 
     @classmethod
     def load(cls, path) -> "GeneratorBasis":
@@ -111,10 +125,10 @@ def canonical_generators(graph: GkmGraph, degree: int, mode: str | None = None) 
     some congruence system is unsolvable, and in Z-mode
     :class:`NonIntegralError` with the generator, witness vertex and value.
     """
+    mode = _normalize_mode(mode or graph.mode)
     report = validate(graph)
     if not report.ok:
         raise ValidationFailureError(report)
-    mode = (mode or graph.mode).upper()
 
     order = graph.vertex_ids  # canonical: by (cell_dim, id)
     dims = {vid: graph.vertex(vid).cell_dim for vid in order}

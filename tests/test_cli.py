@@ -268,3 +268,17 @@ def test_usage_error_exit_code(capsys):
             main(argv)
         assert err.value.code == 0, argv
         assert "usage:" in capsys.readouterr().out
+
+
+
+def test_basis_non_integer_degree_exit_code(tmp_path, capsys):
+    graph_path = tmp_path / "a2.json"
+    basis_path = tmp_path / "basis.json"
+    assert run(["build", "A2-flag", "-o", str(graph_path)], capsys)[0] == 0
+    argv = ["generators", str(graph_path), "--degree", "3", "-o", str(basis_path)]
+    assert run(argv, capsys)[0] == 0
+    data = json.loads(basis_path.read_text())
+    basis_path.write_text(json.dumps({**data, "degree": 2.9}))
+    code, out, err = run(["multiply", str(basis_path), "0", "1"], capsys)
+    assert code == 4
+    assert not out and "must be an integer" in err

@@ -19,11 +19,13 @@ from gkmcalc.errors import (
 from gkmcalc.polyring import (
     Polynomial,
     Weight,
+    _InconsistentSystem,
     divide_by_weight,
     monomials,
     pairwise_coprime,
     parse_polynomial,
     solve_congruences,
+    solve_linear_system,
 )
 
 X = Polynomial.variable(0, 2)
@@ -88,7 +90,14 @@ def test_weight_rejects_non_integers():
     for bad in ((1.5, 0), (True, 0), (Fraction(1), 0), ("1", 0)):
         with pytest.raises(ValueError, match="must be integers"):
             Weight(bad)
+        # the same entries as exponents of a polynomial term
+        with pytest.raises(ValueError, match="must be integers"):
+            Polynomial(2, {bad: 1})
     assert Weight([1, 0]).coeffs == (1, 0)
+    for bad in (2.7, True, "2", Fraction(2)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Polynomial(bad, {})
+    assert Polynomial(2, {(1, 0): 1}) == X
 
 
 def test_homogeneity_helpers():
@@ -248,6 +257,83 @@ def test_solve_congruences_property(system):
         with pytest.raises(NonUniqueError) as err:
             solve_congruences(constraints, d)
         assert err.value.dimension == comb(d - m + k - 1, k - 1)
+
+
+def _witness_form_solution(k, d, constraints, mode):
+    """What solve_congruences must give, from the witness form
+    ``h - p_i = a_i * g_i``: one exact linear system whose unknowns are the
+    coefficients of ``h`` and of every ``g_i``.  Returns the expected error
+    type, or None, with the expected dimension, witness or value."""
+    mons_h, mons_g = monomials(k, d), monomials(k, d - 1)
+    nh, ng = len(mons_h), len(mons_g)
+    rows, rhs = [], []
+    for i, (w, p) in enumerate(constraints):
+        block = {t: [0] * (nh + len(constraints) * ng) for t in mons_h}
+        for col, t in enumerate(mons_h):
+            block[t][col] = 1
+        for col, m in enumerate(mons_g, nh + i * ng):
+            for var, c in enumerate(w.coeffs):
+                block[tuple(e + (j == var) for j, e in enumerate(m))][col] -= c
+        for t in mons_h:
+            rows.append(block[t])
+            rhs.append(p.coefficient(t))
+    try:
+        particular, null = solve_linear_system(rows, rhs)
+    except _InconsistentSystem:
+        return NoSolutionError, None
+    if null:  # g_i is fixed by h, so this is the dimension of the h's
+        return NonUniqueError, len(null)
+    h = Polynomial(k, dict(zip(mons_h, particular)))
+    if mode == "Z" and not h.is_integral():
+        return NonIntegralError, h
+    return None, h
+
+
+@st.composite
+def _arbitrary_congruences(draw):
+    """A system over 1-5 pairwise non-collinear moduli in rank 1-3 and
+    degree 0-3, in mode Z or Q.  Most draws take five moduli in rank 2 or 3,
+    more than ``d + 1``, and residues drawn freely: such a system is almost
+    always inconsistent.  One draw in four takes 1-5 moduli instead, and one
+    in four forces the residues consistent as ``h0 + a_i * g_i``."""
+    # hypothesis favours the ends of a range, so those pick the common case
+    k = (2, 3, 1, 3, 2)[draw(st.integers(0, 4))]
+    if k == 1:
+        m = 1
+    elif draw(st.integers(0, 3)) == 1:
+        m = draw(st.integers(1, 5))
+    else:
+        m = 5
+    d = draw(st.integers(0, 3))
+    vectors = st.tuples(*[st.integers(-3, 3)] * k).filter(any)
+    ws = draw(st.lists(vectors, min_size=m, max_size=m, unique_by=_direction))
+    coeff = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3))
+
+    def poly(deg):
+        return Polynomial(k, {e: draw(coeff) for e in monomials(k, deg)})
+
+    if draw(st.integers(0, 3)) == 1:
+        h0 = poly(d)
+        residues = [h0 + Weight(w).to_polynomial() * poly(d - 1) for w in ws]
+    else:
+        residues = [poly(d) for _ in ws]
+    return k, d, [(Weight(w), p) for w, p in zip(ws, residues)], draw(st.sampled_from("ZQ"))
+
+
+@settings(deadline=None)
+@given(_arbitrary_congruences())
+def test_solve_congruences_matches_witness_form(system):
+    k, d, constraints, mode = system
+    kind, expected = _witness_form_solution(k, d, constraints, mode)
+    if kind is None:
+        assert solve_congruences(constraints, d, mode) == expected
+        return
+    with pytest.raises(kind) as err:
+        solve_congruences(constraints, d, mode)
+    if kind is NonUniqueError:
+        assert err.value.dimension == expected
+    if kind is NonIntegralError:
+        assert err.value.witness == expected
 
 
 @st.composite

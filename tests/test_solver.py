@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from gkmcalc.builders import build_preset
+from gkmcalc import polyring
+from gkmcalc.builders import build_flag_graph, build_preset, type_a
 from gkmcalc.errors import (
     NoSolutionError,
     NonIntegralError,
@@ -276,3 +277,37 @@ def test_basis_serialization_round_trip(tmp_path):
     for vid, cls in basis.items():
         assert again.generator(vid).values == cls.values
     assert again.dumps() == basis.dumps()
+    # a lowercase mode is read as Z-mode, so expansion still checks integrality
+    data = basis.to_dict()
+    lower = GeneratorBasis.from_dict({**data, "mode": "z"})
+    assert lower.mode == "Z"
+    f0 = basis.generator("0")
+    half = CohClass({vid: Fraction(1, 2) * p for vid, p in f0.values.items()})
+    with pytest.raises(NonIntegralError):
+        expand_in_basis(half, lower)
+    with pytest.raises(ValueError, match="mode must be"):
+        GeneratorBasis.from_dict({**data, "mode": "X"})
+    point = GkmGraph(2, "Z", [Vertex("e", 0)], [])
+    assert canonical_generators(point, 0, mode="q").mode == "Q"
+    with pytest.raises(ValueError, match="mode must be"):
+        canonical_generators(point, 0, mode="X")
+
+
+def test_basis_rejects_non_integer_degree():
+    data = canonical_generators(build_preset("A2-flag"), 3).to_dict()
+    for bad in ("3", 2.9, 3.0, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            GeneratorBasis.from_dict({**data, "degree": bad})
+
+
+def test_solving_uses_no_matrix_elimination(monkeypatch):
+    graphs = [build_flag_graph(type_a(3), (), 4), build_preset("omega-su2", 7)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the congruence solver eliminated a matrix")
+
+    monkeypatch.setattr(polyring, "_rref", refuse)
+    monkeypatch.setattr(polyring, "solve_linear_system", refuse)
+    for g in graphs:
+        basis = canonical_generators(g, max(v.cell_dim // 2 for v in g.vertices))
+        assert len(basis.generators) == len(g.vertices)

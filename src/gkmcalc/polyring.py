@@ -237,21 +237,10 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def homogeneous_degree(self) -> int | None:
-        """The common total degree of all terms, or None if mixed or zero."""
-        degs = {sum(e) for e in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
     def is_homogeneous(self, d: int | None = None) -> bool:
         """Zero counts as homogeneous of every degree."""
-        if not self.terms:
-            return True
-        h = self.homogeneous_degree()
-        if h is None:
-            return False
-        return d is None or h == d
+        degs = {sum(e) for e in self.terms}
+        return len(degs) <= 1 and (d is None or degs <= {d})
 
     def homogeneous_component(self, d: int) -> "Polynomial":
         return Polynomial._make(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d})
@@ -422,8 +411,6 @@ def divide_by_weight(p: Polynomial, w: Weight) -> Polynomial:
         raise ZeroWeightError("cannot divide by the zero weight")
     if p.nvars != w.rank:
         raise ValueError("polynomial and weight live in different rings")
-    if p.is_zero():
-        return p
     quot, rem = _divmod_weight(p.terms, w)
     if rem:
         raise NotDivisibleError(f"{w} does not divide {p}")
@@ -431,42 +418,36 @@ def divide_by_weight(p: Polynomial, w: Weight) -> Polynomial:
 
 
 def _divmod_weight(terms, w: Weight):
-    """Long division of the polynomial with the given terms by ``w``.
+    """``(quotient, remainder)`` of the given terms by ``w``, as term dicts.
 
-    Divides with respect to the first variable ``x_j`` carrying a nonzero
-    coefficient in ``w`` and returns ``(quotient, remainder)`` as term
-    dicts.  The remainder is free of ``x_j``: it is the restriction to the
-    hyperplane ``w = 0``, written in the other variables.  Both are in
-    coefficient normal form when ``terms`` is.
+    The terms are bucketed once by their power of ``x_j``, the first variable
+    with a nonzero coefficient ``c_j`` in ``w``, and the buckets are walked
+    from the top power down to 1: a term ``c*x^e`` at power ``k`` gives the
+    quotient term ``(c/c_j)*x^(e-e_j)`` and pushes ``-(c/c_j)*w_i*x^(e-e_j+e_i)``
+    into power ``k-1`` for each other nonzero ``w_i``.  Power 0 is the
+    remainder, free of ``x_j``: the restriction to the hyperplane ``w = 0``.
+    Both are in coefficient normal form when ``terms`` is; ``terms`` is kept.
     """
-    j = next(i for i, c in enumerate(w.coeffs) if c != 0)
-    cj = w.coeffs[j]
-    wterms = w.to_polynomial().terms
-
-    rem = dict(terms)
-    quot: dict[tuple[int, ...], int | Fraction] = {}
-    while True:
-        top = max((e[j] for e in rem), default=0)
-        if top == 0:
-            break
-        for e in [e for e in rem if e[j] == top]:
-            c = rem[e]
-            qe = list(e)
-            qe[j] -= 1
-            qe = tuple(qe)
-            # each qe is reached once (qe[j] = top - 1 falls every round);
+    j, cj = next((i, c) for i, c in enumerate(w.coeffs) if c)
+    others = [(i, c) for i, c in enumerate(w.coeffs) if c and i != j]
+    levels: dict[int, dict] = {}  # power of x_j -> terms
+    for e, c in terms.items():
+        levels.setdefault(e[j], {})[e] = c
+    quot = {}
+    for k in range(max(levels, default=0), 0, -1):
+        below = levels.setdefault(k - 1, {})
+        for e, c in levels.pop(k, {}).items():
+            qe = e[:j] + (k - 1,) + e[j + 1 :]
             # c / cj is integral only if c is an int that cj divides
-            qc = c // cj if type(c) is int and c % cj == 0 else Fraction(c, cj)
-            quot[qe] = qc
-            # subtract (qc * x^qe) * w from the remainder
-            for we, wc in wterms.items():
-                t = tuple(a + b for a, b in zip(qe, we))
-                s = rem.get(t, 0) - qc * wc
+            qc = quot[qe] = c // cj if type(c) is int and c % cj == 0 else Fraction(c, cj)
+            for i, wi in others:
+                t = qe[:i] + (qe[i] + 1,) + qe[i + 1 :]
+                s = below.get(t, 0) - qc * wi
                 if not s:
-                    del rem[t]
+                    del below[t]  # qc * wi != 0, so t was present
                 else:
-                    rem[t] = s if type(s) is int else _normal(s)
-    return quot, rem
+                    below[t] = s if type(s) is int else _normal(s)
+    return quot, levels.get(0, {})
 
 
 def pairwise_coprime(weights, mode: str = "Q") -> bool:

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import add
 
 from .errors import (
     NoSolutionError,
     NonIntegralError,
-    NotDivisibleError,
     NotInSpanError,
     ValidationFailureError,
 )
@@ -45,8 +45,9 @@ from .graph import (
 )
 from .polyring import (
     Polynomial,
+    _divmod_weight,
+    _normal,
     _normalize_mode,
-    divide_by_weight,
     parse_polynomial,
     solve_congruences,
 )
@@ -69,6 +70,8 @@ class GeneratorBasis:
     generators: dict[str, CohClass]
 
     def generator(self, vid: str) -> CohClass:
+        if vid not in self.generators:
+            raise ValueError(f"no generator {vid!r} in the basis of degree {self.degree}")
         return self.generators[vid]
 
     def items(self):
@@ -96,8 +99,10 @@ class GeneratorBasis:
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorBasis":
         graph = GkmGraph.from_dict(data["graph"])
-        degree = _json_int(data["degree"], "basis degree")
+        degree = _check_degree(data["degree"])
         mode = _normalize_mode(data.get("mode", graph.mode))
+        if set(data["generators"]) != {v.id for v in graph.vertices if v.cell_dim <= 2 * degree}:
+            raise ValueError(f"basis generators must be the vertices of cell dim <= {2 * degree}")
         gens = {}
         for vid, values in data["generators"].items():
             parsed = {w: parse_polynomial(t, graph.rank) for w, t in values.items()}
@@ -110,6 +115,12 @@ class GeneratorBasis:
             return cls.from_dict(json.load(fh))
 
 
+def _check_degree(degree) -> int:
+    if _json_int(degree, "basis degree") < 0:
+        raise ValueError(f"basis degree must be non-negative, got {degree}")
+    return degree
+
+
 def _down_weight_product(graph: GkmGraph, vid: str) -> Polynomial:
     prod = Polynomial.one(graph.rank)
     for e in graph.down_edges(vid):
@@ -120,11 +131,13 @@ def _down_weight_product(graph: GkmGraph, vid: str) -> Polynomial:
 def canonical_generators(graph: GkmGraph, degree: int, mode: str | None = None) -> GeneratorBasis:
     """Solve for every generator ``f_v`` with ``cell_dim(v)/2 <= degree``.
 
-    Raises :class:`ValidationFailureError` on an invalid graph,
+    Raises :class:`ValueError` unless ``degree`` is a non-negative ``int``,
+    :class:`ValidationFailureError` on an invalid graph,
     :class:`NoSolutionError` (with the offending generator and vertex) when
     some congruence system is unsolvable, and in Z-mode
     :class:`NonIntegralError` with the generator, witness vertex and value.
     """
+    _check_degree(degree)
     mode = _normalize_mode(mode or graph.mode)
     report = validate(graph)
     if not report.ok:
@@ -173,20 +186,14 @@ def verify_generator_conditions(basis: GeneratorBasis) -> ValidationReport:
     rep = ValidationReport()
     add = rep.entries.append
     for vid, cls in basis.items():
-        d = graph.vertex(vid).cell_dim // 2
+        dim = graph.vertex(vid).cell_dim
+        d = dim // 2
         ok1 = all(p.is_homogeneous(d) for p in cls.values.values())
         add(ValidationEntry(vid, "homogeneous", ok1, f"every value homogeneous of degree {d} or zero"))
-        ok2 = all(
-            cls.values[w.id].is_zero()
-            for w in graph.vertices
-            if w.cell_dim < graph.vertex(vid).cell_dim
-        )
+        zero = {w: p.is_zero() for w, p in cls.values.items()}
+        ok2 = all(zero[w.id] for w in graph.vertices if w.cell_dim < dim)
         add(ValidationEntry(vid, "vanish_below", ok2, "zero on lower-dimensional vertices"))
-        ok3 = all(
-            cls.values[w.id].is_zero()
-            for w in graph.vertices
-            if w.cell_dim == graph.vertex(vid).cell_dim and w.id != vid
-        )
+        ok3 = all(zero[w.id] for w in graph.vertices if w.cell_dim == dim and w.id != vid)
         add(ValidationEntry(vid, "vanish_beside", ok3, "zero on other vertices of equal dimension"))
         ok4 = cls.values[vid] == _down_weight_product(graph, vid)
         add(ValidationEntry(vid, "diagonal_value", ok4, "f_v(v) is the product of down-edge weights"))
@@ -198,49 +205,61 @@ def verify_generator_conditions(basis: GeneratorBasis) -> ValidationReport:
 def expand_in_basis(cls: CohClass, basis: GeneratorBasis) -> dict[str, Polynomial]:
     """Coefficients ``c_v`` with ``cls = sum c_v f_v``.
 
-    Greedy by increasing cell dimension: at each vertex the residual is
-    divisible by the product of that vertex's down-edge weights (divided
-    out one weight at a time), which yields ``c_v``; the residual must be
-    identically zero after the last vertex, else :class:`NotInSpanError`
-    reports where the expansion failed (the vertex, and the down-edge whose
-    weight does not divide the residual).  In Z-mode every coefficient must
-    be integral.
+    Greedy by increasing cell dimension over one residual term dict per
+    vertex, copied from ``cls`` once.  At each vertex the residual is divided
+    by its down-edge weights one at a time, giving ``c_v`` (zero when the
+    residual is empty); then ``c_v * f_v(w)`` is subtracted in place from the
+    residual at each ``w`` with ``f_v(w) != 0``, one term pair at a time.  A
+    residual that a down-edge weight does not divide, or nonzero after the
+    last vertex, raises :class:`NotInSpanError` with the vertex (and edge).
+    In Z-mode every coefficient must be integral.  Inputs are left unchanged.
     """
-    graph = basis.graph
-    residual = {vid: cls.value(vid) for vid in graph.vertex_ids}
+    graph, nvars = basis.graph, basis.graph.rank
+    residual = {vid: dict(cls.value(vid).terms) for vid in graph.vertex_ids}
     coeffs: dict[str, Polynomial] = {}
     for vid in graph.vertex_ids:
-        if vid not in basis.generators:
+        gen = basis.generators.get(vid)
+        if gen is None:
             continue
         c = residual[vid]
+        if not c:
+            coeffs[vid] = Polynomial._make(nvars, {})
+            continue
         for e in graph.down_edges(vid):
-            try:
-                c = divide_by_weight(c, e.weight)
-            except NotDivisibleError:
+            c, rem = _divmod_weight(c, e.weight)
+            if rem:
                 raise NotInSpanError(
                     f"residual at {vid!r} is not divisible by its down-edge weights; "
                     "the class is not in the span of the basis within the cutoff",
                     vertex=vid,
                     edge=e,
-                ) from None
-        if basis.mode == "Z" and not c.is_integral():
+                )
+        # with no down-edges c is still the residual, which the loop below changes
+        coeff = coeffs[vid] = Polynomial._make(nvars, dict(c) if c is residual[vid] else c)
+        if basis.mode == "Z" and not coeff.is_integral():
             raise NonIntegralError(
-                f"expansion coefficient at {vid!r} is not integral: {c}",
-                witness=c,
+                f"expansion coefficient at {vid!r} is not integral: {coeff}",
+                witness=coeff,
                 vertex=vid,
             )
-        coeffs[vid] = c
-        if not c.is_zero():
-            gen = basis.generators[vid]
-            for wid in graph.vertex_ids:
-                value = gen.values[wid]
-                if not value.is_zero():  # most generator values are zero
-                    residual[wid] = residual[wid] - c * value
+        for wid in graph.vertex_ids:
+            value = gen.values[wid].terms
+            if not value:  # most generator values are zero
+                continue
+            res = residual[wid]
+            for e1, c1 in coeff.terms.items():
+                for e2, c2 in value.items():
+                    t = tuple(map(add, e1, e2))
+                    s = res.get(t, 0) - c1 * c2
+                    if not s:
+                        del res[t]  # c1 * c2 != 0, so t was present
+                    else:
+                        res[t] = s if type(s) is int else _normal(s)
     for vid in graph.vertex_ids:
-        if not residual[vid].is_zero():
+        if residual[vid]:
             raise NotInSpanError(
-                f"nonzero residual {residual[vid]} at {vid!r} after expansion; "
-                "increase the degree cutoff or check the class",
+                f"nonzero residual {Polynomial._make(nvars, residual[vid])} at {vid!r} "
+                "after expansion; increase the degree cutoff or check the class",
                 vertex=vid,
             )
     return coeffs

@@ -282,3 +282,25 @@ def test_basis_non_integer_degree_exit_code(tmp_path, capsys):
     code, out, err = run(["multiply", str(basis_path), "0", "1"], capsys)
     assert code == 4
     assert not out and "must be an integer" in err
+
+
+def test_generators_negative_degree_exit_code(tmp_path, capsys):
+    graph_path = tmp_path / "a2.json"
+    basis_path = tmp_path / "basis.json"
+    assert run(["build", "A2-flag", "-o", str(graph_path)], capsys)[0] == 0
+    argv = ["generators", str(graph_path), "--degree", "-2", "-o", str(basis_path)]
+    code, out, err = run(argv, capsys)
+    assert code == 4
+    assert not out and "non-negative" in err
+    assert not basis_path.exists()
+
+
+def test_multiply_unknown_generator_exit_code(tmp_path, capsys):
+    graph_path = tmp_path / "a2.json"
+    basis_path = tmp_path / "basis.json"
+    assert run(["build", "A2-flag", "-o", str(graph_path)], capsys)[0] == 0
+    argv = ["generators", str(graph_path), "--degree", "3", "-o", str(basis_path)]
+    assert run(argv, capsys)[0] == 0
+    code, out, err = run(["multiply", str(basis_path), "nope", "0"], capsys)
+    assert code == 4
+    assert not out and "'nope'" in err and "degree 3" in err

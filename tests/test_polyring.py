@@ -19,6 +19,7 @@ from gkmcalc.errors import (
 from gkmcalc.polyring import (
     Polynomial,
     Weight,
+    _divmod_weight,
     _InconsistentSystem,
     divide_by_weight,
     monomials,
@@ -369,6 +370,8 @@ def test_divide_by_weight_rejects_nonzero_remainder(case, data):
     r = data.draw(_sparse_polynomial(k))
     r = Polynomial(k, {e: c for e, c in r.terms.items() if e[pivot] == 0})
     p = q * w.to_polynomial() + r
+    # the remainder is a value in its own right (the congruence solve lifts it)
+    assert _divmod_weight(p.terms, w) == (q.terms, r.terms)
     if r.is_zero():
         assert divide_by_weight(p, w) == q
     else:

@@ -1,5 +1,6 @@
 """Canonical generator solving, the characterizing conditions, and expansion."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -166,23 +167,59 @@ def test_expand_square_of_degree_one_generator():
     assert coeffs["0"] == poly2("x1")
 
 
-def test_expand_random_combinations_round_trip():
-    g = build_preset("omega-su2", 4)
-    basis = canonical_generators(g, 3)
-    rng = random.Random(17)
-    for _ in range(25):
+def _expand_round_trip(basis, seed, rounds):
+    """Sums of generators with random polynomial coefficients (total degree
+    at most the basis degree) expand back to those coefficients."""
+    g, k, top = basis.graph, basis.graph.rank, basis.degree
+    rng = random.Random(seed)
+    for _ in range(rounds):
         chosen = {}
-        total = {vid: Polynomial.zero(2) for vid in g.vertex_ids}
+        total = {vid: Polynomial.zero(k) for vid in g.vertex_ids}
         for vid, cls in basis.items():
             d = g.vertex(vid).cell_dim // 2
-            deg = rng.choice(range(0, 4 - d)) if d < 3 else 0
-            c = Polynomial(2, {m: rng.randrange(-3, 4) for m in monomials(2, deg)})
+            deg = rng.choice(range(0, top + 1 - d)) if d < top else 0
+            c = Polynomial(k, {m: rng.randrange(-3, 4) for m in monomials(k, deg)})
             chosen[vid] = c
             for wid in g.vertex_ids:
                 total[wid] = total[wid] + c * cls.values[wid]
         coeffs = expand_in_basis(CohClass(total), basis)
         for vid in basis.generators:
             assert coeffs[vid] == chosen[vid]
+
+
+def test_expand_random_combinations_round_trip():
+    _expand_round_trip(canonical_generators(build_preset("omega-su2", 4), 3), 17, 25)
+
+
+def test_expand_random_combinations_round_trip_rank3_flag():
+    _expand_round_trip(canonical_generators(build_flag_graph(type_a(3), (), 4), 4), 19, 10)
+
+
+def test_expand_leaves_inputs_unchanged():
+    g = build_preset("A2-flag")
+    basis, cut = canonical_generators(g, 3), canonical_generators(g, 1)
+    one = CohClass({vid: Polynomial.one(2) for vid in g.vertex_ids})
+    off = CohClass({vid: poly2("x1") if vid == "1-0-1" else Polynomial.zero(2) for vid in g.vertex_ids})
+    f = basis.generator("0")
+    # 1 divides nothing: its coefficient is the bottom vertex's residual itself;
+    # 1 + off fails at 1-0-1 after residuals were updated; with the degree-2
+    # generators cut off, f * f leaves a residual after the last vertex
+    cases = [(one, basis, True), (f * f, basis, True), (one + off, basis, False), (f * f, cut, False)]
+
+    def snapshot(cls, b):
+        return copy.deepcopy(
+            ({v: p.terms for v, p in cls.values.items()},
+             {u: {v: p.terms for v, p in gen.values.items()} for u, gen in b.items()})
+        )
+
+    for cls, b, in_span in cases:
+        before = snapshot(cls, b)
+        if in_span:
+            expand_in_basis(cls, b)
+        else:
+            with pytest.raises(NotInSpanError):
+                expand_in_basis(cls, b)
+        assert snapshot(cls, b) == before
 
 
 def test_expand_rejects_non_class():
@@ -311,3 +348,27 @@ def test_solving_uses_no_matrix_elimination(monkeypatch):
     for g in graphs:
         basis = canonical_generators(g, max(v.cell_dim // 2 for v in g.vertices))
         assert len(basis.generators) == len(g.vertices)
+
+
+def test_basis_degree_is_checked():
+    g = build_preset("A2-flag")
+    for bad in (-1, True):
+        with pytest.raises(ValueError, match="basis degree"):
+            canonical_generators(g, bad)
+    data = canonical_generators(g, 3).to_dict()
+    # the generators must be exactly the vertices of cell dimension <= 2 * degree
+    for degree in (1, -5):
+        with pytest.raises(ValueError, match="basis"):
+            GeneratorBasis.from_dict({**data, "degree": degree})
+    gens = dict(data["generators"])
+    del gens["0-1"]
+    with pytest.raises(ValueError, match="basis generators"):
+        GeneratorBasis.from_dict({**data, "generators": gens})
+    low = canonical_generators(g, 1)
+    assert GeneratorBasis.from_dict(low.to_dict()).dumps() == low.dumps()
+
+
+def test_unknown_generator_is_named():
+    basis = canonical_generators(build_preset("A2-flag"), 2)
+    with pytest.raises(ValueError, match="'1-0-1'.*degree 2"):
+        basis.generator("1-0-1")

@@ -31,6 +31,7 @@ from fractions import Fraction
 from .coxeter import (
     GCM,
     Root,
+    _integral,
     classify,
     coset_orbit,
     generic_dominant_vector,
@@ -171,10 +172,18 @@ def _orbit_positions(gcm, parabolic, tb, words, base_point):
     A word ``w = s_i w'`` moves the base point to ``s_i(w' lambda)``, so its
     dual vector and energy slot (the delta-dual coordinate, tracked only in
     affine cases) are one reflection from those of its suffix ``w'``; both
-    are memoized per suffix.  Dual vectors then map to torus coordinates
-    through the inverse of the (classical) Cartan matrix.
+    are memoized per suffix.  The orbit runs on ``int`` vectors: the base
+    point scaled by the lcm of its denominators.  Dual vectors map to torus
+    coordinates through the inverse of the (classical) Cartan matrix, kept
+    as an integer matrix over one common denominator, so each coordinate
+    costs one division, made when the position is written out.
     """
-    lam = tuple(Fraction(x) for x in base_point)
+    lam = tuple(base_point)
+    for x in lam:
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise BadBasePointError(
+                f"base point entries must be int or Fraction, got {x!r}"
+            )
     if len(lam) != gcm.n:
         raise BadBasePointError(f"base point must have {gcm.n} coordinates")
     J = set(parabolic)
@@ -187,9 +196,13 @@ def _orbit_positions(gcm, parabolic, tb, words, base_point):
     if tb.kind not in ("finite", "affine"):
         raise UnsupportedTypeError("moment embedding needs a finite or affine Cartan matrix")
 
+    lam, scale = _integral(lam)
     others = [i for i in range(gcm.n) if i != tb.z]
     inv = _invert([[gcm.a(i, j) for j in others] for i in others])
-    orbit = {(): (lam, Fraction(0))}  # suffix -> (dual vector, energy slot)
+    flat, den = _integral([x for row in inv for x in row])
+    adj = [flat[r:r + len(others)] for r in range(0, len(flat), len(others))]
+    den *= scale  # inv = adj / den and lam = (scaled lam) / scale
+    orbit = {(): (lam, 0)}  # suffix -> (scaled dual vector, scaled energy slot)
 
     def position(word):
         k = 0
@@ -203,12 +216,9 @@ def _orbit_positions(gcm, parabolic, tb, words, base_point):
             mu = reflect_dual(gcm, i, mu)
             orbit[word[t:]] = (mu, s)
         classical = [mu[j] for j in others]
-        pos = [
-            sum(inv[r][c] * classical[c] for c in range(len(others)))
-            for r in range(len(others))
-        ]
+        pos = [Fraction(sum(a * c for a, c in zip(row, classical)), den) for row in adj]
         if tb.kind == "affine":
-            pos.append(s)
+            pos.append(Fraction(s, scale))
         return tuple(pos)
 
     return {coset_id(w): position(w) for w in words}
@@ -255,6 +265,7 @@ def build_flag_graph(
 
     ids = {vec: coset_id(rep.word) for rep, vec in reps}
     down = {(): ()}  # word -> its down-edges as (lower orbit vector, label root)
+    labels = {}  # label root -> its torus weight; affine labels repeat heavily
     vertices = []
     edges = []
     for rep, vec in reps:
@@ -269,7 +280,10 @@ def build_flag_graph(
             (reflect_dual(gcm, i, low), reflect(gcm, i, beta)) for low, beta in down[w[1:]]
         )
         for low, beta in down[w]:
-            edges.append(Edge(uid, ids[low], tb.weight(Root(beta))))
+            label = labels.get(beta)
+            if label is None:
+                label = labels[beta] = tb.weight(Root(beta))
+            edges.append(Edge(uid, ids[low], label))
     return GkmGraph(tb.k, mode, vertices, edges)
 
 
@@ -277,8 +291,9 @@ def moment_embedding(graph: GkmGraph, gcm: GCM, parabolic, base_point=None) -> G
     """Recompute vertex positions from the orbit of ``base_point``.
 
     The graph must come from :func:`build_flag_graph` (vertex ids encode
-    the coset words).  Raises :class:`BadBasePointError` when the base
-    point's stabilizer is not exactly ``W_P``.
+    the coset words).  Raises :class:`BadBasePointError` when an entry of
+    the base point is not an ``int`` or ``Fraction`` (a ``bool`` is
+    refused too), or when its stabilizer is not exactly ``W_P``.
     """
     J = frozenset(parabolic)
     tb = _torus_basis(gcm, J)

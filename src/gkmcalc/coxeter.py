@@ -13,13 +13,19 @@ stabilizer is exactly the parabolic subgroup ``W_J``: two words land in
 the same coset of ``W/W_J`` precisely when they move that vector to the
 same place.  This is exact, deterministic, and works uniformly for finite
 and affine types.
+
+The orbit itself runs on ``int`` vectors: the generic vector is scaled by
+the lcm of its denominators, which commutes with the linear action and
+keeps the stabilizer, so cosets, words and their order are unchanged.
+Callers that need rational coordinates divide once where they write a
+position out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InvalidParabolicError
 from .polyring import _int_tuple, nullspace_basis
@@ -129,7 +135,7 @@ def reflect(gcm: GCM, i: int, v):
     """
     if not 0 <= i < gcm.n:
         raise IndexError(f"simple index {i} out of range")
-    pairing = sum(gcm.a(i, j) * v[j] for j in range(gcm.n))
+    pairing = sum(a * x for a, x in zip(gcm.rows[i], v))
     out = list(v)
     out[i] = out[i] - pairing
     return tuple(out)
@@ -139,7 +145,8 @@ def reflect_dual(gcm: GCM, i: int, mu):
     """Simple reflection on dual coordinates ``mu_j = <mu, alpha_j^vee>``."""
     if not 0 <= i < gcm.n:
         raise IndexError(f"simple index {i} out of range")
-    return tuple(mu[j] - mu[i] * gcm.a(j, i) for j in range(gcm.n))
+    mi = mu[i]
+    return tuple(m - mi * row[i] for m, row in zip(mu, gcm.rows))
 
 
 def apply_word_dual(gcm: GCM, word, mu):
@@ -149,22 +156,27 @@ def apply_word_dual(gcm: GCM, word, mu):
     return mu
 
 
-def _det(rows) -> Fraction:
-    m = [[Fraction(v) for v in row] for row in rows]
+def _det(rows) -> int:
+    """Determinant of an integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact, so all entries stay ``int``."""
+    m = [list(row) for row in rows]
     n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] / m[col][col]
-            m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        top = m[k]
+        for r in range(k + 1, n):
+            row = m[r]
+            row[k + 1:] = [
+                (row[c] * top[k] - row[k] * top[c]) // prev for c in range(k + 1, n)
+            ]
+        prev = top[k]
+    return sign * prev
 
 
 def _principal_minors_positive(gcm: GCM, proper_only: bool = False) -> bool:
@@ -205,11 +217,7 @@ def marks(gcm: GCM) -> tuple[int, ...]:
     null = nullspace_basis(rows, gcm.n)
     if len(null) != 1:
         raise ValueError("Cartan matrix kernel is not one-dimensional")
-    vec = null[0]
-    denom = 1
-    for v in vec:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in vec]
+    ints, _ = _integral(null[0])
     g = 0
     for v in ints:
         g = gcd(g, abs(v))
@@ -274,6 +282,15 @@ def reflection_word(gcm: GCM, root: Root) -> tuple[int, ...]:
     raise ValueError(f"{root} is not a real root")
 
 
+def _integral(vec) -> tuple[tuple[int, ...], int]:
+    """``(ints, scale)`` with ``ints = scale * vec``, where ``scale`` is the
+    lcm of the denominators of the (``int`` or ``Fraction``) entries."""
+    scale = 1
+    for x in vec:
+        scale = lcm(scale, x.denominator)
+    return tuple(x.numerator * (scale // x.denominator) for x in vec), scale
+
+
 def generic_dominant_vector(gcm: GCM, parabolic) -> tuple[Fraction, ...]:
     """A dominant rational vector with stabilizer exactly ``W_J``.
 
@@ -302,7 +319,9 @@ def generic_dominant_vector(gcm: GCM, parabolic) -> tuple[Fraction, ...]:
 def coset_orbit(gcm: GCM, parabolic, length_cutoff: int):
     """Breadth-first orbit of the generic vector under left multiplication.
 
-    Returns ``(reps, table)`` where ``reps`` is the list of
+    The orbit runs on ``int`` vectors: the generic vector scaled by the lcm
+    of its denominators, which leaves the stabilizer, and so the cosets,
+    unchanged.  Returns ``(reps, table)`` where ``reps`` is the list of
     ``(CosetRep, vector)`` pairs sorted by (length, word) and ``table``
     maps each orbit vector back to its representative.  Words are built by
     prepending the discovering generator, so each is a shortest path in
@@ -311,12 +330,12 @@ def coset_orbit(gcm: GCM, parabolic, length_cutoff: int):
     """
     if length_cutoff < 0:
         raise ValueError("length cutoff must be non-negative")
-    mu = generic_dominant_vector(gcm, parabolic)
-    table: dict[tuple[Fraction, ...], CosetRep] = {mu: CosetRep(())}
-    reps: list[tuple[CosetRep, tuple[Fraction, ...]]] = [(CosetRep(()), mu)]
-    shell: list[tuple[tuple[int, ...], tuple[Fraction, ...]]] = [((), mu)]
+    mu, _ = _integral(generic_dominant_vector(gcm, parabolic))
+    table: dict[tuple[int, ...], CosetRep] = {mu: CosetRep(())}
+    reps: list[tuple[CosetRep, tuple[int, ...]]] = [(CosetRep(()), mu)]
+    shell: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), mu)]
     for _ in range(length_cutoff):
-        nxt: list[tuple[tuple[int, ...], tuple[Fraction, ...]]] = []
+        nxt: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         for word, vec in sorted(shell):
             for i in range(gcm.n):
                 v2 = reflect_dual(gcm, i, vec)

@@ -103,8 +103,17 @@ class GeneratorBasis:
         mode = _normalize_mode(data.get("mode", graph.mode))
         if set(data["generators"]) != {v.id for v in graph.vertices if v.cell_dim <= 2 * degree}:
             raise ValueError(f"basis generators must be the vertices of cell dim <= {2 * degree}")
+        vertex_ids = set(graph.vertex_ids)
         gens = {}
         for vid, values in data["generators"].items():
+            stray = set(values) - vertex_ids
+            if stray:
+                raise ValueError(
+                    f"generator {vid!r} has a value at {min(stray)!r}, which is not a vertex"
+                )
+            missing = next((w for w in graph.vertex_ids if w not in values), None)
+            if missing is not None:
+                raise ValueError(f"generator {vid!r} has no value at vertex {missing!r}")
             parsed = {w: parse_polynomial(t, graph.rank) for w, t in values.items()}
             gens[vid] = CohClass(parsed, graph.vertex(vid).cell_dim // 2)
         return cls(graph, degree, mode, gens)

@@ -1,5 +1,6 @@
 """Builder outputs: counts, closure, positions, and truncation behavior."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -156,17 +157,18 @@ def test_down_edges_match_letter_deletions(case):
     assert built == _direct_down_edges(gcm, parabolic, degree)
 
 
-@pytest.mark.parametrize("case", sorted(set(RECURRENCE_CASES) - {"hyperbolic-9"}))
-def test_positions_match_full_word_action(case):
+def _check_positions(gcm, parabolic, degree, base_point):
     # A position p of the word w satisfies A' p' = (w lambda)' on the
     # classical nodes (all nodes for a finite matrix; A' is invertible there),
     # and in affine cases its last slot is the delta-dual energy: the sum of
     # -(u lambda)_z over the suffixes s_z u of w.
-    gcm, parabolic, degree = RECURRENCE_CASES[case]
     tb = _torus_basis(gcm, frozenset(parabolic))
-    lam = tuple(Fraction(x) for x in _default_base_point(gcm, frozenset(parabolic), tb))
+    if base_point is None:
+        lam = tuple(Fraction(x) for x in _default_base_point(gcm, frozenset(parabolic), tb))
+    else:
+        lam = base_point
     others = [i for i in range(gcm.n) if i != tb.z]
-    g = build_flag_graph(gcm, parabolic, degree)
+    g = build_flag_graph(gcm, parabolic, degree, base_point=base_point)
     for v in g.vertices:
         w = word_from_id(v.id)
         mu = apply_word_dual(gcm, w, lam)
@@ -177,7 +179,51 @@ def test_positions_match_full_word_action(case):
             suffixes = [w[t + 1:] for t in range(len(w)) if w[t] == tb.z]
             assert p[-1] == sum(-apply_word_dual(gcm, u, lam)[tb.z] for u in suffixes), v.id
     bare = build_flag_graph(gcm, parabolic, degree, embed=False)
-    assert moment_embedding(bare, gcm, parabolic) == g
+    assert moment_embedding(bare, gcm, parabolic, base_point=base_point) == g
+
+
+EMBEDDED_CASES = sorted(set(RECURRENCE_CASES) - {"hyperbolic-9"})
+
+
+@pytest.mark.parametrize("case", EMBEDDED_CASES)
+def test_positions_match_full_word_action(case):
+    _check_positions(*RECURRENCE_CASES[case], None)
+
+
+@pytest.mark.parametrize(
+    "values", [(1, 2), (Fraction(1, 3), Fraction(5, 7))], ids=["int", "rational"]
+)
+@pytest.mark.parametrize("case", EMBEDDED_CASES)
+def test_positions_match_full_word_action_explicit_base_point(case, values):
+    # dominant: the values cycle over the nodes outside the parabolic, which
+    # therefore is the whole stabilizer
+    gcm, parabolic, degree = RECURRENCE_CASES[case]
+    free = [i for i in range(gcm.n) if i not in parabolic]
+    lam = [0] * gcm.n
+    for k, i in enumerate(free):
+        lam[i] = values[k % len(values)]
+    _check_positions(gcm, parabolic, degree, tuple(lam))
+
+
+# First 16 hex digits of sha256(dumps()) for Z-mode builds with the default
+# embedding; any change to labels, positions or serialization shows here.
+BUILD_HASHES = {
+    "omega-su2-30": (affine_type_a(1), (1,), 30, "88770d8933b8deae"),
+    "twisted-20": (TWISTED_A1_4, (1,), 20, "2ad3fc13b40745e5"),
+    "omega-su3-8": (affine_type_a(2), (1, 2), 8, "56ebea70ffcc5bdf"),
+    "affine-A2-flag-6": (affine_type_a(2), (), 6, "3cfc0a96fbacab14"),
+    "hyperbolic-9": (GCM(((2, -3), (-3, 2))), (), 9, "7a197b789a0ebff5"),
+    "A3-flag-6": (type_a(3), (), 6, "d3d365dade7482c3"),
+    "Gr(2,4)-4": (type_a(3), (0, 2), 4, "f7b640b848efe87d"),
+    "B3-flag-9": (GCM(((2, -1, 0), (-1, 2, -1), (0, -2, 2))), (), 9, "ed5d65acffec2d52"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILD_HASHES))
+def test_build_output_is_pinned(case):
+    gcm, parabolic, degree, digest = BUILD_HASHES[case]
+    text = build_flag_graph(gcm, parabolic, degree).dumps()
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_truncation_monotonicity():
@@ -250,6 +296,20 @@ def test_bad_base_point():
     g = build_preset("omega-su2", 2)
     with pytest.raises(BadBasePointError):
         moment_embedding(g, affine_type_a(1), (1,), base_point=(0, 0))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(0.5, 1), (0.1, 1), (True, 2), ("1", "2"), (Fraction(1, 2), 1.0)],
+    ids=["float", "inexact-float", "bool", "str", "fraction-and-float"],
+)
+def test_base_point_entries_must_be_int_or_fraction(bad):
+    # floats, bools and strings are refused rather than coerced
+    with pytest.raises(BadBasePointError, match="int or Fraction"):
+        build_flag_graph(type_a(2), (), 2, base_point=bad)
+    g = build_preset("A2-flag")
+    with pytest.raises(BadBasePointError, match="int or Fraction"):
+        moment_embedding(g, type_a(2), (), base_point=bad)
 
 
 def test_moment_embedding_recompute():

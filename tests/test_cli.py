@@ -304,3 +304,20 @@ def test_multiply_unknown_generator_exit_code(tmp_path, capsys):
     code, out, err = run(["multiply", str(basis_path), "nope", "0"], capsys)
     assert code == 4
     assert not out and "'nope'" in err and "degree 3" in err
+
+
+@pytest.mark.parametrize("edit", ["extra", "missing"])
+def test_multiply_basis_values_off_the_vertices_exit_code(tmp_path, capsys, edit):
+    graph_path = tmp_path / "b2.json"
+    basis_path = tmp_path / "basis.json"
+    assert run(["build", "B2-flag", "-o", str(graph_path)], capsys)[0] == 0
+    assert run(["generators", str(graph_path), "-o", str(basis_path)], capsys)[0] == 0
+    data = json.loads(basis_path.read_text())
+    if edit == "extra":
+        data["generators"]["0"]["zz"] = "x1"
+    else:
+        del data["generators"]["0"]["1-0"]
+    basis_path.write_text(json.dumps(data))
+    code, out, err = run(["multiply", str(basis_path), "0", "0"], capsys)
+    assert code == 4
+    assert not out and "generator '0'" in err

@@ -9,10 +9,12 @@ import pytest
 from gkmcalc.builders import build_flag_graph
 from gkmcalc.coxeter import (
     GCM,
+    _det,
     CosetRep,
     Root,
     apply_word_dual,
     classify,
+    coset_orbit,
     enumerate_cosets,
     generic_dominant_vector,
     marks,
@@ -61,6 +63,22 @@ def test_classify_and_marks():
     assert classify(GCM(((2, -3), (-3, 2)))) == "indefinite"
     assert marks(AFF_A1) == (1, 1)
     assert marks(TWISTED) == (1, 2)
+
+
+def test_det_is_exact_on_integers():
+    def laplace(m):
+        if not m:
+            return 1
+        return sum(
+            (-1) ** c * m[0][c] * laplace([row[:c] + row[c + 1:] for row in m[1:]])
+            for c in range(len(m))
+        )
+
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        m = [[rng.choice((0, rng.randint(-6, 6))) for _ in range(n)] for _ in range(n)]
+        assert _det(m) == laplace(m) and type(_det(m)) is int, m
 
 
 def test_real_roots_a2():
@@ -155,6 +173,34 @@ def test_reflection_parity():
         assert g.edges
         for e in g.edges:
             assert (g.vertex(e.u).cell_dim - g.vertex(e.v).cell_dim) // 2 % 2 == 1
+
+
+ORBIT_CASES = {
+    "A2": (A2, (), 3),
+    "B2": (B2, (), 4),
+    "B2/P1": (B2, (1,), 4),
+    "affine-A1": (AFF_A1, (), 6),
+    "affine-A1/P1": (AFF_A1, (1,), 8),
+    "twisted": (TWISTED, (), 6),
+    "twisted/P1": (TWISTED, (1,), 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_coset_orbit_is_scaled_generic_orbit(case):
+    # the orbit runs on int vectors, one positive multiple of the
+    # Fraction orbit of the generic vector shared by every coset
+    gcm, parabolic, cutoff = ORBIT_CASES[case]
+    mu = generic_dominant_vector(gcm, parabolic)
+    reps, table = coset_orbit(gcm, parabolic, cutoff)
+    scales = set()
+    for rep, vec in reps:
+        assert all(type(x) is int for x in vec)
+        assert table[vec] == rep
+        exact = apply_word_dual(gcm, rep.word, mu)
+        scales.update(Fraction(a) / b for a, b in zip(vec, exact) if b)
+        assert all(a == 0 for a, b in zip(vec, exact) if not b)
+    assert len(scales) == 1 and scales.pop() > 0
 
 
 def test_generic_vector_stabilizer():

@@ -368,6 +368,18 @@ def test_basis_degree_is_checked():
     assert GeneratorBasis.from_dict(low.to_dict()).dumps() == low.dumps()
 
 
+def test_basis_values_must_sit_at_the_vertices():
+    data = canonical_generators(build_preset("B2-flag"), 4).to_dict()
+    extra = copy.deepcopy(data)
+    extra["generators"]["0"]["zz"] = "x1"
+    with pytest.raises(ValueError, match="generator '0' has a value at 'zz', which is not a vertex"):
+        GeneratorBasis.from_dict(extra)
+    missing = copy.deepcopy(data)
+    del missing["generators"]["0"]["1-0"]
+    with pytest.raises(ValueError, match="generator '0' has no value at vertex '1-0'"):
+        GeneratorBasis.from_dict(missing)
+
+
 def test_unknown_generator_is_named():
     basis = canonical_generators(build_preset("A2-flag"), 2)
     with pytest.raises(ValueError, match="'1-0-1'.*degree 2"):

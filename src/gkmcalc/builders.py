@@ -283,7 +283,7 @@ def build_flag_graph(
             label = labels.get(beta)
             if label is None:
                 label = labels[beta] = tb.weight(Root(beta))
-            edges.append(Edge(uid, ids[low], label))
+            edges.append(Edge(ids[low], uid, label))  # lower endpoint first
     return GkmGraph(tb.k, mode, vertices, edges)
 
 

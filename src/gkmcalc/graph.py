@@ -14,7 +14,10 @@ edges by endpoint pair; round-trips are byte-stable)::
                    "label"?: str}, ...],
      "edges": [{"from": str, "to": str, "weight": [ints]}, ...]}
 
-Rational position entries are serialized as strings like ``"3/2"``.
+Rational position entries are serialized as strings like ``"3/2"``.  On
+load a position entry must be an integer or a string that
+:class:`fractions.Fraction` parses (``"3/2"``, ``"-4"``); floats, booleans
+and other types are rejected rather than coerced.
 Edge weights are stored with an arbitrary sign representative; every
 consumer uses them only through divisibility or products that are fixed
 by the builders' positive-root convention.
@@ -25,6 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import MissingVertexValueError, NotDivisibleError
 from .polyring import Polynomial, Weight, _normalize_mode, divide_by_weight, pairwise_coprime
@@ -54,7 +58,9 @@ class Vertex:
     def __post_init__(self):
         if self.position is not None:
             object.__setattr__(
-                self, "position", tuple(Fraction(p) for p in self.position)
+                self,
+                "position",
+                tuple(p if type(p) is Fraction else Fraction(p) for p in self.position),
             )
 
 
@@ -89,6 +95,47 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_position(value, vid: str) -> tuple[Fraction, ...]:
+    """A position read from JSON: a list of ints and strings that
+    ``Fraction`` parses."""
+    if type(value) is not list:
+        raise ValueError(f"position of {vid!r} must be a list, got {value!r}")
+    out = []
+    for p in value:
+        if type(p) is not int and type(p) is not str:
+            raise ValueError(
+                f"position of {vid!r} has entry {p!r}; entries must be integers or strings like '3/2'"
+            )
+        try:
+            out.append(Fraction(p))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"position of {vid!r} has entry {p!r}, which is not a rational") from None
+    return tuple(out)
+
+
+def _json_text(obj, pad: str = "") -> str:
+    """``json.dumps(obj, indent=2)`` for nested dicts (with ``str`` keys),
+    lists, strings and ints; any other type raises ``TypeError``."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is not dict and kind is not list:
+        raise TypeError(f"cannot write a {kind.__name__} as JSON")
+    if not obj:
+        return "{}" if kind is dict else "[]"
+    inner = pad + "  "
+    if kind is dict:
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in obj.items()]
+        start, end = "{", "}"
+    else:
+        items = [_json_text(v, inner) for v in obj]
+        start, end = "[", "]"
+    sep = ",\n" + inner
+    return f"{start}\n{inner}{sep.join(items)}\n{pad}{end}"
+
+
 def _vertex_key(v: Vertex) -> tuple[int, str]:
     return (v.cell_dim, v.id)
 
@@ -106,13 +153,16 @@ class GkmGraph:
             if v.position is not None and len(v.position) != rank:
                 raise ValueError(f"position of {v.id!r} has length != rank {rank}")
             index[v.id] = v
+        # edges run from the lower endpoint in (cell_dim, id) order; one
+        # given the other way round is the only one rebuilt
         norm_edges = []
         for e in edges:
-            if e.u not in index or e.v not in index:
+            u, v = index.get(e.u), index.get(e.v)
+            if u is None or v is None:
                 raise ValueError(f"edge ({e.u}, {e.v}) references a missing vertex")
             if e.weight.rank != rank:
                 raise ValueError(f"edge ({e.u}, {e.v}) weight has rank != {rank}")
-            if _vertex_key(index[e.v]) < _vertex_key(index[e.u]):
+            if _vertex_key(v) < _vertex_key(u):
                 e = Edge(e.v, e.u, e.weight)
             norm_edges.append(e)
         norm_edges.sort(key=lambda e: (e.u, e.v, e.weight.coeffs))
@@ -123,16 +173,14 @@ class GkmGraph:
         self._vertex_ids = tuple(v.id for v in vs)
         self._edges = tuple(norm_edges)
         inc: dict[str, list[Edge]] = {vid: [] for vid in index}
+        down: dict[str, list[Edge]] = {vid: [] for vid in index}
         for e in self._edges:
             inc[e.u].append(e)
             inc[e.v].append(e)
-        self._incidence: dict[str, tuple[Edge, ...]] = {
-            vid: tuple(es) for vid, es in inc.items()
-        }
-        self._down: dict[str, tuple[Edge, ...]] = {
-            vid: tuple(e for e in es if index[e.other(vid)].cell_dim < index[vid].cell_dim)
-            for vid, es in inc.items()
-        }
+            if index[e.u].cell_dim < index[e.v].cell_dim:
+                down[e.v].append(e)
+        self._incidence = {vid: tuple(es) for vid, es in inc.items()}
+        self._down = {vid: tuple(es) for vid, es in down.items()}
 
     @property
     def rank(self) -> int:
@@ -191,10 +239,7 @@ class GkmGraph:
         return GkmGraph(self._rank, self._mode, vs, es)
 
     def with_positions(self, positions: dict[str, tuple]) -> "GkmGraph":
-        vs = []
-        for v in self.vertices:
-            pos = positions.get(v.id, v.position)
-            vs.append(Vertex(v.id, v.cell_dim, tuple(Fraction(p) for p in pos) if pos is not None else None, v.label))
+        vs = [Vertex(v.id, v.cell_dim, positions.get(v.id, v.position), v.label) for v in self.vertices]
         return GkmGraph(self._rank, self._mode, vs, self._edges)
 
     def __eq__(self, other):
@@ -227,7 +272,11 @@ class GkmGraph:
         return {"rank": self._rank, "mode": self._mode, "vertices": verts, "edges": edges}
 
     def dumps(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """The JSON text, indented by two spaces.  Written by ``_json_text``
+        rather than ``json.dumps(indent=2)``: any indentation makes the
+        standard library fall back from its C encoder to the pure-Python one,
+        which costs more than the graph model's own work."""
+        return _json_text(self.to_dict()) + "\n"
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -238,23 +287,32 @@ class GkmGraph:
         rank = _json_int(data["rank"], "rank")
         vs = []
         for vd in data["vertices"]:
-            pos = vd.get("position")
+            vid = str(vd["id"])
+            pos, label = vd.get("position"), vd.get("label")
+            if label is not None and type(label) is not str:
+                raise ValueError(f"label of {vid!r} must be a string, got {label!r}")
             vs.append(
                 Vertex(
-                    str(vd["id"]),
-                    _json_int(vd["cell_dim"], f"cell_dim of {vd['id']!r}"),
-                    tuple(Fraction(p) for p in pos) if pos is not None else None,
-                    vd.get("label"),
+                    vid,
+                    _json_int(vd["cell_dim"], f"cell_dim of {vid!r}"),
+                    _json_position(pos, vid) if pos is not None else None,
+                    label,
                 )
             )
+        # one Weight per distinct label; entries are type-checked before the
+        # lookup, since (True, 0) and (1.0, 0) equal (1, 0) as dict keys
+        weights: dict[tuple[int, ...], Weight] = {}
         es = []
         for ed in data["edges"]:
-            try:
-                weight = Weight(ed["weight"])
-            except ValueError as exc:
+            coeffs = ed["weight"]
+            if type(coeffs) is not list or set(map(type, coeffs)) != {int}:
                 raise ValueError(
-                    f"weight of edge ({ed['from']}, {ed['to']}) must be an integer vector: {exc}"
-                ) from None
+                    f"weight of edge ({ed['from']}, {ed['to']}) must be an integer vector, got {coeffs!r}"
+                )
+            coeffs = tuple(coeffs)
+            weight = weights.get(coeffs)
+            if weight is None:
+                weight = weights[coeffs] = Weight(coeffs)
             es.append(Edge(str(ed["from"]), str(ed["to"]), weight))
         return cls(rank, data.get("mode", "Z"), vs, es)
 
@@ -435,6 +493,7 @@ def validate(graph: GkmGraph) -> ValidationReport:
         )
 
     if graph.vertex_ids:
+        connected = graph.is_connected()
         bottoms = graph.bottom_vertices()
         add(
             ValidationEntry(
@@ -448,8 +507,8 @@ def validate(graph: GkmGraph) -> ValidationReport:
             ValidationEntry(
                 None,
                 "connectivity",
-                graph.is_connected(),
-                "graph connected" if graph.is_connected() else "graph disconnected",
+                connected,
+                "graph connected" if connected else "graph disconnected",
             )
         )
     return rep

@@ -29,6 +29,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, gcd
 
 from .errors import (
@@ -95,7 +96,10 @@ class Weight:
 
     Weights are the degree-2 equivariant classes that label graph edges.
     The zero form is representable (so that arithmetic stays total) but is
-    rejected by every operation that uses a weight as a divisor.
+    rejected by every operation that uses a weight as a divisor.  Its line
+    -- content and primitive direction -- is computed on first use and
+    cached on the instance; equality, hashing and ``repr`` see only
+    ``coeffs``.
 
     >>> str(Weight((1, -2)))
     'x1 - 2*x2'
@@ -113,17 +117,27 @@ class Weight:
         return len(self.coeffs)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
+
+    @cached_property
+    def _line(self) -> tuple[int, tuple[int, ...]]:
+        """``(content, direction)``: the gcd of the entries and the form
+        divided by it, signed so that its first nonzero entry is positive.
+        Two nonzero forms are parallel over Q exactly when their directions
+        are equal.  The zero form gives ``(0, coeffs)``."""
+        g = gcd(*self.coeffs)
+        if not g:
+            return 0, self.coeffs
+        if next(c for c in self.coeffs if c) < 0:
+            g = -g
+        return abs(g), tuple(c // g for c in self.coeffs)
 
     def content(self) -> int:
         """gcd of the entries (0 for the zero form)."""
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, abs(c))
-        return g
+        return self._line[0]
 
     def is_primitive(self) -> bool:
-        return self.content() == 1
+        return self._line[0] == 1
 
     def __neg__(self) -> "Weight":
         return Weight(tuple(-c for c in self.coeffs))
@@ -456,19 +470,20 @@ def pairwise_coprime(weights, mode: str = "Q") -> bool:
     In Q-mode this is non-collinearity of every pair.  In Z-mode every
     weight must additionally be primitive (content 1): for primitive
     integer forms, coprimality in Z[x1..xk] is exactly non-collinearity.
+    Each weight's cached line gives its content and its primitive
+    direction, so the forms are non-collinear exactly when their
+    directions are distinct: one pass, not a test per pair.
     """
     mode = _normalize_mode(mode)
     ws = list(weights)
     for w in ws:
         if w.is_zero():
             raise ZeroWeightError("coprimality is undefined for the zero weight")
+    if len({w.rank for w in ws}) > 1:
+        raise ValueError("weights live in different tori")
     if mode == "Z" and any(not w.is_primitive() for w in ws):
         return False
-    for i in range(len(ws)):
-        for j in range(i + 1, len(ws)):
-            if ws[i].proportional(ws[j]):
-                return False
-    return True
+    return len({w._line[1] for w in ws}) == len(ws)
 
 
 # -- exact linear algebra ------------------------------------------------

@@ -91,6 +91,18 @@ def _weight_direction(w: Weight, rank: int) -> tuple[float, float]:
     return (x / norm, y / norm)
 
 
+def _edge_labels(graph: GkmGraph) -> list[str]:
+    """The label text of each edge; each distinct label is formatted once."""
+    texts: dict[tuple[int, ...], str] = {}
+    out = []
+    for e in graph.edges:
+        text = texts.get(e.weight.coeffs)
+        if text is None:
+            text = texts[e.weight.coeffs] = str(e.weight)
+        out.append(text)
+    return out
+
+
 def to_dot(graph: GkmGraph, basis=None, vertex: str | None = None) -> str:
     """Graphviz text; with a basis and vertex, node labels carry the
     factored restrictions of that generator."""
@@ -103,8 +115,8 @@ def to_dot(graph: GkmGraph, basis=None, vertex: str | None = None) -> str:
         if cls is not None:
             label += "\\n" + bouquet_text(graph, v.id, cls.values[v.id])
         lines.append(f'  "{v.id}" [label="{label}" pos="{x:.3f},{y:.3f}!"];')
-    for e in graph.edges:
-        lines.append(f'  "{e.u}" -- "{e.v}" [label="{e.weight}"];')
+    for e, text in zip(graph.edges, _edge_labels(graph)):
+        lines.append(f'  "{e.u}" -- "{e.v}" [label="{text}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -131,18 +143,19 @@ def to_svg(graph: GkmGraph, basis=None, vertex: str | None = None) -> str:
         "<defs><marker id=\"arrow\" markerWidth=\"8\" markerHeight=\"8\" refX=\"6\" refY=\"3\" "
         "orient=\"auto\"><path d=\"M0,0 L6,3 L0,6 z\"/></marker></defs>",
     ]
-    for e in graph.edges:
-        ax, ay = tx(pos[e.u])
-        bx, by = tx(pos[e.v])
+    screen = {vid: tx(p) for vid, p in pos.items()}
+    for e, text in zip(graph.edges, _edge_labels(graph)):
+        ax, ay = screen[e.u]
+        bx, by = screen[e.v]
         out.append(
             f'<line x1="{ax:.2f}" y1="{ay:.2f}" x2="{bx:.2f}" y2="{by:.2f}" '
             'stroke="gray" stroke-width="1"/>'
         )
         mx, my = (ax + bx) / 2, (ay + by) / 2
-        out.append(f'<text x="{mx:.2f}" y="{my:.2f}" font-size="9" fill="gray">{e.weight}</text>')
+        out.append(f'<text x="{mx:.2f}" y="{my:.2f}" font-size="9" fill="gray">{text}</text>')
     arrow_len = 0.35 * s
     for v in graph.vertices:
-        cx, cy = tx(pos[v.id])
+        cx, cy = screen[v.id]
         out.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="4" fill="black"/>')
         name = v.label or v.id
         out.append(f'<text x="{cx + 6:.2f}" y="{cy - 6:.2f}" font-size="10">{name}</text>')

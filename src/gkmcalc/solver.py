@@ -40,6 +40,7 @@ from .graph import (
     ValidationEntry,
     ValidationReport,
     _json_int,
+    _json_text,
     is_gkm_class,
     validate,
 )
@@ -90,7 +91,7 @@ class GeneratorBasis:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return _json_text(self.to_dict()) + "\n"
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -101,11 +102,23 @@ class GeneratorBasis:
         graph = GkmGraph.from_dict(data["graph"])
         degree = _check_degree(data["degree"])
         mode = _normalize_mode(data.get("mode", graph.mode))
-        if set(data["generators"]) != {v.id for v in graph.vertices if v.cell_dim <= 2 * degree}:
+        generators = data["generators"]
+        if type(generators) is not dict:
+            raise ValueError("basis generators must be an object of generators")
+        if set(generators) != {v.id for v in graph.vertices if v.cell_dim <= 2 * degree}:
             raise ValueError(f"basis generators must be the vertices of cell dim <= {2 * degree}")
         vertex_ids = set(graph.vertex_ids)
         gens = {}
-        for vid, values in data["generators"].items():
+        for vid, values in generators.items():
+            if type(values) is not dict:
+                raise ValueError(
+                    f"generator {vid!r} must map vertex ids to polynomial strings, got a {type(values).__name__}"
+                )
+            bad = next((w for w, t in values.items() if type(t) is not str), None)
+            if bad is not None:
+                raise ValueError(
+                    f"generator {vid!r} has value {values[bad]!r} at vertex {bad!r}, not a polynomial string"
+                )
             stray = set(values) - vertex_ids
             if stray:
                 raise ValueError(

@@ -23,7 +23,7 @@ from gkmcalc.builders import (
 )
 from gkmcalc.coxeter import GCM, Root, apply_word_dual, coset_orbit, reflect, word_matrix
 from gkmcalc.errors import BadBasePointError, UnsupportedTypeError
-from gkmcalc.graph import skeleton, validate
+from gkmcalc.graph import GkmGraph, skeleton, validate
 from gkmcalc.polyring import Weight
 
 PRESET_NAMES = ("A1-flag", "A2-flag", "B2-flag", "omega-su2", "omega-su3", "A1-4-twisted")
@@ -224,6 +224,7 @@ def test_build_output_is_pinned(case):
     gcm, parabolic, degree, digest = BUILD_HASHES[case]
     text = build_flag_graph(gcm, parabolic, degree).dumps()
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    assert GkmGraph.loads(text).dumps() == text
 
 
 def test_truncation_monotonicity():

@@ -321,3 +321,50 @@ def test_multiply_basis_values_off_the_vertices_exit_code(tmp_path, capsys, edit
     code, out, err = run(["multiply", str(basis_path), "0", "0"], capsys)
     assert code == 4
     assert not out and "generator '0'" in err
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        ("float", "position of"),
+        ("bool", "position of"),
+        ("zero-denominator", "position of"),
+        ("weight-number", "weight of edge"),
+        ("label-float", "label of"),
+    ],
+)
+def test_validate_bad_graph_entries_exit_code(tmp_path, capsys, edit, where):
+    path = tmp_path / "b2.json"
+    assert run(["build", "B2-flag", "-o", str(path)], capsys)[0] == 0
+    data = json.loads(path.read_text())
+    vertex, edge = data["vertices"][1], data["edges"][0]
+    if edit == "weight-number":
+        edge["weight"] = 5
+        where += f" ({edge['from']}, {edge['to']})"
+    elif edit == "label-float":
+        vertex["label"] = 1.5
+        where += f" '{vertex['id']}'"
+    else:
+        vertex["position"][0] = {"float": 0.1, "bool": True, "zero-denominator": "1/0"}[edit]
+        where += f" '{vertex['id']}'"
+    path.write_text(json.dumps(data))
+    code, out, err = run(["validate", str(path)], capsys)
+    assert code == 4
+    assert not out and where in err
+
+
+@pytest.mark.parametrize("edit", ["list", "number"])
+def test_multiply_basis_values_not_strings_exit_code(tmp_path, capsys, edit):
+    graph_path = tmp_path / "b2.json"
+    basis_path = tmp_path / "basis.json"
+    assert run(["build", "B2-flag", "-o", str(graph_path)], capsys)[0] == 0
+    assert run(["generators", str(graph_path), "-o", str(basis_path)], capsys)[0] == 0
+    data = json.loads(basis_path.read_text())
+    if edit == "list":
+        data["generators"]["0"] = list(data["generators"]["0"])
+    else:
+        data["generators"]["0"]["e"] = 5
+    basis_path.write_text(json.dumps(data))
+    code, out, err = run(["multiply", str(basis_path), "0", "0"], capsys)
+    assert code == 4
+    assert not out and "generator '0'" in err

@@ -1,18 +1,25 @@
 """Graph model, validation, membership, skeleta, and JSON round-trips."""
 
+import hashlib
 import json
 import random
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from gkmcalc.builders import build_preset
+from gkmcalc.builders import affine_type_a, build_flag_graph, build_preset, type_a
+from gkmcalc.coxeter import GCM
 from gkmcalc.errors import MissingVertexValueError
 from gkmcalc.graph import (
     CohClass,
     Edge,
     GkmGraph,
     Vertex,
+    _json_text,
     is_gkm_class,
     is_relative_class,
     skeleton,
@@ -210,7 +217,15 @@ def test_json_schema_keys(tmp_path):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("weight", [1.5, 0]), ("weight", ["1", 0]), ("cell_dim", 2.0), ("cell_dim", True)],
+    [
+        ("weight", [1.5, 0]),
+        ("weight", ["1", 0]),
+        ("weight", 5),
+        ("weight", None),
+        ("weight", "1,0"),
+        ("cell_dim", 2.0),
+        ("cell_dim", True),
+    ],
 )
 def test_from_dict_rejects_non_integers(field, value):
     data = {
@@ -225,6 +240,131 @@ def test_from_dict_rejects_non_integers(field, value):
         data["vertices"][1]["cell_dim"] = value
     with pytest.raises(ValueError, match="must be an integer"):
         GkmGraph.from_dict(data)
+
+
+def _b2_flag_data():
+    data = build_preset("B2-flag").to_dict()
+    return data, data["vertices"][1]["id"]
+
+
+@pytest.mark.parametrize("entry", [0.1, True, None, [1], "1/0", "x", "1/2/3"])
+def test_from_dict_rejects_bad_position_entries(entry):
+    # a float or bool is rejected, not coerced; a string Fraction cannot
+    # parse (a zero denominator included) is a ValueError, not a traceback
+    data, vid = _b2_flag_data()
+    data["vertices"][1]["position"][0] = entry
+    with pytest.raises(ValueError, match=re.escape(f"position of {vid!r}")):
+        GkmGraph.from_dict(data)
+
+
+@pytest.mark.parametrize("label", [1.5, True, 7, [0.5], {"a": "b"}])
+def test_from_dict_rejects_label_that_is_not_a_string(label):
+    data, vid = _b2_flag_data()
+    data["vertices"][1]["label"] = label
+    with pytest.raises(ValueError, match=re.escape(f"label of {vid!r} must be a string")):
+        GkmGraph.from_dict(data)
+
+
+def test_from_dict_rejects_position_that_is_not_a_list():
+    data, vid = _b2_flag_data()
+    data["vertices"][1]["position"] = "12"
+    with pytest.raises(ValueError, match=re.escape(f"position of {vid!r} must be a list")):
+        GkmGraph.from_dict(data)
+
+
+def test_from_dict_position_entries_are_ints_or_rational_strings():
+    data = {
+        "rank": 2,
+        "vertices": [
+            {"id": "n", "cell_dim": 0, "position": [-4, "3/2"]},
+            {"id": "s", "cell_dim": 2, "position": ["-4", "6/4"]},
+        ],
+        "edges": [{"from": "n", "to": "s", "weight": [1, 0]}],
+    }
+    g = GkmGraph.from_dict(data)
+    assert g.vertex("n").position == g.vertex("s").position == (Fraction(-4), Fraction(3, 2))
+    assert all(type(p) is Fraction for p in g.vertex("n").position)
+
+
+@pytest.mark.parametrize("twin", [[True, 0], [1.0, 0]])
+def test_from_dict_checks_weights_before_sharing_them(twin):
+    # (True, 0) and (1.0, 0) equal (1, 0) as dict keys, so a lookup among
+    # the labels seen so far must not let them through
+    data = {
+        "rank": 2,
+        "vertices": [{"id": "n", "cell_dim": 0}, {"id": "s", "cell_dim": 2}, {"id": "t", "cell_dim": 2}],
+        "edges": [
+            {"from": "n", "to": "s", "weight": [1, 0]},
+            {"from": "n", "to": "t", "weight": twin},
+        ],
+    }
+    with pytest.raises(ValueError, match=re.escape("weight of edge (n, t)")):
+        GkmGraph.from_dict(data)
+
+
+def test_from_dict_shares_one_weight_per_label():
+    g = GkmGraph.loads(build_preset("omega-su2", 6).dumps())
+    distinct = {e.weight.coeffs for e in g.edges}
+    assert len(distinct) < len(g.edges)
+    assert len({id(e.weight) for e in g.edges}) == len(distinct)
+
+
+def test_builder_edges_are_made_once(monkeypatch):
+    made = []
+    check = Edge.__post_init__
+    monkeypatch.setattr(Edge, "__post_init__", lambda e: (made.append(e), check(e))[1])
+    g = build_preset("B2-flag")
+    assert len(made) == len(g.edges)
+    assert all(a is b for a, b in zip(sorted(made, key=lambda e: (e.u, e.v)), g.edges))
+
+
+def test_validate_checks_connectivity_once(monkeypatch):
+    calls = []
+    connected = GkmGraph.is_connected
+    monkeypatch.setattr(GkmGraph, "is_connected", lambda g: calls.append(g) or connected(g))
+    assert validate(build_preset("A2-flag")).ok
+    assert len(calls) == 1
+
+
+# First 16 hex digits of sha256(validate(g).format_text()) for Z-mode builds
+# with the default embedding.
+VALIDATION_HASHES = {
+    "omega-su2-30": (affine_type_a(1), (1,), 30, "ace6113d7ee049a4"),
+    "hyperbolic-9": (GCM(((2, -3), (-3, 2))), (), 9, "a25f1a10a83ef996"),
+    "A3-flag-6": (type_a(3), (), 6, "13232253a4ced518"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATION_HASHES))
+def test_validation_report_is_pinned(case):
+    gcm, parabolic, degree, digest = VALIDATION_HASHES[case]
+    text = validate(build_flag_graph(gcm, parabolic, degree)).format_text()
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+# every code point, control characters and lone surrogates included
+_TEXT = st.text(st.characters(exclude_categories=()))
+_JSON_VALUES = st.recursive(
+    st.integers(-(10**40), 10**40) | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(_JSON_VALUES)
+@example({})
+@example([])
+@example({"a": [], "b": {}, "c": [[], {}]})
+@example(["\"quoted\"", "back\\slash", "\x00\x1f\n\t", "é", "\u2028", "😀", "\ud800"])
+@example({"\u00e9\n\"": -(10**30)})
+def test_json_text_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [True, 1.5, None, [1, False], {"a": [0.0]}, {"a": None}, (1, 2), {1: 2}])
+def test_json_text_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
 
 
 def test_cohclass_homogeneity_enforced():

@@ -147,6 +147,46 @@ def test_pairwise_coprime_examples():
         pairwise_coprime([x, Weight((0, 0))])
 
 
+def test_pairwise_coprime_needs_one_torus():
+    for mode in ("Q", "Z"):
+        with pytest.raises(ValueError, match="different tori"):
+            pairwise_coprime([Weight((2, 0)), Weight((1, 0, 0))], mode)
+
+
+@st.composite
+def _weight_lists(draw):
+    """Nonzero weights of one rank, with scaled copies (negative multiples
+    included) of some of them mixed in, so that collinear pairs are common."""
+    k = draw(st.integers(1, 3))
+    vectors = st.tuples(*[st.integers(-4, 4)] * k).filter(any)
+    ws = draw(st.lists(vectors, min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        base = draw(st.sampled_from(ws))
+        factor = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+        ws.append(tuple(factor * c for c in base))
+    return [Weight(w) for w in draw(st.permutations(ws))]
+
+
+@given(_weight_lists(), st.sampled_from(("Q", "Z")))
+def test_pairwise_coprime_matches_all_pairs(ws, mode):
+    # the definition: no two weights proportional, and in Z-mode each of
+    # content 1
+    expected = not any(a.proportional(b) for i, a in enumerate(ws) for b in ws[i + 1:])
+    if mode == "Z":
+        expected = expected and all(gcd(*w.coeffs) == 1 for w in ws)
+    assert pairwise_coprime(ws, mode) == expected
+
+
+def test_weight_line_is_cached_and_invisible():
+    w = Weight((-2, 4, 0))
+    assert "_line" not in vars(w)
+    assert w._line == (2, (1, -2, 0)) and w.content() == 2 and not w.is_primitive()
+    assert "_line" in vars(w)
+    other = Weight((-2, 4, 0))
+    assert w == other and hash(w) == hash(other) and repr(w) == repr(other) == "Weight(coeffs=(-2, 4, 0))"
+    assert Weight((0, 0))._line == (0, (0, 0))
+
+
 def test_solve_zero_residues():
     h = solve_congruences([(Weight((1, 0)), Polynomial.zero(2)), (Weight((0, 1)), Polynomial.zero(2))], 1)
     assert h.is_zero()

@@ -1,10 +1,12 @@
 """DOT/SVG emission: determinism, bouquet factoring, fallbacks."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from gkmcalc.builders import build_preset
+from gkmcalc.builders import affine_type_a, build_flag_graph, build_preset, type_a
+from gkmcalc.coxeter import GCM
 from gkmcalc.errors import NotFactorableError
 from gkmcalc.graph import Edge, GkmGraph, Vertex
 from gkmcalc.polyring import Polynomial, Weight, parse_polynomial
@@ -107,3 +109,30 @@ def test_dot_with_bouquet_labels():
     basis = canonical_generators(g, 3)
     dot = to_dot(g, basis, "0")
     assert "(-x1 + x2)" in dot
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# First 16 hex digits of sha256 of to_svg and to_dot for Z-mode builds with
+# the default embedding.
+RENDER_HASHES = {
+    "omega-su2-30": (affine_type_a(1), (1,), 30, "5773e305d9796675", "5b025bced9f5ec76"),
+    "hyperbolic-9": (GCM(((2, -3), (-3, 2))), (), 9, "d466ac412f7c825b", "1c6f63ce148c9640"),
+    "A3-flag-6": (type_a(3), (), 6, "d8c6127aea1575e4", "1cde630d6fb83441"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RENDER_HASHES))
+def test_render_output_is_pinned(case):
+    gcm, parabolic, degree, svg, dot = RENDER_HASHES[case]
+    g = build_flag_graph(gcm, parabolic, degree)
+    assert _digest(to_svg(g)) == svg
+    assert _digest(to_dot(g)) == dot
+
+
+def test_bouquet_render_is_pinned():
+    basis = canonical_generators(build_flag_graph(type_a(3), (), 6), 6)
+    assert _digest(to_svg(basis.graph, basis, "1-0-1")) == "d3737662c0feb16c"
+    assert _digest(to_dot(basis.graph, basis, "1-0-1")) == "ca402301d6d6673b"

@@ -1,6 +1,8 @@
 """Canonical generator solving, the characterizing conditions, and expansion."""
 
 import copy
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 
 from gkmcalc import polyring
 from gkmcalc.builders import build_flag_graph, build_preset, type_a
+from gkmcalc.coxeter import GCM
 from gkmcalc.errors import (
     NoSolutionError,
     NonIntegralError,
@@ -378,6 +381,42 @@ def test_basis_values_must_sit_at_the_vertices():
     del missing["generators"]["0"]["1-0"]
     with pytest.raises(ValueError, match="generator '0' has no value at vertex '1-0'"):
         GeneratorBasis.from_dict(missing)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ("list", "generator '0' must map vertex ids to polynomial strings, got a list"),
+        ("number", "generator '0' has value 5 at vertex 'e', not a polynomial string"),
+        ("null", "generator '0' has value None at vertex 'e', not a polynomial string"),
+    ],
+)
+def test_basis_values_must_be_an_object_of_strings(edit, message):
+    data = canonical_generators(build_preset("B2-flag"), 4).to_dict()
+    if edit == "list":
+        data["generators"]["0"] = list(data["generators"]["0"])
+    else:
+        data["generators"]["0"]["e"] = 5 if edit == "number" else None
+    with pytest.raises(ValueError, match=message):
+        GeneratorBasis.from_dict(data)
+    with pytest.raises(ValueError, match="must be an object"):
+        GeneratorBasis.from_dict({**data, "generators": list(data["generators"])})
+
+
+# First 16 hex digits of sha256(dumps()) for Z-mode full-flag bases at the
+# given degree.
+BASIS_HASHES = {
+    "A3-flag-6": (type_a(3), 6, "a7567be36696bf0a"),
+    "G2-flag-6": (GCM(((2, -1), (-3, 2))), 6, "4a5082715ef39f07"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BASIS_HASHES))
+def test_basis_output_is_pinned(case):
+    gcm, degree, digest = BASIS_HASHES[case]
+    text = canonical_generators(build_flag_graph(gcm, (), degree), degree).dumps()
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    assert GeneratorBasis.from_dict(json.loads(text)).dumps() == text
 
 
 def test_unknown_generator_is_named():

@@ -17,10 +17,14 @@ Torus coordinates
     preserved.  Indefinite matrices fall back to raw root coordinates.
 
 Moment embedding
-    Positions come from the orbit of a base point with stabilizer exactly
-    ``W_P``, tracked in dual coordinates together with the energy slot
-    (the delta-dual coordinate) in affine cases; normalization constants
-    are set to 1.  Edge directions then equal edge labels exactly.
+    Positions come from the coset orbit, whose start is the generic
+    dominant vector times the lcm ``S`` of its denominators.  The base
+    point is fixed: that generic vector, or ``-Lambda_z`` (``-1`` times
+    the start) for an affine Grassmannian, so that the energy axis points
+    upward.  Each dual vector is thus an orbit vector over ``q = S`` or
+    ``q = -1``; the integer adjugate of the classical Cartan matrix maps it
+    to torus coordinates, followed in affine cases by the energy slot (the
+    delta-dual coordinate).  Edge directions equal edge labels exactly.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from fractions import Fraction
 from .coxeter import (
     GCM,
     Root,
+    _cofactor_column,
+    _det,
     _integral,
     classify,
     coset_orbit,
@@ -39,9 +45,9 @@ from .coxeter import (
     reflect,
     reflect_dual,
 )
-from .errors import BadBasePointError, UnsupportedTypeError
+from .errors import UnsupportedTypeError
 from .graph import Edge, GkmGraph, Vertex
-from .polyring import Weight, solve_linear_system
+from .polyring import Weight
 
 __all__ = [
     "type_a",
@@ -109,7 +115,6 @@ def word_from_id(vid: str) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class _TorusBasis:
     kind: str  # "finite" | "affine" | "root"
-    k: int
     z: int | None = None
     mark_vec: tuple[int, ...] | None = None
 
@@ -126,7 +131,7 @@ class _TorusBasis:
 def _torus_basis(gcm: GCM, parabolic) -> _TorusBasis:
     kind = classify(gcm)
     if kind == "finite":
-        return _TorusBasis("finite", gcm.n)
+        return _TorusBasis("finite")
     if kind == "affine":
         mk = marks(gcm)
         J = set(parabolic)
@@ -137,100 +142,39 @@ def _torus_basis(gcm: GCM, parabolic) -> _TorusBasis:
             raise UnsupportedTypeError(
                 "affine matrix has no node of mark 1 to carry the delta coordinate"
             )
-        return _TorusBasis("affine", gcm.n, z=candidates[0], mark_vec=mk)
+        return _TorusBasis("affine", z=candidates[0], mark_vec=mk)
     # indefinite: raw root coordinates still give a faithful integral basis
-    return _TorusBasis("root", gcm.n)
+    return _TorusBasis("root")
 
 
-def _invert(rows) -> list[list[Fraction]]:
-    n = len(rows)
-    cols = []
-    for j in range(n):
-        rhs = [Fraction(1 if i == j else 0) for i in range(n)]
-        sol, null = solve_linear_system([list(map(Fraction, r)) for r in rows], rhs)
-        if null:
-            raise ValueError("matrix is singular")
-        cols.append(sol)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def _default_base_point(gcm: GCM, parabolic, tb: _TorusBasis):
-    """Dominant prime reciprocals off the parabolic; a negative fundamental
-    weight at the delta node for affine quotients so that the energy axis
-    of the embedding points upward."""
-    J = set(parabolic)
-    if tb.kind == "affine" and set(range(gcm.n)) - J == {tb.z}:
-        lam = [Fraction(0)] * gcm.n
-        lam[tb.z] = Fraction(-1)
-        return tuple(lam)
-    return generic_dominant_vector(gcm, parabolic)
-
-
-def _orbit_positions(gcm, parabolic, tb, words, base_point):
-    """Map each coset word to its moment-image coordinates.
-
-    A word ``w = s_i w'`` moves the base point to ``s_i(w' lambda)``, so its
-    dual vector and energy slot (the delta-dual coordinate, tracked only in
-    affine cases) are one reflection from those of its suffix ``w'``; both
-    are memoized per suffix.  The orbit runs on ``int`` vectors: the base
-    point scaled by the lcm of its denominators.  Dual vectors map to torus
-    coordinates through the inverse of the (classical) Cartan matrix, kept
-    as an integer matrix over one common denominator, so each coordinate
-    costs one division, made when the position is written out.
-    """
-    lam = tuple(base_point)
-    for x in lam:
-        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-            raise BadBasePointError(
-                f"base point entries must be int or Fraction, got {x!r}"
-            )
-    if len(lam) != gcm.n:
-        raise BadBasePointError(f"base point must have {gcm.n} coordinates")
-    J = set(parabolic)
-    for i in range(gcm.n):
-        fixes = reflect_dual(gcm, i, lam) == lam
-        if i in J and not fixes:
-            raise BadBasePointError(f"base point is moved by the parabolic generator s{i}")
-        if i not in J and fixes:
-            raise BadBasePointError(f"base point is fixed by s{i} outside the parabolic")
-    if tb.kind not in ("finite", "affine"):
-        raise UnsupportedTypeError("moment embedding needs a finite or affine Cartan matrix")
-
-    lam, scale = _integral(lam)
+def _positions(gcm: GCM, J: frozenset, tb: _TorusBasis, reps) -> dict[str, tuple[Fraction, ...]]:
+    """Positions of the coset words of ``reps`` (from :func:`coset_orbit`)
+    by vertex id: classical coordinates ``adj * vec / (q * det)`` and, in
+    affine cases, the energy ``E(w) / q`` with
+    ``E(s_i w') = E(w') - [i = z] * vec(w')_z``."""
     others = [i for i in range(gcm.n) if i != tb.z]
-    inv = _invert([[gcm.a(i, j) for j in others] for i in others])
-    flat, den = _integral([x for row in inv for x in row])
-    adj = [flat[r:r + len(others)] for r in range(0, len(flat), len(others))]
-    den *= scale  # inv = adj / den and lam = (scaled lam) / scale
-    orbit = {(): (lam, 0)}  # suffix -> (scaled dual vector, scaled energy slot)
-
-    def position(word):
-        k = 0
-        while word[k:] not in orbit:
-            k += 1
-        mu, s = orbit[word[k:]]
-        for t in reversed(range(k)):
-            i = word[t]
-            if i == tb.z:
-                s = s - mu[i]
-            mu = reflect_dual(gcm, i, mu)
-            orbit[word[t:]] = (mu, s)
-        classical = [mu[j] for j in others]
-        pos = [Fraction(sum(a * c for a, c in zip(row, classical)), den) for row in adj]
+    classical = [[gcm.a(i, j) for j in others] for i in others]
+    det = _det(classical)
+    adj = list(zip(*(_cofactor_column(classical, j) for j in range(len(others)))))
+    if tb.kind == "affine" and set(range(gcm.n)) - J == {tb.z}:
+        q = -1
+    else:
+        _, q = _integral(generic_dominant_vector(gcm, J))
+    vecs = {rep.word: vec for rep, vec in reps}
+    energy = {(): 0}
+    out = {}
+    for w, vec in vecs.items():
+        if w:
+            energy[w] = energy[w[1:]] - (vecs[w[1:]][tb.z] if w[0] == tb.z else 0)
+        pos = [Fraction(sum(a * vec[j] for a, j in zip(row, others)), q * det) for row in adj]
         if tb.kind == "affine":
-            pos.append(Fraction(s, scale))
-        return tuple(pos)
-
-    return {coset_id(w): position(w) for w in words}
+            pos.append(Fraction(energy[w], q))
+        out[coset_id(w)] = tuple(pos)
+    return out
 
 
 def build_flag_graph(
-    gcm: GCM,
-    parabolic,
-    degree: int,
-    mode: str = "Z",
-    embed: bool = True,
-    base_point=None,
+    gcm: GCM, parabolic, degree: int, mode: str = "Z", embed: bool = True
 ) -> GkmGraph:
     """The decorated graph of G/P truncated at cell dimension ``2*degree``.
 
@@ -247,6 +191,9 @@ def build_flag_graph(
     ``u`` labeled ``beta`` gives the edge from ``w`` to ``s_i u`` labeled
     ``s_i(beta)``.
 
+    With ``embed``, vertices of a finite or affine matrix get their
+    positions from the same orbit (see the module docstring).
+
     >>> g = build_flag_graph(GCM(((2, -1), (-1, 2))), (), 3)
     >>> len(g.vertices), len(g.edges)
     (6, 9)
@@ -260,8 +207,7 @@ def build_flag_graph(
     tb = _torus_basis(gcm, J)
     positions = {}
     if embed and tb.kind in ("finite", "affine"):
-        base = base_point if base_point is not None else _default_base_point(gcm, J, tb)
-        positions = _orbit_positions(gcm, J, tb, [rep.word for rep, _ in reps], base)
+        positions = _positions(gcm, J, tb, reps)
 
     ids = {vec: coset_id(rep.word) for rep, vec in reps}
     down = {(): ()}  # word -> its down-edges as (lower orbit vector, label root)
@@ -284,22 +230,26 @@ def build_flag_graph(
             if label is None:
                 label = labels[beta] = tb.weight(Root(beta))
             edges.append(Edge(ids[low], uid, label))  # lower endpoint first
-    return GkmGraph(tb.k, mode, vertices, edges)
+    return GkmGraph(gcm.n, mode, vertices, edges)
 
 
-def moment_embedding(graph: GkmGraph, gcm: GCM, parabolic, base_point=None) -> GkmGraph:
-    """Recompute vertex positions from the orbit of ``base_point``.
+def moment_embedding(graph: GkmGraph, gcm: GCM, parabolic) -> GkmGraph:
+    """Recompute the positions ``build_flag_graph`` gives with ``embed``.
 
-    The graph must come from :func:`build_flag_graph` (vertex ids encode
-    the coset words).  Raises :class:`BadBasePointError` when an entry of
-    the base point is not an ``int`` or ``Fraction`` (a ``bool`` is
-    refused too), or when its stabilizer is not exactly ``W_P``.
+    Raises ``ValueError`` naming the first vertex whose id is not a coset
+    word of the orbit, and :class:`UnsupportedTypeError` for an indefinite
+    Cartan matrix.
     """
     J = frozenset(parabolic)
     tb = _torus_basis(gcm, J)
-    words = [word_from_id(v.id) for v in graph.vertices]
-    base = base_point if base_point is not None else _default_base_point(gcm, J, tb)
-    positions = _orbit_positions(gcm, J, tb, words, base)
+    if tb.kind not in ("finite", "affine"):
+        raise UnsupportedTypeError("moment embedding needs a finite or affine Cartan matrix")
+    top = max((v.cell_dim for v in graph.vertices), default=0) // 2
+    reps, _ = coset_orbit(gcm, J, top)
+    positions = _positions(gcm, J, tb, reps)
+    for v in graph.vertices:
+        if v.id not in positions:
+            raise ValueError(f"vertex {v.id!r} is not a coset word of the orbit")
     return graph.with_positions(positions)
 
 

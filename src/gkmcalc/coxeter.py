@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InvalidParabolicError
-from .polyring import _int_tuple, nullspace_basis
+from .polyring import _int_tuple
 
 __all__ = [
     "GCM",
@@ -179,6 +179,17 @@ def _det(rows) -> int:
     return sign * prev
 
 
+def _cofactor_column(rows, j: int) -> tuple[int, ...]:
+    """Column ``j`` of the adjugate of a square integer matrix, so that
+    ``rows * column == det(rows) * e_j``: entry ``i`` is the cofactor of
+    entry ``(j, i)``."""
+    minor = [row for r, row in enumerate(rows) if r != j]
+    return tuple(
+        (-1) ** (i + j) * _det([row[:i] + row[i + 1:] for row in minor])
+        for i in range(len(rows))
+    )
+
+
 def _principal_minors_positive(gcm: GCM, proper_only: bool = False) -> bool:
     n = gcm.n
     for mask in range(1, 2**n):
@@ -212,21 +223,18 @@ def classify(gcm: GCM) -> str:
 def marks(gcm: GCM) -> tuple[int, ...]:
     """The primitive positive integer vector spanning the kernel of an
     affine Cartan matrix; its entries are the coefficients of the simple
-    roots in the null root delta."""
-    rows = [[Fraction(v) for v in row] for row in gcm.rows]
-    null = nullspace_basis(rows, gcm.n)
-    if len(null) != 1:
+    roots in the null root delta.  When ``A`` has corank 1,
+    ``A adj(A) = 0`` and ``adj(A) != 0``, so a nonzero column spans it."""
+    rows = gcm.rows
+    cols = (_cofactor_column(rows, j) for j in range(gcm.n))
+    col = next((c for c in cols if any(c)), None)
+    if col is None or any(sum(a * c for a, c in zip(row, col)) for row in rows):
         raise ValueError("Cartan matrix kernel is not one-dimensional")
-    ints, _ = _integral(null[0])
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    if all(v < 0 for v in ints):
-        ints = [-v for v in ints]
+    g = -gcd(*col) if all(v < 0 for v in col) else gcd(*col)
+    ints = tuple(v // g for v in col)
     if any(v <= 0 for v in ints):
         raise ValueError("kernel vector is not strictly positive")
-    return tuple(ints)
+    return ints
 
 
 def real_roots(gcm: GCM, height_cutoff: int) -> list[Root]:

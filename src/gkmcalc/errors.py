@@ -71,10 +71,6 @@ class UnsupportedTypeError(GkmError):
     """No builder is available for the requested group or Cartan matrix."""
 
 
-class BadBasePointError(GkmError):
-    """The moment-embedding base point does not have stabilizer W_P."""
-
-
 class ValidationFailureError(GkmError):
     """A graph operation requiring a valid graph received an invalid one."""
 

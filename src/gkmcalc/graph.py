@@ -57,11 +57,11 @@ class Vertex:
 
     def __post_init__(self):
         if self.position is not None:
-            object.__setattr__(
-                self,
-                "position",
-                tuple(p if type(p) is Fraction else Fraction(p) for p in self.position),
-            )
+            pos = tuple(self.position)
+            for p in pos:
+                if isinstance(p, bool) or not isinstance(p, (int, Fraction)):
+                    raise ValueError(f"position of {self.id!r} has entry {p!r}; entries must be int or Fraction")
+            object.__setattr__(self, "position", tuple(p if type(p) is Fraction else Fraction(p) for p in pos))
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from gkmcalc import polyring
 from gkmcalc.builders import (
     TWISTED_A1_4,
-    _default_base_point,
+    PRESETS,
     _torus_basis,
     affine_type_a,
     build_chain_graph,
@@ -21,9 +22,19 @@ from gkmcalc.builders import (
     type_b2,
     word_from_id,
 )
-from gkmcalc.coxeter import GCM, Root, apply_word_dual, coset_orbit, reflect, word_matrix
-from gkmcalc.errors import BadBasePointError, UnsupportedTypeError
-from gkmcalc.graph import GkmGraph, skeleton, validate
+from gkmcalc.coxeter import (
+    GCM,
+    Root,
+    apply_word_dual,
+    classify,
+    coset_orbit,
+    generic_dominant_vector,
+    marks,
+    reflect,
+    word_matrix,
+)
+from gkmcalc.errors import UnsupportedTypeError
+from gkmcalc.graph import GkmGraph, Vertex, skeleton, validate
 from gkmcalc.polyring import Weight
 
 PRESET_NAMES = ("A1-flag", "A2-flag", "B2-flag", "omega-su2", "omega-su3", "A1-4-twisted")
@@ -157,18 +168,24 @@ def test_down_edges_match_letter_deletions(case):
     assert built == _direct_down_edges(gcm, parabolic, degree)
 
 
-def _check_positions(gcm, parabolic, degree, base_point):
+def _base_point(gcm, parabolic):
+    # -Lambda_z for an affine Grassmannian (only the delta node z outside
+    # the parabolic), else the generic dominant vector
+    tb = _torus_basis(gcm, frozenset(parabolic))
+    if tb.kind == "affine" and set(range(gcm.n)) - set(parabolic) == {tb.z}:
+        return tuple(-1 if i == tb.z else 0 for i in range(gcm.n))
+    return generic_dominant_vector(gcm, parabolic)
+
+
+def _check_positions(gcm, parabolic, degree):
     # A position p of the word w satisfies A' p' = (w lambda)' on the
     # classical nodes (all nodes for a finite matrix; A' is invertible there),
     # and in affine cases its last slot is the delta-dual energy: the sum of
     # -(u lambda)_z over the suffixes s_z u of w.
     tb = _torus_basis(gcm, frozenset(parabolic))
-    if base_point is None:
-        lam = tuple(Fraction(x) for x in _default_base_point(gcm, frozenset(parabolic), tb))
-    else:
-        lam = base_point
+    lam = _base_point(gcm, parabolic)
     others = [i for i in range(gcm.n) if i != tb.z]
-    g = build_flag_graph(gcm, parabolic, degree, base_point=base_point)
+    g = build_flag_graph(gcm, parabolic, degree)
     for v in g.vertices:
         w = word_from_id(v.id)
         mu = apply_word_dual(gcm, w, lam)
@@ -179,7 +196,7 @@ def _check_positions(gcm, parabolic, degree, base_point):
             suffixes = [w[t + 1:] for t in range(len(w)) if w[t] == tb.z]
             assert p[-1] == sum(-apply_word_dual(gcm, u, lam)[tb.z] for u in suffixes), v.id
     bare = build_flag_graph(gcm, parabolic, degree, embed=False)
-    assert moment_embedding(bare, gcm, parabolic, base_point=base_point) == g
+    assert moment_embedding(bare, gcm, parabolic) == g
 
 
 EMBEDDED_CASES = sorted(set(RECURRENCE_CASES) - {"hyperbolic-9"})
@@ -187,22 +204,7 @@ EMBEDDED_CASES = sorted(set(RECURRENCE_CASES) - {"hyperbolic-9"})
 
 @pytest.mark.parametrize("case", EMBEDDED_CASES)
 def test_positions_match_full_word_action(case):
-    _check_positions(*RECURRENCE_CASES[case], None)
-
-
-@pytest.mark.parametrize(
-    "values", [(1, 2), (Fraction(1, 3), Fraction(5, 7))], ids=["int", "rational"]
-)
-@pytest.mark.parametrize("case", EMBEDDED_CASES)
-def test_positions_match_full_word_action_explicit_base_point(case, values):
-    # dominant: the values cycle over the nodes outside the parabolic, which
-    # therefore is the whole stabilizer
-    gcm, parabolic, degree = RECURRENCE_CASES[case]
-    free = [i for i in range(gcm.n) if i not in parabolic]
-    lam = [0] * gcm.n
-    for k, i in enumerate(free):
-        lam[i] = values[k % len(values)]
-    _check_positions(gcm, parabolic, degree, tuple(lam))
+    _check_positions(*RECURRENCE_CASES[case])
 
 
 # First 16 hex digits of sha256(dumps()) for Z-mode builds with the default
@@ -264,15 +266,21 @@ def test_edge_direction_matches_label():
 
 
 def test_identity_position_is_base_point():
-    # the identity vertex sits at the base point: A * position(e) = lambda
-    gcm = type_a(2)
-    lam = (Fraction(1, 2), Fraction(1, 3))
-    g = build_flag_graph(gcm, (), 3, base_point=lam)
-    pos = g.vertex("e").position
-    recovered = tuple(
-        sum(Fraction(gcm.a(i, j)) * pos[j] for j in range(2)) for i in range(2)
+    # the identity vertex sits at the fixed base point: A' * position(e) is
+    # lambda on the classical nodes, and the energy of e is 0
+    for gcm, parabolic in [(type_a(2), ()), (affine_type_a(1), (1,)), (affine_type_a(2), ())]:
+        tb = _torus_basis(gcm, frozenset(parabolic))
+        others = [i for i in range(gcm.n) if i != tb.z]
+        lam = _base_point(gcm, parabolic)
+        pos = build_flag_graph(gcm, parabolic, 2).vertex("e").position
+        recovered = tuple(sum(gcm.a(i, j) * pos[c] for c, j in enumerate(others)) for i in others)
+        assert recovered == tuple(lam[i] for i in others)
+        assert pos[len(others):] in ((), (0,))
+    # A2: lambda = (1/2, 1/3) and A^-1 = [[2, 1], [1, 2]] / 3
+    assert build_flag_graph(type_a(2), (), 1).vertex("e").position == (
+        Fraction(4, 9),
+        Fraction(7, 18),
     )
-    assert recovered == lam
 
 
 def test_a2_positions_form_hexagon():
@@ -291,38 +299,54 @@ def test_omega_su2_parabola():
         assert s == b * b
 
 
-def test_bad_base_point():
-    with pytest.raises(BadBasePointError):
-        build_flag_graph(type_a(2), (), 2, base_point=(Fraction(1), Fraction(0)))
-    g = build_preset("omega-su2", 2)
-    with pytest.raises(BadBasePointError):
-        moment_embedding(g, affine_type_a(1), (1,), base_point=(0, 0))
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [(0.5, 1), (0.1, 1), (True, 2), ("1", "2"), (Fraction(1, 2), 1.0)],
-    ids=["float", "inexact-float", "bool", "str", "fraction-and-float"],
-)
-def test_base_point_entries_must_be_int_or_fraction(bad):
-    # floats, bools and strings are refused rather than coerced
-    with pytest.raises(BadBasePointError, match="int or Fraction"):
-        build_flag_graph(type_a(2), (), 2, base_point=bad)
-    g = build_preset("A2-flag")
-    with pytest.raises(BadBasePointError, match="int or Fraction"):
-        moment_embedding(g, type_a(2), (), base_point=bad)
-
-
 def test_moment_embedding_recompute():
-    g = build_preset("A2-flag")
-    doubled = moment_embedding(g, type_a(2), (), base_point=(Fraction(1), Fraction(2, 3)))
-    for e in doubled.edges:
-        pu, pv = doubled.vertex(e.u).position, doubled.vertex(e.v).position
-        diff = [a - b for a, b in zip(pu, pv)]
-        w = e.weight.coeffs
-        for i in range(len(w)):
-            for j in range(i + 1, len(w)):
-                assert diff[i] * w[j] == diff[j] * w[i]
+    # positions are recomputed from the orbit, whatever the graph carried
+    for name, (gcm, parabolic, _) in sorted(PRESETS.items()):
+        g = build_preset(name)
+        moved = g.with_positions({v.id: tuple(c + 1 for c in v.position) for v in g.vertices})
+        assert moved != g
+        assert moment_embedding(moved, gcm, parabolic) == g, name
+
+
+@pytest.mark.parametrize("bad", ["7", "0-0"])
+def test_moment_embedding_rejects_ids_that_are_not_coset_words(bad):
+    g = build_flag_graph(type_a(2), (), 3, embed=False)
+    renamed = GkmGraph(
+        g.rank,
+        g.mode,
+        [Vertex(bad if v.id == "0" else v.id, v.cell_dim) for v in g.vertices],
+        [],
+    )
+    with pytest.raises(ValueError, match=f"vertex '{bad}' is not a coset word"):
+        moment_embedding(renamed, type_a(2), ())
+
+
+def test_moment_embedding_needs_finite_or_affine():
+    g = build_flag_graph(GCM(((2, -3), (-3, 2))), (), 3)
+    with pytest.raises(UnsupportedTypeError, match="finite or affine"):
+        moment_embedding(g, GCM(((2, -3), (-3, 2))), ())
+
+
+def test_building_uses_no_matrix_elimination(monkeypatch):
+    # torus bases, marks and positions come from integer determinants; the
+    # Fraction elimination of polyring is left to the oracle
+    cases = list(PRESETS.values()) + [
+        (GCM(((2, -1, 0), (-1, 2, -1), (0, -2, 2))), (), 9),
+        (affine_type_a(2), (), 4),
+        (TWISTED_A1_4, (1,), 20),
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("building eliminated a matrix")
+
+    monkeypatch.setattr(polyring, "_rref", refuse)
+    monkeypatch.setattr(polyring, "solve_linear_system", refuse)
+    for gcm, parabolic, degree in cases:
+        g = build_flag_graph(gcm, parabolic, degree)
+        bare = build_flag_graph(gcm, parabolic, degree, embed=False)
+        assert moment_embedding(bare, gcm, parabolic) == g
+        if classify(gcm) == "affine":
+            assert all(m > 0 for m in marks(gcm))
 
 
 def test_chain_graph_shape():

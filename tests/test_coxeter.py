@@ -5,10 +5,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkmcalc.builders import build_flag_graph
 from gkmcalc.coxeter import (
     GCM,
+    _cofactor_column,
     _det,
     CosetRep,
     Root,
@@ -24,6 +27,7 @@ from gkmcalc.coxeter import (
     word_matrix,
 )
 from gkmcalc.errors import InvalidParabolicError
+from gkmcalc.polyring import solve_linear_system
 
 A1 = GCM(((2,),))
 A2 = GCM(((2, -1), (-1, 2)))
@@ -79,6 +83,42 @@ def test_det_is_exact_on_integers():
         n = rng.randint(1, 5)
         m = [[rng.choice((0, rng.randint(-6, 6))) for _ in range(n)] for _ in range(n)]
         assert _det(m) == laplace(m) and type(_det(m)) is int, m
+
+
+@st.composite
+def _square_matrix_and_column(draw):
+    n = draw(st.integers(1, 5))
+    entries = st.integers(-6, 6) | st.just(0)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    return rows, draw(st.integers(0, n - 1))
+
+
+@settings(deadline=None)
+@given(_square_matrix_and_column())
+def test_cofactor_column_is_adjugate_column(case):
+    rows, j = case
+    n = len(rows)
+    col = _cofactor_column(rows, j)
+    det = _det(rows)
+    assert all(type(c) is int for c in col)
+    assert [sum(a * c for a, c in zip(row, col)) for row in rows] == [
+        det if i == j else 0 for i in range(n)
+    ]
+    if det:
+        # the Fraction elimination of polyring is the independent reference
+        rhs = [Fraction(int(i == j)) for i in range(n)]
+        inverse_col, null = solve_linear_system([list(map(Fraction, r)) for r in rows], rhs)
+        assert not null
+        assert [Fraction(c, det) for c in col] == inverse_col
+
+
+def test_marks_errors():
+    with pytest.raises(ValueError, match="not one-dimensional"):
+        marks(A2)  # det != 0
+    with pytest.raises(ValueError, match="not one-dimensional"):
+        marks(GCM(((2, -2, 0, 0), (-2, 2, 0, 0), (0, 0, 2, -2), (0, 0, -2, 2))))  # corank 2
+    with pytest.raises(ValueError, match="not strictly positive"):
+        marks(GCM(((2, -2, 0), (-2, 2, 0), (0, 0, 2))))
 
 
 def test_real_roots_a2():

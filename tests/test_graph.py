@@ -272,6 +272,24 @@ def test_from_dict_rejects_position_that_is_not_a_list():
         GkmGraph.from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [(0.5, 1), (0.1, 1), (True, 2), ("1", "2"), (Fraction(1, 2), 1.0)],
+    ids=["float", "inexact-float", "bool", "str", "fraction-and-float"],
+)
+def test_vertex_position_entries_must_be_int_or_fraction(bad):
+    # floats, bools and strings are refused rather than coerced, also when
+    # positions are replaced on a built graph
+    with pytest.raises(ValueError, match=re.escape("position of 'a' has entry")):
+        Vertex("a", 0, bad)
+    g = build_preset("A2-flag")
+    with pytest.raises(ValueError, match=re.escape("position of '0' has entry")):
+        g.with_positions({"0": bad})
+    v = Vertex("a", 0, (3, Fraction(1, 2)))
+    assert v.position == (Fraction(3), Fraction(1, 2))
+    assert all(type(p) is Fraction for p in v.position)
+
+
 def test_from_dict_position_entries_are_ints_or_rational_strings():
     data = {
         "rank": 2,

@@ -256,9 +256,6 @@ class Polynomial:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1 and (d is None or degs <= {d})
 
-    def homogeneous_component(self, d: int) -> "Polynomial":
-        return Polynomial._make(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d})
-
     def coefficient(self, exps: tuple[int, ...]) -> int | Fraction:
         return self.terms.get(tuple(exps), 0)
 

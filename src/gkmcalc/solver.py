@@ -12,10 +12,38 @@ Values above ``v`` are forced: processing vertices ``w`` by increasing
 cell dimension, ``f_v(w)`` is the unique homogeneous solution of the
 congruences ``f_v(w) == f_v(u) (mod weight)`` over the down-edges
 ``(w, u)`` -- unique because the down-edge weights at ``w`` are pairwise
-coprime and their count exceeds the degree of ``f_v``.  Within one
-dimension the processing order is irrelevant (constraints only reach
-strictly lower vertices); it is fixed to the canonical vertex order for
-reproducible logs.
+coprime and their count exceeds the degree of ``f_v``.  Solving them so,
+one vertex at a time with :func:`solve_congruences`, is *lifting*; a value
+costs O(degree^2) exact divisions.
+
+When the cutoff reaches the graph's top cell dimension, the generators
+come instead from the equivariant Chevalley recursion (Kostant-Kumar;
+Goldin-Tolman), one exact division per value:
+
+* The degree-1 generators are lifted.  ``Phi = sum lambda_i f_i`` over
+  them, ``lambda`` the primes 2, 3, 5, ..., is a degree-2 class, scaled
+  to integer linear forms once.
+* Generators are solved from the top dimension down.  For ``v`` write
+  ``D(w) = Phi(w) - Phi(v)``.  At a cover ``u`` of ``v`` (``cell_dim(u) =
+  cell_dim(v) + 2``) joined to it by ``beta``, ``f_v(u) = k * P`` with
+  ``P = f_u(u) / beta`` and the constant ``k`` fixed by ``f_v(u) ==
+  f_v(v) (mod beta)``; a cover not joined to ``v`` has value 0.  With
+  ``Phi(u) - Phi(v) = t * beta`` and ``c_u = t * k``, the class ``D * f_v``
+  is ``g = sum c_u f_u``, so above the covers ``f_v(w) = g(w) / D(w)``.
+* Each value is certified.  ``g`` and ``Phi`` are classes, so the weight
+  ``alpha`` of a down-edge ``(w, x)`` divides ``D(w) * (f_v(w) -
+  f_v(x))``, hence ``f_v(w) - f_v(x)`` unless ``alpha`` is parallel to
+  ``D(w)``.  The recursion checks that ``D(w) != 0``, that every division
+  leaves no remainder, the congruence across the down-edge parallel to
+  ``D(w)`` where there is one (always ``(u, v)`` at a cover ``u``), and in
+  Z-mode that every value is integral.  Values that pass meet every
+  congruence above ``v``, so they are the lifting solution.
+* When a check fails, the recursion is discarded and every generator is
+  lifted, which returns the basis or raises the error naming the failing
+  generator, vertex and witness.
+
+Below the top, the recursion would need the generators above the cutoff,
+so every generator is lifted.
 
 Generators depend on the stored sign of the edge labels only through
 condition 4, i.e. up to one overall sign each; graphs from the builder
@@ -26,6 +54,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
+from math import isqrt, lcm
 from operator import add
 
 from .errors import (
@@ -46,6 +76,7 @@ from .graph import (
 )
 from .polyring import (
     Polynomial,
+    Weight,
     _divmod_weight,
     _normal,
     _normalize_mode,
@@ -153,6 +184,10 @@ def _down_weight_product(graph: GkmGraph, vid: str) -> Polynomial:
 def canonical_generators(graph: GkmGraph, degree: int, mode: str | None = None) -> GeneratorBasis:
     """Solve for every generator ``f_v`` with ``cell_dim(v)/2 <= degree``.
 
+    When the cutoff reaches the graph's top cell dimension the generators
+    come from the Chevalley recursion; otherwise, or when the recursion
+    cannot certify a value, every generator is lifted vertex by vertex.
+
     Raises :class:`ValueError` unless ``degree`` is a non-negative ``int``,
     :class:`ValidationFailureError` on an invalid graph,
     :class:`NoSolutionError` (with the offending generator and vertex) when
@@ -165,41 +200,156 @@ def canonical_generators(graph: GkmGraph, degree: int, mode: str | None = None) 
     if not report.ok:
         raise ValidationFailureError(report)
 
-    order = graph.vertex_ids  # canonical: by (cell_dim, id)
-    dims = {vid: graph.vertex(vid).cell_dim for vid in order}
-    generators: dict[str, CohClass] = {}
-    for vid in order:
-        d = dims[vid] // 2
-        if d > degree:
-            continue
-        values: dict[str, Polynomial] = {}
-        for wid in order:
-            if dims[wid] < dims[vid] or (dims[wid] == dims[vid] and wid != vid):
-                values[wid] = Polynomial.zero(graph.rank)
-            elif wid == vid:
-                values[wid] = _down_weight_product(graph, vid)
-            else:
-                constraints = [
-                    (e.weight, values[e.other(wid)]) for e in graph.down_edges(wid)
-                ]
-                try:
-                    values[wid] = solve_congruences(constraints, d, mode)
-                except NoSolutionError:
-                    raise NoSolutionError(
-                        f"no value for generator {vid!r} at vertex {wid!r}: "
-                        "the decorated graph is not realizable as a cell complex",
-                        vertex=wid,
-                        generator=vid,
-                    ) from None
-                except NonIntegralError as err:
-                    raise NonIntegralError(
-                        f"generator {vid!r} is not integral at vertex {wid!r}: {err.witness}",
-                        witness=err.witness,
-                        vertex=wid,
-                        generator=vid,
-                    ) from None
-        generators[vid] = CohClass(values, d)
+    wanted = [v.id for v in graph.vertices if v.cell_dim <= 2 * degree]
+    generators = None
+    if len(wanted) == len(graph.vertices):  # the cutoff reaches the top
+        generators = _chevalley(graph, mode)
+    if generators is None:
+        generators = {vid: _lift(graph, vid, mode) for vid in wanted}
     return GeneratorBasis(graph, degree, mode, generators)
+
+
+def _lift(graph: GkmGraph, vid: str, mode: str) -> CohClass:
+    """``f_vid``, its values above ``vid`` solved from the down-edge
+    congruences vertex by vertex in canonical order."""
+    dim = graph.vertex(vid).cell_dim
+    d = dim // 2
+    values: dict[str, Polynomial] = {}
+    for w in graph.vertices:
+        wid = w.id
+        if w.cell_dim < dim or (w.cell_dim == dim and wid != vid):
+            values[wid] = Polynomial.zero(graph.rank)
+        elif wid == vid:
+            values[wid] = _down_weight_product(graph, vid)
+        else:
+            constraints = [(e.weight, values[e.other(wid)]) for e in graph.down_edges(wid)]
+            try:
+                values[wid] = solve_congruences(constraints, d, mode)
+            except NoSolutionError:
+                raise NoSolutionError(
+                    f"no value for generator {vid!r} at vertex {wid!r}: "
+                    "the decorated graph is not realizable as a cell complex",
+                    vertex=wid,
+                    generator=vid,
+                ) from None
+            except NonIntegralError as err:
+                raise NonIntegralError(
+                    f"generator {vid!r} is not integral at vertex {wid!r}: {err.witness}",
+                    witness=err.witness,
+                    vertex=wid,
+                    generator=vid,
+                ) from None
+    return CohClass(values, d)
+
+
+def _primes():
+    n = 2
+    while True:
+        if all(n % p for p in range(2, isqrt(n) + 1)):
+            yield n
+        n += 1
+
+
+def _moment_form(graph: GkmGraph, linear: dict[str, CohClass]) -> dict[str, tuple[int, ...]]:
+    """``Phi = sum lambda_i f_i`` over the degree-1 generators, ``lambda``
+    the primes 2, 3, 5, ... in canonical order, scaled to integers by the
+    lcm of its denominators: per vertex, the coefficient vector of a linear
+    form."""
+    phi = {wid: [0] * graph.rank for wid in graph.vertex_ids}
+    for lam, cls in zip(_primes(), linear.values()):
+        for wid, p in cls.values.items():
+            row = phi[wid]
+            for e, c in p.terms.items():
+                row[e.index(1)] += lam * c
+    den = lcm(*(c.denominator for row in phi.values() for c in row))
+    return {wid: tuple(int(c * den) for c in row) for wid, row in phi.items()}
+
+
+def _chevalley(graph: GkmGraph, mode: str) -> dict[str, CohClass] | None:
+    """Every generator by the Chevalley recursion, or None when a value
+    fails its certificate (see the module docstring)."""
+    nvars = graph.rank
+    linear = {v.id: _lift(graph, v.id, mode) for v in graph.vertices if v.cell_dim == 2}
+    phi = _moment_form(graph, linear)
+    # values[v] holds the nonzero values of f_v as term dicts
+    values = {vid: {w: p.terms for w, p in cls.values.items() if p.terms} for vid, cls in linear.items()}
+    # down-edges by direction; no two at a vertex are parallel
+    down = {v.id: {e.weight._line[1]: e for e in graph.down_edges(v.id)} for v in graph.vertices}
+    for v in reversed(graph.vertices):
+        if v.cell_dim != 2:
+            fv = _chevalley_generator(graph, mode, v.id, phi, values, down)
+            if fv is None:
+                return None
+            values[v.id] = fv
+    zero = Polynomial._make(nvars, {})
+    return {
+        v.id: CohClass(
+            {w: Polynomial._make(nvars, values[v.id][w]) if w in values[v.id] else zero for w in graph.vertex_ids},
+            v.cell_dim // 2,
+        )
+        for v in graph.vertices
+    }
+
+
+def _chevalley_generator(graph, mode, vid, phi, values, down) -> dict | None:
+    """The nonzero values of ``f_vid``, from ``phi`` and the generators of
+    the vertices above ``vid``, or None when one is not certified."""
+    nvars, dim, phi_v = graph.rank, graph.vertex(vid).cell_dim, phi[vid]
+    diag = _down_weight_product(graph, vid).terms
+    fv = {vid: diag}
+    chev = []  # (u, c_u) for the covers u with c_u != 0
+    for e in graph.edges_at(vid):
+        u, beta = e.other(vid), e.weight
+        if graph.vertex(u).cell_dim != dim + 2:
+            continue
+        # f_v(u) = k * P with P = f_u(u) / beta and k * P == f_v(v) mod beta
+        p = _divmod_weight(values[u][u], beta)[0]
+        rp = _divmod_weight(p, beta)[1]
+        e0 = next(iter(rp))  # P is a product of weights not parallel to beta
+        k = Fraction(_divmod_weight(diag, beta)[1].get(e0, 0), rp[e0])
+        if k:
+            fv[u] = {x: _normal(k * c) for x, c in p.items()}
+        # c_u = t * k, where Phi(u) - Phi(v) = t * beta as Phi is a class
+        j = next(i for i, b in enumerate(beta.coeffs) if b)
+        c = Fraction(phi[u][j] - phi_v[j], beta.coeffs[j]) * k
+        if c:
+            chev.append((values[u], c))
+    den = lcm(*(c.denominator for _, c in chev))
+    chev = [(fu, int(c * den)) for fu, c in chev]
+    for w in graph.vertices:
+        if w.cell_dim <= dim:
+            continue
+        wid = w.id
+        d = Weight(tuple(a - b for a, b in zip(phi[wid], phi_v)))
+        if d.is_zero():
+            return None
+        if w.cell_dim > dim + 2:
+            g: dict = {}  # den * sum c_u f_u(w) = den * D(w) * f_v(w)
+            for fu, c in chev:
+                for x, a in fu.get(wid, {}).items():
+                    s = g.get(x, 0) + c * a
+                    if s:
+                        g[x] = s if type(s) is int else _normal(s)
+                    else:
+                        del g[x]
+            if g:
+                q, rem = _divmod_weight(g, d)
+                if rem:
+                    return None
+                if den != 1:
+                    q = {x: a // den if type(a) is int and a % den == 0 else _normal(Fraction(a, den)) for x, a in q.items()}
+                fv[wid] = q
+        value = fv.get(wid, {})
+        if mode == "Z" and any(type(a) is not int for a in value.values()):
+            return None
+        # the weight of a down-edge (w, x) divides D(w) * (f_v(w) - f_v(x));
+        # only one parallel to D(w) leaves the difference to be checked
+        e = down[wid].get(d._line[1])
+        if e is not None:
+            diff = Polynomial._make(nvars, value) - Polynomial._make(nvars, fv.get(e.other(wid), {}))
+            if _divmod_weight(diff.terms, e.weight)[1]:
+                return None
+    return fv
 
 
 def verify_generator_conditions(basis: GeneratorBasis) -> ValidationReport:

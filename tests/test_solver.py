@@ -3,13 +3,16 @@
 import copy
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gkmcalc import polyring
-from gkmcalc.builders import build_flag_graph, build_preset, type_a
+from gkmcalc import polyring, solver
+from gkmcalc.builders import TWISTED_A1_4, affine_type_a, build_flag_graph, build_preset, type_a
 from gkmcalc.coxeter import GCM
 from gkmcalc.errors import (
     NoSolutionError,
@@ -17,7 +20,7 @@ from gkmcalc.errors import (
     NotInSpanError,
     ValidationFailureError,
 )
-from gkmcalc.graph import CohClass, Edge, GkmGraph, Vertex, is_gkm_class
+from gkmcalc.graph import CohClass, Edge, GkmGraph, Vertex, is_gkm_class, validate
 from gkmcalc.polyring import Polynomial, Weight, monomials, parse_polynomial
 from gkmcalc.solver import (
     GeneratorBasis,
@@ -403,18 +406,27 @@ def test_basis_values_must_be_an_object_of_strings(edit, message):
         GeneratorBasis.from_dict({**data, "generators": list(data["generators"])})
 
 
-# First 16 hex digits of sha256(dumps()) for Z-mode full-flag bases at the
-# given degree.
+# First 16 hex digits of sha256(dumps()) for Z-mode bases of G/P built to
+# the first degree and solved to the second.  Only omega-su2-8-cut-5 is cut
+# below the graph's top, so it alone is solved by lifting.
 BASIS_HASHES = {
-    "A3-flag-6": (type_a(3), 6, "a7567be36696bf0a"),
-    "G2-flag-6": (GCM(((2, -1), (-3, 2))), 6, "4a5082715ef39f07"),
+    "A3-flag-6": (type_a(3), (), 6, 6, "a7567be36696bf0a"),
+    "G2-flag-6": (GCM(((2, -1), (-3, 2))), (), 6, 6, "4a5082715ef39f07"),
+    "omega-su2-30": (affine_type_a(1), (1,), 30, 30, "6d51fcdc85eb0b0c"),
+    "B3-flag-9": (GCM(((2, -1, 0), (-1, 2, -1), (0, -2, 2))), (), 9, 9, "d159aedc28450efb"),
+    "A4-flag-10": (type_a(4), (), 10, 10, "33ce8a38e8064b7a"),
+    "hyperbolic-9": (GCM(((2, -3), (-3, 2))), (), 9, 9, "0b1613a143d0b93a"),
+    "affine-A2-flag-6": (affine_type_a(2), (), 6, 6, "d6fbc3dfc75f8a6b"),
+    "twisted-30": (TWISTED_A1_4, (1,), 30, 30, "902650c54606569c"),
+    "omega-su3-12": (affine_type_a(2), (1, 2), 12, 12, "be8f6bb41b197aaa"),
+    "omega-su2-8-cut-5": (affine_type_a(1), (1,), 8, 5, "5a68eb1627f3b3d1"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BASIS_HASHES))
 def test_basis_output_is_pinned(case):
-    gcm, degree, digest = BASIS_HASHES[case]
-    text = canonical_generators(build_flag_graph(gcm, (), degree), degree).dumps()
+    gcm, parabolic, size, degree, digest = BASIS_HASHES[case]
+    text = canonical_generators(build_flag_graph(gcm, parabolic, size), degree).dumps()
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
     assert GeneratorBasis.from_dict(json.loads(text)).dumps() == text
 
@@ -423,3 +435,114 @@ def test_unknown_generator_is_named():
     basis = canonical_generators(build_preset("A2-flag"), 2)
     with pytest.raises(ValueError, match="'1-0-1'.*degree 2"):
         basis.generator("1-0-1")
+
+
+def _lifted(graph, degree, mode):
+    """The basis lifted generator by generator, as the reference."""
+    gens = {v.id: solver._lift(graph, v.id, mode) for v in graph.vertices if v.cell_dim <= 2 * degree}
+    return GeneratorBasis(graph, degree, mode, gens)
+
+
+def _outcome(solve):
+    """The basis text, or the error's type, generator, vertex and witness."""
+    try:
+        return solve().dumps()
+    except (NoSolutionError, NonIntegralError) as err:
+        return type(err), err.generator, err.vertex, str(getattr(err, "witness", None))
+
+
+@st.composite
+def _flag_cases(draw):
+    n = draw(st.integers(1, 3))
+    rows = [[2] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a = draw(st.integers(-3, 0))
+            rows[i][j] = a
+            rows[j][i] = draw(st.integers(-3, -1)) if a else 0
+    parabolic = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    return GCM(tuple(map(tuple, rows))), parabolic, draw(st.integers(1, 4)), draw(st.sampled_from("ZQ"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_flag_cases())
+def test_recursion_matches_lifting(case):
+    gcm, parabolic, degree, mode = case
+    g = build_flag_graph(gcm, parabolic, degree, mode=mode, embed=False)
+    if not validate(g).ok:
+        return
+    assert _outcome(lambda: canonical_generators(g, degree)) == _outcome(lambda: _lifted(g, degree, mode))
+
+
+def _position_graph(positions, down, mode="Q"):
+    """A rank-3 graph whose vertex ``x`` (besides ``e`` at the origin and
+    ``a`` at ``(1, 0, 0)``) sits at ``positions[x]`` and has down-edges to
+    ``down[x]``, each labelled by the difference of positions (made
+    primitive in Z-mode).  ``f_a`` is then ``x -> position(x)``, but the
+    higher generators need the down-edges of a vertex and of its covers to
+    agree modulo the edge between them, which positions alone do not give."""
+    pos = {"e": (0, 0, 0), "a": (1, 0, 0), **positions}
+    down = {"a": ["e"], **down}
+    edges = []
+    for x, ys in down.items():
+        for y in ys:
+            w = tuple(p - q for p, q in zip(pos[x], pos[y]))
+            if mode == "Z":
+                w = tuple(c // math.gcd(*w) for c in w)
+            edges.append(Edge(y, x, Weight(w)))
+    vertices = [Vertex("e", 0)] + [Vertex(x, 2 * len(ys)) for x, ys in down.items()]
+    return GkmGraph(3, mode, vertices, edges)
+
+
+def test_failed_certificates_are_reported_as_lifting_reports_them():
+    # f_v has no value at its cover u, and none at t above its covers
+    cover = _position_graph(
+        {"v": (-1, 2, -2), "w": (0, -2, 1), "u": (1, 1, 1)},
+        {"v": ["e", "a"], "w": ["e", "a"], "u": ["e", "v", "w"]},
+    )
+    above = _position_graph(
+        {"v": (0, -1, 2), "w": (-2, -2, 2), "u1": (-1, 2, 2), "u2": (1, 2, 2), "t": (-1, -2, 2)},
+        {
+            "v": ["e", "a"],
+            "w": ["e", "a"],
+            "u1": ["e", "a", "v"],
+            "u2": ["e", "a", "w"],
+            "t": ["e", "a", "u1", "u2"],
+        },
+        "Z",
+    )
+    # f_v(u1) has a denominator of 2
+    fraction = _position_graph(
+        {"v": (0, -2, 2), "w": (1, 0, -2), "u1": (-1, 2, 0), "u2": (0, -1, 1)},
+        {"v": ["e", "a"], "w": ["e", "a"], "u1": ["a", "v", "w"], "u2": ["a", "v", "w"]},
+        "Z",
+    )
+    cases = ((cover, NoSolutionError, "u"), (above, NoSolutionError, "t"), (fraction, NonIntegralError, "u1"))
+    for g, error, vertex in cases:
+        top = max(v.cell_dim for v in g.vertices) // 2
+        assert solver._chevalley(g, g.mode) is None
+        with pytest.raises(error) as err:
+            canonical_generators(g, top)
+        assert (err.value.generator, err.value.vertex) == ("v", vertex)
+
+
+_point = st.tuples(*[st.integers(-2, 2)] * 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fixed_dictionaries({"v": _point, "w": _point, "u": _point}), st.sampled_from("ZQ"))
+def test_recursion_matches_lifting_on_position_graphs(positions, mode):
+    if len({(0, 0, 0), (1, 0, 0), *positions.values()}) < 5:
+        return
+    g = _position_graph(positions, {"v": ["e", "a"], "w": ["e", "a"], "u": ["e", "v", "w"]}, mode)
+    if not validate(g).ok:
+        return
+    assert _outcome(lambda: canonical_generators(g, 3)) == _outcome(lambda: _lifted(g, 3, mode))
+
+
+def test_zero_moment_form_falls_back_to_lifting(monkeypatch):
+    monkeypatch.setattr(solver, "_moment_form", lambda graph, linear: {v: (0,) * graph.rank for v in graph.vertex_ids})
+    for g in (build_flag_graph(type_a(3), (), 6), build_preset("omega-su2", 7)):
+        top = max(v.cell_dim for v in g.vertices) // 2
+        assert solver._chevalley(g, g.mode) is None
+        assert canonical_generators(g, top).dumps() == _lifted(g, top, g.mode).dumps()

@@ -175,10 +175,18 @@ def _check_degree(degree) -> int:
 
 
 def _down_weight_product(graph: GkmGraph, vid: str) -> Polynomial:
-    prod = Polynomial.one(graph.rank)
+    """``f_vid(vid)``, the product of the down-edge weights at ``vid``,
+    multiplied out on one term dict."""
+    prod = {(0,) * graph.rank: 1}
     for e in graph.down_edges(vid):
-        prod = prod * e.weight.to_polynomial()
-    return prod
+        step: dict = {}
+        for i, w in enumerate(e.weight.coeffs):
+            if w:
+                for x, c in prod.items():
+                    t = x[:i] + (x[i] + 1,) + x[i + 1 :]
+                    step[t] = step.get(t, 0) + c * w
+        prod = {x: c for x, c in step.items() if c}
+    return Polynomial._make(graph.rank, prod)
 
 
 def canonical_generators(graph: GkmGraph, degree: int, mode: str | None = None) -> GeneratorBasis:

@@ -1,13 +1,24 @@
 """Products, rank series, ordinary reduction, and divided-powers laws."""
 
-import pytest
+from fractions import Fraction
 
-from gkmcalc.builders import build_preset
-from gkmcalc.errors import CutoffTooSmallError, ValidationFailureError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gkmcalc.builders import build_flag_graph, build_preset, type_a
+from gkmcalc.coxeter import GCM
+from gkmcalc.errors import (
+    CutoffTooSmallError,
+    GkmError,
+    NonIntegralError,
+    NotInSpanError,
+    ValidationFailureError,
+)
 from gkmcalc.graph import CohClass, Edge, GkmGraph, Vertex, is_gkm_class, validate
 from gkmcalc.polyring import Polynomial, Weight
 from gkmcalc.ring_ops import ordinary_reduction, poincare_series, power_coefficient
-from gkmcalc.solver import canonical_generators, expand_in_basis
+from gkmcalc.solver import GeneratorBasis, canonical_generators, expand_in_basis
 
 
 def test_multiply_identity_and_zero():
@@ -129,3 +140,101 @@ def test_power_cutoff_errors():
     a2basis = canonical_generators(a2, 3)
     with pytest.raises(ValueError):
         power_coefficient(a2, a2basis, 2)  # two degree-2 generators
+
+
+def _only_vertex(g, cell_dim):
+    hits = [v.id for v in g.vertices if v.cell_dim == cell_dim]
+    if len(hits) != 1:
+        raise ValueError("not unique") if hits else CutoffTooSmallError("no vertex")
+    return hits[0]
+
+
+def _expanded_power(g, basis, n):
+    """The reference: ``f1^n`` multiplied out, expanded in the basis and
+    reduced, refusing the inputs that ``power_coefficient`` refuses."""
+    if n < 1:
+        raise ValueError("power must be >= 1")
+    if basis.degree < n:
+        raise CutoffTooSmallError("basis below the power")
+    v1, vn = _only_vertex(g, 2), _only_vertex(g, 2 * n)
+    f1 = power = basis.generator(v1)
+    for _ in range(n - 1):
+        power = power * f1
+    return ordinary_reduction(expand_in_basis(power, basis))[vn]
+
+
+def _outcome(compute, *args):
+    try:
+        return compute(*args)
+    except (GkmError, ValueError) as err:
+        return type(err)
+
+
+@st.composite
+def _one_row_parabolics(draw):
+    """Rank-2 matrices ``((2, -a), (-b, 2))`` with a one-node parabolic, and
+    rank-3 matrices with a two-node one, at small degree."""
+    if draw(st.booleans()):
+        a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        gcm = GCM(((2, -a), (-b, 2)))
+        parabolic = {draw(st.integers(0, 1))}
+    else:
+        rows = [[2] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(i + 1, 3):
+                a = draw(st.integers(-3, 0))
+                rows[i][j] = a
+                rows[j][i] = draw(st.integers(-3, -1)) if a else 0
+        gcm = GCM(tuple(map(tuple, rows)))
+        parabolic = set(range(3)) - {draw(st.integers(0, 2))}
+    return gcm, parabolic, draw(st.integers(1, 5)), draw(st.sampled_from("ZQ"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_one_row_parabolics())
+def test_power_coefficient_matches_expanded_power(case):
+    gcm, parabolic, degree, mode = case
+    g = build_flag_graph(gcm, parabolic, degree, mode=mode, embed=False)
+    if not validate(g).ok:
+        return
+    try:
+        basis = canonical_generators(g, degree)
+    except GkmError:
+        return
+    for n in range(degree + 2):
+        assert _outcome(power_coefficient, g, basis, n) == _outcome(_expanded_power, g, basis, n)
+
+
+def test_grassmannian_sums_over_two_chains():
+    # Gr(2,4): the middle level has two Schubert cells, each on one chain
+    g = build_flag_graph(type_a(3), (0, 2), 4)
+    assert [v.cell_dim for v in g.vertices].count(4) == 2
+    basis = canonical_generators(g, 4)
+    assert power_coefficient(g, basis, 4) == 2
+
+
+def _tampered(vid, wid, edit):
+    """The omega-su2 basis of degree 4 through ``to_dict`` and ``from_dict``,
+    with ``f_vid(wid)`` replaced by ``edit`` of it."""
+    g = build_preset("omega-su2", 4)
+    basis = canonical_generators(g, 4)
+    data = basis.to_dict()
+    data["generators"][vid][wid] = str(edit(basis.generator(vid).values[wid]))
+    return g, GeneratorBasis.from_dict(data)
+
+
+def test_tampered_cover_value_fails_the_certificate():
+    x1 = Polynomial.variable(0, 2)
+    g, basis = _tampered("1-0", "0-1-0", lambda p: p + x1 * x1)
+    assert power_coefficient(g, basis, 2) == 2
+    with pytest.raises(NotInSpanError) as err:
+        power_coefficient(g, basis, 3)
+    assert err.value.vertex == "0-1-0"
+
+
+def test_non_integral_chain_constant_is_reported():
+    # doubling f_u(u) halves the chain constant 3 into u
+    g, basis = _tampered("0-1-0", "0-1-0", lambda p: 2 * p)
+    with pytest.raises(NonIntegralError) as err:
+        power_coefficient(g, basis, 3)
+    assert (err.value.vertex, err.value.witness) == ("0-1-0", Fraction(3, 2))

@@ -191,13 +191,14 @@ def _cmd_render(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.kind == "schubert-compare":
         if args.gcm is not None:
-            gcm = _load_gcm(args.gcm)
+            gcm, source = _load_gcm(args.gcm), f"file {args.gcm!r}"
         else:
             preset = args.preset or "A2-flag"
             gcm = builders.PRESETS[preset][0] if preset in builders.PRESETS else None
-            if gcm is None or classify(gcm) != "finite":
-                print(f"oracle: no finite Cartan matrix for preset {preset!r}", file=sys.stderr)
-                return 4
+            source = f"preset {preset!r}"
+        if gcm is None or classify(gcm) != "finite":
+            print(f"oracle: no finite Cartan matrix for {source}", file=sys.stderr)
+            return 4
         degree = args.degree if args.degree is not None else 16
         graph = builders.build_flag_graph(gcm, frozenset(), degree)
         basis = canonical_generators(graph, max(v.cell_dim // 2 for v in graph.vertices))

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InvalidParabolicError
-from .polyring import _int_tuple
+from .polyring import _int_tuple, _primes
 
 __all__ = [
     "GCM",
@@ -46,12 +46,6 @@ __all__ = [
     "apply_word_dual",
     "word_matrix",
 ]
-
-_PRIMES = (
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-    53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
-)
-
 
 @dataclass(frozen=True)
 class GCM:
@@ -190,34 +184,32 @@ def _cofactor_column(rows, j: int) -> tuple[int, ...]:
     )
 
 
-def _principal_minors_positive(gcm: GCM, proper_only: bool = False) -> bool:
-    n = gcm.n
-    for mask in range(1, 2**n):
-        keep = [i for i in range(n) if mask >> i & 1]
-        if proper_only and len(keep) == n:
-            continue
-        sub = [[gcm.a(i, j) for j in keep] for i in keep]
-        if _det(sub) <= 0:
-            return False
-    return True
-
-
 def classify(gcm: GCM) -> str:
     """Sort a Cartan matrix into ``finite``, ``affine`` or ``indefinite``.
 
-    Finite type means all principal minors are positive; affine means the
-    full determinant vanishes, every proper principal minor is positive,
-    and the kernel is spanned by a strictly positive vector.
+    By definition, finite type means every principal minor is positive, and
+    affine means the determinant vanishes, every proper principal minor is
+    positive and the kernel is spanned by a strictly positive vector.  A
+    Cartan matrix has non-positive off-diagonal entries, so two classical
+    facts shorten both tests to polynomial time:
+
+    * Fiedler-Ptak (Czech. Math. J., 1962): for such a matrix, all
+      principal minors are positive exactly when the ``n`` leading ones
+      are;
+    * Kac (Infinite-dimensional Lie algebras, ch. 4): affine type is an
+      irreducible singular M-matrix.  ``marks`` succeeds exactly then: its
+      kernel vector is strictly positive, which makes the matrix a singular
+      M-matrix, and spans a one-dimensional kernel, which rules out a
+      block-diagonal split, so every proper principal minor is positive.
     """
-    if _principal_minors_positive(gcm):
+    rows = gcm.rows
+    if all(_det([row[:k] for row in rows[:k]]) > 0 for k in range(1, gcm.n + 1)):
         return "finite"
-    if _det(gcm.rows) == 0 and _principal_minors_positive(gcm, proper_only=True):
-        try:
-            marks(gcm)
-        except ValueError:
-            return "indefinite"
-        return "affine"
-    return "indefinite"
+    try:
+        marks(gcm)
+    except ValueError:
+        return "indefinite"
+    return "affine"
 
 
 def marks(gcm: GCM) -> tuple[int, ...]:
@@ -311,11 +303,9 @@ def generic_dominant_vector(gcm: GCM, parabolic) -> tuple[Fraction, ...]:
     if not J <= set(range(gcm.n)):
         raise InvalidParabolicError(f"parabolic {sorted(J)} not a subset of 0..{gcm.n - 1}")
     free = [i for i in range(gcm.n) if i not in J]
-    if len(free) > len(_PRIMES):
-        raise ValueError("rank too large for the built-in prime table")
     mu = [Fraction(0)] * gcm.n
-    for slot, i in enumerate(free):
-        mu[i] = Fraction(1, _PRIMES[slot])
+    for i, p in zip(free, _primes()):
+        mu[i] = Fraction(1, p)
     mu = tuple(mu)
     for i in range(gcm.n):
         fixed = reflect_dual(gcm, i, mu) == mu

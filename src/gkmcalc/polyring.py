@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 from .errors import (
     NoSolutionError,
@@ -81,6 +81,15 @@ def _int_tuple(values, what: str) -> tuple[int, ...]:
     if any(type(v) is not int for v in out):
         raise ValueError(f"{what} must be integers, got {out!r}")
     return out
+
+
+def _primes():
+    """The primes 2, 3, 5, ... in order, without end."""
+    n = 2
+    while True:
+        if all(n % p for p in range(2, isqrt(n) + 1)):
+            yield n
+        n += 1
 
 
 def _normalize_mode(mode: str) -> str:

@@ -55,7 +55,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 from operator import add
 
 from .errors import (
@@ -80,6 +80,7 @@ from .polyring import (
     _divmod_weight,
     _normal,
     _normalize_mode,
+    _primes,
     parse_polynomial,
     solve_congruences,
 )
@@ -250,14 +251,6 @@ def _lift(graph: GkmGraph, vid: str, mode: str) -> CohClass:
     return CohClass(values, d)
 
 
-def _primes():
-    n = 2
-    while True:
-        if all(n % p for p in range(2, isqrt(n) + 1)):
-            yield n
-        n += 1
-
-
 def _moment_form(graph: GkmGraph, linear: dict[str, CohClass]) -> dict[str, tuple[int, ...]]:
     """``Phi = sum lambda_i f_i`` over the degree-1 generators, ``lambda``
     the primes 2, 3, 5, ... in canonical order, scaled to integers by the
@@ -302,7 +295,7 @@ def _chevalley(graph: GkmGraph, mode: str) -> dict[str, CohClass] | None:
 def _chevalley_generator(graph, mode, vid, phi, values, down) -> dict | None:
     """The nonzero values of ``f_vid``, from ``phi`` and the generators of
     the vertices above ``vid``, or None when one is not certified."""
-    nvars, dim, phi_v = graph.rank, graph.vertex(vid).cell_dim, phi[vid]
+    dim, phi_v = graph.vertex(vid).cell_dim, phi[vid]
     diag = _down_weight_product(graph, vid).terms
     fv = {vid: diag}
     chev = []  # (u, c_u) for the covers u with c_u != 0
@@ -351,11 +344,12 @@ def _chevalley_generator(graph, mode, vid, phi, values, down) -> dict | None:
         if mode == "Z" and any(type(a) is not int for a in value.values()):
             return None
         # the weight of a down-edge (w, x) divides D(w) * (f_v(w) - f_v(x));
-        # only one parallel to D(w) leaves the difference to be checked
+        # only one parallel to D(w) leaves the difference to be checked.  The
+        # remainder is the restriction to the hyperplane, a linear map, so
+        # the weight divides the difference exactly when the remainders agree
         e = down[wid].get(d._line[1])
         if e is not None:
-            diff = Polynomial._make(nvars, value) - Polynomial._make(nvars, fv.get(e.other(wid), {}))
-            if _divmod_weight(diff.terms, e.weight)[1]:
+            if _divmod_weight(value, e.weight)[1] != _divmod_weight(fv.get(e.other(wid), {}), e.weight)[1]:
                 return None
     return fv
 

@@ -234,6 +234,14 @@ def test_schubert_compare_needs_finite_preset(capsys):
     assert "no finite Cartan matrix for preset 'omega-su2'" in err
 
 
+def test_schubert_compare_needs_finite_gcm(tmp_path, capsys):
+    gcm_path = tmp_path / "gcm.json"
+    gcm_path.write_text(json.dumps([[2, -2], [-2, 2]]))
+    code, out, err = run(["oracle", "schubert-compare", "--gcm", str(gcm_path)], capsys)
+    assert code == 4 and not out
+    assert f"no finite Cartan matrix for file {str(gcm_path)!r}" in err
+
+
 def test_non_integer_gcm_exit_code(tmp_path, capsys):
     gcm_path = tmp_path / "gcm.json"
     for bad, message in (

@@ -3,12 +3,14 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkmcalc.builders import build_flag_graph
+from gkmcalc import coxeter
+from gkmcalc.builders import affine_type_a, build_flag_graph, type_a
 from gkmcalc.coxeter import (
     GCM,
     _cofactor_column,
@@ -23,11 +25,12 @@ from gkmcalc.coxeter import (
     marks,
     real_roots,
     reflect,
+    reflect_dual,
     reflection_word,
     word_matrix,
 )
 from gkmcalc.errors import InvalidParabolicError
-from gkmcalc.polyring import solve_linear_system
+from gkmcalc.polyring import nullspace_basis, solve_linear_system
 
 A1 = GCM(((2,),))
 A2 = GCM(((2, -1), (-1, 2)))
@@ -119,6 +122,78 @@ def test_marks_errors():
         marks(GCM(((2, -2, 0, 0), (-2, 2, 0, 0), (0, 0, 2, -2), (0, 0, -2, 2))))  # corank 2
     with pytest.raises(ValueError, match="not strictly positive"):
         marks(GCM(((2, -2, 0), (-2, 2, 0), (0, 0, 2))))
+
+
+def _classify_by_principal_minors(gcm):
+    """Reference classification by definition: one determinant per subset
+    of nodes, and the kernel from the Fraction elimination of polyring."""
+    n = gcm.n
+    minors = {
+        keep: _det([[gcm.a(i, j) for j in keep] for i in keep])
+        for size in range(1, n + 1)
+        for keep in combinations(range(n), size)
+    }
+    if all(m > 0 for m in minors.values()):
+        return "finite"
+    if minors[tuple(range(n))] == 0 and all(m > 0 for k, m in minors.items() if len(k) < n):
+        kernel = nullspace_basis([[Fraction(a) for a in row] for row in gcm.rows], n)
+        if len(kernel) == 1 and (all(c > 0 for c in kernel[0]) or all(c < 0 for c in kernel[0])):
+            return "affine"
+    return "indefinite"
+
+
+@st.composite
+def _gcms(draw):
+    # nodes in different blocks never meet, so many matrices decompose;
+    # a block may be an affine catalogue matrix, which random entries
+    # seldom hit
+    n = draw(st.integers(1, 6))
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    nodes = draw(st.permutations(range(n)))
+    start = 0
+    while start < n:
+        size = draw(st.integers(1, n - start))
+        block = nodes[start:start + size]
+        start += size
+        if size > 1 and draw(st.booleans()):
+            gcm = TWISTED if size == 2 and draw(st.booleans()) else affine_type_a(size - 1)
+            for (a, i), (b, j) in combinations(enumerate(block), 2):
+                rows[i][j], rows[j][i] = gcm.a(a, b), gcm.a(b, a)
+            continue
+        for i, j in combinations(block, 2):
+            if draw(st.booleans()):
+                rows[i][j] = -draw(st.integers(1, 4))
+                rows[j][i] = -draw(st.integers(1, 4))
+    return GCM(tuple(map(tuple, rows)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_gcms())
+def test_classify_matches_principal_minor_definition(gcm):
+    assert classify(gcm) == _classify_by_principal_minors(gcm)
+
+
+def test_classify_takes_a_linear_number_of_determinants(monkeypatch):
+    det = coxeter._det
+    calls = []
+    monkeypatch.setattr(coxeter, "_det", lambda rows: calls.append(1) or det(rows))
+    indefinite = [list(row) for row in type_a(12).rows]
+    indefinite[10][11] = indefinite[11][10] = -2  # det 24 - 4 * 11 < 0
+    for gcm, kind in (
+        (type_a(12), "finite"),
+        (affine_type_a(12), "affine"),
+        (GCM(tuple(map(tuple, indefinite))), "indefinite"),
+    ):
+        calls.clear()
+        assert classify(gcm) == kind
+        assert 0 < len(calls) <= 3 * gcm.n, (kind, len(calls))
+
+
+def test_generic_vector_beyond_thirty_free_nodes():
+    gcm = type_a(31)
+    mu = generic_dominant_vector(gcm, ())
+    assert mu[30] == Fraction(1, 127)  # the 31st prime
+    assert all(reflect_dual(gcm, i, mu) != mu for i in range(gcm.n))
 
 
 def test_real_roots_a2():

@@ -9,7 +9,7 @@ from .polyring import (
     solve_congruences,
 )
 from .graph import CohClass, Edge, GkmGraph, Vertex, is_gkm_class, is_relative_class, skeleton, validate
-from .coxeter import GCM, CosetRep, Root, enumerate_cosets, reflect
+from .coxeter import GCM, CosetRep, Root, reflect
 from .builders import (
     build_chain_graph,
     build_flag_graph,

@@ -17,7 +17,7 @@ import random
 import sys
 
 from . import builders, oracle, render, ring_ops
-from .coxeter import GCM, CosetRep, classify
+from .coxeter import GCM
 from .errors import (
     GkmError,
     InvalidParabolicError,
@@ -191,20 +191,16 @@ def _cmd_render(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.kind == "schubert-compare":
         if args.gcm is not None:
-            gcm, source = _load_gcm(args.gcm), f"file {args.gcm!r}"
+            gcm, parabolic, degree = _load_gcm(args.gcm), frozenset(), 16
         else:
-            preset = args.preset or "A2-flag"
-            gcm = builders.PRESETS[preset][0] if preset in builders.PRESETS else None
-            source = f"preset {preset!r}"
-        if gcm is None or classify(gcm) != "finite":
-            print(f"oracle: no finite Cartan matrix for {source}", file=sys.stderr)
-            return 4
-        degree = args.degree if args.degree is not None else 16
-        graph = builders.build_flag_graph(gcm, frozenset(), degree)
+            gcm, parabolic, degree = builders.PRESETS[args.preset or "A2-flag"]
+        if args.degree is not None:
+            degree = args.degree
+        graph = builders.build_flag_graph(gcm, parabolic, degree)
         basis = canonical_generators(graph, max(v.cell_dim // 2 for v in graph.vertices))
+        schubert = oracle.schubert_restrictions(gcm, parabolic, degree)
         for vid in graph.vertex_ids:
-            sch = oracle.divided_difference_schubert(gcm, CosetRep(builders.word_from_id(vid)))
-            gen = basis.generator(vid)
+            sch, gen = schubert[vid], basis.generator(vid)
             for wid in graph.vertex_ids:
                 if sch.values[wid] != gen.values[wid]:
                     print(f"MISMATCH at generator {vid}, vertex {wid}: "
@@ -223,27 +219,25 @@ def _cmd_oracle(args) -> int:
             print(f"degree {2 * d}: brute {got}, free-module {want} [{status}]")
             ok = ok and got == want
         return 0 if ok else 1
-    if args.kind == "s2n":
-        rank = args.rank
-        if rank < 2:
-            # rank 1 has no two non-proportional weights to draw
-            raise ValueError(f"s2n needs --rank >= 2, got {rank}")
-        rng = random.Random(args.seed)
-        failures = 0
-        for _ in range(args.trials):
-            ws = _random_coprime_weights(rng, rank, rng.choice((2, 3)))
-            beta = _random_poly(rng, rank, rng.randrange(0, 3))
-            g = beta
-            for w in ws:
-                g = g * w.to_polynomial()
-            if not oracle.s2n_relative_image(ws, g):
-                failures += 1
-            probe = _random_poly(rng, rank, rng.randrange(0, 4))
-            oracle.s2n_relative_image(ws, probe)  # raises on criteria disagreement
-        print(f"s2n: {args.trials} trials, {failures} failures")
-        return 0 if failures == 0 else 1
-    print(f"oracle: unknown kind {args.kind!r}", file=sys.stderr)
-    return 4
+    # s2n
+    rank = args.rank
+    if rank < 2:
+        # rank 1 has no two non-proportional weights to draw
+        raise ValueError(f"s2n needs --rank >= 2, got {rank}")
+    rng = random.Random(args.seed)
+    failures = 0
+    for _ in range(args.trials):
+        ws = _random_coprime_weights(rng, rank, rng.choice((2, 3)))
+        beta = _random_poly(rng, rank, rng.randrange(0, 3))
+        g = beta
+        for w in ws:
+            g = g * w.to_polynomial()
+        if not oracle.s2n_relative_image(ws, g):
+            failures += 1
+        probe = _random_poly(rng, rank, rng.randrange(0, 4))
+        oracle.s2n_relative_image(ws, probe)  # raises on criteria disagreement
+    print(f"s2n: {args.trials} trials, {failures} failures")
+    return 0 if failures == 0 else 1
 
 
 def _random_poly(rng: random.Random, rank: int, degree: int) -> Polynomial:
@@ -338,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="independent verifiers")
     p.add_argument("kind", choices=("schubert-compare", "brute-rank", "s2n"))
     p.add_argument("graph", nargs="?", default="-")
-    p.add_argument("--preset")
+    p.add_argument("--preset", choices=sorted(builders.PRESETS))
     p.add_argument("--gcm")
     p.add_argument("--degree", type=int)
     p.add_argument("--trials", type=int, default=200)

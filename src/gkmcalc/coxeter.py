@@ -40,7 +40,6 @@ __all__ = [
     "marks",
     "real_roots",
     "reflection_word",
-    "enumerate_cosets",
     "coset_orbit",
     "generic_dominant_vector",
     "apply_word_dual",
@@ -348,17 +347,6 @@ def coset_orbit(gcm: GCM, parabolic, length_cutoff: int):
         shell = nxt
     reps.sort(key=lambda rv: (rv[0].length, rv[0].word))
     return reps, table
-
-
-def enumerate_cosets(gcm: GCM, parabolic, length_cutoff: int) -> list[CosetRep]:
-    """All minimal-length representatives of ``W/W_J`` up to the cutoff,
-    sorted by (length, word).
-
-    >>> [r.label() for r in enumerate_cosets(GCM(((2, -1), (-1, 2))), (), 1)]
-    ['e', 's0', 's1']
-    """
-    reps, _ = coset_orbit(gcm, parabolic, length_cutoff)
-    return [r for r, _ in reps]
 
 
 def word_matrix(gcm: GCM, word) -> tuple[tuple[int, ...], ...]:

@@ -8,18 +8,20 @@ solver is evidence, not tautology.
 
 from __future__ import annotations
 
-from itertools import combinations
+import sys
 
 from .coxeter import (
     GCM,
     CosetRep,
+    Root,
+    _integral,
     apply_word_dual,
     classify,
     coset_orbit,
-    enumerate_cosets,
     generic_dominant_vector,
     real_roots,
     reflect,
+    reflect_dual,
     reflection_word,
 )
 from .errors import CoprimalityViolatedError, NotFiniteTypeError
@@ -38,6 +40,7 @@ __all__ = [
     "brute_force_classes",
     "expected_gkm_dimension",
     "s2n_relative_image",
+    "schubert_restrictions",
     "divided_difference_schubert",
     "reflection_edges",
 ]
@@ -135,59 +138,67 @@ def _product_divides(ws, g: Polynomial) -> bool:
     return True
 
 
-def divided_difference_schubert(gcm: GCM, w: CosetRep) -> CohClass:
-    """Equivariant Schubert class of ``w`` restricted to all fixed points.
+def schubert_restrictions(gcm: GCM, parabolic, degree: int) -> dict[str, CohClass]:
+    """Every Schubert class of G/P of length at most ``degree`` at every
+    fixed point, by coset id, for the triple of ``build_flag_graph``.
 
-    Finite type, full flag only.  The restriction at ``v`` with reduced
-    word ``(a_1, ..., a_l)`` is the root-product sum over the reduced
-    subwords of ``v`` equal to ``w``::
-
-        sum over {j_1 < ... < j_m : s_{a_{j_1}} ... s_{a_{j_m}} = w}
-            of  prod_t  r(j_t),   r(j) = s_{a_1} ... s_{a_{j-1}} (alpha_{a_j})
-
-    which is the closed form of the descent recursion on fixed-point
-    restrictions.  Entirely independent of the congruence solver.
+    A minimal representative ``w`` pulls back to its own class on G/B, so
+    its value at ``v = s_{a_1} ... s_{a_l}`` (reduced) is the sum over the
+    reduced subwords with product ``w`` of ``prod r(j)`` over the letters
+    taken, ``r(j) = s_{a_1} ... s_{a_{j-1}} (alpha_{a_j})`` (Billey, Duke
+    1999; Andersen-Jantzen-Soergel; Kumar ch. 11 for any Kac-Moody G/P).
+    One right-to-left pass over ``v``'s word sums them all: a state maps
+    ``u.mu``, ``mu`` regular dominant, to the sum over the subwords so far
+    with product ``u``.  Letter ``j`` may be prepended exactly when
+    ``(u.mu)[a_j] > 0``, that is when it keeps the subword reduced; taking
+    it reflects the state and multiplies by ``r(j)``.  The end states at
+    the coset words' vectors are ``v``'s values of every class.  Inversion
+    roots come from :func:`reflect`, not the builder's edge rule.
     """
+    from .builders import _torus_basis, coset_id
+
+    J = frozenset(parabolic)
+    reps, _ = coset_orbit(gcm, J, degree)
+    tb = _torus_basis(gcm, J)
+    n = gcm.n
+    mu, _ = _integral(generic_dominant_vector(gcm, ()))
+    words = [rep.word for rep, _ in reps]
+    at = {apply_word_dual(gcm, w, mu): coset_id(w) for w in words}
+    values = {wid: {} for wid in at.values()}  # class -> vertex -> value
+    for v in words:
+        states = {mu: Polynomial.one(n)}
+        for j in reversed(range(len(v))):
+            a = v[j]
+            root = tuple(int(t == a) for t in range(n))
+            for i in reversed(v[:j]):
+                root = reflect(gcm, i, root)
+            r = tb.weight(Root(root)).to_polynomial()
+            for vec, p in list(states.items()):
+                if vec[a] > 0:
+                    up = reflect_dual(gcm, a, vec)
+                    states[up] = states[up] + p * r if up in states else p * r
+        for vec, p in states.items():
+            if vec in at:
+                values[at[vec]][coset_id(v)] = p
+    zero = Polynomial.zero(n)
+    return {
+        coset_id(w): CohClass({vid: values[coset_id(w)].get(vid, zero) for vid in values}, len(w))
+        for w in words
+    }
+
+
+def divided_difference_schubert(gcm: GCM, w: CosetRep) -> CohClass:
+    """The :func:`schubert_restrictions` class of ``w``, given by any
+    reduced word, on the full flag variety of a finite Cartan matrix.
+    Raises :class:`NotFiniteTypeError` outside finite type."""
     if classify(gcm) != "finite":
         raise NotFiniteTypeError("Schubert restrictions require a finite Cartan matrix")
     from .builders import coset_id
 
-    n = gcm.n
-    mu = generic_dominant_vector(gcm, ())
-    target = apply_word_dual(gcm, w.word, mu)
-    m = w.length
-
-    # enumerate the whole Weyl group (finite type terminates)
-    cutoff = 1
-    elements = enumerate_cosets(gcm, (), cutoff)
-    while True:
-        bigger = enumerate_cosets(gcm, (), cutoff + 1)
-        if len(bigger) == len(elements):
-            break
-        elements = bigger
-        cutoff += 1
-
-    values: dict[str, Polynomial] = {}
-    for v in elements:
-        word = v.word
-        # inversion roots r(j) along the reduced word of v
-        roots = []
-        for j, a in enumerate(word):
-            alpha = tuple(1 if t == a else 0 for t in range(n))
-            for i in reversed(word[:j]):
-                alpha = reflect(gcm, i, alpha)
-            roots.append(Weight(alpha).to_polynomial())
-        total = Polynomial.zero(n)
-        for positions in combinations(range(len(word)), m):
-            sub = tuple(word[j] for j in positions)
-            if apply_word_dual(gcm, sub, mu) != target:
-                continue
-            term = Polynomial.one(n)
-            for j in positions:
-                term = term * roots[j]
-            total = total + term
-        values[coset_id(word)] = total
-    return CohClass(values, m)
+    # a finite orbit ends at its first empty shell, below any cutoff
+    reps, table = coset_orbit(gcm, (), sys.maxsize)
+    canonical = table[apply_word_dual(gcm, w.word, reps[0][1])].word
+    return schubert_restrictions(gcm, (), reps[-1][0].length)[coset_id(canonical)]
 
 
 def reflection_edges(gcm: GCM, parabolic, degree: int, height: int) -> list[Edge]:

@@ -327,12 +327,7 @@ def _chevalley_generator(graph, mode, vid, phi, values, down) -> dict | None:
         if w.cell_dim > dim + 2:
             g: dict = {}  # den * sum c_u f_u(w) = den * D(w) * f_v(w)
             for fu, c in chev:
-                for x, a in fu.get(wid, {}).items():
-                    s = g.get(x, 0) + c * a
-                    if s:
-                        g[x] = s if type(s) is int else _normal(s)
-                    else:
-                        del g[x]
+                _add_multiple(g, fu.get(wid, {}), c)
             if g:
                 q, rem = _divmod_weight(g, d)
                 if rem:
@@ -344,14 +339,24 @@ def _chevalley_generator(graph, mode, vid, phi, values, down) -> dict | None:
         if mode == "Z" and any(type(a) is not int for a in value.values()):
             return None
         # the weight of a down-edge (w, x) divides D(w) * (f_v(w) - f_v(x));
-        # only one parallel to D(w) leaves the difference to be checked.  The
-        # remainder is the restriction to the hyperplane, a linear map, so
-        # the weight divides the difference exactly when the remainders agree
+        # only one parallel to D(w) leaves the difference to be checked
         e = down[wid].get(d._line[1])
         if e is not None:
-            if _divmod_weight(value, e.weight)[1] != _divmod_weight(fv.get(e.other(wid), {}), e.weight)[1]:
+            diff = dict(value)
+            _add_multiple(diff, fv.get(e.other(wid), {}), -1)
+            if _divmod_weight(diff, e.weight)[1]:
                 return None
     return fv
+
+
+def _add_multiple(acc: dict, terms: dict, c) -> None:
+    """``acc += c * terms`` in place, on term dicts in normal form."""
+    for x, a in terms.items():
+        s = acc.get(x, 0) + c * a
+        if s:
+            acc[x] = s if type(s) is int else _normal(s)
+        else:
+            del acc[x]
 
 
 def verify_generator_conditions(basis: GeneratorBasis) -> ValidationReport:

@@ -228,18 +228,29 @@ def test_s2n_rank_below_two_exit_code(capsys):
         assert not out and "--rank >= 2" in err
 
 
-def test_schubert_compare_needs_finite_preset(capsys):
-    code, _, err = run(["oracle", "schubert-compare", "--preset", "omega-su2"], capsys)
-    assert code == 4
-    assert "no finite Cartan matrix for preset 'omega-su2'" in err
+def test_schubert_compare_affine_preset(capsys):
+    code, out, _ = run(["oracle", "schubert-compare", "--preset", "omega-su2"], capsys)
+    assert code == 0
+    assert "5 generators agree on every vertex" in out
 
 
-def test_schubert_compare_needs_finite_gcm(tmp_path, capsys):
+def test_schubert_compare_affine_gcm(tmp_path, capsys):
     gcm_path = tmp_path / "gcm.json"
     gcm_path.write_text(json.dumps([[2, -2], [-2, 2]]))
-    code, out, err = run(["oracle", "schubert-compare", "--gcm", str(gcm_path)], capsys)
-    assert code == 4 and not out
-    assert f"no finite Cartan matrix for file {str(gcm_path)!r}" in err
+    code, out, _ = run(
+        ["oracle", "schubert-compare", "--gcm", str(gcm_path), "--degree", "6"], capsys
+    )
+    assert code == 0
+    assert "13 generators agree on every vertex" in out
+
+
+def test_oracle_unknown_preset_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["oracle", "schubert-compare", "--preset", "nosuch"])
+    assert err.value.code == 4
+    out = capsys.readouterr()
+    assert not out.out
+    assert "invalid choice: 'nosuch'" in out.err and "'omega-su2'" in out.err
 
 
 def test_non_integer_gcm_exit_code(tmp_path, capsys):

@@ -20,7 +20,6 @@ from gkmcalc.coxeter import (
     apply_word_dual,
     classify,
     coset_orbit,
-    enumerate_cosets,
     generic_dominant_vector,
     marks,
     real_roots,
@@ -234,25 +233,27 @@ def test_reflection_word_acts_as_reflection():
             assert apply_word_dual(gcm, word, once) == mu
 
 
-def test_enumerate_cosets_a2_full():
-    reps = enumerate_cosets(A2, (), 3)
-    assert len(reps) == 6
-    assert Counter(r.length for r in reps) == Counter({0: 1, 1: 2, 2: 2, 3: 1})
+def _coset_words(gcm, parabolic, cutoff):
+    return [rep.word for rep, _ in coset_orbit(gcm, parabolic, cutoff)[0]]
 
 
-def test_enumerate_cosets_identity_only():
-    reps = enumerate_cosets(B2, (), 0)
-    assert [r.word for r in reps] == [()]
+def test_coset_orbit_a2_full():
+    words = _coset_words(A2, (), 3)
+    assert len(words) == 6
+    assert Counter(map(len, words)) == Counter({0: 1, 1: 2, 2: 2, 3: 1})
 
 
-def test_enumerate_cosets_affine_grassmannian():
-    reps = enumerate_cosets(AFF_A1, (1,), 4)
-    assert [r.length for r in reps] == [0, 1, 2, 3, 4]
+def test_coset_orbit_identity_only():
+    assert _coset_words(B2, (), 0) == [()]
 
 
-def test_enumerate_cosets_invalid_parabolic():
+def test_coset_orbit_affine_grassmannian():
+    assert list(map(len, _coset_words(AFF_A1, (1,), 4))) == [0, 1, 2, 3, 4]
+
+
+def test_coset_orbit_invalid_parabolic():
     with pytest.raises(InvalidParabolicError):
-        enumerate_cosets(A2, (5,), 2)
+        coset_orbit(A2, (5,), 2)
 
 
 def test_length_generating_functions_match_q_factorials():
@@ -262,8 +263,7 @@ def test_length_generating_functions_match_q_factorials():
         B2: {0: 1, 1: 2, 2: 2, 3: 2, 4: 1},
     }
     for gcm, expected in cases.items():
-        reps = enumerate_cosets(gcm, (), 12)
-        assert Counter(r.length for r in reps) == Counter(expected)
+        assert Counter(map(len, _coset_words(gcm, (), 12))) == Counter(expected)
 
 
 def test_dedup_agrees_with_matrix_representation():

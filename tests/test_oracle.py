@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gkmcalc.builders import (
     TWISTED_A1_4,
@@ -11,17 +13,17 @@ from gkmcalc.builders import (
     build_preset,
     type_a,
     type_b2,
-    word_from_id,
 )
 from gkmcalc.coxeter import GCM, CosetRep
 from gkmcalc.errors import CoprimalityViolatedError, NotFiniteTypeError
-from gkmcalc.graph import Edge, GkmGraph, Vertex, is_gkm_class
+from gkmcalc.graph import Edge, GkmGraph, Vertex, is_gkm_class, validate
 from gkmcalc.oracle import (
     brute_force_classes,
     divided_difference_schubert,
     expected_gkm_dimension,
     reflection_edges,
     s2n_relative_image,
+    schubert_restrictions,
 )
 from gkmcalc.polyring import Polynomial, Weight, monomials, parse_polynomial
 from gkmcalc.solver import canonical_generators, expand_in_basis
@@ -127,16 +129,61 @@ def test_schubert_top_class_a2():
         assert all(p.is_zero() for vid, p in cls.values.items() if vid != top)
 
 
-@pytest.mark.parametrize("gcm_builder, preset", [(type_a, "A2-flag"), (type_b2, "B2-flag")])
-def test_schubert_oracle_agrees_with_solver(gcm_builder, preset):
-    gcm = gcm_builder(2) if gcm_builder is type_a else gcm_builder()
-    g = build_preset(preset)
-    top = max(v.cell_dim // 2 for v in g.vertices)
-    basis = canonical_generators(g, top)
+# G/P with a root height at which the reflection search finds every edge
+GP_CASES = {
+    "A3": (type_a(3), (), 6, 3),
+    "G2": (GCM(((2, -1), (-3, 2))), (), 6, 5),
+    "Gr(2,4)": (type_a(3), (0, 2), 4, 3),
+    "omega-su2": (affine_type_a(1), (1,), 8, 16),
+    "twisted": (TWISTED_A1_4, (1,), 6, 18),
+    "omega-su3": (affine_type_a(2), (1, 2), 4, 6),
+    "affine-A2": (affine_type_a(2), (), 3, 4),
+    "hyperbolic": (GCM(((2, -3), (-3, 2))), (), 6, 200),
+}
+
+# the finite presets A2-flag and B2-flag, the G/P above, and A4 to its top
+SCHUBERT_CASES = {
+    "type_a-A2-flag": (type_a(2), (), 3),
+    "type_b2-B2-flag": (type_b2(), (), 4),
+    **{name: case[:3] for name, case in GP_CASES.items()},
+    "A4": (type_a(4), (), 10),
+}
+
+
+def _assert_schubert_agrees(gcm, parabolic, degree):
+    g = build_flag_graph(gcm, parabolic, degree, embed=False)
+    basis = canonical_generators(g, degree)
+    classes = schubert_restrictions(gcm, parabolic, degree)
+    assert sorted(classes) == sorted(g.vertex_ids)
     for vid in g.vertex_ids:
-        sch = divided_difference_schubert(gcm, CosetRep(word_from_id(vid)))
-        gen = basis.generator(vid)
-        assert sch.values == gen.values, vid
+        assert classes[vid].degree == g.vertex(vid).cell_dim // 2, vid
+        assert classes[vid].values == basis.generator(vid).values, vid
+
+
+@pytest.mark.parametrize("case", list(SCHUBERT_CASES))
+def test_schubert_oracle_agrees_with_solver(case):
+    _assert_schubert_agrees(*SCHUBERT_CASES[case])
+
+
+@st.composite
+def _small_flags(draw):
+    n = draw(st.integers(2, 3))
+    rows = [[2] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a = draw(st.integers(-3, 0))
+            rows[i][j] = a
+            rows[j][i] = draw(st.integers(-3, -1)) if a else 0
+    parabolic = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    return GCM(tuple(map(tuple, rows))), parabolic, draw(st.integers(0, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_flags())
+def test_schubert_restrictions_match_generators(case):
+    gcm, parabolic, degree = case
+    assume(validate(build_flag_graph(gcm, parabolic, degree, embed=False)).ok)
+    _assert_schubert_agrees(gcm, parabolic, degree)
 
 
 def test_schubert_requires_finite_type():
@@ -144,21 +191,9 @@ def test_schubert_requires_finite_type():
         divided_difference_schubert(GCM(((2, -2), (-2, 2))), CosetRep(()))
 
 
-@pytest.mark.parametrize(
-    "gcm, parabolic, degree, height",
-    [
-        (type_a(3), (), 6, 3),
-        (GCM(((2, -1), (-3, 2))), (), 6, 5),
-        (type_a(3), (0, 2), 4, 3),
-        (affine_type_a(1), (1,), 8, 16),
-        (TWISTED_A1_4, (1,), 6, 18),
-        (affine_type_a(2), (1, 2), 4, 6),
-        (affine_type_a(2), (), 3, 4),
-        (GCM(((2, -3), (-3, 2))), (), 6, 200),
-    ],
-    ids=["A3", "G2", "Gr(2,4)", "omega-su2", "twisted", "omega-su3", "affine-A2", "hyperbolic"],
-)
-def test_flag_graph_edges_match_reflection_search(gcm, parabolic, degree, height):
+@pytest.mark.parametrize("case", list(GP_CASES))
+def test_flag_graph_edges_match_reflection_search(case):
+    gcm, parabolic, degree, height = GP_CASES[case]
     g = build_flag_graph(gcm, parabolic, degree, embed=False)
     ref = GkmGraph(g.rank, g.mode, g.vertices, reflection_edges(gcm, parabolic, degree, height))
     # the search is complete at this height: every vertex has all its down-edges

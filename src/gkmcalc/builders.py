@@ -35,8 +35,7 @@ from fractions import Fraction
 from .coxeter import (
     GCM,
     Root,
-    _cofactor_column,
-    _det,
+    _adjugate,
     _integral,
     classify,
     coset_orbit,
@@ -154,8 +153,7 @@ def _positions(gcm: GCM, J: frozenset, tb: _TorusBasis, reps) -> dict[str, tuple
     ``E(s_i w') = E(w') - [i = z] * vec(w')_z``."""
     others = [i for i in range(gcm.n) if i != tb.z]
     classical = [[gcm.a(i, j) for j in others] for i in others]
-    det = _det(classical)
-    adj = list(zip(*(_cofactor_column(classical, j) for j in range(len(others)))))
+    det, adj = _adjugate(classical)
     if tb.kind == "affine" and set(range(gcm.n)) - J == {tb.z}:
         q = -1
     else:

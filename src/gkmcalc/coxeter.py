@@ -172,6 +172,35 @@ def _det(rows) -> int:
     return sign * prev
 
 
+def _adjugate(rows) -> tuple[int, list[list[int]]]:
+    """``(det, adj)`` of a nonsingular square integer matrix from one
+    fraction-free (Bareiss) Gauss-Jordan elimination of ``[rows | I]``.
+    Every division is exact, and the elimination ends at ``[d*I | d*inv]``
+    with ``d = det`` up to the sign of the row swaps, so the right half is
+    the adjugate up to that sign.
+
+    >>> _adjugate([[2, -1], [-1, 2]])
+    (3, [[2, 1], [1, 2]])
+    """
+    n = len(rows)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        top, p = m[k], m[k][k]
+        for r in range(n):
+            if r != k:
+                f = m[r][k]
+                m[r] = [(x * p - f * t) // prev for x, t in zip(m[r], top)]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in m]
+
+
 def _cofactor_column(rows, j: int) -> tuple[int, ...]:
     """Column ``j`` of the adjugate of a square integer matrix, so that
     ``rows * column == det(rows) * e_j``: entry ``i`` is the cofactor of

@@ -332,6 +332,12 @@ class CohClass:
 
     When ``degree`` is set, every value must be homogeneous of that degree
     (the zero polynomial counts for every degree).
+
+    Sums and products work on the nonzero values only: at a vertex where an
+    operand is zero, the result takes that zero value (or, in a sum, the
+    other operand's value) without arithmetic, so values are shared between
+    classes; polynomials are immutable, which makes this safe.  A product by
+    an ``int`` or ``Fraction`` keeps ``degree``; one by a polynomial drops it.
     """
 
     values: dict[str, Polynomial]
@@ -340,7 +346,7 @@ class CohClass:
     def __post_init__(self):
         if self.degree is not None:
             for vid, p in self.values.items():
-                if not p.is_homogeneous(self.degree):
+                if p.terms and not p.is_homogeneous(self.degree):
                     raise ValueError(
                         f"value at {vid!r} is not homogeneous of degree {self.degree}"
                     )
@@ -362,7 +368,11 @@ class CohClass:
         if set(self.values) != set(other.values):
             raise ValueError("classes are defined on different vertex sets")
         deg = self.degree if self.degree == other.degree else None
-        return CohClass({v: self.values[v] + other.values[v] for v in self.values}, deg)
+        values = {}
+        for v, p in self.values.items():
+            q = other.values[v]
+            values[v] = (p + q if q.terms else p) if p.terms else q
+        return CohClass(values, deg)
 
     def __mul__(self, other):
         if isinstance(other, CohClass):
@@ -373,10 +383,15 @@ class CohClass:
                 if self.degree is not None and other.degree is not None
                 else None
             )
-            return CohClass(
-                {v: self.values[v] * other.values[v] for v in self.values}, deg
-            )
-        return CohClass({v: p * other for v, p in self.values.items()}, None)
+            values = {}
+            for v, p in self.values.items():
+                q = other.values[v]
+                values[v] = (p * q if q.terms else q) if p.terms else p
+            return CohClass(values, deg)
+        if not isinstance(other, (int, Fraction, Polynomial)):
+            return NotImplemented
+        deg = None if isinstance(other, Polynomial) else self.degree
+        return CohClass({v: p * other if p.terms else p for v, p in self.values.items()}, deg)
 
     def to_dict(self) -> dict:
         out: dict = {}

@@ -321,15 +321,18 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
-            if c == 0:
-                return Polynomial.zero(self.nvars)
-            scaled = {e: c * v for e, v in self.terms.items()}
-            return Polynomial._make(self.nvars, _normal_terms(scaled))
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Polynomial:  # the common case skips both tests
+            if isinstance(other, (int, Fraction)):
+                c = _coeff(other)
+                if c == 0:
+                    return Polynomial.zero(self.nvars)
+                scaled = {e: c * v for e, v in self.terms.items()}
+                return Polynomial._make(self.nvars, _normal_terms(scaled))
+            other = self._operand(other)
+            if other is None:
+                return NotImplemented
+        elif self.nvars != other.nvars:
+            raise ValueError("polynomials live in different rings")
         out: dict[tuple[int, ...], int | Fraction] = {}
         add = operator.add
         for e1, c1 in self.terms.items():

@@ -140,6 +140,8 @@ class GeneratorBasis:
         if set(generators) != {v.id for v in graph.vertices if v.cell_dim <= 2 * degree}:
             raise ValueError(f"basis generators must be the vertices of cell dim <= {2 * degree}")
         vertex_ids = set(graph.vertex_ids)
+        # one immutable Polynomial per distinct text; most values are "0"
+        polys: dict[str, Polynomial] = {}
         gens = {}
         for vid, values in generators.items():
             if type(values) is not dict:
@@ -159,7 +161,12 @@ class GeneratorBasis:
             missing = next((w for w in graph.vertex_ids if w not in values), None)
             if missing is not None:
                 raise ValueError(f"generator {vid!r} has no value at vertex {missing!r}")
-            parsed = {w: parse_polynomial(t, graph.rank) for w, t in values.items()}
+            parsed = {}
+            for w, t in values.items():
+                p = polys.get(t)
+                if p is None:
+                    p = polys[t] = parse_polynomial(t, graph.rank)
+                parsed[w] = p
             gens[vid] = CohClass(parsed, graph.vertex(vid).cell_dim // 2)
         return cls(graph, degree, mode, gens)
 
@@ -385,17 +392,24 @@ def expand_in_basis(cls: CohClass, basis: GeneratorBasis) -> dict[str, Polynomia
     """Coefficients ``c_v`` with ``cls = sum c_v f_v``.
 
     Greedy by increasing cell dimension over one residual term dict per
-    vertex, copied from ``cls`` once.  At each vertex the residual is divided
-    by its down-edge weights one at a time, giving ``c_v`` (zero when the
-    residual is empty); then ``c_v * f_v(w)`` is subtracted in place from the
-    residual at each ``w`` with ``f_v(w) != 0``, one term pair at a time.  A
-    residual that a down-edge weight does not divide, or nonzero after the
-    last vertex, raises :class:`NotInSpanError` with the vertex (and edge).
-    In Z-mode every coefficient must be integral.  Inputs are left unchanged.
+    vertex, copied from ``cls`` once.  At each vertex ``v`` the coefficient
+    ``c_v`` is the residual divided by ``f_v(v)``, the product of the
+    down-edge weights (zero when the residual is empty).  A constant
+    coefficient, as at every vertex whose degree is that of a homogeneous
+    class, is found in one step by a certified ratio: ``k`` is read at one
+    monomial of ``f_v(v)``, and ``c_v = k`` when the residual equals ``k *
+    f_v(v)`` term by term.  Otherwise the residual is divided by the
+    down-edge weights one at a time.  Then ``c_v * f_v(w)`` is
+    subtracted in place from the residual at each ``w`` with ``f_v(w) !=
+    0``.  A residual that a down-edge weight does not divide, or nonzero
+    after the last vertex, raises :class:`NotInSpanError` with the vertex
+    (and edge).  In Z-mode every coefficient must be integral.  Inputs are
+    left unchanged.
     """
     graph, nvars = basis.graph, basis.graph.rank
     residual = {vid: dict(cls.value(vid).terms) for vid in graph.vertex_ids}
     coeffs: dict[str, Polynomial] = {}
+    one = (0,) * nvars
     for vid in graph.vertex_ids:
         gen = basis.generators.get(vid)
         if gen is None:
@@ -404,15 +418,22 @@ def expand_in_basis(cls: CohClass, basis: GeneratorBasis) -> dict[str, Polynomia
         if not c:
             coeffs[vid] = Polynomial._make(nvars, {})
             continue
-        for e in graph.down_edges(vid):
-            c, rem = _divmod_weight(c, e.weight)
-            if rem:
-                raise NotInSpanError(
-                    f"residual at {vid!r} is not divisible by its down-edge weights; "
-                    "the class is not in the span of the basis within the cutoff",
-                    vertex=vid,
-                    edge=e,
-                )
+        diag = gen.values[vid].terms
+        e0 = next(iter(diag), None)
+        k = _normal(Fraction(c[e0], diag[e0])) if e0 in c else 0
+        constant = k and c == {x: k * a for x, a in diag.items()}
+        if constant:
+            c = {one: k}
+        else:
+            for e in graph.down_edges(vid):
+                c, rem = _divmod_weight(c, e.weight)
+                if rem:
+                    raise NotInSpanError(
+                        f"residual at {vid!r} is not divisible by its down-edge weights; "
+                        "the class is not in the span of the basis within the cutoff",
+                        vertex=vid,
+                        edge=e,
+                    )
         # with no down-edges c is still the residual, which the loop below changes
         coeff = coeffs[vid] = Polynomial._make(nvars, dict(c) if c is residual[vid] else c)
         if basis.mode == "Z" and not coeff.is_integral():
@@ -426,6 +447,9 @@ def expand_in_basis(cls: CohClass, basis: GeneratorBasis) -> dict[str, Polynomia
             if not value:  # most generator values are zero
                 continue
             res = residual[wid]
+            if constant:
+                _add_multiple(res, value, -k)
+                continue
             for e1, c1 in coeff.terms.items():
                 for e2, c2 in value.items():
                     t = tuple(map(add, e1, e2))

@@ -387,3 +387,17 @@ def test_multiply_basis_values_not_strings_exit_code(tmp_path, capsys, edit):
     code, out, err = run(["multiply", str(basis_path), "0", "0"], capsys)
     assert code == 4
     assert not out and "generator '0'" in err
+
+
+def test_multiply_basis_malformed_later_text_exit_code(tmp_path, capsys):
+    graph_path = tmp_path / "b2.json"
+    basis_path = tmp_path / "basis.json"
+    assert run(["build", "B2-flag", "-o", str(graph_path)], capsys)[0] == 0
+    assert run(["generators", str(graph_path), "-o", str(basis_path)], capsys)[0] == 0
+    data = json.loads(basis_path.read_text())
+    later = list(data["generators"])[-1]
+    data["generators"][later] = {w: "3x1" for w in data["generators"][later]}
+    basis_path.write_text(json.dumps(data))
+    code, out, err = run(["multiply", str(basis_path), "0", "0"], capsys)
+    assert code == 4
+    assert not out and "'3x1'" in err

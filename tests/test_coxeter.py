@@ -13,6 +13,7 @@ from gkmcalc import coxeter
 from gkmcalc.builders import affine_type_a, build_flag_graph, type_a
 from gkmcalc.coxeter import (
     GCM,
+    _adjugate,
     _cofactor_column,
     _det,
     CosetRep,
@@ -112,6 +113,19 @@ def test_cofactor_column_is_adjugate_column(case):
         inverse_col, null = solve_linear_system([list(map(Fraction, r)) for r in rows], rhs)
         assert not null
         assert [Fraction(c, det) for c in col] == inverse_col
+
+
+@settings(deadline=None)
+@given(_square_matrix_and_column())
+def test_adjugate_is_every_cofactor_column(case):
+    rows, _ = case
+    det = _det(rows)
+    if not det:
+        with pytest.raises(ValueError, match="singular"):
+            _adjugate(rows)
+        return
+    cols = [_cofactor_column(rows, j) for j in range(len(rows))]
+    assert _adjugate(rows) == (det, [list(row) for row in zip(*cols)])
 
 
 def test_marks_errors():

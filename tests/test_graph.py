@@ -388,3 +388,33 @@ def test_json_text_rejects_other_types(value):
 def test_cohclass_homogeneity_enforced():
     with pytest.raises(ValueError):
         CohClass({"n": X + Polynomial.one(2)}, degree=1)
+
+
+def test_cohclass_scalar_product_keeps_degree():
+    basis = canonical_generators(build_preset("B2-flag"), 4)
+    f = basis.generator("0")
+    assert f.degree == 1
+    for c in (2, -1, 0, Fraction(1, 2)):
+        scaled = f * c
+        assert scaled.degree == 1
+        assert scaled.values == {v: p * c for v, p in f.values.items()}
+    assert (f * X).degree is None
+
+
+def test_cohclass_ring_ops_share_zero_values():
+    g = build_preset("B2-flag")
+    basis = canonical_generators(g, 4)
+    rng = random.Random(5)
+    gens = list(basis.generators.values())
+    for _ in range(30):
+        f, h = rng.choice(gens), rng.choice(gens)
+        total, prod = f + h, f * h
+        assert total.values == {v: f.values[v] + h.values[v] for v in g.vertex_ids}
+        assert prod.values == {v: f.values[v] * h.values[v] for v in g.vertex_ids}
+        for v in g.vertex_ids:
+            if f.values[v].is_zero():
+                assert prod.values[v] is f.values[v] and total.values[v] is h.values[v]
+            elif h.values[v].is_zero():
+                assert prod.values[v] is h.values[v] and total.values[v] is f.values[v]
+    with pytest.raises(ValueError, match="different vertex sets"):
+        gens[0] * gens[0].restrict(["e"])

@@ -17,7 +17,9 @@ from gkmcalc.coxeter import GCM
 from gkmcalc.errors import (
     NoSolutionError,
     NonIntegralError,
+    NotDivisibleError,
     NotInSpanError,
+    PolynomialParseError,
     ValidationFailureError,
 )
 from gkmcalc.graph import CohClass, Edge, GkmGraph, Vertex, is_gkm_class, validate
@@ -546,3 +548,112 @@ def test_zero_moment_form_falls_back_to_lifting(monkeypatch):
         top = max(v.cell_dim for v in g.vertices) // 2
         assert solver._chevalley(g, g.mode) is None
         assert canonical_generators(g, top).dumps() == _lifted(g, top, g.mode).dumps()
+
+
+def _expand_by_division(cls, basis):
+    """The reference expansion: by increasing cell dimension, each
+    coefficient is the residual divided by the down-edge weights one at a
+    time, and ``c_v * f_v`` is subtracted from the residual.  Returns the
+    coefficients, or the error's type, vertex and edge or witness."""
+    g = basis.graph
+    residual = dict(cls.values)
+    coeffs = {}
+    for vid in g.vertex_ids:
+        gen = basis.generators.get(vid)
+        if gen is None:
+            continue
+        c = residual[vid]
+        for e in g.down_edges(vid):
+            try:
+                c = polyring.divide_by_weight(c, e.weight)
+            except NotDivisibleError:
+                return NotInSpanError, vid, e
+        if basis.mode == "Z" and not c.is_integral():
+            return NonIntegralError, vid, c
+        coeffs[vid] = c
+        residual = {w: p - c * gen.values[w] for w, p in residual.items()}
+    bad = next((vid for vid in g.vertex_ids if not residual[vid].is_zero()), None)
+    return coeffs if bad is None else (NotInSpanError, bad, None)
+
+
+def _expansion(cls, basis):
+    """``expand_in_basis``, or its error in the reference's form."""
+    try:
+        return expand_in_basis(cls, basis)
+    except NotInSpanError as err:
+        return NotInSpanError, err.vertex, err.edge
+    except NonIntegralError as err:
+        return NonIntegralError, err.vertex, err.witness
+
+
+@settings(max_examples=40, deadline=None)
+@given(_flag_cases(), st.randoms(use_true_random=False))
+def test_expansion_of_products_matches_division(case, rng):
+    gcm, parabolic, degree, mode = case
+    g = build_flag_graph(gcm, parabolic, degree, mode=mode, embed=False)
+    if not validate(g).ok:
+        return
+    try:
+        basis = canonical_generators(g, degree)
+    except (NoSolutionError, NonIntegralError):
+        return
+    gens = basis.generators
+    deg = {vid: g.vertex(vid).cell_dim // 2 for vid in gens}
+    pairs = [(u, v) for u in gens for v in gens if deg[u] + deg[v] <= degree]
+    total = None
+    for _ in range(rng.randint(1, 4)):
+        u, v = rng.choice(pairs)
+        term = gens[u] * gens[v] * rng.randint(-3, 3)
+        total = term if total is None else total + term
+    coeffs = expand_in_basis(total, basis)
+    assert coeffs == _expand_by_division(total, basis)
+    zero = Polynomial.zero(g.rank)
+    rebuilt = {w: sum((c * gens[v].values[w] for v, c in coeffs.items()), zero) for w in g.vertex_ids}
+    assert rebuilt == total.values
+
+
+def test_expansion_errors_match_division():
+    g = build_preset("B2-flag")
+    basis = canonical_generators(g, 4)
+    top = g.vertex_ids[-1]
+    product = basis.generator("0-1") * basis.generator("1-0")
+    for extra in ("x1^4", "x2^4", "x1^3*x2 + 1"):
+        values = dict(product.values)
+        values[top] = values[top] + poly2(extra)
+        tampered = CohClass(values)
+        err = _expansion(tampered, basis)
+        assert err == _expand_by_division(tampered, basis)
+        assert err[:2] == (NotInSpanError, top) and err[2] in g.down_edges(top)
+    rational = GeneratorBasis(g, 4, "Q", basis.generators)
+    for vid, f in basis.items():
+        half = f * Fraction(1, 2)
+        err = _expansion(half, basis)
+        assert err == _expand_by_division(half, basis)
+        assert err == (NonIntegralError, vid, Polynomial.constant(Fraction(1, 2), 2))
+        coeffs = expand_in_basis(half, rational)
+        assert coeffs == {u: Polynomial.constant(Fraction(int(u == vid), 2), 2) for u in basis.generators}
+
+
+def test_basis_load_shares_one_polynomial_per_text():
+    basis = canonical_generators(build_flag_graph(GCM(((2, -1, 0), (-1, 2, -1), (0, -2, 2))), (), 3), 3)
+    data = json.loads(basis.dumps())
+    texts = [t for values in data["generators"].values() for t in values.values()]
+    assert texts.count("0") > len(texts) // 2
+    loaded = GeneratorBasis.from_dict(data)
+    assert loaded.generators == basis.generators
+    assert loaded.dumps() == basis.dumps()
+    values = [p for cls in loaded.generators.values() for p in cls.values.values()]
+    assert len({id(p) for p in values}) == len(set(texts))
+
+
+@pytest.mark.parametrize("first, second", [("3x1", "x9"), ("x9", "3x1"), ("x1 +", "x1 +"), ("1/0", "x1 ^ x2")])
+def test_basis_load_reports_the_first_malformed_text(first, second):
+    data = canonical_generators(build_preset("B2-flag"), 4).to_dict()
+    *_, earlier, later = data["generators"]
+    for vid, text in ((earlier, first), (later, second)):
+        data["generators"][vid] = {w: text for w in data["generators"][vid]}
+    with pytest.raises(PolynomialParseError) as want:
+        parse_polynomial(first, 2)
+    with pytest.raises(PolynomialParseError) as err:
+        GeneratorBasis.from_dict(data)
+    assert str(err.value) == str(want.value)

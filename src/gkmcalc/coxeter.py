@@ -43,7 +43,6 @@ __all__ = [
     "coset_orbit",
     "generic_dominant_vector",
     "apply_word_dual",
-    "word_matrix",
 ]
 
 @dataclass(frozen=True)
@@ -201,17 +200,6 @@ def _adjugate(rows) -> tuple[int, list[list[int]]]:
     return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
-def _cofactor_column(rows, j: int) -> tuple[int, ...]:
-    """Column ``j`` of the adjugate of a square integer matrix, so that
-    ``rows * column == det(rows) * e_j``: entry ``i`` is the cofactor of
-    entry ``(j, i)``."""
-    minor = [row for r, row in enumerate(rows) if r != j]
-    return tuple(
-        (-1) ** (i + j) * _det([row[:i] + row[i + 1:] for row in minor])
-        for i in range(len(rows))
-    )
-
-
 def classify(gcm: GCM) -> str:
     """Sort a Cartan matrix into ``finite``, ``affine`` or ``indefinite``.
 
@@ -243,14 +231,15 @@ def classify(gcm: GCM) -> str:
 def marks(gcm: GCM) -> tuple[int, ...]:
     """The primitive positive integer vector spanning the kernel of an
     affine Cartan matrix; its entries are the coefficients of the simple
-    roots in the null root delta.  When ``A`` has corank 1,
-    ``A adj(A) = 0`` and ``adj(A) != 0``, so a nonzero column spans it."""
+    roots in the null root delta.  In affine type the block ``C`` of ``A``
+    without node 0 is of finite type, and ``A x = 0`` gives ``x_0 = det C``
+    and ``x' = -adj(C) a'``, ``a'`` the rest of column 0."""
     rows = gcm.rows
-    cols = (_cofactor_column(rows, j) for j in range(gcm.n))
-    col = next((c for c in cols if any(c)), None)
-    if col is None or any(sum(a * c for a, c in zip(row, col)) for row in rows):
+    det, adj = _adjugate([row[1:] for row in rows[1:]])  # raises when C is singular
+    col = (det,) + tuple(-sum(a * r[0] for a, r in zip(line, rows[1:])) for line in adj)
+    if any(sum(a * c for a, c in zip(row, col)) for row in rows):
         raise ValueError("Cartan matrix kernel is not one-dimensional")
-    g = -gcd(*col) if all(v < 0 for v in col) else gcd(*col)
+    g = gcd(*col)
     ints = tuple(v // g for v in col)
     if any(v <= 0 for v in ints):
         raise ValueError("kernel vector is not strictly positive")
@@ -376,16 +365,3 @@ def coset_orbit(gcm: GCM, parabolic, length_cutoff: int):
         shell = nxt
     reps.sort(key=lambda rv: (rv[0].length, rv[0].word))
     return reps, table
-
-
-def word_matrix(gcm: GCM, word) -> tuple[tuple[int, ...], ...]:
-    """Matrix of a word in the root-coordinate representation (columns are
-    the images of the simple roots).  Used to cross-check coset dedup."""
-    n = gcm.n
-    cols = []
-    for j in range(n):
-        v = tuple(1 if t == j else 0 for t in range(n))
-        for i in reversed(tuple(word)):
-            v = reflect(gcm, i, v)
-        cols.append(v)
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))

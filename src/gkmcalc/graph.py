@@ -351,6 +351,14 @@ class CohClass:
                         f"value at {vid!r} is not homogeneous of degree {self.degree}"
                     )
 
+    @classmethod
+    def _make(cls, values: dict[str, Polynomial], degree: int | None) -> "CohClass":
+        """Unchecked constructor for sums, products and restrictions, whose
+        values are homogeneous of ``degree`` by construction."""
+        out = cls.__new__(cls)
+        out.values, out.degree = values, degree
+        return out
+
     def value(self, vid: str) -> Polynomial:
         try:
             return self.values[vid]
@@ -362,7 +370,7 @@ class CohClass:
 
     def restrict(self, ids) -> "CohClass":
         keep = set(ids)
-        return CohClass({v: p for v, p in self.values.items() if v in keep}, self.degree)
+        return CohClass._make({v: p for v, p in self.values.items() if v in keep}, self.degree)
 
     def __add__(self, other: "CohClass") -> "CohClass":
         if set(self.values) != set(other.values):
@@ -372,7 +380,7 @@ class CohClass:
         for v, p in self.values.items():
             q = other.values[v]
             values[v] = (p + q if q.terms else p) if p.terms else q
-        return CohClass(values, deg)
+        return CohClass._make(values, deg)
 
     def __mul__(self, other):
         if isinstance(other, CohClass):
@@ -387,11 +395,11 @@ class CohClass:
             for v, p in self.values.items():
                 q = other.values[v]
                 values[v] = (p * q if q.terms else q) if p.terms else p
-            return CohClass(values, deg)
+            return CohClass._make(values, deg)
         if not isinstance(other, (int, Fraction, Polynomial)):
             return NotImplemented
         deg = None if isinstance(other, Polynomial) else self.degree
-        return CohClass({v: p * other if p.terms else p for v, p in self.values.items()}, deg)
+        return CohClass._make({v: p * other if p.terms else p for v, p in self.values.items()}, deg)
 
     def to_dict(self) -> dict:
         out: dict = {}

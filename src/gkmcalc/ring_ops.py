@@ -1,22 +1,13 @@
 """Ring-level computations: products, ranks, and divided-powers checks.
 
 Power coefficients come from chain constants (the equivariant Chevalley
-formula; Kostant-Kumar, Goldin-Tolman).  Let ``f1`` be the degree-2
-generator.  For ``v`` of cell dimension ``2k`` the class ``f1*f_v -
-f1(v)*f_v`` vanishes at every vertex of cell dimension ``2k`` or less, so
-it is ``sum c(v,u) f_u`` over the ``u`` of cell dimension ``2k+2``, each
-``c(v,u)`` a constant.  At ``u`` only ``f_u`` of that dimension is
-nonzero, which gives ``c(v,u) = (f1(u) - f1(v)) * f_v(u) / f_u(u)``.
-In ordinary cohomology ``f1(v)`` vanishes, so the coefficient of ``f_vn``
-in ``f1^n`` is ``A[vn]`` with ``A[v1] = 1`` and ``A[u] = sum_v A[v] *
-c(v,u)``, level by level.
-
-Each constant is read off as a ratio at one monomial and certified by
-comparing ``(f1(u) - f1(v)) * f_v(u)`` with ``c(v,u) * f_u(u)`` in full,
-skipping the ``v`` with ``f_v(u) = 0``.  A basis that fails (one loaded
-with a tampered value, say) raises :class:`NotInSpanError` naming ``u``;
-in Z-mode a constant that is not an integer raises
-:class:`NonIntegralError` naming ``u``.
+formula; Kostant-Kumar, Goldin-Tolman): by the identity in the
+:mod:`solver` docstring, ``f1*f_v - f1(v)*f_v = sum c(v,u) f_u`` over the
+covers ``u`` of ``v``, ``f1`` the degree-2 generator, with the edge-local
+``c(v,u) = t * k``.  In ordinary cohomology ``f1(v)`` vanishes, so the
+coefficient of ``f_vn`` in ``f1^n`` is ``A[vn]`` with ``A[v1] = 1`` and
+``A[u] = sum_v A[v] * c(v,u)``, level by level; only ``f1`` is read from
+the basis.
 """
 
 from __future__ import annotations
@@ -26,7 +17,7 @@ from fractions import Fraction
 from .errors import CutoffTooSmallError, NonIntegralError, NotInSpanError
 from .graph import GkmGraph
 from .polyring import Polynomial, _normal
-from .solver import GeneratorBasis
+from .solver import GeneratorBasis, _cover_constant
 
 __all__ = [
     "poincare_series",
@@ -79,14 +70,14 @@ def power_coefficient(graph: GkmGraph, basis: GeneratorBasis, n: int) -> int | F
     value is n! for loops in SU(2) and n! * 2^(n // 2) for the twisted
     example.  It is summed over the chains of covers from the degree-2
     vertex to the degree-2n one, each weighted by the product of its
-    chain constants ``c(v,u) = (f1(u) - f1(v)) * f_v(u) / f_u(u)`` (see the
-    module docstring).
+    chain constants ``c(v,u) = t * k`` (see the module docstring).
 
     Raises :class:`ValueError` for ``n < 1`` or when the vertex of cell
     dimension 2 or 2n is not unique, :class:`CutoffTooSmallError` when the
     basis or graph stops below degree ``n``, :class:`NotInSpanError` naming
-    the vertex ``u`` where a constant fails its certificate, and in Z-mode
-    :class:`NonIntegralError` for a constant that is not an integer.
+    the vertex ``u`` where ``f1(u) - f1(v)`` is not a multiple of the edge
+    weight, and in Z-mode :class:`NonIntegralError` naming ``u`` for a
+    constant that is not an integer.
     """
     if n < 1:
         raise ValueError("power must be >= 1")
@@ -96,44 +87,36 @@ def power_coefficient(graph: GkmGraph, basis: GeneratorBasis, n: int) -> int | F
         )
     v1 = _unique_vertex_of_dim(graph, 2)
     vn = _unique_vertex_of_dim(graph, 2 * n)
-    levels: dict[int, list[str]] = {}
-    for w in graph.vertices:
-        levels.setdefault(w.cell_dim, []).append(w.id)
+    units = [(0,) * i + (1,) + (0,) * (graph.rank - i - 1) for i in range(graph.rank)]
     f1 = basis.generator(v1).values
-    chain = {v1: 1}  # A[v] over the vertices v of one level
-    for dim in range(4, 2 * n + 1, 2):
-        step = {}
-        for u in levels.get(dim, ()):
-            fuu = basis.generator(u).values[u]
-            a = 0
-            for v, av in chain.items():
-                fvu = basis.generator(v).values[u]
-                if fvu.terms:
-                    a += av * _chain_constant(v, u, (f1[u] - f1[v]) * fvu, fuu, basis.mode)
-            if a:
-                step[u] = a
-        chain = step
-    coeff = chain.get(vn, 0)
-    return coeff if type(coeff) is int else _normal(coeff)
-
-
-def _chain_constant(v: str, u: str, num: Polynomial, fuu: Polynomial, mode: str) -> int | Fraction:
-    """``c`` with ``num = c * f_u(u)``: the ratio at one monomial, certified
-    on every term."""
-    if not num.terms:
-        return 0
-    e, a = next(iter(num.terms.items()))
-    c = _normal(Fraction(a, fuu.terms[e])) if e in fuu.terms else None
-    if c is None or num.terms != {x: c * y for x, y in fuu.terms.items()}:
-        raise NotInSpanError(
-            f"(f1({u!r}) - f1({v!r})) * f_{v}({u!r}) = {num} is not a constant multiple "
-            f"of f_{u}({u!r}) = {fuu}; the basis is not canonical",
-            vertex=u,
-        )
-    if mode == "Z" and type(c) is not int:
-        raise NonIntegralError(
-            f"chain constant from {v!r} to {u!r} is not integral: {c}",
-            witness=c,
-            vertex=u,
-        )
-    return c
+    chain, vec = {v1: 1}, {}  # the nonzero A[v], level by level; f1 as vectors
+    for w in graph.vertices:
+        if w.cell_dim > 2 * n:
+            break
+        u, a = w.id, 0
+        fu = vec[u] = [f1[u].terms.get(x, 0) for x in units]
+        for e in graph.down_edges(u):
+            v = e.other(u)
+            if v not in chain or graph.vertex(v).cell_dim != w.cell_dim - 2:
+                continue
+            beta = e.weight.coeffs
+            j = next(i for i, b in enumerate(beta) if b)
+            diff = [x - y for x, y in zip(fu, vec[v])]
+            if any(x * beta[j] != diff[j] * b for x, b in zip(diff, beta)):
+                raise NotInSpanError(
+                    f"f1({u!r}) - f1({v!r}) is not a multiple of {e.weight}; the basis is not canonical",
+                    vertex=u,
+                    edge=e,
+                )
+            t = diff[j] // beta[j] if diff[j] % beta[j] == 0 else Fraction(diff[j], beta[j])
+            c = _normal(t * _cover_constant(graph, v, e))
+            if basis.mode == "Z" and type(c) is not int:
+                raise NonIntegralError(
+                    f"chain constant from {v!r} to {u!r} is not integral: {c}",
+                    witness=c,
+                    vertex=u,
+                )
+            a += chain[v] * c
+        if a:
+            chain[u] = a
+    return _normal(chain.get(vn, 0))

@@ -25,11 +25,12 @@ Goldin-Tolman), one exact division per value:
   to integer linear forms once.
 * Generators are solved from the top dimension down.  For ``v`` write
   ``D(w) = Phi(w) - Phi(v)``.  At a cover ``u`` of ``v`` (``cell_dim(u) =
-  cell_dim(v) + 2``) joined to it by ``beta``, ``f_v(u) = k * P`` with
-  ``P = f_u(u) / beta`` and the constant ``k`` fixed by ``f_v(u) ==
-  f_v(v) (mod beta)``; a cover not joined to ``v`` has value 0.  With
-  ``Phi(u) - Phi(v) = t * beta`` and ``c_u = t * k``, the class ``D * f_v``
-  is ``g = sum c_u f_u``, so above the covers ``f_v(w) = g(w) / D(w)``.
+  cell_dim(v) + 2``) joined to it by ``beta``, ``f_v(u) = k * f_u(u) /
+  beta`` with ``k = prod alpha / prod alpha'`` on ``beta = 0``: the
+  ``alpha`` are the down-weights of ``v``, the ``alpha'`` those of ``u``
+  but ``beta``.  A cover not joined to ``v`` has value 0.  The identity:
+  if ``Phi(u) - Phi(v) = t * beta``, ``D * f_v = g = sum c(v,u) f_u`` with
+  ``c(v,u) = t * k``, so above the covers ``f_v(w) = g(w) / D(w)``.
 * Each value is certified.  ``g`` and ``Phi`` are classes, so the weight
   ``alpha`` of a down-edge ``(w, x)`` divides ``D(w) * (f_v(w) -
   f_v(x))``, hence ``f_v(w) - f_v(x)`` unless ``alpha`` is parallel to
@@ -55,8 +56,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import add
+from itertools import takewhile
+from math import lcm, prod
+from operator import add, mul
 
 from .errors import (
     NoSolutionError,
@@ -168,6 +170,9 @@ class GeneratorBasis:
                     p = polys[t] = parse_polynomial(t, graph.rank)
                 parsed[w] = p
             gens[vid] = CohClass(parsed, graph.vertex(vid).cell_dim // 2)
+            bad = [c for c in _generator_checks(graph, vid, gens[vid]) if not c.ok]
+            if bad:
+                raise ValueError(f"generator {vid!r} breaks condition {bad[0].check} ({bad[0].detail})")
         return cls(graph, degree, mode, gens)
 
     @classmethod
@@ -299,25 +304,42 @@ def _chevalley(graph: GkmGraph, mode: str) -> dict[str, CohClass] | None:
     }
 
 
+def _cover_constant(graph, vid, edge) -> int | Fraction:
+    """``k`` across ``edge`` from ``v = vid`` up to its cover ``u``, read at
+    ``p = beta_j q - beta(q) e_j`` (``beta_j`` the first nonzero entry, ``q
+    = (1, t, t^2, ...)``).  ``beta(p) = 0``, and ``alpha'(p)`` is a nonzero
+    polynomial in ``t`` of degree below the rank unless ``alpha'`` is
+    parallel to ``beta``, so one of ``t = 1, ..., rank * |alpha'| + 1``
+    serves; if none does, :class:`ValueError` names ``u``."""
+    u, beta = edge.other(vid), edge.weight.coeffs
+    j = next(i for i, b in enumerate(beta) if b)
+    alphas = [e.weight.coeffs for e in graph.down_edges(vid)]
+    others = [e.weight.coeffs for e in graph.down_edges(u) if e is not edge]
+    for t in range(1, graph.rank * len(others) + 2):
+        q = [t**i for i in range(graph.rank)]
+        point = [beta[j] * x for x in q]
+        point[j] -= sum(map(mul, beta, q))
+        den = prod(sum(map(mul, a, point)) for a in others)
+        if den:
+            num = prod(sum(map(mul, a, point)) for a in alphas)
+            return num // den if num % den == 0 else Fraction(num, den)
+    raise ValueError(f"down-edge weights at {u!r} are parallel: no cover constant from {vid!r}")
+
+
 def _chevalley_generator(graph, mode, vid, phi, values, down) -> dict | None:
     """The nonzero values of ``f_vid``, from ``phi`` and the generators of
     the vertices above ``vid``, or None when one is not certified."""
     dim, phi_v = graph.vertex(vid).cell_dim, phi[vid]
-    diag = _down_weight_product(graph, vid).terms
-    fv = {vid: diag}
+    fv = {vid: _down_weight_product(graph, vid).terms}
     chev = []  # (u, c_u) for the covers u with c_u != 0
     for e in graph.edges_at(vid):
         u, beta = e.other(vid), e.weight
         if graph.vertex(u).cell_dim != dim + 2:
             continue
-        # f_v(u) = k * P with P = f_u(u) / beta and k * P == f_v(v) mod beta
-        p = _divmod_weight(values[u][u], beta)[0]
-        rp = _divmod_weight(p, beta)[1]
-        e0 = next(iter(rp))  # P is a product of weights not parallel to beta
-        k = Fraction(_divmod_weight(diag, beta)[1].get(e0, 0), rp[e0])
+        k = _cover_constant(graph, vid, e)
         if k:
+            p = _divmod_weight(values[u][u], beta)[0]
             fv[u] = {x: _normal(k * c) for x, c in p.items()}
-        # c_u = t * k, where Phi(u) - Phi(v) = t * beta as Phi is a class
         j = next(i for i, b in enumerate(beta.coeffs) if b)
         c = Fraction(phi[u][j] - phi_v[j], beta.coeffs[j]) * k
         if c:
@@ -366,25 +388,35 @@ def _add_multiple(acc: dict, terms: dict, c) -> None:
             del acc[x]
 
 
+def _generator_checks(graph: GkmGraph, vid: str, cls: CohClass) -> list[ValidationEntry]:
+    """Conditions 1-4 for ``cls`` as ``f_vid``, a failing entry naming the
+    first vertex that breaks it; a class of degree ``d`` is not rescanned."""
+    dim = graph.vertex(vid).cell_dim
+    d, values = dim // 2, cls.values
+    near = [w for w in takewhile(lambda w: w.cell_dim <= dim, graph.vertices) if values[w.id].terms]
+    first = [  # (check, condition, the first vertex breaking it or None)
+        ("homogeneous", f"every value homogeneous of degree {d} or zero",
+         None if cls.degree == d else next((w for w, p in values.items() if not p.is_homogeneous(d)), None)),
+        ("vanish_below", "zero on lower-dimensional vertices",
+         next((w.id for w in near if w.cell_dim < dim), None)),
+        ("vanish_beside", "zero on other vertices of equal dimension",
+         next((w.id for w in near if w.cell_dim == dim and w.id != vid), None)),
+        ("diagonal_value", "f_v(v) is the product of down-edge weights",
+         None if values[vid] == _down_weight_product(graph, vid) else vid),
+    ]
+    return [
+        ValidationEntry(vid, check, w is None, detail if w is None else f"{detail}; fails at {w!r}")
+        for check, detail, w in first
+    ]
+
+
 def verify_generator_conditions(basis: GeneratorBasis) -> ValidationReport:
     """Re-check conditions 1-4 and GKM membership for every generator."""
-    graph = basis.graph
     rep = ValidationReport()
-    add = rep.entries.append
     for vid, cls in basis.items():
-        dim = graph.vertex(vid).cell_dim
-        d = dim // 2
-        ok1 = all(p.is_homogeneous(d) for p in cls.values.values())
-        add(ValidationEntry(vid, "homogeneous", ok1, f"every value homogeneous of degree {d} or zero"))
-        zero = {w: p.is_zero() for w, p in cls.values.items()}
-        ok2 = all(zero[w.id] for w in graph.vertices if w.cell_dim < dim)
-        add(ValidationEntry(vid, "vanish_below", ok2, "zero on lower-dimensional vertices"))
-        ok3 = all(zero[w.id] for w in graph.vertices if w.cell_dim == dim and w.id != vid)
-        add(ValidationEntry(vid, "vanish_beside", ok3, "zero on other vertices of equal dimension"))
-        ok4 = cls.values[vid] == _down_weight_product(graph, vid)
-        add(ValidationEntry(vid, "diagonal_value", ok4, "f_v(v) is the product of down-edge weights"))
-        okg = bool(is_gkm_class(graph, cls))
-        add(ValidationEntry(vid, "gkm_membership", okg, "divisibility across every edge"))
+        okg = bool(is_gkm_class(basis.graph, cls))
+        rep.entries += _generator_checks(basis.graph, vid, cls)
+        rep.entries.append(ValidationEntry(vid, "gkm_membership", okg, "divisibility across every edge"))
     return rep
 
 

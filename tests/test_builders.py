@@ -31,11 +31,11 @@ from gkmcalc.coxeter import (
     generic_dominant_vector,
     marks,
     reflect,
-    word_matrix,
 )
 from gkmcalc.errors import UnsupportedTypeError
 from gkmcalc.graph import GkmGraph, Vertex, skeleton, validate
 from gkmcalc.polyring import Weight
+from test_coxeter import word_matrix
 
 PRESET_NAMES = ("A1-flag", "A2-flag", "B2-flag", "omega-su2", "omega-su3", "A1-4-twisted")
 

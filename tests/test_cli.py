@@ -7,6 +7,7 @@ import pytest
 
 from gkmcalc.cli import main
 from gkmcalc.graph import GkmGraph
+from gkmcalc.polyring import parse_polynomial
 
 
 def run(argv, capsys):
@@ -401,3 +402,27 @@ def test_multiply_basis_malformed_later_text_exit_code(tmp_path, capsys):
     code, out, err = run(["multiply", str(basis_path), "0", "0"], capsys)
     assert code == 4
     assert not out and "'3x1'" in err
+
+
+@pytest.mark.parametrize(
+    "edit, condition",
+    [("negated", "diagonal_value"), ("doubled", "diagonal_value"), ("below", "vanish_below")],
+)
+def test_multiply_basis_breaking_generator_conditions_exit_code(tmp_path, capsys, edit, condition):
+    graph_path = tmp_path / "b2.json"
+    basis_path = tmp_path / "basis.json"
+    assert run(["build", "B2-flag", "-o", str(graph_path)], capsys)[0] == 0
+    assert run(["generators", str(graph_path), "-o", str(basis_path)], capsys)[0] == 0
+    data = json.loads(basis_path.read_text())
+    values = data["generators"]["1-0-1-0"]
+    top = parse_polynomial(values["1-0-1-0"], 2)
+    if edit == "negated":
+        values["1-0-1-0"] = str(-top)
+    elif edit == "doubled":
+        values["1-0-1-0"] = str(2 * top)
+    else:
+        values["0-1-0"] = str(top)  # homogeneous, but below the generator
+    basis_path.write_text(json.dumps(data))
+    code, out, err = run(["multiply", str(basis_path), "1-0-1", "0"], capsys)
+    assert code == 4
+    assert not out and "generator '1-0-1-0'" in err and condition in err

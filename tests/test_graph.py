@@ -418,3 +418,16 @@ def test_cohclass_ring_ops_share_zero_values():
                 assert prod.values[v] is h.values[v] and total.values[v] is f.values[v]
     with pytest.raises(ValueError, match="different vertex sets"):
         gens[0] * gens[0].restrict(["e"])
+
+
+def test_cohclass_ring_ops_skip_the_homogeneity_scan(monkeypatch):
+    basis = canonical_generators(build_preset("B2-flag"), 4)
+    f, h = basis.generator("0"), basis.generator("1")
+    scans = []
+    scan = Polynomial.is_homogeneous
+    monkeypatch.setattr(Polynomial, "is_homogeneous", lambda p, d=None: scans.append(d) or scan(p, d))
+    assert (f + h).degree == 1 and (f * h).degree == 2 and (f * 3).degree == 1
+    assert f.restrict(["e", "0"]).degree == 1
+    assert not scans
+    CohClass(dict(f.values), 1)  # a class a caller makes is still checked
+    assert scans

@@ -224,8 +224,13 @@ def _tampered(vid, wid, edit):
 
 
 def test_tampered_cover_value_fails_the_certificate():
+    # power coefficients read f1 alone, so a tampered f_v(u) with v != v1
+    # leaves them as they were
     x1 = Polynomial.variable(0, 2)
     g, basis = _tampered("1-0", "0-1-0", lambda p: p + x1 * x1)
+    assert power_coefficient(g, basis, 3) == 6
+    # f1 moved off the line of the edge into u
+    g, basis = _tampered("0", "0-1-0", lambda p: p + x1)
     assert power_coefficient(g, basis, 2) == 2
     with pytest.raises(NotInSpanError) as err:
         power_coefficient(g, basis, 3)
@@ -233,8 +238,13 @@ def test_tampered_cover_value_fails_the_certificate():
 
 
 def test_non_integral_chain_constant_is_reported():
-    # doubling f_u(u) halves the chain constant 3 into u
-    g, basis = _tampered("0-1-0", "0-1-0", lambda p: 2 * p)
+    # halving the slope of f1 into u halves the chain constant 3 into u
+    g = build_preset("omega-su2", 4)
+    f1 = canonical_generators(g, 4).generator("0").values
+    _, basis = _tampered("0", "0-1-0", lambda p: (p + f1["1-0"]) * Fraction(1, 2))
     with pytest.raises(NonIntegralError) as err:
         power_coefficient(g, basis, 3)
     assert (err.value.vertex, err.value.witness) == ("0-1-0", Fraction(3, 2))
+    # a doubled f_u(u) no longer loads
+    with pytest.raises(ValueError, match="'0-1-0'.*diagonal_value"):
+        _tampered("0-1-0", "0-1-0", lambda p: 2 * p)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkmcalc import polyring, solver
-from gkmcalc.builders import TWISTED_A1_4, affine_type_a, build_flag_graph, build_preset, type_a
+from gkmcalc.builders import PRESETS, TWISTED_A1_4, affine_type_a, build_flag_graph, build_preset, type_a
 from gkmcalc.coxeter import GCM
 from gkmcalc.errors import (
     NoSolutionError,
@@ -474,6 +474,61 @@ def test_recursion_matches_lifting(case):
     if not validate(g).ok:
         return
     assert _outcome(lambda: canonical_generators(g, degree)) == _outcome(lambda: _lifted(g, degree, mode))
+
+
+def _three_remainder_constant(graph, vid, edge):
+    """The reference cover constant: ``k`` with ``k * P == f_v(v) (mod
+    beta)``, ``P = f_u(u) / beta``, read at one monomial of the remainders
+    of ``P`` and ``f_v(v)`` by ``beta``."""
+    u, beta = edge.other(vid), edge.weight
+    p = polyring._divmod_weight(solver._down_weight_product(graph, u).terms, beta)[0]
+    rp = polyring._divmod_weight(p, beta)[1]
+    e0 = next(iter(rp))
+    return Fraction(polyring._divmod_weight(solver._down_weight_product(graph, vid).terms, beta)[1].get(e0, 0), rp[e0])
+
+
+def _covers(graph):
+    """``(v, edge)`` for every edge from ``v`` up to a cover."""
+    dims = {v.id: v.cell_dim for v in graph.vertices}
+    return [(e.u, e) for e in graph.edges if dims[e.v] == dims[e.u] + 2]
+
+
+def test_cover_constant_matches_three_remainders_on_presets():
+    for name in sorted(PRESETS):
+        g = build_preset(name)
+        for vid, e in _covers(g):
+            assert solver._cover_constant(g, vid, e) == _three_remainder_constant(g, vid, e), (name, vid, e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_flag_cases().filter(lambda case: case[0].n == 3))
+def test_cover_constant_matches_three_remainders_on_rank3_flags(case):
+    gcm, parabolic, degree, mode = case
+    g = build_flag_graph(gcm, parabolic, degree, mode=mode, embed=False)
+    if not validate(g).ok:
+        return
+    for vid, e in _covers(g):
+        assert solver._cover_constant(g, vid, e) == _three_remainder_constant(g, vid, e)
+
+
+def test_cover_constant_refuses_parallel_down_weights():
+    # the down-weights x1 and 2*x1 at u are parallel, so no point of the
+    # hyperplane x1 = 0 separates them
+    g = GkmGraph(
+        2,
+        "Q",
+        [Vertex("e", 0), Vertex("a", 2), Vertex("b", 2), Vertex("u", 4)],
+        [
+            Edge("e", "a", Weight((1, 1))),
+            Edge("e", "b", Weight((1, -1))),
+            Edge("a", "u", Weight((1, 0))),
+            Edge("b", "u", Weight((2, 0))),
+        ],
+    )
+    assert not validate(g).ok
+    edge = next(e for e in g.edges_at("a") if e.other("a") == "u")
+    with pytest.raises(ValueError, match="'u'"):
+        solver._cover_constant(g, "a", edge)
 
 
 def _position_graph(positions, down, mode="Q"):

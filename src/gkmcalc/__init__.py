@@ -15,7 +15,6 @@ from .builders import (
     build_flag_graph,
     build_omega_k,
     build_preset,
-    build_twisted_example,
     moment_embedding,
 )
 from .solver import GeneratorBasis, canonical_generators, expand_in_basis, verify_generator_conditions

@@ -55,7 +55,6 @@ __all__ = [
     "TWISTED_A1_4",
     "build_flag_graph",
     "build_omega_k",
-    "build_twisted_example",
     "build_chain_graph",
     "moment_embedding",
     "build_preset",
@@ -270,12 +269,6 @@ def build_omega_k(type_name: str, degree: int, mode: str = "Z") -> GkmGraph:
     gcm = affine_type_a(n - 1)
     J = frozenset(range(1, n))
     return build_flag_graph(gcm, J, degree, mode=mode)
-
-
-def build_twisted_example(degree: int, mode: str = "Z") -> GkmGraph:
-    """The homogeneous space of the twisted affine matrix [[2,-1],[-4,2]]
-    with the short-root node as parabolic."""
-    return build_flag_graph(TWISTED_A1_4, frozenset({1}), degree, mode=mode)
 
 
 def build_chain_graph(weights, mode: str = "Q", rank: int | None = None) -> GkmGraph:

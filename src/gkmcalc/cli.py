@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 1 validation (or membership) failure; 2 unsolvable
 or non-expandable systems; 3 non-integral results in Z-mode; 4 I/O, parse
-or invalid-input errors, command-line usage errors included.  A graph
+or invalid-input errors, command-line usage errors and a graph or basis
+cut below the requested degree included.  A graph
 argument of ``-`` (or omitted where allowed) reads JSON from stdin, so
 subcommands compose in a pipeline::
 
@@ -19,6 +20,7 @@ import sys
 from . import builders, oracle, render, ring_ops
 from .coxeter import GCM
 from .errors import (
+    CutoffTooSmallError,
     GkmError,
     InvalidParabolicError,
     NoSolutionError,
@@ -29,9 +31,9 @@ from .errors import (
     UnsupportedTypeError,
     ValidationFailureError,
 )
-from .graph import CohClass, GkmGraph, is_gkm_class, validate
-from .polyring import Polynomial, Weight
-from .solver import GeneratorBasis, canonical_generators
+from .graph import CohClass, GkmGraph, _count, is_gkm_class, validate
+from .polyring import Polynomial, Weight, monomials
+from .solver import GeneratorBasis, canonical_generators, expand_in_basis
 
 __all__ = ["main"]
 
@@ -112,9 +114,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_generators(args) -> int:
     graph = _load_graph(args.graph)
-    degree = args.degree if args.degree is not None else max(
-        (v.cell_dim // 2 for v in graph.vertices), default=0
-    )
+    top = max((v.cell_dim // 2 for v in graph.vertices), default=0)
+    degree = args.degree if args.degree is not None else top
     basis = canonical_generators(graph, degree, mode=args.mode)
     _write_text(args.output, basis.dumps())
     return 0
@@ -134,8 +135,6 @@ def _cmd_check(args) -> int:
 
 def _cmd_multiply(args) -> int:
     basis = GeneratorBasis.from_dict(json.loads(_read_text(args.basis)))
-    from .solver import expand_in_basis
-
     product = basis.generator(args.v) * basis.generator(args.w)
     coeffs = expand_in_basis(product, basis)
     if args.json:
@@ -151,9 +150,8 @@ def _cmd_multiply(args) -> int:
 
 def _cmd_poincare(args) -> int:
     graph = _load_graph(args.graph)
-    degree = args.degree if args.degree is not None else max(
-        (v.cell_dim // 2 for v in graph.vertices), default=0
-    )
+    top = max((v.cell_dim // 2 for v in graph.vertices), default=0)
+    degree = args.degree if args.degree is not None else top
     ranks = ring_ops.poincare_series(graph, degree)
     if args.json:
         print(json.dumps({"ranks": ranks}))
@@ -212,7 +210,7 @@ def _cmd_oracle(args) -> int:
         graph = _load_graph(args.graph)
         degree = args.degree if args.degree is not None else 2
         ok = True
-        for d in range(degree + 1):
+        for d in range(_count(degree, "degree") + 1):
             got = len(oracle.brute_force_classes(graph, d))
             want = oracle.expected_gkm_dimension(graph, d)
             status = "ok" if got == want else "FAIL"
@@ -226,7 +224,7 @@ def _cmd_oracle(args) -> int:
         raise ValueError(f"s2n needs --rank >= 2, got {rank}")
     rng = random.Random(args.seed)
     failures = 0
-    for _ in range(args.trials):
+    for _ in range(_count(args.trials, "s2n --trials")):
         ws = _random_coprime_weights(rng, rank, rng.choice((2, 3)))
         beta = _random_poly(rng, rank, rng.randrange(0, 3))
         g = beta
@@ -241,8 +239,6 @@ def _cmd_oracle(args) -> int:
 
 
 def _random_poly(rng: random.Random, rank: int, degree: int) -> Polynomial:
-    from .polyring import monomials
-
     terms = {m: rng.randrange(-4, 5) for m in monomials(rank, degree)}
     p = Polynomial(rank, terms)
     if p.is_zero():
@@ -357,7 +353,7 @@ def main(argv=None) -> int:
         print(f"non-integral result: {err}", file=sys.stderr)
         return 3
     except (OSError, ValueError, KeyError, PolynomialParseError,
-            UnsupportedTypeError, InvalidParabolicError) as err:
+            UnsupportedTypeError, InvalidParabolicError, CutoffTooSmallError) as err:
         print(f"I/O, parse or input error: {err!r}", file=sys.stderr)
         return 4
     except GkmError as err:

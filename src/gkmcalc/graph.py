@@ -26,12 +26,13 @@ by the builders' positive-root convention.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .errors import MissingVertexValueError, NotDivisibleError
-from .polyring import Polynomial, Weight, _normalize_mode, divide_by_weight, pairwise_coprime
+from .polyring import Polynomial, Weight, _normalize_mode, divide_by_weight, pairwise_coprime, parse_polynomial
 
 __all__ = [
     "Vertex",
@@ -95,13 +96,43 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _count(value, what: str) -> int:
+    """A non-negative integer, checked as by ``_json_int``."""
+    if _json_int(value, what) < 0:
+        raise ValueError(f"{what} must be non-negative, got {value}")
+    return value
+
+
+def _json_of(kind: type, value, what: str):
+    """``value`` read from JSON, whose type must be exactly ``kind``
+    (``dict``, ``list`` or ``str``); nothing is coerced."""
+    if type(value) is not kind:
+        name = {dict: "an object", list: "a list", str: "a string"}[kind]
+        raise ValueError(f"{what} must be {name}, got {reprlib.repr(value)}")
+    return value
+
+
+def _json_values(values, rank: int, what: str, texts: dict[str, Polynomial]) -> dict[str, Polynomial]:
+    """A class's values read from JSON, an object of polynomial strings by
+    vertex id; each distinct text is parsed once, into ``texts``."""
+    if type(values) is not dict:
+        raise ValueError(f"{what} must map vertex ids to polynomial strings, got a {type(values).__name__}")
+    out = {}
+    for w, t in values.items():
+        if type(t) is not str:
+            raise ValueError(f"{what} has value {t!r} at vertex {w!r}, not a polynomial string")
+        p = texts.get(t)
+        if p is None:
+            p = texts[t] = parse_polynomial(t, rank)
+        out[w] = p
+    return out
+
+
 def _json_position(value, vid: str) -> tuple[Fraction, ...]:
     """A position read from JSON: a list of ints and strings that
     ``Fraction`` parses."""
-    if type(value) is not list:
-        raise ValueError(f"position of {vid!r} must be a list, got {value!r}")
     out = []
-    for p in value:
+    for p in _json_of(list, value, f"position of {vid!r}"):
         if type(p) is not int and type(p) is not str:
             raise ValueError(
                 f"position of {vid!r} has entry {p!r}; entries must be integers or strings like '3/2'"
@@ -284,36 +315,34 @@ class GkmGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GkmGraph":
-        rank = _json_int(data["rank"], "rank")
+        _json_of(dict, data, "a graph")
+        rank = _count(data["rank"], "rank")
         vs = []
-        for vd in data["vertices"]:
-            vid = str(vd["id"])
-            pos, label = vd.get("position"), vd.get("label")
-            if label is not None and type(label) is not str:
-                raise ValueError(f"label of {vid!r} must be a string, got {label!r}")
-            vs.append(
-                Vertex(
-                    vid,
-                    _json_int(vd["cell_dim"], f"cell_dim of {vid!r}"),
-                    _json_position(pos, vid) if pos is not None else None,
-                    label,
-                )
-            )
+        for vd in _json_of(list, data["vertices"], "graph vertices"):
+            if type(vd) is not dict or type(vd.get("id")) is not str:
+                raise ValueError(f"a vertex must be an object with a string id, got {reprlib.repr(vd)}")
+            vid, pos, label = vd["id"], vd.get("position"), vd.get("label")
+            if label is not None:
+                _json_of(str, label, f"label of {vid!r}")
+            cell_dim = _json_int(vd["cell_dim"], f"cell_dim of {vid!r}")
+            vs.append(Vertex(vid, cell_dim, _json_position(pos, vid) if pos is not None else None, label))
         # one Weight per distinct label; entries are type-checked before the
         # lookup, since (True, 0) and (1.0, 0) equal (1, 0) as dict keys
         weights: dict[tuple[int, ...], Weight] = {}
         es = []
-        for ed in data["edges"]:
-            coeffs = ed["weight"]
+        for ed in _json_of(list, data["edges"], "graph edges"):
+            if type(ed) is not dict or type(ed.get("from")) is not str or type(ed.get("to")) is not str:
+                raise ValueError(f"an edge must be an object with string endpoints, got {reprlib.repr(ed)}")
+            u, v, coeffs = ed["from"], ed["to"], ed["weight"]
             if type(coeffs) is not list or set(map(type, coeffs)) != {int}:
                 raise ValueError(
-                    f"weight of edge ({ed['from']}, {ed['to']}) must be an integer vector, got {coeffs!r}"
+                    f"weight of edge ({u}, {v}) must be an integer vector, got {coeffs!r}"
                 )
             coeffs = tuple(coeffs)
             weight = weights.get(coeffs)
             if weight is None:
                 weight = weights[coeffs] = Weight(coeffs)
-            es.append(Edge(str(ed["from"]), str(ed["to"]), weight))
+            es.append(Edge(u, v, weight))
         return cls(rank, data.get("mode", "Z"), vs, es)
 
     @classmethod
@@ -410,12 +439,10 @@ class CohClass:
 
     @classmethod
     def from_dict(cls, data: dict, rank: int) -> "CohClass":
-        from .polyring import parse_polynomial
-
-        values = {
-            str(vid): parse_polynomial(text, rank) for vid, text in data["values"].items()
-        }
-        return cls(values, data.get("degree"))
+        degree = _json_of(dict, data, "a class").get("degree")
+        if degree is not None:
+            _json_int(degree, "class degree")
+        return cls(_json_values(data["values"], rank, "class", {}), degree)
 
 
 @dataclass(frozen=True)

@@ -21,16 +21,22 @@ arithmetic:
 
 Z-mode is a certificate layered on Q computation: the divisions are exact
 over the rationals and integrality of the result is checked afterwards.
+
+This module alone builds exponent vectors and normalizes coefficients.
+Other modules work on term dicts (``{exponents: coefficient}`` in normal
+form) through its kernels ``_add_product``, ``_add_multiple`` and
+``_divmod_weight``, read scalars through ``_quo`` and ``_linear_coeffs``
+and make constants through ``_constant_terms``.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, isqrt
+from operator import add
 
 from .errors import (
     NoSolutionError,
@@ -60,9 +66,50 @@ def _normal(c: Fraction) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
 
 
-def _normal_terms(terms: dict) -> dict:
-    """``terms`` without zero coefficients, integral ones as ``int``."""
-    return {e: c if type(c) is int else _normal(c) for e, c in terms.items() if c}
+def _quo(a, b) -> int | Fraction:
+    """The exact quotient ``a / b`` of ``int`` or ``Fraction`` scalars in
+    coefficient normal form (so ``_quo(a, 1)`` normalizes ``a``)."""
+    if type(a) is int and type(b) is int:
+        return a // b if a % b == 0 else Fraction(a, b)
+    return _normal(Fraction(a, b))
+
+
+def _add_multiple(acc: dict, terms: dict, c) -> None:
+    """``acc += c * terms`` in place, for a nonzero scalar ``c``.  Like
+    ``_add_product``, it keeps ``acc`` in normal form and ``terms`` as is."""
+    for x, a in terms.items():
+        s = acc.get(x, 0) + c * a
+        if s:
+            acc[x] = s if type(s) is int else _normal(s)
+        else:
+            del acc[x]  # c * a != 0, so x was present
+
+
+def _add_product(acc: dict, a: dict, b: dict, c=1) -> None:
+    """``acc += c * a * b`` in place, the one multiply-accumulate loop; fastest with the smaller ``b``."""
+    get = acc.get
+    for e2, c2 in b.items():
+        c2 *= c
+        for e1, c1 in a.items():
+            e = tuple(map(add, e1, e2))
+            s = get(e, 0) + c1 * c2
+            if s:
+                acc[e] = s if type(s) is int else _normal(s)
+            else:
+                del acc[e]  # c1 * c2 != 0, so e was present
+
+
+def _constant_terms(c, rank: int) -> dict:
+    """The term dict of the nonzero constant ``c``."""
+    return {(0,) * rank: c}
+
+
+def _linear_coeffs(terms: dict, rank: int) -> list:
+    """The coefficient vector of a linear form given by its term dict."""
+    out = [0] * rank
+    for e, c in terms.items():
+        out[e.index(1)] = c
+    return out
 
 
 def _coeff(c) -> int | Fraction:
@@ -106,9 +153,9 @@ class Weight:
     Weights are the degree-2 equivariant classes that label graph edges.
     The zero form is representable (so that arithmetic stays total) but is
     rejected by every operation that uses a weight as a divisor.  Its line
-    -- content and primitive direction -- is computed on first use and
-    cached on the instance; equality, hashing and ``repr`` see only
-    ``coeffs``.
+    -- content and primitive direction -- and its polynomial are computed
+    on first use and cached on the instance (the polynomial is shared, as
+    it is immutable); equality, hashing and ``repr`` see only ``coeffs``.
 
     >>> str(Weight((1, -2)))
     'x1 - 2*x2'
@@ -163,13 +210,12 @@ class Weight:
         return True
 
     def to_polynomial(self) -> "Polynomial":
-        terms = {}
-        for i, c in enumerate(self.coeffs):
-            if c:
-                e = [0] * len(self.coeffs)
-                e[i] = 1
-                terms[tuple(e)] = c
-        return Polynomial._make(len(self.coeffs), terms)
+        p = self.__dict__.get("_polynomial")  # cached as by cached_property, without its lock
+        if p is None:
+            n = len(self.coeffs)
+            terms = {(0,) * i + (1,) + (0,) * (n - i - 1): c for i, c in enumerate(self.coeffs) if c}
+            p = self.__dict__["_polynomial"] = Polynomial._make(n, terms)
+        return p
 
     def __str__(self) -> str:
         return str(self.to_polynomial())
@@ -245,9 +291,7 @@ class Polynomial:
     def variable(cls, index: int, nvars: int) -> "Polynomial":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
-        e = [0] * nvars
-        e[index] = 1
-        return cls(nvars, {tuple(e): 1})
+        return cls(nvars, {(0,) * index + (1,) + (0,) * (nvars - index - 1): 1})
 
     # -- structure --------------------------------------------------------
 
@@ -290,21 +334,16 @@ class Polynomial:
             raise ValueError("polynomials live in different rings")
         return other
 
-    def _combine(self, other, op) -> "Polynomial":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = op(out.get(e, 0), c)
-            if not s:
-                del out[e]  # c != 0, so e was present
-            else:
-                out[e] = s if type(s) is int else _normal(s)
-        return Polynomial._make(self.nvars, out)
-
-    def __add__(self, other):
+    def _combine(self, other, sign) -> "Polynomial":
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        return self._combine(other, operator.add)
+        out = dict(self.terms)
+        _add_multiple(out, other.terms, sign)
+        return Polynomial._make(self.nvars, out)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -312,34 +351,25 @@ class Polynomial:
         return Polynomial._make(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return self._combine(other, operator.sub)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        out: dict[tuple[int, ...], int | Fraction] = {}
         if type(other) is not Polynomial:  # the common case skips both tests
             if isinstance(other, (int, Fraction)):
-                c = _coeff(other)
-                if c == 0:
-                    return Polynomial.zero(self.nvars)
-                scaled = {e: c * v for e, v in self.terms.items()}
-                return Polynomial._make(self.nvars, _normal_terms(scaled))
+                if other:
+                    _add_multiple(out, self.terms, _coeff(other))
+                return Polynomial._make(self.nvars, out)
             other = self._operand(other)
             if other is None:
                 return NotImplemented
         elif self.nvars != other.nvars:
             raise ValueError("polynomials live in different rings")
-        out: dict[tuple[int, ...], int | Fraction] = {}
-        add = operator.add
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return Polynomial._make(self.nvars, _normal_terms(out))
+        _add_product(out, self.terms, other.terms)
+        return Polynomial._make(self.nvars, out)
 
     __rmul__ = __mul__
 

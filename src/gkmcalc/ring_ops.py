@@ -15,8 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import CutoffTooSmallError, NonIntegralError, NotInSpanError
-from .graph import GkmGraph
-from .polyring import Polynomial, _normal
+from .graph import GkmGraph, _count
+from .polyring import Polynomial, _linear_coeffs, _quo
 from .solver import GeneratorBasis, _cover_constant
 
 __all__ = [
@@ -31,8 +31,9 @@ def poincare_series(graph: GkmGraph, degree: int) -> list[int]:
 
     Entry ``d`` counts the vertices of cell dimension ``2d`` (one
     generator per cell); all odd cohomological degrees have rank zero.
+    A negative ``degree`` raises :class:`ValueError`.
     """
-    ranks = [0] * (degree + 1)
+    ranks = [0] * (_count(degree, "degree") + 1)
     for v in graph.vertices:
         d = v.cell_dim // 2
         if d <= degree:
@@ -82,19 +83,16 @@ def power_coefficient(graph: GkmGraph, basis: GeneratorBasis, n: int) -> int | F
     if n < 1:
         raise ValueError("power must be >= 1")
     if basis.degree < n:
-        raise CutoffTooSmallError(
-            f"basis degree {basis.degree} is below the requested power {n}"
-        )
+        raise CutoffTooSmallError(f"basis degree {basis.degree} is below the requested power {n}")
     v1 = _unique_vertex_of_dim(graph, 2)
     vn = _unique_vertex_of_dim(graph, 2 * n)
-    units = [(0,) * i + (1,) + (0,) * (graph.rank - i - 1) for i in range(graph.rank)]
     f1 = basis.generator(v1).values
     chain, vec = {v1: 1}, {}  # the nonzero A[v], level by level; f1 as vectors
     for w in graph.vertices:
         if w.cell_dim > 2 * n:
             break
         u, a = w.id, 0
-        fu = vec[u] = [f1[u].terms.get(x, 0) for x in units]
+        fu = vec[u] = _linear_coeffs(f1[u].terms, graph.rank)
         for e in graph.down_edges(u):
             v = e.other(u)
             if v not in chain or graph.vertex(v).cell_dim != w.cell_dim - 2:
@@ -108,8 +106,7 @@ def power_coefficient(graph: GkmGraph, basis: GeneratorBasis, n: int) -> int | F
                     vertex=u,
                     edge=e,
                 )
-            t = diff[j] // beta[j] if diff[j] % beta[j] == 0 else Fraction(diff[j], beta[j])
-            c = _normal(t * _cover_constant(graph, v, e))
+            c = _quo(diff[j] * _cover_constant(graph, v, e), beta[j])
             if basis.mode == "Z" and type(c) is not int:
                 raise NonIntegralError(
                     f"chain constant from {v!r} to {u!r} is not integral: {c}",
@@ -119,4 +116,4 @@ def power_coefficient(graph: GkmGraph, basis: GeneratorBasis, n: int) -> int | F
             a += chain[v] * c
         if a:
             chain[u] = a
-    return _normal(chain.get(vn, 0))
+    return _quo(chain.get(vn, 0), 1)

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
 from math import lcm, prod
-from operator import add, mul
+from operator import mul
 
 from .errors import (
     NoSolutionError,
@@ -71,19 +71,24 @@ from .graph import (
     GkmGraph,
     ValidationEntry,
     ValidationReport,
-    _json_int,
+    _count,
+    _json_of,
     _json_text,
+    _json_values,
     is_gkm_class,
     validate,
 )
 from .polyring import (
     Polynomial,
     Weight,
+    _add_multiple,
+    _add_product,
+    _constant_terms,
     _divmod_weight,
-    _normal,
+    _linear_coeffs,
     _normalize_mode,
     _primes,
-    parse_polynomial,
+    _quo,
     solve_congruences,
 )
 
@@ -133,46 +138,28 @@ class GeneratorBasis:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorBasis":
-        graph = GkmGraph.from_dict(data["graph"])
-        degree = _check_degree(data["degree"])
+        graph = GkmGraph.from_dict(_json_of(dict, data, "a basis")["graph"])
+        degree = _count(data["degree"], "basis degree")
         mode = _normalize_mode(data.get("mode", graph.mode))
-        generators = data["generators"]
-        if type(generators) is not dict:
-            raise ValueError("basis generators must be an object of generators")
+        generators = _json_of(dict, data["generators"], "basis generators")
         if set(generators) != {v.id for v in graph.vertices if v.cell_dim <= 2 * degree}:
             raise ValueError(f"basis generators must be the vertices of cell dim <= {2 * degree}")
-        vertex_ids = set(graph.vertex_ids)
         # one immutable Polynomial per distinct text; most values are "0"
         polys: dict[str, Polynomial] = {}
         gens = {}
         for vid, values in generators.items():
-            if type(values) is not dict:
-                raise ValueError(
-                    f"generator {vid!r} must map vertex ids to polynomial strings, got a {type(values).__name__}"
-                )
-            bad = next((w for w, t in values.items() if type(t) is not str), None)
-            if bad is not None:
-                raise ValueError(
-                    f"generator {vid!r} has value {values[bad]!r} at vertex {bad!r}, not a polynomial string"
-                )
-            stray = set(values) - vertex_ids
+            values = _json_values(values, graph.rank, f"generator {vid!r}", polys)
+            stray = values.keys() - graph.vertex_ids
             if stray:
-                raise ValueError(
-                    f"generator {vid!r} has a value at {min(stray)!r}, which is not a vertex"
-                )
+                raise ValueError(f"generator {vid!r} has a value at {min(stray)!r}, which is not a vertex")
             missing = next((w for w in graph.vertex_ids if w not in values), None)
             if missing is not None:
                 raise ValueError(f"generator {vid!r} has no value at vertex {missing!r}")
-            parsed = {}
-            for w, t in values.items():
-                p = polys.get(t)
-                if p is None:
-                    p = polys[t] = parse_polynomial(t, graph.rank)
-                parsed[w] = p
-            gens[vid] = CohClass(parsed, graph.vertex(vid).cell_dim // 2)
-            bad = [c for c in _generator_checks(graph, vid, gens[vid]) if not c.ok]
+            # degree None: _generator_checks tests homogeneity and names vid
+            bad = [c for c in _generator_checks(graph, vid, CohClass._make(values, None)) if not c.ok]
             if bad:
                 raise ValueError(f"generator {vid!r} breaks condition {bad[0].check} ({bad[0].detail})")
+            gens[vid] = CohClass._make(values, graph.vertex(vid).cell_dim // 2)
         return cls(graph, degree, mode, gens)
 
     @classmethod
@@ -181,25 +168,13 @@ class GeneratorBasis:
             return cls.from_dict(json.load(fh))
 
 
-def _check_degree(degree) -> int:
-    if _json_int(degree, "basis degree") < 0:
-        raise ValueError(f"basis degree must be non-negative, got {degree}")
-    return degree
-
-
 def _down_weight_product(graph: GkmGraph, vid: str) -> Polynomial:
-    """``f_vid(vid)``, the product of the down-edge weights at ``vid``,
-    multiplied out on one term dict."""
-    prod = {(0,) * graph.rank: 1}
+    """``f_vid(vid)``, the product of the down-edge weights at ``vid``."""
+    p = _constant_terms(1, graph.rank)
     for e in graph.down_edges(vid):
-        step: dict = {}
-        for i, w in enumerate(e.weight.coeffs):
-            if w:
-                for x, c in prod.items():
-                    t = x[:i] + (x[i] + 1,) + x[i + 1 :]
-                    step[t] = step.get(t, 0) + c * w
-        prod = {x: c for x, c in step.items() if c}
-    return Polynomial._make(graph.rank, prod)
+        p, q = {}, p
+        _add_product(p, q, e.weight.to_polynomial().terms)
+    return Polynomial._make(graph.rank, p)
 
 
 def canonical_generators(graph: GkmGraph, degree: int, mode: str | None = None) -> GeneratorBasis:
@@ -215,7 +190,7 @@ def canonical_generators(graph: GkmGraph, degree: int, mode: str | None = None) 
     some congruence system is unsolvable, and in Z-mode
     :class:`NonIntegralError` with the generator, witness vertex and value.
     """
-    _check_degree(degree)
+    _count(degree, "basis degree")
     mode = _normalize_mode(mode or graph.mode)
     report = validate(graph)
     if not report.ok:
@@ -271,9 +246,7 @@ def _moment_form(graph: GkmGraph, linear: dict[str, CohClass]) -> dict[str, tupl
     phi = {wid: [0] * graph.rank for wid in graph.vertex_ids}
     for lam, cls in zip(_primes(), linear.values()):
         for wid, p in cls.values.items():
-            row = phi[wid]
-            for e, c in p.terms.items():
-                row[e.index(1)] += lam * c
+            phi[wid] = [a + lam * c for a, c in zip(phi[wid], _linear_coeffs(p.terms, graph.rank))]
     den = lcm(*(c.denominator for row in phi.values() for c in row))
     return {wid: tuple(int(c * den) for c in row) for wid, row in phi.items()}
 
@@ -322,7 +295,7 @@ def _cover_constant(graph, vid, edge) -> int | Fraction:
         den = prod(sum(map(mul, a, point)) for a in others)
         if den:
             num = prod(sum(map(mul, a, point)) for a in alphas)
-            return num // den if num % den == 0 else Fraction(num, den)
+            return _quo(num, den)
     raise ValueError(f"down-edge weights at {u!r} are parallel: no cover constant from {vid!r}")
 
 
@@ -338,10 +311,10 @@ def _chevalley_generator(graph, mode, vid, phi, values, down) -> dict | None:
             continue
         k = _cover_constant(graph, vid, e)
         if k:
-            p = _divmod_weight(values[u][u], beta)[0]
-            fv[u] = {x: _normal(k * c) for x, c in p.items()}
+            fv[u] = {}
+            _add_multiple(fv[u], _divmod_weight(values[u][u], beta)[0], k)
         j = next(i for i, b in enumerate(beta.coeffs) if b)
-        c = Fraction(phi[u][j] - phi_v[j], beta.coeffs[j]) * k
+        c = _quo(phi[u][j] - phi_v[j], beta.coeffs[j]) * k
         if c:
             chev.append((values[u], c))
     den = lcm(*(c.denominator for _, c in chev))
@@ -362,7 +335,7 @@ def _chevalley_generator(graph, mode, vid, phi, values, down) -> dict | None:
                 if rem:
                     return None
                 if den != 1:
-                    q = {x: a // den if type(a) is int and a % den == 0 else _normal(Fraction(a, den)) for x, a in q.items()}
+                    q = {x: _quo(a, den) for x, a in q.items()}
                 fv[wid] = q
         value = fv.get(wid, {})
         if mode == "Z" and any(type(a) is not int for a in value.values()):
@@ -378,16 +351,6 @@ def _chevalley_generator(graph, mode, vid, phi, values, down) -> dict | None:
     return fv
 
 
-def _add_multiple(acc: dict, terms: dict, c) -> None:
-    """``acc += c * terms`` in place, on term dicts in normal form."""
-    for x, a in terms.items():
-        s = acc.get(x, 0) + c * a
-        if s:
-            acc[x] = s if type(s) is int else _normal(s)
-        else:
-            del acc[x]
-
-
 def _generator_checks(graph: GkmGraph, vid: str, cls: CohClass) -> list[ValidationEntry]:
     """Conditions 1-4 for ``cls`` as ``f_vid``, a failing entry naming the
     first vertex that breaks it; a class of degree ``d`` is not rescanned."""
@@ -396,7 +359,8 @@ def _generator_checks(graph: GkmGraph, vid: str, cls: CohClass) -> list[Validati
     near = [w for w in takewhile(lambda w: w.cell_dim <= dim, graph.vertices) if values[w.id].terms]
     first = [  # (check, condition, the first vertex breaking it or None)
         ("homogeneous", f"every value homogeneous of degree {d} or zero",
-         None if cls.degree == d else next((w for w, p in values.items() if not p.is_homogeneous(d)), None)),
+         None if cls.degree == d
+         else next((w for w, p in values.items() if p.terms and not p.is_homogeneous(d)), None)),
         ("vanish_below", "zero on lower-dimensional vertices",
          next((w.id for w in near if w.cell_dim < dim), None)),
         ("vanish_beside", "zero on other vertices of equal dimension",
@@ -441,7 +405,6 @@ def expand_in_basis(cls: CohClass, basis: GeneratorBasis) -> dict[str, Polynomia
     graph, nvars = basis.graph, basis.graph.rank
     residual = {vid: dict(cls.value(vid).terms) for vid in graph.vertex_ids}
     coeffs: dict[str, Polynomial] = {}
-    one = (0,) * nvars
     for vid in graph.vertex_ids:
         gen = basis.generators.get(vid)
         if gen is None:
@@ -452,10 +415,10 @@ def expand_in_basis(cls: CohClass, basis: GeneratorBasis) -> dict[str, Polynomia
             continue
         diag = gen.values[vid].terms
         e0 = next(iter(diag), None)
-        k = _normal(Fraction(c[e0], diag[e0])) if e0 in c else 0
+        k = _quo(c[e0], diag[e0]) if e0 in c else 0
         constant = k and c == {x: k * a for x, a in diag.items()}
         if constant:
-            c = {one: k}
+            c = _constant_terms(k, nvars)
         else:
             for e in graph.down_edges(vid):
                 c, rem = _divmod_weight(c, e.weight)
@@ -481,15 +444,8 @@ def expand_in_basis(cls: CohClass, basis: GeneratorBasis) -> dict[str, Polynomia
             res = residual[wid]
             if constant:
                 _add_multiple(res, value, -k)
-                continue
-            for e1, c1 in coeff.terms.items():
-                for e2, c2 in value.items():
-                    t = tuple(map(add, e1, e2))
-                    s = res.get(t, 0) - c1 * c2
-                    if not s:
-                        del res[t]  # c1 * c2 != 0, so t was present
-                    else:
-                        res[t] = s if type(s) is int else _normal(s)
+            else:
+                _add_product(res, value, coeff.terms, -1)
     for vid in graph.vertex_ids:
         if residual[vid]:
             raise NotInSpanError(

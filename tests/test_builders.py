@@ -15,7 +15,6 @@ from gkmcalc.builders import (
     build_flag_graph,
     build_omega_k,
     build_preset,
-    build_twisted_example,
     coset_id,
     moment_embedding,
     type_a,
@@ -86,7 +85,7 @@ def test_omega_name_variants():
 
 
 def test_twisted_one_vertex_per_length():
-    g = build_twisted_example(4)
+    g = build_preset("A1-4-twisted", 4)
     assert sorted(v.cell_dim for v in g.vertices) == [0, 2, 4, 6, 8]
     rep = validate(g)
     assert rep.ok  # Z-mode: includes primitivity of all edge labels
@@ -365,7 +364,7 @@ def test_unknown_preset():
 
 def test_twisted_gcm_kernel_orientation():
     # the short-root node carries mark 2, the delta node mark 1
-    g = build_twisted_example(2)
+    g = build_preset("A1-4-twisted", 2)
     assert g.rank == 2
     labels = {str(e.weight) for e in g.edges}
     assert "x1" in labels  # the finite simple root alpha_1

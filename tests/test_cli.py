@@ -106,6 +106,10 @@ def test_power_from_graph_file(tmp_path, capsys):
     code, out, _ = run(["power", str(path), "--n", "4"], capsys)
     assert code == 0
     assert out.strip() == "24"
+    # a graph cut below the power is invalid input, not a membership failure
+    code, out, err = run(["power", str(path), "--n", "6"], capsys)
+    assert code == 4
+    assert not out and "no vertex of cell dimension 12" in err
 
 
 def test_check_class(tmp_path, capsys):
@@ -134,11 +138,11 @@ def test_check_class_parse_error_exit_code(tmp_path, capsys):
     }
     gpath = tmp_path / "s2.json"
     gpath.write_text(json.dumps(graph))
-    for text in ("1/0", "3x1"):
+    for values in ({"n": "0", "s": "1/0"}, {"n": "0", "s": "3x1"}, [], {"n": 0, "s": "x1"}):
         cpath = tmp_path / "bad.json"
-        cpath.write_text(json.dumps({"values": {"n": "0", "s": text}}))
+        cpath.write_text(json.dumps({"values": values}))
         code, _, err = run(["check", str(gpath), str(cpath)], capsys)
-        assert code == 4, text
+        assert code == 4, values
         assert "Traceback" not in err
 
 
@@ -216,10 +220,13 @@ def test_non_integral_weight_exit_code(tmp_path, capsys):
     assert "overall" not in out and "must be an integer" in err
 
 
-def test_negative_degree_exit_code(capsys):
-    code, out, err = run(["build", "omega-su2", "--degree", "-1"], capsys)
-    assert code == 4
-    assert not out and "non-negative" in err
+def test_negative_degree_exit_code(tmp_path, capsys):
+    path = tmp_path / "om.json"
+    assert run(["build", "omega-su2", "--degree", "4", "-o", str(path)], capsys)[0] == 0
+    for argv in (["build", "omega-su2"], ["poincare", str(path)], ["oracle", "brute-rank", str(path)]):
+        code, out, err = run([*argv, "--degree", "-1"], capsys)
+        assert code == 4, argv
+        assert not out and "non-negative" in err, argv
 
 
 def test_s2n_rank_below_two_exit_code(capsys):
@@ -227,6 +234,9 @@ def test_s2n_rank_below_two_exit_code(capsys):
         code, out, err = run(["oracle", "s2n", "--rank", rank, "--trials", "1"], capsys)
         assert code == 4
         assert not out and "--rank >= 2" in err
+    code, out, err = run(["oracle", "s2n", "--trials", "-1"], capsys)
+    assert code == 4
+    assert not out and "--trials must be non-negative" in err
 
 
 def test_schubert_compare_affine_preset(capsys):
@@ -351,6 +361,13 @@ def test_multiply_basis_values_off_the_vertices_exit_code(tmp_path, capsys, edit
         ("zero-denominator", "position of"),
         ("weight-number", "weight of edge"),
         ("label-float", "label of"),
+        ("top-list", "a graph must be an object"),
+        ("vertices-number", "graph vertices must be a list"),
+        ("vertex-number", "a vertex must be an object"),
+        ("edge-number", "an edge must be an object with string endpoints"),
+        ("id-int", "a vertex must be an object with a string id, got {'cell_dim': 0, 'id': 3,"),
+        ("id-list", "a vertex must be an object with a string id, got {'cell_dim': 0, 'id': ['e'],"),
+        ("rank-negative", "rank must be non-negative"),
     ],
 )
 def test_validate_bad_graph_entries_exit_code(tmp_path, capsys, edit, where):
@@ -358,7 +375,19 @@ def test_validate_bad_graph_entries_exit_code(tmp_path, capsys, edit, where):
     assert run(["build", "B2-flag", "-o", str(path)], capsys)[0] == 0
     data = json.loads(path.read_text())
     vertex, edge = data["vertices"][1], data["edges"][0]
-    if edit == "weight-number":
+    # wrong-shaped JSON, and ids or a rank that must not be coerced
+    shapes = {
+        "top-list": [],
+        "vertices-number": {**data, "vertices": 5},
+        "vertex-number": {**data, "vertices": [5]},
+        "edge-number": {**data, "edges": [5]},
+        "id-int": {**data, "vertices": [{**data["vertices"][0], "id": 3}, *data["vertices"][1:]]},
+        "id-list": {**data, "vertices": [{**data["vertices"][0], "id": ["e"]}, *data["vertices"][1:]]},
+        "rank-negative": {**data, "rank": -1},
+    }
+    if edit in shapes:
+        data = shapes[edit]
+    elif edit == "weight-number":
         edge["weight"] = 5
         where += f" ({edge['from']}, {edge['to']})"
     elif edit == "label-float":
@@ -373,7 +402,7 @@ def test_validate_bad_graph_entries_exit_code(tmp_path, capsys, edit, where):
     assert not out and where in err
 
 
-@pytest.mark.parametrize("edit", ["list", "number"])
+@pytest.mark.parametrize("edit", ["list", "number", "basis-list", "graph-number"])
 def test_multiply_basis_values_not_strings_exit_code(tmp_path, capsys, edit):
     graph_path = tmp_path / "b2.json"
     basis_path = tmp_path / "basis.json"
@@ -382,12 +411,17 @@ def test_multiply_basis_values_not_strings_exit_code(tmp_path, capsys, edit):
     data = json.loads(basis_path.read_text())
     if edit == "list":
         data["generators"]["0"] = list(data["generators"]["0"])
-    else:
+    elif edit == "number":
         data["generators"]["0"]["e"] = 5
+    elif edit == "basis-list":
+        data = []
+    else:
+        data["graph"] = 5
     basis_path.write_text(json.dumps(data))
     code, out, err = run(["multiply", str(basis_path), "0", "0"], capsys)
     assert code == 4
-    assert not out and "generator '0'" in err
+    want = {"basis-list": "a basis must be an object", "graph-number": "a graph must be an object"}
+    assert not out and want.get(edit, "generator '0'") in err
 
 
 def test_multiply_basis_malformed_later_text_exit_code(tmp_path, capsys):
@@ -406,7 +440,12 @@ def test_multiply_basis_malformed_later_text_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "edit, condition",
-    [("negated", "diagonal_value"), ("doubled", "diagonal_value"), ("below", "vanish_below")],
+    [
+        ("negated", "diagonal_value"),
+        ("doubled", "diagonal_value"),
+        ("below", "vanish_below"),
+        ("inhomogeneous", "homogeneous"),
+    ],
 )
 def test_multiply_basis_breaking_generator_conditions_exit_code(tmp_path, capsys, edit, condition):
     graph_path = tmp_path / "b2.json"
@@ -420,6 +459,8 @@ def test_multiply_basis_breaking_generator_conditions_exit_code(tmp_path, capsys
         values["1-0-1-0"] = str(-top)
     elif edit == "doubled":
         values["1-0-1-0"] = str(2 * top)
+    elif edit == "inhomogeneous":
+        values["1-0-1-0"] = "x1^3*x2 + x1"
     else:
         values["0-1-0"] = str(top)  # homogeneous, but below the generator
     basis_path.write_text(json.dumps(data))

@@ -19,8 +19,12 @@ from gkmcalc.errors import (
 from gkmcalc.polyring import (
     Polynomial,
     Weight,
+    _add_multiple,
+    _add_product,
     _divmod_weight,
     _InconsistentSystem,
+    _linear_coeffs,
+    _quo,
     divide_by_weight,
     monomials,
     pairwise_coprime,
@@ -477,12 +481,16 @@ def _ref_mul(a, b):
     return _ref_clean(out)
 
 
-def _assert_normal(p, expected):
-    """No zero and no integral Fraction is stored, and p equals ``expected``."""
-    for c in p.terms.values():
+def _assert_normal_terms(terms, expected):
+    """No zero and no integral Fraction is stored, and ``terms`` equals ``expected``."""
+    for c in terms.values():
         assert c != 0
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
-    assert {e: Fraction(c) for e, c in p.terms.items()} == expected
+    assert {e: Fraction(c) for e, c in terms.items()} == expected
+
+
+def _assert_normal(p, expected):
+    _assert_normal_terms(p.terms, expected)
 
 
 _COEFF = st.one_of(
@@ -518,3 +526,64 @@ def test_coefficient_normal_form(case):
     rw = {tuple(int(i == j) for i in range(k)): Fraction(c) for j, c in enumerate(w) if c}
     _assert_normal(divide_by_weight(Polynomial(k, _ref_mul(ra, rw)), Weight(w)), ra)
     _assert_normal(parse_polynomial(str(p), k), ra)
+
+
+# -- term-dict kernels ---------------------------------------------------------
+# The references are the plain-dict helpers above; none goes through
+# Polynomial arithmetic, which runs on these kernels.
+
+
+def _normal_dict(terms):
+    """A Fraction-valued dict in coefficient normal form."""
+    return {e: c.numerator if c.denominator == 1 else c for e, c in _ref_clean(terms).items()}
+
+
+_SCALAR = st.sampled_from([1, -1, 3, Fraction(2, 3), Fraction(-5, 2)])
+
+
+@st.composite
+def _kernel_case(draw):
+    k = draw(st.integers(1, 4))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * k), _COEFF, max_size=5).map(_normal_dict)
+    a, b, c = draw(terms), draw(terms), draw(_SCALAR)
+    # acc may hold exactly -c*a*b or -c*a, so that every term cancels
+    cancel = draw(st.sampled_from([None, "product", "multiple"]))
+    acc = draw(terms)
+    if cancel == "product":
+        acc = _normal_dict({e: -c * v for e, v in _ref_mul(a, b).items()})
+    elif cancel == "multiple":
+        acc = _normal_dict({e: -c * v for e, v in _ref_clean(a).items()})
+    return acc, a, b, c
+
+
+@settings(deadline=None)
+@given(_kernel_case())
+def test_term_kernels_match_reference(case):
+    acc, a, b, c = case
+    ra, rb, racc = _ref_clean(a), _ref_clean(b), _ref_clean(acc)
+    a0, b0 = dict(a), dict(b)
+    product, multiple = dict(acc), dict(acc)
+    _add_product(product, a, b, c)
+    _assert_normal_terms(product, _ref_add(racc, {e: c * v for e, v in _ref_mul(ra, rb).items()}))
+    _add_multiple(multiple, a, c)
+    _assert_normal_terms(multiple, _ref_add(racc, {e: c * v for e, v in ra.items()}))
+    assert a == a0 and b == b0
+
+
+@given(_COEFF, _COEFF.filter(bool))
+@example(6, 3)
+@example(Fraction(3, 2), Fraction(1, 2))
+@example(-7, 2)
+def test_quo_is_exact_and_normal(a, b):
+    a0, b0 = a, b
+    q = _quo(a, b)
+    assert q == Fraction(a) / Fraction(b)
+    assert type(q) is int or (type(q) is Fraction and q.denominator != 1), repr(q)
+    assert (a, b) == (a0, b0) and type(a) is type(a0)
+
+
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(k), st.lists(_COEFF, min_size=k, max_size=k))))
+def test_linear_coeffs_reads_a_linear_form(case):
+    k, coeffs = case
+    terms = _normal_dict({tuple(int(i == j) for i in range(k)): Fraction(c) for j, c in enumerate(coeffs)})
+    assert [Fraction(c) for c in _linear_coeffs(terms, k)] == [Fraction(c) for c in coeffs]

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 
 from .coxeter import (
     GCM,
@@ -208,7 +209,11 @@ def build_flag_graph(
 
     ids = {vec: coset_id(rep.word) for rep, vec in reps}
     down = {(): ()}  # word -> its down-edges as (lower orbit vector, label root)
-    labels = {}  # label root -> its torus weight; affine labels repeat heavily
+    # memoised for this build: affine labels repeat heavily, and sibling
+    # and parent-to-child down-edge sets reflect the same vectors and roots
+    weight = cache(lambda beta: tb.weight(Root(beta)))
+    s_dual = [cache(partial(reflect_dual, gcm, i)) for i in range(gcm.n)]
+    s_root = [cache(partial(reflect, gcm, i)) for i in range(gcm.n)]
     vertices = []
     edges = []
     for rep, vec in reps:
@@ -219,14 +224,10 @@ def build_flag_graph(
             continue
         i = w[0]
         simple = tuple(1 if t == i else 0 for t in range(gcm.n))
-        down[w] = ((reflect_dual(gcm, i, vec), simple),) + tuple(
-            (reflect_dual(gcm, i, low), reflect(gcm, i, beta)) for low, beta in down[w[1:]]
+        down[w] = ((s_dual[i](vec), simple),) + tuple(
+            (s_dual[i](low), s_root[i](beta)) for low, beta in down[w[1:]]
         )
-        for low, beta in down[w]:
-            label = labels.get(beta)
-            if label is None:
-                label = labels[beta] = tb.weight(Root(beta))
-            edges.append(Edge(ids[low], uid, label))  # lower endpoint first
+        edges += [Edge(ids[low], uid, weight(beta)) for low, beta in down[w]]  # lower endpoint first
     return GkmGraph(gcm.n, mode, vertices, edges)
 
 

@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedTypeError,
     ValidationFailureError,
 )
-from .graph import CohClass, GkmGraph, _count, is_gkm_class, validate
+from .graph import CohClass, GkmGraph, _count, _same_vertices, is_gkm_class, validate
 from .polyring import Polynomial, Weight, monomials
 from .solver import GeneratorBasis, canonical_generators, expand_in_basis
 
@@ -124,6 +124,7 @@ def _cmd_generators(args) -> int:
 def _cmd_check(args) -> int:
     graph = _load_graph(args.graph)
     cls = CohClass.from_dict(json.loads(_read_text(args.cls)), graph.rank)
+    _same_vertices(graph, cls.values, "class")
     result = is_gkm_class(graph, cls)
     if result.ok:
         print("class: ok (divisible across every edge)")

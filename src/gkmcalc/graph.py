@@ -29,6 +29,7 @@ import json
 import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from .errors import MissingVertexValueError, NotDivisibleError
@@ -128,20 +129,46 @@ def _json_values(values, rank: int, what: str, texts: dict[str, Polynomial]) -> 
     return out
 
 
-def _json_position(value, vid: str) -> tuple[Fraction, ...]:
+def _same_vertices(graph: "GkmGraph", values: dict, what: str):
+    """Refuse ``values`` read from JSON unless its keys are exactly the
+    graph's vertex ids, naming the first stray or missing vertex."""
+    stray = values.keys() - graph.vertex_ids
+    if stray:
+        raise ValueError(f"{what} has a value at {min(stray)!r}, which is not a vertex")
+    missing = next((w for w in graph.vertex_ids if w not in values), None)
+    if missing is not None:
+        raise ValueError(f"{what} has no value at vertex {missing!r}")
+
+
+def _json_position(value, vid: str, fracs: dict) -> tuple[Fraction, ...]:
     """A position read from JSON: a list of ints and strings that
-    ``Fraction`` parses."""
+    ``Fraction`` parses.  Each distinct entry is parsed once, into
+    ``fracs``; its type is checked before the lookup, since ``True`` and
+    ``1.0`` equal ``1`` as dict keys."""
     out = []
     for p in _json_of(list, value, f"position of {vid!r}"):
         if type(p) is not int and type(p) is not str:
             raise ValueError(
                 f"position of {vid!r} has entry {p!r}; entries must be integers or strings like '3/2'"
             )
-        try:
-            out.append(Fraction(p))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"position of {vid!r} has entry {p!r}, which is not a rational") from None
+        f = fracs.get(p)
+        if f is None:
+            try:
+                f = fracs[p] = Fraction(p)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"position of {vid!r} has entry {p!r}, which is not a rational") from None
+        out.append(f)
     return tuple(out)
+
+
+def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """A JSON list (or, with ``brackets="{}"``, object) of already written
+    ``items`` at indentation ``pad``, laid out as ``json.dumps(indent=2)``
+    lays it out."""
+    if not items:
+        return brackets
+    inner = pad + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
 def _json_text(obj, pad: str = "") -> str:
@@ -152,19 +179,38 @@ def _json_text(obj, pad: str = "") -> str:
         return encode_basestring_ascii(obj)
     if kind is int:
         return int.__repr__(obj)
-    if kind is not dict and kind is not list:
-        raise TypeError(f"cannot write a {kind.__name__} as JSON")
-    if not obj:
-        return "{}" if kind is dict else "[]"
     inner = pad + "  "
     if kind is dict:
         items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in obj.items()]
-        start, end = "{", "}"
-    else:
-        items = [_json_text(v, inner) for v in obj]
-        start, end = "[", "]"
-    sep = ",\n" + inner
-    return f"{start}\n{inner}{sep.join(items)}\n{pad}{end}"
+        return _json_block(items, pad, "{}")
+    if kind is list:
+        return _json_block([_json_text(v, inner) for v in obj], pad)
+    raise TypeError(f"cannot write a {kind.__name__} as JSON")
+
+
+def _graph_text(graph: "GkmGraph", pad: str = "") -> str:
+    """``_json_text(graph.to_dict(), pad)``, written one vertex block and one
+    edge block at a time from the graph's own tuples; the text of each
+    distinct weight is formatted once."""
+    quote = encode_basestring_ascii
+    p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
+    verts = []
+    for v in graph.vertices:
+        fields = [f'"id": {quote(v.id)}', f'"cell_dim": {_json_text(v.cell_dim)}']
+        if v.position is not None:
+            fields.append('"position": ' + _json_block([f'"{p}"' for p in v.position], p3))
+        if v.label is not None:
+            fields.append(f'"label": {quote(v.label)}')
+        verts.append(_json_block(fields, p2, "{}"))
+    weight = cache(lambda coeffs: _json_block(list(map(int.__repr__, coeffs)), p3))
+    edges = [
+        f'{{\n{p3}"from": {quote(e.u)},\n{p3}"to": {quote(e.v)},\n{p3}"weight": {weight(e.weight.coeffs)}'
+        f"\n{p2}}}"
+        for e in graph.edges
+    ]
+    fields = [f'"rank": {_json_text(graph.rank)}', f'"mode": {quote(graph.mode)}']
+    fields += [f'"vertices": {_json_block(verts, p1)}', f'"edges": {_json_block(edges, p1)}']
+    return _json_block(fields, pad, "{}")
 
 
 def _vertex_key(v: Vertex) -> tuple[int, str]:
@@ -303,11 +349,11 @@ class GkmGraph:
         return {"rank": self._rank, "mode": self._mode, "vertices": verts, "edges": edges}
 
     def dumps(self) -> str:
-        """The JSON text, indented by two spaces.  Written by ``_json_text``
-        rather than ``json.dumps(indent=2)``: any indentation makes the
-        standard library fall back from its C encoder to the pure-Python one,
-        which costs more than the graph model's own work."""
-        return _json_text(self.to_dict()) + "\n"
+        """``json.dumps(self.to_dict(), indent=2)``, written by ``_graph_text``
+        straight from the vertex and edge tuples (indentation sends the
+        standard library to its slow pure-Python encoder).
+        ``GeneratorBasis.dumps`` writes its ``"graph"`` member with it too."""
+        return _graph_text(self) + "\n"
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -317,6 +363,7 @@ class GkmGraph:
     def from_dict(cls, data: dict) -> "GkmGraph":
         _json_of(dict, data, "a graph")
         rank = _count(data["rank"], "rank")
+        fracs: dict[int | str, Fraction] = {}
         vs = []
         for vd in _json_of(list, data["vertices"], "graph vertices"):
             if type(vd) is not dict or type(vd.get("id")) is not str:
@@ -325,7 +372,8 @@ class GkmGraph:
             if label is not None:
                 _json_of(str, label, f"label of {vid!r}")
             cell_dim = _json_int(vd["cell_dim"], f"cell_dim of {vid!r}")
-            vs.append(Vertex(vid, cell_dim, _json_position(pos, vid) if pos is not None else None, label))
+            position = _json_position(pos, vid, fracs) if pos is not None else None
+            vs.append(Vertex(vid, cell_dim, position, label))
         # one Weight per distinct label; entries are type-checked before the
         # lookup, since (True, 0) and (1.0, 0) equal (1, 0) as dict keys
         weights: dict[tuple[int, ...], Weight] = {}

@@ -144,13 +144,14 @@ def to_svg(graph: GkmGraph, basis=None, vertex: str | None = None) -> str:
         "orient=\"auto\"><path d=\"M0,0 L6,3 L0,6 z\"/></marker></defs>",
     ]
     screen = {vid: tx(p) for vid, p in pos.items()}
+    # each vertex's coordinates as line-start and line-end attribute text
+    ends = {
+        vid: (f'x1="{x:.2f}" y1="{y:.2f}"', f'x2="{x:.2f}" y2="{y:.2f}"') for vid, (x, y) in screen.items()
+    }
     for e, text in zip(graph.edges, _edge_labels(graph)):
         ax, ay = screen[e.u]
         bx, by = screen[e.v]
-        out.append(
-            f'<line x1="{ax:.2f}" y1="{ay:.2f}" x2="{bx:.2f}" y2="{by:.2f}" '
-            'stroke="gray" stroke-width="1"/>'
-        )
+        out.append(f'<line {ends[e.u][0]} {ends[e.v][1]} stroke="gray" stroke-width="1"/>')
         mx, my = (ax + bx) / 2, (ay + by) / 2
         out.append(f'<text x="{mx:.2f}" y="{my:.2f}" font-size="9" fill="gray">{text}</text>')
     arrow_len = 0.35 * s

@@ -72,9 +72,12 @@ from .graph import (
     ValidationEntry,
     ValidationReport,
     _count,
+    _graph_text,
+    _json_block,
     _json_of,
     _json_text,
     _json_values,
+    _same_vertices,
     is_gkm_class,
     validate,
 )
@@ -117,20 +120,28 @@ class GeneratorBasis:
     def items(self):
         return self.generators.items()
 
-    def to_dict(self) -> dict:
+    def _generators_dict(self) -> dict:
         gens = {}
         for vid in sorted(self.generators, key=lambda v: (self.graph.vertex(v).cell_dim, v)):
             cls = self.generators[vid]
             gens[vid] = {w: str(cls.values[w]) for w in self.graph.vertex_ids}
+        return gens
+
+    def to_dict(self) -> dict:
         return {
             "degree": self.degree,
             "mode": self.mode,
             "graph": self.graph.to_dict(),
-            "generators": gens,
+            "generators": self._generators_dict(),
         }
 
     def dumps(self) -> str:
-        return _json_text(self.to_dict()) + "\n"
+        """``to_dict()`` as ``json.dumps(indent=2)`` writes it; the graph
+        member comes from the graph writer of ``GkmGraph.dumps``."""
+        fields = [f'"degree": {_json_text(self.degree)}', f'"mode": {_json_text(self.mode)}']
+        fields.append(f'"graph": {_graph_text(self.graph, "  ")}')
+        fields.append(f'"generators": {_json_text(self._generators_dict(), "  ")}')
+        return _json_block(fields, "", "{}") + "\n"
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -149,12 +160,7 @@ class GeneratorBasis:
         gens = {}
         for vid, values in generators.items():
             values = _json_values(values, graph.rank, f"generator {vid!r}", polys)
-            stray = values.keys() - graph.vertex_ids
-            if stray:
-                raise ValueError(f"generator {vid!r} has a value at {min(stray)!r}, which is not a vertex")
-            missing = next((w for w in graph.vertex_ids if w not in values), None)
-            if missing is not None:
-                raise ValueError(f"generator {vid!r} has no value at vertex {missing!r}")
+            _same_vertices(graph, values, f"generator {vid!r}")
             # degree None: _generator_checks tests homogeneity and names vid
             bad = [c for c in _generator_checks(graph, vid, CohClass._make(values, None)) if not c.ok]
             if bad:

@@ -129,6 +129,26 @@ def test_check_class(tmp_path, capsys):
     assert run(["check", str(gpath), str(bad)], capsys)[0] == 1
 
 
+@pytest.mark.parametrize("edit", ["extra", "missing"])
+def test_check_class_values_off_the_vertices_exit_code(tmp_path, capsys, edit):
+    gpath = tmp_path / "b2.json"
+    assert run(["build", "B2-flag", "-o", str(gpath)], capsys)[0] == 0
+    values = {v["id"]: "0" for v in json.loads(gpath.read_text())["vertices"]}
+    cpath = tmp_path / "zero.json"
+    cpath.write_text(json.dumps({"values": values}))
+    assert run(["check", str(gpath), str(cpath)], capsys)[0] == 0
+    if edit == "extra":
+        values["zz"] = "x1"
+        where = "class has a value at 'zz', which is not a vertex"
+    else:
+        del values["1-0"]
+        where = "class has no value at vertex '1-0'"
+    cpath.write_text(json.dumps({"values": values}))
+    code, out, err = run(["check", str(gpath), str(cpath)], capsys)
+    assert code == 4
+    assert not out and where in err
+
+
 def test_check_class_parse_error_exit_code(tmp_path, capsys):
     graph = {
         "rank": 2,
@@ -368,6 +388,12 @@ def test_multiply_basis_values_off_the_vertices_exit_code(tmp_path, capsys, edit
         ("id-int", "a vertex must be an object with a string id, got {'cell_dim': 0, 'id': 3,"),
         ("id-list", "a vertex must be an object with a string id, got {'cell_dim': 0, 'id': ['e'],"),
         ("rank-negative", "rank must be non-negative"),
+        # bad entries after good ones the reader has parsed and kept
+        ("late-bool", "position of"),
+        ("late-float", "position of"),
+        ("late-zero-denominator", "position of"),
+        ("int-then-bool", "position of"),
+        ("half-then-float", "position of"),
     ],
 )
 def test_validate_bad_graph_entries_exit_code(tmp_path, capsys, edit, where):
@@ -393,6 +419,15 @@ def test_validate_bad_graph_entries_exit_code(tmp_path, capsys, edit, where):
     elif edit == "label-float":
         vertex["label"] = 1.5
         where += f" '{vertex['id']}'"
+    elif edit.startswith("late-"):
+        last = data["vertices"][-1]
+        last["position"][-1] = {"bool": True, "float": 1.5, "zero-denominator": "1/0"}[edit[5:]]
+        where += f" '{last['id']}'"
+    elif edit in ("int-then-bool", "half-then-float"):
+        after = data["vertices"][2]
+        first, then = {"int-then-bool": (1, True), "half-then-float": ("1/2", 1.5)}[edit]
+        vertex["position"][0], after["position"][0] = first, then
+        where += f" '{after['id']}'"
     else:
         vertex["position"][0] = {"float": 0.1, "bool": True, "zero-denominator": "1/0"}[edit]
         where += f" '{vertex['id']}'"

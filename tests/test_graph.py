@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkmcalc.builders import affine_type_a, build_flag_graph, build_preset, type_a
@@ -383,6 +383,40 @@ def test_json_text_matches_json_dumps(value):
 def test_json_text_rejects_other_types(value):
     with pytest.raises(TypeError):
         _json_text(value)
+
+
+@st.composite
+def _graphs(draw):
+    """Graphs of torus rank 0-3 with any text as ids and labels, and
+    ``Fraction`` positions on some vertices."""
+    rank = draw(st.integers(0, 3))
+    ids = draw(st.lists(_TEXT, unique=True, max_size=6))
+    vertices = [
+        Vertex(
+            vid,
+            draw(st.integers(0, 8)),
+            draw(st.none() | st.tuples(*[st.fractions()] * rank)),
+            draw(st.none() | _TEXT),
+        )
+        for vid in ids
+    ]
+    edges = []
+    if rank and len(ids) > 1:
+        weights = st.tuples(*[st.integers(-(10**20), 10**20)] * rank).filter(any)
+        for _ in range(draw(st.integers(0, 8))):
+            u, v = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True))
+            edges.append(Edge(u, v, Weight(draw(weights))))
+    return GkmGraph(rank, draw(st.sampled_from(["Z", "Q"])), vertices, edges)
+
+
+@settings(deadline=None)
+@given(_graphs())
+@example(GkmGraph(0, "Z", [], []))
+@example(GkmGraph(2, "Q", [Vertex('"q"\\', 0, (Fraction(-3, 2), 0), "é\n😀")], []))
+def test_graph_dumps_matches_json_dumps(g):
+    text = g.dumps()
+    assert text == json.dumps(g.to_dict(), indent=2) + "\n"
+    assert GkmGraph.loads(text) == g
 
 
 def test_cohclass_homogeneity_enforced():

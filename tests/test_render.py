@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gkmcalc.builders import affine_type_a, build_flag_graph, build_preset, type_a
+from gkmcalc.builders import affine_type_a, build_chain_graph, build_flag_graph, build_preset, type_a
 from gkmcalc.coxeter import GCM
 from gkmcalc.errors import NotFactorableError
 from gkmcalc.graph import Edge, GkmGraph, Vertex
@@ -116,18 +116,42 @@ def _digest(text):
 
 
 # First 16 hex digits of sha256 of to_svg and to_dot for Z-mode builds with
-# the default embedding.
+# the default embedding, and for graphs without positions (the hyperbolic
+# build, unembedded builds and a chain), drawn on the layered layout.
 RENDER_HASHES = {
-    "omega-su2-30": (affine_type_a(1), (1,), 30, "5773e305d9796675", "5b025bced9f5ec76"),
-    "hyperbolic-9": (GCM(((2, -3), (-3, 2))), (), 9, "d466ac412f7c825b", "1c6f63ce148c9640"),
-    "A3-flag-6": (type_a(3), (), 6, "d8c6127aea1575e4", "1cde630d6fb83441"),
+    "omega-su2-30": (
+        lambda: build_flag_graph(affine_type_a(1), (1,), 30),
+        "5773e305d9796675",
+        "5b025bced9f5ec76",
+    ),
+    "hyperbolic-9": (
+        lambda: build_flag_graph(GCM(((2, -3), (-3, 2))), (), 9),
+        "d466ac412f7c825b",
+        "1c6f63ce148c9640",
+    ),
+    "A3-flag-6": (lambda: build_flag_graph(type_a(3), (), 6), "d8c6127aea1575e4", "1cde630d6fb83441"),
+    "A3-flag-6-unembedded": (
+        lambda: build_flag_graph(type_a(3), (), 6, embed=False),
+        "1155e9145e019d1f",
+        "4d84356350547164",
+    ),
+    "omega-su2-12-unembedded": (
+        lambda: build_flag_graph(affine_type_a(1), (1,), 12, embed=False),
+        "53964914b4d4fee2",
+        "fd0c1418f0ec9fa0",
+    ),
+    "chain": (
+        lambda: build_chain_graph([(1, 0), (1, 1), (0, 1), (2, -1)]),
+        "1ed0d802f5a81ac3",
+        "6faba2b46a24eb71",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(RENDER_HASHES))
 def test_render_output_is_pinned(case):
-    gcm, parabolic, degree, svg, dot = RENDER_HASHES[case]
-    g = build_flag_graph(gcm, parabolic, degree)
+    make, svg, dot = RENDER_HASHES[case]
+    g = make()
     assert _digest(to_svg(g)) == svg
     assert _digest(to_dot(g)) == dot
 

@@ -428,8 +428,10 @@ BASIS_HASHES = {
 @pytest.mark.parametrize("case", sorted(BASIS_HASHES))
 def test_basis_output_is_pinned(case):
     gcm, parabolic, size, degree, digest = BASIS_HASHES[case]
-    text = canonical_generators(build_flag_graph(gcm, parabolic, size), degree).dumps()
+    basis = canonical_generators(build_flag_graph(gcm, parabolic, size), degree)
+    text = basis.dumps()
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    assert text == json.dumps(basis.to_dict(), indent=2) + "\n"
     assert GeneratorBasis.from_dict(json.loads(text)).dumps() == text
 
 

@@ -27,6 +27,15 @@ Other modules work on term dicts (``{exponents: coefficient}`` in normal
 form) through its kernels ``_add_product``, ``_add_multiple`` and
 ``_divmod_weight``, read scalars through ``_quo`` and ``_linear_coeffs``
 and make constants through ``_constant_terms``.
+
+Exponent vectors are interned: one process-wide table maps each vector to
+one canonical tuple, so equal vectors are one object.  ``_add_product``
+and ``_divmod_weight`` read ``e + d`` from the row of the shift ``d`` (a
+factor's vector, or ``-e_j`` and ``+e_i`` in a division) and compute a
+vector only on a row's first miss, and ``parse_polynomial``,
+``_constant_terms`` and ``Weight.to_polynomial`` intern the vectors they
+make.  The tables grow only with the distinct ``(d, e)`` pairs a process
+computes with and are never emptied.
 """
 
 from __future__ import annotations
@@ -85,13 +94,50 @@ def _add_multiple(acc: dict, terms: dict, c) -> None:
             del acc[x]  # c * a != 0, so x was present
 
 
+# -- interned exponent arithmetic (see the module docstring) ---------------
+
+# each vector made here -> its one canonical tuple
+_VECTORS: dict[tuple[int, ...], tuple[int, ...]] = {}
+# each shift d -> its row {e: e + d}, with interned keys and values
+_SHIFTS: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
+
+
+def _intern(e: tuple[int, ...]) -> tuple[int, ...]:
+    """The canonical tuple equal to ``e``."""
+    return _VECTORS.setdefault(e, e)
+
+
+def _shift_row(d: tuple[int, ...]) -> dict:
+    """The row ``{e: e + d}`` of the shift ``d``, created empty on first use."""
+    row = _SHIFTS.get(d)
+    return _SHIFTS.setdefault(_intern(d), {}) if row is None else row
+
+
+def _shift_miss(row: dict, e: tuple[int, ...], d: tuple[int, ...]) -> tuple[int, ...]:
+    """``e + d`` for a pair not yet in ``row``, the row of ``d``; stores it there."""
+    t = _intern(tuple(map(add, e, d)))
+    row[_intern(e)] = t
+    return t
+
+
+def _unit(i: int, n: int, v: int = 1) -> tuple[int, ...]:
+    """The interned vector of length ``n`` with ``v`` in slot ``i`` and 0 elsewhere."""
+    return _intern((0,) * i + (v,) + (0,) * (n - i - 1))
+
+
 def _add_product(acc: dict, a: dict, b: dict, c=1) -> None:
     """``acc += c * a * b`` in place, the one multiply-accumulate loop; fastest with the smaller ``b``."""
-    get = acc.get
+    get, rows = acc.get, _SHIFTS.get
     for e2, c2 in b.items():
         c2 *= c
+        row = rows(e2)
+        if row is None:
+            row = _shift_row(e2)
+        shifted = row.get
         for e1, c1 in a.items():
-            e = tuple(map(add, e1, e2))
+            e = shifted(e1)
+            if e is None:
+                e = _shift_miss(row, e1, e2)
             s = get(e, 0) + c1 * c2
             if s:
                 acc[e] = s if type(s) is int else _normal(s)
@@ -101,7 +147,7 @@ def _add_product(acc: dict, a: dict, b: dict, c=1) -> None:
 
 def _constant_terms(c, rank: int) -> dict:
     """The term dict of the nonzero constant ``c``."""
-    return {(0,) * rank: c}
+    return {_intern((0,) * rank): c}
 
 
 def _linear_coeffs(terms: dict, rank: int) -> list:
@@ -113,10 +159,11 @@ def _linear_coeffs(terms: dict, rank: int) -> list:
 
 
 def _coeff(c) -> int | Fraction:
-    """A user-supplied coefficient, type-checked, in normal form."""
+    """A user-supplied coefficient, type-checked, in normal form; ``bool``
+    is refused, as it is for weights and exponents."""
     if isinstance(c, Fraction):
         return _normal(c)
-    if isinstance(c, int):
+    if isinstance(c, int) and not isinstance(c, bool):
         return int(c)
     raise TypeError(f"expected an int or Fraction coefficient, got {type(c).__name__}")
 
@@ -213,12 +260,19 @@ class Weight:
         p = self.__dict__.get("_polynomial")  # cached as by cached_property, without its lock
         if p is None:
             n = len(self.coeffs)
-            terms = {(0,) * i + (1,) + (0,) * (n - i - 1): c for i, c in enumerate(self.coeffs) if c}
+            terms = {_unit(i, n): c for i, c in enumerate(self.coeffs) if c}
             p = self.__dict__["_polynomial"] = Polynomial._make(n, terms)
         return p
 
     def __str__(self) -> str:
-        return str(self.to_polynomial())
+        """The text of ``str(self.to_polynomial())``, formatted from ``coeffs``."""
+        parts = []
+        for i, c in enumerate(self.coeffs, 1):
+            if c:
+                body = f"x{i}" if c in (1, -1) else f"{abs(c)}*x{i}"
+                sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+                parts.append(sign + body)
+        return " ".join(parts) or "0"
 
 
 def _grlex_key(exps: tuple[int, ...]) -> tuple:
@@ -234,7 +288,11 @@ class Polynomial:
     its input; results of the ring operations are built in normal form and
     skip those checks.  Instances are immutable by convention: no method
     mutates ``terms`` after construction, so values may be shared freely
-    across threads.
+    across threads.  The keys are plain tuples; those made by the kernels,
+    the parser and the constant and weight constructors are interned (see
+    the module docstring), which changes no equality or hash.  The tables
+    behind that need no lock: each dict read or write is atomic, and two
+    threads that miss on the same pair store equal tuples.
 
     >>> x = Polynomial.variable(0, 2)
     >>> y = Polynomial.variable(1, 2)
@@ -291,7 +349,7 @@ class Polynomial:
     def variable(cls, index: int, nvars: int) -> "Polynomial":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
-        return cls(nvars, {(0,) * index + (1,) + (0,) * (nvars - index - 1): 1})
+        return cls(nvars, {_unit(index, nvars): 1})
 
     # -- structure --------------------------------------------------------
 
@@ -360,8 +418,9 @@ class Polynomial:
         out: dict[tuple[int, ...], int | Fraction] = {}
         if type(other) is not Polynomial:  # the common case skips both tests
             if isinstance(other, (int, Fraction)):
+                other = _coeff(other)
                 if other:
-                    _add_multiple(out, self.terms, _coeff(other))
+                    _add_multiple(out, self.terms, other)
                 return Polynomial._make(self.nvars, out)
             other = self._operand(other)
             if other is None:
@@ -480,9 +539,18 @@ def _divmod_weight(terms, w: Weight):
     into power ``k-1`` for each other nonzero ``w_i``.  Power 0 is the
     remainder, free of ``x_j``: the restriction to the hyperplane ``w = 0``.
     Both are in coefficient normal form when ``terms`` is; ``terms`` is kept.
+    The vectors ``e-e_j`` and ``e-e_j+e_i`` are read from the shift rows of
+    ``-e_j`` and ``+e_i``.
     """
+    n = len(w.coeffs)
     j, cj = next((i, c) for i, c in enumerate(w.coeffs) if c)
-    others = [(i, c) for i, c in enumerate(w.coeffs) if c and i != j]
+    down = _unit(j, n, -1)
+    drow = _shift_row(down)
+    others = []  # (w_i, row of +e_i, e_i) for the other nonzero w_i
+    for i, wi in enumerate(w.coeffs):
+        if wi and i != j:
+            up = _unit(i, n)
+            others.append((wi, _shift_row(up), up))
     levels: dict[int, dict] = {}  # power of x_j -> terms
     for e, c in terms.items():
         levels.setdefault(e[j], {})[e] = c
@@ -490,11 +558,15 @@ def _divmod_weight(terms, w: Weight):
     for k in range(max(levels, default=0), 0, -1):
         below = levels.setdefault(k - 1, {})
         for e, c in levels.pop(k, {}).items():
-            qe = e[:j] + (k - 1,) + e[j + 1 :]
+            qe = drow.get(e)
+            if qe is None:
+                qe = _shift_miss(drow, e, down)
             # c / cj is integral only if c is an int that cj divides
             qc = quot[qe] = c // cj if type(c) is int and c % cj == 0 else Fraction(c, cj)
-            for i, wi in others:
-                t = qe[:i] + (qe[i] + 1,) + qe[i + 1 :]
+            for wi, row, up in others:
+                t = row.get(qe)
+                if t is None:
+                    t = _shift_miss(row, qe, up)
                 s = below.get(t, 0) - qc * wi
                 if not s:
                     del below[t]  # qc * wi != 0, so t was present
@@ -746,6 +818,6 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
         # a term ends at a sign or the end: "3x1" or "2 3" is not a sum
         if peek() not in (None, "+", "-"):
             raise PolynomialParseError(f"unexpected token {peek()!r} after a term in {text!r}")
-        e = tuple(exps)
+        e = _intern(tuple(exps))
         terms[e] = terms.get(e, 0) + sign * coeff
     return Polynomial(nvars, terms)

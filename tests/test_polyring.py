@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gkmcalc import polyring
 from gkmcalc.errors import (
     NoSolutionError,
     NonIntegralError,
@@ -103,6 +104,28 @@ def test_weight_rejects_non_integers():
         with pytest.raises(ValueError, match="must be an integer"):
             Polynomial(bad, {})
     assert Polynomial(2, {(1, 0): 1}) == X
+
+
+def test_coefficients_reject_bool():
+    for bad in (True, False, 1.0, "1"):
+        with pytest.raises(TypeError, match="int or Fraction coefficient"):
+            Polynomial(2, {(1, 0): bad})
+        with pytest.raises(TypeError, match="int or Fraction coefficient"):
+            Polynomial.constant(bad, 2)
+    for bad in (True, False):
+        with pytest.raises(TypeError, match="int or Fraction coefficient"):
+            X * bad
+        with pytest.raises(TypeError, match="int or Fraction coefficient"):
+            bad * X
+        with pytest.raises(TypeError, match="int or Fraction coefficient"):
+            X + bad
+    assert Polynomial(2, {(1, 0): 1}) * 1 == X
+
+
+@given(st.integers(0, 4).flatmap(lambda k: st.tuples(*[st.integers(-12, 12)] * k)))
+def test_weight_text_is_its_polynomial_text(coeffs):
+    w = Weight(coeffs)
+    assert str(w) == str(w.to_polynomial())
 
 
 def test_homogeneity_helpers():
@@ -546,6 +569,7 @@ def _kernel_case(draw):
     k = draw(st.integers(1, 4))
     terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * k), _COEFF, max_size=5).map(_normal_dict)
     a, b, c = draw(terms), draw(terms), draw(_SCALAR)
+    w = draw(st.tuples(*[st.integers(-3, 3)] * k).filter(any))
     # acc may hold exactly -c*a*b or -c*a, so that every term cancels
     cancel = draw(st.sampled_from([None, "product", "multiple"]))
     acc = draw(terms)
@@ -553,21 +577,57 @@ def _kernel_case(draw):
         acc = _normal_dict({e: -c * v for e, v in _ref_mul(a, b).items()})
     elif cancel == "multiple":
         acc = _normal_dict({e: -c * v for e, v in _ref_clean(a).items()})
-    return acc, a, b, c
+    return acc, a, b, c, w
+
+
+def _empty_tables():
+    """Forget every interned vector and shift row, as in a fresh process."""
+    polyring._VECTORS.clear()
+    polyring._SHIFTS.clear()
+
+
+def _run_kernels(acc, a, b, c, w):
+    product, multiple = dict(acc), dict(acc)
+    _add_product(product, a, b, c)
+    _add_multiple(multiple, a, c)
+    return product, multiple, _divmod_weight(product, Weight(w))
 
 
 @settings(deadline=None)
 @given(_kernel_case())
 def test_term_kernels_match_reference(case):
-    acc, a, b, c = case
+    acc, a, b, c, w = case
     ra, rb, racc = _ref_clean(a), _ref_clean(b), _ref_clean(acc)
     a0, b0 = dict(a), dict(b)
-    product, multiple = dict(acc), dict(acc)
-    _add_product(product, a, b, c)
+    _empty_tables()
+    cold = _run_kernels(acc, a, b, c, w)
+    assert _run_kernels(acc, a, b, c, w) == cold  # the same results from warm tables
+    product, multiple, (quot, rem) = cold
     _assert_normal_terms(product, _ref_add(racc, {e: c * v for e, v in _ref_mul(ra, rb).items()}))
-    _add_multiple(multiple, a, c)
     _assert_normal_terms(multiple, _ref_add(racc, {e: c * v for e, v in ra.items()}))
+    # product = quot * w + rem, with rem free of the first variable of w
+    j = next(i for i, x in enumerate(w) if x)
+    rw = {tuple(int(i == k) for i in range(len(w))): Fraction(x) for k, x in enumerate(w) if x}
+    _assert_normal_terms(rem, _ref_add(_ref_clean(product), _ref_mul(_ref_clean(quot), rw), -1))
+    _assert_normal_terms(quot, _ref_clean(quot))
+    assert all(e[j] == 0 for e in rem)
     assert a == a0 and b == b0
+
+
+def test_kernels_share_equal_vectors():
+    _empty_tables()
+    parsed = parse_polynomial("x1^2*x2 + 3*x2", 2).terms
+    product = {}
+    _add_product(product, {(1, 1): 1}, {(1, 0): 1})  # x1*x2 * x1
+    quot, _ = _divmod_weight({(3, 1): 1}, Weight((1, 0)))  # x1^3*x2 / x1
+    _, rem = _divmod_weight({(1, 0): 1}, Weight((1, -3)))  # x1 = (x1 - 3*x2) + 3*x2
+    (e_parsed,) = (e for e in parsed if e == (2, 1))
+    (e_product,) = product
+    (e_quot,) = quot
+    assert e_product is e_parsed and e_quot is e_parsed
+    (e_rem,) = rem
+    (y_parsed,) = (e for e in parsed if e == (0, 1))
+    assert e_rem is y_parsed and e_rem is next(iter(Weight((0, 1)).to_polynomial().terms))
 
 
 @given(_COEFF, _COEFF.filter(bool))

@@ -5,6 +5,9 @@ import hashlib
 import json
 import math
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -433,6 +436,29 @@ def test_basis_output_is_pinned(case):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
     assert text == json.dumps(basis.to_dict(), indent=2) + "\n"
     assert GeneratorBasis.from_dict(json.loads(text)).dumps() == text
+
+
+def test_threads_share_the_exponent_tables():
+    """Four threads solve B3 at once from empty tables, each to the pinned basis."""
+    gcm, parabolic, size, degree, digest = BASIS_HASHES["B3-flag-9"]
+    graph = build_flag_graph(gcm, parabolic, size)
+    polyring._VECTORS.clear()
+    polyring._SHIFTS.clear()
+    start = threading.Barrier(4, timeout=60)
+
+    def solve():
+        start.wait()
+        return canonical_generators(graph, degree).dumps()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so that misses race
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(solve) for _ in range(4)]
+            texts = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert [hashlib.sha256(t.encode()).hexdigest()[:16] for t in texts] == [digest] * 4
 
 
 def test_unknown_generator_is_named():

@@ -65,9 +65,7 @@ def _load_gcm(path: str) -> GCM:
         try:
             import tomllib
         except ModuleNotFoundError:
-            raise PolynomialParseError(
-                f"{path}: not JSON, and TOML support needs Python 3.11+"
-            ) from None
+            raise ValueError(f"{path}: not JSON, and TOML support needs Python 3.11+") from None
         data = tomllib.loads(text)
     rows = data["gcm"] if isinstance(data, dict) else data
     if not isinstance(rows, list) or any(not isinstance(row, list) for row in rows):

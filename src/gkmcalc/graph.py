@@ -556,7 +556,7 @@ def validate(graph: GkmGraph) -> ValidationReport:
         )
         weights = [e.weight for e in down]
         if weights:
-            coprime = pairwise_coprime(weights, "Q")
+            coprime = pairwise_coprime(weights)
             add(
                 ValidationEntry(
                     v.id,

@@ -116,7 +116,7 @@ def s2n_relative_image(weights, g: Polynomial) -> bool:
     divisibility by each factor imply divisibility by the product).
     """
     ws = list(weights)
-    if not pairwise_coprime(ws, "Q"):
+    if not pairwise_coprime(ws):
         raise CoprimalityViolatedError("weights are not pairwise coprime")
     each = all(_divides(w, g) for w in ws)
     whole = g.is_zero() or _product_divides(ws, g)

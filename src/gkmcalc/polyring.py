@@ -575,25 +575,19 @@ def _divmod_weight(terms, w: Weight):
     return quot, levels.get(0, {})
 
 
-def pairwise_coprime(weights, mode: str = "Q") -> bool:
-    """Pairwise coprimality of nonzero linear forms in R[x1..xk].
+def pairwise_coprime(weights) -> bool:
+    """Pairwise coprimality of nonzero linear forms in Q[x1..xk].
 
-    In Q-mode this is non-collinearity of every pair.  In Z-mode every
-    weight must additionally be primitive (content 1): for primitive
-    integer forms, coprimality in Z[x1..xk] is exactly non-collinearity.
-    Each weight's cached line gives its content and its primitive
-    direction, so the forms are non-collinear exactly when their
-    directions are distinct: one pass, not a test per pair.
+    That is non-collinearity of every pair.  Each weight's cached line
+    gives its primitive direction, so the forms are non-collinear exactly
+    when their directions are distinct: one pass, not a test per pair.
     """
-    mode = _normalize_mode(mode)
     ws = list(weights)
     for w in ws:
         if w.is_zero():
             raise ZeroWeightError("coprimality is undefined for the zero weight")
     if len({w.rank for w in ws}) > 1:
         raise ValueError("weights live in different tori")
-    if mode == "Z" and any(not w.is_primitive() for w in ws):
-        return False
     return len({w._line[1] for w in ws}) == len(ws)
 
 
@@ -708,7 +702,7 @@ def solve_congruences(constraints, degree: int, mode: str = "Q") -> Polynomial:
             raise ValueError("mixed ranks in congruence system")
         if not p.is_homogeneous(degree):
             raise ValueError(f"residue {p} is not homogeneous of degree {degree}")
-    if not pairwise_coprime([w for w, _ in constraints], "Q"):
+    if not pairwise_coprime([w for w, _ in constraints]):
         raise ValueError("congruence moduli must be pairwise coprime")
 
     h = constraints[0][1]
@@ -740,84 +734,51 @@ def solve_congruences(constraints, degree: int, mode: str = "Q") -> Polynomial:
 
 # -- parsing ----------------------------------------------------------------
 
-_TOKEN = re.compile(r"([+\-*^]|x\d+|\d+(?:/\d+)?)|\s+|(.)")
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        if m.group(2) is not None:
-            raise PolynomialParseError(f"unexpected character {m.group(2)!r} in {text!r}")
-        if m.group(1) is not None:
-            tokens.append(m.group(1))
-    return tokens
+_FACTOR = r"x\d+(?:\s*\^\s*\d+)?|\d+(?:/\d+)?"
+_TERM = rf"(?:{_FACTOR})(?:\s*\*\s*(?:{_FACTOR}))*"
+# terms joined by runs of signs and whitespace holding at least one sign
+_POLYNOMIAL = re.compile(rf"[\s+-]*{_TERM}(?:\s*[+-][\s+-]*{_TERM})*\s*")
+_SIGNED_TERM = re.compile(rf"([\s+-]*)({_TERM})")
+_FACTORS = re.compile(r"x(\d+)(?:\s*\^\s*(\d+))?|(\d+)(?:/(\d+))?")
 
 
 def parse_polynomial(text: str, nvars: int) -> Polynomial:
-    """Parse the textual grammar emitted by ``str(Polynomial)``.
+    """Read a polynomial in ``x1 .. x<nvars>`` from the text ``str(Polynomial)`` writes.
+
+    The accepted grammar, with any whitespace before, after and between
+    tokens but none inside ``x<i>`` or ``<n>/<d>``::
+
+        polynomial := sign* term (sign+ term)*
+        term       := factor ("*" factor)*
+        factor     := "x" digits ("^" digits)? | digits ("/" digits)?
+        sign       := "+" | "-"
+
+    Digits are Unicode decimal digits.  A term's sign is the parity of its
+    minus signs, factors multiply and equal monomials add up.  A malformed
+    text, a variable outside ``x1 .. x<nvars>`` and a zero denominator raise
+    :class:`PolynomialParseError`.
 
     >>> str(parse_polynomial("3*x1^2*x2 - x3", 3))
     '3*x1^2*x2 - x3'
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise PolynomialParseError("empty polynomial text")
-    pos = 0
+    if _POLYNOMIAL.fullmatch(text) is None:
+        raise PolynomialParseError(f"malformed polynomial text {text!r}")
     terms: dict[tuple[int, ...], int | Fraction] = {}
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def read_factor(exps: list[int]) -> int | Fraction | None:
-        tok = take()
-        if tok.startswith("x"):
-            idx = int(tok[1:]) - 1
-            if not 0 <= idx < nvars:
-                raise PolynomialParseError(f"variable {tok} out of range for rank {nvars}")
-            e = 1
-            if peek() == "^":
-                take()
-                nxt = peek()
-                if nxt is None or not nxt.isdigit():
-                    raise PolynomialParseError("expected integer exponent after '^'")
-                e = int(take())
-            exps[idx] += e
-            return None
-        if tok[0].isdigit():
-            num, _, den = tok.partition("/")
-            if not den:
-                return int(num)
-            if int(den) == 0:
-                raise PolynomialParseError(f"zero denominator in {tok!r}")
-            return Fraction(int(num), int(den))
-        raise PolynomialParseError(f"unexpected token {tok!r}")
-
-    while pos < len(tokens):
-        sign = 1
-        while peek() in ("+", "-"):
-            if take() == "-":
-                sign = -sign
-        if peek() is None:
-            raise PolynomialParseError("dangling sign")
-        coeff = 1
+    for signs, term in _SIGNED_TERM.findall(text):
+        coeff = -1 if signs.count("-") % 2 else 1
         exps = [0] * nvars
-        while True:
-            c = read_factor(exps)
-            if c is not None:
-                coeff *= c
-            if peek() == "*":
-                take()
-                continue
-            break
-        # a term ends at a sign or the end: "3x1" or "2 3" is not a sum
-        if peek() not in (None, "+", "-"):
-            raise PolynomialParseError(f"unexpected token {peek()!r} after a term in {text!r}")
+        for var, power, num, den in _FACTORS.findall(term):
+            if var:
+                i = int(var) - 1
+                if not 0 <= i < nvars:
+                    raise PolynomialParseError(f"variable x{var} out of range for rank {nvars}")
+                exps[i] += int(power) if power else 1
+            elif not den:
+                coeff *= int(num)
+            elif int(den):
+                coeff *= Fraction(int(num), int(den))
+            else:
+                raise PolynomialParseError(f"zero denominator in '{num}/{den}'")
         e = _intern(tuple(exps))
-        terms[e] = terms.get(e, 0) + sign * coeff
+        terms[e] = terms.get(e, 0) + coeff
     return Polynomial(nvars, terms)

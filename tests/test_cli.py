@@ -158,7 +158,7 @@ def test_check_class_parse_error_exit_code(tmp_path, capsys):
     }
     gpath = tmp_path / "s2.json"
     gpath.write_text(json.dumps(graph))
-    for values in ({"n": "0", "s": "1/0"}, {"n": "0", "s": "3x1"}, [], {"n": 0, "s": "x1"}):
+    for values in ({"n": "0", "s": "1/0"}, {"n": "0", "s": "3x1"}, {"n": "0", "s": "x1*"}, [], {"n": 0, "s": "x1"}):
         cpath = tmp_path / "bad.json"
         cpath.write_text(json.dumps({"values": values}))
         code, _, err = run(["check", str(gpath), str(cpath)], capsys)
@@ -197,6 +197,18 @@ def test_build_custom_gcm(tmp_path, capsys):
     g = GkmGraph.load(out_path)
     # A2 modulo one node: projective plane with cells in dimensions 0, 2, 4
     assert sorted(v.cell_dim for v in g.vertices) == [0, 2, 4]
+
+
+def test_build_gcm_from_toml(tmp_path, capsys):
+    pytest.importorskip("tomllib")
+    graphs = []
+    for name, text in (("gcm.toml", "gcm = [[2, -1], [-1, 2]]\n"), ("gcm.json", "[[2, -1], [-1, 2]]")):
+        (tmp_path / name).write_text(text)
+        out_path = tmp_path / (name + ".graph.json")
+        assert run(["build", "--gcm", str(tmp_path / name), "--degree", "3", "-o", str(out_path)], capsys)[0] == 0
+        graphs.append(out_path.read_text())
+    assert graphs[0] == graphs[1]
+    assert len(GkmGraph.loads(graphs[0]).vertices) == 6  # the A2 full flag
 
 
 def test_oracle_subcommands(tmp_path, capsys):
@@ -466,11 +478,13 @@ def test_multiply_basis_malformed_later_text_exit_code(tmp_path, capsys):
     assert run(["generators", str(graph_path), "-o", str(basis_path)], capsys)[0] == 0
     data = json.loads(basis_path.read_text())
     later = list(data["generators"])[-1]
-    data["generators"][later] = {w: "3x1" for w in data["generators"][later]}
-    basis_path.write_text(json.dumps(data))
-    code, out, err = run(["multiply", str(basis_path), "0", "0"], capsys)
-    assert code == 4
-    assert not out and "'3x1'" in err
+    # a dangling '*' is malformed text too, not an IndexError
+    for text in ("3x1", "x1*"):
+        data["generators"][later] = {w: text for w in data["generators"][later]}
+        basis_path.write_text(json.dumps(data))
+        code, out, err = run(["multiply", str(basis_path), "0", "0"], capsys)
+        assert code == 4
+        assert not out and repr(text) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Ring arithmetic, division by linear forms, and congruence solving."""
 
 import random
+import re
 from fractions import Fraction
 from math import comb, gcd
 
@@ -166,17 +167,17 @@ def test_pairwise_coprime_examples():
     x, y = Weight((1, 0)), Weight((0, 1))
     assert pairwise_coprime([x, y])
     assert not pairwise_coprime([x, Weight((2, 0))])
-    # imprimitive weight: fails the Z requirement, fine over Q
-    assert not pairwise_coprime([Weight((2, 0)), y], "Z")
-    assert pairwise_coprime([Weight((2, 0)), y], "Q")
+    assert not pairwise_coprime([Weight((1, -1)), Weight((-3, 3))])
+    # coprimality is over Q: an imprimitive weight is coprime to y
+    assert pairwise_coprime([Weight((2, 0)), y])
     with pytest.raises(ZeroWeightError):
         pairwise_coprime([x, Weight((0, 0))])
 
 
 def test_pairwise_coprime_needs_one_torus():
-    for mode in ("Q", "Z"):
+    for ws in ([Weight((2, 0)), Weight((1, 0, 0))], [Weight((1,)), Weight((0, 1))]):
         with pytest.raises(ValueError, match="different tori"):
-            pairwise_coprime([Weight((2, 0)), Weight((1, 0, 0))], mode)
+            pairwise_coprime(ws)
 
 
 @st.composite
@@ -193,14 +194,11 @@ def _weight_lists(draw):
     return [Weight(w) for w in draw(st.permutations(ws))]
 
 
-@given(_weight_lists(), st.sampled_from(("Q", "Z")))
-def test_pairwise_coprime_matches_all_pairs(ws, mode):
-    # the definition: no two weights proportional, and in Z-mode each of
-    # content 1
+@given(_weight_lists())
+def test_pairwise_coprime_matches_all_pairs(ws):
+    # the definition over Q: no two weights proportional, whatever their content
     expected = not any(a.proportional(b) for i, a in enumerate(ws) for b in ws[i + 1:])
-    if mode == "Z":
-        expected = expected and all(gcd(*w.coeffs) == 1 for w in ws)
-    assert pairwise_coprime(ws, mode) == expected
+    assert pairwise_coprime(ws) == expected
 
 
 def test_weight_line_is_cached_and_invisible():
@@ -467,10 +465,146 @@ def test_parse_errors():
         parse_polynomial("x1 + ", 2)
     with pytest.raises(PolynomialParseError):
         parse_polynomial("2y + 1", 2)
-    # juxtaposed factors or terms are not a sum, and 1/0 is not a number
-    for text in ("3x1", "x1x2", "2 3", "x1 x2", "x1^2 3", "1/0", "x1 - 2/0*x2"):
+    # juxtaposed factors or terms are not a sum, 1/0 is not a number, and a
+    # product needs a factor after each '*'
+    for text in ("3x1", "x1x2", "2 3", "x1 x2", "x1^2 3", "1/0", "x1 - 2/0*x2",
+                 "x1*", "x1 *", "3*", "x1*+x2", "", " ", "x1^", "x1^x2", "x1^2/3"):
         with pytest.raises(PolynomialParseError):
             parse_polynomial(text, 2)
+
+
+def test_parse_rejects_a_long_text_at_its_last_token():
+    # 50,000 valid terms and a dangling '*': a backtracking blow-up would hang here
+    text = " + ".join(f"{i % 7 + 1}*x{i % 3 + 1}^{i % 5}" for i in range(50_000))
+    assert parse_polynomial(text, 3).terms
+    with pytest.raises(PolynomialParseError):
+        parse_polynomial(text + " *", 3)
+    with pytest.raises(PolynomialParseError):
+        parse_polynomial(text + " + y", 3)
+
+
+_REFERENCE_TOKEN = re.compile(r"([+\-*^]|x\d+|\d+(?:/\d+)?)|\s+|(.)")
+
+
+def _reference_parse(text, nvars):
+    """The tokenizer and recursive-descent parser that ``parse_polynomial``
+    replaced, kept as the reference for its language.  It raises
+    ``IndexError`` on a trailing ``*``, which counts as a rejection."""
+    tokens = []
+    for m in _REFERENCE_TOKEN.finditer(text):
+        if m.group(2) is not None:
+            raise PolynomialParseError(f"unexpected character {m.group(2)!r} in {text!r}")
+        if m.group(1) is not None:
+            tokens.append(m.group(1))
+    if not tokens:
+        raise PolynomialParseError("empty polynomial text")
+    pos = 0
+    terms = {}
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take():
+        nonlocal pos
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def read_factor(exps):
+        tok = take()
+        if tok.startswith("x"):
+            idx = int(tok[1:]) - 1
+            if not 0 <= idx < nvars:
+                raise PolynomialParseError(f"variable {tok} out of range for rank {nvars}")
+            e = 1
+            if peek() == "^":
+                take()
+                nxt = peek()
+                if nxt is None or not nxt.isdigit():
+                    raise PolynomialParseError("expected integer exponent after '^'")
+                e = int(take())
+            exps[idx] += e
+            return None
+        if tok[0].isdigit():
+            num, _, den = tok.partition("/")
+            if not den:
+                return int(num)
+            if int(den) == 0:
+                raise PolynomialParseError(f"zero denominator in {tok!r}")
+            return Fraction(int(num), int(den))
+        raise PolynomialParseError(f"unexpected token {tok!r}")
+
+    while pos < len(tokens):
+        sign = 1
+        while peek() in ("+", "-"):
+            if take() == "-":
+                sign = -sign
+        if peek() is None:
+            raise PolynomialParseError("dangling sign")
+        coeff = 1
+        exps = [0] * nvars
+        while True:
+            c = read_factor(exps)
+            if c is not None:
+                coeff *= c
+            if peek() == "*":
+                take()
+                continue
+            break
+        if peek() not in (None, "+", "-"):
+            raise PolynomialParseError(f"unexpected token {peek()!r} after a term in {text!r}")
+        e = tuple(exps)
+        terms[e] = terms.get(e, 0) + sign * coeff
+    return Polynomial(nvars, terms)
+
+
+# the token alphabet: variables x0..x12 (x0 and those past the rank are out of
+# range), digits, fractions, operators, whitespace, a stray letter and a
+# non-ASCII digit
+_ALPHABET = [f"x{i}" for i in range(13)] + list("0123456789") + [
+    "1/2", "12/8", "3/0", "/", "^", "*", "+", "-", " ", "\t", "\n", "y", "\u0663"]
+_SPACE = st.sampled_from(("", "", " ", "  ", "\t", "\n"))
+
+
+@st.composite
+def _near_polynomial_text(draw):
+    """Signed terms of factors joined by '*', with whitespace between tokens,
+    so that most texts are accepted; then a few tokens of the alphabet
+    inserted anywhere, so that many are not."""
+    factor = st.one_of(
+        st.builds(lambda i, p: f"x{i}" + p, st.integers(0, 12), st.sampled_from(("", "^0", "^2", "^ 13"))),
+        st.sampled_from(("0", "1", "7", "10", "1/2", "4/6", "0/5", "3/0", "\u0663")),
+    )
+    parts = []
+    for k in range(draw(st.integers(1, 5))):
+        signs = draw(st.lists(st.sampled_from("+-"), min_size=0 if k == 0 else 1, max_size=3))
+        factors = draw(st.lists(factor, min_size=1, max_size=3))
+        parts.append(draw(_SPACE).join(signs) + draw(_SPACE) + f"{draw(_SPACE)}*{draw(_SPACE)}".join(factors))
+    text = draw(_SPACE).join(parts)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(_ALPHABET)) + text[i:]
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from(_ALPHABET), max_size=12).map("".join), _near_polynomial_text()),
+       st.integers(1, 12))
+@example("x1*", 2)
+@example("x1 *", 2)
+@example("3*", 2)
+@example("x1*+x2", 2)
+@example("- -x2 ^ 3*1/2 + x1", 2)
+def test_parse_matches_the_token_parser(text, nvars):
+    try:
+        want = _reference_parse(text, nvars)
+    except (PolynomialParseError, IndexError):
+        want = None
+    try:
+        got = parse_polynomial(text, nvars)
+    except PolynomialParseError:
+        got = None
+    assert got == want
 
 
 def test_monomials_order():

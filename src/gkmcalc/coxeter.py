@@ -85,10 +85,6 @@ class Root:
     def __post_init__(self):
         object.__setattr__(self, "coords", _int_tuple(self.coords, "root coordinates"))
 
-    @property
-    def height(self) -> int:
-        return sum(self.coords)
-
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 

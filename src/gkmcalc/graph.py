@@ -282,9 +282,6 @@ class GkmGraph:
     def vertex(self, vid: str) -> Vertex:
         return self._index[vid]
 
-    def __contains__(self, vid: str) -> bool:
-        return vid in self._index
-
     def edges_at(self, vid: str) -> tuple[Edge, ...]:
         return self._incidence[vid]
 

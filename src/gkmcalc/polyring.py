@@ -18,6 +18,10 @@ arithmetic:
 * :func:`solve_congruences` -- the homogeneous congruence solver used to
   propagate generator values up a graph; it lifts the solution through
   one weight at a time by exact division (Chinese remaindering).
+* :func:`nullspace_basis` -- an exact kernel basis by Fraction elimination,
+  which only the brute-force oracle uses.
+* :func:`parse_polynomial` -- reads the text that ``str(Polynomial)``
+  writes, with one regular grammar.
 
 Z-mode is a certificate layered on Q computation: the divisions are exact
 over the rationals and integrality of the result is checked afterwards.
@@ -64,7 +68,6 @@ __all__ = [
     "solve_congruences",
     "monomials",
     "parse_polynomial",
-    "solve_linear_system",
     "nullspace_basis",
 ]
 
@@ -247,14 +250,9 @@ class Weight:
 
     def proportional(self, other: "Weight") -> bool:
         """True when the two forms are parallel over Q (zero counts as parallel)."""
-        n = len(self.coeffs)
-        if n != len(other.coeffs):
+        if len(self.coeffs) != len(other.coeffs):
             raise ValueError("weights live in different tori")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.coeffs[i] * other.coeffs[j] != self.coeffs[j] * other.coeffs[i]:
-                    return False
-        return True
+        return self.is_zero() or other.is_zero() or self._line[1] == other._line[1]
 
     def to_polynomial(self) -> "Polynomial":
         p = self.__dict__.get("_polynomial")  # cached as by cached_property, without its lock
@@ -432,14 +430,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        out = Polynomial.one(self.nvars)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -594,10 +584,6 @@ def pairwise_coprime(weights) -> bool:
 # -- exact linear algebra ------------------------------------------------
 
 
-class _InconsistentSystem(Exception):
-    pass
-
-
 def _rref(rows: list[list[Fraction]]) -> list[int]:
     """In-place reduced row echelon form; returns the pivot column list."""
     if not rows:
@@ -623,43 +609,21 @@ def _rref(rows: list[list[Fraction]]) -> list[int]:
     return pivots
 
 
-def solve_linear_system(rows, rhs):
-    """Solve ``rows * x = rhs`` exactly over Q.
-
-    Returns ``(particular, nullspace)`` where ``particular`` is one
-    solution (free variables set to 0) and ``nullspace`` is a list of
-    basis vectors of the homogeneous solution space.  Raises
-    ``_InconsistentSystem`` internally when there is no solution.
-    """
-    if not rows:
-        raise ValueError("empty system")
-    ncols = len(rows[0])
-    aug = [[Fraction(_coeff(v)) for v in row] + [Fraction(_coeff(b))] for row, b in zip(rows, rhs)]
-    pivots = _rref(aug)
-    if ncols in pivots:
-        raise _InconsistentSystem()
-    particular = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        particular[col] = aug[r][ncols]
-    free = [c for c in range(ncols) if c not in pivots]
+def nullspace_basis(rows, ncols):
+    """Deterministic basis of the nullspace of ``rows * x = 0`` over Q: one
+    vector per free column of the reduced row echelon form (the identity
+    when there are no rows)."""
+    m = [[Fraction(_coeff(v)) for v in row] for row in rows]
+    pivots = _rref(m)
     null = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for r, col in enumerate(pivots):
-            vec[col] = -aug[r][fc]
+            vec[col] = -m[r][fc]
         null.append(vec)
-    return particular, null
-
-
-def nullspace_basis(rows, ncols):
-    """Deterministic basis of the nullspace of a homogeneous system."""
-    if not rows:
-        return [
-            [Fraction(1) if i == j else Fraction(0) for i in range(ncols)]
-            for j in range(ncols)
-        ]
-    _, null = solve_linear_system(rows, [Fraction(0)] * len(rows))
     return null
 
 
@@ -734,12 +698,12 @@ def solve_congruences(constraints, degree: int, mode: str = "Q") -> Polynomial:
 
 # -- parsing ----------------------------------------------------------------
 
-_FACTOR = r"x\d+(?:\s*\^\s*\d+)?|\d+(?:/\d+)?"
+_FACTOR = r"x[0-9]+(?:\s*\^\s*[0-9]+)?|[0-9]+(?:/[0-9]+)?"
 _TERM = rf"(?:{_FACTOR})(?:\s*\*\s*(?:{_FACTOR}))*"
 # terms joined by runs of signs and whitespace holding at least one sign
 _POLYNOMIAL = re.compile(rf"[\s+-]*{_TERM}(?:\s*[+-][\s+-]*{_TERM})*\s*")
 _SIGNED_TERM = re.compile(rf"([\s+-]*)({_TERM})")
-_FACTORS = re.compile(r"x(\d+)(?:\s*\^\s*(\d+))?|(\d+)(?:/(\d+))?")
+_FACTORS = re.compile(r"x([0-9]+)(?:\s*\^\s*([0-9]+))?|([0-9]+)(?:/([0-9]+))?")
 
 
 def parse_polynomial(text: str, nvars: int) -> Polynomial:
@@ -753,16 +717,22 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
         factor     := "x" digits ("^" digits)? | digits ("/" digits)?
         sign       := "+" | "-"
 
-    Digits are Unicode decimal digits.  A term's sign is the parity of its
-    minus signs, factors multiply and equal monomials add up.  A malformed
-    text, a variable outside ``x1 .. x<nvars>`` and a zero denominator raise
-    :class:`PolynomialParseError`.
+    Digits are the ASCII digits ``0-9``.  A term's sign is the parity of
+    its minus signs, factors multiply and equal monomials add up.  A
+    malformed text, a variable outside ``x1 .. x<nvars>`` and a zero
+    denominator raise :class:`PolynomialParseError`; for a malformed text
+    it quotes at most 80 characters around the offset where the grammar
+    stops matching.
 
     >>> str(parse_polynomial("3*x1^2*x2 - x3", 3))
     '3*x1^2*x2 - x3'
     """
-    if _POLYNOMIAL.fullmatch(text) is None:
-        raise PolynomialParseError(f"malformed polynomial text {text!r}")
+    m = _POLYNOMIAL.match(text)
+    if m is None or m.end() < len(text):
+        at = m.end() if m else 0
+        raise PolynomialParseError(
+            f"malformed polynomial text at offset {at} of {len(text)}: {text[max(0, at - 40):at + 40]!r}"
+        )
     terms: dict[tuple[int, ...], int | Fraction] = {}
     for signs, term in _SIGNED_TERM.findall(text):
         coeff = -1 if signs.count("-") % 2 else 1

@@ -23,8 +23,9 @@ def factor_restriction(graph: GkmGraph, vid: str, value: Polynomial):
 
     Factors are pulled out greedily: first the down-edge weights at the
     vertex, then any other incident edge weight, each as often as it
-    divides.  Raises :class:`NotFactorableError` when a non-constant
-    residual remains.
+    divides.  One pass over the candidates suffices, since a weight that
+    does not divide a polynomial divides none of its quotients.  Raises
+    :class:`NotFactorableError` when a non-constant residual remains.
     """
     if value.is_zero():
         return Fraction(0), []
@@ -32,18 +33,13 @@ def factor_restriction(graph: GkmGraph, vid: str, value: Polynomial):
     candidates += [e.weight for e in graph.edges_at(vid) if e.weight not in candidates]
     factors: list[Weight] = []
     current = value
-    progress = True
-    while current.degree() > 0 and progress:
-        progress = False
-        for w in candidates:
+    for w in candidates:
+        while current.degree() > 0:
             try:
-                nxt = divide_by_weight(current, w)
+                current = divide_by_weight(current, w)
             except NotDivisibleError:
-                continue
+                break
             factors.append(w)
-            current = nxt
-            progress = True
-            break
     if current.degree() > 0:
         raise NotFactorableError(f"restriction {value} at {vid!r} is not an elementary tensor")
     return current.constant_term(), factors

@@ -20,15 +20,10 @@ from gkmcalc.oracle import (
     expected_gkm_dimension,
     s2n_relative_image,
 )
-from gkmcalc.polyring import (
-    Polynomial,
-    Weight,
-    divide_by_weight,
-    monomials,
-    solve_linear_system,
-)
+from gkmcalc.polyring import Polynomial, Weight, divide_by_weight, monomials
 from gkmcalc.ring_ops import poincare_series, power_coefficient
 from gkmcalc.solver import GeneratorBasis, canonical_generators, verify_generator_conditions
+from test_polyring import solve_linear_system
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ALL_PRESETS = ("A1-flag", "A2-flag", "B2-flag", "omega-su2", "omega-su3", "A1-4-twisted")

@@ -24,19 +24,60 @@ from gkmcalc.polyring import (
     _add_multiple,
     _add_product,
     _divmod_weight,
-    _InconsistentSystem,
     _linear_coeffs,
     _quo,
     divide_by_weight,
     monomials,
+    nullspace_basis,
     pairwise_coprime,
     parse_polynomial,
     solve_congruences,
-    solve_linear_system,
 )
 
 X = Polynomial.variable(0, 2)
 Y = Polynomial.variable(1, 2)
+
+
+class _InconsistentSystem(Exception):
+    """``solve_linear_system`` was given a system with no solution."""
+
+
+def solve_linear_system(rows, rhs):
+    """Solve ``rows * x = rhs`` exactly over Q by Gauss-Jordan elimination.
+
+    The tests' reference solver, independent of ``polyring``.  Returns
+    ``(particular, nullspace)``: the solution whose free variables are 0,
+    and a basis of the homogeneous solutions, one vector per free column.
+    Raises ``_InconsistentSystem`` when there is no solution.
+    """
+    ncols = len(rows[0])
+    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    for col in range(ncols + 1):
+        r = len(pivots)
+        src = next((i for i in range(r, len(aug)) if aug[i][col]), None)
+        if src is None:
+            continue
+        if col == ncols:
+            raise _InconsistentSystem()
+        pv = aug[src][col]
+        aug[r], aug[src] = aug[src], aug[r]
+        pivot = aug[r] = [v / pv for v in aug[r]]
+        for i, row in enumerate(aug):
+            if i != r and row[col]:
+                aug[i] = [a - row[col] * b for a, b in zip(row, pivot)]
+        pivots.append(col)
+    particular = [Fraction(0)] * ncols
+    for r, col in enumerate(pivots):
+        particular[col] = aug[r][ncols]
+    null = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, col in enumerate(pivots):
+            vec[col] = -aug[r][fc]
+        null.append(vec)
+    return particular, null
 
 
 def _random_poly(rng, nvars, max_deg):
@@ -194,11 +235,44 @@ def _weight_lists(draw):
     return [Weight(w) for w in draw(st.permutations(ws))]
 
 
+def _parallel(a, b):
+    """Parallelism over Q by definition: every 2x2 minor of the rows ``a``, ``b`` vanishes."""
+    n = len(a)
+    return all(a[i] * b[j] == a[j] * b[i] for i in range(n) for j in range(i + 1, n))
+
+
 @given(_weight_lists())
 def test_pairwise_coprime_matches_all_pairs(ws):
-    # the definition over Q: no two weights proportional, whatever their content
-    expected = not any(a.proportional(b) for i, a in enumerate(ws) for b in ws[i + 1:])
+    # the definition over Q: no two weights parallel, whatever their content
+    expected = not any(_parallel(a.coeffs, b.coeffs) for i, a in enumerate(ws) for b in ws[i + 1:])
     assert pairwise_coprime(ws) == expected
+
+
+@st.composite
+def _weight_pairs(draw):
+    """Two forms of one rank 1-4, zero included; the second is often a
+    rational multiple of the first, so that parallel pairs are common."""
+    k = draw(st.integers(1, 4))
+    a = draw(st.tuples(*[st.integers(-6, 6)] * k))
+    if draw(st.booleans()):
+        b = draw(st.tuples(*[st.integers(-6, 6)] * k))
+    else:
+        g = gcd(*a) or 1
+        b = tuple(draw(st.sampled_from((-3, -1, 0, 1, 2))) * c // g for c in a)
+    return Weight(a), Weight(b)
+
+
+@given(_weight_pairs())
+def test_proportional_matches_the_minors(pair):
+    a, b = pair
+    assert a.proportional(b) == b.proportional(a) == _parallel(a.coeffs, b.coeffs)
+
+
+def test_proportional_needs_one_torus():
+    with pytest.raises(ValueError, match="different tori"):
+        Weight((1, 0)).proportional(Weight((1, 0, 0)))
+    with pytest.raises(ValueError, match="different tori"):
+        Weight((0,)).proportional(Weight((0, 0)))
 
 
 def test_weight_line_is_cached_and_invisible():
@@ -209,6 +283,36 @@ def test_weight_line_is_cached_and_invisible():
     other = Weight((-2, 4, 0))
     assert w == other and hash(w) == hash(other) and repr(w) == repr(other) == "Weight(coeffs=(-2, 4, 0))"
     assert Weight((0, 0))._line == (0, (0, 0))
+
+
+@st.composite
+def _matrices(draw):
+    """An integer matrix with 0-6 rows and 1-5 columns; up to two rows are
+    sums of two others, so that rank deficiency is common."""
+    ncols = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=4))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        rows.insert(draw(st.integers(0, len(rows))), [x + y for x, y in zip(a, b)])
+    return rows, ncols
+
+
+@given(_matrices())
+def test_nullspace_basis_is_a_kernel_basis(case):
+    rows, ncols = case
+    null = nullspace_basis(rows, ncols)
+    assert all(len(vec) == ncols for vec in null)
+    for vec in null:
+        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+    if not rows:
+        assert null == [[Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)]
+        return
+    # ncols - rank vectors, by the reference elimination ...
+    assert len(null) == len(solve_linear_system(rows, [0] * len(rows))[1])
+    # ... and no nontrivial combination of them vanishes
+    if null:
+        assert not solve_linear_system([list(col) for col in zip(*null)], [0] * ncols)[1]
 
 
 def test_solve_zero_residues():
@@ -471,19 +575,26 @@ def test_parse_errors():
                  "x1*", "x1 *", "3*", "x1*+x2", "", " ", "x1^", "x1^x2", "x1^2/3"):
         with pytest.raises(PolynomialParseError):
             parse_polynomial(text, 2)
+    # digits are ASCII: Arabic-Indic and superscript digits are not read as numbers
+    for text in ("x\u0661^\u0662 + \u0663", "x1^\u00b2", "\u0663*x1"):
+        with pytest.raises(PolynomialParseError, match="offset"):
+            parse_polynomial(text, 1)
 
 
 def test_parse_rejects_a_long_text_at_its_last_token():
     # 50,000 valid terms and a dangling '*': a backtracking blow-up would hang here
     text = " + ".join(f"{i % 7 + 1}*x{i % 3 + 1}^{i % 5}" for i in range(50_000))
     assert parse_polynomial(text, 3).terms
-    with pytest.raises(PolynomialParseError):
+    with pytest.raises(PolynomialParseError) as err:
         parse_polynomial(text + " *", 3)
+    # the message quotes the text near where the grammar stops, not the whole text
+    assert len(str(err.value)) < 300
+    assert f"offset {len(text) + 1} of {len(text) + 2}" in str(err.value)
     with pytest.raises(PolynomialParseError):
         parse_polynomial(text + " + y", 3)
 
 
-_REFERENCE_TOKEN = re.compile(r"([+\-*^]|x\d+|\d+(?:/\d+)?)|\s+|(.)")
+_REFERENCE_TOKEN = re.compile(r"([+\-*^]|x[0-9]+|[0-9]+(?:/[0-9]+)?)|\s+|(.)")
 
 
 def _reference_parse(text, nvars):
@@ -595,6 +706,7 @@ def _near_polynomial_text(draw):
 @example("3*", 2)
 @example("x1*+x2", 2)
 @example("- -x2 ^ 3*1/2 + x1", 2)
+@example("x\u0661^\u0662 + \u0663", 1)
 def test_parse_matches_the_token_parser(text, nvars):
     try:
         want = _reference_parse(text, nvars)

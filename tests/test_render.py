@@ -60,6 +60,18 @@ def test_factor_restriction_scalar_times_weight():
     assert [w.coeffs for w in factors] == [(-1, 2)]
 
 
+def test_factor_restriction_repeats_a_factor_in_candidate_order():
+    # at 0-1 the candidates are the down-edge weights x1 + x2 and x1, then
+    # the up-edge weight x2; x1 divides twice before x2 is tried
+    g = build_preset("A2-flag")
+    x1, x2 = Weight((1, 0)).to_polynomial(), Weight((0, 1)).to_polynomial()
+    value = 2 * x2 * x1 * (x1 + x2) * x1
+    scalar, factors = factor_restriction(g, "0-1", value)
+    assert scalar == 2
+    assert [w.coeffs for w in factors] == [(1, 1), (1, 0), (1, 0), (0, 1)]
+    assert bouquet_text(g, "0-1", value) == "2*(x1 + x2)*(x1)*(x1)*(x2)"
+
+
 def test_factor_restriction_zero():
     g = sphere_graph()
     assert factor_restriction(g, "n", Polynomial.zero(2)) == (Fraction(0), [])

@@ -113,9 +113,11 @@ def _json_of(kind: type, value, what: str):
     return value
 
 
-def _json_values(values, rank: int, what: str, texts: dict[str, Polynomial]) -> dict[str, Polynomial]:
+def _json_values(values, rank: int, what: str, texts: dict[str, Polynomial], terms: dict) -> dict[str, Polynomial]:
     """A class's values read from JSON, an object of polynomial strings by
-    vertex id; each distinct text is parsed once, into ``texts``."""
+    vertex id; each distinct text is parsed once, into ``texts``, and each
+    distinct term text read once, into ``terms`` (``parse_polynomial``'s
+    cache).  Both live for one load."""
     if type(values) is not dict:
         raise ValueError(f"{what} must map vertex ids to polynomial strings, got a {type(values).__name__}")
     out = {}
@@ -124,7 +126,7 @@ def _json_values(values, rank: int, what: str, texts: dict[str, Polynomial]) -> 
             raise ValueError(f"{what} has value {t!r} at vertex {w!r}, not a polynomial string")
         p = texts.get(t)
         if p is None:
-            p = texts[t] = parse_polynomial(t, rank)
+            p = texts[t] = parse_polynomial(t, rank, terms)
         out[w] = p
     return out
 
@@ -447,7 +449,7 @@ class CohClass:
         return CohClass._make({v: p for v, p in self.values.items() if v in keep}, self.degree)
 
     def __add__(self, other: "CohClass") -> "CohClass":
-        if set(self.values) != set(other.values):
+        if self.values.keys() != other.values.keys():
             raise ValueError("classes are defined on different vertex sets")
         deg = self.degree if self.degree == other.degree else None
         values = {}
@@ -458,7 +460,7 @@ class CohClass:
 
     def __mul__(self, other):
         if isinstance(other, CohClass):
-            if set(self.values) != set(other.values):
+            if self.values.keys() != other.values.keys():
                 raise ValueError("classes are defined on different vertex sets")
             deg = (
                 self.degree + other.degree
@@ -487,7 +489,7 @@ class CohClass:
         degree = _json_of(dict, data, "a class").get("degree")
         if degree is not None:
             _json_int(degree, "class degree")
-        return cls(_json_values(data["values"], rank, "class", {}), degree)
+        return cls(_json_values(data["values"], rank, "class", {}, {}), degree)
 
 
 @dataclass(frozen=True)

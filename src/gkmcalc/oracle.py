@@ -9,6 +9,7 @@ solver is evidence, not tautology.
 from __future__ import annotations
 
 import sys
+from functools import lru_cache
 
 from .coxeter import (
     GCM,
@@ -187,18 +188,28 @@ def schubert_restrictions(gcm: GCM, parabolic, degree: int) -> dict[str, CohClas
     }
 
 
+@lru_cache(maxsize=4)
+def _full_flag(gcm: GCM):
+    """The coset orbit of a finite ``gcm``'s full flag variety, as
+    ``(reps, table)``, and every Schubert class on it, by coset id."""
+    # a finite orbit ends at its first empty shell, below any cutoff
+    reps, table = coset_orbit(gcm, (), sys.maxsize)
+    return reps, table, schubert_restrictions(gcm, (), reps[-1][0].length)
+
+
 def divided_difference_schubert(gcm: GCM, w: CosetRep) -> CohClass:
     """The :func:`schubert_restrictions` class of ``w``, given by any
     reduced word, on the full flag variety of a finite Cartan matrix.
-    Raises :class:`NotFiniteTypeError` outside finite type."""
+    The table of classes is computed once per matrix; each call returns a
+    fresh class.  Raises :class:`NotFiniteTypeError` outside finite type."""
     if classify(gcm) != "finite":
         raise NotFiniteTypeError("Schubert restrictions require a finite Cartan matrix")
     from .builders import coset_id
 
-    # a finite orbit ends at its first empty shell, below any cutoff
-    reps, table = coset_orbit(gcm, (), sys.maxsize)
+    reps, table, classes = _full_flag(gcm)
     canonical = table[apply_word_dual(gcm, w.word, reps[0][1])].word
-    return schubert_restrictions(gcm, (), reps[-1][0].length)[coset_id(canonical)]
+    cls = classes[coset_id(canonical)]
+    return CohClass._make(dict(cls.values), cls.degree)
 
 
 def reflection_edges(gcm: GCM, parabolic, degree: int, height: int) -> list[Edge]:

@@ -21,7 +21,9 @@ arithmetic:
 * :func:`nullspace_basis` -- an exact kernel basis by Fraction elimination,
   which only the brute-force oracle uses.
 * :func:`parse_polynomial` -- reads the text that ``str(Polynomial)``
-  writes, with one regular grammar.
+  writes, with one regular grammar, straight into normal form; a caller
+  loading many texts passes one term cache, so that each distinct term
+  text is read once per load.
 
 Z-mode is a certificate layered on Q computation: the divisions are exact
 over the rationals and integrality of the result is checked afterwards.
@@ -39,7 +41,10 @@ factor's vector, or ``-e_j`` and ``+e_i`` in a division) and compute a
 vector only on a row's first miss, and ``parse_polynomial``,
 ``_constant_terms`` and ``Weight.to_polynomial`` intern the vectors they
 make.  The tables grow only with the distinct ``(d, e)`` pairs a process
-computes with and are never emptied.
+computes with and are never emptied.  A division's set-up (its variable,
+its pivot coefficient and its shift rows) is a plan cached on the
+``Weight``, so a graph's edge weights work it out once.  Nothing else is
+cached across calls: the parser's term cache belongs to its caller.
 """
 
 from __future__ import annotations
@@ -283,8 +288,8 @@ class Polynomial:
     ``terms`` maps exponent vectors to nonzero coefficients, each an ``int``
     when integral and a :class:`fractions.Fraction` otherwise, so two equal
     polynomials have equal ``terms``.  The constructor checks and normalizes
-    its input; results of the ring operations are built in normal form and
-    skip those checks.  Instances are immutable by convention: no method
+    its input; results of the ring operations and of the parser are built
+    in normal form and skip those checks.  Instances are immutable by convention: no method
     mutates ``terms`` after construction, so values may be shared freely
     across threads.  The keys are plain tuples; those made by the kernels,
     the parser and the constant and weight constructors are interned (see
@@ -314,16 +319,16 @@ class Polynomial:
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
             clean[exps] = c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        _set_nvars(self, nvars)
+        _set_terms(self, clean)
 
     @classmethod
     def _make(cls, nvars: int, terms: dict) -> "Polynomial":
         """Unchecked constructor: ``terms`` must already be in normal form
         (valid exponent vectors, no zero, no integral ``Fraction``)."""
         p = object.__new__(cls)
-        object.__setattr__(p, "nvars", nvars)
-        object.__setattr__(p, "terms", terms)
+        _set_nvars(p, nvars)
+        _set_terms(p, terms)
         return p
 
     def __setattr__(self, name, value):
@@ -468,6 +473,10 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+# the slots' own setters, which pass over the refusing __setattr__
+_set_nvars, _set_terms = Polynomial.nvars.__set__, Polynomial.terms.__set__
+
+
 def monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """All exponent vectors of the given total degree, in descending lex order.
 
@@ -519,6 +528,25 @@ def divide_by_weight(p: Polynomial, w: Weight) -> Polynomial:
     return Polynomial._make(p.nvars, quot)
 
 
+def _division_plan(w: Weight) -> tuple:
+    """``(j, c_j, -e_j, row of -e_j, others)`` for division by ``w``: ``x_j``
+    is its first variable with a nonzero coefficient ``c_j``, and
+    ``others`` holds ``(w_i, row of +e_i, e_i)`` for each other nonzero
+    ``w_i``.  Made on first use and cached on ``w``, as its polynomial is."""
+    plan = w.__dict__.get("_plan")
+    if plan is None:
+        n = len(w.coeffs)
+        j, cj = next((i, c) for i, c in enumerate(w.coeffs) if c)
+        down = _unit(j, n, -1)
+        others = []
+        for i, wi in enumerate(w.coeffs):
+            if wi and i != j:
+                up = _unit(i, n)
+                others.append((wi, _shift_row(up), up))
+        plan = w.__dict__["_plan"] = (j, cj, down, _shift_row(down), tuple(others))
+    return plan
+
+
 def _divmod_weight(terms, w: Weight):
     """``(quotient, remainder)`` of the given terms by ``w``, as term dicts.
 
@@ -530,17 +558,9 @@ def _divmod_weight(terms, w: Weight):
     remainder, free of ``x_j``: the restriction to the hyperplane ``w = 0``.
     Both are in coefficient normal form when ``terms`` is; ``terms`` is kept.
     The vectors ``e-e_j`` and ``e-e_j+e_i`` are read from the shift rows of
-    ``-e_j`` and ``+e_i``.
+    ``-e_j`` and ``+e_i``, which ``w``'s cached division plan holds.
     """
-    n = len(w.coeffs)
-    j, cj = next((i, c) for i, c in enumerate(w.coeffs) if c)
-    down = _unit(j, n, -1)
-    drow = _shift_row(down)
-    others = []  # (w_i, row of +e_i, e_i) for the other nonzero w_i
-    for i, wi in enumerate(w.coeffs):
-        if wi and i != j:
-            up = _unit(i, n)
-            others.append((wi, _shift_row(up), up))
+    j, cj, down, drow, others = _division_plan(w)
     levels: dict[int, dict] = {}  # power of x_j -> terms
     for e, c in terms.items():
         levels.setdefault(e[j], {})[e] = c
@@ -679,7 +699,7 @@ def solve_congruences(constraints, degree: int, mode: str = "Q") -> Polynomial:
             continue
         if k > degree:
             raise NoSolutionError("congruence system has no homogeneous solution")
-        j, c = next((i, c) for i, c in enumerate(ak.coeffs) if c)
+        j, c = _division_plan(ak)[:2]
         for ai, _ in constraints[:k]:
             b = Weight(tuple(c * x - ai.coeffs[j] * y for x, y in zip(ai.coeffs, ak.coeffs)))
             r, rem = _divmod_weight(r, b)
@@ -706,7 +726,7 @@ _SIGNED_TERM = re.compile(rf"([\s+-]*)({_TERM})")
 _FACTORS = re.compile(r"x([0-9]+)(?:\s*\^\s*([0-9]+))?|([0-9]+)(?:/([0-9]+))?")
 
 
-def parse_polynomial(text: str, nvars: int) -> Polynomial:
+def parse_polynomial(text: str, nvars: int, cache: dict | None = None) -> Polynomial:
     """Read a polynomial in ``x1 .. x<nvars>`` from the text ``str(Polynomial)`` writes.
 
     The accepted grammar, with any whitespace before, after and between
@@ -719,10 +739,15 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
 
     Digits are the ASCII digits ``0-9``.  A term's sign is the parity of
     its minus signs, factors multiply and equal monomials add up.  A
-    malformed text, a variable outside ``x1 .. x<nvars>`` and a zero
-    denominator raise :class:`PolynomialParseError`; for a malformed text
-    it quotes at most 80 characters around the offset where the grammar
-    stops matching.
+    malformed text, a variable outside ``x1 .. x<nvars>``, a zero
+    denominator and a number of more digits than ``int`` reads raise
+    :class:`PolynomialParseError`; for a malformed text it quotes at most
+    80 characters around the offset where the grammar stops matching.
+
+    Each term text is read into ``(interned exponent vector, coefficient)``
+    through ``cache``, a dict that the caller may share between the texts
+    of one rank (one load) so that each distinct term is read once; the
+    terms are summed straight into normal form.
 
     >>> str(parse_polynomial("3*x1^2*x2 - x3", 3))
     '3*x1^2*x2 - x3'
@@ -733,10 +758,27 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
         raise PolynomialParseError(
             f"malformed polynomial text at offset {at} of {len(text)}: {text[max(0, at - 40):at + 40]!r}"
         )
+    if cache is None:
+        cache = {}
     terms: dict[tuple[int, ...], int | Fraction] = {}
     for signs, term in _SIGNED_TERM.findall(text):
-        coeff = -1 if signs.count("-") % 2 else 1
-        exps = [0] * nvars
+        read = cache.get(term)
+        if read is None:
+            read = cache[term] = _read_term(term, nvars)
+        e, c = read
+        if signs.count("-") % 2:
+            c = -c
+        s = terms.get(e)
+        terms[e] = c if s is None else s + c
+    return Polynomial._make(nvars, {e: c if type(c) is int else _normal(c) for e, c in terms.items() if c})
+
+
+def _read_term(term: str, nvars: int) -> tuple[tuple[int, ...], int | Fraction]:
+    """The interned exponent vector and the coefficient, in normal form, of
+    one unsigned term text that the grammar matched."""
+    coeff = 1
+    exps = [0] * nvars
+    try:
         for var, power, num, den in _FACTORS.findall(term):
             if var:
                 i = int(var) - 1
@@ -749,6 +791,8 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
                 coeff *= Fraction(int(num), int(den))
             else:
                 raise PolynomialParseError(f"zero denominator in '{num}/{den}'")
-        e = _intern(tuple(exps))
-        terms[e] = terms.get(e, 0) + coeff
-    return Polynomial(nvars, terms)
+    except ValueError:  # int() refuses more digits than sys.get_int_max_str_digits()
+        raise PolynomialParseError(
+            f"a number in the term {term[:40]!r} of {len(term)} characters has too many digits"
+        ) from None
+    return _intern(tuple(exps)), coeff if type(coeff) is int else _normal(coeff)

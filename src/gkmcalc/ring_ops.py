@@ -48,7 +48,7 @@ def ordinary_reduction(expansion: dict[str, Polynomial]) -> dict[str, int | Frac
     ones (tensoring out the coefficient ring of a point): exact rationals,
     an ``int`` when integral and a ``Fraction`` otherwise.
     """
-    return {vid: c.constant_term() for vid, c in expansion.items()}
+    return {vid: c.constant_term() if c.terms else 0 for vid, c in expansion.items()}
 
 
 def _unique_vertex_of_dim(graph: GkmGraph, cell_dim: int) -> str:

@@ -149,17 +149,23 @@ class GeneratorBasis:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorBasis":
+        """The basis that ``to_dict`` wrote, with generator conditions 1-4
+        checked.  Each distinct value text is parsed once, and each
+        distinct term text read once, through caches that live for this
+        load only."""
         graph = GkmGraph.from_dict(_json_of(dict, data, "a basis")["graph"])
         degree = _count(data["degree"], "basis degree")
         mode = _normalize_mode(data.get("mode", graph.mode))
         generators = _json_of(dict, data["generators"], "basis generators")
         if set(generators) != {v.id for v in graph.vertices if v.cell_dim <= 2 * degree}:
             raise ValueError(f"basis generators must be the vertices of cell dim <= {2 * degree}")
-        # one immutable Polynomial per distinct text; most values are "0"
+        # one immutable Polynomial per distinct text, most values being "0",
+        # and one reading per distinct term text, for this load only
         polys: dict[str, Polynomial] = {}
+        terms: dict = {}
         gens = {}
         for vid, values in generators.items():
-            values = _json_values(values, graph.rank, f"generator {vid!r}", polys)
+            values = _json_values(values, graph.rank, f"generator {vid!r}", polys, terms)
             _same_vertices(graph, values, f"generator {vid!r}")
             # degree None: _generator_checks tests homogeneity and names vid
             bad = [c for c in _generator_checks(graph, vid, CohClass._make(values, None)) if not c.ok]
@@ -406,18 +412,20 @@ def expand_in_basis(cls: CohClass, basis: GeneratorBasis) -> dict[str, Polynomia
     0``.  A residual that a down-edge weight does not divide, or nonzero
     after the last vertex, raises :class:`NotInSpanError` with the vertex
     (and edge).  In Z-mode every coefficient must be integral.  Inputs are
-    left unchanged.
+    left unchanged.  Every zero coefficient of one call is one shared
+    zero polynomial, so only the nonzero ones are allocated.
     """
     graph, nvars = basis.graph, basis.graph.rank
     residual = {vid: dict(cls.value(vid).terms) for vid in graph.vertex_ids}
     coeffs: dict[str, Polynomial] = {}
+    zero = Polynomial._make(nvars, {})
     for vid in graph.vertex_ids:
         gen = basis.generators.get(vid)
         if gen is None:
             continue
         c = residual[vid]
         if not c:
-            coeffs[vid] = Polynomial._make(nvars, {})
+            coeffs[vid] = zero
             continue
         diag = gen.values[vid].terms
         e0 = next(iter(diag), None)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gkmcalc import oracle
 from gkmcalc.builders import (
     TWISTED_A1_4,
     affine_type_a,
@@ -13,6 +14,7 @@ from gkmcalc.builders import (
     build_preset,
     type_a,
     type_b2,
+    word_from_id,
 )
 from gkmcalc.coxeter import GCM, CosetRep
 from gkmcalc.errors import CoprimalityViolatedError, NotFiniteTypeError
@@ -117,6 +119,28 @@ def test_s2n_random_agreement():
 def test_schubert_identity_is_one():
     cls = divided_difference_schubert(type_a(2), CosetRep(()))
     assert all(p == Polynomial.one(2) for p in cls.values.values())
+
+
+def test_schubert_table_is_computed_once_per_matrix(monkeypatch):
+    b3 = GCM(((2, -1, 0), (-1, 2, -1), (0, -2, 2)))
+    calls = []
+    table = oracle.schubert_restrictions
+    monkeypatch.setattr(oracle, "schubert_restrictions", lambda *a: calls.append(a) or table(*a))
+    oracle._full_flag.cache_clear()
+    graph = build_flag_graph(b3, (), 9)
+    classes = {vid: divided_difference_schubert(b3, CosetRep(word_from_id(vid))) for vid in graph.vertex_ids}
+    assert len(calls) == 1
+    assert classes == table(b3, (), 9)
+
+
+def test_schubert_classes_are_fresh():
+    a2 = type_a(2)
+    first = divided_difference_schubert(a2, CosetRep((0,)))
+    kept = dict(first.values)
+    first.values["e"] = Polynomial.one(2)
+    first.values.pop("0")
+    again = divided_difference_schubert(a2, CosetRep((0,)))
+    assert again.values == kept and again is not first
 
 
 def test_schubert_top_class_a2():

@@ -594,6 +594,52 @@ def test_parse_rejects_a_long_text_at_its_last_token():
         parse_polynomial(text + " + y", 3)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1" * 5000,  # a coefficient
+        "x" + "1" * 5000,  # a variable index
+        "x1^" + "1" * 5000,  # an exponent
+        "1" * 5000 + "/2*x1",  # a numerator
+        "x1 + 1/" + "1" * 5000,  # a denominator
+    ],
+    ids=["coefficient", "index", "exponent", "numerator", "denominator"],
+)
+def test_parse_refuses_a_long_digit_run(text):
+    # int() reads at most 4,300 digits by default; the error is a parse error
+    with pytest.raises(PolynomialParseError, match="too many digits") as err:
+        parse_polynomial(text, 1)
+    assert len(str(err.value)) < 300
+
+
+@st.composite
+def _texts_of_one_rank(draw):
+    """Texts of one rank with their values: polynomials as ``str`` writes
+    them, sums that repeat a monomial and sums that cancel to zero."""
+    k = draw(st.integers(1, 3))
+    polys = draw(st.lists(_sparse_polynomial(k), min_size=1, max_size=4))
+    cases = [(str(p), p) for p in polys]
+    cases += [(f"{p} + {q}", p + q) for p, q in zip(polys, polys[1:])]
+    cases += [(f"{p} + {-p}", Polynomial.zero(k)) for p in polys[:1]]
+    return k, cases
+
+
+@settings(deadline=None)
+@given(_texts_of_one_rank())
+@example((2, [("x1 - x1", Polynomial.zero(2)), ("1/2*x1 + 1/2*x1", X), ("0*x2 + 4/2", Polynomial.constant(2, 2))]))
+def test_parsed_terms_are_in_normal_form(case):
+    k, cases = case
+    shared = {}
+    for text, value in cases:
+        alone = parse_polynomial(text, k)
+        assert alone == value
+        # no zero, no integral Fraction, and interned exponent vectors
+        _assert_normal_terms(alone.terms, _ref_clean(value.terms))
+        assert all(polyring._VECTORS.get(e) is e for e in alone.terms)
+        # one term cache shared by the texts of one load reads the same values
+        assert parse_polynomial(text, k, shared) == alone
+
+
 _REFERENCE_TOKEN = re.compile(r"([+\-*^]|x[0-9]+|[0-9]+(?:/[0-9]+)?)|\s+|(.)")
 
 
@@ -858,6 +904,25 @@ def test_term_kernels_match_reference(case):
     _assert_normal_terms(quot, _ref_clean(quot))
     assert all(e[j] == 0 for e in rem)
     assert a == a0 and b == b0
+
+
+@settings(deadline=None)
+@given(_kernel_case())
+def test_division_plan_is_cached_per_weight(case):
+    terms, _, _, _, coeffs = case
+    w = Weight(coeffs)
+    first = _divmod_weight(terms, w)
+    assert "_plan" in w.__dict__
+    again = _divmod_weight(terms, w)  # from the cached plan
+    fresh = _divmod_weight(terms, Weight(coeffs))  # an equal weight, its own plan
+    assert first == again == fresh
+    quot, rem = first
+    j = next(i for i, x in enumerate(coeffs) if x)
+    assert all(e[j] == 0 for e in rem)
+    # quot * w + rem gives the terms back
+    back = dict(rem)
+    _add_product(back, quot, Weight(coeffs).to_polynomial().terms)
+    assert back == terms
 
 
 def test_kernels_share_equal_vectors():

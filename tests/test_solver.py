@@ -233,6 +233,16 @@ def test_expand_leaves_inputs_unchanged():
         assert snapshot(cls, b) == before
 
 
+def test_expand_shares_one_zero_coefficient():
+    basis = canonical_generators(build_flag_graph(type_a(3), (), 4), 4)
+    f = basis.generator("0")
+    coeffs = expand_in_basis(f * basis.generator("1"), basis)
+    zeros = [c for c in coeffs.values() if c.is_zero()]
+    assert len(zeros) > 1
+    assert all(c is zeros[0] for c in zeros)
+    assert zeros[0] == Polynomial.zero(3)
+
+
 def test_expand_rejects_non_class():
     g = build_preset("A2-flag")
     basis = canonical_generators(g, 3)
@@ -726,6 +736,20 @@ def test_basis_load_shares_one_polynomial_per_text():
     assert loaded.dumps() == basis.dumps()
     values = [p for cls in loaded.generators.values() for p in cls.values.values()]
     assert len({id(p) for p in values}) == len(set(texts))
+
+
+def test_basis_load_reads_each_term_text_once(monkeypatch):
+    basis = canonical_generators(build_flag_graph(GCM(((2, -1), (-3, 2))), (), 6), 6)
+    data = json.loads(basis.dumps())
+    texts = {t for values in data["generators"].values() for t in values.values()}
+    terms = {term for t in texts for _, term in polyring._SIGNED_TERM.findall(t)}
+    reads = []
+    read = polyring._read_term
+    monkeypatch.setattr(polyring, "_read_term", lambda term, nvars: reads.append(term) or read(term, nvars))
+    for _ in range(2):  # the term cache lives for one load, so the second reads them again
+        reads.clear()
+        assert GeneratorBasis.from_dict(data).dumps() == basis.dumps()
+        assert sorted(reads) == sorted(terms)
 
 
 @pytest.mark.parametrize("first, second", [("3x1", "x9"), ("x9", "3x1"), ("x1 +", "x1 +"), ("1/0", "x1 ^ x2")])

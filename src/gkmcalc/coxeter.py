@@ -19,6 +19,10 @@ the lcm of its denominators, which commutes with the linear action and
 keeps the stabilizer, so cosets, words and their order are unchanged.
 Callers that need rational coordinates divide once where they write a
 position out.
+
+One fraction-free elimination, ``_eliminate``, answers all three questions
+about the matrix itself: its type, the marks of an affine matrix and the
+adjugate the builder inverts with.
 """
 
 from __future__ import annotations
@@ -144,81 +148,83 @@ def apply_word_dual(gcm: GCM, word, mu):
     return mu
 
 
-def _det(rows) -> int:
-    """Determinant of an integer matrix by fraction-free (Bareiss)
-    elimination: every division is exact, so all entries stay ``int``."""
-    m = [list(row) for row in rows]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if m[r][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        top = m[k]
-        for r in range(k + 1, n):
-            row = m[r]
-            row[k + 1:] = [
-                (row[c] * top[k] - row[k] * top[c]) // prev for c in range(k + 1, n)
-            ]
-        prev = top[k]
-    return sign * prev
+def _eliminate(rows) -> tuple[list[int], list[list[int]]]:
+    """``(pivots, m)`` from the fraction-free (Bareiss) Gauss-Jordan
+    elimination of ``[rows | I]``, with exact divisions and no row
+    exchanges, stopped at the first zero pivot.  The pivots are the leading
+    principal minors in order.  After ``k`` steps the left half starts with
+    ``k`` columns of ``d*I``, ``d`` the last pivot; so ``m`` ends at
+    ``[det*I | adj]`` when no pivot is zero.
 
-
-def _adjugate(rows) -> tuple[int, list[list[int]]]:
-    """``(det, adj)`` of a nonsingular square integer matrix from one
-    fraction-free (Bareiss) Gauss-Jordan elimination of ``[rows | I]``.
-    Every division is exact, and the elimination ends at ``[d*I | d*inv]``
-    with ``d = det`` up to the sign of the row swaps, so the right half is
-    the adjugate up to that sign.
-
-    >>> _adjugate([[2, -1], [-1, 2]])
-    (3, [[2, 1], [1, 2]])
+    >>> _eliminate([[2, -1], [-1, 2]])
+    ([2, 3], [[3, 0, 2, 1], [0, 3, 1, 2]])
     """
     n = len(rows)
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    sign, prev = 1, 1
+    pivots, prev = [], 1
     for k in range(n):
-        piv = next((r for r in range(k, n) if m[r][k]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
         top, p = m[k], m[k][k]
+        pivots.append(p)
+        if not p:
+            break
         for r in range(n):
             if r != k:
                 f = m[r][k]
                 m[r] = [(x * p - f * t) // prev for x, t in zip(m[r], top)]
         prev = p
-    return sign * prev, [[sign * x for x in row[n:]] for row in m]
+    return pivots, m
+
+
+def _adjugate(rows) -> tuple[int, list[list[int]]]:
+    """``(det, adj)`` read off the ``[det*I | adj]`` of ``_eliminate``.
+    Raises ``ValueError`` on a zero leading minor, which a matrix of finite
+    type, such as the classical block the builder inverts, never has."""
+    pivots, m = _eliminate(rows)
+    if not pivots[-1]:
+        raise ValueError(f"leading {len(pivots)}x{len(pivots)} block is singular")
+    return pivots[-1], [row[len(rows):] for row in m]
+
+
+def _null_vector(pivots, m) -> tuple[int, ...]:
+    """The primitive kernel vector ``(-x, d)`` read off the left half
+    ``[[d*I, x], [0, 0]]`` of an elimination stopped at its last pivot;
+    ``ValueError`` for any other stop or a vector not strictly positive."""
+    n = len(m)
+    if pivots[-1]:
+        raise ValueError("Cartan matrix kernel is not one-dimensional: it is nonsingular")
+    if len(pivots) < n:
+        raise ValueError(f"leading {len(pivots)}x{len(pivots)} block is singular")
+    col = tuple(-row[n - 1] for row in m[:-1]) + (pivots[-2],)
+    g = gcd(*col)
+    ints = tuple(v // g for v in col)
+    if any(v <= 0 for v in ints):
+        raise ValueError("kernel vector is not strictly positive")
+    return ints
 
 
 def classify(gcm: GCM) -> str:
-    """Sort a Cartan matrix into ``finite``, ``affine`` or ``indefinite``.
+    """Sort a Cartan matrix into ``finite``, ``affine`` or ``indefinite``
+    from one ``_eliminate`` call.
 
     By definition, finite type means every principal minor is positive, and
     affine means the determinant vanishes, every proper principal minor is
     positive and the kernel is spanned by a strictly positive vector.  A
     Cartan matrix has non-positive off-diagonal entries, so two classical
-    facts shorten both tests to polynomial time:
+    facts make the pivots and the kernel of one elimination enough:
 
-    * Fiedler-Ptak (Czech. Math. J., 1962): for such a matrix, all
-      principal minors are positive exactly when the ``n`` leading ones
-      are;
+    * Fiedler-Ptak (Czech. Math. J., 1962): all principal minors are
+      positive exactly when the ``n`` leading ones, the pivots, are;
     * Kac (Infinite-dimensional Lie algebras, ch. 4): affine type is an
-      irreducible singular M-matrix.  ``marks`` succeeds exactly then: its
-      kernel vector is strictly positive, which makes the matrix a singular
-      M-matrix, and spans a one-dimensional kernel, which rules out a
-      block-diagonal split, so every proper principal minor is positive.
+      irreducible singular M-matrix.  It stops the elimination at the last
+      pivot with a strictly positive kernel vector; conversely, such a
+      vector makes the matrix a singular M-matrix, and its one-dimensional
+      kernel rules out a block-diagonal split.
     """
-    rows = gcm.rows
-    if all(_det([row[:k] for row in rows[:k]]) > 0 for k in range(1, gcm.n + 1)):
+    pivots, m = _eliminate(gcm.rows)
+    if all(p > 0 for p in pivots):  # no zero pivot stopped the elimination
         return "finite"
     try:
-        marks(gcm)
+        _null_vector(pivots, m)
     except ValueError:
         return "indefinite"
     return "affine"
@@ -227,19 +233,9 @@ def classify(gcm: GCM) -> str:
 def marks(gcm: GCM) -> tuple[int, ...]:
     """The primitive positive integer vector spanning the kernel of an
     affine Cartan matrix; its entries are the coefficients of the simple
-    roots in the null root delta.  In affine type the block ``C`` of ``A``
-    without node 0 is of finite type, and ``A x = 0`` gives ``x_0 = det C``
-    and ``x' = -adj(C) a'``, ``a'`` the rest of column 0."""
-    rows = gcm.rows
-    det, adj = _adjugate([row[1:] for row in rows[1:]])  # raises when C is singular
-    col = (det,) + tuple(-sum(a * r[0] for a, r in zip(line, rows[1:])) for line in adj)
-    if any(sum(a * c for a, c in zip(row, col)) for row in rows):
-        raise ValueError("Cartan matrix kernel is not one-dimensional")
-    g = gcd(*col)
-    ints = tuple(v // g for v in col)
-    if any(v <= 0 for v in ints):
-        raise ValueError("kernel vector is not strictly positive")
-    return ints
+    roots in the null root delta.  One ``_eliminate`` call, the same as in
+    ``classify``, gives it; ``ValueError`` when the matrix is not affine."""
+    return _null_vector(*_eliminate(gcm.rows))
 
 
 def real_roots(gcm: GCM, height_cutoff: int) -> list[Root]:

@@ -477,13 +477,6 @@ class CohClass:
         deg = None if isinstance(other, Polynomial) else self.degree
         return CohClass._make({v: p * other if p.terms else p for v, p in self.values.items()}, deg)
 
-    def to_dict(self) -> dict:
-        out: dict = {}
-        if self.degree is not None:
-            out["degree"] = self.degree
-        out["values"] = {vid: str(self.values[vid]) for vid in sorted(self.values)}
-        return out
-
     @classmethod
     def from_dict(cls, data: dict, rank: int) -> "CohClass":
         degree = _json_of(dict, data, "a class").get("degree")

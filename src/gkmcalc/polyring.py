@@ -250,9 +250,6 @@ class Weight:
     def is_primitive(self) -> bool:
         return self._line[0] == 1
 
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-c for c in self.coeffs))
-
     def proportional(self, other: "Weight") -> bool:
         """True when the two forms are parallel over Q (zero counts as parallel)."""
         if len(self.coeffs) != len(other.coeffs):
@@ -775,7 +772,8 @@ def parse_polynomial(text: str, nvars: int, cache: dict | None = None) -> Polyno
 
 def _read_term(term: str, nvars: int) -> tuple[tuple[int, ...], int | Fraction]:
     """The interned exponent vector and the coefficient, in normal form, of
-    one unsigned term text that the grammar matched."""
+    one unsigned term text that the grammar matched.  Errors quote at most
+    40 characters of it."""
     coeff = 1
     exps = [0] * nvars
     try:
@@ -783,14 +781,14 @@ def _read_term(term: str, nvars: int) -> tuple[tuple[int, ...], int | Fraction]:
             if var:
                 i = int(var) - 1
                 if not 0 <= i < nvars:
-                    raise PolynomialParseError(f"variable x{var} out of range for rank {nvars}")
+                    raise PolynomialParseError(f"variable x{var[:40]} out of range for rank {nvars}")
                 exps[i] += int(power) if power else 1
             elif not den:
                 coeff *= int(num)
             elif int(den):
                 coeff *= Fraction(int(num), int(den))
             else:
-                raise PolynomialParseError(f"zero denominator in '{num}/{den}'")
+                raise PolynomialParseError(f"zero denominator in {(num + '/' + den)[:40]!r}")
     except ValueError:  # int() refuses more digits than sys.get_int_max_str_digits()
         raise PolynomialParseError(
             f"a number in the term {term[:40]!r} of {len(term)} characters has too many digits"

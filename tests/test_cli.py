@@ -2,12 +2,15 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from gkmcalc.cli import main
 from gkmcalc.graph import GkmGraph
 from gkmcalc.polyring import parse_polynomial
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run(argv, capsys):
@@ -516,3 +519,37 @@ def test_multiply_basis_breaking_generator_conditions_exit_code(tmp_path, capsys
     code, out, err = run(["multiply", str(basis_path), "1-0-1", "0"], capsys)
     assert code == 4
     assert not out and "generator '1-0-1-0'" in err and condition in err
+
+
+def test_generators_on_an_invalid_graph_exit_code(capsys):
+    # the solver validates first; its ValidationFailureError exits 1
+    code, out, err = run(["generators", str(FIXTURES / "odd_cell.json")], capsys)
+    assert code == 1
+    assert not out
+    assert err.rstrip().endswith("overall: fail")
+
+
+def test_multiply_below_the_product_degree_exit_code(tmp_path, capsys):
+    # f_0-1 * f_1-0 has degree 4; a basis cut at degree 2 cannot expand it
+    graph_path = tmp_path / "b2.json"
+    basis_path = tmp_path / "b2-low.json"
+    assert run(["build", "B2-flag", "-o", str(graph_path)], capsys)[0] == 0
+    assert run(["generators", str(graph_path), "--degree", "2", "-o", str(basis_path)], capsys)[0] == 0
+    code, out, err = run(["multiply", str(basis_path), "0-1", "1-0"], capsys)
+    assert code == 2
+    assert not out
+    assert "nonzero residual" in err and "at '0-1-0'" in err
+    assert "Traceback" not in err
+
+
+def test_render_with_basis_labels_vertices(tmp_path, capsys):
+    graph_path = tmp_path / "b2.json"
+    basis_path = tmp_path / "b2-basis.json"
+    assert run(["build", "B2-flag", "-o", str(graph_path)], capsys)[0] == 0
+    assert run(["generators", str(graph_path), "-o", str(basis_path)], capsys)[0] == 0
+    code, out, _ = run(
+        ["render", str(graph_path), "--basis", str(basis_path), "--vertex", "0", "--format", "dot"],
+        capsys,
+    )
+    assert code == 0
+    assert '"0-1-0" [label="s0 s1 s0\\n2*(x1 + x2)"' in out

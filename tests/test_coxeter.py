@@ -7,7 +7,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkmcalc import coxeter
@@ -15,7 +15,7 @@ from gkmcalc.builders import affine_type_a, build_flag_graph, type_a
 from gkmcalc.coxeter import (
     GCM,
     _adjugate,
-    _det,
+    _eliminate,
     CosetRep,
     Root,
     apply_word_dual,
@@ -39,13 +39,28 @@ AFF_A1 = GCM(((2, -2), (-2, 2)))
 TWISTED = GCM(((2, -1), (-4, 2)))
 
 
+def _laplace(m) -> int:
+    """Determinant by Laplace expansion along the first row: the tests'
+    own reference, independent of ``_eliminate``."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** c * m[0][c] * _laplace([row[:c] + row[c + 1:] for row in m[1:]])
+        for c in range(len(m))
+    )
+
+
+def _leading_minors(rows) -> list[int]:
+    return [_laplace([row[:k] for row in rows[:k]]) for k in range(1, len(rows) + 1)]
+
+
 def _cofactor_column(rows, j: int) -> tuple[int, ...]:
     """Column ``j`` of the adjugate of a square integer matrix, so that
     ``rows * column == det(rows) * e_j``: entry ``i`` is the cofactor of
     entry ``(j, i)``.  The reference for ``_adjugate`` and ``marks``."""
     minor = [row for r, row in enumerate(rows) if r != j]
     return tuple(
-        (-1) ** (i + j) * _det([row[:i] + row[i + 1:] for row in minor])
+        (-1) ** (i + j) * _laplace([row[:i] + row[i + 1:] for row in minor])
         for i in range(len(rows))
     )
 
@@ -96,22 +111,6 @@ def test_classify_and_marks():
     assert marks(TWISTED) == (1, 2)
 
 
-def test_det_is_exact_on_integers():
-    def laplace(m):
-        if not m:
-            return 1
-        return sum(
-            (-1) ** c * m[0][c] * laplace([row[:c] + row[c + 1:] for row in m[1:]])
-            for c in range(len(m))
-        )
-
-    rng = random.Random(11)
-    for _ in range(400):
-        n = rng.randint(1, 5)
-        m = [[rng.choice((0, rng.randint(-6, 6))) for _ in range(n)] for _ in range(n)]
-        assert _det(m) == laplace(m) and type(_det(m)) is int, m
-
-
 @st.composite
 def _square_matrix_and_column(draw):
     n = draw(st.integers(1, 5))
@@ -126,7 +125,7 @@ def test_cofactor_column_is_adjugate_column(case):
     rows, j = case
     n = len(rows)
     col = _cofactor_column(rows, j)
-    det = _det(rows)
+    det = _laplace(rows)
     assert all(type(c) is int for c in col)
     assert [sum(a * c for a, c in zip(row, col)) for row in rows] == [
         det if i == j else 0 for i in range(n)
@@ -141,15 +140,34 @@ def test_cofactor_column_is_adjugate_column(case):
 
 @settings(deadline=None)
 @given(_square_matrix_and_column())
+@example(([[0, 1], [1, 0]], 0))
 def test_adjugate_is_every_cofactor_column(case):
+    # no row exchanges: a zero leading minor is refused, even in a
+    # nonsingular matrix such as [[0, 1], [1, 0]]
     rows, _ = case
-    det = _det(rows)
-    if not det:
+    if 0 in _leading_minors(rows):
         with pytest.raises(ValueError, match="singular"):
             _adjugate(rows)
         return
     cols = [_cofactor_column(rows, j) for j in range(len(rows))]
-    assert _adjugate(rows) == (det, [list(row) for row in zip(*cols)])
+    assert _adjugate(rows) == (_laplace(rows), [list(row) for row in zip(*cols)])
+
+
+@settings(deadline=None, max_examples=300)
+@given(_square_matrix_and_column())
+def test_eliminate_pivots_are_leading_minors(case):
+    rows, _ = case
+    n = len(rows)
+    pivots, m = _eliminate(rows)
+    minors = _leading_minors(rows)
+    stop = minors.index(0) + 1 if 0 in minors else n
+    assert pivots == minors[:stop]
+    assert all(type(x) is int for row in m for x in row)
+    if stop == n and pivots[-1]:
+        det = minors[-1]
+        assert [row[:n] for row in m] == [[det * (i == j) for j in range(n)] for i in range(n)]
+        cols = [_cofactor_column(rows, j) for j in range(n)]
+        assert [row[n:] for row in m] == [list(row) for row in zip(*cols)]
 
 
 def test_marks_errors():
@@ -157,8 +175,10 @@ def test_marks_errors():
         marks(A2)  # det != 0
     with pytest.raises(ValueError, match="singular"):
         marks(GCM(((2, -2, 0, 0), (-2, 2, 0, 0), (0, 0, 2, -2), (0, 0, -2, 2))))  # corank 2
+    with pytest.raises(ValueError, match="leading 2x2 block is singular"):
+        marks(GCM(((2, -2, 0), (-2, 2, 0), (0, 0, 2))))  # decomposable
     with pytest.raises(ValueError, match="not strictly positive"):
-        marks(GCM(((2, -2, 0), (-2, 2, 0), (0, 0, 2))))
+        marks(GCM(((2, 0, 0), (0, 2, -2), (0, -2, 2))))  # kernel (0, 1, 1)
 
 
 def _classify_by_principal_minors(gcm):
@@ -166,7 +186,7 @@ def _classify_by_principal_minors(gcm):
     of nodes, and the kernel from the Fraction elimination of polyring."""
     n = gcm.n
     minors = {
-        keep: _det([[gcm.a(i, j) for j in keep] for i in keep])
+        keep: _laplace([[gcm.a(i, j) for j in keep] for i in keep])
         for size in range(1, n + 1)
         for keep in combinations(range(n), size)
     }
@@ -221,10 +241,10 @@ def test_marks_match_the_cofactor_reference(gcm):
     assert marks(gcm) == tuple(abs(c) // gcd(*col) for c in col)
 
 
-def test_classify_takes_a_linear_number_of_determinants(monkeypatch):
-    det = coxeter._det
+def test_classify_and_marks_take_one_elimination(monkeypatch):
+    eliminate = coxeter._eliminate
     calls = []
-    monkeypatch.setattr(coxeter, "_det", lambda rows: calls.append(1) or det(rows))
+    monkeypatch.setattr(coxeter, "_eliminate", lambda rows: calls.append(1) or eliminate(rows))
     indefinite = [list(row) for row in type_a(12).rows]
     indefinite[10][11] = indefinite[11][10] = -2  # det 24 - 4 * 11 < 0
     for gcm, kind in (
@@ -234,7 +254,10 @@ def test_classify_takes_a_linear_number_of_determinants(monkeypatch):
     ):
         calls.clear()
         assert classify(gcm) == kind
-        assert 0 < len(calls) <= 3 * gcm.n, (kind, len(calls))
+        assert len(calls) == 1, (kind, len(calls))
+    calls.clear()
+    assert marks(affine_type_a(12)) == (1,) * 13
+    assert len(calls) == 1
 
 
 def test_generic_vector_beyond_thirty_free_nodes():

@@ -612,6 +612,18 @@ def test_parse_refuses_a_long_digit_run(text):
     assert len(str(err.value)) < 300
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [("x" + "9" * 4000, "out of range"), ("1/" + "0" * 4000, "zero denominator")],
+    ids=["index", "denominator"],
+)
+def test_parse_errors_quote_a_bounded_part_of_a_long_term(text, match):
+    # digit runs int() still reads: the message quotes at most 40 of them
+    with pytest.raises(PolynomialParseError, match=match) as err:
+        parse_polynomial(text, 2)
+    assert len(str(err.value)) < 300
+
+
 @st.composite
 def _texts_of_one_rank(draw):
     """Texts of one rank with their values: polynomials as ``str`` writes

@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedTypeError,
     ValidationFailureError,
 )
-from .graph import CohClass, GkmGraph, _count, _same_vertices, is_gkm_class, validate
+from .graph import CohClass, GkmGraph, _count, is_gkm_class, validate
 from .polyring import Polynomial, Weight, monomials
 from .solver import GeneratorBasis, canonical_generators, expand_in_basis
 
@@ -121,8 +121,7 @@ def _cmd_generators(args) -> int:
 
 def _cmd_check(args) -> int:
     graph = _load_graph(args.graph)
-    cls = CohClass.from_dict(json.loads(_read_text(args.cls)), graph.rank)
-    _same_vertices(graph, cls.values, "class")
+    cls = CohClass.from_dict(json.loads(_read_text(args.cls)), graph)
     result = is_gkm_class(graph, cls)
     if result.ok:
         print("class: ok (divisible across every edge)")
@@ -173,10 +172,14 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    if (args.basis is None) != (args.vertex is None):
+        raise ValueError("render: --basis and --vertex must be given together")
     graph = _load_graph(args.graph)
     basis = None
     if args.basis is not None:
         basis = GeneratorBasis.from_dict(json.loads(_read_text(args.basis)))
+        if basis.graph != graph:
+            raise ValueError(f"render: the basis {args.basis} was solved on another graph than {args.graph}")
     if args.format == "dot":
         text = render.to_dot(graph, basis, args.vertex)
     else:

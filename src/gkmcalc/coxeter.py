@@ -180,9 +180,10 @@ def _adjugate(rows) -> tuple[int, list[list[int]]]:
     Raises ``ValueError`` on a zero leading minor, which a matrix of finite
     type, such as the classical block the builder inverts, never has."""
     pivots, m = _eliminate(rows)
-    if not pivots[-1]:
+    det = pivots[-1] if pivots else 1  # the 0x0 matrix has determinant 1
+    if not det:
         raise ValueError(f"leading {len(pivots)}x{len(pivots)} block is singular")
-    return pivots[-1], [row[len(rows):] for row in m]
+    return det, [row[len(rows):] for row in m]
 
 
 def _null_vector(pivots, m) -> tuple[int, ...]:
@@ -190,7 +191,7 @@ def _null_vector(pivots, m) -> tuple[int, ...]:
     ``[[d*I, x], [0, 0]]`` of an elimination stopped at its last pivot;
     ``ValueError`` for any other stop or a vector not strictly positive."""
     n = len(m)
-    if pivots[-1]:
+    if not pivots or pivots[-1]:
         raise ValueError("Cartan matrix kernel is not one-dimensional: it is nonsingular")
     if len(pivots) < n:
         raise ValueError(f"leading {len(pivots)}x{len(pivots)} block is singular")

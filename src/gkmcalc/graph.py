@@ -113,20 +113,21 @@ def _json_of(kind: type, value, what: str):
     return value
 
 
-def _json_values(values, rank: int, what: str, texts: dict[str, Polynomial], terms: dict) -> dict[str, Polynomial]:
-    """A class's values read from JSON, an object of polynomial strings by
-    vertex id; each distinct text is parsed once, into ``texts``, and each
-    distinct term text read once, into ``terms`` (``parse_polynomial``'s
-    cache).  Both live for one load."""
+def _json_values(values, graph: "GkmGraph", what: str, texts: dict, terms: dict) -> dict[str, Polynomial]:
+    """A class's values read from JSON, an object of polynomial strings
+    keyed by exactly the vertex ids of ``graph``; each distinct text is
+    parsed once, into ``texts``, and each distinct term text read once, into
+    ``terms`` (``parse_polynomial``'s cache).  Both live for one load."""
     if type(values) is not dict:
         raise ValueError(f"{what} must map vertex ids to polynomial strings, got a {type(values).__name__}")
+    _same_vertices(graph, values, what)
     out = {}
     for w, t in values.items():
         if type(t) is not str:
             raise ValueError(f"{what} has value {t!r} at vertex {w!r}, not a polynomial string")
         p = texts.get(t)
         if p is None:
-            p = texts[t] = parse_polynomial(t, rank, terms)
+            p = texts[t] = parse_polynomial(t, graph.rank, terms)
         out[w] = p
     return out
 
@@ -173,32 +174,15 @@ def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
-def _json_text(obj, pad: str = "") -> str:
-    """``json.dumps(obj, indent=2)`` for nested dicts (with ``str`` keys),
-    lists, strings and ints; any other type raises ``TypeError``."""
-    kind = type(obj)
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    inner = pad + "  "
-    if kind is dict:
-        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in obj.items()]
-        return _json_block(items, pad, "{}")
-    if kind is list:
-        return _json_block([_json_text(v, inner) for v in obj], pad)
-    raise TypeError(f"cannot write a {kind.__name__} as JSON")
-
-
 def _graph_text(graph: "GkmGraph", pad: str = "") -> str:
-    """``_json_text(graph.to_dict(), pad)``, written one vertex block and one
-    edge block at a time from the graph's own tuples; the text of each
-    distinct weight is formatted once."""
+    """The graph file as ``json.dumps(indent=2)`` lays it out at ``pad``, one
+    vertex and one edge block at a time from the graph's tuples, each
+    distinct weight's text formatted once; ``int.__repr__`` refuses floats."""
     quote = encode_basestring_ascii
     p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
     verts = []
     for v in graph.vertices:
-        fields = [f'"id": {quote(v.id)}', f'"cell_dim": {_json_text(v.cell_dim)}']
+        fields = [f'"id": {quote(v.id)}', f'"cell_dim": {int.__repr__(v.cell_dim)}']
         if v.position is not None:
             fields.append('"position": ' + _json_block([f'"{p}"' for p in v.position], p3))
         if v.label is not None:
@@ -210,7 +194,7 @@ def _graph_text(graph: "GkmGraph", pad: str = "") -> str:
         f"\n{p2}}}"
         for e in graph.edges
     ]
-    fields = [f'"rank": {_json_text(graph.rank)}', f'"mode": {quote(graph.mode)}']
+    fields = [f'"rank": {int.__repr__(graph.rank)}', f'"mode": {quote(graph.mode)}']
     fields += [f'"vertices": {_json_block(verts, p1)}', f'"edges": {_json_block(edges, p1)}']
     return _json_block(fields, pad, "{}")
 
@@ -333,25 +317,10 @@ class GkmGraph:
 
     # -- JSON interchange ---------------------------------------------------
 
-    def to_dict(self) -> dict:
-        verts = []
-        for v in self.vertices:
-            d: dict = {"id": v.id, "cell_dim": v.cell_dim}
-            if v.position is not None:
-                d["position"] = [str(p) for p in v.position]
-            if v.label is not None:
-                d["label"] = v.label
-            verts.append(d)
-        edges = [
-            {"from": e.u, "to": e.v, "weight": list(e.weight.coeffs)} for e in self._edges
-        ]
-        return {"rank": self._rank, "mode": self._mode, "vertices": verts, "edges": edges}
-
     def dumps(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2)``, written by ``_graph_text``
-        straight from the vertex and edge tuples (indentation sends the
-        standard library to its slow pure-Python encoder).
-        ``GeneratorBasis.dumps`` writes its ``"graph"`` member with it too."""
+        """The graph's JSON file, written by ``_graph_text`` (the standard
+        library runs ``json.dumps(indent=2)`` in its slow pure-Python
+        encoder); ``GeneratorBasis.dumps`` writes its ``"graph"`` with it."""
         return _graph_text(self) + "\n"
 
     def save(self, path):
@@ -360,6 +329,7 @@ class GkmGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GkmGraph":
+        """The graph of the file ``dumps`` writes, every field checked."""
         _json_of(dict, data, "a graph")
         rank = _count(data["rank"], "rank")
         fracs: dict[int | str, Fraction] = {}
@@ -478,11 +448,13 @@ class CohClass:
         return CohClass._make({v: p * other if p.terms else p for v, p in self.values.items()}, deg)
 
     @classmethod
-    def from_dict(cls, data: dict, rank: int) -> "CohClass":
+    def from_dict(cls, data: dict, graph: GkmGraph) -> "CohClass":
+        """A class on ``graph`` read from ``{"values": {vertex id: polynomial
+        string}, "degree"?: int}``, with a value at every vertex and no other."""
         degree = _json_of(dict, data, "a class").get("degree")
         if degree is not None:
             _json_int(degree, "class degree")
-        return cls(_json_values(data["values"], rank, "class", {}, {}), degree)
+        return cls(_json_values(data["values"], graph, "class", {}, {}), degree)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import CutoffTooSmallError, NonIntegralError, NotInSpanError
-from .graph import GkmGraph, _count
+from .errors import CutoffTooSmallError, NonIntegralError, NotInSpanError, ValidationFailureError
+from .graph import GkmGraph, _count, validate
 from .polyring import Polynomial, _linear_coeffs, _quo
 from .solver import GeneratorBasis, _cover_constant
 
@@ -31,9 +31,13 @@ def poincare_series(graph: GkmGraph, degree: int) -> list[int]:
 
     Entry ``d`` counts the vertices of cell dimension ``2d`` (one
     generator per cell); all odd cohomological degrees have rank zero.
-    A negative ``degree`` raises :class:`ValueError`.
+    A negative ``degree`` raises :class:`ValueError`, and then an invalid
+    graph :class:`ValidationFailureError`.
     """
     ranks = [0] * (_count(degree, "degree") + 1)
+    report = validate(graph)
+    if not report.ok:
+        raise ValidationFailureError(report)
     for v in graph.vertices:
         d = v.cell_dim // 2
         if d <= degree:

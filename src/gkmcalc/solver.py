@@ -57,6 +57,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
+from json.encoder import encode_basestring_ascii
 from math import lcm, prod
 from operator import mul
 
@@ -75,9 +76,7 @@ from .graph import (
     _graph_text,
     _json_block,
     _json_of,
-    _json_text,
     _json_values,
-    _same_vertices,
     is_gkm_class,
     validate,
 )
@@ -120,27 +119,21 @@ class GeneratorBasis:
     def items(self):
         return self.generators.items()
 
-    def _generators_dict(self) -> dict:
-        gens = {}
-        for vid in sorted(self.generators, key=lambda v: (self.graph.vertex(v).cell_dim, v)):
-            cls = self.generators[vid]
-            gens[vid] = {w: str(cls.values[w]) for w in self.graph.vertex_ids}
-        return gens
-
-    def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "mode": self.mode,
-            "graph": self.graph.to_dict(),
-            "generators": self._generators_dict(),
-        }
-
     def dumps(self) -> str:
-        """``to_dict()`` as ``json.dumps(indent=2)`` writes it; the graph
-        member comes from the graph writer of ``GkmGraph.dumps``."""
-        fields = [f'"degree": {_json_text(self.degree)}', f'"mode": {_json_text(self.mode)}']
-        fields.append(f'"graph": {_graph_text(self.graph, "  ")}')
-        fields.append(f'"generators": {_json_text(self._generators_dict(), "  ")}')
+        """The basis file as ``json.dumps(indent=2)`` lays it out: the graph
+        by the writer of ``GkmGraph.dumps``, then one block per generator in
+        (cell_dim, id) order, with one ``"w": "value"`` line per vertex."""
+        quote, graph = encode_basestring_ascii, self.graph
+        keys = [quote(w) + ": " for w in graph.vertex_ids]
+        gens = []
+        for vid in graph.vertex_ids:  # in (cell_dim, id) order
+            cls = self.generators.get(vid)
+            if cls is not None:
+                lines = [k + quote(str(cls.values[w])) for k, w in zip(keys, graph.vertex_ids)]
+                gens.append(f"{quote(vid)}: {_json_block(lines, '    ', '{}')}")
+        fields = [f'"degree": {int.__repr__(self.degree)}', f'"mode": {quote(self.mode)}']
+        fields.append(f'"graph": {_graph_text(graph, "  ")}')
+        fields.append(f'"generators": {_json_block(gens, "  ", "{}")}')
         return _json_block(fields, "", "{}") + "\n"
 
     def save(self, path):
@@ -149,8 +142,8 @@ class GeneratorBasis:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorBasis":
-        """The basis that ``to_dict`` wrote, with generator conditions 1-4
-        checked.  Each distinct value text is parsed once, and each
+        """The basis of the file ``dumps`` writes, with generator conditions
+        1-4 checked.  Each distinct value text is parsed once, and each
         distinct term text read once, through caches that live for this
         load only."""
         graph = GkmGraph.from_dict(_json_of(dict, data, "a basis")["graph"])
@@ -165,8 +158,7 @@ class GeneratorBasis:
         terms: dict = {}
         gens = {}
         for vid, values in generators.items():
-            values = _json_values(values, graph.rank, f"generator {vid!r}", polys, terms)
-            _same_vertices(graph, values, f"generator {vid!r}")
+            values = _json_values(values, graph, f"generator {vid!r}", polys, terms)
             # degree None: _generator_checks tests homogeneity and names vid
             bad = [c for c in _generator_checks(graph, vid, CohClass._make(values, None)) if not c.ok]
             if bad:

@@ -217,6 +217,7 @@ BUILD_HASHES = {
     "A3-flag-6": (type_a(3), (), 6, "d3d365dade7482c3"),
     "Gr(2,4)-4": (type_a(3), (0, 2), 4, "f7b640b848efe87d"),
     "B3-flag-9": (GCM(((2, -1, 0), (-1, 2, -1), (0, -2, 2))), (), 9, "ed5d65acffec2d52"),
+    "empty-3": (GCM(()), (), 3, "901fd0565e22966f"),  # one vertex, torus rank 0
 }
 
 

@@ -553,3 +553,41 @@ def test_render_with_basis_labels_vertices(tmp_path, capsys):
     )
     assert code == 0
     assert '"0-1-0" [label="s0 s1 s0\\n2*(x1 + x2)"' in out
+
+
+def test_render_refuses_a_basis_of_another_graph(tmp_path, capsys):
+    # a B2 generator drawn on the A2 flag would be mislabelled, not refused
+    a2, b2, basis = tmp_path / "a2.json", tmp_path / "b2.json", tmp_path / "b2-basis.json"
+    assert run(["build", "A2-flag", "-o", str(a2)], capsys)[0] == 0
+    assert run(["build", "B2-flag", "-o", str(b2)], capsys)[0] == 0
+    assert run(["generators", str(b2), "-o", str(basis)], capsys)[0] == 0
+    code, out, err = run(["render", str(a2), "--basis", str(basis), "--vertex", "0"], capsys)
+    assert code == 4
+    assert not out and "another graph" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("given", ["--basis", "--vertex"])
+def test_render_needs_basis_and_vertex_together(tmp_path, capsys, given):
+    b2, basis = tmp_path / "b2.json", tmp_path / "b2-basis.json"
+    assert run(["build", "B2-flag", "-o", str(b2)], capsys)[0] == 0
+    assert run(["generators", str(b2), "-o", str(basis)], capsys)[0] == 0
+    code, out, err = run(["render", str(b2), given, str(basis) if given == "--basis" else "0"], capsys)
+    assert code == 4
+    assert not out and "--basis and --vertex must be given together" in err
+
+
+def test_poincare_on_an_invalid_graph_exit_code(capsys):
+    # a 3-cell would be counted in degree 2; the report goes to stderr
+    code, out, err = run(["poincare", str(FIXTURES / "odd_cell.json")], capsys)
+    assert code == 1
+    assert not out
+    assert "cell_dim 3 is not even" in err and err.rstrip().endswith("overall: fail")
+
+
+def test_build_from_the_empty_cartan_matrix(tmp_path, capsys):
+    gcm, out = tmp_path / "empty.json", tmp_path / "point.json"
+    gcm.write_text("[]")
+    code, _, err = run(["build", "--gcm", str(gcm), "-o", str(out)], capsys)
+    assert code == 0 and not err
+    graph = GkmGraph.loads(out.read_text())
+    assert graph.rank == 0 and graph.vertex_ids == ("e",) and not graph.edges

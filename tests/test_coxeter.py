@@ -181,6 +181,14 @@ def test_marks_errors():
         marks(GCM(((2, 0, 0), (0, 2, -2), (0, -2, 2))))  # kernel (0, 1, 1)
 
 
+def test_empty_cartan_matrix():
+    # the 0x0 matrix is of finite type, with determinant 1 and no kernel
+    assert classify(GCM(())) == "finite"
+    assert _adjugate([]) == (1, [])
+    with pytest.raises(ValueError, match="not one-dimensional"):
+        marks(GCM(()))
+
+
 def _classify_by_principal_minors(gcm):
     """Reference classification by definition: one determinant per subset
     of nodes, and the kernel from the Fraction elimination of polyring."""

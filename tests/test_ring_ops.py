@@ -1,6 +1,8 @@
 """Products, rank series, ordinary reduction, and divided-powers laws."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,19 @@ def test_poincare_examples():
 
 def test_poincare_respects_cutoff():
     assert poincare_series(build_preset("A2-flag"), 1) == [1, 2]
+
+
+def test_poincare_refuses_an_invalid_graph():
+    # an odd cell would be filed in degree cell_dim // 2, and a negative
+    # one in the last entry, so the series is refused, as the solver refuses
+    odd = GkmGraph.loads((Path(__file__).parent / "fixtures" / "odd_cell.json").read_text())
+    negative = GkmGraph(1, "Z", [Vertex("e", 0), Vertex("n", -2)], [])
+    for g, degree in ((odd, 2), (negative, 3)):
+        with pytest.raises(ValidationFailureError) as err:
+            poincare_series(g, degree)
+        assert "even_cell_dim" in err.value.report.failing_checks()
+        with pytest.raises(ValueError, match="non-negative"):  # the degree is checked first
+            poincare_series(g, -1)
 
 
 def test_reduction_of_generator_expansion():
@@ -214,11 +229,11 @@ def test_grassmannian_sums_over_two_chains():
 
 
 def _tampered(vid, wid, edit):
-    """The omega-su2 basis of degree 4 through ``to_dict`` and ``from_dict``,
+    """The omega-su2 basis of degree 4 through ``dumps`` and ``from_dict``,
     with ``f_vid(wid)`` replaced by ``edit`` of it."""
     g = build_preset("omega-su2", 4)
     basis = canonical_generators(g, 4)
-    data = basis.to_dict()
+    data = json.loads(basis.dumps())
     data["generators"][vid][wid] = str(edit(basis.generator(vid).values[wid]))
     return g, GeneratorBasis.from_dict(data)
 

@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkmcalc import polyring, solver
@@ -33,6 +33,7 @@ from gkmcalc.solver import (
     expand_in_basis,
     verify_generator_conditions,
 )
+from test_graph import _TEXT
 
 
 def poly2(text):
@@ -336,7 +337,7 @@ def test_basis_serialization_round_trip(tmp_path):
         assert again.generator(vid).values == cls.values
     assert again.dumps() == basis.dumps()
     # a lowercase mode is read as Z-mode, so expansion still checks integrality
-    data = basis.to_dict()
+    data = json.loads(basis.dumps())
     lower = GeneratorBasis.from_dict({**data, "mode": "z"})
     assert lower.mode == "Z"
     f0 = basis.generator("0")
@@ -352,7 +353,7 @@ def test_basis_serialization_round_trip(tmp_path):
 
 
 def test_basis_rejects_non_integer_degree():
-    data = canonical_generators(build_preset("A2-flag"), 3).to_dict()
+    data = json.loads(canonical_generators(build_preset("A2-flag"), 3).dumps())
     for bad in ("3", 2.9, 3.0, True):
         with pytest.raises(ValueError, match="must be an integer"):
             GeneratorBasis.from_dict({**data, "degree": bad})
@@ -375,7 +376,7 @@ def test_basis_degree_is_checked():
     for bad in (-1, True):
         with pytest.raises(ValueError, match="basis degree"):
             canonical_generators(g, bad)
-    data = canonical_generators(g, 3).to_dict()
+    data = json.loads(canonical_generators(g, 3).dumps())
     # the generators must be exactly the vertices of cell dimension <= 2 * degree
     for degree in (1, -5):
         with pytest.raises(ValueError, match="basis"):
@@ -385,11 +386,11 @@ def test_basis_degree_is_checked():
     with pytest.raises(ValueError, match="basis generators"):
         GeneratorBasis.from_dict({**data, "generators": gens})
     low = canonical_generators(g, 1)
-    assert GeneratorBasis.from_dict(low.to_dict()).dumps() == low.dumps()
+    assert GeneratorBasis.from_dict(json.loads(low.dumps())).dumps() == low.dumps()
 
 
 def test_basis_values_must_sit_at_the_vertices():
-    data = canonical_generators(build_preset("B2-flag"), 4).to_dict()
+    data = json.loads(canonical_generators(build_preset("B2-flag"), 4).dumps())
     extra = copy.deepcopy(data)
     extra["generators"]["0"]["zz"] = "x1"
     with pytest.raises(ValueError, match="generator '0' has a value at 'zz', which is not a vertex"):
@@ -409,7 +410,7 @@ def test_basis_values_must_sit_at_the_vertices():
     ],
 )
 def test_basis_values_must_be_an_object_of_strings(edit, message):
-    data = canonical_generators(build_preset("B2-flag"), 4).to_dict()
+    data = json.loads(canonical_generators(build_preset("B2-flag"), 4).dumps())
     if edit == "list":
         data["generators"]["0"] = list(data["generators"]["0"])
     else:
@@ -443,8 +444,24 @@ def test_basis_output_is_pinned(case):
     basis = canonical_generators(build_flag_graph(gcm, parabolic, size), degree)
     text = basis.dumps()
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
-    assert text == json.dumps(basis.to_dict(), indent=2) + "\n"
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
     assert GeneratorBasis.from_dict(json.loads(text)).dumps() == text
+
+
+@settings(deadline=None)
+@given(st.lists(_TEXT, min_size=2, max_size=2, unique=True))
+@example(["\x00\x1f\n\t", "\ud800"])
+@example(["\"quoted\"", "back\\slash\u2028😀"])
+def test_basis_dumps_matches_json_dumps(ids):
+    # the basis writer quotes ids as the graph writer does, whatever the text
+    bottom, top = ids
+    g = GkmGraph(1, "Z", [Vertex(bottom, 0), Vertex(top, 2)], [Edge(bottom, top, Weight((1,)))])
+    basis = canonical_generators(g, 1)
+    text = basis.dumps()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    loaded = GeneratorBasis.from_dict(json.loads(text))
+    assert loaded.graph == g and loaded.generators == basis.generators
+    assert loaded.dumps() == text
 
 
 def test_threads_share_the_exponent_tables():
@@ -754,7 +771,7 @@ def test_basis_load_reads_each_term_text_once(monkeypatch):
 
 @pytest.mark.parametrize("first, second", [("3x1", "x9"), ("x9", "3x1"), ("x1 +", "x1 +"), ("1/0", "x1 ^ x2")])
 def test_basis_load_reports_the_first_malformed_text(first, second):
-    data = canonical_generators(build_preset("B2-flag"), 4).to_dict()
+    data = json.loads(canonical_generators(build_preset("B2-flag"), 4).dumps())
     *_, earlier, later = data["generators"]
     for vid, text in ((earlier, first), (later, second)):
         data["generators"][vid] = {w: text for w in data["generators"][vid]}

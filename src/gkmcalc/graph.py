@@ -17,7 +17,8 @@ edges by endpoint pair; round-trips are byte-stable)::
 Rational position entries are serialized as strings like ``"3/2"``.  On
 load a position entry must be an integer or a string that
 :class:`fractions.Fraction` parses (``"3/2"``, ``"-4"``); floats, booleans
-and other types are rejected rather than coerced.
+and other types are rejected rather than coerced.  A key outside this
+schema is refused, so a misspelt optional key is never dropped.
 Edge weights are stored with an arbitrary sign representative; every
 consumer uses them only through divisibility or products that are fixed
 by the builders' positive-root convention.
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .errors import MissingVertexValueError, NotDivisibleError
 from .polyring import Polynomial, Weight, _normalize_mode, divide_by_weight, pairwise_coprime, parse_polynomial
@@ -111,6 +113,16 @@ def _json_of(kind: type, value, what: str):
         name = {dict: "an object", list: "a list", str: "a string"}[kind]
         raise ValueError(f"{what} must be {name}, got {reprlib.repr(value)}")
     return value
+
+
+def _known_keys(data: dict, keys: tuple[str, ...], what: str):
+    """Refuse an object read from JSON with a key other than ``keys``,
+    naming it, so that a misspelt optional key is not dropped.  Readers
+    call it only when the object holds more keys than they read, which
+    costs one ``len`` per object."""
+    stray = data.keys() - set(keys)
+    if stray:
+        raise ValueError(f"{what} has unknown key {min(stray)!r}; the known keys are {', '.join(keys)}")
 
 
 def _json_values(values, graph: "GkmGraph", what: str, texts: dict, terms: dict) -> dict[str, Polynomial]:
@@ -329,15 +341,20 @@ class GkmGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GkmGraph":
-        """The graph of the file ``dumps`` writes, every field checked."""
+        """The graph of the file ``dumps`` writes, every field checked and
+        every unknown key refused."""
         _json_of(dict, data, "a graph")
         rank = _count(data["rank"], "rank")
+        if len(data) != 3 + ("mode" in data):
+            _known_keys(data, ("rank", "mode", "vertices", "edges"), "a graph")
         fracs: dict[int | str, Fraction] = {}
         vs = []
         for vd in _json_of(list, data["vertices"], "graph vertices"):
             if type(vd) is not dict or type(vd.get("id")) is not str:
                 raise ValueError(f"a vertex must be an object with a string id, got {reprlib.repr(vd)}")
             vid, pos, label = vd["id"], vd.get("position"), vd.get("label")
+            if len(vd) != 2 + (pos is not None) + (label is not None):  # null counts as absent
+                _known_keys(vd, ("id", "cell_dim", "position", "label"), f"vertex {vid!r}")
             if label is not None:
                 _json_of(str, label, f"label of {vid!r}")
             cell_dim = _json_int(vd["cell_dim"], f"cell_dim of {vid!r}")
@@ -351,6 +368,8 @@ class GkmGraph:
             if type(ed) is not dict or type(ed.get("from")) is not str or type(ed.get("to")) is not str:
                 raise ValueError(f"an edge must be an object with string endpoints, got {reprlib.repr(ed)}")
             u, v, coeffs = ed["from"], ed["to"], ed["weight"]
+            if len(ed) != 3:
+                _known_keys(ed, ("from", "to", "weight"), f"edge ({u}, {v})")
             if type(coeffs) is not list or set(map(type, coeffs)) != {int}:
                 raise ValueError(
                     f"weight of edge ({u}, {v}) must be an integer vector, got {coeffs!r}"
@@ -454,11 +473,12 @@ class CohClass:
         degree = _json_of(dict, data, "a class").get("degree")
         if degree is not None:
             _json_int(degree, "class degree")
+        if len(data) != 1 + (degree is not None):
+            _known_keys(data, ("values", "degree"), "a class")
         return cls(_json_values(data["values"], graph, "class", {}, {}), degree)
 
 
-@dataclass(frozen=True)
-class ValidationEntry:
+class ValidationEntry(NamedTuple):
     vertex: str | None
     check: str
     ok: bool
@@ -542,9 +562,9 @@ def validate(graph: GkmGraph) -> ValidationReport:
                     )
                 )
 
+    dims = {v.id: v.cell_dim for v in graph.vertices}
     for e in graph.edges:
-        du = graph.vertex(e.u).cell_dim
-        dv = graph.vertex(e.v).cell_dim
+        du, dv = dims[e.u], dims[e.v]
         add(
             ValidationEntry(
                 None,

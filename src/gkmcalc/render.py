@@ -58,6 +58,16 @@ def bouquet_text(graph: GkmGraph, vid: str, value: Polynomial) -> str:
     return "*".join(parts)
 
 
+def _xml_text(text: str) -> str:
+    """``text`` as XML character data."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _dot_text(text: str) -> str:
+    """``text`` inside a DOT double-quoted string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _layout(graph: GkmGraph) -> dict[str, tuple[float, float]]:
     """2D coordinates: stored positions projected to (first, last) slots,
     else layered by cell dimension."""
@@ -104,15 +114,16 @@ def to_dot(graph: GkmGraph, basis=None, vertex: str | None = None) -> str:
     factored restrictions of that generator."""
     cls = basis.generator(vertex) if basis is not None and vertex is not None else None
     pos = _layout(graph)
+    ids = {vid: _dot_text(vid) for vid in graph.vertex_ids}
     lines = ["graph gkm {", "  node [shape=circle fontsize=10];"]
     for v in graph.vertices:
         x, y = pos[v.id]
-        label = v.label or v.id
+        label = _dot_text(v.label) if v.label else ids[v.id]
         if cls is not None:
             label += "\\n" + bouquet_text(graph, v.id, cls.values[v.id])
-        lines.append(f'  "{v.id}" [label="{label}" pos="{x:.3f},{y:.3f}!"];')
+        lines.append(f'  "{ids[v.id]}" [label="{label}" pos="{x:.3f},{y:.3f}!"];')
     for e, text in zip(graph.edges, _edge_labels(graph)):
-        lines.append(f'  "{e.u}" -- "{e.v}" [label="{text}"];')
+        lines.append(f'  "{ids[e.u]}" -- "{ids[e.v]}" [label="{text}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -154,7 +165,7 @@ def to_svg(graph: GkmGraph, basis=None, vertex: str | None = None) -> str:
     for v in graph.vertices:
         cx, cy = screen[v.id]
         out.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="4" fill="black"/>')
-        name = v.label or v.id
+        name = _xml_text(v.label or v.id)
         out.append(f'<text x="{cx + 6:.2f}" y="{cy - 6:.2f}" font-size="10">{name}</text>')
         if cls is None:
             continue

@@ -20,9 +20,17 @@ When the cutoff reaches the graph's top cell dimension, the generators
 come instead from the equivariant Chevalley recursion (Kostant-Kumar;
 Goldin-Tolman), one exact division per value:
 
-* The degree-1 generators are lifted.  ``Phi = sum lambda_i f_i`` over
-  them, ``lambda`` the primes 2, 3, 5, ..., is a degree-2 class, scaled
-  to integer linear forms once.
+* The recursion is driven by a degree-2 class ``Phi``, scaled to integer
+  linear forms once, from one of two seeds.  The *position seed* is the
+  moment map, read from the vertex positions when every vertex has one,
+  no two share one (so ``D(w)`` below is never 0), and across every edge
+  the position difference is a multiple of the edge's label.  That last
+  check makes ``Phi`` a class, which the certificates below rely on.
+  Graphs the builder module embeds pass, and then no congruence is
+  solved.  Otherwise (no embedding, or positions that are missing or do
+  not form a class) the *lifted seed* lifts the degree-1 generators and
+  takes ``Phi = sum lambda_i f_i`` over them, ``lambda`` the primes from
+  2 up.
 * Generators are solved from the top dimension down.  For ``v`` write
   ``D(w) = Phi(w) - Phi(v)``.  At a cover ``u`` of ``v`` (``cell_dim(u) =
   cell_dim(v) + 2``) joined to it by ``beta``, ``f_v(u) = k * f_u(u) /
@@ -59,7 +67,7 @@ from fractions import Fraction
 from itertools import takewhile
 from json.encoder import encode_basestring_ascii
 from math import lcm, prod
-from operator import mul
+from operator import mul, sub
 
 from .errors import (
     NoSolutionError,
@@ -77,6 +85,7 @@ from .graph import (
     _json_block,
     _json_of,
     _json_values,
+    _known_keys,
     is_gkm_class,
     validate,
 )
@@ -143,13 +152,15 @@ class GeneratorBasis:
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorBasis":
         """The basis of the file ``dumps`` writes, with generator conditions
-        1-4 checked.  Each distinct value text is parsed once, and each
-        distinct term text read once, through caches that live for this
-        load only."""
+        1-4 checked and every unknown key refused.  Each distinct value
+        text is parsed once, and each distinct term text read once, through
+        caches that live for this load only."""
         graph = GkmGraph.from_dict(_json_of(dict, data, "a basis")["graph"])
         degree = _count(data["degree"], "basis degree")
         mode = _normalize_mode(data.get("mode", graph.mode))
         generators = _json_of(dict, data["generators"], "basis generators")
+        if len(data) != 3 + ("mode" in data):
+            _known_keys(data, ("degree", "mode", "graph", "generators"), "a basis")
         if set(generators) != {v.id for v in graph.vertices if v.cell_dim <= 2 * degree}:
             raise ValueError(f"basis generators must be the vertices of cell dim <= {2 * degree}")
         # one immutable Polynomial per distinct text, most values being "0",
@@ -255,18 +266,49 @@ def _moment_form(graph: GkmGraph, linear: dict[str, CohClass]) -> dict[str, tupl
     return {wid: tuple(int(c * den) for c in row) for wid, row in phi.items()}
 
 
+def _position_form(graph: GkmGraph) -> dict[str, tuple[int, ...]] | None:
+    """The vertex positions as ``Phi``, scaled to integers by the lcm of
+    their denominators, or None unless every vertex has a position, no two
+    share one and the difference across every edge is a multiple of its
+    label (nonzero, the positions being distinct)."""
+    if any(v.position is None for v in graph.vertices):
+        return None
+    den = lcm(*(c.denominator for v in graph.vertices for c in v.position))
+    phi = {v.id: tuple([c.numerator * (den // c.denominator) for c in v.position]) for v in graph.vertices}
+    if len(set(phi.values())) < len(phi):
+        return None
+    for e in graph.edges:
+        beta = e.weight.coeffs
+        d = list(map(sub, phi[e.v], phi[e.u]))
+        j = beta.index(next(filter(None, beta)))
+        bj, dj = beta[j], d[j]
+        if [a * bj for a in d] != [dj * b for b in beta]:  # d is not parallel to beta
+            return None
+    return phi
+
+
+def _seed(graph: GkmGraph, mode: str) -> tuple[dict[str, tuple[int, ...]], dict[str, dict]]:
+    """``(Phi, values)``: the class that drives the recursion, and the
+    nonzero values, as term dicts, of the generators solved to form it --
+    none from the positions, the degree-1 generators when they are lifted."""
+    phi = _position_form(graph)
+    if phi is not None:
+        return phi, {}
+    linear = {v.id: _lift(graph, v.id, mode) for v in graph.vertices if v.cell_dim == 2}
+    values = {vid: {w: p.terms for w, p in cls.values.items() if p.terms} for vid, cls in linear.items()}
+    return _moment_form(graph, linear), values
+
+
 def _chevalley(graph: GkmGraph, mode: str) -> dict[str, CohClass] | None:
     """Every generator by the Chevalley recursion, or None when a value
     fails its certificate (see the module docstring)."""
     nvars = graph.rank
-    linear = {v.id: _lift(graph, v.id, mode) for v in graph.vertices if v.cell_dim == 2}
-    phi = _moment_form(graph, linear)
     # values[v] holds the nonzero values of f_v as term dicts
-    values = {vid: {w: p.terms for w, p in cls.values.items() if p.terms} for vid, cls in linear.items()}
+    phi, values = _seed(graph, mode)
     # down-edges by direction; no two at a vertex are parallel
     down = {v.id: {e.weight._line[1]: e for e in graph.down_edges(v.id)} for v in graph.vertices}
     for v in reversed(graph.vertices):
-        if v.cell_dim != 2:
+        if v.id not in values:
             fv = _chevalley_generator(graph, mode, v.id, phi, values, down)
             if fv is None:
                 return None

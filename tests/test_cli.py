@@ -152,6 +152,26 @@ def test_check_class_values_off_the_vertices_exit_code(tmp_path, capsys, edit):
     assert not out and where in err
 
 
+@pytest.mark.parametrize("what", ["graph", "basis", "class"])
+def test_misspelt_key_exit_code(tmp_path, capsys, what):
+    gpath, bpath, cpath = tmp_path / "b2.json", tmp_path / "basis.json", tmp_path / "class.json"
+    assert run(["build", "B2-flag", "-o", str(gpath)], capsys)[0] == 0
+    assert run(["generators", str(gpath), "-o", str(bpath)], capsys)[0] == 0
+    values = {v["id"]: "0" for v in json.loads(gpath.read_text())["vertices"]}
+    cpath.write_text(json.dumps({"values": values}))
+    path, key, argv = {
+        "graph": (gpath, "positon", ["validate", str(gpath)]),
+        "basis": (bpath, "degre", ["multiply", str(bpath), "0", "0"]),
+        "class": (cpath, "degre", ["check", str(gpath), str(cpath)]),
+    }[what]
+    data = json.loads(path.read_text())
+    (data["vertices"][0] if what == "graph" else data)[key] = 1
+    path.write_text(json.dumps(data))
+    code, out, err = run(argv, capsys)
+    assert code == 4
+    assert not out and f"unknown key '{key}'" in err and "Traceback" not in err
+
+
 def test_check_class_parse_error_exit_code(tmp_path, capsys):
     graph = {
         "rank": 2,

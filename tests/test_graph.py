@@ -422,6 +422,32 @@ def test_cohclass_from_dict_refuses_values_off_the_vertices(edit, message):
         CohClass.from_dict({"values": values}, sphere_graph())
 
 
+@pytest.mark.parametrize(
+    "where, key, message",
+    [
+        ("graph", "mdoe", "a graph has unknown key 'mdoe'"),
+        ("vertex", "positon", "vertex 'e' has unknown key 'positon'"),
+        ("edge", "wieght", "edge (0, 0-1) has unknown key 'wieght'"),
+    ],
+)
+def test_graph_from_dict_refuses_unknown_keys(where, key, message):
+    data = json.loads(build_preset("A2-flag").dumps())
+    # an explicit null counts as an absent position or label
+    data["vertices"][1].update(position=None, label=None)
+    assert GkmGraph.from_dict(data).vertex(data["vertices"][1]["id"]).position is None
+    target = {"graph": data, "vertex": data["vertices"][0], "edge": data["edges"][0]}[where]
+    target[key] = [1, 2]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GkmGraph.from_dict(data)
+
+
+def test_cohclass_from_dict_refuses_unknown_keys():
+    values = {"n": "0", "s": "x1"}
+    assert CohClass.from_dict({"values": values, "degree": None}, sphere_graph()).degree is None
+    with pytest.raises(ValueError, match="a class has unknown key 'degre'"):
+        CohClass.from_dict({"values": values, "degre": 1}, sphere_graph())
+
+
 def test_cohclass_homogeneity_enforced():
     with pytest.raises(ValueError):
         CohClass({"n": X + Polynomial.one(2)}, degree=1)

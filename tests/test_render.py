@@ -1,9 +1,13 @@
 """DOT/SVG emission: determinism, bouquet factoring, fallbacks."""
 
 import hashlib
+import re
 from fractions import Fraction
+from xml.dom import minidom
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gkmcalc.builders import affine_type_a, build_chain_graph, build_flag_graph, build_preset, type_a
 from gkmcalc.coxeter import GCM
@@ -32,6 +36,24 @@ graph gkm {
 
 def test_sphere_dot_golden():
     assert to_dot(sphere_graph()) == GOLDEN_SPHERE_DOT
+
+
+# XML 1.0 has no control characters but tab, newline and return
+_MARKUP = st.text(st.characters(exclude_categories=("Cc", "Cs"), exclude_characters="\ufffe\uffff"))
+
+
+@settings(deadline=None)
+@given(st.lists(_MARKUP, min_size=2, max_size=2, unique=True), _MARKUP.filter(bool))
+@example(["a<b & c", 'say "hi"\\'], "x > y")
+def test_render_escapes_ids_and_labels(ids, label):
+    bottom, top = ids
+    g = GkmGraph(1, "Z", [Vertex(bottom, 0), Vertex(top, 2, None, label)], [Edge(bottom, top, Weight((1,)))])
+    svg = minidom.parseString(to_svg(g))
+    texts = [t.firstChild.data if t.firstChild else "" for t in svg.getElementsByTagName("text")]
+    assert texts[-2:] == [bottom or "", label]
+    # every double-quoted DOT string read back with its escapes undone
+    strings = [re.sub(r"\\(.)", r"\1", m) for m in re.findall(r'"((?:[^"\\]|\\.)*)"', to_dot(g))]
+    assert strings[:8] == [bottom, bottom, "0.000,0.000!", top, label, "0.000,1.000!", bottom, top]
 
 
 def test_rendering_is_deterministic():

@@ -464,6 +464,14 @@ def test_basis_dumps_matches_json_dumps(ids):
     assert loaded.dumps() == text
 
 
+def test_basis_from_dict_refuses_unknown_keys():
+    data = json.loads(canonical_generators(build_preset("A2-flag"), 3).dumps())
+    del data["mode"]
+    assert GeneratorBasis.from_dict(data).mode == "Z"
+    with pytest.raises(ValueError, match="a basis has unknown key 'degre'"):
+        GeneratorBasis.from_dict({**data, "degre": 5})
+
+
 def test_threads_share_the_exponent_tables():
     """Four threads solve B3 at once from empty tables, each to the pinned basis."""
     gcm, parabolic, size, degree, digest = BASIS_HASHES["B3-flag-9"]
@@ -520,11 +528,13 @@ def _flag_cases(draw):
     return GCM(tuple(map(tuple, rows))), parabolic, draw(st.integers(1, 4)), draw(st.sampled_from("ZQ"))
 
 
-@settings(max_examples=60, deadline=None)
-@given(_flag_cases())
-def test_recursion_matches_lifting(case):
+@settings(max_examples=120, deadline=None)
+@given(_flag_cases(), st.booleans())
+def test_recursion_matches_lifting(case, embed):
+    # finite and affine builds with embed carry positions, which seed the
+    # recursion; the others seed it from the lifted degree-1 generators
     gcm, parabolic, degree, mode = case
-    g = build_flag_graph(gcm, parabolic, degree, mode=mode, embed=False)
+    g = build_flag_graph(gcm, parabolic, degree, mode=mode, embed=embed)
     if not validate(g).ok:
         return
     assert _outcome(lambda: canonical_generators(g, degree)) == _outcome(lambda: _lifted(g, degree, mode))
@@ -585,13 +595,14 @@ def test_cover_constant_refuses_parallel_down_weights():
         solver._cover_constant(g, "a", edge)
 
 
-def _position_graph(positions, down, mode="Q"):
+def _position_graph(positions, down, mode="Q", embed=False):
     """A rank-3 graph whose vertex ``x`` (besides ``e`` at the origin and
     ``a`` at ``(1, 0, 0)``) sits at ``positions[x]`` and has down-edges to
     ``down[x]``, each labelled by the difference of positions (made
     primitive in Z-mode).  ``f_a`` is then ``x -> position(x)``, but the
     higher generators need the down-edges of a vertex and of its covers to
-    agree modulo the edge between them, which positions alone do not give."""
+    agree modulo the edge between them, which positions alone do not give.
+    With ``embed`` the vertices carry their positions."""
     pos = {"e": (0, 0, 0), "a": (1, 0, 0), **positions}
     down = {"a": ["e"], **down}
     edges = []
@@ -602,61 +613,115 @@ def _position_graph(positions, down, mode="Q"):
                 w = tuple(c // math.gcd(*w) for c in w)
             edges.append(Edge(y, x, Weight(w)))
     vertices = [Vertex("e", 0)] + [Vertex(x, 2 * len(ys)) for x, ys in down.items()]
-    return GkmGraph(3, mode, vertices, edges)
+    return GkmGraph(3, mode, vertices, edges).with_positions(pos if embed else {})
 
 
 def test_failed_certificates_are_reported_as_lifting_reports_them():
-    # f_v has no value at its cover u, and none at t above its covers
-    cover = _position_graph(
-        {"v": (-1, 2, -2), "w": (0, -2, 1), "u": (1, 1, 1)},
-        {"v": ["e", "a"], "w": ["e", "a"], "u": ["e", "v", "w"]},
-    )
-    above = _position_graph(
-        {"v": (0, -1, 2), "w": (-2, -2, 2), "u1": (-1, 2, 2), "u2": (1, 2, 2), "t": (-1, -2, 2)},
-        {
-            "v": ["e", "a"],
-            "w": ["e", "a"],
-            "u1": ["e", "a", "v"],
-            "u2": ["e", "a", "w"],
-            "t": ["e", "a", "u1", "u2"],
-        },
-        "Z",
-    )
-    # f_v(u1) has a denominator of 2
-    fraction = _position_graph(
-        {"v": (0, -2, 2), "w": (1, 0, -2), "u1": (-1, 2, 0), "u2": (0, -1, 1)},
-        {"v": ["e", "a"], "w": ["e", "a"], "u1": ["a", "v", "w"], "u2": ["a", "v", "w"]},
-        "Z",
-    )
-    cases = ((cover, NoSolutionError, "u"), (above, NoSolutionError, "t"), (fraction, NonIntegralError, "u1"))
-    for g, error, vertex in cases:
-        top = max(v.cell_dim for v in g.vertices) // 2
-        assert solver._chevalley(g, g.mode) is None
-        with pytest.raises(error) as err:
-            canonical_generators(g, top)
-        assert (err.value.generator, err.value.vertex) == ("v", vertex)
+    for embed in (False, True):  # the lifted seed, then the position seed
+        # f_v has no value at its cover u, and none at t above its covers
+        cover = _position_graph(
+            {"v": (-1, 2, -2), "w": (0, -2, 1), "u": (1, 1, 1)},
+            {"v": ["e", "a"], "w": ["e", "a"], "u": ["e", "v", "w"]},
+            embed=embed,
+        )
+        above = _position_graph(
+            {"v": (0, -1, 2), "w": (-2, -2, 2), "u1": (-1, 2, 2), "u2": (1, 2, 2), "t": (-1, -2, 2)},
+            {
+                "v": ["e", "a"],
+                "w": ["e", "a"],
+                "u1": ["e", "a", "v"],
+                "u2": ["e", "a", "w"],
+                "t": ["e", "a", "u1", "u2"],
+            },
+            "Z",
+            embed,
+        )
+        # f_v(u1) has a denominator of 2
+        fraction = _position_graph(
+            {"v": (0, -2, 2), "w": (1, 0, -2), "u1": (-1, 2, 0), "u2": (0, -1, 1)},
+            {"v": ["e", "a"], "w": ["e", "a"], "u1": ["a", "v", "w"], "u2": ["a", "v", "w"]},
+            "Z",
+            embed,
+        )
+        cases = ((cover, NoSolutionError, "u"), (above, NoSolutionError, "t"), (fraction, NonIntegralError, "u1"))
+        for g, error, vertex in cases:
+            top = max(v.cell_dim for v in g.vertices) // 2
+            assert (solver._position_form(g) is not None) == embed
+            assert solver._chevalley(g, g.mode) is None
+            with pytest.raises(error) as err:
+                canonical_generators(g, top)
+            assert (err.value.generator, err.value.vertex) == ("v", vertex)
 
 
 _point = st.tuples(*[st.integers(-2, 2)] * 3)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.fixed_dictionaries({"v": _point, "w": _point, "u": _point}), st.sampled_from("ZQ"))
-def test_recursion_matches_lifting_on_position_graphs(positions, mode):
+@settings(max_examples=120, deadline=None)
+@given(st.fixed_dictionaries({"v": _point, "w": _point, "u": _point}), st.sampled_from("ZQ"), st.booleans())
+def test_recursion_matches_lifting_on_position_graphs(positions, mode, embed):
     if len({(0, 0, 0), (1, 0, 0), *positions.values()}) < 5:
         return
-    g = _position_graph(positions, {"v": ["e", "a"], "w": ["e", "a"], "u": ["e", "v", "w"]}, mode)
+    g = _position_graph(positions, {"v": ["e", "a"], "w": ["e", "a"], "u": ["e", "v", "w"]}, mode, embed)
     if not validate(g).ok:
         return
     assert _outcome(lambda: canonical_generators(g, 3)) == _outcome(lambda: _lifted(g, 3, mode))
 
 
+def _zero_form(graph, *_):
+    return {v: (0,) * graph.rank for v in graph.vertex_ids}
+
+
 def test_zero_moment_form_falls_back_to_lifting(monkeypatch):
-    monkeypatch.setattr(solver, "_moment_form", lambda graph, linear: {v: (0,) * graph.rank for v in graph.vertex_ids})
-    for g in (build_flag_graph(type_a(3), (), 6), build_preset("omega-su2", 7)):
+    graphs = (build_flag_graph(type_a(3), (), 6), build_preset("omega-su2", 7))
+    # all-zero positions are refused, so Phi comes from the lifted seed
+    monkeypatch.setattr(solver, "_moment_form", _zero_form)
+    for g in graphs:
+        g = g.with_positions({v: (0,) * g.rank for v in g.vertex_ids})
+        top = max(v.cell_dim for v in g.vertices) // 2
+        assert solver._position_form(g) is None
+        assert solver._chevalley(g, g.mode) is None
+        assert canonical_generators(g, top).dumps() == _lifted(g, top, g.mode).dumps()
+    # and with the builder's positions, from the position seed
+    monkeypatch.setattr(solver, "_position_form", _zero_form)
+    for g in graphs:
         top = max(v.cell_dim for v in g.vertices) // 2
         assert solver._chevalley(g, g.mode) is None
         assert canonical_generators(g, top).dumps() == _lifted(g, top, g.mode).dumps()
+
+
+_EMBEDDED = {
+    "omega-su2-7": lambda **kw: build_flag_graph(affine_type_a(1), (1,), 7, **kw),
+    "twisted-7": lambda **kw: build_flag_graph(TWISTED_A1_4, (1,), 7, **kw),
+    "A3-flag": lambda **kw: build_flag_graph(type_a(3), (), 6, **kw),
+    "B3-flag": lambda **kw: build_flag_graph(GCM(((2, -1, 0), (-1, 2, -1), (0, -2, 2))), (), 9, **kw),
+}
+
+
+def _solve_counting_lifts(monkeypatch, g):
+    """The basis of ``g`` at its top and the number of ``_lift`` calls."""
+    calls = []
+    lift = solver._lift
+    monkeypatch.setattr(solver, "_lift", lambda *args: calls.append(args[1]) or lift(*args))
+    basis = canonical_generators(g, max(v.cell_dim for v in g.vertices) // 2)
+    monkeypatch.undo()
+    return basis, len(calls)
+
+
+@pytest.mark.parametrize("case", sorted(_EMBEDDED))
+def test_embedded_builds_lift_no_generator(monkeypatch, case):
+    g = _EMBEDDED[case]()
+    basis, lifts = _solve_counting_lifts(monkeypatch, g)
+    assert lifts == 0
+    degree1 = sum(v.cell_dim == 2 for v in g.vertices)
+    # positions moved off an edge line, coinciding or absent: Phi is lifted
+    top = g.vertices[-1]
+    off = {top.id: tuple(p + Fraction(1, q) for p, q in zip(top.position, (7, 11, 13)))}
+    same = {top.id: g.vertices[-2].position}
+    for h in (g.with_positions(off), g.with_positions(same), _EMBEDDED[case](embed=False)):
+        assert solver._position_form(h) is None
+        other, lifts = _solve_counting_lifts(monkeypatch, h)
+        assert lifts == degree1
+        assert other.generators == basis.generators
 
 
 def _expand_by_division(cls, basis):

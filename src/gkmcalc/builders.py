@@ -17,14 +17,16 @@ Torus coordinates
     preserved.  Indefinite matrices fall back to raw root coordinates.
 
 Moment embedding
-    Positions come from the coset orbit, whose start is the generic
-    dominant vector times the lcm ``S`` of its denominators.  The base
-    point is fixed: that generic vector, or ``-Lambda_z`` (``-1`` times
-    the start) for an affine Grassmannian, so that the energy axis points
-    upward.  Each dual vector is thus an orbit vector over ``q = S`` or
-    ``q = -1``; the integer adjugate of the classical Cartan matrix maps it
-    to torus coordinates, followed in affine cases by the energy slot (the
-    delta-dual coordinate).  Edge directions equal edge labels exactly.
+    The orbit starts at ``lambda``, the generic dominant vector times the
+    lcm ``S`` of its denominators.  The torus sends the fixed point ``w``
+    to ``w lambda``, so ``p(w) = T(lambda - w lambda)``, in the torus
+    coordinates ``T`` above, grows one letter at a time: ``p(e) = 0`` and
+    ``p(s_i w') = p(w') - (w lambda)_i * T(alpha_i)``.  Then ``w`` sits at
+    ``base - p(w) / q``.  The base point is ``lambda / S`` (``q = S``), or
+    ``-Lambda_z`` (``q = -1``) for an affine Grassmannian so that energy
+    points upward; its classical coordinates are ``adj * lambda / (q * det)``
+    from the integer adjugate of the classical Cartan matrix, its energy 0.
+    Edge directions equal edge labels exactly.
 """
 
 from __future__ import annotations
@@ -148,26 +150,24 @@ def _torus_basis(gcm: GCM, parabolic) -> _TorusBasis:
 
 def _positions(gcm: GCM, J: frozenset, tb: _TorusBasis, reps) -> dict[str, tuple[Fraction, ...]]:
     """Positions of the coset words of ``reps`` (from :func:`coset_orbit`)
-    by vertex id: classical coordinates ``adj * vec / (q * det)`` and, in
-    affine cases, the energy ``E(w) / q`` with
-    ``E(s_i w') = E(w') - [i = z] * vec(w')_z``."""
+    by vertex id: ``num(w) / (q * det)`` with ``num(w) = b - det * p(w)``,
+    ``b = adj * vec(e)`` (0 in the energy slot), ``p(e) = 0`` and
+    ``p(s_i w') = p(w') - vec(w)_i * T(alpha_i)``."""
     others = [i for i in range(gcm.n) if i != tb.z]
-    classical = [[gcm.a(i, j) for j in others] for i in others]
-    det, adj = _adjugate(classical)
+    det, adj = _adjugate([[gcm.a(i, j) for j in others] for i in others])
+    start, q = _integral(generic_dominant_vector(gcm, J))
     if tb.kind == "affine" and set(range(gcm.n)) - J == {tb.z}:
         q = -1
-    else:
-        _, q = _integral(generic_dominant_vector(gcm, J))
-    vecs = {rep.word: vec for rep, vec in reps}
-    energy = {(): 0}
+    units = [tuple(int(i == j) for j in range(gcm.n)) for i in range(gcm.n)]
+    steps = [[det * t for t in tb.weight(Root(u)).coeffs] for u in units]  # det * T(alpha_i)
+    b = [sum(a * start[j] for a, j in zip(row, others)) for row in adj]
+    num = {(): b + [0] * (tb.kind == "affine")}
     out = {}
-    for w, vec in vecs.items():
+    for rep, vec in reps:
+        w = rep.word
         if w:
-            energy[w] = energy[w[1:]] - (vecs[w[1:]][tb.z] if w[0] == tb.z else 0)
-        pos = [Fraction(sum(a * vec[j] for a, j in zip(row, others)), q * det) for row in adj]
-        if tb.kind == "affine":
-            pos.append(Fraction(energy[w], q))
-        out[coset_id(w)] = tuple(pos)
+            num[w] = [x + vec[w[0]] * t for x, t in zip(num[w[1:]], steps[w[0]])]
+        out[coset_id(w)] = tuple([Fraction(x, q * det) for x in num[w]])
     return out
 
 

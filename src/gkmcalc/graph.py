@@ -18,7 +18,9 @@ Rational position entries are serialized as strings like ``"3/2"``.  On
 load a position entry must be an integer or a string that
 :class:`fractions.Fraction` parses (``"3/2"``, ``"-4"``); floats, booleans
 and other types are rejected rather than coerced.  A key outside this
-schema is refused, so a misspelt optional key is never dropped.
+schema is refused, so a misspelt optional key is never dropped, and so is
+an id or label with a character that XML 1.0 cannot hold (SVG output
+could not carry it).
 Edge weights are stored with an arbitrary sign representative; every
 consumer uses them only through divisibility or products that are fixed
 by the builders' positive-root convention.
@@ -27,6 +29,7 @@ by the builders' positive-root convention.
 from __future__ import annotations
 
 import json
+import re
 import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,6 +39,9 @@ from typing import NamedTuple
 
 from .errors import MissingVertexValueError, NotDivisibleError
 from .polyring import Polynomial, Weight, _normalize_mode, divide_by_weight, pairwise_coprime, parse_polynomial
+
+# outside the Char production of XML 1.0
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 __all__ = [
     "Vertex",
@@ -357,6 +363,11 @@ class GkmGraph:
                 _known_keys(vd, ("id", "cell_dim", "position", "label"), f"vertex {vid!r}")
             if label is not None:
                 _json_of(str, label, f"label of {vid!r}")
+            bad = _NOT_XML_CHAR.search(vid) or label is not None and _NOT_XML_CHAR.search(label)
+            if bad:
+                raise ValueError(
+                    f"vertex {vid!r}: id and label cannot hold {bad.group()!r} (not an XML character)"
+                )
             cell_dim = _json_int(vd["cell_dim"], f"cell_dim of {vid!r}")
             position = _json_position(pos, vid, fracs) if pos is not None else None
             vs.append(Vertex(vid, cell_dim, position, label))

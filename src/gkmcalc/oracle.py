@@ -1,5 +1,7 @@
 """Independent verifiers: brute-force graph cohomology, the sphere lemmas,
 root-product Schubert restrictions, and flag-graph edges by root search.
+The brute-force solver reads a kernel basis from ``nullspace_basis``, by
+a Fraction elimination that the pipeline never uses.
 
 Everything here is quarantined from the solver module: the only shared
 code is the base polynomial ring, so agreement between an oracle and the
@@ -9,6 +11,7 @@ solver is evidence, not tautology.
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 from functools import lru_cache
 
 from .coxeter import (
@@ -30,15 +33,16 @@ from .graph import CohClass, Edge, GkmGraph
 from .polyring import (
     Polynomial,
     Weight,
+    _coeff,
     divide_by_weight,
     monomials,
-    nullspace_basis,
     pairwise_coprime,
     NotDivisibleError,
 )
 
 __all__ = [
     "brute_force_classes",
+    "nullspace_basis",
     "expected_gkm_dimension",
     "s2n_relative_image",
     "schubert_restrictions",
@@ -53,6 +57,49 @@ def _divides(w: Weight, p: Polynomial) -> bool:
     except NotDivisibleError:
         return False
     return True
+
+
+def _rref(rows: list[list[Fraction]]) -> list[int]:
+    """In-place reduced row echelon form; returns the pivot column list."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][col]
+        rows[r] = [v / pv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def nullspace_basis(rows, ncols):
+    """Deterministic basis of the nullspace of ``rows * x = 0`` over Q: one
+    vector per free column of the reduced row echelon form (the identity
+    when there are no rows)."""
+    m = [[Fraction(_coeff(v)) for v in row] for row in rows]
+    pivots = _rref(m)
+    null = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, col in enumerate(pivots):
+            vec[col] = -m[r][fc]
+        null.append(vec)
+    return null
 
 
 def brute_force_classes(graph: GkmGraph, degree: int) -> list[CohClass]:

@@ -18,8 +18,6 @@ arithmetic:
 * :func:`solve_congruences` -- the homogeneous congruence solver used to
   propagate generator values up a graph; it lifts the solution through
   one weight at a time by exact division (Chinese remaindering).
-* :func:`nullspace_basis` -- an exact kernel basis by Fraction elimination,
-  which only the brute-force oracle uses.
 * :func:`parse_polynomial` -- reads the text that ``str(Polynomial)``
   writes, with one regular grammar, straight into normal form; a caller
   loading many texts passes one term cache, so that each distinct term
@@ -73,7 +71,6 @@ __all__ = [
     "solve_congruences",
     "monomials",
     "parse_polynomial",
-    "nullspace_basis",
 ]
 
 
@@ -596,52 +593,6 @@ def pairwise_coprime(weights) -> bool:
     if len({w.rank for w in ws}) > 1:
         raise ValueError("weights live in different tori")
     return len({w._line[1] for w in ws}) == len(ws)
-
-
-# -- exact linear algebra ------------------------------------------------
-
-
-def _rref(rows: list[list[Fraction]]) -> list[int]:
-    """In-place reduced row echelon form; returns the pivot column list."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][col]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
-
-
-def nullspace_basis(rows, ncols):
-    """Deterministic basis of the nullspace of ``rows * x = 0`` over Q: one
-    vector per free column of the reduced row echelon form (the identity
-    when there are no rows)."""
-    m = [[Fraction(_coeff(v)) for v in row] for row in rows]
-    pivots = _rref(m)
-    null = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, col in enumerate(pivots):
-            vec[col] = -m[r][fc]
-        null.append(vec)
-    return null
 
 
 # -- congruence solving ----------------------------------------------------

@@ -34,10 +34,11 @@ def poincare_series(graph: GkmGraph, degree: int) -> list[int]:
     A negative ``degree`` raises :class:`ValueError`, and then an invalid
     graph :class:`ValidationFailureError`.
     """
-    ranks = [0] * (_count(degree, "degree") + 1)
+    _count(degree, "degree")
     report = validate(graph)
     if not report.ok:
         raise ValidationFailureError(report)
+    ranks = [0] * (degree + 1)
     for v in graph.vertices:
         d = v.cell_dim // 2
         if d <= degree:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gkmcalc import polyring
+from gkmcalc import oracle
 from gkmcalc.builders import (
     TWISTED_A1_4,
     PRESETS,
@@ -121,6 +121,11 @@ def test_hyperbolic_build_validates():
     assert validate(g).ok
 
 
+G2 = GCM(((2, -1), (-3, 2)))
+B3 = GCM(((2, -1, 0), (-1, 2, -1), (0, -2, 2)))
+C3 = GCM(((2, -1, 0), (-1, 2, -2), (0, -1, 2)))
+
+
 # Independent references for the parent-word recurrence of build_flag_graph:
 # every down-edge and position recomputed from the full coset word.
 
@@ -132,6 +137,11 @@ RECURRENCE_CASES = {
     "affine-A2-flag-5": (affine_type_a(2), (), 5),
     "A3-flag": (type_a(3), (), 6),
     "Gr(2,4)": (type_a(3), (0, 2), 4),
+    # non-simply-laced: T(alpha_i) and the adjugate are not trivial
+    "G2-flag": (G2, (), 6),
+    "B3-flag": (B3, (), 9),
+    "C3-flag": (C3, (), 9),
+    "B3/P1": (B3, (1,), 8),
 }
 
 
@@ -216,7 +226,9 @@ BUILD_HASHES = {
     "hyperbolic-9": (GCM(((2, -3), (-3, 2))), (), 9, "7a197b789a0ebff5"),
     "A3-flag-6": (type_a(3), (), 6, "d3d365dade7482c3"),
     "Gr(2,4)-4": (type_a(3), (0, 2), 4, "f7b640b848efe87d"),
-    "B3-flag-9": (GCM(((2, -1, 0), (-1, 2, -1), (0, -2, 2))), (), 9, "ed5d65acffec2d52"),
+    "B3-flag-9": (B3, (), 9, "ed5d65acffec2d52"),
+    "C3-flag-9": (C3, (), 9, "f82cad659a9b4f36"),
+    "G2-flag-6": (G2, (), 6, "4634581d72c4a8e4"),
     "empty-3": (GCM(()), (), 3, "901fd0565e22966f"),  # one vertex, torus rank 0
 }
 
@@ -329,9 +341,9 @@ def test_moment_embedding_needs_finite_or_affine():
 
 def test_building_uses_no_matrix_elimination(monkeypatch):
     # torus bases, marks and positions come from integer determinants; the
-    # Fraction elimination of polyring is left to the oracle
+    # Fraction elimination is left to the oracle
     cases = list(PRESETS.values()) + [
-        (GCM(((2, -1, 0), (-1, 2, -1), (0, -2, 2))), (), 9),
+        (B3, (), 9),
         (affine_type_a(2), (), 4),
         (TWISTED_A1_4, (1,), 20),
     ]
@@ -339,7 +351,9 @@ def test_building_uses_no_matrix_elimination(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("building eliminated a matrix")
 
-    monkeypatch.setattr(polyring, "_rref", refuse)
+    monkeypatch.setattr(oracle, "_rref", refuse)
+    with pytest.raises(AssertionError, match="eliminated"):  # the one elimination is guarded
+        oracle.nullspace_basis([[1, 1]], 2)
     for gcm, parabolic, degree in cases:
         g = build_flag_graph(gcm, parabolic, degree)
         bare = build_flag_graph(gcm, parabolic, degree, embed=False)

@@ -604,6 +604,34 @@ def test_poincare_on_an_invalid_graph_exit_code(capsys):
     assert "cell_dim 3 is not even" in err and err.rstrip().endswith("overall: fail")
 
 
+def test_poincare_validates_before_it_sizes_the_series(tmp_path, capsys):
+    # the default degree comes from the top cell; a 10**30-cell with one
+    # down-edge must fail validation before a list of that length is asked for
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "rank": 1,
+        "vertices": [{"id": "e", "cell_dim": 0}, {"id": "s", "cell_dim": 10**30}],
+        "edges": [{"from": "e", "to": "s", "weight": [1]}],
+    }))
+    code, out, err = run(["poincare", str(path)], capsys)
+    assert code == 1
+    assert not out and "Traceback" not in err
+    assert "expected 500000000000000000000000000000" in err and err.rstrip().endswith("overall: fail")
+
+
+def test_render_refuses_a_label_xml_cannot_hold(tmp_path, capsys):
+    path, svg = tmp_path / "label.json", tmp_path / "label.svg"
+    path.write_text(json.dumps({
+        "rank": 1,
+        "vertices": [{"id": "e", "cell_dim": 0}, {"id": "s", "cell_dim": 2, "label": "a\u0001b"}],
+        "edges": [{"from": "e", "to": "s", "weight": [1]}],
+    }))
+    code, out, err = run(["render", str(path), "--format", "svg", "-o", str(svg)], capsys)
+    assert code == 4
+    assert not out and "vertex 's'" in err and "not an XML character" in err and "Traceback" not in err
+    assert not svg.exists()
+
+
 def test_build_from_the_empty_cartan_matrix(tmp_path, capsys):
     gcm, out = tmp_path / "empty.json", tmp_path / "point.json"
     gcm.write_text("[]")

@@ -29,7 +29,7 @@ from gkmcalc.coxeter import (
     reflection_word,
 )
 from gkmcalc.errors import InvalidParabolicError
-from gkmcalc.polyring import nullspace_basis
+from gkmcalc.oracle import nullspace_basis
 from test_polyring import solve_linear_system
 
 A1 = GCM(((2,),))

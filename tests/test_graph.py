@@ -264,6 +264,17 @@ def test_from_dict_rejects_label_that_is_not_a_string(label):
         GkmGraph.from_dict(data)
 
 
+@pytest.mark.parametrize("field", ["id", "label"])
+@pytest.mark.parametrize("char", ["\x00", "\x01", "\x0b", "\x1f", "\ud800", "\udfff", "\ufffe", "\uffff"])
+def test_from_dict_rejects_ids_and_labels_xml_cannot_hold(field, char):
+    # refused, not replaced: SVG output could not carry these characters
+    data, vid = _b2_flag_data()
+    data["vertices"][1][field] = "a" + char + "b"
+    name = "a" + char + "b" if field == "id" else vid
+    with pytest.raises(ValueError, match=re.escape(f"vertex {name!r}: id and label cannot hold {char!r}")):
+        GkmGraph.from_dict(data)
+
+
 def test_from_dict_rejects_position_that_is_not_a_list():
     data, vid = _b2_flag_data()
     data["vertices"][1]["position"] = "12"
@@ -363,6 +374,14 @@ def test_validation_report_is_pinned(case):
 _TEXT = st.text(st.characters(exclude_categories=()))
 
 
+def _xml_text(s):
+    """Whether every character of ``s`` is in the Char production of XML 1.0."""
+    return all(
+        c in "\t\n\r" or " " <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd" or c >= "\U00010000"
+        for c in s
+    )
+
+
 @st.composite
 def _graphs(draw):
     """Graphs of torus rank 0-3 with any text as ids and labels, and
@@ -392,10 +411,17 @@ def _graphs(draw):
 @example(GkmGraph(0, "Z", [], []))
 @example(GkmGraph(2, "Q", [Vertex('"q"\\', 0, (Fraction(-3, 2), 0), "é\n😀")], []))
 @example(GkmGraph(1, "Z", [Vertex("\x00\x1f\n\t", 0, None, "\u2028"), Vertex("\ud800", 2)], []))
+@example(GkmGraph(1, "Z", [Vertex("\x7f\t\r\n", 0, None, "\ud7ff\ue000\U0010ffff"), Vertex("\ufffd\U00010000", 2)], []))
 def test_graph_dumps_matches_json_dumps(g):
+    # the writer takes any text; the reader takes it back exactly when every
+    # id and label is XML text, and refuses the graph otherwise
     text = g.dumps()
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
-    assert GkmGraph.loads(text) == g
+    if all(_xml_text(t) for v in g.vertices for t in (v.id, v.label or "")):
+        assert GkmGraph.loads(text) == g
+    else:
+        with pytest.raises(ValueError, match="not an XML character"):
+            GkmGraph.loads(text)
 
 
 def test_graph_dumps_writes_cell_dims_as_ints():

@@ -28,11 +28,11 @@ from gkmcalc.polyring import (
     _quo,
     divide_by_weight,
     monomials,
-    nullspace_basis,
     pairwise_coprime,
     parse_polynomial,
     solve_congruences,
 )
+from gkmcalc.oracle import nullspace_basis
 
 X = Polynomial.variable(0, 2)
 Y = Polynomial.variable(1, 2)

@@ -54,6 +54,8 @@ def test_render_escapes_ids_and_labels(ids, label):
     # every double-quoted DOT string read back with its escapes undone
     strings = [re.sub(r"\\(.)", r"\1", m) for m in re.findall(r'"((?:[^"\\]|\\.)*)"', to_dot(g))]
     assert strings[:8] == [bottom, bottom, "0.000,0.000!", top, label, "0.000,1.000!", bottom, top]
+    # the reader refuses only what XML cannot hold, so all of this loads back
+    assert GkmGraph.loads(g.dumps()) == g
 
 
 def test_rendering_is_deterministic():

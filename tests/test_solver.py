@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gkmcalc import polyring, solver
+from gkmcalc import oracle, polyring, solver
 from gkmcalc.builders import PRESETS, TWISTED_A1_4, affine_type_a, build_flag_graph, build_preset, type_a
 from gkmcalc.coxeter import GCM
 from gkmcalc.errors import (
@@ -33,7 +33,7 @@ from gkmcalc.solver import (
     expand_in_basis,
     verify_generator_conditions,
 )
-from test_graph import _TEXT
+from test_graph import _TEXT, _xml_text
 
 
 def poly2(text):
@@ -365,7 +365,9 @@ def test_solving_uses_no_matrix_elimination(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the congruence solver eliminated a matrix")
 
-    monkeypatch.setattr(polyring, "_rref", refuse)
+    monkeypatch.setattr(oracle, "_rref", refuse)
+    with pytest.raises(AssertionError, match="eliminated"):  # the one elimination is guarded
+        oracle.nullspace_basis([[1, 1]], 2)
     for g in graphs:
         basis = canonical_generators(g, max(v.cell_dim // 2 for v in g.vertices))
         assert len(basis.generators) == len(g.vertices)
@@ -453,12 +455,17 @@ def test_basis_output_is_pinned(case):
 @example(["\x00\x1f\n\t", "\ud800"])
 @example(["\"quoted\"", "back\\slash\u2028😀"])
 def test_basis_dumps_matches_json_dumps(ids):
-    # the basis writer quotes ids as the graph writer does, whatever the text
+    # the basis writer quotes ids as the graph writer does, whatever the
+    # text; the reader takes back exactly the ids that are XML text
     bottom, top = ids
     g = GkmGraph(1, "Z", [Vertex(bottom, 0), Vertex(top, 2)], [Edge(bottom, top, Weight((1,)))])
     basis = canonical_generators(g, 1)
     text = basis.dumps()
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    if not all(map(_xml_text, ids)):
+        with pytest.raises(ValueError, match="not an XML character"):
+            GeneratorBasis.from_dict(json.loads(text))
+        return
     loaded = GeneratorBasis.from_dict(json.loads(text))
     assert loaded.graph == g and loaded.generators == basis.generators
     assert loaded.dumps() == text

@@ -8,7 +8,7 @@ from .polyring import (
     parse_polynomial,
     solve_congruences,
 )
-from .graph import CohClass, Edge, GkmGraph, Vertex, is_gkm_class, is_relative_class, skeleton, validate
+from .graph import CohClass, Edge, GkmGraph, Vertex, is_gkm_class, validate
 from .coxeter import GCM, CosetRep, Root, reflect
 from .builders import (
     build_chain_graph,

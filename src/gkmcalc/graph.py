@@ -53,8 +53,6 @@ __all__ = [
     "GkmMembership",
     "validate",
     "is_gkm_class",
-    "skeleton",
-    "is_relative_class",
 ]
 
 
@@ -444,10 +442,6 @@ class CohClass:
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.values.values())
 
-    def restrict(self, ids) -> "CohClass":
-        keep = set(ids)
-        return CohClass._make({v: p for v, p in self.values.items() if v in keep}, self.degree)
-
     def __add__(self, other: "CohClass") -> "CohClass":
         if self.values.keys() != other.values.keys():
             raise ValueError("classes are defined on different vertex sets")
@@ -635,15 +629,3 @@ def is_gkm_class(graph: GkmGraph, cls: CohClass) -> GkmMembership:
         except NotDivisibleError:
             return GkmMembership(False, witnesses, failing_edge=e)
     return GkmMembership(True, witnesses)
-
-
-def skeleton(graph: GkmGraph, k: int) -> GkmGraph:
-    """Induced subgraph on vertices of cell dimension at most ``2k``."""
-    return graph.induced(v.id for v in graph.vertices if v.cell_dim <= 2 * k)
-
-
-def is_relative_class(graph: GkmGraph, cls: CohClass, k: int) -> bool:
-    """True when the class vanishes on every vertex of the k-skeleton."""
-    return all(
-        cls.value(v.id).is_zero() for v in graph.vertices if v.cell_dim <= 2 * k
-    )

@@ -28,21 +28,28 @@ over the rationals and integrality of the result is checked afterwards.
 
 This module alone builds exponent vectors and normalizes coefficients.
 Other modules work on term dicts (``{exponents: coefficient}`` in normal
-form) through its kernels ``_add_product``, ``_add_multiple`` and
-``_divmod_weight``, read scalars through ``_quo`` and ``_linear_coeffs``
-and make constants through ``_constant_terms``.
+form) through its kernels ``_add_product``, ``_add_multiple``,
+``_divmod_weight`` and ``_divmod_plan``, read scalars through ``_quo``
+and ``_linear_coeffs``, read integer forms through ``_line_of`` and
+``_plan_of`` and make constants through ``_constant_terms``.
 
 Exponent vectors are interned: one process-wide table maps each vector to
 one canonical tuple, so equal vectors are one object.  ``_add_product``
-and ``_divmod_weight`` read ``e + d`` from the row of the shift ``d`` (a
+and ``_divmod_plan`` read ``e + d`` from the row of the shift ``d`` (a
 factor's vector, or ``-e_j`` and ``+e_i`` in a division) and compute a
 vector only on a row's first miss, and ``parse_polynomial``,
 ``_constant_terms`` and ``Weight.to_polynomial`` intern the vectors they
-make.  The tables grow only with the distinct ``(d, e)`` pairs a process
-computes with and are never emptied.  A division's set-up (its variable,
-its pivot coefficient and its shift rows) is a plan cached on the
-``Weight``, so a graph's edge weights work it out once.  Nothing else is
-cached across calls: the parser's term cache belongs to its caller.
+make.  A third table holds, per rank, each unit vector ``+e_i`` and
+``-e_i`` with its shift row.  The tables grow only with the distinct
+``(d, e)`` pairs and ranks a process computes with and are never emptied.
+A division's set-up (its variable, its pivot coefficient and its shift
+rows) is a plan that ``_plan_of`` makes from the integer form's
+coefficients by reading the rank's unit rows.  A ``Weight`` stores its
+plan on first use, so a graph's edge weights work it out once; a form
+computed for one division, such as the solver's ``Phi(w) - Phi(v)``, is
+divided through a plan made from its bare tuple, with no ``Weight``
+built.  Nothing else is cached across calls: the parser's term cache
+belongs to its caller.
 """
 
 from __future__ import annotations
@@ -50,7 +57,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import comb, gcd, isqrt
 from operator import add
 
@@ -105,6 +111,8 @@ def _add_multiple(acc: dict, terms: dict, c) -> None:
 _VECTORS: dict[tuple[int, ...], tuple[int, ...]] = {}
 # each shift d -> its row {e: e + d}, with interned keys and values
 _SHIFTS: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
+# each rank n -> per slot i, (-e_i, row of -e_i, +e_i, row of +e_i)
+_UNITS: dict[int, tuple[tuple, ...]] = {}
 
 
 def _intern(e: tuple[int, ...]) -> tuple[int, ...]:
@@ -198,6 +206,36 @@ def _normalize_mode(mode: str) -> str:
     return m
 
 
+def _line_of(coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """``(content, direction)`` of the integer form ``coeffs``: the gcd of
+    the entries and the form divided by it, signed so that its first
+    nonzero entry is positive.  Two nonzero forms are parallel over Q
+    exactly when their directions are equal.  The zero form gives ``(0,
+    coeffs)``."""
+    g = gcd(*coeffs)
+    if not g:
+        return 0, coeffs
+    if next(c for c in coeffs if c) < 0:
+        g = -g
+    return abs(g), tuple(c // g for c in coeffs)
+
+
+class _stored:
+    """A method read as an attribute, computed on the first read and stored
+    in the instance ``__dict__`` under its name, where every later read
+    finds it first: ``functools.cached_property`` without the lock that it
+    takes on every first read before Python 3.12."""
+
+    def __init__(self, method):
+        self.method, self.name = method, method.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Weight:
     """An integer linear form ``c1*x1 + ... + ck*xk``.
@@ -205,9 +243,11 @@ class Weight:
     Weights are the degree-2 equivariant classes that label graph edges.
     The zero form is representable (so that arithmetic stays total) but is
     rejected by every operation that uses a weight as a divisor.  Its line
-    -- content and primitive direction -- and its polynomial are computed
-    on first use and cached on the instance (the polynomial is shared, as
-    it is immutable); equality, hashing and ``repr`` see only ``coeffs``.
+    -- content and primitive direction --, its division plan and its
+    polynomial are computed on first use and stored in the instance
+    ``__dict__``, with no lock, so that every later read is a plain
+    attribute or dict read (the polynomial is shared, as it is immutable);
+    equality, hashing and ``repr`` see only ``coeffs``.
 
     >>> str(Weight((1, -2)))
     'x1 - 2*x2'
@@ -227,18 +267,15 @@ class Weight:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    @cached_property
+    @_stored
     def _line(self) -> tuple[int, tuple[int, ...]]:
-        """``(content, direction)``: the gcd of the entries and the form
-        divided by it, signed so that its first nonzero entry is positive.
-        Two nonzero forms are parallel over Q exactly when their directions
-        are equal.  The zero form gives ``(0, coeffs)``."""
-        g = gcd(*self.coeffs)
-        if not g:
-            return 0, self.coeffs
-        if next(c for c in self.coeffs if c) < 0:
-            g = -g
-        return abs(g), tuple(c // g for c in self.coeffs)
+        """``(content, direction)``, as ``_line_of`` reads it from ``coeffs``."""
+        return _line_of(self.coeffs)
+
+    @_stored
+    def _plan(self) -> tuple:
+        """The division plan, as ``_plan_of`` makes it from ``coeffs``."""
+        return _plan_of(self.coeffs)
 
     def content(self) -> int:
         """gcd of the entries (0 for the zero form)."""
@@ -253,13 +290,13 @@ class Weight:
             raise ValueError("weights live in different tori")
         return self.is_zero() or other.is_zero() or self._line[1] == other._line[1]
 
+    @_stored
+    def _polynomial(self) -> "Polynomial":
+        n = len(self.coeffs)
+        return Polynomial._make(n, {_unit(i, n): c for i, c in enumerate(self.coeffs) if c})
+
     def to_polynomial(self) -> "Polynomial":
-        p = self.__dict__.get("_polynomial")  # cached as by cached_property, without its lock
-        if p is None:
-            n = len(self.coeffs)
-            terms = {_unit(i, n): c for i, c in enumerate(self.coeffs) if c}
-            p = self.__dict__["_polynomial"] = Polynomial._make(n, terms)
-        return p
+        return self._polynomial
 
     def __str__(self) -> str:
         """The text of ``str(self.to_polynomial())``, formatted from ``coeffs``."""
@@ -363,9 +400,6 @@ class Polynomial:
         """Zero counts as homogeneous of every degree."""
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1 and (d is None or degs <= {d})
-
-    def coefficient(self, exps: tuple[int, ...]) -> int | Fraction:
-        return self.terms.get(tuple(exps), 0)
 
     def constant_term(self) -> int | Fraction:
         return self.terms.get((0,) * self.nvars, 0)
@@ -522,27 +556,39 @@ def divide_by_weight(p: Polynomial, w: Weight) -> Polynomial:
     return Polynomial._make(p.nvars, quot)
 
 
-def _division_plan(w: Weight) -> tuple:
-    """``(j, c_j, -e_j, row of -e_j, others)`` for division by ``w``: ``x_j``
-    is its first variable with a nonzero coefficient ``c_j``, and
-    ``others`` holds ``(w_i, row of +e_i, e_i)`` for each other nonzero
-    ``w_i``.  Made on first use and cached on ``w``, as its polynomial is."""
-    plan = w.__dict__.get("_plan")
-    if plan is None:
-        n = len(w.coeffs)
-        j, cj = next((i, c) for i, c in enumerate(w.coeffs) if c)
-        down = _unit(j, n, -1)
-        others = []
-        for i, wi in enumerate(w.coeffs):
-            if wi and i != j:
-                up = _unit(i, n)
-                others.append((wi, _shift_row(up), up))
-        plan = w.__dict__["_plan"] = (j, cj, down, _shift_row(down), tuple(others))
-    return plan
+def _unit_rows(n: int) -> tuple[tuple, ...]:
+    """Per slot ``i`` of rank ``n``, ``(-e_i, row of -e_i, +e_i, row of +e_i)``,
+    made on the rank's first use."""
+    units = _UNITS.get(n)
+    if units is None:
+        units = _UNITS[n] = tuple(
+            (down, _shift_row(down), up, _shift_row(up))
+            for down, up in ((_unit(i, n, -1), _unit(i, n)) for i in range(n))
+        )
+    return units
+
+
+def _plan_of(coeffs: tuple[int, ...]) -> tuple:
+    """``(j, c_j, -e_j, row of -e_j, others)`` for division by the nonzero
+    integer form ``coeffs``: ``x_j`` is its first variable with a nonzero
+    coefficient ``c_j``, and ``others`` holds ``(w_i, row of +e_i, e_i)``
+    for each other nonzero ``w_i``.  The vectors and rows are the rank's
+    ``_unit_rows``."""
+    units = _unit_rows(len(coeffs))
+    cj = next(filter(None, coeffs))
+    j = coeffs.index(cj)
+    others = tuple((wi, units[i][3], units[i][2]) for i, wi in enumerate(coeffs) if wi and i != j)
+    return j, cj, units[j][0], units[j][1], others
 
 
 def _divmod_weight(terms, w: Weight):
-    """``(quotient, remainder)`` of the given terms by ``w``, as term dicts.
+    """``_divmod_plan`` by the plan stored on ``w``."""
+    return _divmod_plan(terms, w._plan)
+
+
+def _divmod_plan(terms, plan: tuple):
+    """``(quotient, remainder)`` of the given terms by the form ``w`` whose
+    plan (see ``_plan_of``) is given, as term dicts.
 
     The terms are bucketed once by their power of ``x_j``, the first variable
     with a nonzero coefficient ``c_j`` in ``w``, and the buckets are walked
@@ -552,9 +598,9 @@ def _divmod_weight(terms, w: Weight):
     remainder, free of ``x_j``: the restriction to the hyperplane ``w = 0``.
     Both are in coefficient normal form when ``terms`` is; ``terms`` is kept.
     The vectors ``e-e_j`` and ``e-e_j+e_i`` are read from the shift rows of
-    ``-e_j`` and ``+e_i``, which ``w``'s cached division plan holds.
+    ``-e_j`` and ``+e_i``, which the plan holds.
     """
-    j, cj, down, drow, others = _division_plan(w)
+    j, cj, down, drow, others = plan
     levels: dict[int, dict] = {}  # power of x_j -> terms
     for e, c in terms.items():
         levels.setdefault(e[j], {})[e] = c
@@ -647,10 +693,10 @@ def solve_congruences(constraints, degree: int, mode: str = "Q") -> Polynomial:
             continue
         if k > degree:
             raise NoSolutionError("congruence system has no homogeneous solution")
-        j, c = _division_plan(ak)[:2]
+        j, c = ak._plan[:2]
         for ai, _ in constraints[:k]:
-            b = Weight(tuple(c * x - ai.coeffs[j] * y for x, y in zip(ai.coeffs, ak.coeffs)))
-            r, rem = _divmod_weight(r, b)
+            b = tuple([c * x - ai.coeffs[j] * y for x, y in zip(ai.coeffs, ak.coeffs)])
+            r, rem = _divmod_plan(r, _plan_of(b))
             if rem:
                 raise NoSolutionError("congruence system has no homogeneous solution")
         h = h + prod * Polynomial._make(nvars, r) * c**k

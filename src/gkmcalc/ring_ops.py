@@ -7,7 +7,9 @@ covers ``u`` of ``v``, ``f1`` the degree-2 generator, with the edge-local
 ``c(v,u) = t * k``.  In ordinary cohomology ``f1(v)`` vanishes, so the
 coefficient of ``f_vn`` in ``f1^n`` is ``A[vn]`` with ``A[v1] = 1`` and
 ``A[u] = sum_v A[v] * c(v,u)``, level by level; only ``f1`` is read from
-the basis.
+the basis.  The ``k`` are the graph's own table of them (see
+:func:`solver._cover_constant`): after the recursion has solved the basis
+of the same graph, or after an earlier power sum, none is evaluated again.
 """
 
 from __future__ import annotations

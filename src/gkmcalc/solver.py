@@ -39,6 +39,12 @@ Goldin-Tolman), one exact division per value:
   but ``beta``.  A cover not joined to ``v`` has value 0.  The identity:
   if ``Phi(u) - Phi(v) = t * beta``, ``D * f_v = g = sum c(v,u) f_u`` with
   ``c(v,u) = t * k``, so above the covers ``f_v(w) = g(w) / D(w)``.
+* ``k`` depends on the graph alone, so each is evaluated once per graph,
+  on first use, into a private table on the graph: the recursion fills
+  it, and the power sums of :mod:`ring_ops` on the same graph read it
+  back.  ``D(w)`` is kept as a bare integer tuple, with no ``Weight``
+  built per pair: it is divided through a plan made from the tuple, and
+  its direction is read with the same gcd as a ``Weight``'s line.
 * Each value is certified.  ``g`` and ``Phi`` are classes, so the weight
   ``alpha`` of a down-edge ``(w, x)`` divides ``D(w) * (f_v(w) -
   f_v(x))``, hence ``f_v(w) - f_v(x)`` unless ``alpha`` is parallel to
@@ -91,13 +97,15 @@ from .graph import (
 )
 from .polyring import (
     Polynomial,
-    Weight,
     _add_multiple,
     _add_product,
     _constant_terms,
+    _divmod_plan,
     _divmod_weight,
+    _line_of,
     _linear_coeffs,
     _normalize_mode,
+    _plan_of,
     _primes,
     _quo,
     solve_congruences,
@@ -324,6 +332,21 @@ def _chevalley(graph: GkmGraph, mode: str) -> dict[str, CohClass] | None:
 
 
 def _cover_constant(graph, vid, edge) -> int | Fraction:
+    """``k`` across ``edge`` from ``vid`` up to its cover, from the graph's
+    table of them, keyed by ``(vid, edge)``: each is evaluated once per
+    graph, on first use, so the recursion and every later power sum on the
+    graph share them.  The :class:`ValueError` of parallel down-edges is
+    raised by every call that meets it, and nothing is stored for it."""
+    covers = graph.__dict__.get("_covers")
+    if covers is None:
+        covers = graph.__dict__["_covers"] = {}
+    k = covers.get((vid, edge))
+    if k is None:
+        k = covers[vid, edge] = _evaluate_cover(graph, vid, edge)
+    return k
+
+
+def _evaluate_cover(graph, vid, edge) -> int | Fraction:
     """``k`` across ``edge`` from ``v = vid`` up to its cover ``u``, read at
     ``p = beta_j q - beta(q) e_j`` (``beta_j`` the first nonzero entry, ``q
     = (1, t, t^2, ...)``).  ``beta(p) = 0``, and ``alpha'(p)`` is a nonzero
@@ -369,15 +392,15 @@ def _chevalley_generator(graph, mode, vid, phi, values, down) -> dict | None:
         if w.cell_dim <= dim:
             continue
         wid = w.id
-        d = Weight(tuple(a - b for a, b in zip(phi[wid], phi_v)))
-        if d.is_zero():
+        d = tuple(map(sub, phi[wid], phi_v))  # D(w), read as a bare integer form
+        if not any(d):
             return None
         if w.cell_dim > dim + 2:
             g: dict = {}  # den * sum c_u f_u(w) = den * D(w) * f_v(w)
             for fu, c in chev:
                 _add_multiple(g, fu.get(wid, {}), c)
             if g:
-                q, rem = _divmod_weight(g, d)
+                q, rem = _divmod_plan(g, _plan_of(d))
                 if rem:
                     return None
                 if den != 1:
@@ -388,7 +411,7 @@ def _chevalley_generator(graph, mode, vid, phi, values, down) -> dict | None:
             return None
         # the weight of a down-edge (w, x) divides D(w) * (f_v(w) - f_v(x));
         # only one parallel to D(w) leaves the difference to be checked
-        e = down[wid].get(d._line[1])
+        e = down[wid].get(_line_of(d)[1])
         if e is not None:
             diff = dict(value)
             _add_multiple(diff, fv.get(e.other(wid), {}), -1)

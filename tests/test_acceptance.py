@@ -52,7 +52,7 @@ def _class_vector(cls, ids, mons):
     vec = []
     for vid in ids:
         for m in mons:
-            vec.append(cls.values[vid].coefficient(m))
+            vec.append(cls.values[vid].terms.get(m, 0))
     return vec
 
 

@@ -32,9 +32,10 @@ from gkmcalc.coxeter import (
     reflect,
 )
 from gkmcalc.errors import UnsupportedTypeError
-from gkmcalc.graph import GkmGraph, Vertex, skeleton, validate
+from gkmcalc.graph import GkmGraph, Vertex, validate
 from gkmcalc.polyring import Weight
 from test_coxeter import word_matrix
+from test_graph import skeleton
 
 PRESET_NAMES = ("A1-flag", "A2-flag", "B2-flag", "omega-su2", "omega-su3", "A1-4-twisted")
 

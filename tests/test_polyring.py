@@ -23,8 +23,10 @@ from gkmcalc.polyring import (
     Weight,
     _add_multiple,
     _add_product,
+    _divmod_plan,
     _divmod_weight,
     _linear_coeffs,
+    _plan_of,
     _quo,
     divide_by_weight,
     monomials,
@@ -445,7 +447,7 @@ def _witness_form_solution(k, d, constraints, mode):
                 block[tuple(e + (j == var) for j, e in enumerate(m))][col] -= c
         for t in mons_h:
             rows.append(block[t])
-            rhs.append(p.coefficient(t))
+            rhs.append(p.terms.get(t, 0))
     try:
         particular, null = solve_linear_system(rows, rhs)
     except _InconsistentSystem:
@@ -885,9 +887,10 @@ def _kernel_case(draw):
 
 
 def _empty_tables():
-    """Forget every interned vector and shift row, as in a fresh process."""
+    """Forget every interned vector, shift row and unit row, as in a fresh process."""
     polyring._VECTORS.clear()
     polyring._SHIFTS.clear()
+    polyring._UNITS.clear()
 
 
 def _run_kernels(acc, a, b, c, w):
@@ -920,6 +923,8 @@ def test_term_kernels_match_reference(case):
 
 @settings(deadline=None)
 @given(_kernel_case())
+# a negative, non-unit leading entry under Fraction coefficients
+@example(({(2, 1): Fraction(1, 3), (0, 2): -2, (1, 0): Fraction(-5, 2)}, {}, {}, 1, (-3, 2)))
 def test_division_plan_is_cached_per_weight(case):
     terms, _, _, _, coeffs = case
     w = Weight(coeffs)
@@ -928,6 +933,10 @@ def test_division_plan_is_cached_per_weight(case):
     again = _divmod_weight(terms, w)  # from the cached plan
     fresh = _divmod_weight(terms, Weight(coeffs))  # an equal weight, its own plan
     assert first == again == fresh
+    # a plan made from the bare tuple, from empty tables and then warm ones
+    _empty_tables()
+    cold = _divmod_plan(terms, _plan_of(coeffs))
+    assert cold == _divmod_plan(terms, _plan_of(coeffs)) == first
     quot, rem = first
     j = next(i for i, x in enumerate(coeffs) if x)
     assert all(e[j] == 0 for e in rem)
@@ -943,11 +952,13 @@ def test_kernels_share_equal_vectors():
     product = {}
     _add_product(product, {(1, 1): 1}, {(1, 0): 1})  # x1*x2 * x1
     quot, _ = _divmod_weight({(3, 1): 1}, Weight((1, 0)))  # x1^3*x2 / x1
+    bare, _ = _divmod_plan({(3, 1): 1}, _plan_of((1, 0)))  # the same, by a bare tuple's plan
     _, rem = _divmod_weight({(1, 0): 1}, Weight((1, -3)))  # x1 = (x1 - 3*x2) + 3*x2
     (e_parsed,) = (e for e in parsed if e == (2, 1))
     (e_product,) = product
     (e_quot,) = quot
-    assert e_product is e_parsed and e_quot is e_parsed
+    (e_bare,) = bare
+    assert e_product is e_parsed and e_quot is e_parsed and e_bare is e_parsed
     (e_rem,) = rem
     (y_parsed,) = (e for e in parsed if e == (0, 1))
     assert e_rem is y_parsed and e_rem is next(iter(Weight((0, 1)).to_polynomial().terms))

@@ -1,6 +1,7 @@
 """Products, rank series, ordinary reduction, and divided-powers laws."""
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkmcalc import solver
 from gkmcalc.builders import build_flag_graph, build_preset, type_a
 from gkmcalc.coxeter import GCM
 from gkmcalc.errors import (
@@ -218,6 +220,23 @@ def test_power_coefficient_matches_expanded_power(case):
         return
     for n in range(degree + 2):
         assert _outcome(power_coefficient, g, basis, n) == _outcome(_expanded_power, g, basis, n)
+
+
+@pytest.mark.parametrize(
+    "name, law",
+    [("omega-su2", math.factorial), ("A1-4-twisted", lambda n: math.factorial(n) * 2 ** (n // 2))],
+)
+def test_cover_constants_are_evaluated_once_per_graph(monkeypatch, name, law):
+    # the recursion evaluates each k; the seven power sums read them back
+    g = build_preset(name, 7)
+    calls = []
+    evaluate = solver._evaluate_cover
+    monkeypatch.setattr(solver, "_evaluate_cover", lambda *args: calls.append(args[1:]) or evaluate(*args))
+    basis = canonical_generators(g, 7)
+    assert [power_coefficient(g, basis, n) for n in range(1, 8)] == [law(n) for n in range(1, 8)]
+    covers = [(e.u, e) for e in g.edges if g.vertex(e.v).cell_dim == g.vertex(e.u).cell_dim + 2]
+    assert len(covers) == 7
+    assert sorted(calls, key=lambda c: c[1].key()) == sorted(covers, key=lambda c: c[1].key())
 
 
 def test_grassmannian_sums_over_two_chains():

@@ -598,8 +598,10 @@ def test_cover_constant_refuses_parallel_down_weights():
     )
     assert not validate(g).ok
     edge = next(e for e in g.edges_at("a") if e.other("a") == "u")
-    with pytest.raises(ValueError, match="'u'"):
-        solver._cover_constant(g, "a", edge)
+    for _ in range(2):  # raised again: the graph's table keeps no error
+        with pytest.raises(ValueError, match="'u'"):
+            solver._cover_constant(g, "a", edge)
+    assert not g.__dict__.get("_covers")
 
 
 def _position_graph(positions, down, mode="Q", embed=False):
@@ -729,6 +731,18 @@ def test_embedded_builds_lift_no_generator(monkeypatch, case):
         other, lifts = _solve_counting_lifts(monkeypatch, h)
         assert lifts == degree1
         assert other.generators == basis.generators
+
+
+def test_chevalley_recursion_makes_no_weight(monkeypatch):
+    # D(w) = Phi(w) - Phi(v) is divided as a bare integer form: no checked
+    # Weight for any of the 78 vertex pairs
+    g = build_preset("omega-su2", 12)
+    made = []
+    check = Weight.__post_init__
+    monkeypatch.setattr(Weight, "__post_init__", lambda w: made.append(w) or check(w))
+    basis, lifts = _solve_counting_lifts(monkeypatch, g)
+    assert lifts == 0 and not made
+    assert basis.generators == {vid: solver._lift(g, vid, "Z") for vid in g.vertex_ids}
 
 
 def _expand_by_division(cls, basis):

@@ -17,10 +17,12 @@ Torus coordinates
     preserved.  Indefinite matrices fall back to raw root coordinates.
 
 Moment embedding
-    The orbit starts at ``lambda``, the generic dominant vector times the
-    lcm ``S`` of its denominators.  The torus sends the fixed point ``w``
-    to ``w lambda``, so ``p(w) = T(lambda - w lambda)``, in the torus
-    coordinates ``T`` above, grows one letter at a time: ``p(e) = 0`` and
+    The orbit starts at ``lambda = S * mu``, the integer vector that
+    ``generic_dominant_vector`` returns with ``S``: ``mu`` is the rational
+    generic dominant vector of prime reciprocals, and ``S`` the product of
+    those primes.  The torus sends the fixed point ``w`` to ``w lambda``,
+    so ``p(w) = T(lambda - w lambda)``, in the torus coordinates ``T``
+    above, grows one letter at a time: ``p(e) = 0`` and
     ``p(s_i w') = p(w') - (w lambda)_i * T(alpha_i)``.  Then ``w`` sits at
     ``base - p(w) / q``.  The base point is ``lambda / S`` (``q = S``), or
     ``-Lambda_z`` (``q = -1``) for an affine Grassmannian so that energy
@@ -37,9 +39,7 @@ from functools import cache, partial
 
 from .coxeter import (
     GCM,
-    Root,
     _adjugate,
-    _integral,
     classify,
     coset_orbit,
     generic_dominant_vector,
@@ -119,8 +119,8 @@ class _TorusBasis:
     z: int | None = None
     mark_vec: tuple[int, ...] | None = None
 
-    def weight(self, root: Root) -> Weight:
-        c = root.coords
+    def weight(self, c: tuple[int, ...]) -> Weight:
+        """The label of the root with simple-root coordinates ``c``."""
         if self.kind == "affine":
             m = c[self.z]
             coords = [c[i] - m * self.mark_vec[i] for i in range(len(c)) if i != self.z]
@@ -155,11 +155,11 @@ def _positions(gcm: GCM, J: frozenset, tb: _TorusBasis, reps) -> dict[str, tuple
     ``p(s_i w') = p(w') - vec(w)_i * T(alpha_i)``."""
     others = [i for i in range(gcm.n) if i != tb.z]
     det, adj = _adjugate([[gcm.a(i, j) for j in others] for i in others])
-    start, q = _integral(generic_dominant_vector(gcm, J))
+    start, q = generic_dominant_vector(gcm, J)
     if tb.kind == "affine" and set(range(gcm.n)) - J == {tb.z}:
         q = -1
     units = [tuple(int(i == j) for j in range(gcm.n)) for i in range(gcm.n)]
-    steps = [[det * t for t in tb.weight(Root(u)).coeffs] for u in units]  # det * T(alpha_i)
+    steps = [[det * t for t in tb.weight(u).coeffs] for u in units]  # det * T(alpha_i)
     b = [sum(a * start[j] for a, j in zip(row, others)) for row in adj]
     num = {(): b + [0] * (tb.kind == "affine")}
     out = {}
@@ -211,7 +211,7 @@ def build_flag_graph(
     down = {(): ()}  # word -> its down-edges as (lower orbit vector, label root)
     # memoised for this build: affine labels repeat heavily, and sibling
     # and parent-to-child down-edge sets reflect the same vectors and roots
-    weight = cache(lambda beta: tb.weight(Root(beta)))
+    weight = cache(tb.weight)
     s_dual = [cache(partial(reflect_dual, gcm, i)) for i in range(gcm.n)]
     s_root = [cache(partial(reflect, gcm, i)) for i in range(gcm.n)]
     vertices = []

@@ -14,11 +14,11 @@ the same coset of ``W/W_J`` precisely when they move that vector to the
 same place.  This is exact, deterministic, and works uniformly for finite
 and affine types.
 
-The orbit itself runs on ``int`` vectors: the generic vector is scaled by
-the lcm of its denominators, which commutes with the linear action and
-keeps the stabilizer, so cosets, words and their order are unchanged.
-Callers that need rational coordinates divide once where they write a
-position out.
+The orbit itself runs on ``int`` vectors: the generic vector is built
+already scaled by the lcm ``S`` of its denominators, which commutes with
+the linear action and keeps the stabilizer, so cosets, words and their
+order are those of the rational vector.  Callers that need rational
+coordinates divide by ``S`` once where they write a position out.
 
 One fraction-free elimination, ``_eliminate``, answers all three questions
 about the matrix itself: its type, the marks of an affine matrix and the
@@ -28,8 +28,8 @@ adjugate the builder inverts with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from itertools import islice
+from math import gcd, prod
 
 from .errors import InvalidParabolicError
 from .polyring import _int_tuple, _primes
@@ -292,45 +292,45 @@ def reflection_word(gcm: GCM, root: Root) -> tuple[int, ...]:
     raise ValueError(f"{root} is not a real root")
 
 
-def _integral(vec) -> tuple[tuple[int, ...], int]:
-    """``(ints, scale)`` with ``ints = scale * vec``, where ``scale`` is the
-    lcm of the denominators of the (``int`` or ``Fraction``) entries."""
-    scale = 1
-    for x in vec:
-        scale = lcm(scale, x.denominator)
-    return tuple(x.numerator * (scale // x.denominator) for x in vec), scale
+def generic_dominant_vector(gcm: GCM, parabolic) -> tuple[tuple[int, ...], int]:
+    """``(ints, S)``: a dominant integer vector with stabilizer exactly
+    ``W_J``, and the scale ``S`` that makes it one.
 
+    ``S`` is the product of the first ``|free|`` primes, ``free`` the nodes
+    outside ``J``; the ``k``-th free node gets ``S / p_k``, ``p_k`` the
+    ``k``-th prime, and ``J`` gets 0.  That is the rational vector of
+    strictly decreasing prime reciprocals, times ``S``.  Dominance makes the stabilizer the parabolic generated by
+    the simple reflections that fix it, which is exactly ``W_J``; an
+    explicit fix/move check guards the construction.
 
-def generic_dominant_vector(gcm: GCM, parabolic) -> tuple[Fraction, ...]:
-    """A dominant rational vector with stabilizer exactly ``W_J``.
-
-    Entries indexed by ``J`` vanish; the remaining slots carry strictly
-    decreasing prime reciprocals.  Dominance makes the stabilizer the
-    parabolic generated by the simple reflections that fix it, which is
-    exactly ``W_J``; an explicit fix/move check guards the construction.
+    >>> generic_dominant_vector(GCM(((2, -1), (-1, 2))), ())
+    ((3, 2), 6)
     """
     J = frozenset(parabolic)
     if not J <= set(range(gcm.n)):
         raise InvalidParabolicError(f"parabolic {sorted(J)} not a subset of 0..{gcm.n - 1}")
     free = [i for i in range(gcm.n) if i not in J]
-    mu = [Fraction(0)] * gcm.n
-    for i, p in zip(free, _primes()):
-        mu[i] = Fraction(1, p)
+    primes = list(islice(_primes(), len(free)))
+    scale = prod(primes)
+    mu = [0] * gcm.n
+    for i, p in zip(free, primes):
+        mu[i] = scale // p
     mu = tuple(mu)
     for i in range(gcm.n):
         fixed = reflect_dual(gcm, i, mu) == mu
         if fixed != (i in J):
             raise ValueError("generic vector has the wrong stabilizer")
-    return mu
+    return mu, scale
 
 
 def coset_orbit(gcm: GCM, parabolic, length_cutoff: int):
     """Breadth-first orbit of the generic vector under left multiplication.
 
-    The orbit runs on ``int`` vectors: the generic vector scaled by the lcm
-    of its denominators, which leaves the stabilizer, and so the cosets,
-    unchanged.  Returns ``(reps, table)`` where ``reps`` is the list of
-    ``(CosetRep, vector)`` pairs sorted by (length, word) and ``table``
+    The orbit starts from the integer generic vector ``ints`` of
+    :func:`generic_dominant_vector`, a positive multiple of the rational
+    one, which has the same stabilizer and so the same cosets.  Returns
+    ``(reps, table)`` where ``reps`` is the list of ``(CosetRep, vector)``
+    pairs sorted by (length, word) and ``table``
     maps each orbit vector back to its representative.  Words are built by
     prepending the discovering generator, so each is a shortest path in
     the orbit graph and hence a reduced word for a minimal-length coset
@@ -338,7 +338,7 @@ def coset_orbit(gcm: GCM, parabolic, length_cutoff: int):
     """
     if length_cutoff < 0:
         raise ValueError("length cutoff must be non-negative")
-    mu, _ = _integral(generic_dominant_vector(gcm, parabolic))
+    mu, _ = generic_dominant_vector(gcm, parabolic)
     table: dict[tuple[int, ...], CosetRep] = {mu: CosetRep(())}
     reps: list[tuple[CosetRep, tuple[int, ...]]] = [(CosetRep(()), mu)]
     shell: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), mu)]

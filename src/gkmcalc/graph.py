@@ -31,13 +31,14 @@ from __future__ import annotations
 import json
 import re
 import reprlib
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .errors import MissingVertexValueError, NotDivisibleError
+from .errors import MissingVertexValueError, NotDivisibleError, ValidationFailureError
 from .polyring import Polynomial, Weight, _normalize_mode, divide_by_weight, pairwise_coprime, parse_polynomial
 
 # outside the Char production of XML 1.0
@@ -107,6 +108,17 @@ def _count(value, what: str) -> int:
     """A non-negative integer, checked as by ``_json_int``."""
     if _json_int(value, what) < 0:
         raise ValueError(f"{what} must be non-negative, got {value}")
+    return value
+
+
+def _size(value, what: str) -> int:
+    """A count that sizes a list or tuple, checked as by ``_count`` and
+    below ``sys.maxsize``, so that ``value + 1`` items still have an
+    index: ``10**30`` is refused naming ``what``, where it would end in an
+    ``OverflowError``.  Below the bound a list of ``value`` items is still
+    asked for."""
+    if _count(value, what) >= sys.maxsize:
+        raise ValueError(f"{what} must be below {sys.maxsize}, got {value}")
     return value
 
 
@@ -226,22 +238,24 @@ class GkmGraph:
         mode = _normalize_mode(mode)
         vs = sorted(vertices, key=_vertex_key)
         index: dict[str, Vertex] = {}
-        for v in vs:
+        at: dict[str, int] = {}  # id -> place in (cell_dim, id) order
+        for n, v in enumerate(vs):
             if v.id in index:
                 raise ValueError(f"duplicate vertex id {v.id!r}")
             if v.position is not None and len(v.position) != rank:
                 raise ValueError(f"position of {v.id!r} has length != rank {rank}")
             index[v.id] = v
-        # edges run from the lower endpoint in (cell_dim, id) order; one
+            at[v.id] = n
+        # edges run from the endpoint earlier in (cell_dim, id) order; one
         # given the other way round is the only one rebuilt
         norm_edges = []
         for e in edges:
-            u, v = index.get(e.u), index.get(e.v)
-            if u is None or v is None:
+            a, b = at.get(e.u), at.get(e.v)
+            if a is None or b is None:
                 raise ValueError(f"edge ({e.u}, {e.v}) references a missing vertex")
             if e.weight.rank != rank:
                 raise ValueError(f"edge ({e.u}, {e.v}) weight has rank != {rank}")
-            if _vertex_key(v) < _vertex_key(u):
+            if b < a:
                 e = Edge(e.v, e.u, e.weight)
             norm_edges.append(e)
         norm_edges.sort(key=lambda e: (e.u, e.v, e.weight.coeffs))
@@ -249,10 +263,10 @@ class GkmGraph:
         self._mode = mode
         self._index = index
         self._vertices = tuple(vs)
-        self._vertex_ids = tuple(v.id for v in vs)
+        self._vertex_ids = tuple(at)
         self._edges = tuple(norm_edges)
-        inc: dict[str, list[Edge]] = {vid: [] for vid in index}
-        down: dict[str, list[Edge]] = {vid: [] for vid in index}
+        inc: dict[str, list[Edge]] = {vid: [] for vid in at}
+        down: dict[str, list[Edge]] = {vid: [] for vid in at}
         for e in self._edges:
             inc[e.u].append(e)
             inc[e.v].append(e)
@@ -348,7 +362,7 @@ class GkmGraph:
         """The graph of the file ``dumps`` writes, every field checked and
         every unknown key refused."""
         _json_of(dict, data, "a graph")
-        rank = _count(data["rank"], "rank")
+        rank = _size(data["rank"], "rank")
         if len(data) != 3 + ("mode" in data):
             _known_keys(data, ("rank", "mode", "vertices", "edges"), "a graph")
         fracs: dict[int | str, Fraction] = {}
@@ -524,6 +538,11 @@ def validate(graph: GkmGraph) -> ValidationReport:
     primitivity as a separate entry in Z-mode).  Per edge: no edge may
     join vertices of equal cell dimension.  Globally: one bottom vertex
     and a connected graph.  Failures are reported, never raised.
+
+    Whether the graph passed is stored on it, a bool in the instance
+    ``__dict__`` (the report is mutable, so it is not kept): the graph is
+    immutable, so :func:`_require_valid` trusts a stored pass, and a graph
+    made from it by ``induced`` or ``with_positions`` starts with none.
     """
     rep = ValidationReport()
     add = rep.entries.append
@@ -598,7 +617,18 @@ def validate(graph: GkmGraph) -> ValidationReport:
                 "graph connected" if connected else "graph disconnected",
             )
         )
+    graph.__dict__["_valid"] = rep.ok
     return rep
+
+
+def _require_valid(graph: GkmGraph):
+    """Raise :class:`ValidationFailureError` with the full report unless
+    ``graph`` passes :func:`validate`; a pass that ``validate`` has stored
+    on the graph skips the checks, a stored failure does not."""
+    if not graph.__dict__.get("_valid"):
+        report = validate(graph)
+        if not report.ok:
+            raise ValidationFailureError(report)
 
 
 @dataclass

@@ -17,8 +17,6 @@ from functools import lru_cache
 from .coxeter import (
     GCM,
     CosetRep,
-    Root,
-    _integral,
     apply_word_dual,
     classify,
     coset_orbit,
@@ -209,7 +207,7 @@ def schubert_restrictions(gcm: GCM, parabolic, degree: int) -> dict[str, CohClas
     reps, _ = coset_orbit(gcm, J, degree)
     tb = _torus_basis(gcm, J)
     n = gcm.n
-    mu, _ = _integral(generic_dominant_vector(gcm, ()))
+    mu, _ = generic_dominant_vector(gcm, ())
     words = [rep.word for rep, _ in reps]
     at = {apply_word_dual(gcm, w, mu): coset_id(w) for w in words}
     values = {wid: {} for wid in at.values()}  # class -> vertex -> value
@@ -220,7 +218,7 @@ def schubert_restrictions(gcm: GCM, parabolic, degree: int) -> dict[str, CohClas
             root = tuple(int(t == a) for t in range(n))
             for i in reversed(v[:j]):
                 root = reflect(gcm, i, root)
-            r = tb.weight(Root(root)).to_polynomial()
+            r = tb.weight(root).to_polynomial()
             for vec, p in list(states.items()):
                 if vec[a] > 0:
                     up = reflect_dual(gcm, a, vec)
@@ -286,5 +284,5 @@ def reflection_edges(gcm: GCM, parabolic, degree: int, height: int) -> list[Edge
             oid = coset_id(other.word)
             key = (min(uid, oid), max(uid, oid), root.coords)
             if key not in found:
-                found[key] = Edge(uid, oid, tb.weight(root))
+                found[key] = Edge(uid, oid, tb.weight(root.coords))
     return list(found.values())

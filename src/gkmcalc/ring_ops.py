@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import CutoffTooSmallError, NonIntegralError, NotInSpanError, ValidationFailureError
-from .graph import GkmGraph, _count, validate
+from .errors import CutoffTooSmallError, NonIntegralError, NotInSpanError
+from .graph import GkmGraph, _count, _require_valid, _size
 from .polyring import Polynomial, _linear_coeffs, _quo
 from .solver import GeneratorBasis, _cover_constant
 
@@ -33,14 +33,14 @@ def poincare_series(graph: GkmGraph, degree: int) -> list[int]:
 
     Entry ``d`` counts the vertices of cell dimension ``2d`` (one
     generator per cell); all odd cohomological degrees have rank zero.
-    A negative ``degree`` raises :class:`ValueError`, and then an invalid
-    graph :class:`ValidationFailureError`.
+    A negative ``degree`` raises :class:`ValueError`, then an invalid
+    graph :class:`ValidationFailureError` with its full report (a graph
+    that :func:`validate` has passed is not checked again), and then a
+    ``degree`` of ``sys.maxsize`` or more :class:`ValueError`.
     """
     _count(degree, "degree")
-    report = validate(graph)
-    if not report.ok:
-        raise ValidationFailureError(report)
-    ranks = [0] * (degree + 1)
+    _require_valid(graph)
+    ranks = [0] * (_size(degree, "degree") + 1)
     for v in graph.vertices:
         d = v.cell_dim // 2
         if d <= degree:

@@ -79,7 +79,6 @@ from .errors import (
     NoSolutionError,
     NonIntegralError,
     NotInSpanError,
-    ValidationFailureError,
 )
 from .graph import (
     CohClass,
@@ -92,8 +91,8 @@ from .graph import (
     _json_of,
     _json_values,
     _known_keys,
+    _require_valid,
     is_gkm_class,
-    validate,
 )
 from .polyring import (
     Polynomial,
@@ -207,17 +206,18 @@ def canonical_generators(graph: GkmGraph, degree: int, mode: str | None = None) 
     come from the Chevalley recursion; otherwise, or when the recursion
     cannot certify a value, every generator is lifted vertex by vertex.
 
-    Raises :class:`ValueError` unless ``degree`` is a non-negative ``int``,
-    :class:`ValidationFailureError` on an invalid graph,
+    The graph is validated first, unless :func:`validate` has already
+    passed it (its verdict is stored on the graph).  Raises
+    :class:`ValueError` unless ``degree`` is a non-negative ``int``,
+    :class:`ValidationFailureError` with the full report on an invalid
+    graph, on every call,
     :class:`NoSolutionError` (with the offending generator and vertex) when
     some congruence system is unsolvable, and in Z-mode
     :class:`NonIntegralError` with the generator, witness vertex and value.
     """
     _count(degree, "basis degree")
     mode = _normalize_mode(mode or graph.mode)
-    report = validate(graph)
-    if not report.ok:
-        raise ValidationFailureError(report)
+    _require_valid(graph)
 
     wanted = [v.id for v in graph.vertices if v.cell_dim <= 2 * degree]
     generators = None

@@ -23,7 +23,6 @@ from gkmcalc.builders import (
 )
 from gkmcalc.coxeter import (
     GCM,
-    Root,
     apply_word_dual,
     classify,
     coset_orbit,
@@ -162,7 +161,7 @@ def _direct_down_edges(gcm, parabolic, degree):
             for i in reversed(w[:j]):
                 beta = reflect(gcm, i, beta)
             lower = table[apply_word_dual(gcm, w[:j] + w[j + 1:], mu)]
-            pairs.append((coset_id(lower.word), tb.weight(Root(beta)).coeffs))
+            pairs.append((coset_id(lower.word), tb.weight(beta).coeffs))
         down[coset_id(w)] = sorted(pairs)
     return down
 
@@ -184,7 +183,8 @@ def _base_point(gcm, parabolic):
     tb = _torus_basis(gcm, frozenset(parabolic))
     if tb.kind == "affine" and set(range(gcm.n)) - set(parabolic) == {tb.z}:
         return tuple(-1 if i == tb.z else 0 for i in range(gcm.n))
-    return generic_dominant_vector(gcm, parabolic)
+    ints, scale = generic_dominant_vector(gcm, parabolic)
+    return tuple(Fraction(x, scale) for x in ints)
 
 
 def _check_positions(gcm, parabolic, degree):

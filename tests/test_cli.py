@@ -1,10 +1,14 @@
 """Command-line behavior: pipelines, file round-trips, exit codes."""
 
+import copy
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkmcalc.cli import main
 from gkmcalc.graph import GkmGraph
@@ -639,3 +643,98 @@ def test_build_from_the_empty_cartan_matrix(tmp_path, capsys):
     assert code == 0 and not err
     graph = GkmGraph.loads(out.read_text())
     assert graph.rank == 0 and graph.vertex_ids == ("e",) and not graph.edges
+
+
+@pytest.mark.parametrize("argv", [["generators", "huge-rank.json"], ["poincare", "b2.json", "--degree", str(10**30)]])
+def test_a_count_beyond_an_index_exit_code(tmp_path, capsys, monkeypatch, argv):
+    # a rank or degree of 10**30 sizes a list of that length: refused by
+    # name, where it ended in an OverflowError traceback
+    monkeypatch.chdir(tmp_path)
+    assert run(["build", "B2-flag", "-o", "b2.json"], capsys)[0] == 0
+    Path("huge-rank.json").write_text(json.dumps({"rank": 10**30, "vertices": [{"id": "e", "cell_dim": 0}], "edges": []}))
+    code, out, err = run(argv, capsys)
+    field = "rank" if argv[0] == "generators" else "degree"
+    assert code == 4
+    assert not out and f"{field} must be below" in err and "Traceback" not in err
+
+
+# the edits of the file mutations below: drop a key, add a list item, or
+# set a value to one of these
+_FUZZ_VALUES = [None, True, False, 1.5, "", "1/0", "\x01", "\u0663", 10**30, [], {}]
+
+
+@pytest.fixture(scope="module")
+def b2_files(tmp_path_factory):
+    """The B2-flag graph, its basis and the class of its generator ``0``,
+    as JSON documents, and a directory to write their mutations to."""
+    from gkmcalc.builders import build_preset
+    from gkmcalc.solver import canonical_generators
+
+    graph = build_preset("B2-flag")
+    basis = json.loads(canonical_generators(graph, 4).dumps())
+    docs = {
+        "graph": json.loads(graph.dumps()),
+        "basis": basis,
+        "class": {"values": basis["generators"]["0"], "degree": 1},
+    }
+    return docs, tmp_path_factory.mktemp("fuzz")
+
+
+def _containers(doc):
+    """Every object and list in a JSON document, the document included."""
+    out = [doc]
+    for child in doc.values() if isinstance(doc, dict) else doc:
+        if isinstance(child, (dict, list)):
+            out += _containers(child)
+    return out
+
+
+def _mutate(doc, data):
+    """Drop a key, add a list item or set a value, somewhere in ``doc``."""
+    nodes = _containers(doc)
+    lists = [c for c in nodes if isinstance(c, list)]
+    kind = data.draw(st.sampled_from(["drop", "add", "set"] if lists else ["drop", "set"]))
+    if kind == "add":
+        items = data.draw(st.sampled_from(lists))
+        pool = _FUZZ_VALUES + items
+        items.append(copy.deepcopy(data.draw(st.sampled_from(pool))))
+        return
+    nodes = [c for c in nodes if c]
+    if not nodes:
+        return
+    node = data.draw(st.sampled_from(nodes))
+    key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+    if kind == "drop" and isinstance(node, dict):
+        del node[key]
+    else:
+        node[key] = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_VALUES)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_mutated_files_exit_with_a_code(b2_files, data):
+    # one or two edits to one of the three files; every subcommand that
+    # reads them exits 0-4 with no exception and a bounded stderr
+    docs, folder = b2_files
+    which = data.draw(st.sampled_from(sorted(docs)))
+    docs = copy.deepcopy(docs)
+    for _ in range(data.draw(st.integers(1, 2))):
+        _mutate(docs[which], data)
+    paths = {name: str(folder / f"{name}.json") for name in docs}
+    for name, doc in docs.items():
+        Path(paths[name]).write_text(json.dumps(doc))
+    g, b, c = paths["graph"], paths["basis"], paths["class"]
+    for argv in (
+        ["validate", g],
+        ["generators", g],
+        ["poincare", g],
+        ["render", g, "--format", "svg"],
+        ["render", g, "--basis", b, "--vertex", "0"],
+        ["multiply", b, "0", "0"],
+        ["check", g, c],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in range(5), (argv, code, err.getvalue())
+        assert len(err.getvalue()) < 20_000, argv

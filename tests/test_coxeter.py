@@ -4,7 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -270,9 +270,41 @@ def test_classify_and_marks_take_one_elimination(monkeypatch):
 
 def test_generic_vector_beyond_thirty_free_nodes():
     gcm = type_a(31)
-    mu = generic_dominant_vector(gcm, ())
-    assert mu[30] == Fraction(1, 127)  # the 31st prime
+    mu, scale = generic_dominant_vector(gcm, ())
+    assert mu[30] * 127 == scale  # the 31st prime
     assert all(reflect_dual(gcm, i, mu) != mu for i in range(gcm.n))
+
+
+_SMALL_PRIMES = [p for p in range(2, 20) if all(p % d for d in range(2, p))]
+
+
+@st.composite
+def _gcm_and_parabolic(draw):
+    n = draw(st.integers(1, 4))
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in combinations(range(n), 2):
+        if draw(st.booleans()):
+            rows[i][j] = -draw(st.integers(1, 4))
+            rows[j][i] = -draw(st.integers(1, 4))
+    return GCM(tuple(map(tuple, rows))), draw(st.frozensets(st.integers(0, n - 1)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_gcm_and_parabolic())
+def test_generic_vector_is_the_scaled_prime_reciprocals(case):
+    # S is the product of the first |free| primes and ints[i] = S / p_i on
+    # the i-th free node, 0 on J; r_i fixes the vector exactly for i in J
+    gcm, parabolic = case
+    ints, scale = generic_dominant_vector(gcm, parabolic)
+    free = [i for i in range(gcm.n) if i not in parabolic]
+    assert type(scale) is int and scale == prod(_SMALL_PRIMES[:len(free)])
+    assert all(type(x) is int for x in ints)
+    for i, p in zip(free, _SMALL_PRIMES):
+        assert ints[i] * p == scale
+    assert all(ints[i] == 0 for i in parabolic)
+    for i in range(gcm.n):
+        image = tuple(x - ints[i] * gcm.a(j, i) for j, x in enumerate(ints))
+        assert (image == ints) == (i in parabolic)
 
 
 def test_real_roots_a2():
@@ -304,7 +336,7 @@ def test_real_roots_closed_under_ball_reflections():
 
 def test_reflection_word_acts_as_reflection():
     for gcm, h in ((A2, 2), (B2, 3), (AFF_A1, 5), (TWISTED, 7)):
-        mu = generic_dominant_vector(gcm, ())
+        mu, _ = generic_dominant_vector(gcm, ())
         for root in real_roots(gcm, h):
             word = reflection_word(gcm, root)
             assert len(word) % 2 == 1
@@ -351,7 +383,7 @@ def test_dedup_agrees_with_matrix_representation():
     from itertools import product
 
     for gcm in (A2, B2):
-        mu = generic_dominant_vector(gcm, ())
+        mu, _ = generic_dominant_vector(gcm, ())
         words = {w for n in range(5) for w in product(range(gcm.n), repeat=n)}
         by_vector = {}
         by_matrix = {}
@@ -386,7 +418,8 @@ def test_coset_orbit_is_scaled_generic_orbit(case):
     # the orbit runs on int vectors, one positive multiple of the
     # Fraction orbit of the generic vector shared by every coset
     gcm, parabolic, cutoff = ORBIT_CASES[case]
-    mu = generic_dominant_vector(gcm, parabolic)
+    ints, scale = generic_dominant_vector(gcm, parabolic)
+    mu = tuple(Fraction(x, scale) for x in ints)
     reps, table = coset_orbit(gcm, parabolic, cutoff)
     scales = set()
     for rep, vec in reps:
@@ -395,12 +428,12 @@ def test_coset_orbit_is_scaled_generic_orbit(case):
         exact = apply_word_dual(gcm, rep.word, mu)
         scales.update(Fraction(a) / b for a, b in zip(vec, exact) if b)
         assert all(a == 0 for a, b in zip(vec, exact) if not b)
-    assert len(scales) == 1 and scales.pop() > 0
+    assert scales == {scale}
 
 
 def test_generic_vector_stabilizer():
-    mu = generic_dominant_vector(TWISTED, (1,))
-    assert mu[1] == 0 and mu[0] != 0
+    mu, scale = generic_dominant_vector(TWISTED, (1,))
+    assert mu == (1, 0) and scale == 2
     with pytest.raises(InvalidParabolicError):
         generic_dominant_vector(A2, (-1,))
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gkmcalc import oracle, polyring, solver
+from gkmcalc import oracle, polyring, ring_ops, solver
 from gkmcalc.builders import PRESETS, TWISTED_A1_4, affine_type_a, build_flag_graph, build_preset, type_a
 from gkmcalc.coxeter import GCM
 from gkmcalc.errors import (
@@ -133,6 +133,58 @@ def test_solver_refuses_invalid_graph():
     bad = GkmGraph(2, "Z", [Vertex("a", 0), Vertex("b", 0)], [])
     with pytest.raises(ValidationFailureError):
         canonical_generators(bad, 1)
+
+
+def _count_validations(monkeypatch):
+    """The graphs validated from now on, one entry per ``validate`` run
+    (each runs ``is_connected`` once on a non-empty graph)."""
+    calls = []
+    connected = GkmGraph.is_connected
+
+    def counting(graph):
+        calls.append(graph)
+        return connected(graph)
+
+    monkeypatch.setattr(GkmGraph, "is_connected", counting)
+    return calls
+
+
+def test_a_passing_verdict_is_not_checked_again(monkeypatch):
+    calls = _count_validations(monkeypatch)
+    for use in (canonical_generators, ring_ops.poincare_series):
+        g = build_preset("omega-su2", 7)
+        assert validate(g).ok
+        use(g, 7)
+        use(g, 7)
+        assert calls == [g]
+        calls.clear()
+    # with no verdict stored, the first call validates
+    g = build_preset("omega-su2", 7)
+    canonical_generators(g, 7)
+    ring_ops.poincare_series(g, 7)
+    assert calls == [g]
+
+
+def test_a_failing_verdict_raises_the_full_report_every_time(monkeypatch):
+    calls = _count_validations(monkeypatch)
+    bad = GkmGraph(2, "Z", [Vertex("a", 0), Vertex("b", 0)], [])
+    report = validate(bad)
+    assert not report.ok
+    for _ in range(2):
+        with pytest.raises(ValidationFailureError) as err:
+            canonical_generators(bad, 1)
+        assert err.value.report.format_text() == report.format_text()
+    assert len(calls) == 3
+
+
+def test_derived_graphs_are_validated_again(monkeypatch):
+    calls = _count_validations(monkeypatch)
+    g = build_preset("omega-su2", 7)
+    assert validate(g).ok
+    for derived in (g.induced(g.vertex_ids[:4]), g.with_positions({})):
+        calls.clear()
+        canonical_generators(derived, 3)
+        assert calls == [derived]
 
 
 def test_uniqueness_under_vertex_relabeling():

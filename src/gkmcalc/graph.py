@@ -39,7 +39,8 @@ from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .errors import MissingVertexValueError, NotDivisibleError, ValidationFailureError
-from .polyring import Polynomial, Weight, _normalize_mode, divide_by_weight, pairwise_coprime, parse_polynomial
+from .polyring import Polynomial, Weight, _add_multiple, _add_product, _coeff, _normalize_mode
+from .polyring import divide_by_weight, pairwise_coprime, parse_polynomial
 
 # outside the Char production of XML 1.0
 _NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
@@ -414,6 +415,13 @@ class GkmGraph:
             return cls.from_dict(json.load(fh))
 
 
+def _ring(p: Polynomial, q: Polynomial) -> int:
+    """The rank that ``p`` and ``q`` share, or :class:`ValueError`."""
+    if p.nvars != q.nvars:
+        raise ValueError("polynomials live in different rings")
+    return p.nvars
+
+
 @dataclass
 class CohClass:
     """An assignment of a polynomial to each vertex.
@@ -424,8 +432,14 @@ class CohClass:
     Sums and products work on the nonzero values only: at a vertex where an
     operand is zero, the result takes that zero value (or, in a sum, the
     other operand's value) without arithmetic, so values are shared between
-    classes; polynomials are immutable, which makes this safe.  A product by
-    an ``int`` or ``Fraction`` keeps ``degree``; one by a polynomial drops it.
+    classes; polynomials are immutable, which makes this safe.  Products by
+    a class, an ``int`` or a ``Fraction``, and sums, call the term-dict
+    kernels of :mod:`polyring` with the checks of the ``Polynomial``
+    operators: values of different rank raise :class:`ValueError`, a
+    ``bool`` scalar :class:`TypeError`.  A sum keeps a shared ``degree``, a
+    product of classes adds two set degrees, and a product by an ``int`` or
+    ``Fraction`` (zero gives zero values) keeps ``degree``; one by a
+    polynomial drops it.
     """
 
     values: dict[str, Polynomial]
@@ -463,7 +477,12 @@ class CohClass:
         values = {}
         for v, p in self.values.items():
             q = other.values[v]
-            values[v] = (p + q if q.terms else p) if p.terms else q
+            if p.terms and q.terms:
+                n, t = _ring(p, q), dict(p.terms)
+                _add_multiple(t, q.terms, 1)
+                values[v] = Polynomial._make(n, t)
+            else:
+                values[v] = p if p.terms else q
         return CohClass._make(values, deg)
 
     def __mul__(self, other):
@@ -478,12 +497,26 @@ class CohClass:
             values = {}
             for v, p in self.values.items():
                 q = other.values[v]
-                values[v] = (p * q if q.terms else q) if p.terms else p
+                if p.terms and q.terms:
+                    n, t = _ring(p, q), {}
+                    _add_product(t, p.terms, q.terms)
+                    values[v] = Polynomial._make(n, t)
+                else:
+                    values[v] = q if p.terms else p
             return CohClass._make(values, deg)
-        if not isinstance(other, (int, Fraction, Polynomial)):
+        if isinstance(other, Polynomial):
+            return CohClass._make({v: p * other if p.terms else p for v, p in self.values.items()}, None)
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        deg = None if isinstance(other, Polynomial) else self.degree
-        return CohClass._make({v: p * other if p.terms else p for v, p in self.values.items()}, deg)
+        k, values = _coeff(other), {}
+        for v, p in self.values.items():
+            if p.terms:
+                t = {}
+                if k:
+                    _add_multiple(t, p.terms, k)
+                p = Polynomial._make(p.nvars, t)
+            values[v] = p
+        return CohClass._make(values, self.degree)
 
     @classmethod
     def from_dict(cls, data: dict, graph: GkmGraph) -> "CohClass":

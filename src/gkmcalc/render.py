@@ -70,12 +70,16 @@ def _dot_text(text: str) -> str:
 
 def _layout(graph: GkmGraph) -> dict[str, tuple[float, float]]:
     """2D coordinates: stored positions projected to (first, last) slots,
-    else layered by cell dimension."""
+    else layered by cell dimension.  A coordinate beyond a float's range
+    raises :class:`ValueError` naming the vertex."""
     pos = {}
     if all(v.position is not None for v in graph.vertices) and graph.rank >= 1:
         for v in graph.vertices:
-            x = float(v.position[0])
-            y = float(v.position[-1]) if graph.rank >= 2 else 0.0
+            try:
+                x = float(v.position[0])
+                y = float(v.position[-1]) if graph.rank >= 2 else 0.0
+            except OverflowError:
+                raise ValueError(f"render: the position of {v.id!r} is beyond a float's range") from None
             pos[v.id] = (x, y)
         return pos
     by_dim: dict[int, list[str]] = {}
@@ -83,8 +87,12 @@ def _layout(graph: GkmGraph) -> dict[str, tuple[float, float]]:
         by_dim.setdefault(v.cell_dim, []).append(v.id)
     for dim in sorted(by_dim):
         row = by_dim[dim]
+        try:
+            y = float(dim // 2)
+        except OverflowError:
+            raise ValueError(f"render: the cell_dim of {row[0]!r} is beyond a float's range") from None
         for i, vid in enumerate(row):
-            pos[vid] = (float(i - (len(row) - 1) / 2), float(dim // 2))
+            pos[vid] = (float(i - (len(row) - 1) / 2), y)
     return pos
 
 

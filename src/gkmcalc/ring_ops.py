@@ -53,9 +53,11 @@ def ordinary_reduction(expansion: dict[str, Polynomial]) -> dict[str, int | Frac
 
     This recovers the ordinary cohomology coefficients from equivariant
     ones (tensoring out the coefficient ring of a point): exact rationals,
-    an ``int`` when integral and a ``Fraction`` otherwise.
+    an ``int`` when integral and a ``Fraction`` otherwise.  The
+    coefficients share one rank, so one zero exponent key reads them all.
     """
-    return {vid: c.constant_term() if c.terms else 0 for vid, c in expansion.items()}
+    zero = (0,) * next(iter(expansion.values())).nvars if expansion else ()
+    return {vid: c.terms.get(zero, 0) if c.terms else 0 for vid, c in expansion.items()}
 
 
 def _unique_vertex_of_dim(graph: GkmGraph, cell_dim: int) -> str:

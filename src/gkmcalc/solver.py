@@ -174,12 +174,13 @@ class GeneratorBasis:
         # and one reading per distinct term text, for this load only
         polys: dict[str, Polynomial] = {}
         terms: dict = {}
+        degrees: dict[int, set] = {}
         gens = {}
         for vid, values in generators.items():
             values = _json_values(values, graph, f"generator {vid!r}", polys, terms)
-            # degree None: _generator_checks tests homogeneity and names vid
-            bad = [c for c in _generator_checks(graph, vid, CohClass._make(values, None)) if not c.ok]
-            if bad:
+            if not _meets_conditions(graph, vid, values, degrees):
+                # degree None: _generator_checks tests homogeneity and names vid
+                bad = [c for c in _generator_checks(graph, vid, CohClass._make(values, None)) if not c.ok]
                 raise ValueError(f"generator {vid!r} breaks condition {bad[0].check} ({bad[0].detail})")
             gens[vid] = CohClass._make(values, graph.vertex(vid).cell_dim // 2)
         return cls(graph, degree, mode, gens)
@@ -443,6 +444,24 @@ def _generator_checks(graph: GkmGraph, vid: str, cls: CohClass) -> list[Validati
     ]
 
 
+def _meets_conditions(graph: GkmGraph, vid: str, values: dict, degrees: dict) -> bool:
+    """Whether ``values`` meets conditions 1-4 as ``f_vid``, as
+    :func:`_generator_checks` decides it but with no entry built.
+    ``degrees`` holds the set of term degrees of each distinct nonzero
+    value read so far, keyed by ``id`` (the values outlive it)."""
+    dim = graph.vertex(vid).cell_dim
+    want = {dim // 2}
+    for w in graph.vertices:
+        p = values[w.id]
+        if p.terms:
+            degs = degrees.get(id(p))
+            if degs is None:
+                degs = degrees[id(p)] = {sum(e) for e in p.terms}
+            if degs != want or w.cell_dim < dim or w.cell_dim == dim and w.id != vid:
+                return False
+    return values[vid] == _down_weight_product(graph, vid)
+
+
 def verify_generator_conditions(basis: GeneratorBasis) -> ValidationReport:
     """Re-check conditions 1-4 and GKM membership for every generator."""
     rep = ValidationReport()
@@ -456,31 +475,34 @@ def verify_generator_conditions(basis: GeneratorBasis) -> ValidationReport:
 def expand_in_basis(cls: CohClass, basis: GeneratorBasis) -> dict[str, Polynomial]:
     """Coefficients ``c_v`` with ``cls = sum c_v f_v``.
 
-    Greedy by increasing cell dimension over one residual term dict per
-    vertex, copied from ``cls`` once.  At each vertex ``v`` the coefficient
-    ``c_v`` is the residual divided by ``f_v(v)``, the product of the
-    down-edge weights (zero when the residual is empty).  A constant
-    coefficient, as at every vertex whose degree is that of a homogeneous
-    class, is found in one step by a certified ratio: ``k`` is read at one
-    monomial of ``f_v(v)``, and ``c_v = k`` when the residual equals ``k *
-    f_v(v)`` term by term.  Otherwise the residual is divided by the
-    down-edge weights one at a time.  Then ``c_v * f_v(w)`` is
-    subtracted in place from the residual at each ``w`` with ``f_v(w) !=
+    Greedy by increasing cell dimension over residual term dicts, one per
+    nonzero value of ``cls`` and one made on the first subtraction into a
+    vertex.  At each vertex ``v`` the coefficient ``c_v`` is the residual
+    divided by ``f_v(v)``, the product of the down-edge weights (zero when
+    the residual is empty).  A constant coefficient, as at every vertex
+    whose degree is that of a homogeneous class, is found in one step by a
+    certified ratio: ``k`` is read at one monomial of ``f_v(v)``, and ``c_v
+    = k`` when the residual equals ``k * f_v(v)`` term by term, which
+    clears it.  Otherwise the residual is divided by the down-edge weights
+    one at a time, and ``c_v * f_v(v)`` is subtracted from it, leaving a
+    residual when ``f_v(v)`` is not their product.  Then ``c_v * f_v(w)``
+    is subtracted from the residual at each other ``w`` with ``f_v(w) !=
     0``.  A residual that a down-edge weight does not divide, or nonzero
     after the last vertex, raises :class:`NotInSpanError` with the vertex
     (and edge).  In Z-mode every coefficient must be integral.  Inputs are
-    left unchanged.  Every zero coefficient of one call is one shared
-    zero polynomial, so only the nonzero ones are allocated.
+    left unchanged.  Every zero coefficient of one call is one shared zero
+    polynomial, so only the nonzero ones are allocated.
     """
-    graph, nvars = basis.graph, basis.graph.rank
-    residual = {vid: dict(cls.value(vid).terms) for vid in graph.vertex_ids}
+    graph, nvars, values = basis.graph, basis.graph.rank, cls.values
+    # copies of the nonzero values; cls.value raises for a missing one
+    residual = {vid: dict(t) for vid in graph.vertex_ids if (t := (values.get(vid) or cls.value(vid)).terms)}
     coeffs: dict[str, Polynomial] = {}
     zero = Polynomial._make(nvars, {})
     for vid in graph.vertex_ids:
         gen = basis.generators.get(vid)
         if gen is None:
             continue
-        c = residual[vid]
+        c = residual.get(vid)
         if not c:
             coeffs[vid] = zero
             continue
@@ -489,6 +511,7 @@ def expand_in_basis(cls: CohClass, basis: GeneratorBasis) -> dict[str, Polynomia
         k = _quo(c[e0], diag[e0]) if e0 in c else 0
         constant = k and c == {x: k * a for x, a in diag.items()}
         if constant:
+            del residual[vid]  # it is k * f_v(v): cleared, not subtracted
             c = _constant_terms(k, nvars)
         else:
             for e in graph.down_edges(vid):
@@ -501,24 +524,24 @@ def expand_in_basis(cls: CohClass, basis: GeneratorBasis) -> dict[str, Polynomia
                         edge=e,
                     )
         # with no down-edges c is still the residual, which the loop below changes
-        coeff = coeffs[vid] = Polynomial._make(nvars, dict(c) if c is residual[vid] else c)
+        coeff = coeffs[vid] = Polynomial._make(nvars, dict(c) if c is residual.get(vid) else c)
         if basis.mode == "Z" and not coeff.is_integral():
             raise NonIntegralError(
                 f"expansion coefficient at {vid!r} is not integral: {coeff}",
                 witness=coeff,
                 vertex=vid,
             )
-        for wid in graph.vertex_ids:
-            value = gen.values[wid].terms
-            if not value:  # most generator values are zero
+        for wid, p in gen.values.items():
+            value = p.terms
+            if not value or constant and wid == vid:
                 continue
-            res = residual[wid]
+            res = residual.setdefault(wid, {})
             if constant:
                 _add_multiple(res, value, -k)
             else:
                 _add_product(res, value, coeff.terms, -1)
     for vid in graph.vertex_ids:
-        if residual[vid]:
+        if residual.get(vid):
             raise NotInSpanError(
                 f"nonzero residual {Polynomial._make(nvars, residual[vid])} at {vid!r} "
                 "after expansion; increase the degree cutoff or check the class",

@@ -521,6 +521,7 @@ def test_multiply_basis_malformed_later_text_exit_code(tmp_path, capsys):
         ("doubled", "diagonal_value"),
         ("below", "vanish_below"),
         ("inhomogeneous", "homogeneous"),
+        ("beside", "vanish_beside"),
     ],
 )
 def test_multiply_basis_breaking_generator_conditions_exit_code(tmp_path, capsys, edit, condition):
@@ -529,20 +530,24 @@ def test_multiply_basis_breaking_generator_conditions_exit_code(tmp_path, capsys
     assert run(["build", "B2-flag", "-o", str(graph_path)], capsys)[0] == 0
     assert run(["generators", str(graph_path), "-o", str(basis_path)], capsys)[0] == 0
     data = json.loads(basis_path.read_text())
-    values = data["generators"]["1-0-1-0"]
-    top = parse_polynomial(values["1-0-1-0"], 2)
+    # the top vertex has no other of its dimension; 1-0-1 has 0-1-0 beside it
+    vid = "1-0-1" if edit == "beside" else "1-0-1-0"
+    values = data["generators"][vid]
+    top = parse_polynomial(values[vid], 2)
     if edit == "negated":
-        values["1-0-1-0"] = str(-top)
+        values[vid] = str(-top)
     elif edit == "doubled":
-        values["1-0-1-0"] = str(2 * top)
+        values[vid] = str(2 * top)
     elif edit == "inhomogeneous":
-        values["1-0-1-0"] = "x1^3*x2 + x1"
+        values[vid] = "x1^3*x2 + x1"
+    elif edit == "beside":
+        values["0-1-0"] = str(top)  # homogeneous, at a vertex of equal dimension
     else:
         values["0-1-0"] = str(top)  # homogeneous, but below the generator
     basis_path.write_text(json.dumps(data))
     code, out, err = run(["multiply", str(basis_path), "1-0-1", "0"], capsys)
     assert code == 4
-    assert not out and "generator '1-0-1-0'" in err and condition in err
+    assert not out and f"generator {vid!r}" in err and condition in err
 
 
 def test_generators_on_an_invalid_graph_exit_code(capsys):
@@ -658,9 +663,26 @@ def test_a_count_beyond_an_index_exit_code(tmp_path, capsys, monkeypatch, argv):
     assert not out and f"{field} must be below" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt", ["svg", "dot"])
+@pytest.mark.parametrize("where", ["cell_dim", "position"])
+def test_render_beyond_a_float_exit_code(tmp_path, capsys, where, fmt):
+    # a layout coordinate beyond a float's range ended in an OverflowError
+    # traceback: a cell_dim of 10**400 (graph without positions) or a
+    # position entry "1e400"
+    top = {"id": "s", "cell_dim": 10**400 if where == "cell_dim" else 2}
+    vertices = [{"id": "e", "cell_dim": 0}, top]
+    if where == "position":
+        vertices[0]["position"], top["position"] = [0], ["1e400"]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"rank": 1, "vertices": vertices, "edges": [{"from": "e", "to": "s", "weight": [1]}]}))
+    code, out, err = run(["render", str(path), "--format", fmt], capsys)
+    assert code == 4
+    assert not out and f"the {where} of 's' is beyond a float's range" in err and "Traceback" not in err
+
+
 # the edits of the file mutations below: drop a key, add a list item, or
 # set a value to one of these
-_FUZZ_VALUES = [None, True, False, 1.5, "", "1/0", "\x01", "\u0663", 10**30, [], {}]
+_FUZZ_VALUES = [None, True, False, 1.5, "", "1/0", "\x01", "\u0663", 10**30, 10**400, "1e400", [], {}]
 
 
 @pytest.fixture(scope="module")

@@ -22,7 +22,7 @@ from gkmcalc.graph import (
     is_gkm_class,
     validate,
 )
-from gkmcalc.polyring import Polynomial, Weight
+from gkmcalc.polyring import Polynomial, Weight, monomials
 from gkmcalc.solver import canonical_generators
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -521,6 +521,73 @@ def test_cohclass_ring_ops_share_zero_values():
                 assert prod.values[v] is h.values[v] and total.values[v] is f.values[v]
     with pytest.raises(ValueError, match="different vertex sets"):
         gens[0] * restrict(gens[0], ["e"])
+
+
+_SCALARS = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+@st.composite
+def _polynomials(draw, n, degree):
+    """Polynomials in ``n`` variables, homogeneous of ``degree`` when it is
+    set, else of degree at most 2; zero often."""
+    mons = monomials(n, degree) if degree is not None else [m for d in range(3) for m in monomials(n, d)]
+    return Polynomial(n, draw(st.dictionaries(st.sampled_from(mons), _SCALARS, max_size=3)))
+
+
+@st.composite
+def _class_pairs(draw):
+    """Two classes on the same vertices in the same rank, each of a degree
+    or none, and a polynomial."""
+    n = draw(st.integers(1, 3))
+    ids = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    classes = []
+    for _ in range(2):
+        d = draw(st.one_of(st.none(), st.integers(0, 2)))
+        classes.append(CohClass({v: draw(_polynomials(n, d)) for v in ids}, d))
+    return (*classes, draw(_polynomials(n, None)))
+
+
+def _in_normal_form(p, n):
+    return p.nvars == n and all(
+        len(e) == n and type(e) is tuple and c and (type(c) is int or type(c) is Fraction and c.denominator != 1)
+        for e, c in p.terms.items()
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_class_pairs(), st.builds(Fraction, st.integers(1, 6), st.integers(2, 4)))
+def test_cohclass_arithmetic_is_per_vertex_polynomial_arithmetic(case, frac):
+    a, b, p = case
+    n, ids = p.nvars, list(a.values)
+    both = a.degree is not None and b.degree is not None
+    snapshot = [(dict(cls.values), {v: dict(q.terms) for v, q in cls.values.items()}) for cls in (a, b)]
+    terms_of_p = dict(p.terms)
+    cases = [
+        (a + b, lambda v: a.values[v] + b.values[v], a.degree if a.degree == b.degree else None),
+        (a * b, lambda v: a.values[v] * b.values[v], a.degree + b.degree if both else None),
+        (a * 3, lambda v: a.values[v] * 3, a.degree),
+        (a * -1, lambda v: -a.values[v], a.degree),
+        (a * frac, lambda v: a.values[v] * frac, a.degree),
+        (a * 0, lambda v: Polynomial.zero(n), a.degree),
+        (a * p, lambda v: a.values[v] * p, None),
+    ]
+    for result, want, degree in cases:
+        assert result.values == {v: want(v) for v in ids}
+        assert all(_in_normal_form(q, n) for q in result.values.values())
+        assert result.degree == degree
+        CohClass(result.values, degree)  # homogeneous of the degree it claims
+    assert [(dict(cls.values), {v: dict(q.terms) for v, q in cls.values.items()}) for cls in (a, b)] == snapshot
+    assert p.terms == terms_of_p
+    # a nonzero value meeting one of another rank raises, as in Polynomial
+    other = CohClass({v: Polynomial.one(n + 1) for v in ids})
+    if not a.is_zero():
+        for op in (lambda: a + other, lambda: other + a, lambda: a * other, lambda: a * Polynomial.one(n + 1)):
+            with pytest.raises(ValueError, match="different rings"):
+                op()
+    with pytest.raises(TypeError):
+        a * True
+    with pytest.raises(TypeError):
+        a * 1.5
 
 
 def test_cohclass_ring_ops_skip_the_homogeneity_scan(monkeypatch):

@@ -502,6 +502,104 @@ def test_basis_output_is_pinned(case):
     assert GeneratorBasis.from_dict(json.loads(text)).dumps() == text
 
 
+# First 16 hex digits of sha256 over the expansions of every product f_u * f_v
+# (u at or before v in canonical order, deg u + deg v <= cutoff) in the
+# Z-mode basis of the full flag variety built and solved to the cutoff and
+# read back from its JSON: per product, the str of each coefficient and of
+# its ordinary reduction, in canonical order.
+EXPANSION_HASHES = {
+    "A3-flag-4": (type_a(3), 4, "6d769a688aa397b6"),
+    "B3-flag-3": (GCM(((2, -1, 0), (-1, 2, -1), (0, -2, 2))), 3, "a60daa84a5f77759"),
+    "G2-flag-6": (GCM(((2, -1), (-3, 2))), 6, "f7683d72b6d42ccd"),
+}
+
+
+def _expansion_digest(gcm, degree):
+    solved = canonical_generators(build_flag_graph(gcm, (), degree), degree)
+    basis = GeneratorBasis.from_dict(json.loads(solved.dumps()))
+    graph = basis.graph
+    deg = {v.id: v.cell_dim // 2 for v in graph.vertices}
+    ids = list(basis.generators)
+    digest = hashlib.sha256()
+    for i, u in enumerate(ids):
+        for v in ids[i:]:
+            if deg[u] + deg[v] > degree:
+                continue
+            coeffs = expand_in_basis(basis.generator(u) * basis.generator(v), basis)
+            reduction = ring_ops.ordinary_reduction(coeffs)
+            assert list(coeffs) == list(reduction) == ids
+            digest.update(f"{u}*{v}\n".encode())
+            digest.update("".join(f"{w} {coeffs[w]}; {reduction[w]}\n" for w in ids).encode())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", sorted(EXPANSION_HASHES))
+def test_expansions_are_pinned(case):
+    gcm, degree, digest = EXPANSION_HASHES[case]
+    assert _expansion_digest(gcm, degree) == digest
+
+
+def _expansion_outcome(cls, basis):
+    """The nonzero coefficients as text, or the error's type, vertex and edge."""
+    try:
+        return {w: str(c) for w, c in expand_in_basis(cls, basis).items() if c.terms}
+    except (NonIntegralError, NotInSpanError) as err:
+        edge = getattr(err, "edge", None)
+        return type(err).__name__, err.vertex, edge and (edge.u, edge.v)
+
+
+@pytest.mark.parametrize("mode", ["Z", "Q"])
+def test_expansion_in_a_basis_with_a_doubled_diagonal(mode):
+    # a GeneratorBasis built directly, with f_{1-0}(1-0) twice the product
+    # of the down-edge weights (from_dict refuses it); the generator itself
+    # has a constant coefficient at 1-0, its product with f_0 does not
+    basis = canonical_generators(build_flag_graph(type_a(3), (), 4), 4)
+    f, f0 = basis.generator("1-0"), basis.generator("0")
+    doubled = CohClass({**f.values, "1-0": 2 * f.values["1-0"]}, f.degree)
+    tampered = GeneratorBasis(basis.graph, basis.degree, mode, {**basis.generators, "1-0": doubled})
+    above = ("NotInSpanError", "1-0-1", ("1-0", "1-0-1"))
+    outcomes = [_expansion_outcome(c, tampered) for c in (doubled, f, doubled * f0, f * f0)]
+    assert outcomes == [
+        {"1-0": "1"},
+        ("NonIntegralError", "1-0", None) if mode == "Z" else above,
+        above,
+        # the residual at 1-0 divides by the down-edge weights, but
+        # subtracting the quotient times the doubled value leaves its negative
+        ("NotInSpanError", "1-0", None),
+    ]
+
+
+_B2_BASIS = json.loads(canonical_generators(build_preset("B2-flag"), 4).dumps())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_basis_load_decides_conditions_as_the_report_does(data):
+    # one value of one generator replaced: the load passes exactly when
+    # every entry of _generator_checks is ok, and else names the first
+    # failing one with its detail
+    doc = copy.deepcopy(_B2_BASIS)
+    gens = doc["generators"]
+    vid = data.draw(st.sampled_from(sorted(gens)))
+    wid = data.draw(st.one_of(st.just(vid), st.sampled_from(sorted(gens["e"]))))
+    diag = gens[vid][vid]
+    twice = parse_polynomial(diag, 2) * 2
+    text = data.draw(st.sampled_from(
+        ["0", "x1", "x1*x2", f"{diag} + x1", f"{diag} + 1", str(twice), str(twice * Fraction(-1, 2))]
+        + list(gens[vid].values()) + [gens[u][u] for u in gens]
+    ))
+    gens[vid][wid] = text
+    graph = GkmGraph.from_dict(doc["graph"])
+    values = {w: parse_polynomial(t, 2) for w, t in gens[vid].items()}
+    bad = [c for c in solver._generator_checks(graph, vid, CohClass(values)) if not c.ok]
+    if not bad:
+        assert GeneratorBasis.from_dict(doc).generator(vid).values == values
+        return
+    with pytest.raises(ValueError) as err:
+        GeneratorBasis.from_dict(doc)
+    assert str(err.value) == f"generator {vid!r} breaks condition {bad[0].check} ({bad[0].detail})"
+
+
 @settings(deadline=None)
 @given(st.lists(_TEXT, min_size=2, max_size=2, unique=True))
 @example(["\x00\x1f\n\t", "\ud800"])

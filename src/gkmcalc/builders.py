@@ -211,15 +211,19 @@ def build_flag_graph(
     down = {(): ()}  # word -> its down-edges as (lower orbit vector, label root)
     # memoised for this build: affine labels repeat heavily, and sibling
     # and parent-to-child down-edge sets reflect the same vectors and roots
-    weight = cache(tb.weight)
+    weight = cache(partial(_label, tb))
     s_dual = [cache(partial(reflect_dual, gcm, i)) for i in range(gcm.n)]
     s_root = [cache(partial(reflect, gcm, i)) for i in range(gcm.n)]
+    # unchecked records: positions are Fractions made from integers, every
+    # lower endpoint is a shorter word than its upper one, and ``_label``
+    # refuses a zero label once per distinct root
+    make_vertex, make_edge = Vertex._make, Edge._make
     vertices = []
     edges = []
     for rep, vec in reps:
         w = rep.word
         uid = ids[vec]
-        vertices.append(Vertex(uid, 2 * rep.length, positions.get(uid), rep.label()))
+        vertices.append(make_vertex((uid, 2 * rep.length, positions.get(uid), rep.label())))
         if not w:
             continue
         i = w[0]
@@ -227,8 +231,17 @@ def build_flag_graph(
         down[w] = ((s_dual[i](vec), simple),) + tuple(
             (s_dual[i](low), s_root[i](beta)) for low, beta in down[w[1:]]
         )
-        edges += [Edge(ids[low], uid, weight(beta)) for low, beta in down[w]]  # lower endpoint first
+        edges += [make_edge((ids[low], uid, weight(beta))) for low, beta in down[w]]  # lower endpoint first
     return GkmGraph(gcm.n, mode, vertices, edges)
+
+
+def _label(tb: _TorusBasis, beta: tuple[int, ...]) -> Weight:
+    """The edge label of the root ``beta``, refused if zero as ``Edge``
+    refuses it (no real root has the zero label)."""
+    w = tb.weight(beta)
+    if w.is_zero():
+        raise ValueError(f"root {beta} has the zero label")
+    return w
 
 
 def moment_embedding(graph: GkmGraph, gcm: GCM, parabolic) -> GkmGraph:

@@ -6,6 +6,11 @@ class assigns a polynomial to every vertex; it belongs to the graph
 cohomology when the difference across every edge is divisible by that
 edge's weight.
 
+Vertices and edges are checked ``NamedTuple`` records: ``Vertex(...)`` and
+``Edge(...)`` refuse a bad position entry, a self-loop and the zero weight.
+The graph reader and the builder make those checks themselves and build the
+records with the unchecked ``_make``, so each check runs once per path.
+
 JSON interchange schema (canonical ordering: vertices by (cell_dim, id),
 edges by endpoint pair; round-trips are byte-stable)::
 
@@ -36,11 +41,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import MissingVertexValueError, NotDivisibleError, ValidationFailureError
 from .polyring import Polynomial, Weight, _add_multiple, _add_product, _coeff, _normalize_mode
-from .polyring import divide_by_weight, pairwise_coprime, parse_polynomial
+from .polyring import divide_by_weight, parse_polynomial
 
 # outside the Char production of XML 1.0
 _NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
@@ -58,33 +64,72 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Vertex:
-    id: str
-    cell_dim: int
-    position: tuple[Fraction, ...] | None = None
-    label: str | None = None
+def _replace_checked(self, /, **changes):
+    """A copy with ``changes``, made by the checked constructor, where the
+    ``NamedTuple`` ``_replace`` (and ``copy.replace``) would go through the
+    unchecked ``_make``."""
+    out = type(self)(*map(changes.pop, self._fields, self))
+    if changes:
+        raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+    return out
 
-    def __post_init__(self):
-        if self.position is not None:
-            pos = tuple(self.position)
+
+class Vertex(
+    NamedTuple(
+        "Vertex",
+        [("id", str), ("cell_dim", int), ("position", tuple[Fraction, ...] | None), ("label", str | None)],
+    )
+):
+    """A fixed point: its id, cell dimension, optional position (one
+    ``Fraction`` per torus coordinate) and optional display label.
+
+    A checked ``NamedTuple``: ``Vertex(...)`` and ``_replace`` refuse a
+    position entry that is not an ``int`` or ``Fraction`` (``bool`` and
+    ``float`` included) and store the position as a tuple of ``Fraction``.
+    ``Vertex._make`` skips that check; only the graph reader and the
+    builder call it, after making the same check themselves, so each check
+    runs once per path.  ``==``, ``hash`` and ``repr`` are those of the
+    frozen dataclass this replaced, with one difference: a vertex now
+    compares equal to the plain tuple of its fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, cell_dim: int, position: tuple | None = None, label: str | None = None):
+        if position is not None:
+            pos = tuple(position)
             for p in pos:
                 if isinstance(p, bool) or not isinstance(p, (int, Fraction)):
-                    raise ValueError(f"position of {self.id!r} has entry {p!r}; entries must be int or Fraction")
-            object.__setattr__(self, "position", tuple(p if type(p) is Fraction else Fraction(p) for p in pos))
+                    raise ValueError(f"position of {id!r} has entry {p!r}; entries must be int or Fraction")
+            position = tuple(p if type(p) is Fraction else Fraction(p) for p in pos)
+        return tuple.__new__(cls, (id, cell_dim, position, label))
+
+    _replace = __replace__ = _replace_checked  # __replace__: copy.replace, Python 3.13+
 
 
-@dataclass(frozen=True)
-class Edge:
-    u: str
-    v: str
-    weight: Weight
+class Edge(NamedTuple("Edge", [("u", str), ("v", str), ("weight", Weight)])):
+    """An edge between two distinct vertices, labelled by a nonzero weight.
 
-    def __post_init__(self):
-        if self.u == self.v:
-            raise ValueError(f"edge endpoints must be distinct, got {self.u!r} twice")
-        if self.weight.is_zero():
-            raise ValueError(f"edge ({self.u}, {self.v}) has zero weight")
+    A checked ``NamedTuple``: ``Edge(...)`` and ``_replace`` refuse equal
+    endpoints and the zero weight.  ``Edge._make`` skips those checks; only
+    the graph reader, the builder and the graph constructor (reversing an
+    edge it was given) call it, after making the same checks, so each check
+    runs once per path.  ``==``, ``hash`` and ``repr`` are those of the
+    frozen dataclass this replaced (which hashed ``(u, v, weight)``), with
+    one difference: an edge now compares equal to the plain tuple of its
+    fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, u: str, v: str, weight: Weight):
+        if u == v:
+            raise ValueError(f"edge endpoints must be distinct, got {u!r} twice")
+        if weight.is_zero():
+            raise ValueError(f"edge ({u}, {v}) has zero weight")
+        return tuple.__new__(cls, (u, v, weight))
+
+    _replace = __replace__ = _replace_checked  # __replace__: copy.replace, Python 3.13+
 
     def other(self, vid: str) -> str:
         if vid == self.u:
@@ -205,13 +250,15 @@ def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
 
 def _graph_text(graph: "GkmGraph", pad: str = "") -> str:
     """The graph file as ``json.dumps(indent=2)`` lays it out at ``pad``, one
-    vertex and one edge block at a time from the graph's tuples, each
-    distinct weight's text formatted once; ``int.__repr__`` refuses floats."""
+    vertex and one edge block at a time from the graph's tuples, each vertex
+    id quoted once and each distinct weight's text formatted once;
+    ``int.__repr__`` refuses floats."""
     quote = encode_basestring_ascii
     p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
+    ids = {v.id: quote(v.id) for v in graph.vertices}
     verts = []
     for v in graph.vertices:
-        fields = [f'"id": {quote(v.id)}', f'"cell_dim": {int.__repr__(v.cell_dim)}']
+        fields = [f'"id": {ids[v.id]}', f'"cell_dim": {int.__repr__(v.cell_dim)}']
         if v.position is not None:
             fields.append('"position": ' + _json_block([f'"{p}"' for p in v.position], p3))
         if v.label is not None:
@@ -219,7 +266,7 @@ def _graph_text(graph: "GkmGraph", pad: str = "") -> str:
         verts.append(_json_block(fields, p2, "{}"))
     weight = cache(lambda coeffs: _json_block(list(map(int.__repr__, coeffs)), p3))
     edges = [
-        f'{{\n{p3}"from": {quote(e.u)},\n{p3}"to": {quote(e.v)},\n{p3}"weight": {weight(e.weight.coeffs)}'
+        f'{{\n{p3}"from": {ids[e.u]},\n{p3}"to": {ids[e.v]},\n{p3}"weight": {weight(e.weight.coeffs)}'
         f"\n{p2}}}"
         for e in graph.edges
     ]
@@ -240,6 +287,7 @@ class GkmGraph:
         vs = sorted(vertices, key=_vertex_key)
         index: dict[str, Vertex] = {}
         at: dict[str, int] = {}  # id -> place in (cell_dim, id) order
+        dims: dict[str, int] = {}
         for n, v in enumerate(vs):
             if v.id in index:
                 raise ValueError(f"duplicate vertex id {v.id!r}")
@@ -247,19 +295,22 @@ class GkmGraph:
                 raise ValueError(f"position of {v.id!r} has length != rank {rank}")
             index[v.id] = v
             at[v.id] = n
+            dims[v.id] = v.cell_dim
         # edges run from the endpoint earlier in (cell_dim, id) order; one
-        # given the other way round is the only one rebuilt
+        # given the other way round is the only one rebuilt, unchecked, as
+        # reversing keeps its endpoints distinct and its weight nonzero
+        make = Edge._make
         norm_edges = []
         for e in edges:
             a, b = at.get(e.u), at.get(e.v)
             if a is None or b is None:
                 raise ValueError(f"edge ({e.u}, {e.v}) references a missing vertex")
-            if e.weight.rank != rank:
+            if len(e.weight.coeffs) != rank:
                 raise ValueError(f"edge ({e.u}, {e.v}) weight has rank != {rank}")
             if b < a:
-                e = Edge(e.v, e.u, e.weight)
+                e = make((e.v, e.u, e.weight))
             norm_edges.append(e)
-        norm_edges.sort(key=lambda e: (e.u, e.v, e.weight.coeffs))
+        norm_edges.sort(key=attrgetter("u", "v", "weight.coeffs"))
         self._rank = rank
         self._mode = mode
         self._index = index
@@ -269,10 +320,11 @@ class GkmGraph:
         inc: dict[str, list[Edge]] = {vid: [] for vid in at}
         down: dict[str, list[Edge]] = {vid: [] for vid in at}
         for e in self._edges:
-            inc[e.u].append(e)
-            inc[e.v].append(e)
-            if index[e.u].cell_dim < index[e.v].cell_dim:
-                down[e.v].append(e)
+            u, v = e.u, e.v
+            inc[u].append(e)
+            inc[v].append(e)
+            if dims[u] < dims[v]:
+                down[v].append(e)
         self._incidence = {vid: tuple(es) for vid, es in inc.items()}
         self._down = {vid: tuple(es) for vid, es in down.items()}
 
@@ -361,12 +413,15 @@ class GkmGraph:
     @classmethod
     def from_dict(cls, data: dict) -> "GkmGraph":
         """The graph of the file ``dumps`` writes, every field checked and
-        every unknown key refused."""
+        every unknown key refused.  Vertices and edges are made with
+        ``_make``: the reader makes the checks of ``Vertex`` and ``Edge``
+        itself, a zero label once per distinct label, with their messages."""
         _json_of(dict, data, "a graph")
         rank = _size(data["rank"], "rank")
         if len(data) != 3 + ("mode" in data):
             _known_keys(data, ("rank", "mode", "vertices", "edges"), "a graph")
         fracs: dict[int | str, Fraction] = {}
+        make_vertex, make_edge = Vertex._make, Edge._make
         vs = []
         for vd in _json_of(list, data["vertices"], "graph vertices"):
             if type(vd) is not dict or type(vd.get("id")) is not str:
@@ -383,9 +438,10 @@ class GkmGraph:
                 )
             cell_dim = _json_int(vd["cell_dim"], f"cell_dim of {vid!r}")
             position = _json_position(pos, vid, fracs) if pos is not None else None
-            vs.append(Vertex(vid, cell_dim, position, label))
-        # one Weight per distinct label; entries are type-checked before the
-        # lookup, since (True, 0) and (1.0, 0) equal (1, 0) as dict keys
+            vs.append(make_vertex((vid, cell_dim, position, label)))
+        # one Weight per distinct label, refused once if zero; entries are
+        # type-checked before the lookup, since (True, 0) and (1.0, 0) equal
+        # (1, 0) as dict keys
         weights: dict[tuple[int, ...], Weight] = {}
         es = []
         for ed in _json_of(list, data["edges"], "graph edges"):
@@ -398,11 +454,15 @@ class GkmGraph:
                 raise ValueError(
                     f"weight of edge ({u}, {v}) must be an integer vector, got {coeffs!r}"
                 )
+            if u == v:
+                raise ValueError(f"edge endpoints must be distinct, got {u!r} twice")
             coeffs = tuple(coeffs)
             weight = weights.get(coeffs)
             if weight is None:
+                if not any(coeffs):
+                    raise ValueError(f"edge ({u}, {v}) has zero weight")
                 weight = weights[coeffs] = Weight(coeffs)
-            es.append(Edge(u, v, weight))
+            es.append(make_edge((u, v, weight)))
         return cls(rank, data.get("mode", "Z"), vs, es)
 
     @classmethod
@@ -595,9 +655,12 @@ def validate(graph: GkmGraph) -> ValidationReport:
                 f"{len(down)} down-edges, expected {want}",
             )
         )
-        weights = [e.weight for e in down]
-        if weights:
-            coprime = pairwise_coprime(weights)
+        if down:
+            # each weight's stored (content, direction); Edge refuses the
+            # zero weight and the constructor a weight of another rank, so
+            # pairwise_coprime's re-checks are not needed here
+            lines = [e.weight._line for e in down]
+            coprime = len({d for _, d in lines}) == len(lines)
             add(
                 ValidationEntry(
                     v.id,
@@ -609,7 +672,7 @@ def validate(graph: GkmGraph) -> ValidationReport:
                 )
             )
             if graph.mode == "Z":
-                bad = [str(w) for w in weights if not w.is_primitive()]
+                bad = [str(e.weight) for e, (c, _) in zip(down, lines) if c != 1]
                 add(
                     ValidationEntry(
                         v.id,

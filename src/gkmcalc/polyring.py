@@ -251,8 +251,8 @@ class Weight:
 
     >>> str(Weight((1, -2)))
     'x1 - 2*x2'
-    >>> Weight((2, 4)).is_primitive()
-    False
+    >>> Weight((2, 4)).content()
+    2
     """
 
     coeffs: tuple[int, ...]
@@ -280,9 +280,6 @@ class Weight:
     def content(self) -> int:
         """gcd of the entries (0 for the zero form)."""
         return self._line[0]
-
-    def is_primitive(self) -> bool:
-        return self._line[0] == 1
 
     def proportional(self, other: "Weight") -> bool:
         """True when the two forms are parallel over Q (zero counts as parallel)."""

@@ -10,6 +10,7 @@ polynomial text with a warning marker.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf
 
 from .errors import NotDivisibleError, NotFactorableError
 from .graph import GkmGraph
@@ -137,6 +138,10 @@ def to_dot(graph: GkmGraph, basis=None, vertex: str | None = None) -> str:
 
 
 def to_svg(graph: GkmGraph, basis=None, vertex: str | None = None) -> str:
+    """SVG of the layout scaled to a 480-pixel square; with a basis and
+    vertex, each vertex carries the bouquet of that generator.  A layout
+    whose span is beyond a float's range, though every coordinate fits one,
+    raises :class:`ValueError` naming the span (scaling it gave ``nan``)."""
     cls = basis.generator(vertex) if basis is not None and vertex is not None else None
     pos = _layout(graph)
     xs = [p[0] for p in pos.values()] or [0.0]
@@ -144,6 +149,11 @@ def to_svg(graph: GkmGraph, basis=None, vertex: str | None = None) -> str:
     pad = 1.0
     x0, x1 = min(xs) - pad, max(xs) + pad
     y0, y1 = min(ys) - pad, max(ys) + pad
+    if x1 - x0 == inf or y1 - y0 == inf:
+        raise ValueError(
+            f"render: the layout spans ({min(xs)!r}, {min(ys)!r}) to ({max(xs)!r}, {max(ys)!r}),"
+            " beyond a float's range"
+        )
     size = 480.0
     sx = size / (x1 - x0) if x1 > x0 else 1.0
     sy = size / (y1 - y0) if y1 > y0 else 1.0

@@ -680,6 +680,41 @@ def test_render_beyond_a_float_exit_code(tmp_path, capsys, where, fmt):
     assert not out and f"the {where} of 's' is beyond a float's range" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        ({"from": "s", "to": "s", "weight": [1]}, "edge endpoints must be distinct, got 's' twice"),
+        ({"from": "e", "to": "s", "weight": [0]}, "edge (e, s) has zero weight"),
+    ],
+    ids=["self-loop", "zero-weight"],
+)
+def test_bad_edge_exit_code(tmp_path, capsys, edge, message):
+    # the reader makes the edge checks itself, before the unchecked Edge._make
+    path = tmp_path / "edge.json"
+    vertices = [{"id": "e", "cell_dim": 0}, {"id": "s", "cell_dim": 2}]
+    path.write_text(json.dumps({"rank": 1, "vertices": vertices, "edges": [edge]}))
+    code, out, err = run(["validate", str(path)], capsys)
+    assert code == 4
+    assert not out and message in err and "Traceback" not in err
+
+
+def test_render_span_beyond_a_float_exit_code(tmp_path, capsys):
+    # positions that each fit a float, spread beyond its range: the SVG had
+    # nan coordinates and the exit code was 0
+    vertices = [
+        {"id": "e", "cell_dim": 0, "position": ["0"]},
+        {"id": "a", "cell_dim": 2, "position": ["-1e308"]},
+        {"id": "b", "cell_dim": 2, "position": ["1e308"]},
+    ]
+    edges = [{"from": "e", "to": "a", "weight": [1]}, {"from": "e", "to": "b", "weight": [1]}]
+    path = tmp_path / "span.json"
+    path.write_text(json.dumps({"rank": 1, "vertices": vertices, "edges": edges}))
+    code, out, err = run(["render", str(path), "--format", "svg", "-o", str(tmp_path / "span.svg")], capsys)
+    assert code == 4
+    assert not out and "the layout spans (-1e+308, 0.0) to (1e+308, 0.0)" in err and "Traceback" not in err
+    assert not (tmp_path / "span.svg").exists()
+
+
 # the edits of the file mutations below: drop a key, add a list item, or
 # set a value to one of these
 _FUZZ_VALUES = [None, True, False, 1.5, "", "1/0", "\x01", "\u0663", 10**30, 10**400, "1e400", [], {}]

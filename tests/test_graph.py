@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import re
+from dataclasses import make_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -352,12 +353,136 @@ def test_from_dict_shares_one_weight_per_label():
 
 
 def test_builder_edges_are_made_once(monkeypatch):
-    made = []
-    check = Edge.__post_init__
-    monkeypatch.setattr(Edge, "__post_init__", lambda e: (made.append(e), check(e))[1])
+    # the builder makes each edge once, with the unchecked Edge._make, and
+    # never through the checked Edge.__new__
+    made, checked = [], []
+    make, new = Edge._make, Edge.__new__
+    monkeypatch.setattr(Edge, "_make", classmethod(lambda cls, fields: made.append(make(fields)) or made[-1]))
+    monkeypatch.setattr(Edge, "__new__", lambda cls, *fields: checked.append(new(cls, *fields)) or checked[-1])
     g = build_preset("B2-flag")
-    assert len(made) == len(g.edges)
+    assert len(made) == len(g.edges) and not checked
     assert all(a is b for a, b in zip(sorted(made, key=lambda e: (e.u, e.v)), g.edges))
+
+
+def _dataclass_edge_post_init(self):
+    if self.u == self.v:
+        raise ValueError(f"edge endpoints must be distinct, got {self.u!r} twice")
+    if self.weight.is_zero():
+        raise ValueError(f"edge ({self.u}, {self.v}) has zero weight")
+
+
+def _dataclass_vertex_post_init(self):
+    if self.position is not None:
+        pos = tuple(self.position)
+        for p in pos:
+            if isinstance(p, bool) or not isinstance(p, (int, Fraction)):
+                raise ValueError(f"position of {self.id!r} has entry {p!r}; entries must be int or Fraction")
+        object.__setattr__(self, "position", tuple(p if type(p) is Fraction else Fraction(p) for p in pos))
+
+
+# the frozen dataclasses that Edge and Vertex were, as the reference for
+# equality, hashing, repr and the constructors' refusals
+_DataclassEdge = make_dataclass(
+    "Edge",
+    [("u", str), ("v", str), ("weight", Weight)],
+    frozen=True,
+    namespace={"__post_init__": _dataclass_edge_post_init},
+)
+_DataclassVertex = make_dataclass(
+    "Vertex",
+    [("id", str), ("cell_dim", int), ("position", object, None), ("label", object, None)],
+    frozen=True,
+    namespace={"__post_init__": _dataclass_vertex_post_init},
+)
+
+_IDS = st.sampled_from(["a", "b", "é'\\"])
+_EDGE_FIELDS = st.tuples(_IDS, _IDS, st.builds(Weight, st.tuples(st.integers(-2, 2), st.integers(-2, 2))))
+_POSITION_ENTRIES = st.integers(-2, 2) | st.fractions(max_denominator=3) | st.booleans() | st.sampled_from([0.5, 1.0])
+_VERTEX_FIELDS = st.tuples(
+    _IDS, st.integers(0, 4), st.none() | st.lists(_POSITION_ENTRIES, max_size=2).map(tuple), st.none() | _IDS
+)
+
+
+def _outcome(make):
+    """What ``make()`` gives: the record's class name, fields, ``repr`` and
+    ``hash``, or the message of the ``ValueError`` it raises."""
+    try:
+        rec = make()
+    except ValueError as err:
+        return str(err)
+    fields = tuple(getattr(rec, f) for f in rec.__match_args__)
+    return type(rec).__qualname__, fields, repr(rec), hash(rec)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_EDGE_FIELDS, _EDGE_FIELDS, _VERTEX_FIELDS, _VERTEX_FIELDS)
+def test_records_behave_as_the_dataclasses_did(e1, e2, v1, v2):
+    # Edge and Vertex refuse what the dataclasses refused, with the same
+    # message, and agree with them on fields, ==, hash and repr
+    for cls, old, fields, other in ((Edge, _DataclassEdge, e1, e2), (Vertex, _DataclassVertex, v1, v2)):
+        assert _outcome(lambda: cls(*fields)) == _outcome(lambda: old(*fields))
+        try:
+            rec, old_rec = cls(*fields), old(*fields)
+        except ValueError:
+            continue
+        assert type(rec) is cls and hash(rec) == hash(tuple(rec))
+        try:
+            assert (rec == cls(*other)) == (old_rec == old(*other))
+        except ValueError:
+            pass
+        # _replace checks each field as the constructor does
+        for name, value in zip(cls._fields, other):
+            changed = [value if f == name else getattr(old_rec, f) for f in cls._fields]
+            assert _outcome(lambda: rec._replace(**{name: value})) == _outcome(lambda: old(*changed))
+    # a whole graph refuses a bad edge or position as the checked records do
+    u, v, w = e1
+    if w.is_zero() or u == v:
+        data = {
+            "rank": 2,
+            "vertices": [{"id": x, "cell_dim": 2 * n} for n, x in enumerate(sorted({u, v}))],
+            "edges": [{"from": u, "to": v, "weight": list(w.coeffs)}],
+        }
+        with pytest.raises(ValueError, match=re.escape(_outcome(lambda: _DataclassEdge(*e1)))):
+            GkmGraph.from_dict(data)
+    vid, _, position, _ = v1
+    bad = [p for p in position or () if type(p) in (bool, float)]
+    if bad:
+        entries = [str(p) if type(p) is Fraction else p for p in position]
+        data = {"rank": len(position), "vertices": [{"id": vid, "cell_dim": 0, "position": entries}], "edges": []}
+        message = f"position of {vid!r} has entry {bad[0]!r}; entries must be integers or strings like '3/2'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GkmGraph.from_dict(data)
+
+
+_UNCHECKED_GRAPHS = {
+    "B2-flag": lambda: build_preset("B2-flag"),
+    "omega-su2-8": lambda: build_preset("omega-su2", 8),
+    "A1-4-twisted-6": lambda: build_preset("A1-4-twisted", 6),
+    "hyperbolic-5": lambda: build_flag_graph(GCM(((2, -3), (-3, 2))), (), 5),
+    "affine-A2-flag-3": lambda: build_flag_graph(affine_type_a(2), (), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNCHECKED_GRAPHS))
+@pytest.mark.parametrize("read", [False, True], ids=["built", "read"])
+def test_unchecked_records_pass_their_checks(name, read):
+    # the builder and the reader make records with _make: each must equal
+    # its checked reconstruction, with int cell dimensions and Fraction
+    # position entries
+    g = _UNCHECKED_GRAPHS[name]()
+    if read:
+        g = GkmGraph.loads(g.dumps())
+    assert g.edges and all(type(e) is Edge and e == Edge(*e) for e in g.edges)
+    for v in g.vertices:
+        assert type(v) is Vertex and v == Vertex(*v) and type(v.cell_dim) is int
+        assert all(type(p) is Fraction for p in v.position or ())
+
+
+def test_a_reversed_edge_is_rebuilt_as_an_edge():
+    g = GkmGraph(1, "Z", [Vertex("a", 0), Vertex("b", 2)], [Edge("b", "a", Weight((1,)))])
+    (e,) = g.edges
+    assert type(e) is Edge and e == Edge("a", "b", Weight((1,))) == ("a", "b", Weight((1,)))
+    assert g.down_edges("b") == (e,) and g.edges_at("a") == (e,)
 
 
 def test_validate_checks_connectivity_once(monkeypatch):

@@ -130,8 +130,8 @@ def test_grlex_printing_is_deterministic():
 
 def test_weight_basics():
     w = Weight((2, 4))
-    assert not w.is_primitive() and w.content() == 2
-    assert Weight((1, -1)).is_primitive()
+    assert w.content() == 2
+    assert Weight((1, -1)).content() == 1
     assert Weight((0, 0)).is_zero()
     assert str(Weight((1, -2))) == "x1 - 2*x2"
 
@@ -280,7 +280,7 @@ def test_proportional_needs_one_torus():
 def test_weight_line_is_cached_and_invisible():
     w = Weight((-2, 4, 0))
     assert "_line" not in vars(w)
-    assert w._line == (2, (1, -2, 0)) and w.content() == 2 and not w.is_primitive()
+    assert w._line == (2, (1, -2, 0)) and w.content() == 2
     assert "_line" in vars(w)
     other = Weight((-2, 4, 0))
     assert w == other and hash(w) == hash(other) and repr(w) == repr(other) == "Weight(coeffs=(-2, 4, 0))"

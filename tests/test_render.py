@@ -129,6 +129,25 @@ def test_svg_structure():
     assert decorated.count("marker-end") == 3
 
 
+@pytest.mark.parametrize("rank", [1, 2])
+def test_svg_refuses_a_layout_span_beyond_a_float(rank):
+    # every position fits a float but their spread does not: scaling by it
+    # wrote nan coordinates
+    far = Fraction(10**308)
+    g = GkmGraph(
+        rank,
+        "Z",
+        [Vertex("e", 0, (0,) * rank), Vertex("a", 2, (-far,) * rank), Vertex("b", 2, (far,) * rank)],
+        [Edge("e", "a", Weight((1,) * rank)), Edge("e", "b", Weight((1, -1)[:rank]))],
+    )
+    ys = "-1e+308, 1e+308" if rank == 2 else "0.0, 0.0"
+    lo, hi = ys.split(", ")
+    message = f"render: the layout spans (-1e+308, {lo}) to (1e+308, {hi}), beyond a float's range"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        to_svg(g)
+    assert "nan" not in to_dot(g)
+
+
 def test_layered_layout_without_positions():
     g = GkmGraph(
         2,

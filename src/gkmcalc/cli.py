@@ -162,7 +162,7 @@ def _cmd_poincare(args) -> int:
 
 def _cmd_power(args) -> int:
     if args.preset is not None:
-        graph = builders.build_preset(args.preset, max(args.n, builders.PRESETS[args.preset][2]))
+        graph = builders.build_preset(args.preset, args.n)
     else:
         graph = _load_graph(args.graph)
     basis = canonical_generators(graph, args.n)

@@ -299,9 +299,9 @@ def generic_dominant_vector(gcm: GCM, parabolic) -> tuple[tuple[int, ...], int]:
     ``S`` is the product of the first ``|free|`` primes, ``free`` the nodes
     outside ``J``; the ``k``-th free node gets ``S / p_k``, ``p_k`` the
     ``k``-th prime, and ``J`` gets 0.  That is the rational vector of
-    strictly decreasing prime reciprocals, times ``S``.  Dominance makes the stabilizer the parabolic generated by
-    the simple reflections that fix it, which is exactly ``W_J``; an
-    explicit fix/move check guards the construction.
+    strictly decreasing prime reciprocals, times ``S``.  Dominance makes
+    the stabilizer the parabolic generated by the simple reflections that
+    fix it, which is exactly ``W_J``.
 
     >>> generic_dominant_vector(GCM(((2, -1), (-1, 2))), ())
     ((3, 2), 6)
@@ -315,12 +315,7 @@ def generic_dominant_vector(gcm: GCM, parabolic) -> tuple[tuple[int, ...], int]:
     mu = [0] * gcm.n
     for i, p in zip(free, primes):
         mu[i] = scale // p
-    mu = tuple(mu)
-    for i in range(gcm.n):
-        fixed = reflect_dual(gcm, i, mu) == mu
-        if fixed != (i in J):
-            raise ValueError("generic vector has the wrong stabilizer")
-    return mu, scale
+    return tuple(mu), scale
 
 
 def coset_orbit(gcm: GCM, parabolic, length_cutoff: int):

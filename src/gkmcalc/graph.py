@@ -88,9 +88,8 @@ class Vertex(
     ``float`` included) and store the position as a tuple of ``Fraction``.
     ``Vertex._make`` skips that check; only the graph reader and the
     builder call it, after making the same check themselves, so each check
-    runs once per path.  ``==``, ``hash`` and ``repr`` are those of the
-    frozen dataclass this replaced, with one difference: a vertex now
-    compares equal to the plain tuple of its fields.
+    runs once per path.  A vertex compares equal to, and hashes as, the
+    plain tuple of its fields.
     """
 
     __slots__ = ()
@@ -114,10 +113,8 @@ class Edge(NamedTuple("Edge", [("u", str), ("v", str), ("weight", Weight)])):
     endpoints and the zero weight.  ``Edge._make`` skips those checks; only
     the graph reader, the builder and the graph constructor (reversing an
     edge it was given) call it, after making the same checks, so each check
-    runs once per path.  ``==``, ``hash`` and ``repr`` are those of the
-    frozen dataclass this replaced (which hashed ``(u, v, weight)``), with
-    one difference: an edge now compares equal to the plain tuple of its
-    fields.
+    runs once per path.  An edge compares equal to, and hashes as, the
+    plain tuple ``(u, v, weight)``.
     """
 
     __slots__ = ()
@@ -327,6 +324,10 @@ class GkmGraph:
                 down[v].append(e)
         self._incidence = {vid: tuple(es) for vid, es in inc.items()}
         self._down = {vid: tuple(es) for vid, es in down.items()}
+        # facts derived from the immutable graph alone: whether it passed
+        # ``validate``, and the solver's cover constants by (vertex, edge)
+        self._valid = False
+        self._covers: dict = {}
 
     @property
     def rank(self) -> int:
@@ -632,10 +633,10 @@ def validate(graph: GkmGraph) -> ValidationReport:
     join vertices of equal cell dimension.  Globally: one bottom vertex
     and a connected graph.  Failures are reported, never raised.
 
-    Whether the graph passed is stored on it, a bool in the instance
-    ``__dict__`` (the report is mutable, so it is not kept): the graph is
-    immutable, so :func:`_require_valid` trusts a stored pass, and a graph
-    made from it by ``induced`` or ``with_positions`` starts with none.
+    Whether the graph passed is stored on it as ``_valid`` (the report is
+    mutable, so it is not kept): the graph is immutable, so
+    :func:`_require_valid` trusts a stored pass, and a graph made from it
+    by ``induced`` or ``with_positions`` starts with none.
     """
     rep = ValidationReport()
     add = rep.entries.append
@@ -713,7 +714,7 @@ def validate(graph: GkmGraph) -> ValidationReport:
                 "graph connected" if connected else "graph disconnected",
             )
         )
-    graph.__dict__["_valid"] = rep.ok
+    graph._valid = rep.ok
     return rep
 
 
@@ -721,7 +722,7 @@ def _require_valid(graph: GkmGraph):
     """Raise :class:`ValidationFailureError` with the full report unless
     ``graph`` passes :func:`validate`; a pass that ``validate`` has stored
     on the graph skips the checks, a stored failure does not."""
-    if not graph.__dict__.get("_valid"):
+    if not graph._valid:
         report = validate(graph)
         if not report.ok:
             raise ValidationFailureError(report)

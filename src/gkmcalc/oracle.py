@@ -3,9 +3,10 @@ root-product Schubert restrictions, and flag-graph edges by root search.
 The brute-force solver reads a kernel basis from ``nullspace_basis``, by
 a Fraction elimination that the pipeline never uses.
 
-Everything here is quarantined from the solver module: the only shared
-code is the base polynomial ring, so agreement between an oracle and the
-solver is evidence, not tautology.
+Everything here is quarantined from the solver module: the shared code is
+the base polynomial ring, ``coxeter``, the graph model of ``graph`` and
+the builder's torus coordinates (``_torus_basis``), so agreement between
+an oracle and the solver is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
+from .builders import _torus_basis, coset_id
 from .coxeter import (
     GCM,
     CosetRep,
@@ -201,8 +203,6 @@ def schubert_restrictions(gcm: GCM, parabolic, degree: int) -> dict[str, CohClas
     the coset words' vectors are ``v``'s values of every class.  Inversion
     roots come from :func:`reflect`, not the builder's edge rule.
     """
-    from .builders import _torus_basis, coset_id
-
     J = frozenset(parabolic)
     reps, _ = coset_orbit(gcm, J, degree)
     tb = _torus_basis(gcm, J)
@@ -249,8 +249,6 @@ def divided_difference_schubert(gcm: GCM, w: CosetRep) -> CohClass:
     fresh class.  Raises :class:`NotFiniteTypeError` outside finite type."""
     if classify(gcm) != "finite":
         raise NotFiniteTypeError("Schubert restrictions require a finite Cartan matrix")
-    from .builders import coset_id
-
     reps, table, classes = _full_flag(gcm)
     canonical = table[apply_word_dual(gcm, w.word, reps[0][1])].word
     cls = classes[coset_id(canonical)]
@@ -267,8 +265,6 @@ def reflection_edges(gcm: GCM, parabolic, degree: int, height: int) -> list[Edge
     checks that by counting each vertex's down-edges against its length.
     Independent of the builder's inversion-root rule.
     """
-    from .builders import _torus_basis, coset_id
-
     J = frozenset(parabolic)
     reps, table = coset_orbit(gcm, J, degree)
     tb = _torus_basis(gcm, J)

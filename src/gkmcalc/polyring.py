@@ -57,6 +57,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, gcd, isqrt
 from operator import add
 
@@ -220,22 +221,6 @@ def _line_of(coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return abs(g), tuple(c // g for c in coeffs)
 
 
-class _stored:
-    """A method read as an attribute, computed on the first read and stored
-    in the instance ``__dict__`` under its name, where every later read
-    finds it first: ``functools.cached_property`` without the lock that it
-    takes on every first read before Python 3.12."""
-
-    def __init__(self, method):
-        self.method, self.name = method, method.__name__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.method(obj)
-        return value
-
-
 @dataclass(frozen=True)
 class Weight:
     """An integer linear form ``c1*x1 + ... + ck*xk``.
@@ -244,10 +229,9 @@ class Weight:
     The zero form is representable (so that arithmetic stays total) but is
     rejected by every operation that uses a weight as a divisor.  Its line
     -- content and primitive direction --, its division plan and its
-    polynomial are computed on first use and stored in the instance
-    ``__dict__``, with no lock, so that every later read is a plain
-    attribute or dict read (the polynomial is shared, as it is immutable);
-    equality, hashing and ``repr`` see only ``coeffs``.
+    polynomial are cached properties, computed on first use (the
+    polynomial is shared, as it is immutable); equality, hashing and
+    ``repr`` see only ``coeffs``.
 
     >>> str(Weight((1, -2)))
     'x1 - 2*x2'
@@ -267,12 +251,12 @@ class Weight:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    @_stored
+    @cached_property
     def _line(self) -> tuple[int, tuple[int, ...]]:
         """``(content, direction)``, as ``_line_of`` reads it from ``coeffs``."""
         return _line_of(self.coeffs)
 
-    @_stored
+    @cached_property
     def _plan(self) -> tuple:
         """The division plan, as ``_plan_of`` makes it from ``coeffs``."""
         return _plan_of(self.coeffs)
@@ -287,7 +271,7 @@ class Weight:
             raise ValueError("weights live in different tori")
         return self.is_zero() or other.is_zero() or self._line[1] == other._line[1]
 
-    @_stored
+    @cached_property
     def _polynomial(self) -> "Polynomial":
         n = len(self.coeffs)
         return Polynomial._make(n, {_unit(i, n): c for i, c in enumerate(self.coeffs) if c})

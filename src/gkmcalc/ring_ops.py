@@ -106,8 +106,7 @@ def power_coefficient(graph: GkmGraph, basis: GeneratorBasis, n: int) -> int | F
             v = e.other(u)
             if v not in chain or graph.vertex(v).cell_dim != w.cell_dim - 2:
                 continue
-            beta = e.weight.coeffs
-            j = next(i for i, b in enumerate(beta) if b)
+            beta, j = e.weight.coeffs, e.weight._plan[0]
             diff = [x - y for x, y in zip(fu, vec[v])]
             if any(x * beta[j] != diff[j] * b for x, b in zip(diff, beta)):
                 raise NotInSpanError(

@@ -70,7 +70,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import takewhile
 from json.encoder import encode_basestring_ascii
 from math import lcm, prod
 from operator import mul, sub
@@ -178,10 +177,10 @@ class GeneratorBasis:
         gens = {}
         for vid, values in generators.items():
             values = _json_values(values, graph, f"generator {vid!r}", polys, terms)
-            if not _meets_conditions(graph, vid, values, degrees):
-                # degree None: _generator_checks tests homogeneity and names vid
-                bad = [c for c in _generator_checks(graph, vid, CohClass._make(values, None)) if not c.ok]
-                raise ValueError(f"generator {vid!r} breaks condition {bad[0].check} ({bad[0].detail})")
+            broken = _broken_conditions(graph, vid, values, degrees)
+            if broken:
+                bad = next(c for c in _generator_checks(graph, vid, broken) if not c.ok)
+                raise ValueError(f"generator {vid!r} breaks condition {bad.check} ({bad.detail})")
             gens[vid] = CohClass._make(values, graph.vertex(vid).cell_dim // 2)
         return cls(graph, degree, mode, gens)
 
@@ -287,12 +286,8 @@ def _position_form(graph: GkmGraph) -> dict[str, tuple[int, ...]] | None:
     if len(set(phi.values())) < len(phi):
         return None
     for e in graph.edges:
-        beta = e.weight.coeffs
-        d = list(map(sub, phi[e.v], phi[e.u]))
-        j = beta.index(next(filter(None, beta)))
-        bj, dj = beta[j], d[j]
-        if [a * bj for a in d] != [dj * b for b in beta]:  # d is not parallel to beta
-            return None
+        if _line_of(tuple(map(sub, phi[e.v], phi[e.u])))[1] != e.weight._line[1]:
+            return None  # the difference is not parallel to the label
     return phi
 
 
@@ -338,24 +333,22 @@ def _cover_constant(graph, vid, edge) -> int | Fraction:
     graph, on first use, so the recursion and every later power sum on the
     graph share them.  The :class:`ValueError` of parallel down-edges is
     raised by every call that meets it, and nothing is stored for it."""
-    covers = graph.__dict__.get("_covers")
-    if covers is None:
-        covers = graph.__dict__["_covers"] = {}
-    k = covers.get((vid, edge))
+    k = graph._covers.get((vid, edge))
     if k is None:
-        k = covers[vid, edge] = _evaluate_cover(graph, vid, edge)
+        k = graph._covers[vid, edge] = _evaluate_cover(graph, vid, edge)
     return k
 
 
 def _evaluate_cover(graph, vid, edge) -> int | Fraction:
     """``k`` across ``edge`` from ``v = vid`` up to its cover ``u``, read at
-    ``p = beta_j q - beta(q) e_j`` (``beta_j`` the first nonzero entry, ``q
-    = (1, t, t^2, ...)``).  ``beta(p) = 0``, and ``alpha'(p)`` is a nonzero
-    polynomial in ``t`` of degree below the rank unless ``alpha'`` is
-    parallel to ``beta``, so one of ``t = 1, ..., rank * |alpha'| + 1``
-    serves; if none does, :class:`ValueError` names ``u``."""
+    ``p = beta_j q - beta(q) e_j`` (``beta_j`` the pivot of ``beta``'s
+    division plan, its first nonzero entry; ``q = (1, t, t^2, ...)``).
+    ``beta(p) = 0``, and ``alpha'(p)`` is a nonzero polynomial in ``t`` of
+    degree below the rank unless ``alpha'`` is parallel to ``beta``, so
+    one of ``t = 1, ..., rank * |alpha'| + 1`` serves; if none does,
+    :class:`ValueError` names ``u``."""
     u, beta = edge.other(vid), edge.weight.coeffs
-    j = next(i for i, b in enumerate(beta) if b)
+    j = edge.weight._plan[0]
     alphas = [e.weight.coeffs for e in graph.down_edges(vid)]
     others = [e.weight.coeffs for e in graph.down_edges(u) if e is not edge]
     for t in range(1, graph.rank * len(others) + 2):
@@ -383,8 +376,8 @@ def _chevalley_generator(graph, mode, vid, phi, values, down) -> dict | None:
         if k:
             fv[u] = {}
             _add_multiple(fv[u], _divmod_weight(values[u][u], beta)[0], k)
-        j = next(i for i, b in enumerate(beta.coeffs) if b)
-        c = _quo(phi[u][j] - phi_v[j], beta.coeffs[j]) * k
+        j, bj = beta._plan[:2]
+        c = _quo(phi[u][j] - phi_v[j], bj) * k
         if c:
             chev.append((values[u], c))
     den = lcm(*(c.denominator for _, c in chev))
@@ -421,53 +414,57 @@ def _chevalley_generator(graph, mode, vid, phi, values, down) -> dict | None:
     return fv
 
 
-def _generator_checks(graph: GkmGraph, vid: str, cls: CohClass) -> list[ValidationEntry]:
-    """Conditions 1-4 for ``cls`` as ``f_vid``, a failing entry naming the
-    first vertex that breaks it; a class of degree ``d`` is not rescanned."""
-    dim = graph.vertex(vid).cell_dim
-    d, values = dim // 2, cls.values
-    near = [w for w in takewhile(lambda w: w.cell_dim <= dim, graph.vertices) if values[w.id].terms]
-    first = [  # (check, condition, the first vertex breaking it or None)
-        ("homogeneous", f"every value homogeneous of degree {d} or zero",
-         None if cls.degree == d
-         else next((w for w, p in values.items() if p.terms and not p.is_homogeneous(d)), None)),
-        ("vanish_below", "zero on lower-dimensional vertices",
-         next((w.id for w in near if w.cell_dim < dim), None)),
-        ("vanish_beside", "zero on other vertices of equal dimension",
-         next((w.id for w in near if w.cell_dim == dim and w.id != vid), None)),
-        ("diagonal_value", "f_v(v) is the product of down-edge weights",
-         None if values[vid] == _down_weight_product(graph, vid) else vid),
-    ]
-    return [
-        ValidationEntry(vid, check, w is None, detail if w is None else f"{detail}; fails at {w!r}")
-        for check, detail, w in first
-    ]
+# generator conditions 1-4 by check name, in order, with their details
+_CONDITIONS = {
+    "homogeneous": "every value homogeneous of degree {} or zero",
+    "vanish_below": "zero on lower-dimensional vertices",
+    "vanish_beside": "zero on other vertices of equal dimension",
+    "diagonal_value": "f_v(v) is the product of down-edge weights",
+}
 
 
-def _meets_conditions(graph: GkmGraph, vid: str, values: dict, degrees: dict) -> bool:
-    """Whether ``values`` meets conditions 1-4 as ``f_vid``, as
-    :func:`_generator_checks` decides it but with no entry built.
-    ``degrees`` holds the set of term degrees of each distinct nonzero
-    value read so far, keyed by ``id`` (the values outlive it)."""
+def _broken_conditions(graph: GkmGraph, vid: str, values: dict, degrees: dict) -> dict[str, str]:
+    """The conditions 1-4 that ``values`` breaks as ``f_vid``, each with
+    the first vertex in canonical order that breaks it: one walk over the
+    vertices, empty when every condition holds.  ``degrees`` holds the set
+    of term degrees of each distinct nonzero value read so far, keyed by
+    ``id`` (the values outlive it)."""
     dim = graph.vertex(vid).cell_dim
     want = {dim // 2}
+    first: dict[str, str] = {}
     for w in graph.vertices:
         p = values[w.id]
         if p.terms:
             degs = degrees.get(id(p))
             if degs is None:
                 degs = degrees[id(p)] = {sum(e) for e in p.terms}
-            if degs != want or w.cell_dim < dim or w.cell_dim == dim and w.id != vid:
-                return False
-    return values[vid] == _down_weight_product(graph, vid)
+            if degs != want:
+                first.setdefault("homogeneous", w.id)
+            if w.cell_dim <= dim and w.id != vid:
+                first.setdefault("vanish_below" if w.cell_dim < dim else "vanish_beside", w.id)
+    if values[vid] != _down_weight_product(graph, vid):
+        first["diagonal_value"] = vid
+    return first
+
+
+def _generator_checks(graph: GkmGraph, vid: str, broken: dict[str, str]) -> list[ValidationEntry]:
+    """Conditions 1-4 for ``f_vid`` as report entries, from the
+    :func:`_broken_conditions` of its values: a failing entry names the
+    first vertex that breaks it."""
+    d = graph.vertex(vid).cell_dim // 2
+    out = []
+    for check, detail in _CONDITIONS.items():
+        detail, w = detail.format(d), broken.get(check)
+        out.append(ValidationEntry(vid, check, w is None, detail if w is None else f"{detail}; fails at {w!r}"))
+    return out
 
 
 def verify_generator_conditions(basis: GeneratorBasis) -> ValidationReport:
     """Re-check conditions 1-4 and GKM membership for every generator."""
-    rep = ValidationReport()
+    graph, rep, degrees = basis.graph, ValidationReport(), {}
     for vid, cls in basis.items():
-        okg = bool(is_gkm_class(basis.graph, cls))
-        rep.entries += _generator_checks(basis.graph, vid, cls)
+        okg = bool(is_gkm_class(graph, cls))
+        rep.entries += _generator_checks(graph, vid, _broken_conditions(graph, vid, cls.values, degrees))
         rep.entries.append(ValidationEntry(vid, "gkm_membership", okg, "divisibility across every edge"))
     return rep
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkmcalc import oracle, solver
 from gkmcalc.cli import main
 from gkmcalc.graph import GkmGraph
 from gkmcalc.polyring import parse_polynomial
@@ -105,6 +106,19 @@ def test_power_preset(capsys):
     code, out, _ = run(["power", "--preset", "A1-4-twisted", "--n", "3"], capsys)
     assert code == 0
     assert out.strip() == "12"
+
+
+def test_power_preset_below_its_default_degree_lifts_nothing(capsys, monkeypatch):
+    # omega-su2 defaults to degree 4; built at degree 3 its cutoff reaches
+    # the top, so the recursion solves every generator
+    calls = []
+    lift = solver._lift
+    monkeypatch.setattr(solver, "_lift", lambda *args: calls.append(args[1]) or lift(*args))
+    code, out, _ = run(["power", "--preset", "omega-su2", "--n", "3"], capsys)
+    assert (code, out.strip(), calls) == (0, "6", [])
+    code, out, err = run(["power", "--preset", "omega-su2", "--n", "-1"], capsys)
+    assert code == 4
+    assert not out and "degree cutoff must be non-negative" in err
 
 
 def test_power_from_graph_file(tmp_path, capsys):
@@ -296,6 +310,46 @@ def test_s2n_rank_below_two_exit_code(capsys):
     code, out, err = run(["oracle", "s2n", "--trials", "-1"], capsys)
     assert code == 4
     assert not out and "--trials must be non-negative" in err
+
+
+def test_schubert_compare_mismatch_exit_code(capsys, monkeypatch):
+    # an oracle whose class of 0 is doubled disagrees with f_0 at vertex 0
+    schubert = oracle.schubert_restrictions
+
+    def doubled(gcm, parabolic, degree):
+        classes = schubert(gcm, parabolic, degree)
+        classes["0"] = classes["0"] * 2
+        return classes
+
+    monkeypatch.setattr(oracle, "schubert_restrictions", doubled)
+    code, out, _ = run(["oracle", "schubert-compare", "--preset", "A2-flag"], capsys)
+    assert code == 1
+    assert out == "MISMATCH at generator 0, vertex 0: 2*x1 vs x1\n"
+
+
+def test_multiply_and_poincare_json(tmp_path, capsys):
+    gpath, bpath = tmp_path / "b2.json", tmp_path / "b2-basis.json"
+    assert run(["build", "B2-flag", "-o", str(gpath)], capsys)[0] == 0
+    assert run(["generators", str(gpath), "-o", str(bpath)], capsys)[0] == 0
+    code, out, _ = run(["multiply", str(bpath), "0", "0", "--json"], capsys)
+    assert code == 0 and json.loads(out) == {"0": "x1", "1-0": "2"}
+    code, out, _ = run(["poincare", str(gpath), "--json"], capsys)
+    assert code == 0 and json.loads(out) == {"ranks": [1, 2, 2, 2, 1]}
+
+
+@pytest.mark.parametrize(
+    "vertices, message",
+    [
+        ([{"id": "e", "cell_dim": 0}, {"id": "e", "cell_dim": 2}], "duplicate vertex id 'e'"),
+        ([{"id": "e", "cell_dim": 0, "position": [0, 1]}], "position of 'e' has length != rank 1"),
+    ],
+)
+def test_graph_constructor_refusal_exit_code(tmp_path, capsys, vertices, message):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"rank": 1, "vertices": vertices, "edges": []}))
+    code, out, err = run(["validate", str(path)], capsys)
+    assert code == 4
+    assert not out and message in err and "Traceback" not in err
 
 
 def test_schubert_compare_affine_preset(capsys):

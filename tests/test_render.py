@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from gkmcalc.builders import affine_type_a, build_chain_graph, build_flag_graph, build_preset, type_a
 from gkmcalc.coxeter import GCM
 from gkmcalc.errors import NotFactorableError
-from gkmcalc.graph import Edge, GkmGraph, Vertex
+from gkmcalc.graph import CohClass, Edge, GkmGraph, Vertex
 from gkmcalc.polyring import Polynomial, Weight, parse_polynomial
 from gkmcalc.render import bouquet_text, factor_restriction, to_dot, to_svg
-from gkmcalc.solver import canonical_generators
+from gkmcalc.solver import GeneratorBasis, canonical_generators
 
 
 def sphere_graph():
@@ -106,6 +106,16 @@ def test_factor_restriction_not_factorable():
     with pytest.raises(NotFactorableError):
         factor_restriction(g, "s", parse_polynomial("x1^2 + x2^2", 2))
     assert bouquet_text(g, "s", parse_polynomial("x1^2 + x2^2", 2)).startswith("!")
+
+
+def test_svg_writes_a_restriction_that_does_not_factor_as_text():
+    g = sphere_graph()
+    value = parse_polynomial("x1^2 + x2^2", 2)
+    basis = GeneratorBasis(g, 1, "Z", {"s": CohClass({"n": Polynomial.zero(2), "s": value})})
+    svg = to_svg(g, basis, "s")
+    texts = [t.firstChild.data for t in minidom.parseString(svg).getElementsByTagName("text")]
+    assert "!x1^2 + x2^2" in texts
+    assert "marker-end" not in svg
 
 
 def test_bouquet_text_forms():

@@ -576,8 +576,8 @@ _B2_BASIS = json.loads(canonical_generators(build_preset("B2-flag"), 4).dumps())
 @given(st.data())
 def test_basis_load_decides_conditions_as_the_report_does(data):
     # one value of one generator replaced: the load passes exactly when
-    # every entry of _generator_checks is ok, and else names the first
-    # failing one with its detail
+    # every condition entry of verify_generator_conditions is ok, and else
+    # names the first failing one with its detail
     doc = copy.deepcopy(_B2_BASIS)
     gens = doc["generators"]
     vid = data.draw(st.sampled_from(sorted(gens)))
@@ -591,13 +591,32 @@ def test_basis_load_decides_conditions_as_the_report_does(data):
     gens[vid][wid] = text
     graph = GkmGraph.from_dict(doc["graph"])
     values = {w: parse_polynomial(t, 2) for w, t in gens[vid].items()}
-    bad = [c for c in solver._generator_checks(graph, vid, CohClass(values)) if not c.ok]
+    report = verify_generator_conditions(GeneratorBasis(graph, 4, "Z", {vid: CohClass(values)}))
+    bad = [c for c in report.entries if not c.ok and c.check != "gkm_membership"]
     if not bad:
         assert GeneratorBasis.from_dict(doc).generator(vid).values == values
         return
     with pytest.raises(ValueError) as err:
         GeneratorBasis.from_dict(doc)
     assert str(err.value) == f"generator {vid!r} breaks condition {bad[0].check} ({bad[0].detail})"
+
+
+@pytest.mark.parametrize(
+    "text, edited, message",
+    [
+        ("x1^3", ("1", "0"), "vanish_below (zero on lower-dimensional vertices; fails at '0')"),
+        ("x1", ("1-0-1-0", "0-1-0"), "homogeneous (every value homogeneous of degree 3 or zero; fails at '0-1-0')"),
+    ],
+)
+def test_basis_load_names_the_first_vertex_breaking_a_condition(text, edited, message):
+    # two values of f_1-0-1 break one condition: the message names the
+    # first of them in canonical vertex order
+    doc = copy.deepcopy(_B2_BASIS)
+    for wid in edited:
+        doc["generators"]["1-0-1"][wid] = text
+    with pytest.raises(ValueError) as err:
+        GeneratorBasis.from_dict(doc)
+    assert str(err.value) == f"generator '1-0-1' breaks condition {message}"
 
 
 @settings(deadline=None)
@@ -751,7 +770,7 @@ def test_cover_constant_refuses_parallel_down_weights():
     for _ in range(2):  # raised again: the graph's table keeps no error
         with pytest.raises(ValueError, match="'u'"):
             solver._cover_constant(g, "a", edge)
-    assert not g.__dict__.get("_covers")
+    assert not g._covers
 
 
 def _position_graph(positions, down, mode="Q", embed=False):

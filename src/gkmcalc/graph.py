@@ -325,7 +325,7 @@ class GkmGraph:
         self._incidence = {vid: tuple(es) for vid, es in inc.items()}
         self._down = {vid: tuple(es) for vid, es in down.items()}
         # facts derived from the immutable graph alone: whether it passed
-        # ``validate``, and the solver's cover constants by (vertex, edge)
+        # ``validate``, and the solver's cover table by vertex
         self._valid = False
         self._covers: dict = {}
 

@@ -6,10 +6,11 @@ formula; Kostant-Kumar, Goldin-Tolman): by the identity in the
 covers ``u`` of ``v``, ``f1`` the degree-2 generator, with the edge-local
 ``c(v,u) = t * k``.  In ordinary cohomology ``f1(v)`` vanishes, so the
 coefficient of ``f_vn`` in ``f1^n`` is ``A[vn]`` with ``A[v1] = 1`` and
-``A[u] = sum_v A[v] * c(v,u)``, level by level; only ``f1`` is read from
-the basis.  The ``k`` are the graph's own table of them (see
-:func:`solver._cover_constant`): after the recursion has solved the basis
-of the same graph, or after an earlier power sum, none is evaluated again.
+``A[u] = sum_v A[v] * c(v,u)``, level by level up the graph's cover table
+(see :func:`solver._covers_of`), with ``t`` from the solver's slope rule;
+only ``f1`` is read from the basis.  After the recursion has solved the
+basis of the same graph, or after an earlier power sum, no ``k`` is
+evaluated again.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from .errors import CutoffTooSmallError, NonIntegralError, NotInSpanError
 from .graph import GkmGraph, _count, _require_valid, _size
 from .polyring import Polynomial, _linear_coeffs, _quo
-from .solver import GeneratorBasis, _cover_constant
+from .solver import GeneratorBasis, _covers_of, _slope
 
 __all__ = [
     "poincare_series",
@@ -78,50 +79,47 @@ def power_coefficient(graph: GkmGraph, basis: GeneratorBasis, n: int) -> int | F
 
     For the loop-space presets this realizes the divided-powers law: the
     value is n! for loops in SU(2) and n! * 2^(n // 2) for the twisted
-    example.  It is summed over the chains of covers from the degree-2
-    vertex to the degree-2n one, each weighted by the product of its
-    chain constants ``c(v,u) = t * k`` (see the module docstring).
+    example.  It is summed level by level up the graph's cover table, from
+    the degree-2 vertex to the degree-2n one, with the chain constants
+    ``c(v,u) = t * k`` (see the module docstring).
 
-    Raises :class:`ValueError` for ``n < 1`` or when the vertex of cell
-    dimension 2 or 2n is not unique, :class:`CutoffTooSmallError` when the
-    basis or graph stops below degree ``n``, :class:`NotInSpanError` naming
-    the vertex ``u`` where ``f1(u) - f1(v)`` is not a multiple of the edge
-    weight, and in Z-mode :class:`NonIntegralError` naming ``u`` for a
-    constant that is not an integer.
+    Raises :class:`ValueError` for ``n < 1``, for a basis solved on
+    another graph, or when the vertex of cell dimension 2 or 2n is not
+    unique, :class:`CutoffTooSmallError` when the basis or graph stops
+    below degree ``n``, :class:`NotInSpanError` naming the vertex ``u``
+    where ``f1(u) - f1(v)`` is not a multiple of the edge weight, and in
+    Z-mode :class:`NonIntegralError` naming ``u`` for a constant that is
+    not an integer.
     """
     if n < 1:
         raise ValueError("power must be >= 1")
+    if basis.graph is not graph and basis.graph != graph:
+        raise ValueError("power coefficient: the basis was solved on another graph")
     if basis.degree < n:
         raise CutoffTooSmallError(f"basis degree {basis.degree} is below the requested power {n}")
     v1 = _unique_vertex_of_dim(graph, 2)
     vn = _unique_vertex_of_dim(graph, 2 * n)
     f1 = basis.generator(v1).values
-    chain, vec = {v1: 1}, {}  # the nonzero A[v], level by level; f1 as vectors
-    for w in graph.vertices:
-        if w.cell_dim > 2 * n:
-            break
-        u, a = w.id, 0
-        fu = vec[u] = _linear_coeffs(f1[u].terms, graph.rank)
-        for e in graph.down_edges(u):
-            v = e.other(u)
-            if v not in chain or graph.vertex(v).cell_dim != w.cell_dim - 2:
-                continue
-            beta, j = e.weight.coeffs, e.weight._plan[0]
-            diff = [x - y for x, y in zip(fu, vec[v])]
-            if any(x * beta[j] != diff[j] * b for x, b in zip(diff, beta)):
-                raise NotInSpanError(
-                    f"f1({u!r}) - f1({v!r}) is not a multiple of {e.weight}; the basis is not canonical",
-                    vertex=u,
-                    edge=e,
-                )
-            c = _quo(diff[j] * _cover_constant(graph, v, e), beta[j])
-            if basis.mode == "Z" and type(c) is not int:
-                raise NonIntegralError(
-                    f"chain constant from {v!r} to {u!r} is not integral: {c}",
-                    witness=c,
-                    vertex=u,
-                )
-            a += chain[v] * c
-        if a:
-            chain[u] = a
-    return _quo(chain.get(vn, 0), 1)
+    level = {v1: 1}  # the nonzero A[v] at one cell dimension
+    for _ in range(n - 1):
+        up: dict = {}
+        for v, a in level.items():
+            fv = _linear_coeffs(f1[v].terms, graph.rank)
+            for u, e, k in _covers_of(graph, v):
+                t = _slope(_linear_coeffs(f1[u].terms, graph.rank), fv, e.weight)
+                if t is None:
+                    raise NotInSpanError(
+                        f"f1({u!r}) - f1({v!r}) is not a multiple of {e.weight}; the basis is not canonical",
+                        vertex=u,
+                        edge=e,
+                    )
+                c = _quo(t * k, 1)
+                if basis.mode == "Z" and type(c) is not int:
+                    raise NonIntegralError(
+                        f"chain constant from {v!r} to {u!r} is not integral: {c}",
+                        witness=c,
+                        vertex=u,
+                    )
+                up[u] = up.get(u, 0) + a * c
+        level = {u: a for u, a in up.items() if a}
+    return _quo(level.get(vn, 0), 1)

@@ -39,12 +39,16 @@ Goldin-Tolman), one exact division per value:
   but ``beta``.  A cover not joined to ``v`` has value 0.  The identity:
   if ``Phi(u) - Phi(v) = t * beta``, ``D * f_v = g = sum c(v,u) f_u`` with
   ``c(v,u) = t * k``, so above the covers ``f_v(w) = g(w) / D(w)``.
-* ``k`` depends on the graph alone, so each is evaluated once per graph,
-  on first use, into a private table on the graph: the recursion fills
-  it, and the power sums of :mod:`ring_ops` on the same graph read it
-  back.  ``D(w)`` is kept as a bare integer tuple, with no ``Weight``
-  built per pair: it is divided through a plan made from the tuple, and
-  its direction is read with the same gcd as a ``Weight``'s line.
+* The covers of a vertex and their ``k`` depend on the graph alone, so
+  they form one cover table on the graph, a row per vertex made on first
+  use: the recursion fills it, and the power sums of :mod:`ring_ops` on
+  the same graph read it back.  ``t`` comes from one slope rule, which
+  also decides the position seed's class check and checks ``f1`` in the
+  power sums.  The ``c(v,u)`` are summed as they are, fractions
+  included.  ``D(w)`` is kept as a bare integer tuple, with no
+  ``Weight`` built per pair: it is divided through a plan made from the
+  tuple, and its direction is read with the same gcd as a ``Weight``'s
+  line.
 * Each value is certified.  ``g`` and ``Phi`` are classes, so the weight
   ``alpha`` of a down-edge ``(w, x)`` divides ``D(w) * (f_v(w) -
   f_v(x))``, hence ``f_v(w) - f_v(x)`` unless ``alpha`` is parallel to
@@ -286,8 +290,8 @@ def _position_form(graph: GkmGraph) -> dict[str, tuple[int, ...]] | None:
     if len(set(phi.values())) < len(phi):
         return None
     for e in graph.edges:
-        if _line_of(tuple(map(sub, phi[e.v], phi[e.u])))[1] != e.weight._line[1]:
-            return None  # the difference is not parallel to the label
+        if _slope(phi[e.v], phi[e.u], e.weight) is None:
+            return None
     return phi
 
 
@@ -327,16 +331,30 @@ def _chevalley(graph: GkmGraph, mode: str) -> dict[str, CohClass] | None:
     }
 
 
-def _cover_constant(graph, vid, edge) -> int | Fraction:
-    """``k`` across ``edge`` from ``vid`` up to its cover, from the graph's
-    table of them, keyed by ``(vid, edge)``: each is evaluated once per
-    graph, on first use, so the recursion and every later power sum on the
-    graph share them.  The :class:`ValueError` of parallel down-edges is
-    raised by every call that meets it, and nothing is stored for it."""
-    k = graph._covers.get((vid, edge))
-    if k is None:
-        k = graph._covers[vid, edge] = _evaluate_cover(graph, vid, edge)
-    return k
+def _covers_of(graph, vid) -> tuple:
+    """``(u, edge, k)`` for each cover ``u`` of ``vid``, joined to it by
+    ``edge``, from the graph's cover table: the row of ``vid`` is made once
+    per graph, on first use, so the recursion and every later power sum on
+    the graph share it.  The :class:`ValueError` of parallel down-edges is
+    raised by every call that meets it, and nothing is stored for ``vid``."""
+    covers = graph._covers.get(vid)
+    if covers is None:
+        dim = graph.vertex(vid).cell_dim + 2
+        covers = graph._covers[vid] = tuple(
+            (u, e, _evaluate_cover(graph, vid, e))
+            for e in graph.edges_at(vid)
+            if graph.vertex(u := e.other(vid)).cell_dim == dim
+        )
+    return covers
+
+
+def _slope(fu, fv, beta) -> int | Fraction | None:
+    """``t`` with ``fu - fv = t * beta``, for linear forms given by their
+    coefficient vectors, read at the pivot of ``beta``'s division plan; None
+    when the difference is not a multiple of ``beta``."""
+    j, bj = beta._plan[:2]
+    t = _quo(fu[j] - fv[j], bj)
+    return t if all(x - y == t * b for x, y, b in zip(fu, fv, beta.coeffs)) else None
 
 
 def _evaluate_cover(graph, vid, edge) -> int | Fraction:
@@ -367,21 +385,14 @@ def _chevalley_generator(graph, mode, vid, phi, values, down) -> dict | None:
     the vertices above ``vid``, or None when one is not certified."""
     dim, phi_v = graph.vertex(vid).cell_dim, phi[vid]
     fv = {vid: _down_weight_product(graph, vid).terms}
-    chev = []  # (u, c_u) for the covers u with c_u != 0
-    for e in graph.edges_at(vid):
-        u, beta = e.other(vid), e.weight
-        if graph.vertex(u).cell_dim != dim + 2:
-            continue
-        k = _cover_constant(graph, vid, e)
+    chev = []  # (f_u, c(v,u)) for the covers u with c(v,u) != 0
+    for u, e, k in _covers_of(graph, vid):
         if k:
             fv[u] = {}
-            _add_multiple(fv[u], _divmod_weight(values[u][u], beta)[0], k)
-        j, bj = beta._plan[:2]
-        c = _quo(phi[u][j] - phi_v[j], bj) * k
+            _add_multiple(fv[u], _divmod_weight(values[u][u], e.weight)[0], k)
+        c = _slope(phi[u], phi_v, e.weight) * k  # Phi is a class, so t exists
         if c:
             chev.append((values[u], c))
-    den = lcm(*(c.denominator for _, c in chev))
-    chev = [(fu, int(c * den)) for fu, c in chev]
     for w in graph.vertices:
         if w.cell_dim <= dim:
             continue
@@ -390,16 +401,13 @@ def _chevalley_generator(graph, mode, vid, phi, values, down) -> dict | None:
         if not any(d):
             return None
         if w.cell_dim > dim + 2:
-            g: dict = {}  # den * sum c_u f_u(w) = den * D(w) * f_v(w)
+            g: dict = {}  # sum c(v,u) f_u(w) = D(w) * f_v(w)
             for fu, c in chev:
                 _add_multiple(g, fu.get(wid, {}), c)
             if g:
-                q, rem = _divmod_plan(g, _plan_of(d))
+                fv[wid], rem = _divmod_plan(g, _plan_of(d))
                 if rem:
                     return None
-                if den != 1:
-                    q = {x: _quo(a, den) for x, a in q.items()}
-                fv[wid] = q
         value = fv.get(wid, {})
         if mode == "Z" and any(type(a) is not int for a in value.values()):
             return None

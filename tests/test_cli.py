@@ -127,6 +127,11 @@ def test_power_from_graph_file(tmp_path, capsys):
     code, out, _ = run(["power", str(path), "--n", "4"], capsys)
     assert code == 0
     assert out.strip() == "24"
+    # below the graph's top the basis is lifted, and the power sum makes the
+    # graph's cover table itself
+    code, out, _ = run(["power", str(path), "--n", "3"], capsys)
+    assert code == 0
+    assert out.strip() == "6"
     # a graph cut below the power is invalid input, not a membership failure
     code, out, err = run(["power", str(path), "--n", "6"], capsys)
     assert code == 4

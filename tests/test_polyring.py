@@ -981,3 +981,23 @@ def test_linear_coeffs_reads_a_linear_form(case):
     k, coeffs = case
     terms = _normal_dict({tuple(int(i == j) for i in range(k)): Fraction(c) for j, c in enumerate(coeffs)})
     assert [Fraction(c) for c in _linear_coeffs(terms, k)] == [Fraction(c) for c in coeffs]
+
+
+def test_public_inputs_are_refused_with_their_messages():
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    a, b = Weight((1, 0)), Weight((0, 1))
+    refused = [
+        (lambda: solve_congruences([], 1), ValueError, "at least one congruence"),
+        (lambda: solve_congruences([(a, x1)], -1), ValueError, "degree must be non-negative"),
+        (lambda: solve_congruences([(a, x1), (Weight((0, 0)), x2)], 1), ZeroWeightError, "nonzero"),
+        (lambda: solve_congruences([(a, x1), (Weight((0, 1, 0)), x2)], 1), ValueError, "mixed ranks"),
+        (lambda: solve_congruences([(a, x1), (b, x1 * x2)], 1), ValueError, "not homogeneous of degree 1"),
+        (lambda: solve_congruences([(a, x1), (Weight((2, 0)), x2)], 1), ValueError, "pairwise coprime"),
+        (lambda: Polynomial(2, {(1,): 1}), ValueError, "has length != 2"),
+        (lambda: Polynomial(2, {(1, -1): 1}), ValueError, "negative exponent"),
+        (lambda: Polynomial.variable(2, 2), ValueError, "out of range for 2 variables"),
+        (lambda: divide_by_weight(x1, Weight((1, 0, 0))), ValueError, "different rings"),
+    ]
+    for make, error, message in refused:
+        with pytest.raises(error, match=message):
+            make()

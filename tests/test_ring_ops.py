@@ -247,6 +247,19 @@ def test_grassmannian_sums_over_two_chains():
     assert power_coefficient(g, basis, 4) == 2
 
 
+def test_power_coefficient_refuses_a_basis_of_another_graph():
+    # the two graphs share their vertex ids: read on the omega-su2 graph,
+    # the twisted basis gave 4 at n = 2 and no value at n = 3
+    g, h = build_preset("omega-su2", 6), build_preset("A1-4-twisted", 6)
+    assert g.vertex_ids == h.vertex_ids
+    other = canonical_generators(h, 6)
+    for n in (2, 3):
+        with pytest.raises(ValueError, match="another graph"):
+            power_coefficient(g, other, n)
+    # a graph equal to the basis's own, built apart, is accepted
+    assert power_coefficient(build_preset("omega-su2", 6), canonical_generators(g, 6), 2) == 2
+
+
 def _tampered(vid, wid, edit):
     """The omega-su2 basis of degree 4 through ``dumps`` and ``from_dict``,
     with ``f_vid(wid)`` replaced by ``edit`` of it."""
@@ -282,3 +295,20 @@ def test_non_integral_chain_constant_is_reported():
     # a doubled f_u(u) no longer loads
     with pytest.raises(ValueError, match="'0-1-0'.*diagonal_value"):
         _tampered("0-1-0", "0-1-0", lambda p: 2 * p)
+
+
+def test_integral_chain_constant_from_a_fractional_slope_is_an_int():
+    # k = 2 from a to u; f1(u) moved to the slope t = 1/2 gives the chain
+    # constant t * k = 1, which Z-mode accepts as the int it is
+    g = GkmGraph(
+        2,
+        "Z",
+        [Vertex("e", 0), Vertex("a", 2), Vertex("u", 4)],
+        [Edge("e", "a", Weight((1, 2))), Edge("a", "u", Weight((1, 0))), Edge("e", "u", Weight((1, 1)))],
+    )
+    basis = canonical_generators(g, 2)
+    assert power_coefficient(g, basis, 2) == 2
+    f1 = basis.generator("a").values
+    moved = CohClass({**f1, "u": f1["a"] + Polynomial(2, {(1, 0): Fraction(1, 2)})}, 1)
+    c = power_coefficient(g, GeneratorBasis(g, 2, "Z", {**basis.generators, "a": moved}), 2)
+    assert (c, type(c)) == (1, int)

@@ -733,11 +733,20 @@ def _covers(graph):
     return [(e.u, e) for e in graph.edges if dims[e.v] == dims[e.u] + 2]
 
 
+def _check_cover_table(graph):
+    """The cover table of ``graph`` has one row ``(u, edge, k)`` per edge
+    from a vertex up to a cover ``u``, with the reference constant ``k``."""
+    rows = [(vid, u, e, k) for vid in graph.vertex_ids for u, e, k in solver._covers_of(graph, vid)]
+    assert len(rows) == len(_covers(graph))
+    assert {(vid, e) for vid, _, e, _ in rows} == set(_covers(graph))
+    for vid, u, e, k in rows:
+        assert u == e.other(vid)
+        assert k == _three_remainder_constant(graph, vid, e), (vid, e)
+
+
 def test_cover_constant_matches_three_remainders_on_presets():
     for name in sorted(PRESETS):
-        g = build_preset(name)
-        for vid, e in _covers(g):
-            assert solver._cover_constant(g, vid, e) == _three_remainder_constant(g, vid, e), (name, vid, e)
+        _check_cover_table(build_preset(name))
 
 
 @settings(max_examples=40, deadline=None)
@@ -747,8 +756,7 @@ def test_cover_constant_matches_three_remainders_on_rank3_flags(case):
     g = build_flag_graph(gcm, parabolic, degree, mode=mode, embed=False)
     if not validate(g).ok:
         return
-    for vid, e in _covers(g):
-        assert solver._cover_constant(g, vid, e) == _three_remainder_constant(g, vid, e)
+    _check_cover_table(g)
 
 
 def test_cover_constant_refuses_parallel_down_weights():
@@ -766,10 +774,9 @@ def test_cover_constant_refuses_parallel_down_weights():
         ],
     )
     assert not validate(g).ok
-    edge = next(e for e in g.edges_at("a") if e.other("a") == "u")
     for _ in range(2):  # raised again: the graph's table keeps no error
         with pytest.raises(ValueError, match="'u'"):
-            solver._cover_constant(g, "a", edge)
+            solver._covers_of(g, "a")
     assert not g._covers
 
 
@@ -900,6 +907,31 @@ def test_embedded_builds_lift_no_generator(monkeypatch, case):
         other, lifts = _solve_counting_lifts(monkeypatch, h)
         assert lifts == degree1
         assert other.generators == basis.generators
+
+
+@pytest.mark.parametrize("name", ["B2-flag", "A2-flag", "omega-su2"])
+@pytest.mark.parametrize("factors", [(2,), (3,), (2, 3), (3, 2)])
+def test_recursion_with_fractional_chain_constants_matches_lifting(monkeypatch, name, factors):
+    # every label doubled or tripled, in turn along the edge list: the
+    # positions still form a class, and the chain constants t * k become
+    # fractions such as -3/2 and 1/3
+    g = build_preset(name)
+    edges = [
+        Edge(e.u, e.v, Weight(tuple(factors[i % len(factors)] * c for c in e.weight.coeffs)))
+        for i, e in enumerate(g.edges)
+    ]
+    g = GkmGraph(g.rank, "Q", g.vertices, edges)
+    assert validate(g).ok
+    constants = set()
+    for vid, e in _covers(g):
+        u, (j, bj) = e.other(vid), e.weight._plan[:2]
+        t = Fraction(g.vertex(u).position[j] - g.vertex(vid).position[j], bj)
+        constants.add(t * _three_remainder_constant(g, vid, e))
+    assert any(c.denominator != 1 for c in constants)
+    basis, lifts = _solve_counting_lifts(monkeypatch, g)
+    assert lifts == 0
+    top = max(v.cell_dim for v in g.vertices) // 2
+    assert basis.dumps() == _lifted(g, top, "Q").dumps()
 
 
 def test_chevalley_recursion_makes_no_weight(monkeypatch):

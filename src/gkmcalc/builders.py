@@ -130,6 +130,15 @@ class _TorusBasis:
 
 
 def _torus_basis(gcm: GCM, parabolic) -> _TorusBasis:
+    """How root coordinates become edge labels.  An affine matrix carries
+    the delta coordinate at its first node of mark 1 outside the parabolic
+    set, or else at its first node of mark 1.  Such a node always exists:
+    ``classify`` calls a matrix affine only when its kernel is spanned by a
+    strictly positive vector, so it is an indecomposable affine matrix, and
+    every one in Kac's Tables Aff 1-3 (*Infinite-dimensional Lie algebras*,
+    ch. 4) has a mark 1, whichever side's kernel gives the marks: the
+    labels and the dual labels both have ``a_0 = 1``, except that the
+    labels of ``A_{2l}^{(2)}`` have ``a_0 = 2`` and a last label of 1."""
     kind = classify(gcm)
     if kind == "finite":
         return _TorusBasis("finite")
@@ -139,10 +148,6 @@ def _torus_basis(gcm: GCM, parabolic) -> _TorusBasis:
         candidates = [i for i in range(gcm.n) if mk[i] == 1 and i not in J]
         if not candidates:
             candidates = [i for i in range(gcm.n) if mk[i] == 1]
-        if not candidates:
-            raise UnsupportedTypeError(
-                "affine matrix has no node of mark 1 to carry the delta coordinate"
-            )
         return _TorusBasis("affine", z=candidates[0], mark_vec=mk)
     # indefinite: raw root coordinates still give a faithful integral basis
     return _TorusBasis("root")

@@ -2,10 +2,10 @@
 
 Exit codes: 0 success; 1 validation (or membership) failure; 2 unsolvable
 or non-expandable systems; 3 non-integral results in Z-mode; 4 I/O, parse
-or invalid-input errors, command-line usage errors and a graph or basis
-cut below the requested degree included.  A graph
-argument of ``-`` (or omitted where allowed) reads JSON from stdin, so
-subcommands compose in a pipeline::
+or invalid-input errors, command-line usage errors, a graph or basis cut
+below the requested degree and an input too large to hold in memory
+included.  A graph argument of ``-`` (or omitted where allowed) reads JSON
+from stdin, so subcommands compose in a pipeline::
 
     gkm build omega-su2 --degree 4 | gkm poincare
 """
@@ -357,6 +357,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError, PolynomialParseError,
             UnsupportedTypeError, InvalidParabolicError, CutoffTooSmallError) as err:
         print(f"I/O, parse or input error: {err!r}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        print("input error: the input is too large to hold in memory", file=sys.stderr)
         return 4
     except GkmError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -30,15 +30,17 @@ Goldin-Tolman), one exact division per value:
   solved.  Otherwise (no embedding, or positions that are missing or do
   not form a class) the *lifted seed* lifts the degree-1 generators and
   takes ``Phi = sum lambda_i f_i`` over them, ``lambda`` the primes from
-  2 up.
+  2 up.  The seed supplies ``Phi`` alone: the recursion solves every
+  generator, degree 1 included.
 * Generators are solved from the top dimension down.  For ``v`` write
-  ``D(w) = Phi(w) - Phi(v)``.  At a cover ``u`` of ``v`` (``cell_dim(u) =
-  cell_dim(v) + 2``) joined to it by ``beta``, ``f_v(u) = k * f_u(u) /
-  beta`` with ``k = prod alpha / prod alpha'`` on ``beta = 0``: the
+  ``D(w) = Phi(w) - Phi(v)``.  The identity: ``D * f_v = g = sum c(v,u)
+  f_u`` over the covers ``u`` of ``v`` (``cell_dim(u) = cell_dim(v) +
+  2``) joined to it by ``beta``, with ``c(v,u) = t * k`` for ``D(u) = t *
+  beta`` and ``k = prod alpha / prod alpha'`` on ``beta = 0``: the
   ``alpha`` are the down-weights of ``v``, the ``alpha'`` those of ``u``
-  but ``beta``.  A cover not joined to ``v`` has value 0.  The identity:
-  if ``Phi(u) - Phi(v) = t * beta``, ``D * f_v = g = sum c(v,u) f_u`` with
-  ``c(v,u) = t * k``, so above the covers ``f_v(w) = g(w) / D(w)``.
+  but ``beta``.  So every value above ``v`` is ``f_v(w) = g(w) / D(w)``,
+  covers included: at a cover ``u`` only ``u``'s own term survives, which
+  gives ``k * f_u(u) / beta``, and a cover not joined to ``v`` gets 0.
 * The covers of a vertex and their ``k`` depend on the graph alone, so
   they form one cover table on the graph, a row per vertex made on first
   use: the recursion fills it, and the power sums of :mod:`ring_ops` on
@@ -265,14 +267,15 @@ def _lift(graph: GkmGraph, vid: str, mode: str) -> CohClass:
     return CohClass(values, d)
 
 
-def _moment_form(graph: GkmGraph, linear: dict[str, CohClass]) -> dict[str, tuple[int, ...]]:
-    """``Phi = sum lambda_i f_i`` over the degree-1 generators, ``lambda``
-    the primes 2, 3, 5, ... in canonical order, scaled to integers by the
-    lcm of its denominators: per vertex, the coefficient vector of a linear
-    form."""
+def _moment_form(graph: GkmGraph, mode: str) -> dict[str, tuple[int, ...]]:
+    """``Phi = sum lambda_i f_i`` over the lifted degree-1 generators,
+    ``lambda`` the primes 2, 3, 5, ... in canonical order, scaled to
+    integers by the lcm of its denominators: per vertex, the coefficient
+    vector of a linear form."""
     phi = {wid: [0] * graph.rank for wid in graph.vertex_ids}
-    for lam, cls in zip(_primes(), linear.values()):
-        for wid, p in cls.values.items():
+    linear = (v.id for v in graph.vertices if v.cell_dim == 2)
+    for lam, vid in zip(_primes(), linear):
+        for wid, p in _lift(graph, vid, mode).values.items():
             phi[wid] = [a + lam * c for a, c in zip(phi[wid], _linear_coeffs(p.terms, graph.rank))]
     den = lcm(*(c.denominator for row in phi.values() for c in row))
     return {wid: tuple(int(c * den) for c in row) for wid, row in phi.items()}
@@ -295,32 +298,18 @@ def _position_form(graph: GkmGraph) -> dict[str, tuple[int, ...]] | None:
     return phi
 
 
-def _seed(graph: GkmGraph, mode: str) -> tuple[dict[str, tuple[int, ...]], dict[str, dict]]:
-    """``(Phi, values)``: the class that drives the recursion, and the
-    nonzero values, as term dicts, of the generators solved to form it --
-    none from the positions, the degree-1 generators when they are lifted."""
-    phi = _position_form(graph)
-    if phi is not None:
-        return phi, {}
-    linear = {v.id: _lift(graph, v.id, mode) for v in graph.vertices if v.cell_dim == 2}
-    values = {vid: {w: p.terms for w, p in cls.values.items() if p.terms} for vid, cls in linear.items()}
-    return _moment_form(graph, linear), values
-
-
 def _chevalley(graph: GkmGraph, mode: str) -> dict[str, CohClass] | None:
     """Every generator by the Chevalley recursion, or None when a value
     fails its certificate (see the module docstring)."""
     nvars = graph.rank
-    # values[v] holds the nonzero values of f_v as term dicts
-    phi, values = _seed(graph, mode)
+    phi = _position_form(graph) or _moment_form(graph, mode)
+    values: dict[str, dict] = {}  # the nonzero values of each f_v as term dicts
     # down-edges by direction; no two at a vertex are parallel
     down = {v.id: {e.weight._line[1]: e for e in graph.down_edges(v.id)} for v in graph.vertices}
     for v in reversed(graph.vertices):
-        if v.id not in values:
-            fv = _chevalley_generator(graph, mode, v.id, phi, values, down)
-            if fv is None:
-                return None
-            values[v.id] = fv
+        values[v.id] = _chevalley_generator(graph, mode, v.id, phi, values, down)
+        if values[v.id] is None:
+            return None
     zero = Polynomial._make(nvars, {})
     return {
         v.id: CohClass(
@@ -387,9 +376,6 @@ def _chevalley_generator(graph, mode, vid, phi, values, down) -> dict | None:
     fv = {vid: _down_weight_product(graph, vid).terms}
     chev = []  # (f_u, c(v,u)) for the covers u with c(v,u) != 0
     for u, e, k in _covers_of(graph, vid):
-        if k:
-            fv[u] = {}
-            _add_multiple(fv[u], _divmod_weight(values[u][u], e.weight)[0], k)
         c = _slope(phi[u], phi_v, e.weight) * k  # Phi is a class, so t exists
         if c:
             chev.append((values[u], c))
@@ -400,14 +386,13 @@ def _chevalley_generator(graph, mode, vid, phi, values, down) -> dict | None:
         d = tuple(map(sub, phi[wid], phi_v))  # D(w), read as a bare integer form
         if not any(d):
             return None
-        if w.cell_dim > dim + 2:
-            g: dict = {}  # sum c(v,u) f_u(w) = D(w) * f_v(w)
-            for fu, c in chev:
-                _add_multiple(g, fu.get(wid, {}), c)
-            if g:
-                fv[wid], rem = _divmod_plan(g, _plan_of(d))
-                if rem:
-                    return None
+        g: dict = {}  # sum c(v,u) f_u(w) = D(w) * f_v(w)
+        for fu, c in chev:
+            _add_multiple(g, fu.get(wid, {}), c)
+        if g:
+            fv[wid], rem = _divmod_plan(g, _plan_of(d))
+            if rem:
+                return None
         value = fv.get(wid, {})
         if mode == "Z" and any(type(a) is not int for a in value.values()):
             return None

@@ -383,3 +383,14 @@ def test_twisted_gcm_kernel_orientation():
     assert g.rank == 2
     labels = {str(e.weight) for e in g.edges}
     assert "x1" in labels  # the finite simple root alpha_1
+
+
+def test_builder_inputs_are_refused_with_their_messages():
+    refused = [
+        (lambda: type_a(0), ValueError, "type A rank must be >= 1"),
+        (lambda: affine_type_a(0), ValueError, "affine type A rank must be >= 1"),
+        (lambda: build_omega_k("SUx", 2), UnsupportedTypeError, "unsupported compact type 'SUx'"),
+    ]
+    for make, error, message in refused:
+        with pytest.raises(error, match=message):
+            make()

@@ -854,3 +854,60 @@ def test_mutated_files_exit_with_a_code(b2_files, data):
             code = main(argv)
         assert code in range(5), (argv, code, err.getvalue())
         assert len(err.getvalue()) < 20_000, argv
+
+
+@pytest.mark.parametrize("argv", [["generators", "rank.json"], ["power", "rank.json", "--n", "1"]])
+def test_a_rank_too_large_to_hold_exit_code(tmp_path, capsys, monkeypatch, argv):
+    # a rank of 2**62 is below the index bound, and CPython refuses the
+    # moment form's [0] * rank before it allocates anything: a MemoryError
+    # traceback, where one line and exit 4 are wanted
+    monkeypatch.chdir(tmp_path)
+    Path("rank.json").write_text(json.dumps({"rank": 2**62, "vertices": [{"id": "e", "cell_dim": 0}], "edges": []}))
+    code, out, err = run(argv, capsys)
+    assert code == 4
+    assert not out and err == "input error: the input is too large to hold in memory\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["build"], "build: need a preset name, --gcm FILE, or --chain WEIGHTS"),
+        (["build", "--chain", ""], "rank is required for an edgeless chain"),
+        (["build", "--gcm", "square.json"], "Cartan matrix must be square"),
+        (["validate", "missing.json"], "edge (e, x) references a missing vertex"),
+    ],
+    ids=["build-no-source", "build-empty-chain", "build-non-square-gcm", "validate-missing-vertex"],
+)
+def test_input_refusal_exit_code(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    Path("square.json").write_text("[[2, -1], [-1]]")
+    edges = [{"from": "e", "to": "x", "weight": [1]}]
+    Path("missing.json").write_text(json.dumps({"rank": 1, "vertices": [{"id": "e", "cell_dim": 0}], "edges": edges}))
+    code, out, err = run(argv, capsys)
+    assert code == 4
+    assert not out and message in err and "Traceback" not in err
+
+
+def test_s2n_counted_failure_exit_code(capsys, monkeypatch):
+    # an oracle that refuses every image counts one failure per trial
+    monkeypatch.setattr(oracle, "s2n_relative_image", lambda ws, g: False)
+    code, out, err = run(["oracle", "s2n", "--trials", "3"], capsys)
+    assert code == 1
+    assert out == "s2n: 3 trials, 3 failures\n" and not err
+
+
+def test_package_error_fallback_exit_code(tmp_path, capsys, monkeypatch):
+    # a package error that no other branch names exits 1 with its message
+    from gkmcalc import ring_ops
+    from gkmcalc.errors import GkmError
+
+    def refuse(graph, degree):
+        raise GkmError("no series for this graph")
+
+    monkeypatch.setattr(ring_ops, "poincare_series", refuse)
+    path = tmp_path / "sphere.json"
+    vertices = [{"id": "e", "cell_dim": 0}, {"id": "s", "cell_dim": 2}]
+    path.write_text(json.dumps({"rank": 1, "vertices": vertices, "edges": [{"from": "e", "to": "s", "weight": [1]}]}))
+    code, out, err = run(["poincare", str(path)], capsys)
+    assert code == 1
+    assert not out and err == "error: no series for this graph\n"

@@ -452,3 +452,19 @@ def test_value_types_reject_non_integers():
     assert GCM([[2, -1], [-1, 2]]).rows == ((2, -1), (-1, 2))
     assert Root([1, 0]).coords == (1, 0)
     assert CosetRep([0, 1]).word == (0, 1)
+
+
+def test_coxeter_inputs_are_refused_with_their_messages():
+    refused = [
+        (lambda: reflect(A2, 2, (0, 1)), IndexError, "simple index 2 out of range"),
+        (lambda: reflect_dual(A2, -1, (1, 1)), IndexError, "simple index -1 out of range"),
+        (lambda: reflection_word(A2, Root((-1, 0))), ValueError, r"\(-1,0\) is not a positive root"),
+        (lambda: reflection_word(A2, Root((0, 0))), ValueError, r"\(0,0\) is not a positive root"),
+        # delta = alpha_0 + alpha_1 is imaginary: no reflection shortens it
+        (lambda: reflection_word(AFF_A1, Root((1, 1))), ValueError, r"\(1,1\) is not a real root"),
+        (lambda: coset_orbit(A2, (), -1), ValueError, "length cutoff must be non-negative"),
+    ]
+    for make, error, message in refused:
+        with pytest.raises(error, match=message):
+            make()
+    assert real_roots(A2, 0) == []

@@ -726,3 +726,17 @@ def test_cohclass_ring_ops_skip_the_homogeneity_scan(monkeypatch):
     assert not scans
     CohClass(dict(f.values), 1)  # a class a caller makes is still checked
     assert scans
+
+
+def test_record_and_class_refusals_with_their_messages():
+    edge, vertex = Edge("n", "s", Weight((1, 0))), Vertex("n", 0)
+    f = CohClass({"n": X, "s": Y})
+    refused = [
+        (lambda: edge.other("x"), ValueError, "'x' is not an endpoint of this edge"),
+        (lambda: vertex._replace(cell=2), ValueError, r"Got unexpected field names: \['cell'\]"),
+        (lambda: f.value("x"), MissingVertexValueError, "class has no value at vertex 'x'"),
+        (lambda: f + CohClass({"n": X}), ValueError, "classes are defined on different vertex sets"),
+    ]
+    for make, error, message in refused:
+        with pytest.raises(error, match=message):
+            make()

@@ -1001,3 +1001,17 @@ def test_public_inputs_are_refused_with_their_messages():
     for make, error, message in refused:
         with pytest.raises(error, match=message):
             make()
+
+
+def test_polynomial_operands_and_edge_values():
+    z = Polynomial.variable(0, 3)
+    for op in (lambda: X + "x1", lambda: X * "x1", lambda: X + 1.5, lambda: X * 1.5):
+        with pytest.raises(TypeError):
+            op()
+    for op in (lambda: X + z, lambda: X * z):
+        with pytest.raises(ValueError, match="polynomials live in different rings"):
+            op()
+    assert 3 - X == Polynomial(2, {(0, 0): 3, (1, 0): -1})
+    assert hash(X * Y + 1) == hash(Polynomial(2, {(1, 1): 1, (0, 0): 1}))
+    assert Polynomial.zero(2).degree() == -1
+    assert monomials(0, 2) == []

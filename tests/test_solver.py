@@ -838,6 +838,23 @@ def test_failed_certificates_are_reported_as_lifting_reports_them():
             assert (err.value.generator, err.value.vertex) == ("v", vertex)
 
 
+def test_a_cover_value_off_its_congruence_stops_the_recursion_at_once(monkeypatch):
+    # f_w(u) = g(u) / D(u) divides exactly, but differs from f_w(w) by a
+    # non-multiple of the label of (u, w): the certificate refuses it at
+    # w's step, before any lower generator is solved
+    steps, step = [], solver._chevalley_generator
+    monkeypatch.setattr(solver, "_chevalley_generator", lambda *args: steps.append(args[2]) or step(*args))
+    for embed in (False, True):
+        g = _position_graph(
+            {"v": (-1, 2, -2), "w": (0, -2, 1), "u": (1, 1, 1)},
+            {"v": ["e", "a"], "w": ["e", "a"], "u": ["e", "v", "w"]},
+            embed=embed,
+        )
+        steps.clear()
+        assert solver._chevalley(g, g.mode) is None
+        assert steps == ["u", "w"]
+
+
 _point = st.tuples(*[st.integers(-2, 2)] * 3)
 
 
@@ -907,6 +924,21 @@ def test_embedded_builds_lift_no_generator(monkeypatch, case):
         other, lifts = _solve_counting_lifts(monkeypatch, h)
         assert lifts == degree1
         assert other.generators == basis.generators
+
+
+def test_recursion_failing_at_a_degree1_generator_falls_back_to_lifting(monkeypatch):
+    # the lifted seed lifts the degree-1 generators to make Phi only; when
+    # the recursion then fails at one of them, every generator is lifted
+    g = _EMBEDDED["A3-flag"](embed=False)
+    step = solver._chevalley_generator
+
+    def failing(graph, mode, vid, *rest):
+        return None if graph.vertex(vid).cell_dim == 2 else step(graph, mode, vid, *rest)
+
+    monkeypatch.setattr(solver, "_chevalley_generator", failing)
+    basis, lifts = _solve_counting_lifts(monkeypatch, g)
+    assert lifts == sum(v.cell_dim == 2 for v in g.vertices) + len(g.vertices)
+    assert basis.dumps() == _lifted(g, 6, g.mode).dumps()
 
 
 @pytest.mark.parametrize("name", ["B2-flag", "A2-flag", "omega-su2"])

@@ -5,6 +5,14 @@ cell dimension twice the length; an edge joins ``[w]`` and ``[r_beta w]``
 for every positive real root ``beta`` that moves the coset, labeled by
 ``beta`` written in torus coordinates.
 
+Parent step
+    Every vertex ``w = s_i w'`` other than ``e`` is built from its parent
+    ``w'``, the word the orbit walk of :func:`coset_orbit` prepended ``i``
+    to: its id, label, down-edges and position each take one step from
+    the parent's, by index into the orbit.  The walk returns the ``n``
+    reflections of every vector it expanded, so no vertex reflects an
+    orbit vector again.
+
 Torus coordinates
     For a finite Cartan matrix the acting torus is the adjoint torus and
     a root's coordinate vector is just its simple-root coordinates.  For
@@ -35,7 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
 
 from .coxeter import (
     GCM,
@@ -45,7 +52,6 @@ from .coxeter import (
     generic_dominant_vector,
     marks,
     reflect,
-    reflect_dual,
 )
 from .errors import UnsupportedTypeError
 from .graph import Edge, GkmGraph, Vertex
@@ -153,11 +159,39 @@ def _torus_basis(gcm: GCM, parabolic) -> _TorusBasis:
     return _TorusBasis("root")
 
 
-def _positions(gcm: GCM, J: frozenset, tb: _TorusBasis, reps) -> dict[str, tuple[Fraction, ...]]:
-    """Positions of the coset words of ``reps`` (from :func:`coset_orbit`)
-    by vertex id: ``num(w) / (q * det)`` with ``num(w) = b - det * p(w)``,
-    ``b = adj * vec(e)`` (0 in the energy slot), ``p(e) = 0`` and
-    ``p(s_i w') = p(w') - vec(w)_i * T(alpha_i)``."""
+def _orbit(gcm: GCM, J: frozenset, degree: int):
+    """``(reps, parent, up)`` for the coset orbit of :func:`coset_orbit`
+    truncated at ``degree``, by index into ``reps``: ``parent[k]`` is the
+    index of ``w'`` for the word ``w = s_i w'`` of ``reps[k]`` (``None``
+    for ``e``), and ``up[k]``, for each vertex the walk expanded, holds
+    the indices of its ``n`` reflections.  The walk expands every word
+    shorter than the cutoff, a prefix of ``reps``, shell by shell in word
+    order and letter by letter, and names a new coset after the first
+    expansion that reaches it.  A reflection of a coset is one length up,
+    one length down or the coset itself, so ``c`` lies after ``k`` in
+    ``reps`` exactly when it is one length up, and the first such ``k``
+    in ``reps`` order is the parent of ``c``."""
+    reps, _, images = coset_orbit(gcm, J, degree)
+    at = {vec: k for k, (_, vec) in enumerate(reps)}
+    parent = [None] * len(reps)
+    up = []
+    for k, (_, vec) in enumerate(reps):
+        vecs = images.get(vec)
+        if vecs is None:
+            break
+        ups = tuple([at[v] for v in vecs])
+        up.append(ups)
+        for c in ups:
+            if c > k and parent[c] is None:
+                parent[c] = k
+    return reps, parent, up
+
+
+def _positions(gcm: GCM, J: frozenset, tb: _TorusBasis, reps, parent) -> list[tuple[Fraction, ...]]:
+    """Positions of the coset words of ``reps``, in order, from the
+    ``parent`` indices of :func:`_orbit`: ``num(w) / (q * det)`` with
+    ``num(w) = b - det * p(w)``, ``b = adj * vec(e)`` (0 in the energy
+    slot), ``p(e) = 0`` and ``p(s_i w') = p(w') - vec(w)_i * T(alpha_i)``."""
     others = [i for i in range(gcm.n) if i != tb.z]
     det, adj = _adjugate([[gcm.a(i, j) for j in others] for i in others])
     start, q = generic_dominant_vector(gcm, J)
@@ -166,14 +200,13 @@ def _positions(gcm: GCM, J: frozenset, tb: _TorusBasis, reps) -> dict[str, tuple
     units = [tuple(int(i == j) for j in range(gcm.n)) for i in range(gcm.n)]
     steps = [[det * t for t in tb.weight(u).coeffs] for u in units]  # det * T(alpha_i)
     b = [sum(a * start[j] for a, j in zip(row, others)) for row in adj]
-    num = {(): b + [0] * (tb.kind == "affine")}
-    out = {}
-    for rep, vec in reps:
-        w = rep.word
-        if w:
-            num[w] = [x + vec[w[0]] * t for x, t in zip(num[w[1:]], steps[w[0]])]
-        out[coset_id(w)] = tuple([Fraction(x, q * det) for x in num[w]])
-    return out
+    num = [b + [0] * (tb.kind == "affine")]
+    for k in range(1, len(reps)):
+        rep, vec = reps[k]
+        i = rep.word[0]
+        num.append([x + vec[i] * t for x, t in zip(num[parent[k]], steps[i])])
+    d = q * det
+    return [tuple([Fraction(x, d) for x in nk]) for nk in num]
 
 
 def build_flag_graph(
@@ -188,14 +221,18 @@ def build_flag_graph(
     (subword property).  Each retained vertex thus carries all of its
     down-edges, so truncations are induced subgraphs of the full graph.
 
-    Every word is ``w = s_i w'`` with its parent ``w'`` built first, so the
-    down-edges of ``w`` are the edge to ``w'`` labeled ``alpha_i`` followed
+    Every vertex ``w = s_i w'`` is built from its parent ``w'``, built
+    first: its id and label put the letter ``i`` in front of the parent's,
+    and its down-edges are the edge to ``w'`` labeled ``alpha_i`` followed
     by ``s_i`` applied to each down-edge of ``w'``: the edge from ``w'`` to
     ``u`` labeled ``beta`` gives the edge from ``w`` to ``s_i u`` labeled
-    ``s_i(beta)``.
+    ``s_i(beta)``.  The orbit walk already reflected ``u`` by ``s_i``, so
+    ``s_i u`` is read from its image table; roots are numbered as they
+    appear, and each distinct root is reflected once per letter and
+    labeled once.
 
     With ``embed``, vertices of a finite or affine matrix get their
-    positions from the same orbit (see the module docstring).
+    positions from the same parents (see the module docstring).
 
     >>> g = build_flag_graph(GCM(((2, -1), (-1, 2))), (), 3)
     >>> len(g.vertices), len(g.edges)
@@ -206,38 +243,53 @@ def build_flag_graph(
     if degree < 0:
         raise ValueError("degree cutoff must be non-negative")
     J = frozenset(parabolic)
-    reps, _ = coset_orbit(gcm, J, degree)
+    reps, parent, up = _orbit(gcm, J, degree)
     tb = _torus_basis(gcm, J)
-    positions = {}
     if embed and tb.kind in ("finite", "affine"):
-        positions = _positions(gcm, J, tb, reps)
-
-    ids = {vec: coset_id(rep.word) for rep, vec in reps}
-    down = {(): ()}  # word -> its down-edges as (lower orbit vector, label root)
-    # memoised for this build: affine labels repeat heavily, and sibling
-    # and parent-to-child down-edge sets reflect the same vectors and roots
-    weight = cache(partial(_label, tb))
-    s_dual = [cache(partial(reflect_dual, gcm, i)) for i in range(gcm.n)]
-    s_root = [cache(partial(reflect, gcm, i)) for i in range(gcm.n)]
+        positions = _positions(gcm, J, tb, reps, parent)
+    else:
+        positions = [None] * len(reps)
+    n = gcm.n
+    # label roots by index, the simple roots first; moved[i] maps a root's
+    # index to the index of its reflection by s_i
+    roots = [tuple(int(t == i) for t in range(n)) for i in range(n)]
+    root_at = {beta: r for r, beta in enumerate(roots)}
+    labels = [_label(tb, beta) for beta in roots]
+    moved = [{} for _ in range(n)]
     # unchecked records: positions are Fractions made from integers, every
     # lower endpoint is a shorter word than its upper one, and ``_label``
     # refuses a zero label once per distinct root
     make_vertex, make_edge = Vertex._make, Edge._make
-    vertices = []
+    ids, names = ["e"], ["e"]
+    down = [()]  # per vertex, its down-edges as (lower vertex index, root index)
+    vertices = [make_vertex(("e", 0, positions[0], "e"))]
     edges = []
-    for rep, vec in reps:
-        w = rep.word
-        uid = ids[vec]
-        vertices.append(make_vertex((uid, 2 * rep.length, positions.get(uid), rep.label())))
-        if not w:
-            continue
+    for k in range(1, len(reps)):
+        p, w = parent[k], reps[k][0].word
         i = w[0]
-        simple = tuple(1 if t == i else 0 for t in range(gcm.n))
-        down[w] = ((s_dual[i](vec), simple),) + tuple(
-            (s_dual[i](low), s_root[i](beta)) for low, beta in down[w[1:]]
-        )
-        edges += [make_edge((ids[low], uid, weight(beta))) for low, beta in down[w]]  # lower endpoint first
-    return GkmGraph(gcm.n, mode, vertices, edges)
+        if p:
+            uid, name = f"{i}-{ids[p]}", f"s{i} {names[p]}"
+        else:
+            uid, name = str(i), f"s{i}"
+        ids.append(uid)
+        names.append(name)
+        vertices.append(make_vertex((uid, 2 * len(w), positions[k], name)))
+        mi = moved[i]
+        dk = [(p, i)]
+        for u, r in down[p]:
+            s = mi.get(r)
+            if s is None:
+                beta = reflect(gcm, i, roots[r])
+                s = root_at.get(beta)
+                if s is None:
+                    s = root_at[beta] = len(roots)
+                    roots.append(beta)
+                    labels.append(_label(tb, beta))
+                mi[r] = s
+            dk.append((up[u][i], s))
+        down.append(dk)
+        edges += [make_edge((ids[low], uid, labels[r])) for low, r in dk]  # lower endpoint first
+    return GkmGraph(n, mode, vertices, edges)
 
 
 def _label(tb: _TorusBasis, beta: tuple[int, ...]) -> Weight:
@@ -261,8 +313,8 @@ def moment_embedding(graph: GkmGraph, gcm: GCM, parabolic) -> GkmGraph:
     if tb.kind not in ("finite", "affine"):
         raise UnsupportedTypeError("moment embedding needs a finite or affine Cartan matrix")
     top = max((v.cell_dim for v in graph.vertices), default=0) // 2
-    reps, _ = coset_orbit(gcm, J, top)
-    positions = _positions(gcm, J, tb, reps)
+    reps, parent, _ = _orbit(gcm, J, top)
+    positions = dict(zip([coset_id(rep.word) for rep, _ in reps], _positions(gcm, J, tb, reps, parent)))
     for v in graph.vertices:
         if v.id not in positions:
             raise ValueError(f"vertex {v.id!r} is not a coset word of the orbit")

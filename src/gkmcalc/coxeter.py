@@ -324,24 +324,27 @@ def coset_orbit(gcm: GCM, parabolic, length_cutoff: int):
     The orbit starts from the integer generic vector ``ints`` of
     :func:`generic_dominant_vector`, a positive multiple of the rational
     one, which has the same stabilizer and so the same cosets.  Returns
-    ``(reps, table)`` where ``reps`` is the list of ``(CosetRep, vector)``
-    pairs sorted by (length, word) and ``table``
-    maps each orbit vector back to its representative.  Words are built by
-    prepending the discovering generator, so each is a shortest path in
-    the orbit graph and hence a reduced word for a minimal-length coset
-    representative.
+    ``(reps, table, images)``: ``reps`` is the list of ``(CosetRep, vector)``
+    pairs sorted by (length, word), ``table`` maps each orbit vector back
+    to its representative, and ``images`` maps each vector the walk
+    expanded (every one of length below the cutoff) to the tuple of its
+    ``n`` simple reflections ``reflect_dual(gcm, i, vector)``.  Words are
+    built by prepending the discovering generator, so each is a shortest
+    path in the orbit graph and hence a reduced word for a minimal-length
+    coset representative.
     """
     if length_cutoff < 0:
         raise ValueError("length cutoff must be non-negative")
     mu, _ = generic_dominant_vector(gcm, parabolic)
     table: dict[tuple[int, ...], CosetRep] = {mu: CosetRep(())}
     reps: list[tuple[CosetRep, tuple[int, ...]]] = [(CosetRep(()), mu)]
+    images: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
     shell: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), mu)]
     for _ in range(length_cutoff):
         nxt: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         for word, vec in sorted(shell):
-            for i in range(gcm.n):
-                v2 = reflect_dual(gcm, i, vec)
+            images[vec] = ups = tuple([reflect_dual(gcm, i, vec) for i in range(gcm.n)])
+            for i, v2 in enumerate(ups):
                 if v2 in table:
                     continue
                 rep = CosetRep((i,) + word)
@@ -352,4 +355,4 @@ def coset_orbit(gcm: GCM, parabolic, length_cutoff: int):
             break
         shell = nxt
     reps.sort(key=lambda rv: (rv[0].length, rv[0].word))
-    return reps, table
+    return reps, table, images

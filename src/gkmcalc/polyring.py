@@ -579,9 +579,23 @@ def _divmod_plan(terms, plan: tuple):
     remainder, free of ``x_j``: the restriction to the hyperplane ``w = 0``.
     Both are in coefficient normal form when ``terms`` is; ``terms`` is kept.
     The vectors ``e-e_j`` and ``e-e_j+e_i`` are read from the shift rows of
-    ``-e_j`` and ``+e_i``, which the plan holds.
+    ``-e_j`` and ``+e_i``, which the plan holds.  A form with no other
+    nonzero coefficient pushes nothing down, so its division is a shift:
+    each term holding ``x_j`` loses one power of it, and the rest is the
+    remainder, with no walk over the powers between.
     """
     j, cj, down, drow, others = plan
+    if not others:
+        quot, rem = {}, {}
+        for e, c in terms.items():
+            if not e[j]:
+                rem[e] = c
+                continue
+            qe = drow.get(e)
+            if qe is None:
+                qe = _shift_miss(drow, e, down)
+            quot[qe] = c // cj if type(c) is int and c % cj == 0 else Fraction(c, cj)
+        return quot, rem
     levels: dict[int, dict] = {}  # power of x_j -> terms
     for e, c in terms.items():
         levels.setdefault(e[j], {})[e] = c

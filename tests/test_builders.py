@@ -4,8 +4,10 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gkmcalc import oracle
+from gkmcalc import builders, coxeter, oracle
 from gkmcalc.builders import (
     TWISTED_A1_4,
     PRESETS,
@@ -29,11 +31,12 @@ from gkmcalc.coxeter import (
     generic_dominant_vector,
     marks,
     reflect,
+    reflect_dual,
 )
 from gkmcalc.errors import UnsupportedTypeError
 from gkmcalc.graph import GkmGraph, Vertex, validate
 from gkmcalc.polyring import Weight
-from test_coxeter import word_matrix
+from test_coxeter import _gcm_and_parabolic, word_matrix
 from test_graph import skeleton
 
 PRESET_NAMES = ("A1-flag", "A2-flag", "B2-flag", "omega-su2", "omega-su3", "A1-4-twisted")
@@ -149,7 +152,7 @@ def _direct_down_edges(gcm, parabolic, degree):
     """Per vertex, the sorted (lower id, label) pairs of its letter deletions:
     deleting letter j of w = s_{a1}...s_{al} gives the coset of the deleted
     word, labeled s_{a1}...s_{a(j-1)}(alpha_{aj})."""
-    reps, table = coset_orbit(gcm, parabolic, degree)
+    reps, table, _ = coset_orbit(gcm, parabolic, degree)
     tb = _torus_basis(gcm, frozenset(parabolic))
     mu = reps[0][1]
     down = {}
@@ -361,6 +364,67 @@ def test_building_uses_no_matrix_elimination(monkeypatch):
         assert moment_embedding(bare, gcm, parabolic) == g
         if classify(gcm) == "affine":
             assert all(m > 0 for m in marks(gcm))
+
+
+def test_build_and_embedding_walk_the_orbit_once(monkeypatch):
+    # the traced ``coxeter.coset_orbit`` span wraps this name, so a build
+    # that reached the orbit another way would time nothing there
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return coxeter.coset_orbit(*args)
+
+    monkeypatch.setattr(builders, "coset_orbit", counting)
+    g = build_flag_graph(affine_type_a(2), (), 4, embed=False)
+    assert len(calls) == 1
+    moment_embedding(g, affine_type_a(2), ())
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "gcm, parabolic, degree, want",
+    [
+        (affine_type_a(1), (1,), 30, 60),
+        (affine_type_a(2), (), 6, 138),
+        (type_a(3), (), 6, 69),
+    ],
+    ids=["omega-su2-30", "affine-A2-flag-6", "A3-flag-6"],
+)
+def test_no_down_edge_reflects_an_orbit_vector_again(monkeypatch, gcm, parabolic, degree, want):
+    # the walk reflects each vector shorter than the cutoff by each of the
+    # n letters; the down-edges read those images instead of reflecting
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return reflect_dual(*args)
+
+    reps = coset_orbit(gcm, parabolic, degree)[0]
+    for module in (coxeter, builders):
+        if hasattr(module, "reflect_dual"):
+            monkeypatch.setattr(module, "reflect_dual", counting)
+    build_flag_graph(gcm, parabolic, degree)
+    assert len(calls) == want == gcm.n * sum(rep.length < degree for rep, _ in reps)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_gcm_and_parabolic(), st.integers(0, 3))
+def test_parent_step_matches_the_full_words(case, degree):
+    gcm, parabolic = case
+    reps, _, images = coset_orbit(gcm, parabolic, degree)
+    assert set(images) == {vec for rep, vec in reps if rep.length < degree}
+    for vec, ups in images.items():
+        assert ups == tuple(reflect_dual(gcm, i, vec) for i in range(gcm.n))
+    g = build_flag_graph(gcm, parabolic, degree, embed=False)
+    built = {
+        vid: sorted((e.other(vid), e.weight.coeffs) for e in g.down_edges(vid))
+        for vid in g.vertex_ids
+    }
+    assert built == _direct_down_edges(gcm, parabolic, degree)
+    assert {v.id: v.label for v in g.vertices} == {coset_id(rep.word): rep.label() for rep, _ in reps}
+    if classify(gcm) != "indefinite":
+        _check_positions(gcm, parabolic, degree)
 
 
 def test_chain_graph_shape():

@@ -3,6 +3,9 @@
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -153,6 +156,25 @@ def test_check_class(tmp_path, capsys):
     bad.write_text(json.dumps({"values": {"n": "0", "s": "x2"}}))
     assert run(["check", str(gpath), str(good)], capsys)[0] == 0
     assert run(["check", str(gpath), str(bad)], capsys)[0] == 1
+
+
+def test_check_class_with_a_huge_power(tmp_path, capsys):
+    # x1^(10**11) on the A1 flag: each edge divides by a one-coefficient
+    # weight, a shift that walks no power; run with a timeout so a walk fails
+    gpath = tmp_path / "a1.json"
+    assert run(["build", "A1-flag", "-o", str(gpath)], capsys)[0] == 0
+    cpath = tmp_path / "class.json"
+    cpath.write_text(json.dumps({"values": {"e": "x1^100000000000", "0": "0"}}))
+    src = str(Path(solver.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "gkmcalc.cli", "check", str(gpath), str(cpath)],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("class: ok")
 
 
 @pytest.mark.parametrize("edit", ["extra", "missing"])

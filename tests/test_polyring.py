@@ -1,9 +1,13 @@
 """Ring arithmetic, division by linear forms, and congruence solving."""
 
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -195,6 +199,39 @@ def test_divide_not_divisible():
 def test_divide_zero_weight_rejected():
     with pytest.raises(ZeroWeightError):
         divide_by_weight(X, Weight((0, 0)))
+
+
+def _run_bounded(code: str) -> str:
+    """Run ``code`` in a fresh interpreter, killed after 20 s, and return
+    its standard output: a division that walked every power of a huge
+    exponent would not end."""
+    src = str(Path(polyring.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=20, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_divide_by_one_coefficient_weight_is_a_shift():
+    # x1^(10**30) / x1 in a peak of a few kilobytes, not a walk over 10**30 powers
+    out = _run_bounded(
+        "import tracemalloc\n"
+        "from gkmcalc.polyring import Polynomial, Weight, divide_by_weight\n"
+        "p = Polynomial(1, {(10**30,): 3})\n"
+        "tracemalloc.start()\n"
+        "q = divide_by_weight(p, Weight((1,)))\n"
+        "peak = tracemalloc.get_traced_memory()[1]\n"
+        "assert q == Polynomial(1, {(10**30 - 1,): 3}), q\n"
+        "print(peak)\n"
+    )
+    assert int(out) < 64 * 1024
+    x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    p = x * x * y + x * 3 - y * y
+    quot, rem = _divmod_plan(p.terms, Weight((0, 2))._plan)
+    assert Polynomial(2, quot) == x * x * Fraction(1, 2) - y * Fraction(1, 2)
+    assert Polynomial(2, rem) == x * 3
 
 
 def test_divide_round_trip_random():

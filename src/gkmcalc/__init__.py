@@ -13,7 +13,6 @@ from .coxeter import GCM, CosetRep, Root, reflect
 from .builders import (
     build_chain_graph,
     build_flag_graph,
-    build_omega_k,
     build_preset,
     moment_embedding,
 )

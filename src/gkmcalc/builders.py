@@ -7,11 +7,11 @@ for every positive real root ``beta`` that moves the coset, labeled by
 
 Parent step
     Every vertex ``w = s_i w'`` other than ``e`` is built from its parent
-    ``w'``, the word the orbit walk of :func:`coset_orbit` prepended ``i``
-    to: its id, label, down-edges and position each take one step from
-    the parent's, by index into the orbit.  The walk returns the ``n``
-    reflections of every vector it expanded, so no vertex reflects an
-    orbit vector again.
+    ``w'``, the coset whose expansion named ``w`` in the orbit walk of
+    :func:`coset_orbit`: its id, label, down-edges and position each take
+    one step from the parent's.  The walk returns each parent, and the
+    ``n`` reflections of every coset it expanded, by index into the orbit,
+    so no vertex reflects an orbit vector again or looks one up.
 
 Torus coordinates
     For a finite Cartan matrix the acting torus is the adjoint torus and
@@ -63,7 +63,6 @@ __all__ = [
     "affine_type_a",
     "TWISTED_A1_4",
     "build_flag_graph",
-    "build_omega_k",
     "build_chain_graph",
     "moment_embedding",
     "build_preset",
@@ -126,7 +125,10 @@ class _TorusBasis:
     mark_vec: tuple[int, ...] | None = None
 
     def weight(self, c: tuple[int, ...]) -> Weight:
-        """The label of the root with simple-root coordinates ``c``."""
+        """The label of the root with simple-root coordinates ``c``.  It is
+        never zero for a real root: a real root is a Weyl image of a simple
+        root, so ``c`` is nonzero, and this map is the identity or the
+        unimodular change of basis of the module docstring."""
         if self.kind == "affine":
             m = c[self.z]
             coords = [c[i] - m * self.mark_vec[i] for i in range(len(c)) if i != self.z]
@@ -159,37 +161,9 @@ def _torus_basis(gcm: GCM, parabolic) -> _TorusBasis:
     return _TorusBasis("root")
 
 
-def _orbit(gcm: GCM, J: frozenset, degree: int):
-    """``(reps, parent, up)`` for the coset orbit of :func:`coset_orbit`
-    truncated at ``degree``, by index into ``reps``: ``parent[k]`` is the
-    index of ``w'`` for the word ``w = s_i w'`` of ``reps[k]`` (``None``
-    for ``e``), and ``up[k]``, for each vertex the walk expanded, holds
-    the indices of its ``n`` reflections.  The walk expands every word
-    shorter than the cutoff, a prefix of ``reps``, shell by shell in word
-    order and letter by letter, and names a new coset after the first
-    expansion that reaches it.  A reflection of a coset is one length up,
-    one length down or the coset itself, so ``c`` lies after ``k`` in
-    ``reps`` exactly when it is one length up, and the first such ``k``
-    in ``reps`` order is the parent of ``c``."""
-    reps, _, images = coset_orbit(gcm, J, degree)
-    at = {vec: k for k, (_, vec) in enumerate(reps)}
-    parent = [None] * len(reps)
-    up = []
-    for k, (_, vec) in enumerate(reps):
-        vecs = images.get(vec)
-        if vecs is None:
-            break
-        ups = tuple([at[v] for v in vecs])
-        up.append(ups)
-        for c in ups:
-            if c > k and parent[c] is None:
-                parent[c] = k
-    return reps, parent, up
-
-
 def _positions(gcm: GCM, J: frozenset, tb: _TorusBasis, reps, parent) -> list[tuple[Fraction, ...]]:
     """Positions of the coset words of ``reps``, in order, from the
-    ``parent`` indices of :func:`_orbit`: ``num(w) / (q * det)`` with
+    ``parent`` indices of :func:`coset_orbit`: ``num(w) / (q * det)`` with
     ``num(w) = b - det * p(w)``, ``b = adj * vec(e)`` (0 in the energy
     slot), ``p(e) = 0`` and ``p(s_i w') = p(w') - vec(w)_i * T(alpha_i)``."""
     others = [i for i in range(gcm.n) if i != tb.z]
@@ -227,7 +201,7 @@ def build_flag_graph(
     by ``s_i`` applied to each down-edge of ``w'``: the edge from ``w'`` to
     ``u`` labeled ``beta`` gives the edge from ``w`` to ``s_i u`` labeled
     ``s_i(beta)``.  The orbit walk already reflected ``u`` by ``s_i``, so
-    ``s_i u`` is read from its image table; roots are numbered as they
+    ``s_i u`` is read from its ``up`` indices; roots are numbered as they
     appear, and each distinct root is reflected once per letter and
     labeled once.
 
@@ -243,7 +217,7 @@ def build_flag_graph(
     if degree < 0:
         raise ValueError("degree cutoff must be non-negative")
     J = frozenset(parabolic)
-    reps, parent, up = _orbit(gcm, J, degree)
+    reps, _, parent, up = coset_orbit(gcm, J, degree)
     tb = _torus_basis(gcm, J)
     if embed and tb.kind in ("finite", "affine"):
         positions = _positions(gcm, J, tb, reps, parent)
@@ -254,11 +228,11 @@ def build_flag_graph(
     # index to the index of its reflection by s_i
     roots = [tuple(int(t == i) for t in range(n)) for i in range(n)]
     root_at = {beta: r for r, beta in enumerate(roots)}
-    labels = [_label(tb, beta) for beta in roots]
+    labels = [tb.weight(beta) for beta in roots]
     moved = [{} for _ in range(n)]
     # unchecked records: positions are Fractions made from integers, every
-    # lower endpoint is a shorter word than its upper one, and ``_label``
-    # refuses a zero label once per distinct root
+    # lower endpoint is a shorter word than its upper one, and no label is
+    # zero (see ``_TorusBasis.weight``)
     make_vertex, make_edge = Vertex._make, Edge._make
     ids, names = ["e"], ["e"]
     down = [()]  # per vertex, its down-edges as (lower vertex index, root index)
@@ -284,21 +258,12 @@ def build_flag_graph(
                 if s is None:
                     s = root_at[beta] = len(roots)
                     roots.append(beta)
-                    labels.append(_label(tb, beta))
+                    labels.append(tb.weight(beta))
                 mi[r] = s
             dk.append((up[u][i], s))
         down.append(dk)
         edges += [make_edge((ids[low], uid, labels[r])) for low, r in dk]  # lower endpoint first
     return GkmGraph(n, mode, vertices, edges)
-
-
-def _label(tb: _TorusBasis, beta: tuple[int, ...]) -> Weight:
-    """The edge label of the root ``beta``, refused if zero as ``Edge``
-    refuses it (no real root has the zero label)."""
-    w = tb.weight(beta)
-    if w.is_zero():
-        raise ValueError(f"root {beta} has the zero label")
-    return w
 
 
 def moment_embedding(graph: GkmGraph, gcm: GCM, parabolic) -> GkmGraph:
@@ -313,7 +278,7 @@ def moment_embedding(graph: GkmGraph, gcm: GCM, parabolic) -> GkmGraph:
     if tb.kind not in ("finite", "affine"):
         raise UnsupportedTypeError("moment embedding needs a finite or affine Cartan matrix")
     top = max((v.cell_dim for v in graph.vertices), default=0) // 2
-    reps, parent, _ = _orbit(gcm, J, top)
+    reps, _, parent, _ = coset_orbit(gcm, J, top)
     positions = dict(zip([coset_id(rep.word) for rep, _ in reps], _positions(gcm, J, tb, reps, parent)))
     for v in graph.vertices:
         if v.id not in positions:
@@ -321,44 +286,22 @@ def moment_embedding(graph: GkmGraph, gcm: GCM, parabolic) -> GkmGraph:
     return graph.with_positions(positions)
 
 
-def build_omega_k(type_name: str, degree: int, mode: str = "Z") -> GkmGraph:
-    """The based-loop-space graph for a compact type, as the flag graph of
-    the untwisted affine matrix with the finite nodes as parabolic.
-
-    Supported names: ``SU(n)`` for n >= 2 (also accepted as ``su2``,
-    ``SU3``, ...).
-    """
-    name = type_name.strip().upper().replace("(", "").replace(")", "")
-    if not name.startswith("SU"):
-        raise UnsupportedTypeError(f"unsupported compact type {type_name!r}")
-    try:
-        n = int(name[2:])
-    except ValueError:
-        raise UnsupportedTypeError(f"unsupported compact type {type_name!r}") from None
-    if n < 2:
-        raise UnsupportedTypeError("SU(n) needs n >= 2")
-    gcm = affine_type_a(n - 1)
-    J = frozenset(range(1, n))
-    return build_flag_graph(gcm, J, degree, mode=mode)
-
-
-def build_chain_graph(weights, mode: str = "Q", rank: int | None = None) -> GkmGraph:
+def build_chain_graph(weights, mode: str = "Q") -> GkmGraph:
     """A chain of cells with user-supplied edge labels.
 
     Vertex ``c<i>`` has cell dimension ``2i`` and one edge to its
     predecessor labeled ``weights[i-1]``.  No claim is made about which
     labels make this the graph of an actual torus action; beyond the
     first cell the validator rejects it (a 2i-cell needs i down-edges),
-    so it is a fixture for membership testing, not for the solver.
+    so it is a fixture for membership testing, not for the solver.  The
+    torus rank is the first weight's; an empty chain is refused.
     """
     ws = [w if isinstance(w, Weight) else Weight(tuple(w)) for w in weights]
-    if rank is None:
-        if not ws:
-            raise ValueError("rank is required for an edgeless chain")
-        rank = ws[0].rank
+    if not ws:
+        raise ValueError("a chain needs at least one weight")
     vertices = [Vertex(f"c{i}", 2 * i) for i in range(len(ws) + 1)]
     edges = [Edge(f"c{i}", f"c{i + 1}", ws[i]) for i in range(len(ws))]
-    return GkmGraph(rank, mode, vertices, edges)
+    return GkmGraph(ws[0].rank, mode, vertices, edges)
 
 
 # name -> (Cartan matrix, parabolic, default degree)

@@ -301,12 +301,17 @@ def generic_dominant_vector(gcm: GCM, parabolic) -> tuple[tuple[int, ...], int]:
     ``k``-th prime, and ``J`` gets 0.  That is the rational vector of
     strictly decreasing prime reciprocals, times ``S``.  Dominance makes
     the stabilizer the parabolic generated by the simple reflections that
-    fix it, which is exactly ``W_J``.
+    fix it, which is exactly ``W_J``.  Raises
+    :class:`InvalidParabolicError` for a node that is not an ``int`` of
+    ``0..n-1``.
 
     >>> generic_dominant_vector(GCM(((2, -1), (-1, 2))), ())
     ((3, 2), 6)
     """
     J = frozenset(parabolic)
+    for j in J:
+        if type(j) is not int:
+            raise InvalidParabolicError(f"parabolic node {j!r} is not an int")
     if not J <= set(range(gcm.n)):
         raise InvalidParabolicError(f"parabolic {sorted(J)} not a subset of 0..{gcm.n - 1}")
     free = [i for i in range(gcm.n) if i not in J]
@@ -324,35 +329,45 @@ def coset_orbit(gcm: GCM, parabolic, length_cutoff: int):
     The orbit starts from the integer generic vector ``ints`` of
     :func:`generic_dominant_vector`, a positive multiple of the rational
     one, which has the same stabilizer and so the same cosets.  Returns
-    ``(reps, table, images)``: ``reps`` is the list of ``(CosetRep, vector)``
-    pairs sorted by (length, word), ``table`` maps each orbit vector back
-    to its representative, and ``images`` maps each vector the walk
-    expanded (every one of length below the cutoff) to the tuple of its
-    ``n`` simple reflections ``reflect_dual(gcm, i, vector)``.  Words are
-    built by prepending the discovering generator, so each is a shortest
-    path in the orbit graph and hence a reduced word for a minimal-length
-    coset representative.
+    ``(reps, table, parent, up)``: ``reps`` is the list of
+    ``(CosetRep, vector)`` pairs sorted by (length, word), and ``table``
+    maps each orbit vector back to its representative.  The other two
+    index into ``reps``: ``parent[k]`` is the coset whose expansion named
+    ``reps[k]`` (``None`` for ``e``), and ``up[k]``, for each coset
+    shorter than the cutoff (a prefix of ``reps``), holds the cosets of
+    its ``n`` simple reflections ``reflect_dual(gcm, i, vector)``.
+
+    The walk expands one length at a time, in word order and letter by
+    letter, and names a new coset ``(i,) + word`` after the first
+    expansion that reaches it.  So each word is a shortest path in the
+    orbit graph, hence a reduced word for a minimal-length coset
+    representative, and its parent's word is the word without its first
+    letter.  Raises ``ValueError`` for a cutoff that is not a
+    non-negative ``int``.
     """
+    if type(length_cutoff) is not int:
+        raise ValueError(f"length cutoff must be an int, not {length_cutoff!r}")
     if length_cutoff < 0:
         raise ValueError("length cutoff must be non-negative")
     mu, _ = generic_dominant_vector(gcm, parabolic)
-    table: dict[tuple[int, ...], CosetRep] = {mu: CosetRep(())}
     reps: list[tuple[CosetRep, tuple[int, ...]]] = [(CosetRep(()), mu)]
-    images: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-    shell: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), mu)]
-    for _ in range(length_cutoff):
-        nxt: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        for word, vec in sorted(shell):
-            images[vec] = ups = tuple([reflect_dual(gcm, i, vec) for i in range(gcm.n)])
-            for i, v2 in enumerate(ups):
-                if v2 in table:
-                    continue
-                rep = CosetRep((i,) + word)
-                table[v2] = rep
-                reps.append((rep, v2))
-                nxt.append((rep.word, v2))
-        if not nxt:
-            break
-        shell = nxt
-    reps.sort(key=lambda rv: (rv[0].length, rv[0].word))
-    return reps, table, images
+    at = {mu: 0}
+    parent: list[int | None] = [None]
+    images = []
+    shell = range(1)  # the indices of one length's cosets
+    while shell and reps[shell[0]][0].length < length_cutoff:
+        found = {}  # each coset one length up -> (its word, its parent)
+        for k in shell:
+            rep, vec = reps[k]
+            images.append([reflect_dual(gcm, i, vec) for i in range(gcm.n)])
+            for i, v2 in enumerate(images[-1]):
+                if v2 not in at and v2 not in found:
+                    found[v2] = ((i,) + rep.word, k)
+        shell = range(len(reps), len(reps) + len(found))
+        for v2, (word, k) in sorted(found.items(), key=lambda item: item[1]):
+            at[v2] = len(reps)
+            reps.append((CosetRep(word), v2))
+            parent.append(k)
+    table = {vec: rep for rep, vec in reps}
+    up = [tuple([at[v] for v in row]) for row in images]
+    return reps, table, parent, up

@@ -204,7 +204,7 @@ def schubert_restrictions(gcm: GCM, parabolic, degree: int) -> dict[str, CohClas
     roots come from :func:`reflect`, not the builder's edge rule.
     """
     J = frozenset(parabolic)
-    reps, _, _ = coset_orbit(gcm, J, degree)
+    reps, *_ = coset_orbit(gcm, J, degree)
     tb = _torus_basis(gcm, J)
     n = gcm.n
     mu, _ = generic_dominant_vector(gcm, ())
@@ -238,7 +238,7 @@ def _full_flag(gcm: GCM):
     """The coset orbit of a finite ``gcm``'s full flag variety, as
     ``(reps, table)``, and every Schubert class on it, by coset id."""
     # a finite orbit ends at its first empty shell, below any cutoff
-    reps, table, _ = coset_orbit(gcm, (), sys.maxsize)
+    reps, table, *_ = coset_orbit(gcm, (), sys.maxsize)
     return reps, table, schubert_restrictions(gcm, (), reps[-1][0].length)
 
 
@@ -266,7 +266,7 @@ def reflection_edges(gcm: GCM, parabolic, degree: int, height: int) -> list[Edge
     Independent of the builder's inversion-root rule.
     """
     J = frozenset(parabolic)
-    reps, table, _ = coset_orbit(gcm, J, degree)
+    reps, table, *_ = coset_orbit(gcm, J, degree)
     tb = _torus_basis(gcm, J)
     words = {root: reflection_word(gcm, root) for root in real_roots(gcm, height)}
     found: dict[tuple[str, str, tuple[int, ...]], Edge] = {}

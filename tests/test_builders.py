@@ -15,7 +15,6 @@ from gkmcalc.builders import (
     affine_type_a,
     build_chain_graph,
     build_flag_graph,
-    build_omega_k,
     build_preset,
     coset_id,
     moment_embedding,
@@ -33,9 +32,11 @@ from gkmcalc.coxeter import (
     reflect,
     reflect_dual,
 )
-from gkmcalc.errors import UnsupportedTypeError
+from gkmcalc.errors import InvalidParabolicError, UnsupportedTypeError
 from gkmcalc.graph import GkmGraph, Vertex, validate
 from gkmcalc.polyring import Weight
+from gkmcalc.ring_ops import poincare_series
+from gkmcalc.solver import canonical_generators
 from test_coxeter import _gcm_and_parabolic, word_matrix
 from test_graph import skeleton
 
@@ -63,13 +64,13 @@ def test_omega_su2_structure():
 
 
 def test_omega_su2_degree_one():
-    g = build_omega_k("SU(2)", 1)
+    g = build_preset("omega-su2", 1)
     assert len(g.vertices) == 2 and len(g.edges) == 1
 
 
 def test_omega_su2_is_affine_flag_quotient():
-    # the loop-space builder is the flag builder on the affine matrix
-    assert build_omega_k("SU(2)", 3) == build_flag_graph(affine_type_a(1), (1,), 3)
+    # the loop-space preset is the flag builder on the affine matrix
+    assert build_preset("omega-su2", 3) == build_flag_graph(affine_type_a(1), (1,), 3)
 
 
 def test_omega_su3_counts():
@@ -79,12 +80,17 @@ def test_omega_su3_counts():
     assert validate(g).ok
 
 
-def test_omega_name_variants():
-    assert build_omega_k("su2", 2) == build_omega_k("SU(2)", 2)
-    with pytest.raises(UnsupportedTypeError):
-        build_omega_k("SO(5)", 2)
-    with pytest.raises(UnsupportedTypeError):
-        build_omega_k("SU(1)", 2)
+def test_omega_su4_is_bott_loop_space():
+    # Bott: the Poincare series of Omega SU(4) is prod_{i=1}^{3} 1/(1 - t^{2i})
+    g = build_flag_graph(affine_type_a(3), (1, 2, 3), 6)
+    assert len(g.vertices) == 23 and len(g.edges) == 97
+    assert validate(g).ok
+    assert poincare_series(g, 6) == [1, 1, 2, 3, 4, 5, 7]
+    basis = canonical_generators(g, 6)
+    schubert = oracle.schubert_restrictions(affine_type_a(3), (1, 2, 3), 6)
+    assert sorted(schubert) == sorted(g.vertex_ids)
+    for vid in g.vertex_ids:
+        assert schubert[vid].values == basis.generator(vid).values, vid
 
 
 def test_twisted_one_vertex_per_length():
@@ -152,7 +158,7 @@ def _direct_down_edges(gcm, parabolic, degree):
     """Per vertex, the sorted (lower id, label) pairs of its letter deletions:
     deleting letter j of w = s_{a1}...s_{al} gives the coset of the deleted
     word, labeled s_{a1}...s_{a(j-1)}(alpha_{aj})."""
-    reps, table, _ = coset_orbit(gcm, parabolic, degree)
+    reps, table, *_ = coset_orbit(gcm, parabolic, degree)
     tb = _torus_basis(gcm, frozenset(parabolic))
     mu = reps[0][1]
     down = {}
@@ -412,11 +418,17 @@ def test_no_down_edge_reflects_an_orbit_vector_again(monkeypatch, gcm, parabolic
 @given(_gcm_and_parabolic(), st.integers(0, 3))
 def test_parent_step_matches_the_full_words(case, degree):
     gcm, parabolic = case
-    reps, _, images = coset_orbit(gcm, parabolic, degree)
-    assert set(images) == {vec for rep, vec in reps if rep.length < degree}
-    for vec, ups in images.items():
-        assert ups == tuple(reflect_dual(gcm, i, vec) for i in range(gcm.n))
+    reps, _, parent, up = coset_orbit(gcm, parabolic, degree)
+    assert len(parent) == len(reps)
+    for (rep, _), p in zip(reps, parent):
+        assert (p is None) == (rep.word == ())
+        if p is not None:
+            assert reps[p][0].word == rep.word[1:]
+    assert len(up) == sum(rep.length < degree for rep, _ in reps)
+    for (rep, vec), ups in zip(reps, up):
+        assert [reps[c][1] for c in ups] == [reflect_dual(gcm, i, vec) for i in range(gcm.n)]
     g = build_flag_graph(gcm, parabolic, degree, embed=False)
+    assert all(not e.weight.is_zero() for e in g.edges)
     built = {
         vid: sorted((e.other(vid), e.weight.coeffs) for e in g.down_edges(vid))
         for vid in g.vertex_ids
@@ -453,7 +465,17 @@ def test_builder_inputs_are_refused_with_their_messages():
     refused = [
         (lambda: type_a(0), ValueError, "type A rank must be >= 1"),
         (lambda: affine_type_a(0), ValueError, "affine type A rank must be >= 1"),
-        (lambda: build_omega_k("SUx", 2), UnsupportedTypeError, "unsupported compact type 'SUx'"),
+        (lambda: build_flag_graph(type_a(2), (), True), ValueError, "length cutoff must be an int, not True"),
+        (lambda: build_flag_graph(type_a(2), (), 1.0), ValueError, r"length cutoff must be an int, not 1\.0"),
+        (lambda: build_preset("omega-su2", True), ValueError, "length cutoff must be an int, not True"),
+        (
+            lambda: oracle.schubert_restrictions(type_a(2), (), True),
+            ValueError,
+            "length cutoff must be an int, not True",
+        ),
+        (lambda: build_flag_graph(type_a(2), (True,), 2), InvalidParabolicError, "parabolic node True is not an int"),
+        (lambda: build_flag_graph(type_a(2), (1.0,), 2), InvalidParabolicError, r"parabolic node 1\.0 is not an int"),
+        (lambda: build_chain_graph([]), ValueError, "a chain needs at least one weight"),
     ]
     for make, error, message in refused:
         with pytest.raises(error, match=message):

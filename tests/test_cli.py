@@ -894,7 +894,7 @@ def test_a_rank_too_large_to_hold_exit_code(tmp_path, capsys, monkeypatch, argv)
     "argv, message",
     [
         (["build"], "build: need a preset name, --gcm FILE, or --chain WEIGHTS"),
-        (["build", "--chain", ""], "rank is required for an edgeless chain"),
+        (["build", "--chain", ""], "a chain needs at least one weight"),
         (["build", "--gcm", "square.json"], "Cartan matrix must be square"),
         (["validate", "missing.json"], "edge (e, x) references a missing vertex"),
     ],

@@ -420,7 +420,7 @@ def test_coset_orbit_is_scaled_generic_orbit(case):
     gcm, parabolic, cutoff = ORBIT_CASES[case]
     ints, scale = generic_dominant_vector(gcm, parabolic)
     mu = tuple(Fraction(x, scale) for x in ints)
-    reps, table, _ = coset_orbit(gcm, parabolic, cutoff)
+    reps, table, *_ = coset_orbit(gcm, parabolic, cutoff)
     scales = set()
     for rep, vec in reps:
         assert all(type(x) is int for x in vec)

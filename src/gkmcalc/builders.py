@@ -206,7 +206,8 @@ def build_flag_graph(
     labeled once.
 
     With ``embed``, vertices of a finite or affine matrix get their
-    positions from the same parents (see the module docstring).
+    positions from the same parents (see the module docstring).  Raises
+    ``ValueError`` for a ``degree`` that is not a non-negative ``int``.
 
     >>> g = build_flag_graph(GCM(((2, -1), (-1, 2))), (), 3)
     >>> len(g.vertices), len(g.edges)
@@ -214,6 +215,8 @@ def build_flag_graph(
     >>> [(e.other("0-1"), str(e.weight)) for e in g.down_edges("0-1")]
     [('0', 'x1 + x2'), ('1', 'x1')]
     """
+    if type(degree) is not int:
+        raise ValueError(f"degree cutoff must be an int, not {degree!r}")
     if degree < 0:
         raise ValueError("degree cutoff must be non-negative")
     J = frozenset(parabolic)

@@ -37,9 +37,9 @@ import json
 import re
 import reprlib
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import NamedTuple
@@ -358,9 +358,6 @@ class GkmGraph:
     def down_edges(self, vid: str) -> tuple[Edge, ...]:
         return self._down[vid]
 
-    def bottom_vertices(self) -> tuple[Vertex, ...]:
-        return tuple(v for v in self.vertices if v.cell_dim == 0)
-
     def is_connected(self) -> bool:
         ids = self.vertex_ids
         if len(ids) <= 1:
@@ -598,13 +595,28 @@ class ValidationEntry(NamedTuple):
     detail: str
 
 
-@dataclass
 class ValidationReport:
-    entries: list[ValidationEntry] = field(default_factory=list)
+    """The checks of a validation and their outcomes.
+
+    A report of :func:`validate` holds the graph and the failures its walk
+    recorded: ``ok`` and ``bool`` read those alone.  Its ``entries``, which
+    ``failures``, ``failing_checks`` and ``format_text`` read, are written
+    from the graph and that record when first read, passing checks
+    included, and kept.  Any other report is given its entries.
+    """
+
+    def __init__(self, entries=None, graph=None, failed=None):
+        self._graph, self._failed = graph, failed
+        if graph is None:
+            self.entries = [] if entries is None else entries
+
+    @cached_property
+    def entries(self) -> list[ValidationEntry]:
+        return _entries(self._graph, self._failed)
 
     @property
     def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
+        return all(e.ok for e in self.entries) if self._graph is None else not self._failed
 
     def failures(self) -> list[ValidationEntry]:
         return [e for e in self.entries if not e.ok]
@@ -633,89 +645,83 @@ def validate(graph: GkmGraph) -> ValidationReport:
     join vertices of equal cell dimension.  Globally: one bottom vertex
     and a connected graph.  Failures are reported, never raised.
 
-    Whether the graph passed is stored on it as ``_valid`` (the report is
-    mutable, so it is not kept): the graph is immutable, so
+    One walk decides every check and writes no text: it records only the
+    failures, each keyed by its check and its vertex or edge, with the
+    numbers its detail needs.  The report's ``ok`` reads that record, and
+    its entries are written from it on first read.  Whether the graph
+    passed is stored on it as ``_valid``: the graph is immutable, so
     :func:`_require_valid` trusts a stored pass, and a graph made from it
     by ``induced`` or ``with_positions`` starts with none.
     """
-    rep = ValidationReport()
-    add = rep.entries.append
-
+    failed = {}
+    z, bottoms, downs = graph.mode == "Z", 0, 0
     for v in graph.vertices:
-        if v.cell_dim < 0 or v.cell_dim % 2 != 0:
-            add(ValidationEntry(v.id, "even_cell_dim", False, f"cell_dim {v.cell_dim} is not even and non-negative"))
+        vid, dim = v.id, v.cell_dim
+        if dim < 0 or dim % 2:
+            failed["even_cell_dim", vid] = None
             continue
-        add(ValidationEntry(v.id, "even_cell_dim", True, f"cell_dim {v.cell_dim}"))
-        down = graph.down_edges(v.id)
-        want = v.cell_dim // 2
-        add(
-            ValidationEntry(
-                v.id,
-                "down_edge_count",
-                len(down) == want,
-                f"{len(down)} down-edges, expected {want}",
-            )
-        )
+        bottoms += not dim
+        down = graph._down[vid]
+        downs += len(down)
+        if len(down) != dim // 2:
+            failed["down_edge_count", vid] = len(down)
         if down:
             # each weight's stored (content, direction); Edge refuses the
             # zero weight and the constructor a weight of another rank, so
             # pairwise_coprime's re-checks are not needed here
-            lines = [e.weight._line for e in down]
-            coprime = len({d for _, d in lines}) == len(lines)
-            add(
-                ValidationEntry(
-                    v.id,
-                    "coprimality",
-                    coprime,
-                    "down-edge weights pairwise non-collinear"
-                    if coprime
-                    else "collinear down-edge weights",
-                )
-            )
-            if graph.mode == "Z":
-                bad = [str(e.weight) for e, (c, _) in zip(down, lines) if c != 1]
-                add(
-                    ValidationEntry(
-                        v.id,
-                        "primitivity",
-                        not bad,
-                        "all down-edge weights primitive" if not bad else f"imprimitive: {', '.join(bad)}",
-                    )
-                )
+            contents, directions = zip(*[e.weight._line for e in down])
+            if len(set(directions)) != len(down):
+                failed["coprimality", vid] = None
+            if z and contents.count(1) != len(down):
+                failed["primitivity", vid] = [e.weight for e, c in zip(down, contents) if c != 1]
+    # an edge is a down-edge of at most one vertex, and of none when it
+    # joins equal dims; so when every edge is one, none joins equal dims
+    if downs != len(graph.edges):
+        dims = {v.id: v.cell_dim for v in graph.vertices}
+        for e in graph.edges:
+            if dims[e.u] == dims[e.v]:
+                failed["equal_dim_edge", (e.u, e.v)] = None
+    if graph.vertex_ids:
+        if bottoms != 1:
+            failed["bottom_vertex", None] = bottoms
+        if not graph.is_connected():
+            failed["connectivity", None] = None
+    graph._valid = not failed
+    return ValidationReport(graph=graph, failed=failed)
 
+
+def _entries(graph: GkmGraph, failed: dict) -> list[ValidationEntry]:
+    """The entries of :func:`validate`'s report on ``graph``, in its check
+    order; an entry is ok unless ``failed`` records it, and a count that
+    ``failed`` does not hold is the one the check wants."""
+    out = []
+    add = out.append
+    for v in graph.vertices:
+        vid, dim = v.id, v.cell_dim
+        if ("even_cell_dim", vid) in failed:
+            add(ValidationEntry(vid, "even_cell_dim", False, f"cell_dim {dim} is not even and non-negative"))
+            continue
+        add(ValidationEntry(vid, "even_cell_dim", True, f"cell_dim {dim}"))
+        n, ok = failed.get(("down_edge_count", vid), dim // 2), ("down_edge_count", vid) not in failed
+        add(ValidationEntry(vid, "down_edge_count", ok, f"{n} down-edges, expected {dim // 2}"))
+        if n:
+            ok = ("coprimality", vid) not in failed
+            detail = "down-edge weights pairwise non-collinear" if ok else "collinear down-edge weights"
+            add(ValidationEntry(vid, "coprimality", ok, detail))
+            if graph.mode == "Z":
+                bad = failed.get(("primitivity", vid))
+                detail = f"imprimitive: {', '.join(map(str, bad))}" if bad else "all down-edge weights primitive"
+                add(ValidationEntry(vid, "primitivity", not bad, detail))
     dims = {v.id: v.cell_dim for v in graph.vertices}
     for e in graph.edges:
-        du, dv = dims[e.u], dims[e.v]
-        add(
-            ValidationEntry(
-                None,
-                "equal_dim_edge",
-                du != dv,
-                f"edge ({e.u}, {e.v}) joins dims {du} and {dv}",
-            )
-        )
-
+        ok = ("equal_dim_edge", (e.u, e.v)) not in failed
+        add(ValidationEntry(None, "equal_dim_edge", ok, f"edge ({e.u}, {e.v}) joins dims {dims[e.u]} and {dims[e.v]}"))
     if graph.vertex_ids:
-        connected = graph.is_connected()
-        bottoms = graph.bottom_vertices()
-        add(
-            ValidationEntry(
-                None,
-                "bottom_vertex",
-                len(bottoms) == 1,
-                f"{len(bottoms)} vertices of cell_dim 0",
-            )
-        )
-        add(
-            ValidationEntry(
-                None,
-                "connectivity",
-                connected,
-                "graph connected" if connected else "graph disconnected",
-            )
-        )
-    graph._valid = rep.ok
-    return rep
+        n, ok = failed.get(("bottom_vertex", None), 1), ("bottom_vertex", None) not in failed
+        add(ValidationEntry(None, "bottom_vertex", ok, f"{n} vertices of cell_dim 0"))
+        ok = ("connectivity", None) not in failed
+        add(ValidationEntry(None, "connectivity", ok, "graph connected" if ok else "graph disconnected"))
+    return out
 
 
 def _require_valid(graph: GkmGraph):

@@ -465,9 +465,12 @@ def test_builder_inputs_are_refused_with_their_messages():
     refused = [
         (lambda: type_a(0), ValueError, "type A rank must be >= 1"),
         (lambda: affine_type_a(0), ValueError, "affine type A rank must be >= 1"),
-        (lambda: build_flag_graph(type_a(2), (), True), ValueError, "length cutoff must be an int, not True"),
-        (lambda: build_flag_graph(type_a(2), (), 1.0), ValueError, r"length cutoff must be an int, not 1\.0"),
-        (lambda: build_preset("omega-su2", True), ValueError, "length cutoff must be an int, not True"),
+        (lambda: build_flag_graph(type_a(2), (), True), ValueError, "degree cutoff must be an int, not True"),
+        (lambda: build_flag_graph(type_a(2), (), 1.0), ValueError, r"degree cutoff must be an int, not 1\.0"),
+        (lambda: build_flag_graph(type_a(2), (), "3"), ValueError, "degree cutoff must be an int, not '3'"),
+        (lambda: build_flag_graph(type_a(2), (), None), ValueError, "degree cutoff must be an int, not None"),
+        (lambda: build_preset("omega-su2", True), ValueError, "degree cutoff must be an int, not True"),
+        (lambda: build_preset("omega-su2", "3"), ValueError, "degree cutoff must be an int, not '3'"),
         (
             lambda: oracle.schubert_restrictions(type_a(2), (), True),
             ValueError,

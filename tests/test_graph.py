@@ -2,16 +2,19 @@
 
 import hashlib
 import json
+import math
 import random
 import re
 from dataclasses import make_dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gkmcalc.graph as graph_module
 from gkmcalc.builders import affine_type_a, build_flag_graph, build_preset, type_a
 from gkmcalc.coxeter import GCM
 from gkmcalc.errors import MissingVertexValueError
@@ -494,18 +497,22 @@ def test_validate_checks_connectivity_once(monkeypatch):
 
 
 # First 16 hex digits of sha256(validate(g).format_text()) for Z-mode builds
-# with the default embedding.
+# with the default embedding, and for the corrupted fixtures, whose failing
+# entries these pin.
 VALIDATION_HASHES = {
-    "omega-su2-30": (affine_type_a(1), (1,), 30, "ace6113d7ee049a4"),
-    "hyperbolic-9": (GCM(((2, -3), (-3, 2))), (), 9, "a25f1a10a83ef996"),
-    "A3-flag-6": (type_a(3), (), 6, "13232253a4ced518"),
+    "omega-su2-30": (partial(build_flag_graph, affine_type_a(1), (1,), 30), "ace6113d7ee049a4"),
+    "hyperbolic-9": (partial(build_flag_graph, GCM(((2, -3), (-3, 2))), (), 9), "a25f1a10a83ef996"),
+    "A3-flag-6": (partial(build_flag_graph, type_a(3), (), 6), "13232253a4ced518"),
+    "odd_cell": (partial(GkmGraph.load, FIXTURES / "odd_cell.json"), "c5ff04ef6fa4ce34"),
+    "wrong_down_count": (partial(GkmGraph.load, FIXTURES / "wrong_down_count.json"), "59fbab6d62db9600"),
+    "collinear_weights": (partial(GkmGraph.load, FIXTURES / "collinear_weights.json"), "c793ef22cad69b9b"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(VALIDATION_HASHES))
 def test_validation_report_is_pinned(case):
-    gcm, parabolic, degree, digest = VALIDATION_HASHES[case]
-    text = validate(build_flag_graph(gcm, parabolic, degree)).format_text()
+    make, digest = VALIDATION_HASHES[case]
+    text = validate(make()).format_text()
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
@@ -561,6 +568,90 @@ def test_graph_dumps_matches_json_dumps(g):
     else:
         with pytest.raises(ValueError, match="not an XML character"):
             GkmGraph.loads(text)
+
+
+def _collinear(a, b):
+    """Whether two integer forms are parallel: every 2x2 minor vanishes."""
+    return all(a[i] * b[j] == a[j] * b[i] for i in range(len(a)) for j in range(len(a)))
+
+
+def _connected(g):
+    """Whether ``g`` is connected, by merging the endpoint classes of every edge."""
+    root = {v.id: v.id for v in g.vertices}
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for e in g.edges:
+        root[find(e.u)] = find(e.v)
+    return len({find(v) for v in root}) <= 1
+
+
+@settings(deadline=None)
+@given(_graphs())
+@example(GkmGraph(0, "Z", [], []))
+@example(GkmGraph(1, "Z", [Vertex("a", -2), Vertex("b", 0), Vertex("c", 3)], [Edge("a", "b", Weight((2,)))]))
+@example(
+    GkmGraph(
+        2,
+        "Z",
+        [Vertex("e", 0), Vertex("a", 2), Vertex("b", 2), Vertex("t", 4)],
+        [
+            Edge("e", "a", Weight((1, 0))),
+            Edge("e", "b", Weight((0, 1))),
+            Edge("a", "b", Weight((1, 1))),
+            Edge("a", "t", Weight((2, 4))),
+            Edge("b", "t", Weight((-1, -2))),
+        ],
+    )
+)
+def test_validation_entries_match_the_checks_recomputed_from_the_graph(g):
+    rep = validate(g)
+    verdict = rep.ok  # read before any entry is written
+    dims = {v.id: v.cell_dim for v in g.vertices}
+    want = {}
+    for v in g.vertices:
+        even = v.cell_dim >= 0 and v.cell_dim % 2 == 0
+        want["even_cell_dim", v.id] = even
+        if not even:
+            continue
+        down = [e.weight.coeffs for e in g.edges if v.id in (e.u, e.v) and dims[e.other(v.id)] < v.cell_dim]
+        want["down_edge_count", v.id] = 2 * len(down) == v.cell_dim
+        if down:
+            want["coprimality", v.id] = not any(_collinear(a, b) for i, a in enumerate(down) for b in down[:i])
+            if g.mode == "Z":
+                want["primitivity", v.id] = all(math.gcd(*w) == 1 for w in down)
+    if g.vertices:
+        want["bottom_vertex", None] = list(dims.values()).count(0) == 1
+        want["connectivity", None] = _connected(g)
+    rest = [e for e in rep.entries if e.check != "equal_dim_edge"]
+    assert {(e.check, e.vertex): e.ok for e in rest} == want and len(rest) == len(want)
+    edge_entries = [e.ok for e in rep.entries if e.check == "equal_dim_edge"]
+    assert edge_entries == [dims[e.u] != dims[e.v] for e in g.edges]
+    assert verdict == rep.ok == all(e.ok for e in rep.entries) == bool(rep)
+    assert rep.failing_checks() == {e.check for e in rep.entries if not e.ok}
+    assert rep.failures() == [e for e in rep.entries if not e.ok]
+
+
+def test_validate_writes_its_entries_once_and_only_when_read(monkeypatch):
+    g = build_preset("omega-su2", 30)
+    assert len(g.edges) == 465
+    made = []
+    entry = graph_module.ValidationEntry
+    monkeypatch.setattr(graph_module, "ValidationEntry", lambda *fields: made.append(fields) or entry(*fields))
+    rep = validate(g)
+    assert rep.ok and rep and not made
+    entries = rep.entries
+    assert rep.entries is entries and len(made) == len(entries) > 465
+    rep.format_text(), rep.failures(), rep.failing_checks()
+    assert len(made) == len(entries)
+    bad = validate(GkmGraph.load(FIXTURES / "odd_cell.json"))
+    assert not bad.ok and not bad and len(made) == len(entries)
+    # the stored pass lets the solver skip validation
+    monkeypatch.setattr(graph_module, "validate", lambda graph: pytest.fail("validated again"))
+    assert len(canonical_generators(g, 30).generators) == len(g.vertices)
 
 
 def test_graph_dumps_writes_cell_dims_as_ints():

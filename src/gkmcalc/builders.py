@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .coxeter import (
     GCM,
@@ -165,7 +166,8 @@ def _positions(gcm: GCM, J: frozenset, tb: _TorusBasis, reps, parent) -> list[tu
     """Positions of the coset words of ``reps``, in order, from the
     ``parent`` indices of :func:`coset_orbit`: ``num(w) / (q * det)`` with
     ``num(w) = b - det * p(w)``, ``b = adj * vec(e)`` (0 in the energy
-    slot), ``p(e) = 0`` and ``p(s_i w') = p(w') - vec(w)_i * T(alpha_i)``."""
+    slot), ``p(e) = 0`` and ``p(s_i w') = p(w') - vec(w)_i * T(alpha_i)``.
+    Each distinct numerator is made a ``Fraction`` once."""
     others = [i for i in range(gcm.n) if i != tb.z]
     det, adj = _adjugate([[gcm.a(i, j) for j in others] for i in others])
     start, q = generic_dominant_vector(gcm, J)
@@ -180,7 +182,8 @@ def _positions(gcm: GCM, J: frozenset, tb: _TorusBasis, reps, parent) -> list[tu
         i = rep.word[0]
         num.append([x + vec[i] * t for x, t in zip(num[parent[k]], steps[i])])
     d = q * det
-    return [tuple([Fraction(x, d) for x in nk]) for nk in num]
+    frac = cache(lambda x: Fraction(x, d))
+    return [tuple(map(frac, nk)) for nk in num]
 
 
 def build_flag_graph(
@@ -236,10 +239,10 @@ def build_flag_graph(
     # unchecked records: positions are Fractions made from integers, every
     # lower endpoint is a shorter word than its upper one, and no label is
     # zero (see ``_TorusBasis.weight``)
-    make_vertex, make_edge = Vertex._make, Edge._make
+    new = tuple.__new__
     ids, names = ["e"], ["e"]
     down = [()]  # per vertex, its down-edges as (lower vertex index, root index)
-    vertices = [make_vertex(("e", 0, positions[0], "e"))]
+    vertices = [new(Vertex, ("e", 0, positions[0], "e"))]
     edges = []
     for k in range(1, len(reps)):
         p, w = parent[k], reps[k][0].word
@@ -250,7 +253,7 @@ def build_flag_graph(
             uid, name = str(i), f"s{i}"
         ids.append(uid)
         names.append(name)
-        vertices.append(make_vertex((uid, 2 * len(w), positions[k], name)))
+        vertices.append(new(Vertex, (uid, 2 * len(w), positions[k], name)))
         mi = moved[i]
         dk = [(p, i)]
         for u, r in down[p]:
@@ -265,7 +268,7 @@ def build_flag_graph(
                 mi[r] = s
             dk.append((up[u][i], s))
         down.append(dk)
-        edges += [make_edge((ids[low], uid, labels[r])) for low, r in dk]  # lower endpoint first
+        edges += [new(Edge, (ids[low], uid, labels[r])) for low, r in dk]  # lower endpoint first
     return GkmGraph(n, mode, vertices, edges)
 
 

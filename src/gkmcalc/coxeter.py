@@ -96,7 +96,11 @@ class Root:
 @dataclass(frozen=True)
 class CosetRep:
     """A minimal-length coset representative as a reduced word of simple
-    reflection indices (0-based)."""
+    reflection indices (0-based).
+
+    ``CosetRep(word)`` refuses a letter whose type is not ``int``.
+    :func:`coset_orbit` makes its representatives without that check, from
+    words it built of ``int`` letters."""
 
     word: tuple[int, ...]
 
@@ -350,6 +354,7 @@ def coset_orbit(gcm: GCM, parabolic, length_cutoff: int):
     if length_cutoff < 0:
         raise ValueError("length cutoff must be non-negative")
     mu, _ = generic_dominant_vector(gcm, parabolic)
+    new, setattr_ = object.__new__, object.__setattr__
     reps: list[tuple[CosetRep, tuple[int, ...]]] = [(CosetRep(()), mu)]
     at = {mu: 0}
     parent: list[int | None] = [None]
@@ -366,7 +371,9 @@ def coset_orbit(gcm: GCM, parabolic, length_cutoff: int):
         shell = range(len(reps), len(reps) + len(found))
         for v2, (word, k) in sorted(found.items(), key=lambda item: item[1]):
             at[v2] = len(reps)
-            reps.append((CosetRep(word), v2))
+            rep = new(CosetRep)  # unchecked: the walk built word from int letters
+            setattr_(rep, "word", word)
+            reps.append((rep, v2))
             parent.append(k)
     table = {vec: rep for rep, vec in reps}
     up = [tuple([at[v] for v in row]) for row in images]

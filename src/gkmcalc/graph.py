@@ -9,7 +9,11 @@ edge's weight.
 Vertices and edges are checked ``NamedTuple`` records: ``Vertex(...)`` and
 ``Edge(...)`` refuse a bad position entry, a self-loop and the zero weight.
 The graph reader and the builder make those checks themselves and build the
-records with the unchecked ``_make``, so each check runs once per path.
+records unchecked, with ``tuple.__new__(Vertex, fields)`` and
+``tuple.__new__(Edge, fields)``, so each check runs once per path and no
+Python-level constructor (``_make`` is one) runs per record.  A
+:class:`GkmGraph` makes its incidence and down-edge tables only when they
+are first read.
 
 JSON interchange schema (canonical ordering: vertices by (cell_dim, id),
 edges by endpoint pair; round-trips are byte-stable)::
@@ -51,6 +55,8 @@ from .polyring import divide_by_weight, parse_polynomial
 # outside the Char production of XML 1.0
 _NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
+_INT = frozenset((int,))  # the one type of a weight entry read from JSON
+
 __all__ = [
     "Vertex",
     "Edge",
@@ -86,10 +92,10 @@ class Vertex(
     A checked ``NamedTuple``: ``Vertex(...)`` and ``_replace`` refuse a
     position entry that is not an ``int`` or ``Fraction`` (``bool`` and
     ``float`` included) and store the position as a tuple of ``Fraction``.
-    ``Vertex._make`` skips that check; only the graph reader and the
-    builder call it, after making the same check themselves, so each check
-    runs once per path.  A vertex compares equal to, and hashes as, the
-    plain tuple of its fields.
+    ``tuple.__new__(Vertex, fields)`` skips that check; only the graph
+    reader and the builder make vertices that way, after making the same
+    check themselves, so each check runs once per path.  A vertex compares
+    equal to, and hashes as, the plain tuple of its fields.
     """
 
     __slots__ = ()
@@ -110,11 +116,12 @@ class Edge(NamedTuple("Edge", [("u", str), ("v", str), ("weight", Weight)])):
     """An edge between two distinct vertices, labelled by a nonzero weight.
 
     A checked ``NamedTuple``: ``Edge(...)`` and ``_replace`` refuse equal
-    endpoints and the zero weight.  ``Edge._make`` skips those checks; only
-    the graph reader, the builder and the graph constructor (reversing an
-    edge it was given) call it, after making the same checks, so each check
-    runs once per path.  An edge compares equal to, and hashes as, the
-    plain tuple ``(u, v, weight)``.
+    endpoints and the zero weight.  ``tuple.__new__(Edge, fields)`` skips
+    those checks; only the graph reader, the builder and the graph
+    constructor (reversing an edge it was given) make edges that way,
+    after making the same checks, so each check runs once per path.  An
+    edge compares equal to, and hashes as, the plain tuple
+    ``(u, v, weight)``.
     """
 
     __slots__ = ()
@@ -277,14 +284,20 @@ def _vertex_key(v: Vertex) -> tuple[int, str]:
 
 
 class GkmGraph:
-    """Immutable decorated graph with a torus rank and coefficient mode."""
+    """Immutable decorated graph with a torus rank and coefficient mode.
+
+    The constructor checks and orders the vertices and edges and builds no
+    other table.  The incidence table, which ``edges_at`` and
+    ``is_connected`` read, and the down-edge table, which ``down_edges``
+    and :func:`validate` read, are each made on first read and kept: a
+    graph that is only written or rendered makes neither.
+    """
 
     def __init__(self, rank: int, mode: str, vertices, edges):
         mode = _normalize_mode(mode)
         vs = sorted(vertices, key=_vertex_key)
         index: dict[str, Vertex] = {}
         at: dict[str, int] = {}  # id -> place in (cell_dim, id) order
-        dims: dict[str, int] = {}
         for n, v in enumerate(vs):
             if v.id in index:
                 raise ValueError(f"duplicate vertex id {v.id!r}")
@@ -292,11 +305,10 @@ class GkmGraph:
                 raise ValueError(f"position of {v.id!r} has length != rank {rank}")
             index[v.id] = v
             at[v.id] = n
-            dims[v.id] = v.cell_dim
         # edges run from the endpoint earlier in (cell_dim, id) order; one
         # given the other way round is the only one rebuilt, unchecked, as
         # reversing keeps its endpoints distinct and its weight nonzero
-        make = Edge._make
+        new = tuple.__new__
         norm_edges = []
         for e in edges:
             a, b = at.get(e.u), at.get(e.v)
@@ -305,7 +317,7 @@ class GkmGraph:
             if len(e.weight.coeffs) != rank:
                 raise ValueError(f"edge ({e.u}, {e.v}) weight has rank != {rank}")
             if b < a:
-                e = make((e.v, e.u, e.weight))
+                e = new(Edge, (e.v, e.u, e.weight))
             norm_edges.append(e)
         norm_edges.sort(key=attrgetter("u", "v", "weight.coeffs"))
         self._rank = rank
@@ -314,20 +326,31 @@ class GkmGraph:
         self._vertices = tuple(vs)
         self._vertex_ids = tuple(at)
         self._edges = tuple(norm_edges)
-        inc: dict[str, list[Edge]] = {vid: [] for vid in at}
-        down: dict[str, list[Edge]] = {vid: [] for vid in at}
-        for e in self._edges:
-            u, v = e.u, e.v
-            inc[u].append(e)
-            inc[v].append(e)
-            if dims[u] < dims[v]:
-                down[v].append(e)
-        self._incidence = {vid: tuple(es) for vid, es in inc.items()}
-        self._down = {vid: tuple(es) for vid, es in down.items()}
         # facts derived from the immutable graph alone: whether it passed
         # ``validate``, and the solver's cover table by vertex
         self._valid = False
         self._covers: dict = {}
+
+    @cached_property
+    def _incidence(self) -> dict[str, tuple[Edge, ...]]:
+        """Each vertex's edges, in edge order; made on first read."""
+        inc: dict[str, list[Edge]] = {vid: [] for vid in self._vertex_ids}
+        for e in self._edges:
+            inc[e.u].append(e)
+            inc[e.v].append(e)
+        return {vid: tuple(es) for vid, es in inc.items()}
+
+    @cached_property
+    def _down(self) -> dict[str, tuple[Edge, ...]]:
+        """Each vertex's down-edges, in edge order: the edges whose other
+        end has a smaller cell dimension; made on first read."""
+        dims = {v.id: v.cell_dim for v in self._vertices}
+        down: dict[str, list[Edge]] = {vid: [] for vid in self._vertex_ids}
+        for e in self._edges:
+            u, v = e.u, e.v
+            if dims[u] < dims[v]:
+                down[v].append(e)
+        return {vid: tuple(es) for vid, es in down.items()}
 
     @property
     def rank(self) -> int:
@@ -412,14 +435,15 @@ class GkmGraph:
     def from_dict(cls, data: dict) -> "GkmGraph":
         """The graph of the file ``dumps`` writes, every field checked and
         every unknown key refused.  Vertices and edges are made with
-        ``_make``: the reader makes the checks of ``Vertex`` and ``Edge``
-        itself, a zero label once per distinct label, with their messages."""
+        ``tuple.__new__``: the reader makes the checks of ``Vertex`` and
+        ``Edge`` itself, a zero label once per distinct label, with their
+        messages."""
         _json_of(dict, data, "a graph")
         rank = _size(data["rank"], "rank")
         if len(data) != 3 + ("mode" in data):
             _known_keys(data, ("rank", "mode", "vertices", "edges"), "a graph")
         fracs: dict[int | str, Fraction] = {}
-        make_vertex, make_edge = Vertex._make, Edge._make
+        new = tuple.__new__
         vs = []
         for vd in _json_of(list, data["vertices"], "graph vertices"):
             if type(vd) is not dict or type(vd.get("id")) is not str:
@@ -436,7 +460,7 @@ class GkmGraph:
                 )
             cell_dim = _json_int(vd["cell_dim"], f"cell_dim of {vid!r}")
             position = _json_position(pos, vid, fracs) if pos is not None else None
-            vs.append(make_vertex((vid, cell_dim, position, label)))
+            vs.append(new(Vertex, (vid, cell_dim, position, label)))
         # one Weight per distinct label, refused once if zero; entries are
         # type-checked before the lookup, since (True, 0) and (1.0, 0) equal
         # (1, 0) as dict keys
@@ -448,7 +472,7 @@ class GkmGraph:
             u, v, coeffs = ed["from"], ed["to"], ed["weight"]
             if len(ed) != 3:
                 _known_keys(ed, ("from", "to", "weight"), f"edge ({u}, {v})")
-            if type(coeffs) is not list or set(map(type, coeffs)) != {int}:
+            if type(coeffs) is not list or not coeffs or not _INT.issuperset(map(type, coeffs)):
                 raise ValueError(
                     f"weight of edge ({u}, {v}) must be an integer vector, got {coeffs!r}"
                 )
@@ -460,7 +484,7 @@ class GkmGraph:
                 if not any(coeffs):
                     raise ValueError(f"edge ({u}, {v}) has zero weight")
                 weight = weights[coeffs] = Weight(coeffs)
-            es.append(make_edge((u, v, weight)))
+            es.append(new(Edge, (u, v, weight)))
         return cls(rank, data.get("mode", "Z"), vs, es)
 
     @classmethod
@@ -645,26 +669,35 @@ def validate(graph: GkmGraph) -> ValidationReport:
     join vertices of equal cell dimension.  Globally: one bottom vertex
     and a connected graph.  Failures are reported, never raised.
 
-    One walk decides every check and writes no text: it records only the
-    failures, each keyed by its check and its vertex or edge, with the
-    numbers its detail needs.  The report's ``ok`` reads that record, and
-    its entries are written from it on first read.  Whether the graph
-    passed is stored on it as ``_valid``: the graph is immutable, so
-    :func:`_require_valid` trusts a stored pass, and a graph made from it
-    by ``induced`` or ``with_positions`` starts with none.
+    One walk over the vertices, reading the graph's down-edge table,
+    decides the checks and writes no text: it records only the failures,
+    each keyed by its check and its vertex or edge, with the numbers its
+    detail needs.  Connectivity is implied, and not walked, when every
+    cell dimension is even and non-negative, every vertex has its
+    ``dim / 2`` down-edges and exactly one vertex has cell dimension 0:
+    each down-edge drops the cell dimension, so every vertex descends to
+    that bottom vertex.  Otherwise :meth:`GkmGraph.is_connected` walks the
+    graph, reading its incidence table.  The report's ``ok`` reads the
+    record, and its entries are written from it on first read.  Whether
+    the graph passed is stored on it as ``_valid``: the graph is
+    immutable, so :func:`_require_valid` trusts a stored pass, and a graph
+    made from it by ``induced`` or ``with_positions`` starts with none.
     """
     failed = {}
-    z, bottoms, downs = graph.mode == "Z", 0, 0
+    z, bottoms, downs, descends = graph.mode == "Z", 0, 0, True
+    table = graph._down
     for v in graph.vertices:
         vid, dim = v.id, v.cell_dim
         if dim < 0 or dim % 2:
             failed["even_cell_dim", vid] = None
+            descends = False
             continue
         bottoms += not dim
-        down = graph._down[vid]
+        down = table[vid]
         downs += len(down)
         if len(down) != dim // 2:
             failed["down_edge_count", vid] = len(down)
+            descends = False
         if down:
             # each weight's stored (content, direction); Edge refuses the
             # zero weight and the constructor a weight of another rank, so
@@ -684,7 +717,9 @@ def validate(graph: GkmGraph) -> ValidationReport:
     if graph.vertex_ids:
         if bottoms != 1:
             failed["bottom_vertex", None] = bottoms
-        if not graph.is_connected():
+        # every vertex descends to a bottom vertex: one makes it connected
+        implied = descends and bottoms == 1
+        if not implied and not graph.is_connected():
             failed["connectivity", None] = None
     graph._valid = not failed
     return ValidationReport(graph=graph, failed=failed)

@@ -202,7 +202,10 @@ def schubert_restrictions(gcm: GCM, parabolic, degree: int) -> dict[str, CohClas
     it reflects the state and multiplies by ``r(j)``.  The end states at
     the coset words' vectors are ``v``'s values of every class.  Inversion
     roots come from :func:`reflect`, not the builder's edge rule.
+    Raises ``ValueError`` for a ``degree`` that is not an ``int``.
     """
+    if type(degree) is not int:
+        raise ValueError(f"degree cutoff must be an int, not {degree!r}")
     J = frozenset(parabolic)
     reps, *_ = coset_orbit(gcm, J, degree)
     tb = _torus_basis(gcm, J)

@@ -83,14 +83,17 @@ def power_coefficient(graph: GkmGraph, basis: GeneratorBasis, n: int) -> int | F
     the degree-2 vertex to the degree-2n one, with the chain constants
     ``c(v,u) = t * k`` (see the module docstring).
 
-    Raises :class:`ValueError` for ``n < 1``, for a basis solved on
-    another graph, or when the vertex of cell dimension 2 or 2n is not
-    unique, :class:`CutoffTooSmallError` when the basis or graph stops
-    below degree ``n``, :class:`NotInSpanError` naming the vertex ``u``
-    where ``f1(u) - f1(v)`` is not a multiple of the edge weight, and in
-    Z-mode :class:`NonIntegralError` naming ``u`` for a constant that is
-    not an integer.
+    Raises :class:`ValueError` for an ``n`` that is not an ``int`` or is
+    below 1, for a basis solved on another graph, or when the vertex of
+    cell dimension 2 or 2n is not unique, :class:`CutoffTooSmallError`
+    when the basis or graph stops below degree ``n``,
+    :class:`NotInSpanError` naming the vertex ``u`` where
+    ``f1(u) - f1(v)`` is not a multiple of the edge weight, and in Z-mode
+    :class:`NonIntegralError` naming ``u`` for a constant that is not an
+    integer.
     """
+    if type(n) is not int:
+        raise ValueError(f"power n must be an int, not {n!r}")
     if n < 1:
         raise ValueError("power must be >= 1")
     if basis.graph is not graph and basis.graph != graph:

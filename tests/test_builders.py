@@ -471,11 +471,9 @@ def test_builder_inputs_are_refused_with_their_messages():
         (lambda: build_flag_graph(type_a(2), (), None), ValueError, "degree cutoff must be an int, not None"),
         (lambda: build_preset("omega-su2", True), ValueError, "degree cutoff must be an int, not True"),
         (lambda: build_preset("omega-su2", "3"), ValueError, "degree cutoff must be an int, not '3'"),
-        (
-            lambda: oracle.schubert_restrictions(type_a(2), (), True),
-            ValueError,
-            "length cutoff must be an int, not True",
-        ),
+        (lambda: oracle.schubert_restrictions(type_a(2), (), True), ValueError, "degree cutoff must be an int, not True"),
+        (lambda: oracle.schubert_restrictions(type_a(2), (), "3"), ValueError, "degree cutoff must be an int, not '3'"),
+        (lambda: oracle.schubert_restrictions(type_a(2), (), None), ValueError, "degree cutoff must be an int, not None"),
         (lambda: build_flag_graph(type_a(2), (True,), 2), InvalidParabolicError, "parabolic node True is not an int"),
         (lambda: build_flag_graph(type_a(2), (1.0,), 2), InvalidParabolicError, r"parabolic node 1\.0 is not an int"),
         (lambda: build_chain_graph([]), ValueError, "a chain needs at least one weight"),

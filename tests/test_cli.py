@@ -770,7 +770,7 @@ def test_render_beyond_a_float_exit_code(tmp_path, capsys, where, fmt):
     ids=["self-loop", "zero-weight"],
 )
 def test_bad_edge_exit_code(tmp_path, capsys, edge, message):
-    # the reader makes the edge checks itself, before the unchecked Edge._make
+    # the reader makes the edge checks itself, before the unchecked tuple.__new__
     path = tmp_path / "edge.json"
     vertices = [{"id": "e", "cell_dim": 0}, {"id": "s", "cell_dim": 2}]
     path.write_text(json.dumps({"rank": 1, "vertices": vertices, "edges": [edge]}))

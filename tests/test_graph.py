@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import sys
 from dataclasses import make_dataclass
 from fractions import Fraction
 from functools import partial
@@ -27,6 +28,7 @@ from gkmcalc.graph import (
     validate,
 )
 from gkmcalc.polyring import Polynomial, Weight, monomials
+from gkmcalc.render import to_svg
 from gkmcalc.solver import canonical_generators
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -81,6 +83,7 @@ def test_builder_graph_validates():
         ("odd_cell", "even_cell_dim"),
         ("collinear_weights", "coprimality"),
         ("wrong_down_count", "down_edge_count"),
+        ("two_components", "connectivity"),
     ],
 )
 def test_corrupted_fixtures(name, check):
@@ -348,6 +351,19 @@ def test_from_dict_checks_weights_before_sharing_them(twin):
         GkmGraph.from_dict(data)
 
 
+@pytest.mark.parametrize("weight", [[], [1, "0"], [1, None], [[1], 0], "10", None, {"0": 1}])
+def test_from_dict_refuses_a_weight_that_is_not_an_integer_vector(weight):
+    # the empty list included: it is refused as no vector, not as the zero weight
+    data = {
+        "rank": 2,
+        "vertices": [{"id": "n", "cell_dim": 0}, {"id": "s", "cell_dim": 2}],
+        "edges": [{"from": "n", "to": "s", "weight": weight}],
+    }
+    message = f"weight of edge (n, s) must be an integer vector, got {weight!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GkmGraph.from_dict(data)
+
+
 def test_from_dict_shares_one_weight_per_label():
     g = GkmGraph.loads(build_preset("omega-su2", 6).dumps())
     distinct = {e.weight.coeffs for e in g.edges}
@@ -356,15 +372,25 @@ def test_from_dict_shares_one_weight_per_label():
 
 
 def test_builder_edges_are_made_once(monkeypatch):
-    # the builder makes each edge once, with the unchecked Edge._make, and
-    # never through the checked Edge.__new__
+    # the builder makes each vertex and edge once, unchecked, with
+    # tuple.__new__ (a call the profiler sees), and never through the
+    # checked Edge.__new__ or the Python-level Edge._make
     made, checked = [], []
-    make, new = Edge._make, Edge.__new__
-    monkeypatch.setattr(Edge, "_make", classmethod(lambda cls, fields: made.append(make(fields)) or made[-1]))
+    new = Edge.__new__
     monkeypatch.setattr(Edge, "__new__", lambda cls, *fields: checked.append(new(cls, *fields)) or checked[-1])
-    g = build_preset("B2-flag")
-    assert len(made) == len(g.edges) and not checked
-    assert all(a is b for a, b in zip(sorted(made, key=lambda e: (e.u, e.v)), g.edges))
+    monkeypatch.setattr(Edge, "_make", classmethod(lambda cls, fields: checked.append(fields)))
+
+    def profile(frame, event, arg):
+        if event == "c_call" and arg is tuple.__new__:
+            made.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        g = build_preset("B2-flag")
+    finally:
+        sys.setprofile(None)
+    assert len(made) == len(g.vertices) + len(g.edges) and not checked
+    assert g.edges and all(type(e) is Edge for e in g.edges)
 
 
 def _dataclass_edge_post_init(self):
@@ -469,7 +495,7 @@ _UNCHECKED_GRAPHS = {
 @pytest.mark.parametrize("name", sorted(_UNCHECKED_GRAPHS))
 @pytest.mark.parametrize("read", [False, True], ids=["built", "read"])
 def test_unchecked_records_pass_their_checks(name, read):
-    # the builder and the reader make records with _make: each must equal
+    # the builder and the reader make records with tuple.__new__: each must equal
     # its checked reconstruction, with int cell dimensions and Fraction
     # position entries
     g = _UNCHECKED_GRAPHS[name]()
@@ -489,11 +515,43 @@ def test_a_reversed_edge_is_rebuilt_as_an_edge():
 
 
 def test_validate_checks_connectivity_once(monkeypatch):
+    # the vertex walk implies connectivity when every vertex descends to
+    # the one bottom vertex; otherwise the graph is walked, once
     calls = []
     connected = GkmGraph.is_connected
     monkeypatch.setattr(GkmGraph, "is_connected", lambda g: calls.append(g) or connected(g))
     assert validate(build_preset("A2-flag")).ok
-    assert len(calls) == 1
+    assert calls == []
+    for name, connects in [("two_components", False), ("wrong_down_count", True), ("odd_cell", True)]:
+        g = GkmGraph.load(FIXTURES / f"{name}.json")
+        assert ("connectivity" not in validate(g).failing_checks()) == connects
+        assert calls == [g]
+        calls.clear()
+
+
+def _count_tables(monkeypatch):
+    """The graphs whose incidence and down-edge tables are made from now
+    on, by table."""
+    made = {"_incidence": [], "_down": []}
+    for name, graphs in made.items():
+        table = vars(GkmGraph)[name]
+        monkeypatch.setattr(table, "func", lambda g, make=table.func, graphs=graphs: graphs.append(g) or make(g))
+    return made
+
+
+def test_graph_tables_are_made_on_first_read(monkeypatch):
+    made = _count_tables(monkeypatch)
+    text = build_preset("omega-su2", 8).dumps()
+    loaded = GkmGraph.loads(text)
+    assert loaded.dumps() == text
+    to_svg(loaded)
+    assert made == {"_incidence": [], "_down": []}
+    # validation reads the down-edge table alone, made once
+    g = build_preset("A2-flag")
+    assert validate(g).ok and validate(g).ok
+    assert made == {"_incidence": [], "_down": [g]}
+    assert len(g.edges_at("e")) == 3 and g.is_connected() and g.down_edges("e") == ()
+    assert made == {"_incidence": [g], "_down": [g]}
 
 
 # First 16 hex digits of sha256(validate(g).format_text()) for Z-mode builds
@@ -506,6 +564,7 @@ VALIDATION_HASHES = {
     "odd_cell": (partial(GkmGraph.load, FIXTURES / "odd_cell.json"), "c5ff04ef6fa4ce34"),
     "wrong_down_count": (partial(GkmGraph.load, FIXTURES / "wrong_down_count.json"), "59fbab6d62db9600"),
     "collinear_weights": (partial(GkmGraph.load, FIXTURES / "collinear_weights.json"), "c793ef22cad69b9b"),
+    "two_components": (partial(GkmGraph.load, FIXTURES / "two_components.json"), "a10769fb497ef005"),
 }
 
 

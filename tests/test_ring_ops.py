@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -146,6 +147,15 @@ def test_projective_pattern_contrasts_with_divided_powers():
     gz = GkmGraph(2, "Z", g.vertices, list(g.edges))
     with pytest.raises(ValidationFailureError):
         canonical_generators(gz, 2)
+
+
+def test_power_refuses_an_n_that_is_not_an_int():
+    g = build_preset("omega-su2", 3)
+    basis = canonical_generators(g, 3)
+    for n in ("3", 2.0, True):
+        with pytest.raises(ValueError, match=re.escape(f"power n must be an int, not {n!r}")):
+            power_coefficient(g, basis, n)
+    assert power_coefficient(g, basis, 1) == 1
 
 
 def test_power_cutoff_errors():

@@ -25,7 +25,7 @@ from gkmcalc.errors import (
     PolynomialParseError,
     ValidationFailureError,
 )
-from gkmcalc.graph import CohClass, Edge, GkmGraph, Vertex, is_gkm_class, validate
+from gkmcalc.graph import CohClass, Edge, GkmGraph, ValidationReport, Vertex, is_gkm_class, validate
 from gkmcalc.polyring import Polynomial, Weight, monomials, parse_polynomial
 from gkmcalc.solver import (
     GeneratorBasis,
@@ -137,20 +137,23 @@ def test_solver_refuses_invalid_graph():
 
 def _count_validations(monkeypatch):
     """The graphs validated from now on, one entry per ``validate`` run
-    (each runs ``is_connected`` once on a non-empty graph)."""
-    calls = []
-    connected = GkmGraph.is_connected
+    (each makes one report of its graph), and the graphs whose
+    connectivity was walked, one entry per ``is_connected`` run."""
+    runs, walks = [], []
+    init, connected = ValidationReport.__init__, GkmGraph.is_connected
 
-    def counting(graph):
-        calls.append(graph)
-        return connected(graph)
+    def report(self, entries=None, graph=None, failed=None):
+        if graph is not None:
+            runs.append(graph)
+        init(self, entries, graph, failed)
 
-    monkeypatch.setattr(GkmGraph, "is_connected", counting)
-    return calls
+    monkeypatch.setattr(ValidationReport, "__init__", report)
+    monkeypatch.setattr(GkmGraph, "is_connected", lambda graph: walks.append(graph) or connected(graph))
+    return runs, walks
 
 
 def test_a_passing_verdict_is_not_checked_again(monkeypatch):
-    calls = _count_validations(monkeypatch)
+    calls, walks = _count_validations(monkeypatch)
     for use in (canonical_generators, ring_ops.poincare_series):
         g = build_preset("omega-su2", 7)
         assert validate(g).ok
@@ -163,10 +166,12 @@ def test_a_passing_verdict_is_not_checked_again(monkeypatch):
     canonical_generators(g, 7)
     ring_ops.poincare_series(g, 7)
     assert calls == [g]
+    # every vertex descends to the one bottom vertex: no walk is due
+    assert walks == []
 
 
 def test_a_failing_verdict_raises_the_full_report_every_time(monkeypatch):
-    calls = _count_validations(monkeypatch)
+    calls, walks = _count_validations(monkeypatch)
     bad = GkmGraph(2, "Z", [Vertex("a", 0), Vertex("b", 0)], [])
     report = validate(bad)
     assert not report.ok
@@ -175,16 +180,19 @@ def test_a_failing_verdict_raises_the_full_report_every_time(monkeypatch):
             canonical_generators(bad, 1)
         assert err.value.report.format_text() == report.format_text()
     assert len(calls) == 3
+    # two bottom vertices leave connectivity open: each run walks once
+    assert walks == [bad] * 3
 
 
 def test_derived_graphs_are_validated_again(monkeypatch):
-    calls = _count_validations(monkeypatch)
+    calls, walks = _count_validations(monkeypatch)
     g = build_preset("omega-su2", 7)
     assert validate(g).ok
     for derived in (g.induced(g.vertex_ids[:4]), g.with_positions({})):
         calls.clear()
         canonical_generators(derived, 3)
         assert calls == [derived]
+    assert walks == []
 
 
 def test_uniqueness_under_vertex_relabeling():

@@ -327,9 +327,10 @@ class GkmGraph:
         self._vertex_ids = tuple(at)
         self._edges = tuple(norm_edges)
         # facts derived from the immutable graph alone: whether it passed
-        # ``validate``, and the solver's cover table by vertex
+        # ``validate``, and the solver's cover and diagonal tables by vertex
         self._valid = False
         self._covers: dict = {}
+        self._diagonals: dict = {}
 
     @cached_property
     def _incidence(self) -> dict[str, tuple[Edge, ...]]:

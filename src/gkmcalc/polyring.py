@@ -29,18 +29,20 @@ over the rationals and integrality of the result is checked afterwards.
 This module alone builds exponent vectors and normalizes coefficients.
 Other modules work on term dicts (``{exponents: coefficient}`` in normal
 form) through its kernels ``_add_product``, ``_add_multiple``,
-``_divmod_weight`` and ``_divmod_plan``, read scalars through ``_quo``
-and ``_linear_coeffs``, read integer forms through ``_line_of`` and
-``_plan_of`` and make constants through ``_constant_terms``.
+``_divmod_weight``, ``_divmod_plan`` and ``_divide_exact``, read scalars
+through ``_quo`` and ``_linear_coeffs``, read integer forms through
+``_line_of`` and ``_plan_of`` and make constants through
+``_constant_terms``.
 
 Exponent vectors are interned: one process-wide table maps each vector to
-one canonical tuple, so equal vectors are one object.  ``_add_product``
-and ``_divmod_plan`` read ``e + d`` from the row of the shift ``d`` (a
-factor's vector, or ``-e_j`` and ``+e_i`` in a division) and compute a
-vector only on a row's first miss, and ``parse_polynomial``,
-``_constant_terms`` and ``Weight.to_polynomial`` intern the vectors they
-make.  A third table holds, per rank, each unit vector ``+e_i`` and
-``-e_i`` with its shift row.  The tables grow only with the distinct
+one canonical tuple, so equal vectors are one object.  ``_add_product``,
+``_divmod_plan`` and ``_divide_exact`` read ``e + d`` from the row of the
+shift ``d`` (a factor's vector, ``-e_j`` and ``+e_i`` in a division by a
+form, or minus the divisor's lead vector and each quotient vector in an
+exact division) and compute a vector only on a row's first miss, and
+``parse_polynomial``, ``_constant_terms`` and ``Weight.to_polynomial``
+intern the vectors they make.  A third table holds, per rank, each unit
+vector ``+e_i`` and ``-e_i`` with its shift row.  The tables grow only with the distinct
 ``(d, e)`` pairs and ranks a process computes with and are never emptied.
 A division's set-up (its variable, its pivot coefficient and its shift
 rows) is a plan that ``_plan_of`` makes from the integer form's
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, isqrt
-from operator import add
+from operator import add, lt
 
 from .errors import (
     NoSolutionError,
@@ -618,6 +620,35 @@ def _divmod_plan(terms, plan: tuple):
                 else:
                     below[t] = s if type(s) is int else _normal(s)
     return quot, levels.get(0, {})
+
+
+def _divide_exact(terms, divisor: dict):
+    """The quotient of ``terms`` by the nonzero polynomial ``divisor``, as a
+    term dict, when it divides exactly; otherwise None.  ``terms`` is kept.
+
+    Long division in lex order: each step divides the remainder's lead term
+    ``m`` by the divisor's, ``lt``, and subtracts that quotient term times
+    the divisor with ``_add_product``.  The division is exact when the
+    remainder runs out before a lead term that ``lt`` does not divide.
+    The quotient vector ``q = m - lt`` is read from the shift row of
+    ``-lt`` and each ``q + x``, ``x`` a vector of the divisor, from the row
+    of ``q``, so a step makes no tuple but on a row's first miss.  A row
+    holds only exponent vectors, none negative, so a hit in the row of
+    ``-lt`` is a quotient vector.
+    """
+    top = max(divisor)
+    lc, back = divisor[top], tuple([-a for a in top])
+    brow, rem, quot = _shift_row(back), dict(terms), {}
+    while rem:
+        m = max(rem)
+        qe = brow.get(m)
+        if qe is None:
+            if any(map(lt, m, top)):
+                return None
+            qe = _shift_miss(brow, m, back)
+        qc = quot[qe] = _quo(rem[m], lc)
+        _add_product(rem, divisor, {qe: qc}, -1)
+    return quot
 
 
 def pairwise_coprime(weights) -> bool:

@@ -44,10 +44,14 @@ Goldin-Tolman), one exact division per value:
 * The covers of a vertex and their ``k`` depend on the graph alone, so
   they form one cover table on the graph, a row per vertex made on first
   use: the recursion fills it, and the power sums of :mod:`ring_ops` on
-  the same graph read it back.  ``t`` comes from one slope rule, which
-  also decides the position seed's class check and checks ``f1`` in the
-  power sums.  The ``c(v,u)`` are summed as they are, fractions
-  included.  ``D(w)`` is kept as a bare integer tuple, with no
+  the same graph read it back.  Beside it the graph keeps a diagonal
+  table, ``P(v)``, the product of the down-edge weights at ``v`` (the
+  value ``f_v(v)`` of condition 4), also made per vertex on first use:
+  lifting, the recursion, the condition-4 check of a basis load and every
+  expansion in a basis on the graph share it.  ``t`` comes from one
+  slope rule, which also decides the position seed's class check and
+  checks ``f1`` in the power sums.  The ``c(v,u)`` are summed as they
+  are, fractions included.  ``D(w)`` is kept as a bare integer tuple, with no
   ``Weight`` built per pair: it is divided through a plan made from the
   tuple, and its direction is read with the same gcd as a ``Weight``'s
   line.
@@ -97,6 +101,7 @@ from .graph import (
     _json_values,
     _known_keys,
     _require_valid,
+    _same_vertices,
     is_gkm_class,
 )
 from .polyring import (
@@ -104,6 +109,7 @@ from .polyring import (
     _add_multiple,
     _add_product,
     _constant_terms,
+    _divide_exact,
     _divmod_plan,
     _divmod_weight,
     _line_of,
@@ -197,12 +203,18 @@ class GeneratorBasis:
 
 
 def _down_weight_product(graph: GkmGraph, vid: str) -> Polynomial:
-    """``f_vid(vid)``, the product of the down-edge weights at ``vid``."""
-    p = _constant_terms(1, graph.rank)
-    for e in graph.down_edges(vid):
-        p, q = {}, p
-        _add_product(p, q, e.weight.to_polynomial().terms)
-    return Polynomial._make(graph.rank, p)
+    """``f_vid(vid)``, the product of the down-edge weights at ``vid``, from
+    the graph's diagonal table: made once per graph, on first use, and
+    shared by basis loads, expansions, the recursion and lifting, so its
+    terms must never be changed."""
+    p = graph._diagonals.get(vid)
+    if p is None:
+        t = _constant_terms(1, graph.rank)
+        for e in graph.down_edges(vid):
+            t, q = {}, t
+            _add_product(t, q, e.weight.to_polynomial().terms)
+        p = graph._diagonals[vid] = Polynomial._make(graph.rank, t)
+    return p
 
 
 def canonical_generators(graph: GkmGraph, degree: int, mode: str | None = None) -> GeneratorBasis:
@@ -468,24 +480,36 @@ def expand_in_basis(cls: CohClass, basis: GeneratorBasis) -> dict[str, Polynomia
     Greedy by increasing cell dimension over residual term dicts, one per
     nonzero value of ``cls`` and one made on the first subtraction into a
     vertex.  At each vertex ``v`` the coefficient ``c_v`` is the residual
-    divided by ``f_v(v)``, the product of the down-edge weights (zero when
-    the residual is empty).  A constant coefficient, as at every vertex
-    whose degree is that of a homogeneous class, is found in one step by a
-    certified ratio: ``k`` is read at one monomial of ``f_v(v)``, and ``c_v
-    = k`` when the residual equals ``k * f_v(v)`` term by term, which
-    clears it.  Otherwise the residual is divided by the down-edge weights
-    one at a time, and ``c_v * f_v(v)`` is subtracted from it, leaving a
-    residual when ``f_v(v)`` is not their product.  Then ``c_v * f_v(w)``
-    is subtracted from the residual at each other ``w`` with ``f_v(w) !=
-    0``.  A residual that a down-edge weight does not divide, or nonzero
-    after the last vertex, raises :class:`NotInSpanError` with the vertex
-    (and edge).  In Z-mode every coefficient must be integral.  Inputs are
-    left unchanged.  Every zero coefficient of one call is one shared zero
-    polynomial, so only the nonzero ones are allocated.
+    divided by ``f_v(v)`` (zero when the residual is empty).  A constant
+    coefficient, as at every vertex whose degree is that of a homogeneous
+    class, is found in one step by a certified ratio: ``k`` is read at one
+    monomial of the stored ``f_v(v)``, and ``c_v = k`` when the residual
+    equals ``k * f_v(v)`` term by term, which clears it.  Otherwise the
+    residual is divided exactly, once, by ``P(v)``, the product of the
+    down-edge weights, which the graph's diagonal table holds; when
+    ``f_v(v)`` is ``P(v)`` that clears it too, and otherwise ``c_v *
+    f_v(v)`` is subtracted from it.  Then ``c_v * f_v(w)`` is subtracted
+    from the residual at each other ``w`` with ``f_v(w) != 0``.  A residual
+    that ``P(v)`` does not divide is divided by the down-edge weights one at
+    a time, and :class:`NotInSpanError` names the vertex and the first edge
+    whose weight leaves a remainder; a residual nonzero after the last
+    vertex raises it with the vertex.  In Z-mode every coefficient must be
+    integral.  A value of another rank, or at a vertex the basis graph
+    lacks, raises :class:`ValueError`, and a missing one
+    :class:`MissingVertexValueError`.  Inputs are left unchanged.  Every
+    zero coefficient of one call is one shared zero polynomial, so only the
+    nonzero ones are allocated.
     """
     graph, nvars, values = basis.graph, basis.graph.rank, cls.values
-    # copies of the nonzero values; cls.value raises for a missing one
-    residual = {vid: dict(t) for vid in graph.vertex_ids if (t := (values.get(vid) or cls.value(vid)).terms)}
+    residual = {}  # copies of the nonzero values; cls.value raises for a missing one
+    for vid in graph.vertex_ids:
+        p = values.get(vid) or cls.value(vid)
+        if p.terms:
+            if p.nvars != nvars:
+                raise ValueError("polynomials live in different rings")
+            residual[vid] = dict(p.terms)
+    if len(values) != len(graph.vertex_ids):  # a value at no vertex
+        _same_vertices(graph, values, "class")
     coeffs: dict[str, Polynomial] = {}
     zero = Polynomial._make(nvars, {})
     for vid in graph.vertex_ids:
@@ -501,20 +525,25 @@ def expand_in_basis(cls: CohClass, basis: GeneratorBasis) -> dict[str, Polynomia
         k = _quo(c[e0], diag[e0]) if e0 in c else 0
         constant = k and c == {x: k * a for x, a in diag.items()}
         if constant:
-            del residual[vid]  # it is k * f_v(v): cleared, not subtracted
-            c = _constant_terms(k, nvars)
+            c, cleared = _constant_terms(k, nvars), True
         else:
-            for e in graph.down_edges(vid):
-                c, rem = _divmod_weight(c, e.weight)
-                if rem:
-                    raise NotInSpanError(
-                        f"residual at {vid!r} is not divisible by its down-edge weights; "
-                        "the class is not in the span of the basis within the cutoff",
-                        vertex=vid,
-                        edge=e,
-                    )
-        # with no down-edges c is still the residual, which the loop below changes
-        coeff = coeffs[vid] = Polynomial._make(nvars, dict(c) if c is residual.get(vid) else c)
+            down = _down_weight_product(graph, vid).terms
+            q = _divide_exact(c, down)
+            if q is None:  # name the first down-edge weight that leaves a remainder
+                q = c
+                for e in graph.down_edges(vid):
+                    q, rem = _divmod_weight(q, e.weight)
+                    if rem:
+                        raise NotInSpanError(
+                            f"residual at {vid!r} is not divisible by its down-edge weights; "
+                            "the class is not in the span of the basis within the cutoff",
+                            vertex=vid,
+                            edge=e,
+                        )
+            c, cleared = q, diag == down
+        if cleared:
+            del residual[vid]  # it is c * f_v(v): cleared, not subtracted
+        coeff = coeffs[vid] = Polynomial._make(nvars, c)
         if basis.mode == "Z" and not coeff.is_integral():
             raise NonIntegralError(
                 f"expansion coefficient at {vid!r} is not integral: {coeff}",
@@ -523,13 +552,13 @@ def expand_in_basis(cls: CohClass, basis: GeneratorBasis) -> dict[str, Polynomia
             )
         for wid, p in gen.values.items():
             value = p.terms
-            if not value or constant and wid == vid:
+            if not value or cleared and wid == vid:
                 continue
             res = residual.setdefault(wid, {})
             if constant:
                 _add_multiple(res, value, -k)
             else:
-                _add_product(res, value, coeff.terms, -1)
+                _add_product(res, value, c, -1)
     for vid in graph.vertex_ids:
         if residual.get(vid):
             raise NotInSpanError(

@@ -27,6 +27,7 @@ from gkmcalc.polyring import (
     Weight,
     _add_multiple,
     _add_product,
+    _divide_exact,
     _divmod_plan,
     _divmod_weight,
     _linear_coeffs,
@@ -981,6 +982,57 @@ def test_division_plan_is_cached_per_weight(case):
     back = dict(rem)
     _add_product(back, quot, Weight(coeffs).to_polynomial().terms)
     assert back == terms
+
+
+@st.composite
+def _exact_division_case(draw):
+    """``(k, a, b, weights)``: polynomials in ``k`` variables, ``b`` nonzero
+    and, when ``weights`` is a list, the product of those linear forms."""
+    k = draw(st.integers(1, 3))
+    a = draw(_sparse_polynomial(k))
+    if draw(st.booleans()):
+        forms = st.tuples(*[st.integers(-3, 3)] * k).filter(any).map(Weight)
+        weights = draw(st.lists(forms, min_size=1, max_size=3))
+        b = Polynomial.one(k)
+        for w in weights:
+            b = b * w.to_polynomial()
+        return k, a, b, weights
+    return k, a, draw(_sparse_polynomial(k).filter(lambda p: p.terms)), None
+
+
+def _divide_exact_kept(terms, divisor):
+    """``_divide_exact``, asserting that it changes neither input."""
+    t0, d0 = dict(terms), dict(divisor)
+    out = _divide_exact(terms, divisor)
+    assert terms == t0 and divisor == d0
+    return out
+
+
+@settings(deadline=None)
+@given(_exact_division_case(), st.tuples(*[st.integers(0, 3)] * 3), st.fractions(-5, 5, max_denominator=4))
+# x2 * (x1 + x2) + x2^2: after one step the remainder x2^2 is no multiple of the lead term x1
+@example((2, Polynomial(2, {(0, 1): 1}), Polynomial(2, {(1, 0): 1, (0, 1): 1}), None), (0, 2, 0), Fraction(1))
+def test_exact_division_inverts_multiplication(case, m, c):
+    k, a, b, weights = case
+    product = a * b
+    _empty_tables()
+    quot = _divide_exact_kept(product.terms, b.terms)
+    _assert_normal_terms(quot, _ref_clean(a.terms))
+    assert _divide_exact_kept(product.terms, b.terms) == quot  # from warm tables
+    # a term c*x^m lies in the ideal (b) only if b is a monomial dividing x^m
+    m = m[:k]
+    if c and (len(b.terms) > 1 or any(map(int.__lt__, m, next(iter(b.terms))))):
+        assert _divide_exact_kept((product + Polynomial(k, {m: c})).terms, b.terms) is None
+    if weights is not None:  # agrees with dividing by the weights one at a time
+        for p in (product, product + Polynomial(k, {m: c}), a):
+            chained = p
+            try:
+                for w in weights:
+                    chained = divide_by_weight(chained, w)
+            except NotDivisibleError:
+                chained = None
+            quot = _divide_exact_kept(p.terms, b.terms)
+            assert (quot if quot is None else Polynomial._make(k, quot)) == chained
 
 
 def test_kernels_share_equal_vectors():

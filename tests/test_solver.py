@@ -18,6 +18,7 @@ from gkmcalc import oracle, polyring, ring_ops, solver
 from gkmcalc.builders import PRESETS, TWISTED_A1_4, affine_type_a, build_flag_graph, build_preset, type_a
 from gkmcalc.coxeter import GCM
 from gkmcalc.errors import (
+    MissingVertexValueError,
     NoSolutionError,
     NonIntegralError,
     NotDivisibleError,
@@ -316,6 +317,48 @@ def test_expand_rejects_non_class():
     assert err.value.edge in g.down_edges("1-0-1")
 
 
+def test_expand_refuses_values_off_the_graph_or_of_another_rank():
+    g = build_preset("A2-flag")
+    basis = canonical_generators(g, 3)
+    f = basis.generator("0")
+    for extra in (poly2("x1"), Polynomial.zero(2)):
+        with pytest.raises(ValueError, match="^class has a value at 'zzz', which is not a vertex$"):
+            expand_in_basis(CohClass({**f.values, "zzz": extra}), basis)
+    with pytest.raises(MissingVertexValueError, match="'1-0-1'"):
+        expand_in_basis(CohClass({w: p for w, p in f.values.items() if w != "1-0-1"}), basis)
+    rank3 = CohClass({w: Polynomial.one(3) if w == "0-1" else Polynomial.zero(3) for w in g.vertex_ids})
+    with pytest.raises(ValueError, match="^polynomials live in different rings$"):
+        expand_in_basis(rank3, basis)
+    with pytest.raises(ValueError, match="^polynomials live in different rings$"):
+        rank3 + f
+    # zeros of another rank are zeros: only nonzero values are read
+    zeros3 = CohClass({w: p if p.terms else Polynomial.zero(3) for w, p in f.values.items()})
+    assert expand_in_basis(zeros3, basis) == expand_in_basis(f, basis)
+
+
+def test_expansions_make_each_diagonal_once_per_graph(monkeypatch):
+    # a basis load checks condition 4 against P(v), the product of the
+    # down-edge weights; every expansion after it reads that same product
+    b3 = GCM(((2, -1, 0), (-1, 2, -1), (0, -2, 2)))
+    data = json.loads(canonical_generators(build_flag_graph(b3, (), 3), 3).dumps())
+    made = []
+    to_polynomial = Weight.to_polynomial
+    monkeypatch.setattr(Weight, "to_polynomial", lambda w: made.append(w) or to_polynomial(w))
+    for _ in range(2):  # two loads, two graphs: each makes its own table
+        made.clear()
+        basis = GeneratorBasis.from_dict(data)
+        g, gens = basis.graph, basis.generators
+        diagonals = dict(g._diagonals)
+        assert diagonals.keys() == gens.keys()
+        deg = {vid: g.vertex(vid).cell_dim // 2 for vid in gens}
+        for u in gens:
+            for v in gens:
+                if deg[u] + deg[v] <= basis.degree:
+                    expand_in_basis(gens[u] * gens[v], basis)
+        assert len(made) == sum(len(g.down_edges(vid)) for vid in gens)
+        assert all(g._diagonals[vid] is p for vid, p in diagonals.items())
+
+
 def non_integral_graph():
     """Valid over Z by the letter of the rules, but the degree-1 generator
     picks up a denominator of 2 at the top vertex."""
@@ -575,6 +618,20 @@ def test_expansion_in_a_basis_with_a_doubled_diagonal(mode):
         # subtracting the quotient times the doubled value leaves its negative
         ("NotInSpanError", "1-0", None),
     ]
+
+
+def test_a_doubled_diagonal_is_still_subtracted_at_its_vertex():
+    # the coefficient of f * f0 at 1-0 is its value there divided by the
+    # down-edge weights; c * f_{1-0}(1-0) is twice that value, so what is
+    # left at 1-0 is its negative, not the value itself
+    basis = canonical_generators(build_flag_graph(type_a(3), (), 4), 4)
+    f, f0 = basis.generator("1-0"), basis.generator("0")
+    doubled = CohClass({**f.values, "1-0": 2 * f.values["1-0"]}, f.degree)
+    tampered = GeneratorBasis(basis.graph, basis.degree, "Q", {**basis.generators, "1-0": doubled})
+    product = f * f0
+    with pytest.raises(NotInSpanError) as err:
+        expand_in_basis(product, tampered)
+    assert str(err.value).startswith(f"nonzero residual {-product.value('1-0')} at '1-0' after expansion")
 
 
 _B2_BASIS = json.loads(canonical_generators(build_preset("B2-flag"), 4).dumps())
@@ -1048,7 +1105,32 @@ def test_expansion_of_products_matches_division(case, rng):
     assert rebuilt == total.values
 
 
-def test_expansion_errors_match_division():
+def _perturbed_product_expands_as_division(case, rng):
+    """One value of a random product, perturbed at a random vertex, expands
+    or fails as the reference does: the same type, vertex and edge."""
+    gcm, parabolic, degree, mode = case
+    g = build_flag_graph(gcm, parabolic, degree, mode=mode, embed=False)
+    if not validate(g).ok:
+        return
+    try:
+        basis = canonical_generators(g, degree)
+    except (NoSolutionError, NonIntegralError):
+        return
+    gens = basis.generators
+    deg = {vid: g.vertex(vid).cell_dim // 2 for vid in gens}
+    u, v = rng.choice([(u, v) for u in gens for v in gens if deg[u] + deg[v] <= degree])
+    d, w = deg[u] + deg[v], rng.choice(g.vertex_ids)
+    m = rng.choice(monomials(g.rank, rng.choice([d, d, max(d - 1, 0), d + 1])))
+    values = dict((gens[u] * gens[v]).values)
+    values[w] = values[w] + Polynomial(g.rank, {m: rng.choice([-2, -1, 1, 3, Fraction(1, 2)])})
+    tampered = CohClass(values)
+    assert _expansion(tampered, basis) == _expand_by_division(tampered, basis)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_flag_cases(), st.randoms(use_true_random=False))
+def test_expansion_errors_match_division(case, rng):
+    _perturbed_product_expands_as_division(case, rng)
     g = build_preset("B2-flag")
     basis = canonical_generators(g, 4)
     top = g.vertex_ids[-1]

@@ -327,8 +327,10 @@ class GkmGraph:
         self._vertex_ids = tuple(at)
         self._edges = tuple(norm_edges)
         # facts derived from the immutable graph alone: whether it passed
-        # ``validate``, and the solver's cover and diagonal tables by vertex
+        # ``validate``, the solver's ``Phi`` and its Chevalley and diagonal
+        # tables by vertex
         self._valid = False
+        self._phi = None
         self._covers: dict = {}
         self._diagonals: dict = {}
 

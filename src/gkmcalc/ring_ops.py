@@ -2,25 +2,27 @@
 
 Power coefficients come from chain constants (the equivariant Chevalley
 formula; Kostant-Kumar, Goldin-Tolman): by the identity in the
-:mod:`solver` docstring, ``f1*f_v - f1(v)*f_v = sum c(v,u) f_u`` over the
-covers ``u`` of ``v``, ``f1`` the degree-2 generator, with the edge-local
-``c(v,u) = t * k``.  In ordinary cohomology ``f1(v)`` vanishes, so the
-coefficient of ``f_vn`` in ``f1^n`` is ``A[vn]`` with ``A[v1] = 1`` and
-``A[u] = sum_v A[v] * c(v,u)``, level by level up the graph's cover table
-(see :func:`solver._covers_of`), with ``t`` from the solver's slope rule;
-only ``f1`` is read from the basis.  After the recursion has solved the
-basis of the same graph, or after an earlier power sum, no ``k`` is
-evaluated again.
+:mod:`solver` docstring, ``Phi*f_v - Phi(v)*f_v = sum c(v,u) f_u`` over
+the covers ``u`` of ``v``, with the ``c(v,u)`` of the graph's Chevalley
+table (see :func:`solver._covers_of`).  On a graph with one degree-2
+vertex ``v1``, ``Phi = Phi(e) + lambda * f1``, ``f1`` the degree-2
+generator and ``lambda`` the ``c`` of the bottom vertex ``e``'s row into
+``v1`` (where ``k = 1``).  In ordinary cohomology ``Phi(e)`` and ``f1(v)``
+vanish, so the coefficient of ``f_vn`` in ``f1^n`` is ``A[vn]`` with
+``A[v1] = 1`` and ``A[u] = sum_v A[v] * c(v,u) / lambda``, level by level
+up the table; no generator value is read.  After the recursion has solved
+a basis of the same graph, or after an earlier power sum, no ``c`` is made
+again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import CutoffTooSmallError, NonIntegralError, NotInSpanError
+from .errors import CutoffTooSmallError, NonIntegralError
 from .graph import GkmGraph, _count, _require_valid, _size
-from .polyring import Polynomial, _linear_coeffs, _quo
-from .solver import GeneratorBasis, _covers_of, _slope
+from .polyring import Polynomial, _quo
+from .solver import GeneratorBasis, _covers_of
 
 __all__ = [
     "poincare_series",
@@ -79,16 +81,18 @@ def power_coefficient(graph: GkmGraph, basis: GeneratorBasis, n: int) -> int | F
 
     For the loop-space presets this realizes the divided-powers law: the
     value is n! for loops in SU(2) and n! * 2^(n // 2) for the twisted
-    example.  It is summed level by level up the graph's cover table, from
-    the degree-2 vertex to the degree-2n one, with the chain constants
-    ``c(v,u) = t * k`` (see the module docstring).
+    example.  It is summed level by level up the graph's Chevalley table,
+    from the degree-2 vertex to the degree-2n one, with the chain constants
+    ``c(v,u) / lambda`` (see the module docstring).
 
     Raises :class:`ValueError` for an ``n`` that is not an ``int`` or is
-    below 1, for a basis solved on another graph, or when the vertex of
-    cell dimension 2 or 2n is not unique, :class:`CutoffTooSmallError`
-    when the basis or graph stops below degree ``n``,
-    :class:`NotInSpanError` naming the vertex ``u`` where
-    ``f1(u) - f1(v)`` is not a multiple of the edge weight, and in Z-mode
+    below 1, then :class:`ValidationFailureError` with the full report on
+    an invalid graph (a graph that :func:`validate` has passed is not
+    checked again), then :class:`ValueError` for a basis solved on another
+    graph, or when the vertex of cell dimension 2 or 2n is not unique,
+    :class:`CutoffTooSmallError` when the basis or graph stops below degree
+    ``n``, :class:`NoSolutionError` from the lifted seed when the graph
+    has no degree-1 generator to make ``Phi`` from, and in Z-mode
     :class:`NonIntegralError` naming ``u`` for a constant that is not an
     integer.
     """
@@ -96,27 +100,21 @@ def power_coefficient(graph: GkmGraph, basis: GeneratorBasis, n: int) -> int | F
         raise ValueError(f"power n must be an int, not {n!r}")
     if n < 1:
         raise ValueError("power must be >= 1")
+    _require_valid(graph)
     if basis.graph is not graph and basis.graph != graph:
         raise ValueError("power coefficient: the basis was solved on another graph")
     if basis.degree < n:
         raise CutoffTooSmallError(f"basis degree {basis.degree} is below the requested power {n}")
     v1 = _unique_vertex_of_dim(graph, 2)
     vn = _unique_vertex_of_dim(graph, 2 * n)
-    f1 = basis.generator(v1).values
+    bottom = graph.down_edges(v1)[0].other(v1)
+    lam = next(c for u, _, c in _covers_of(graph, bottom) if u == v1)
     level = {v1: 1}  # the nonzero A[v] at one cell dimension
     for _ in range(n - 1):
         up: dict = {}
         for v, a in level.items():
-            fv = _linear_coeffs(f1[v].terms, graph.rank)
-            for u, e, k in _covers_of(graph, v):
-                t = _slope(_linear_coeffs(f1[u].terms, graph.rank), fv, e.weight)
-                if t is None:
-                    raise NotInSpanError(
-                        f"f1({u!r}) - f1({v!r}) is not a multiple of {e.weight}; the basis is not canonical",
-                        vertex=u,
-                        edge=e,
-                    )
-                c = _quo(t * k, 1)
+            for u, _, c in _covers_of(graph, v):
+                c = _quo(c, lam)
                 if basis.mode == "Z" and type(c) is not int:
                     raise NonIntegralError(
                         f"chain constant from {v!r} to {u!r} is not integral: {c}",

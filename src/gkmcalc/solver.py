@@ -21,17 +21,19 @@ come instead from the equivariant Chevalley recursion (Kostant-Kumar;
 Goldin-Tolman), one exact division per value:
 
 * The recursion is driven by a degree-2 class ``Phi``, scaled to integer
-  linear forms once, from one of two seeds.  The *position seed* is the
-  moment map, read from the vertex positions when every vertex has one,
-  no two share one (so ``D(w)`` below is never 0), and across every edge
-  the position difference is a multiple of the edge's label.  That last
-  check makes ``Phi`` a class, which the certificates below rely on.
-  Graphs the builder module embeds pass, and then no congruence is
-  solved.  Otherwise (no embedding, or positions that are missing or do
+  linear forms, made once per graph and kept on it, from one of two
+  seeds.  The *position seed* is the moment map, read from the vertex
+  positions when every vertex has one, no two share one (so ``D(w)``
+  below is never 0), and across every edge the position difference is a
+  multiple of the edge's label.  That last check makes ``Phi`` a class,
+  which the certificates below rely on.  Graphs the builder module embeds
+  pass, and then no congruence is solved.  Otherwise (no embedding, or positions that are missing or do
   not form a class) the *lifted seed* lifts the degree-1 generators and
   takes ``Phi = sum lambda_i f_i`` over them, ``lambda`` the primes from
-  2 up.  The seed supplies ``Phi`` alone: the recursion solves every
-  generator, degree 1 included.
+  2 up.  ``Phi`` does not depend on the mode (its scale aside, it is the
+  same class over Z and Q), so the lifted seed lifts in Q-mode, once per
+  graph whatever the modes of later solves.  The seed supplies ``Phi``
+  alone: the recursion solves every generator, degree 1 included.
 * Generators are solved from the top dimension down.  For ``v`` write
   ``D(w) = Phi(w) - Phi(v)``.  The identity: ``D * f_v = g = sum c(v,u)
   f_u`` over the covers ``u`` of ``v`` (``cell_dim(u) = cell_dim(v) +
@@ -41,17 +43,18 @@ Goldin-Tolman), one exact division per value:
   but ``beta``.  So every value above ``v`` is ``f_v(w) = g(w) / D(w)``,
   covers included: at a cover ``u`` only ``u``'s own term survives, which
   gives ``k * f_u(u) / beta``, and a cover not joined to ``v`` gets 0.
-* The covers of a vertex and their ``k`` depend on the graph alone, so
-  they form one cover table on the graph, a row per vertex made on first
-  use: the recursion fills it, and the power sums of :mod:`ring_ops` on
-  the same graph read it back.  Beside it the graph keeps a diagonal
-  table, ``P(v)``, the product of the down-edge weights at ``v`` (the
-  value ``f_v(v)`` of condition 4), also made per vertex on first use:
-  lifting, the recursion, the condition-4 check of a basis load and every
-  expansion in a basis on the graph share it.  ``t`` comes from one
-  slope rule, which also decides the position seed's class check and
-  checks ``f1`` in the power sums.  The ``c(v,u)`` are summed as they
-  are, fractions included.  ``D(w)`` is kept as a bare integer tuple, with no
+* The covers of a vertex and their ``c(v,u)`` depend on the graph and its
+  ``Phi`` alone, so they form one Chevalley table on the graph, a row
+  ``(u, edge, c)`` per cover, the rows of a vertex made on first use:
+  the recursion fills it, and the power sums of :mod:`ring_ops` on the
+  same graph read it back.  ``t`` comes from one slope rule, which also
+  decides the position seed's class check, and ``k`` from a closed form.
+  Beside it the graph keeps a diagonal table, ``P(v)``, the product of
+  the down-edge weights at ``v`` (the value ``f_v(v)`` of condition 4),
+  also made per vertex on first use: lifting, the recursion, the
+  condition-4 check of a basis load and every expansion in a basis on the
+  graph share it.  The ``c(v,u)`` are summed as they are, fractions
+  included.  ``D(w)`` is kept as a bare integer tuple, with no
   ``Weight`` built per pair: it is divided through a plan made from the
   tuple, and its direction is read with the same gcd as a ``Weight``'s
   line.
@@ -82,7 +85,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import lcm, prod
-from operator import mul, sub
+from operator import sub
 
 from .errors import (
     NoSolutionError,
@@ -279,15 +282,25 @@ def _lift(graph: GkmGraph, vid: str, mode: str) -> CohClass:
     return CohClass(values, d)
 
 
-def _moment_form(graph: GkmGraph, mode: str) -> dict[str, tuple[int, ...]]:
-    """``Phi = sum lambda_i f_i`` over the lifted degree-1 generators,
-    ``lambda`` the primes 2, 3, 5, ... in canonical order, scaled to
-    integers by the lcm of its denominators: per vertex, the coefficient
-    vector of a linear form."""
+def _phi_of(graph: GkmGraph) -> dict[str, tuple[int, ...]]:
+    """The graph's ``Phi``, made once per graph on first use and kept on
+    it: the position seed when the positions form a class, else the lifted
+    seed.  The lifted seed's :class:`NoSolutionError` is raised by every
+    call that meets it, and nothing is stored."""
+    if graph._phi is None:
+        graph._phi = _position_form(graph) or _moment_form(graph)
+    return graph._phi
+
+
+def _moment_form(graph: GkmGraph) -> dict[str, tuple[int, ...]]:
+    """``Phi = sum lambda_i f_i`` over the degree-1 generators, lifted in
+    Q-mode (``Phi`` does not depend on the mode), ``lambda`` the primes 2,
+    3, 5, ... in canonical order, scaled to integers by the lcm of its
+    denominators: per vertex, the coefficient vector of a linear form."""
     phi = {wid: [0] * graph.rank for wid in graph.vertex_ids}
     linear = (v.id for v in graph.vertices if v.cell_dim == 2)
     for lam, vid in zip(_primes(), linear):
-        for wid, p in _lift(graph, vid, mode).values.items():
+        for wid, p in _lift(graph, vid, "Q").values.items():
             phi[wid] = [a + lam * c for a, c in zip(phi[wid], _linear_coeffs(p.terms, graph.rank))]
     den = lcm(*(c.denominator for row in phi.values() for c in row))
     return {wid: tuple(int(c * den) for c in row) for wid, row in phi.items()}
@@ -312,9 +325,13 @@ def _position_form(graph: GkmGraph) -> dict[str, tuple[int, ...]] | None:
 
 def _chevalley(graph: GkmGraph, mode: str) -> dict[str, CohClass] | None:
     """Every generator by the Chevalley recursion, or None when a value
-    fails its certificate (see the module docstring)."""
+    fails its certificate or the lifted seed has no ``Phi`` (see the
+    module docstring)."""
     nvars = graph.rank
-    phi = _position_form(graph) or _moment_form(graph, mode)
+    try:
+        phi = _phi_of(graph)
+    except NoSolutionError:  # lifting names the generator in the graph's mode
+        return None
     values: dict[str, dict] = {}  # the nonzero values of each f_v as term dicts
     # down-edges by direction; no two at a vertex are parallel
     down = {v.id: {e.weight._line[1]: e for e in graph.down_edges(v.id)} for v in graph.vertices}
@@ -333,16 +350,18 @@ def _chevalley(graph: GkmGraph, mode: str) -> dict[str, CohClass] | None:
 
 
 def _covers_of(graph, vid) -> tuple:
-    """``(u, edge, k)`` for each cover ``u`` of ``vid``, joined to it by
-    ``edge``, from the graph's cover table: the row of ``vid`` is made once
-    per graph, on first use, so the recursion and every later power sum on
-    the graph share it.  The :class:`ValueError` of parallel down-edges is
-    raised by every call that meets it, and nothing is stored for ``vid``."""
+    """The row of ``vid`` in the graph's Chevalley table: ``(u, edge, c)``
+    for each cover ``u`` of ``vid``, joined to it by ``edge``, with ``c =
+    c(v,u) = t * k`` for the graph's ``Phi`` (a class, so ``t`` exists).
+    The row is made once per graph, on first use, so the recursion and
+    every later power sum on the graph share it.  An error of the lifted
+    seed or of parallel down-edges is raised by every call that meets it,
+    and nothing is stored for ``vid``."""
     covers = graph._covers.get(vid)
     if covers is None:
-        dim = graph.vertex(vid).cell_dim + 2
+        phi, dim = _phi_of(graph), graph.vertex(vid).cell_dim + 2
         covers = graph._covers[vid] = tuple(
-            (u, e, _evaluate_cover(graph, vid, e))
+            (u, e, _slope(phi[u], phi[vid], e.weight) * _evaluate_cover(graph, vid, e))
             for e in graph.edges_at(vid)
             if graph.vertex(u := e.other(vid)).cell_dim == dim
         )
@@ -359,26 +378,28 @@ def _slope(fu, fv, beta) -> int | Fraction | None:
 
 
 def _evaluate_cover(graph, vid, edge) -> int | Fraction:
-    """``k`` across ``edge`` from ``v = vid`` up to its cover ``u``, read at
-    ``p = beta_j q - beta(q) e_j`` (``beta_j`` the pivot of ``beta``'s
-    division plan, its first nonzero entry; ``q = (1, t, t^2, ...)``).
-    ``beta(p) = 0``, and ``alpha'(p)`` is a nonzero polynomial in ``t`` of
-    degree below the rank unless ``alpha'`` is parallel to ``beta``, so
-    one of ``t = 1, ..., rank * |alpha'| + 1`` serves; if none does,
-    :class:`ValueError` names ``u``."""
+    """``k = prod alpha / prod alpha'`` across ``edge`` from ``v = vid`` up
+    to its cover ``u``, in closed form.  On ``beta = 0`` a form ``a`` is
+    ``(beta_j a - a_j beta) / beta_j`` (``beta_j`` the pivot of ``beta``'s
+    division plan, its first nonzero entry), and both sides have as many
+    forms on a valid graph, so ``beta_j`` cancels.  The restricted forms
+    lack ``x_j``, and the ratio of their products is the constant ``k``, so
+    it is the ratio of their lex-leading coefficients: the products of each
+    restricted form's first nonzero entry.  An ``alpha'`` parallel to
+    ``beta`` restricts to 0, and :class:`ValueError` names ``u``."""
     u, beta = edge.other(vid), edge.weight.coeffs
     j = edge.weight._plan[0]
-    alphas = [e.weight.coeffs for e in graph.down_edges(vid)]
-    others = [e.weight.coeffs for e in graph.down_edges(u) if e is not edge]
-    for t in range(1, graph.rank * len(others) + 2):
-        q = [t**i for i in range(graph.rank)]
-        point = [beta[j] * x for x in q]
-        point[j] -= sum(map(mul, beta, q))
-        den = prod(sum(map(mul, a, point)) for a in others)
-        if den:
-            num = prod(sum(map(mul, a, point)) for a in alphas)
-            return _quo(num, den)
-    raise ValueError(f"down-edge weights at {u!r} are parallel: no cover constant from {vid!r}")
+
+    def lead(edges):
+        return prod(
+            next(filter(None, (beta[j] * x - e.weight.coeffs[j] * b for x, b in zip(e.weight.coeffs, beta))), 0)
+            for e in edges
+        )
+
+    den = lead(e for e in graph.down_edges(u) if e is not edge)
+    if not den:
+        raise ValueError(f"down-edge weights at {u!r} are parallel: no cover constant from {vid!r}")
+    return _quo(lead(graph.down_edges(vid)), den)
 
 
 def _chevalley_generator(graph, mode, vid, phi, values, down) -> dict | None:
@@ -386,11 +407,7 @@ def _chevalley_generator(graph, mode, vid, phi, values, down) -> dict | None:
     the vertices above ``vid``, or None when one is not certified."""
     dim, phi_v = graph.vertex(vid).cell_dim, phi[vid]
     fv = {vid: _down_weight_product(graph, vid).terms}
-    chev = []  # (f_u, c(v,u)) for the covers u with c(v,u) != 0
-    for u, e, k in _covers_of(graph, vid):
-        c = _slope(phi[u], phi_v, e.weight) * k  # Phi is a class, so t exists
-        if c:
-            chev.append((values[u], c))
+    chev = [(values[u], c) for u, _, c in _covers_of(graph, vid) if c]  # (f_u, c(v,u)), c != 0
     for w in graph.vertices:
         if w.cell_dim <= dim:
             continue

@@ -17,7 +17,6 @@ from gkmcalc.errors import (
     CutoffTooSmallError,
     GkmError,
     NonIntegralError,
-    NotInSpanError,
     ValidationFailureError,
 )
 from gkmcalc.graph import CohClass, Edge, GkmGraph, Vertex, is_gkm_class, validate
@@ -280,45 +279,82 @@ def _tampered(vid, wid, edit):
     return g, GeneratorBasis.from_dict(data)
 
 
-def test_tampered_cover_value_fails_the_certificate():
-    # power coefficients read f1 alone, so a tampered f_v(u) with v != v1
-    # leaves them as they were
+def test_tampered_f1_leaves_power_coefficients_unchanged():
+    # the power sums read the graph's Chevalley table, not the basis: f1
+    # moved off the line of the edge into u, which is no longer a class,
+    # gives the same coefficients as the canonical basis
     x1 = Polynomial.variable(0, 2)
-    g, basis = _tampered("1-0", "0-1-0", lambda p: p + x1 * x1)
-    assert power_coefficient(g, basis, 3) == 6
-    # f1 moved off the line of the edge into u
     g, basis = _tampered("0", "0-1-0", lambda p: p + x1)
-    assert power_coefficient(g, basis, 2) == 2
-    with pytest.raises(NotInSpanError) as err:
-        power_coefficient(g, basis, 3)
-    assert err.value.vertex == "0-1-0"
-
-
-def test_non_integral_chain_constant_is_reported():
-    # halving the slope of f1 into u halves the chain constant 3 into u
-    g = build_preset("omega-su2", 4)
-    f1 = canonical_generators(g, 4).generator("0").values
-    _, basis = _tampered("0", "0-1-0", lambda p: (p + f1["1-0"]) * Fraction(1, 2))
-    with pytest.raises(NonIntegralError) as err:
-        power_coefficient(g, basis, 3)
-    assert (err.value.vertex, err.value.witness) == ("0-1-0", Fraction(3, 2))
+    assert not is_gkm_class(g, basis.generator("0"))
+    assert [power_coefficient(g, basis, n) for n in range(1, 5)] == [1, 2, 6, 24]
     # a doubled f_u(u) no longer loads
     with pytest.raises(ValueError, match="'0-1-0'.*diagonal_value"):
         _tampered("0-1-0", "0-1-0", lambda p: 2 * p)
 
 
-def test_integral_chain_constant_from_a_fractional_slope_is_an_int():
-    # k = 2 from a to u; f1(u) moved to the slope t = 1/2 gives the chain
-    # constant t * k = 1, which Z-mode accepts as the int it is
-    g = GkmGraph(
-        2,
-        "Z",
-        [Vertex("e", 0), Vertex("a", 2), Vertex("u", 4)],
-        [Edge("e", "a", Weight((1, 2))), Edge("a", "u", Weight((1, 0))), Edge("e", "u", Weight((1, 1)))],
-    )
-    basis = canonical_generators(g, 2)
-    assert power_coefficient(g, basis, 2) == 2
-    f1 = basis.generator("a").values
-    moved = CohClass({**f1, "u": f1["a"] + Polynomial(2, {(1, 0): Fraction(1, 2)})}, 1)
-    c = power_coefficient(g, GeneratorBasis(g, 2, "Z", {**basis.generators, "a": moved}), 2)
-    assert (c, type(c)) == (1, int)
+@pytest.mark.parametrize("factors", [(2,), (3,), (2, 3), (3, 2)])
+def test_z_mode_names_the_first_non_integral_chain_constant(factors):
+    # omega-su2 with every label doubled or tripled in turn along the edge
+    # list, a Q-only graph: the ratio of successive power coefficients is
+    # the chain constant into the next vertex, and a Z-mode basis of the
+    # same values raises NonIntegralError naming the first vertex whose
+    # constant is not an integer, with that constant
+    g = build_preset("omega-su2")
+    edges = [
+        Edge(e.u, e.v, Weight(tuple(factors[i % len(factors)] * c for c in e.weight.coeffs)))
+        for i, e in enumerate(g.edges)
+    ]
+    g = GkmGraph(g.rank, "Q", g.vertices, edges)
+    top = max(v.cell_dim for v in g.vertices) // 2
+    basis = canonical_generators(g, top)
+    zbasis = GeneratorBasis(g, top, "Z", basis.generators)
+    powers = [_expanded_power(g, basis, n) for n in range(1, top + 1)]
+    assert [power_coefficient(g, basis, n) for n in range(1, top + 1)] == powers
+    first = None  # the vertex and constant of the first fraction on the chain
+    for n in range(2, top + 1):
+        q = Fraction(powers[n - 1]) / powers[n - 2]
+        if first is None and q.denominator != 1:
+            first = (_only_vertex(g, 2 * n), q)
+        try:
+            got = power_coefficient(g, zbasis, n)
+        except NonIntegralError as err:
+            got = (err.vertex, err.witness)
+        want = first or powers[n - 1]
+        assert (got, type(got)) == (want, type(want))  # an integral constant is an int
+    assert (first is not None) == (factors == (2, 3))
+
+
+def _omega_su2_without_positions(degree):
+    """The ``omega-su2`` graph of ``degree`` read from its file with every
+    ``"position"`` taken out, so ``Phi`` comes from the lifted seed."""
+    data = json.loads(build_preset("omega-su2", degree).dumps())
+    for v in data["vertices"]:
+        del v["position"]
+    return GkmGraph.from_dict(data)
+
+
+def test_lifted_seed_runs_once_per_graph(monkeypatch):
+    # two solves, in either mode, and seven power sums on a graph file with
+    # no positions lift the degree-1 generator once, to make Phi
+    g = _omega_su2_without_positions(7)
+    calls = []
+    lift = solver._lift
+    monkeypatch.setattr(solver, "_lift", lambda *args: calls.append(args[1:]) or lift(*args))
+    bases = [canonical_generators(g, 7, mode) for mode in "ZQ"]
+    assert bases[0].generators == bases[1].generators
+    assert [power_coefficient(g, bases[0], n) for n in range(1, 8)] == [math.factorial(n) for n in range(1, 8)]
+    assert calls == [(v.id, "Q") for v in g.vertices if v.cell_dim == 2]
+
+
+def test_power_coefficient_validates_its_graph():
+    # a vertex z of cell dimension 10 with no edge fails down_edge_count
+    # and connectivity, yet the basis file loads, being 0 there; the power
+    # sum refuses the graph, as the solver does, instead of returning 6
+    data = json.loads(canonical_generators(build_preset("omega-su2", 4), 4).dumps())
+    data["graph"]["vertices"].append({"id": "z", "cell_dim": 10})
+    for values in data["generators"].values():
+        values["z"] = "0"
+    basis = GeneratorBasis.from_dict(data)
+    with pytest.raises(ValidationFailureError) as err:
+        power_coefficient(basis.graph, basis, 3)
+    assert {"down_edge_count", "connectivity"} <= err.value.report.failing_checks()

@@ -799,14 +799,23 @@ def _covers(graph):
 
 
 def _check_cover_table(graph):
-    """The cover table of ``graph`` has one row ``(u, edge, k)`` per edge
-    from a vertex up to a cover ``u``, with the reference constant ``k``."""
-    rows = [(vid, u, e, k) for vid in graph.vertex_ids for u, e, k in solver._covers_of(graph, vid)]
+    """The Chevalley table of ``graph`` has one row ``(u, edge, c)`` per
+    edge from a vertex up to a cover ``u``, with ``c = t * k`` for the
+    reference constant ``k`` and the slope ``t`` of the graph's ``Phi``
+    across the edge.  On a graph with positions, ``Phi`` is the positions
+    scaled by the lcm of their denominators, so ``t`` comes from them."""
+    phi = solver._phi_of(graph)
+    if graph.vertices[0].position is not None:
+        den = math.lcm(*(c.denominator for v in graph.vertices for c in v.position))
+        assert phi == {v.id: tuple(den * c for c in v.position) for v in graph.vertices}
+    rows = [(vid, u, e, c) for vid in graph.vertex_ids for u, e, c in solver._covers_of(graph, vid)]
     assert len(rows) == len(_covers(graph))
     assert {(vid, e) for vid, _, e, _ in rows} == set(_covers(graph))
-    for vid, u, e, k in rows:
+    for vid, u, e, c in rows:
         assert u == e.other(vid)
-        assert k == _three_remainder_constant(graph, vid, e), (vid, e)
+        j, bj = e.weight._plan[:2]
+        t = Fraction(phi[u][j] - phi[vid][j], bj)
+        assert c == t * _three_remainder_constant(graph, vid, e), (vid, e)
 
 
 def test_cover_constant_matches_three_remainders_on_presets():
@@ -839,10 +848,9 @@ def test_cover_constant_refuses_parallel_down_weights():
         ],
     )
     assert not validate(g).ok
-    for _ in range(2):  # raised again: the graph's table keeps no error
-        with pytest.raises(ValueError, match="'u'"):
-            solver._covers_of(g, "a")
-    assert not g._covers
+    edge = next(e for e in g.edges if (e.u, e.v) == ("a", "u"))
+    with pytest.raises(ValueError, match="'u'"):
+        solver._evaluate_cover(g, "a", edge)
 
 
 def _position_graph(positions, down, mode="Q", embed=False):
@@ -901,6 +909,23 @@ def test_failed_certificates_are_reported_as_lifting_reports_them():
             with pytest.raises(error) as err:
                 canonical_generators(g, top)
             assert (err.value.generator, err.value.vertex) == ("v", vertex)
+
+
+def test_a_lifted_seed_with_no_phi_is_reported_as_lifting_reports_it():
+    # over Q, f_a has no value at u, so the lifted seed makes no Phi; over Z
+    # lifting stops earlier, at the fraction f_a(w), and that is reported
+    g = _position_graph(
+        {"b": (2, 3, 3), "v": (0, 3, -1), "w": (-2, -1, -1), "u": (-3, -1, 0)},
+        {"b": ["e"], "v": ["a", "e"], "w": ["a", "b"], "u": ["b", "v", "e"]},
+        "Z",
+    )
+    assert validate(g).ok
+    with pytest.raises(NoSolutionError) as err:
+        solver._phi_of(g)
+    assert (err.value.generator, err.value.vertex) == ("a", "u")
+    got = _outcome(lambda: canonical_generators(g, 3))
+    assert got == _outcome(lambda: _lifted(g, 3, "Z"))
+    assert got[:3] == (NonIntegralError, "a", "w")
 
 
 def test_a_cover_value_off_its_congruence_stops_the_recursion_at_once(monkeypatch):

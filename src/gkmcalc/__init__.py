@@ -16,7 +16,7 @@ from .builders import (
     build_preset,
     moment_embedding,
 )
-from .solver import GeneratorBasis, canonical_generators, expand_in_basis, verify_generator_conditions
+from .solver import GeneratorBasis, canonical_generators, expand_in_basis
 from .ring_ops import ordinary_reduction, poincare_series, power_coefficient
 from .oracle import brute_force_classes, divided_difference_schubert, s2n_relative_image
 

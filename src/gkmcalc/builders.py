@@ -56,7 +56,7 @@ from .coxeter import (
 )
 from .errors import UnsupportedTypeError
 from .graph import Edge, GkmGraph, Vertex
-from .polyring import Weight
+from .polyring import Weight, _int_arg
 
 __all__ = [
     "type_a",
@@ -74,7 +74,7 @@ __all__ = [
 
 def type_a(n: int) -> GCM:
     """Cartan matrix of type A_n (n >= 1)."""
-    if n < 1:
+    if _int_arg(n, "type A rank") < 1:
         raise ValueError("type A rank must be >= 1")
     return GCM(
         tuple(
@@ -90,7 +90,7 @@ def type_b2() -> GCM:
 
 def affine_type_a(n: int) -> GCM:
     """Untwisted affine Cartan matrix of type A_n^(1); node 0 is affine."""
-    if n < 1:
+    if _int_arg(n, "affine type A rank") < 1:
         raise ValueError("affine type A rank must be >= 1")
     if n == 1:
         return GCM(((2, -2), (-2, 2)))
@@ -218,9 +218,7 @@ def build_flag_graph(
     >>> [(e.other("0-1"), str(e.weight)) for e in g.down_edges("0-1")]
     [('0', 'x1 + x2'), ('1', 'x1')]
     """
-    if type(degree) is not int:
-        raise ValueError(f"degree cutoff must be an int, not {degree!r}")
-    if degree < 0:
+    if _int_arg(degree, "degree cutoff") < 0:
         raise ValueError("degree cutoff must be non-negative")
     J = frozenset(parabolic)
     reps, _, parent, up = coset_orbit(gcm, J, degree)

@@ -32,7 +32,7 @@ from itertools import islice
 from math import gcd, prod
 
 from .errors import InvalidParabolicError
-from .polyring import _int_tuple, _primes
+from .polyring import _int_arg, _int_tuple, _primes
 
 __all__ = [
     "GCM",
@@ -349,9 +349,7 @@ def coset_orbit(gcm: GCM, parabolic, length_cutoff: int):
     letter.  Raises ``ValueError`` for a cutoff that is not a
     non-negative ``int``.
     """
-    if type(length_cutoff) is not int:
-        raise ValueError(f"length cutoff must be an int, not {length_cutoff!r}")
-    if length_cutoff < 0:
+    if _int_arg(length_cutoff, "length cutoff") < 0:
         raise ValueError("length cutoff must be non-negative")
     mu, _ = generic_dominant_vector(gcm, parabolic)
     new, setattr_ = object.__new__, object.__setattr__

@@ -48,9 +48,9 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import NamedTuple
 
-from .errors import MissingVertexValueError, NotDivisibleError, ValidationFailureError
-from .polyring import Polynomial, Weight, _add_multiple, _add_product, _coeff, _normalize_mode
-from .polyring import divide_by_weight, parse_polynomial
+from .errors import MissingVertexValueError, ValidationFailureError
+from .polyring import Polynomial, Weight, _add_multiple, _add_product, _coeff, _divmod_weight, _normalize_mode
+from .polyring import parse_polynomial
 
 # outside the Char production of XML 1.0
 _NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
@@ -141,9 +141,6 @@ class Edge(NamedTuple("Edge", [("u", str), ("v", str), ("weight", Weight)])):
         if vid == self.v:
             return self.u
         raise ValueError(f"{vid!r} is not an endpoint of this edge")
-
-    def key(self) -> tuple[str, str]:
-        return (self.u, self.v)
 
 
 def _json_int(value, what: str) -> int:
@@ -623,19 +620,16 @@ class ValidationEntry(NamedTuple):
 
 
 class ValidationReport:
-    """The checks of a validation and their outcomes.
+    """The checks of a :func:`validate` run and their outcomes.
 
-    A report of :func:`validate` holds the graph and the failures its walk
-    recorded: ``ok`` and ``bool`` read those alone.  Its ``entries``, which
-    ``failures``, ``failing_checks`` and ``format_text`` read, are written
-    from the graph and that record when first read, passing checks
-    included, and kept.  Any other report is given its entries.
+    A report holds the graph and the failures the walk recorded: ``ok`` and
+    ``bool`` read those alone.  Its ``entries``, which ``failures``,
+    ``failing_checks`` and ``format_text`` read, are written from the graph
+    and that record when first read, passing checks included, and kept.
     """
 
-    def __init__(self, entries=None, graph=None, failed=None):
+    def __init__(self, graph: "GkmGraph", failed: dict):
         self._graph, self._failed = graph, failed
-        if graph is None:
-            self.entries = [] if entries is None else entries
 
     @cached_property
     def entries(self) -> list[ValidationEntry]:
@@ -643,7 +637,7 @@ class ValidationReport:
 
     @property
     def ok(self) -> bool:
-        return all(e.ok for e in self.entries) if self._graph is None else not self._failed
+        return not self._failed
 
     def failures(self) -> list[ValidationEntry]:
         return [e for e in self.entries if not e.ok]
@@ -725,7 +719,7 @@ def validate(graph: GkmGraph) -> ValidationReport:
         if not implied and not graph.is_connected():
             failed["connectivity", None] = None
     graph._valid = not failed
-    return ValidationReport(graph=graph, failed=failed)
+    return ValidationReport(graph, failed)
 
 
 def _entries(graph: GkmGraph, failed: dict) -> list[ValidationEntry]:
@@ -775,7 +769,6 @@ def _require_valid(graph: GkmGraph):
 @dataclass
 class GkmMembership:
     ok: bool
-    witnesses: dict[tuple[str, str], Polynomial]
     failing_edge: Edge | None = None
 
     def __bool__(self):
@@ -783,20 +776,19 @@ class GkmMembership:
 
 
 def is_gkm_class(graph: GkmGraph, cls: CohClass) -> GkmMembership:
-    """Membership test with certificate.
+    """Membership test naming the failing edge.
 
     True when across every edge ``(p, q)`` the difference ``f(p) - f(q)``
-    is exactly divisible by the edge weight; the certificate maps each
-    edge to the witness quotient, or records the first failing edge.
+    is exactly divisible by the edge weight, decided on term dicts by the
+    remainder of one division per edge; otherwise the first failing edge
+    is recorded.  A value of another rank raises :class:`ValueError`.
     """
-    for vid in graph.vertex_ids:
-        if vid not in cls.values:
-            raise MissingVertexValueError(f"class has no value at vertex {vid!r}")
-    witnesses: dict[tuple[str, str], Polynomial] = {}
+    for vid in graph.vertex_ids:  # cls.value raises for a missing value
+        if cls.value(vid).nvars != graph.rank:
+            raise ValueError("polynomial and weight live in different rings")
     for e in graph.edges:
-        diff = cls.values[e.u] - cls.values[e.v]
-        try:
-            witnesses[e.key()] = divide_by_weight(diff, e.weight)
-        except NotDivisibleError:
-            return GkmMembership(False, witnesses, failing_edge=e)
-    return GkmMembership(True, witnesses)
+        diff = dict(cls.values[e.u].terms)
+        _add_multiple(diff, cls.values[e.v].terms, -1)
+        if _divmod_weight(diff, e.weight)[1]:
+            return GkmMembership(False, e)
+    return GkmMembership(True)

@@ -34,6 +34,7 @@ from .polyring import (
     Polynomial,
     Weight,
     _coeff,
+    _int_arg,
     divide_by_weight,
     monomials,
     pairwise_coprime,
@@ -204,8 +205,7 @@ def schubert_restrictions(gcm: GCM, parabolic, degree: int) -> dict[str, CohClas
     roots come from :func:`reflect`, not the builder's edge rule.
     Raises ``ValueError`` for a ``degree`` that is not an ``int``.
     """
-    if type(degree) is not int:
-        raise ValueError(f"degree cutoff must be an int, not {degree!r}")
+    _int_arg(degree, "degree cutoff")
     J = frozenset(parabolic)
     reps, *_ = coset_orbit(gcm, J, degree)
     tb = _torus_basis(gcm, J)

@@ -193,6 +193,14 @@ def _int_tuple(values, what: str) -> tuple[int, ...]:
     return out
 
 
+def _int_arg(value, what: str) -> int:
+    """``value`` when it is an ``int`` (a ``bool`` is not one), else
+    :class:`ValueError` naming ``what``: an argument is never coerced."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an int, not {value!r}")
+    return value
+
+
 def _primes():
     """The primes 2, 3, 5, ... in order, without end."""
     n = 2
@@ -364,7 +372,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, index: int, nvars: int) -> "Polynomial":
-        if not 0 <= index < nvars:
+        if not 0 <= _int_arg(index, "variable index") < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
         return cls(nvars, {_unit(index, nvars): 1})
 
@@ -494,7 +502,8 @@ def monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
     >>> monomials(2, 2)
     [(2, 0), (1, 1), (0, 2)]
     """
-    if degree < 0:
+    _int_arg(nvars, "nvars")
+    if _int_arg(degree, "monomial degree") < 0:
         return []
     if nvars == 0:
         return [()] if degree == 0 else []
@@ -696,7 +705,7 @@ def solve_congruences(constraints, degree: int, mode: str = "Q") -> Polynomial:
     constraints = list(constraints)
     if not constraints:
         raise ValueError("at least one congruence is required")
-    if degree < 0:
+    if _int_arg(degree, "degree") < 0:
         raise ValueError(f"degree must be non-negative, got {degree}")
     nvars = constraints[0][0].rank
     for w, p in constraints:

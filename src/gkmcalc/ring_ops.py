@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import CutoffTooSmallError, NonIntegralError
 from .graph import GkmGraph, _count, _require_valid, _size
-from .polyring import Polynomial, _quo
+from .polyring import Polynomial, _int_arg, _quo
 from .solver import GeneratorBasis, _covers_of
 
 __all__ = [
@@ -96,9 +96,7 @@ def power_coefficient(graph: GkmGraph, basis: GeneratorBasis, n: int) -> int | F
     :class:`NonIntegralError` naming ``u`` for a constant that is not an
     integer.
     """
-    if type(n) is not int:
-        raise ValueError(f"power n must be an int, not {n!r}")
-    if n < 1:
+    if _int_arg(n, "power n") < 1:
         raise ValueError("power must be >= 1")
     _require_valid(graph)
     if basis.graph is not graph and basis.graph != graph:

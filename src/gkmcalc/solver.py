@@ -51,13 +51,12 @@ Goldin-Tolman), one exact division per value:
   decides the position seed's class check, and ``k`` from a closed form.
   Beside it the graph keeps a diagonal table, ``P(v)``, the product of
   the down-edge weights at ``v`` (the value ``f_v(v)`` of condition 4),
-  also made per vertex on first use: lifting, the recursion, the
-  condition-4 check of a basis load and every expansion in a basis on the
-  graph share it.  The ``c(v,u)`` are summed as they are, fractions
-  included.  ``D(w)`` is kept as a bare integer tuple, with no
-  ``Weight`` built per pair: it is divided through a plan made from the
-  tuple, and its direction is read with the same gcd as a ``Weight``'s
-  line.
+  also made per vertex on first use: lifting, the recursion and the
+  condition-4 check of a basis load share it.  The ``c(v,u)`` are summed
+  as they are, fractions included.  ``D(w)`` is kept as a bare integer
+  tuple, with no ``Weight`` built per pair: it is divided through a plan
+  made from the tuple, and its direction is read with the same gcd as a
+  ``Weight``'s line.
 * Each value is certified.  ``g`` and ``Phi`` are classes, so the weight
   ``alpha`` of a down-edge ``(w, x)`` divides ``D(w) * (f_v(w) -
   f_v(x))``, hence ``f_v(w) - f_v(x)`` unless ``alpha`` is parallel to
@@ -72,6 +71,10 @@ Goldin-Tolman), one exact division per value:
 
 Below the top, the recursion would need the generators above the cutoff,
 so every generator is lifted.
+
+The basis is triangular by cell dimension, so a class expands in it by a
+triangular solve: each coefficient is the residual at its vertex divided
+by the generator's own value there (:func:`expand_in_basis`).
 
 Generators depend on the stored sign of the edge labels only through
 condition 4, i.e. up to one overall sign each; graphs from the builder
@@ -95,8 +98,6 @@ from .errors import (
 from .graph import (
     CohClass,
     GkmGraph,
-    ValidationEntry,
-    ValidationReport,
     _count,
     _graph_text,
     _json_block,
@@ -105,7 +106,6 @@ from .graph import (
     _known_keys,
     _require_valid,
     _same_vertices,
-    is_gkm_class,
 )
 from .polyring import (
     Polynomial,
@@ -127,7 +127,6 @@ from .polyring import (
 __all__ = [
     "GeneratorBasis",
     "canonical_generators",
-    "verify_generator_conditions",
     "expand_in_basis",
 ]
 
@@ -194,8 +193,9 @@ class GeneratorBasis:
             values = _json_values(values, graph, f"generator {vid!r}", polys, terms)
             broken = _broken_conditions(graph, vid, values, degrees)
             if broken:
-                bad = next(c for c in _generator_checks(graph, vid, broken) if not c.ok)
-                raise ValueError(f"generator {vid!r} breaks condition {bad.check} ({bad.detail})")
+                check = next(c for c in _CONDITIONS if c in broken)
+                detail = _CONDITIONS[check].format(graph.vertex(vid).cell_dim // 2)
+                raise ValueError(f"generator {vid!r} breaks condition {check} ({detail}; fails at {broken[check]!r})")
             gens[vid] = CohClass._make(values, graph.vertex(vid).cell_dim // 2)
         return cls(graph, degree, mode, gens)
 
@@ -208,8 +208,9 @@ class GeneratorBasis:
 def _down_weight_product(graph: GkmGraph, vid: str) -> Polynomial:
     """``f_vid(vid)``, the product of the down-edge weights at ``vid``, from
     the graph's diagonal table: made once per graph, on first use, and
-    shared by basis loads, expansions, the recursion and lifting, so its
-    terms must never be changed."""
+    shared by basis loads, the recursion and lifting, so its terms must
+    never be changed.  Expansions do not read it: they divide by each
+    generator's own ``f_v(v)``."""
     p = graph._diagonals.get(vid)
     if p is None:
         t = _constant_terms(1, graph.rank)
@@ -469,53 +470,30 @@ def _broken_conditions(graph: GkmGraph, vid: str, values: dict, degrees: dict) -
     return first
 
 
-def _generator_checks(graph: GkmGraph, vid: str, broken: dict[str, str]) -> list[ValidationEntry]:
-    """Conditions 1-4 for ``f_vid`` as report entries, from the
-    :func:`_broken_conditions` of its values: a failing entry names the
-    first vertex that breaks it."""
-    d = graph.vertex(vid).cell_dim // 2
-    out = []
-    for check, detail in _CONDITIONS.items():
-        detail, w = detail.format(d), broken.get(check)
-        out.append(ValidationEntry(vid, check, w is None, detail if w is None else f"{detail}; fails at {w!r}"))
-    return out
-
-
-def verify_generator_conditions(basis: GeneratorBasis) -> ValidationReport:
-    """Re-check conditions 1-4 and GKM membership for every generator."""
-    graph, rep, degrees = basis.graph, ValidationReport(), {}
-    for vid, cls in basis.items():
-        okg = bool(is_gkm_class(graph, cls))
-        rep.entries += _generator_checks(graph, vid, _broken_conditions(graph, vid, cls.values, degrees))
-        rep.entries.append(ValidationEntry(vid, "gkm_membership", okg, "divisibility across every edge"))
-    return rep
-
-
 def expand_in_basis(cls: CohClass, basis: GeneratorBasis) -> dict[str, Polynomial]:
     """Coefficients ``c_v`` with ``cls = sum c_v f_v``.
 
-    Greedy by increasing cell dimension over residual term dicts, one per
-    nonzero value of ``cls`` and one made on the first subtraction into a
-    vertex.  At each vertex ``v`` the coefficient ``c_v`` is the residual
-    divided by ``f_v(v)`` (zero when the residual is empty).  A constant
-    coefficient, as at every vertex whose degree is that of a homogeneous
-    class, is found in one step by a certified ratio: ``k`` is read at one
-    monomial of the stored ``f_v(v)``, and ``c_v = k`` when the residual
-    equals ``k * f_v(v)`` term by term, which clears it.  Otherwise the
-    residual is divided exactly, once, by ``P(v)``, the product of the
-    down-edge weights, which the graph's diagonal table holds; when
-    ``f_v(v)`` is ``P(v)`` that clears it too, and otherwise ``c_v *
-    f_v(v)`` is subtracted from it.  Then ``c_v * f_v(w)`` is subtracted
-    from the residual at each other ``w`` with ``f_v(w) != 0``.  A residual
-    that ``P(v)`` does not divide is divided by the down-edge weights one at
-    a time, and :class:`NotInSpanError` names the vertex and the first edge
-    whose weight leaves a remainder; a residual nonzero after the last
-    vertex raises it with the vertex.  In Z-mode every coefficient must be
+    The basis is triangular by cell dimension, so the expansion is a
+    triangular solve over residual term dicts, one per nonzero value of
+    ``cls`` and one made on the first subtraction into a vertex.  By
+    increasing cell dimension, the coefficient at each vertex ``v`` is its
+    residual divided by the generator's own ``f_v(v)`` (zero when the
+    residual is empty); that clears the residual at ``v``, and ``c_v *
+    f_v(w)`` is subtracted from the residual at each other ``w`` with
+    ``f_v(w) != 0``.  A constant coefficient, as at every vertex whose
+    degree is that of a homogeneous class, is found in one step by a
+    certified ratio: ``k`` is read at one monomial of ``f_v(v)``, and
+    ``c_v = k`` when the residual equals ``k * f_v(v)`` term by term; any
+    other is one exact division.  When ``f_v(v)`` does not divide the
+    residual, :class:`NotInSpanError` names the vertex and the first
+    down-edge whose weight leaves a remainder, or the vertex alone when
+    every weight divides it; a residual nonzero after the last vertex
+    raises it with the vertex.  In Z-mode every coefficient must be
     integral.  A value of another rank, or at a vertex the basis graph
     lacks, raises :class:`ValueError`, and a missing one
     :class:`MissingVertexValueError`.  Inputs are left unchanged.  Every
-    zero coefficient of one call is one shared zero polynomial, so only the
-    nonzero ones are allocated.
+    zero coefficient of one call is one shared zero polynomial, so only
+    the nonzero ones are allocated.
     """
     graph, nvars, values = basis.graph, basis.graph.rank, cls.values
     residual = {}  # copies of the nonzero values; cls.value raises for a missing one
@@ -533,7 +511,7 @@ def expand_in_basis(cls: CohClass, basis: GeneratorBasis) -> dict[str, Polynomia
         gen = basis.generators.get(vid)
         if gen is None:
             continue
-        c = residual.get(vid)
+        c = residual.pop(vid, None)  # c_v * f_v(v) clears it
         if not c:
             coeffs[vid] = zero
             continue
@@ -542,24 +520,18 @@ def expand_in_basis(cls: CohClass, basis: GeneratorBasis) -> dict[str, Polynomia
         k = _quo(c[e0], diag[e0]) if e0 in c else 0
         constant = k and c == {x: k * a for x, a in diag.items()}
         if constant:
-            c, cleared = _constant_terms(k, nvars), True
+            c = _constant_terms(k, nvars)
         else:
-            down = _down_weight_product(graph, vid).terms
-            q = _divide_exact(c, down)
+            q = _divide_exact(c, diag) if diag else None
             if q is None:  # name the first down-edge weight that leaves a remainder
-                q = c
-                for e in graph.down_edges(vid):
-                    q, rem = _divmod_weight(q, e.weight)
-                    if rem:
-                        raise NotInSpanError(
-                            f"residual at {vid!r} is not divisible by its down-edge weights; "
-                            "the class is not in the span of the basis within the cutoff",
-                            vertex=vid,
-                            edge=e,
-                        )
-            c, cleared = q, diag == down
-        if cleared:
-            del residual[vid]  # it is c * f_v(v): cleared, not subtracted
+                edge = next((e for e in graph.down_edges(vid) if _divmod_weight(c, e.weight)[1]), None)
+                raise NotInSpanError(
+                    f"residual at {vid!r} is not divisible by {'its down-edge weights' if edge else 'f_v(v)'}; "
+                    "the class is not in the span of the basis within the cutoff",
+                    vertex=vid,
+                    edge=edge,
+                )
+            c = q
         coeff = coeffs[vid] = Polynomial._make(nvars, c)
         if basis.mode == "Z" and not coeff.is_integral():
             raise NonIntegralError(
@@ -569,7 +541,7 @@ def expand_in_basis(cls: CohClass, basis: GeneratorBasis) -> dict[str, Polynomia
             )
         for wid, p in gen.values.items():
             value = p.terms
-            if not value or cleared and wid == vid:
+            if not value or wid == vid:
                 continue
             res = residual.setdefault(wid, {})
             if constant:

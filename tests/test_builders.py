@@ -1,6 +1,7 @@
 """Builder outputs: counts, closure, positions, and truncation behavior."""
 
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,7 @@ from gkmcalc.coxeter import (
 )
 from gkmcalc.errors import InvalidParabolicError, UnsupportedTypeError
 from gkmcalc.graph import GkmGraph, Vertex, validate
-from gkmcalc.polyring import Weight
+from gkmcalc.polyring import Polynomial, Weight, monomials, solve_congruences
 from gkmcalc.ring_ops import poincare_series
 from gkmcalc.solver import canonical_generators
 from test_coxeter import _gcm_and_parabolic, word_matrix
@@ -481,3 +482,25 @@ def test_builder_inputs_are_refused_with_their_messages():
     for make, error, message in refused:
         with pytest.raises(error, match=message):
             make()
+
+
+_CONGRUENCES = [(Weight((1, 0)), Polynomial.zero(2)), (Weight((0, 1)), Polynomial.zero(2))]
+_NOT_INTS = [
+    (type_a, (True,), "type A rank must be an int, not True"),
+    (type_a, ("3",), "type A rank must be an int, not '3'"),
+    (affine_type_a, (True,), "affine type A rank must be an int, not True"),
+    (affine_type_a, ("2",), "affine type A rank must be an int, not '2'"),
+    (Polynomial.variable, (True, 2), "variable index must be an int, not True"),
+    (monomials, (True, 1), "nvars must be an int, not True"),
+    (monomials, (2, True), "monomial degree must be an int, not True"),
+    (solve_congruences, (_CONGRUENCES, True), "degree must be an int, not True"),
+    (solve_congruences, (_CONGRUENCES, 1.0), "degree must be an int, not 1.0"),
+]
+
+
+@pytest.mark.parametrize("make, args, message", _NOT_INTS, ids=[m for *_, m in _NOT_INTS])
+def test_integer_arguments_are_refused_not_coerced(make, args, message):
+    # a bool, a float or a string is no int: each ends in ValueError, never
+    # in a rank-1 matrix, x2, a degree-1 solve or a bare TypeError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make(*args)

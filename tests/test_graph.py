@@ -114,10 +114,14 @@ def test_sphere_membership_examples():
     g = sphere_graph()
     good = CohClass({"n": Polynomial.zero(2), "s": X})
     res = is_gkm_class(g, good)
-    assert res.ok and res.witnesses[("n", "s")] == -Polynomial.one(2)
+    assert res.ok and res.failing_edge is None
     bad = CohClass({"n": Polynomial.zero(2), "s": Y})
     res = is_gkm_class(g, bad)
-    assert not res.ok and res.failing_edge.key() == ("n", "s")
+    e = res.failing_edge
+    assert not res.ok and (e.u, e.v) == ("n", "s")
+    # values are read as term dicts against the weights: the rank is checked
+    with pytest.raises(ValueError, match="^polynomial and weight live in different rings$"):
+        is_gkm_class(g, CohClass({"n": Polynomial.zero(3), "s": Polynomial.zero(3)}))
 
 
 def test_membership_requires_all_vertices():

@@ -28,12 +28,7 @@ from gkmcalc.errors import (
 )
 from gkmcalc.graph import CohClass, Edge, GkmGraph, ValidationReport, Vertex, is_gkm_class, validate
 from gkmcalc.polyring import Polynomial, Weight, monomials, parse_polynomial
-from gkmcalc.solver import (
-    GeneratorBasis,
-    canonical_generators,
-    expand_in_basis,
-    verify_generator_conditions,
-)
+from gkmcalc.solver import GeneratorBasis, canonical_generators, expand_in_basis
 from test_graph import _TEXT, _xml_text
 
 
@@ -93,12 +88,54 @@ def test_omega_su2_generators_match_hand_computation():
         assert f2.values[vid] == poly2(text), vid
 
 
+# generator conditions 1-4 by check name, in order, worded as a basis load
+# words its refusal
+_CONDITION_TEXT = {
+    "homogeneous": "every value homogeneous of degree {} or zero",
+    "vanish_below": "zero on lower-dimensional vertices",
+    "vanish_beside": "zero on other vertices of equal dimension",
+    "diagonal_value": "f_v(v) is the product of down-edge weights",
+}
+
+
+def generator_failures(basis):
+    """``(generator, check, detail)`` for each of conditions 1-4 and GKM
+    membership that a generator of ``basis`` breaks, the conditions in
+    order, each detail naming the first vertex in canonical order that
+    breaks it.  ``P(v)`` is multiplied out here from the down-edge weights,
+    so nothing is read from the solver's own condition checks."""
+    g, out = basis.graph, []
+    for vid, cls in basis.generators.items():
+        dim = g.vertex(vid).cell_dim
+        first = {}
+        for w in g.vertices:
+            p = cls.values[w.id]
+            if p.is_zero():
+                continue
+            if not p.is_homogeneous(dim // 2):
+                first.setdefault("homogeneous", w.id)
+            if w.cell_dim < dim:
+                first.setdefault("vanish_below", w.id)
+            elif w.cell_dim == dim and w.id != vid:
+                first.setdefault("vanish_beside", w.id)
+        product = Polynomial.one(g.rank)
+        for e in g.down_edges(vid):
+            product = product * e.weight.to_polynomial()
+        if cls.values[vid] != product:
+            first["diagonal_value"] = vid
+        for check, text in _CONDITION_TEXT.items():
+            if check in first:
+                out.append((vid, check, f"{text.format(dim // 2)}; fails at {first[check]!r}"))
+        if not is_gkm_class(g, cls):
+            out.append((vid, "gkm_membership", "divisibility across every edge"))
+    return out
+
+
 def test_verify_conditions_pass_on_solver_output():
     for name in ("A2-flag", "omega-su2", "A1-4-twisted"):
         g = build_preset(name)
         basis = canonical_generators(g, 4)
-        report = verify_generator_conditions(basis)
-        assert report.ok, report.failures()
+        assert generator_failures(basis) == []
 
 
 def test_perturbed_basis_fails_conditions_or_membership():
@@ -119,15 +156,13 @@ def test_perturbed_basis_fails_conditions_or_membership():
         tampered = GeneratorBasis(
             g, basis.degree, basis.mode, {**basis.generators, vid: perturbed}
         )
-        report = verify_generator_conditions(tampered)
-        assert not report.ok
+        assert generator_failures(tampered)
 
 
 def test_empty_graph_vacuously_fine():
     g = GkmGraph(2, "Z", [], [])
     basis = canonical_generators(g, 3)
     assert basis.generators == {}
-    assert verify_generator_conditions(basis).ok
 
 
 def test_solver_refuses_invalid_graph():
@@ -143,10 +178,9 @@ def _count_validations(monkeypatch):
     runs, walks = [], []
     init, connected = ValidationReport.__init__, GkmGraph.is_connected
 
-    def report(self, entries=None, graph=None, failed=None):
-        if graph is not None:
-            runs.append(graph)
-        init(self, entries, graph, failed)
+    def report(self, graph, failed):
+        runs.append(graph)
+        init(self, graph, failed)
 
     monkeypatch.setattr(ValidationReport, "__init__", report)
     monkeypatch.setattr(GkmGraph, "is_connected", lambda graph: walks.append(graph) or connected(graph))
@@ -338,7 +372,8 @@ def test_expand_refuses_values_off_the_graph_or_of_another_rank():
 
 def test_expansions_make_each_diagonal_once_per_graph(monkeypatch):
     # a basis load checks condition 4 against P(v), the product of the
-    # down-edge weights; every expansion after it reads that same product
+    # down-edge weights, made once per graph; an expansion divides by each
+    # generator's own f_v(v) and makes no diagonal
     b3 = GCM(((2, -1, 0), (-1, 2, -1), (0, -2, 2)))
     data = json.loads(canonical_generators(build_flag_graph(b3, (), 3), 3).dumps())
     made = []
@@ -348,15 +383,16 @@ def test_expansions_make_each_diagonal_once_per_graph(monkeypatch):
         made.clear()
         basis = GeneratorBasis.from_dict(data)
         g, gens = basis.graph, basis.generators
-        diagonals = dict(g._diagonals)
-        assert diagonals.keys() == gens.keys()
+        assert g._diagonals.keys() == gens.keys()
+        assert len(made) == sum(len(g.down_edges(vid)) for vid in gens)
+        made.clear()
+        g._diagonals.clear()
         deg = {vid: g.vertex(vid).cell_dim // 2 for vid in gens}
         for u in gens:
             for v in gens:
                 if deg[u] + deg[v] <= basis.degree:
                     expand_in_basis(gens[u] * gens[v], basis)
-        assert len(made) == sum(len(g.down_edges(vid)) for vid in gens)
-        assert all(g._diagonals[vid] is p for vid, p in diagonals.items())
+        assert made == [] and g._diagonals == {}
 
 
 def non_integral_graph():
@@ -599,39 +635,45 @@ def _expansion_outcome(cls, basis):
         return type(err).__name__, err.vertex, edge and (edge.u, edge.v)
 
 
+def _a3_basis_with_diagonal(mode, scale):
+    """The A3 basis of degree 4 and its generator ``f = f_{1-0}``, built
+    directly with ``f(1-0)`` times ``scale`` (``from_dict`` refuses it)."""
+    basis = canonical_generators(build_flag_graph(type_a(3), (), 4), 4)
+    f = basis.generator("1-0")
+    scaled = CohClass({**f.values, "1-0": scale * f.values["1-0"]}, f.degree)
+    return GeneratorBasis(basis.graph, basis.degree, mode, {**basis.generators, "1-0": scaled}), f, scaled
+
+
 @pytest.mark.parametrize("mode", ["Z", "Q"])
 def test_expansion_in_a_basis_with_a_doubled_diagonal(mode):
-    # a GeneratorBasis built directly, with f_{1-0}(1-0) twice the product
-    # of the down-edge weights (from_dict refuses it); the generator itself
-    # has a constant coefficient at 1-0, its product with f_0 does not
-    basis = canonical_generators(build_flag_graph(type_a(3), (), 4), 4)
-    f, f0 = basis.generator("1-0"), basis.generator("0")
-    doubled = CohClass({**f.values, "1-0": 2 * f.values["1-0"]}, f.degree)
-    tampered = GeneratorBasis(basis.graph, basis.degree, mode, {**basis.generators, "1-0": doubled})
-    above = ("NotInSpanError", "1-0-1", ("1-0", "1-0-1"))
+    # each coefficient is the residual divided by the generator's own
+    # f_v(v): the doubled generator and its product with f_0 expand, while
+    # f and f * f_0 take half a coefficient at 1-0, not integral in Z-mode
+    # and in Q-mode leaving a residual above 1-0 that does not divide
+    tampered, f, doubled = _a3_basis_with_diagonal(mode, 2)
+    f0 = tampered.generator("0")
     outcomes = [_expansion_outcome(c, tampered) for c in (doubled, f, doubled * f0, f * f0)]
-    assert outcomes == [
-        {"1-0": "1"},
-        ("NonIntegralError", "1-0", None) if mode == "Z" else above,
-        above,
-        # the residual at 1-0 divides by the down-edge weights, but
-        # subtracting the quotient times the doubled value leaves its negative
-        ("NotInSpanError", "1-0", None),
-    ]
+    half = ("NonIntegralError", "1-0", None) if mode == "Z" else ("NotInSpanError", "1-0-1", ("1-0", "1-0-1"))
+    assert outcomes == [{"1-0": "1"}, half, {"1-0": "x1 + x2", "2-1-0": "1"}, half]
 
 
-def test_a_doubled_diagonal_is_still_subtracted_at_its_vertex():
-    # the coefficient of f * f0 at 1-0 is its value there divided by the
-    # down-edge weights; c * f_{1-0}(1-0) is twice that value, so what is
-    # left at 1-0 is its negative, not the value itself
-    basis = canonical_generators(build_flag_graph(type_a(3), (), 4), 4)
-    f, f0 = basis.generator("1-0"), basis.generator("0")
-    doubled = CohClass({**f.values, "1-0": 2 * f.values["1-0"]}, f.degree)
-    tampered = GeneratorBasis(basis.graph, basis.degree, "Q", {**basis.generators, "1-0": doubled})
-    product = f * f0
+def test_a_diagonal_clears_the_residual_at_its_vertex():
+    # the coefficient at 1-0 times the doubled f_{1-0}(1-0) is the residual
+    # there, so nothing is left at 1-0 and the expansion sums back to the
+    # class; with f_{1-0}(1-0) = 0 the residual divides by every down-edge
+    # weight but not by f_v(v), and the error names the vertex alone
+    tampered, f, doubled = _a3_basis_with_diagonal("Q", 2)
+    product = doubled * tampered.generator("0")
+    coeffs = expand_in_basis(product, tampered)
+    assert coeffs["1-0"] * doubled.value("1-0") == product.value("1-0")
+    gens, zero = tampered.generators, Polynomial.zero(3)
+    rebuilt = {w: sum((c * gens[v].values[w] for v, c in coeffs.items()), zero) for w in product.values}
+    assert rebuilt == product.values
+    vanished, f, _ = _a3_basis_with_diagonal("Q", 0)
     with pytest.raises(NotInSpanError) as err:
-        expand_in_basis(product, tampered)
-    assert str(err.value).startswith(f"nonzero residual {-product.value('1-0')} at '1-0' after expansion")
+        expand_in_basis(f, vanished)
+    assert (err.value.vertex, err.value.edge) == ("1-0", None)
+    assert str(err.value).startswith("residual at '1-0' is not divisible by f_v(v);")
 
 
 _B2_BASIS = json.loads(canonical_generators(build_preset("B2-flag"), 4).dumps())
@@ -641,8 +683,8 @@ _B2_BASIS = json.loads(canonical_generators(build_preset("B2-flag"), 4).dumps())
 @given(st.data())
 def test_basis_load_decides_conditions_as_the_report_does(data):
     # one value of one generator replaced: the load passes exactly when
-    # every condition entry of verify_generator_conditions is ok, and else
-    # names the first failing one with its detail
+    # generator_failures finds no broken condition, and else names the
+    # first broken one with its detail
     doc = copy.deepcopy(_B2_BASIS)
     gens = doc["generators"]
     vid = data.draw(st.sampled_from(sorted(gens)))
@@ -656,14 +698,14 @@ def test_basis_load_decides_conditions_as_the_report_does(data):
     gens[vid][wid] = text
     graph = GkmGraph.from_dict(doc["graph"])
     values = {w: parse_polynomial(t, 2) for w, t in gens[vid].items()}
-    report = verify_generator_conditions(GeneratorBasis(graph, 4, "Z", {vid: CohClass(values)}))
-    bad = [c for c in report.entries if not c.ok and c.check != "gkm_membership"]
+    failures = generator_failures(GeneratorBasis(graph, 4, "Z", {vid: CohClass(values)}))
+    bad = [(check, detail) for _, check, detail in failures if check != "gkm_membership"]
     if not bad:
         assert GeneratorBasis.from_dict(doc).generator(vid).values == values
         return
     with pytest.raises(ValueError) as err:
         GeneratorBasis.from_dict(doc)
-    assert str(err.value) == f"generator {vid!r} breaks condition {bad[0].check} ({bad[0].detail})"
+    assert str(err.value) == f"generator {vid!r} breaks condition {bad[0][0]} ({bad[0][1]})"
 
 
 @pytest.mark.parametrize(

@@ -56,7 +56,7 @@ from .coxeter import (
 )
 from .errors import UnsupportedTypeError
 from .graph import Edge, GkmGraph, Vertex
-from .polyring import Weight, _int_arg
+from .polyring import Weight, _count, _int_arg
 
 __all__ = [
     "type_a",
@@ -75,7 +75,7 @@ __all__ = [
 def type_a(n: int) -> GCM:
     """Cartan matrix of type A_n (n >= 1)."""
     if _int_arg(n, "type A rank") < 1:
-        raise ValueError("type A rank must be >= 1")
+        raise ValueError(f"type A rank must be >= 1, got {n}")
     return GCM(
         tuple(
             tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n))
@@ -91,7 +91,7 @@ def type_b2() -> GCM:
 def affine_type_a(n: int) -> GCM:
     """Untwisted affine Cartan matrix of type A_n^(1); node 0 is affine."""
     if _int_arg(n, "affine type A rank") < 1:
-        raise ValueError("affine type A rank must be >= 1")
+        raise ValueError(f"affine type A rank must be >= 1, got {n}")
     if n == 1:
         return GCM(((2, -2), (-2, 2)))
     size = n + 1
@@ -218,8 +218,7 @@ def build_flag_graph(
     >>> [(e.other("0-1"), str(e.weight)) for e in g.down_edges("0-1")]
     [('0', 'x1 + x2'), ('1', 'x1')]
     """
-    if _int_arg(degree, "degree cutoff") < 0:
-        raise ValueError("degree cutoff must be non-negative")
+    _count(degree, "degree cutoff")
     J = frozenset(parabolic)
     reps, _, parent, up = coset_orbit(gcm, J, degree)
     tb = _torus_basis(gcm, J)

@@ -31,8 +31,8 @@ from .errors import (
     UnsupportedTypeError,
     ValidationFailureError,
 )
-from .graph import CohClass, GkmGraph, _count, is_gkm_class, validate
-from .polyring import Polynomial, Weight, monomials
+from .graph import CohClass, GkmGraph, is_gkm_class, validate
+from .polyring import Polynomial, Weight, _count, monomials
 from .solver import GeneratorBasis, canonical_generators, expand_in_basis
 
 __all__ = ["main"]

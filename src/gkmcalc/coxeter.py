@@ -32,7 +32,7 @@ from itertools import islice
 from math import gcd, prod
 
 from .errors import InvalidParabolicError
-from .polyring import _int_arg, _int_tuple, _primes
+from .polyring import _count, _int_arg, _int_tuple, _primes
 
 __all__ = [
     "GCM",
@@ -249,12 +249,13 @@ def real_roots(gcm: GCM, height_cutoff: int) -> list[Root]:
     Real roots are the Weyl images of simple roots; since the descent chain
     of any positive real root decreases height monotonically, closing the
     set of simple roots under reflections inside the height ball finds
-    every one of them exactly once.
+    every one of them exactly once.  A cutoff below 1 finds none, and one
+    that is not an ``int`` raises ``ValueError``.
 
     >>> [str(r) for r in real_roots(GCM(((2, -1), (-1, 2))), 2)]
     ['(0,1)', '(1,0)', '(1,1)']
     """
-    if height_cutoff < 1:
+    if _int_arg(height_cutoff, "height cutoff") < 1:
         return []
     seen: set[tuple[int, ...]] = set()
     frontier: list[tuple[int, ...]] = []
@@ -315,7 +316,7 @@ def generic_dominant_vector(gcm: GCM, parabolic) -> tuple[tuple[int, ...], int]:
     J = frozenset(parabolic)
     for j in J:
         if type(j) is not int:
-            raise InvalidParabolicError(f"parabolic node {j!r} is not an int")
+            raise InvalidParabolicError(f"parabolic node must be an int, not {j!r}")
     if not J <= set(range(gcm.n)):
         raise InvalidParabolicError(f"parabolic {sorted(J)} not a subset of 0..{gcm.n - 1}")
     free = [i for i in range(gcm.n) if i not in J]
@@ -349,8 +350,7 @@ def coset_orbit(gcm: GCM, parabolic, length_cutoff: int):
     letter.  Raises ``ValueError`` for a cutoff that is not a
     non-negative ``int``.
     """
-    if _int_arg(length_cutoff, "length cutoff") < 0:
-        raise ValueError("length cutoff must be non-negative")
+    _count(length_cutoff, "length cutoff")
     mu, _ = generic_dominant_vector(gcm, parabolic)
     new, setattr_ = object.__new__, object.__setattr__
     reps: list[tuple[CosetRep, tuple[int, ...]]] = [(CosetRep(()), mu)]

@@ -7,7 +7,8 @@ cohomology when the difference across every edge is divisible by that
 edge's weight.
 
 Vertices and edges are checked ``NamedTuple`` records: ``Vertex(...)`` and
-``Edge(...)`` refuse a bad position entry, a self-loop and the zero weight.
+``Edge(...)`` refuse a cell dimension that is not an ``int``, a bad
+position entry, a self-loop and the zero weight.
 The graph reader and the builder make those checks themselves and build the
 records unchecked, with ``tuple.__new__(Vertex, fields)`` and
 ``tuple.__new__(Edge, fields)``, so each check runs once per path and no
@@ -40,7 +41,6 @@ from __future__ import annotations
 import json
 import re
 import reprlib
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -49,8 +49,8 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import MissingVertexValueError, ValidationFailureError
-from .polyring import Polynomial, Weight, _add_multiple, _add_product, _coeff, _divmod_weight, _normalize_mode
-from .polyring import parse_polynomial
+from .polyring import Polynomial, Weight, _add_multiple, _add_product, _coeff, _count, _divmod_weight, _int_arg
+from .polyring import _normalize_mode, _size, parse_polynomial
 
 # outside the Char production of XML 1.0
 _NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
@@ -90,8 +90,9 @@ class Vertex(
     ``Fraction`` per torus coordinate) and optional display label.
 
     A checked ``NamedTuple``: ``Vertex(...)`` and ``_replace`` refuse a
-    position entry that is not an ``int`` or ``Fraction`` (``bool`` and
-    ``float`` included) and store the position as a tuple of ``Fraction``.
+    cell dimension that is not an ``int`` and a position entry that is not
+    an ``int`` or ``Fraction`` (``bool`` and ``float`` included), and store
+    the position as a tuple of ``Fraction``.
     ``tuple.__new__(Vertex, fields)`` skips that check; only the graph
     reader and the builder make vertices that way, after making the same
     check themselves, so each check runs once per path.  A vertex compares
@@ -101,6 +102,7 @@ class Vertex(
     __slots__ = ()
 
     def __new__(cls, id: str, cell_dim: int, position: tuple | None = None, label: str | None = None):
+        _int_arg(cell_dim, f"cell_dim of {id!r}")
         if position is not None:
             pos = tuple(position)
             for p in pos:
@@ -141,32 +143,6 @@ class Edge(NamedTuple("Edge", [("u", str), ("v", str), ("weight", Weight)])):
         if vid == self.v:
             return self.u
         raise ValueError(f"{vid!r} is not an endpoint of this edge")
-
-
-def _json_int(value, what: str) -> int:
-    """An integer read from JSON; floats, strings and booleans are rejected,
-    never truncated."""
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _count(value, what: str) -> int:
-    """A non-negative integer, checked as by ``_json_int``."""
-    if _json_int(value, what) < 0:
-        raise ValueError(f"{what} must be non-negative, got {value}")
-    return value
-
-
-def _size(value, what: str) -> int:
-    """A count that sizes a list or tuple, checked as by ``_count`` and
-    below ``sys.maxsize``, so that ``value + 1`` items still have an
-    index: ``10**30`` is refused naming ``what``, where it would end in an
-    ``OverflowError``.  Below the bound a list of ``value`` items is still
-    asked for."""
-    if _count(value, what) >= sys.maxsize:
-        raise ValueError(f"{what} must be below {sys.maxsize}, got {value}")
-    return value
 
 
 def _json_of(kind: type, value, what: str):
@@ -283,14 +259,16 @@ def _vertex_key(v: Vertex) -> tuple[int, str]:
 class GkmGraph:
     """Immutable decorated graph with a torus rank and coefficient mode.
 
-    The constructor checks and orders the vertices and edges and builds no
-    other table.  The incidence table, which ``edges_at`` and
+    The constructor refuses a rank that is not an ``int`` in ``0 ..
+    sys.maxsize - 1``, checks and orders the vertices and edges and builds
+    no other table.  The incidence table, which ``edges_at`` and
     ``is_connected`` read, and the down-edge table, which ``down_edges``
     and :func:`validate` read, are each made on first read and kept: a
     graph that is only written or rendered makes neither.
     """
 
     def __init__(self, rank: int, mode: str, vertices, edges):
+        _size(rank, "rank")
         mode = _normalize_mode(mode)
         vs = sorted(vertices, key=_vertex_key)
         index: dict[str, Vertex] = {}
@@ -324,12 +302,10 @@ class GkmGraph:
         self._vertex_ids = tuple(at)
         self._edges = tuple(norm_edges)
         # facts derived from the immutable graph alone: whether it passed
-        # ``validate``, the solver's ``Phi`` and its Chevalley and diagonal
-        # tables by vertex
+        # ``validate``, the solver's ``Phi`` and its Chevalley table by vertex
         self._valid = False
         self._phi = None
         self._covers: dict = {}
-        self._diagonals: dict = {}
 
     @cached_property
     def _incidence(self) -> dict[str, tuple[Edge, ...]]:
@@ -439,7 +415,6 @@ class GkmGraph:
         ``Edge`` itself, a zero label once per distinct label, with their
         messages."""
         _json_of(dict, data, "a graph")
-        rank = _size(data["rank"], "rank")
         if len(data) != 3 + ("mode" in data):
             _known_keys(data, ("rank", "mode", "vertices", "edges"), "a graph")
         fracs: dict[int | str, Fraction] = {}
@@ -458,7 +433,7 @@ class GkmGraph:
                 raise ValueError(
                     f"vertex {vid!r}: id and label cannot hold {bad.group()!r} (not an XML character)"
                 )
-            cell_dim = _json_int(vd["cell_dim"], f"cell_dim of {vid!r}")
+            cell_dim = _int_arg(vd["cell_dim"], f"cell_dim of {vid!r}")
             position = _json_position(pos, vid, fracs) if pos is not None else None
             vs.append(new(Vertex, (vid, cell_dim, position, label)))
         # one Weight per distinct label, refused once if zero; entries are
@@ -485,7 +460,7 @@ class GkmGraph:
                     raise ValueError(f"edge ({u}, {v}) has zero weight")
                 weight = weights[coeffs] = Weight(coeffs)
             es.append(new(Edge, (u, v, weight)))
-        return cls(rank, data.get("mode", "Z"), vs, es)
+        return cls(data["rank"], data.get("mode", "Z"), vs, es)
 
     @classmethod
     def loads(cls, text: str) -> "GkmGraph":
@@ -529,6 +504,7 @@ class CohClass:
 
     def __post_init__(self):
         if self.degree is not None:
+            _count(self.degree, "class degree")
             for vid, p in self.values.items():
                 if p.terms and not p.is_homogeneous(self.degree):
                     raise ValueError(
@@ -605,8 +581,6 @@ class CohClass:
         """A class on ``graph`` read from ``{"values": {vertex id: polynomial
         string}, "degree"?: int}``, with a value at every vertex and no other."""
         degree = _json_of(dict, data, "a class").get("degree")
-        if degree is not None:
-            _json_int(degree, "class degree")
         if len(data) != 1 + (degree is not None):
             _known_keys(data, ("values", "degree"), "a class")
         return cls(_json_values(data["values"], graph, "class", {}, {}), degree)
@@ -623,9 +597,9 @@ class ValidationReport:
     """The checks of a :func:`validate` run and their outcomes.
 
     A report holds the graph and the failures the walk recorded: ``ok`` and
-    ``bool`` read those alone.  Its ``entries``, which ``failures``,
-    ``failing_checks`` and ``format_text`` read, are written from the graph
-    and that record when first read, passing checks included, and kept.
+    ``bool`` read those alone.  Its ``entries``, which ``failures`` and
+    ``format_text`` read, are written from the graph and that record when
+    first read, passing checks included, and kept.
     """
 
     def __init__(self, graph: "GkmGraph", failed: dict):
@@ -641,9 +615,6 @@ class ValidationReport:
 
     def failures(self) -> list[ValidationEntry]:
         return [e for e in self.entries if not e.ok]
-
-    def failing_checks(self) -> set[str]:
-        return {e.check for e in self.failures()}
 
     def format_text(self) -> str:
         lines = []

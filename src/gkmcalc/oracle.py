@@ -34,6 +34,7 @@ from .polyring import (
     Polynomial,
     Weight,
     _coeff,
+    _count,
     _int_arg,
     divide_by_weight,
     monomials,
@@ -111,10 +112,11 @@ def brute_force_classes(graph: GkmGraph, degree: int) -> list[CohClass]:
     per edge stating ``f(p) - f(q) = weight * g_e`` -- and reads a basis
     of its nullspace.  The witness coordinates are determined by the
     vertex values, so projecting nullspace vectors to the vertex blocks
-    loses nothing.
+    loses nothing.  A negative ``degree`` has no classes; one that is not
+    an ``int`` raises :class:`ValueError`.
     """
     nvars = graph.rank
-    mons_f = monomials(nvars, degree)
+    mons_f = monomials(nvars, _int_arg(degree, "degree"))
     mons_g = monomials(nvars, degree - 1)
     nf, ng = len(mons_f), len(mons_g)
     ids = graph.vertex_ids
@@ -150,7 +152,9 @@ def brute_force_classes(graph: GkmGraph, degree: int) -> list[CohClass]:
 
 def expected_gkm_dimension(graph: GkmGraph, degree: int) -> int:
     """Free-module dimension count: one generator per cell, each carrying
-    the monomials of the complementary degree."""
+    the monomials of the complementary degree; 0 for a negative
+    ``degree``, and :class:`ValueError` for one that is not an ``int``."""
+    _int_arg(degree, "degree")
     return sum(
         len(monomials(graph.rank, degree - v.cell_dim // 2)) for v in graph.vertices
     )
@@ -203,9 +207,10 @@ def schubert_restrictions(gcm: GCM, parabolic, degree: int) -> dict[str, CohClas
     it reflects the state and multiplies by ``r(j)``.  The end states at
     the coset words' vectors are ``v``'s values of every class.  Inversion
     roots come from :func:`reflect`, not the builder's edge rule.
-    Raises ``ValueError`` for a ``degree`` that is not an ``int``.
+    Raises ``ValueError`` for a ``degree`` that is not a non-negative
+    ``int``.
     """
-    _int_arg(degree, "degree cutoff")
+    _count(degree, "degree cutoff")
     J = frozenset(parabolic)
     reps, *_ = coset_orbit(gcm, J, degree)
     tb = _torus_basis(gcm, J)
@@ -266,10 +271,12 @@ def reflection_edges(gcm: GCM, parabolic, degree: int, height: int) -> list[Edge
     another retained coset, labeled by the root in torus coordinates.
     The result is complete only when ``height`` is large enough; a caller
     checks that by counting each vertex's down-edges against its length.
-    Independent of the builder's inversion-root rule.
+    Independent of the builder's inversion-root rule.  Raises
+    ``ValueError`` for a ``degree`` that is not a non-negative ``int``, or
+    a ``height`` that is not an ``int`` (worded as a height cutoff).
     """
     J = frozenset(parabolic)
-    reps, table, *_ = coset_orbit(gcm, J, degree)
+    reps, table, *_ = coset_orbit(gcm, J, _count(degree, "degree cutoff"))
     tb = _torus_basis(gcm, J)
     words = {root: reflection_word(gcm, root) for root in real_roots(gcm, height)}
     found: dict[tuple[str, str, tuple[int, ...]], Edge] = {}

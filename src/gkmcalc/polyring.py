@@ -57,6 +57,7 @@ belongs to its caller.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -189,8 +190,13 @@ def _int_tuple(values, what: str) -> tuple[int, ...]:
     and ``float`` included) is rejected rather than truncated."""
     out = tuple(values)
     if any(type(v) is not int for v in out):
-        raise ValueError(f"{what} must be integers, got {out!r}")
+        raise ValueError(f"{what} must be ints, not {out!r}")
     return out
+
+
+# The one rule for an integer argument or JSON field, with one wording per
+# refusal: every entry point checks its own argument through these three,
+# naming it, so that no caller's refusal names an inner helper's argument.
 
 
 def _int_arg(value, what: str) -> int:
@@ -198,6 +204,24 @@ def _int_arg(value, what: str) -> int:
     :class:`ValueError` naming ``what``: an argument is never coerced."""
     if type(value) is not int:
         raise ValueError(f"{what} must be an int, not {value!r}")
+    return value
+
+
+def _count(value, what: str) -> int:
+    """A non-negative ``int``, checked as by ``_int_arg``."""
+    if _int_arg(value, what) < 0:
+        raise ValueError(f"{what} must be non-negative, got {value}")
+    return value
+
+
+def _size(value, what: str) -> int:
+    """A count that sizes a list or tuple, checked as by ``_count`` and
+    below ``sys.maxsize``, so that ``value + 1`` items still have an
+    index: ``10**30`` is refused naming ``what``, where it would end in an
+    ``OverflowError``.  Below the bound a list of ``value`` items is still
+    asked for."""
+    if _count(value, what) >= sys.maxsize:
+        raise ValueError(f"{what} must be below {sys.maxsize}, got {value}")
     return value
 
 
@@ -328,8 +352,7 @@ class Polynomial:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
-        if type(nvars) is not int:
-            raise ValueError(f"nvars must be an integer, got {nvars!r}")
+        _count(nvars, "nvars")
         clean: dict[tuple[int, ...], int | Fraction] = {}
         for exps, c in (terms or {}).items():
             c = _coeff(c)
@@ -364,15 +387,15 @@ class Polynomial:
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: 1})
+        return cls.constant(1, nvars)
 
     @classmethod
     def constant(cls, c, nvars: int) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: c})
+        return cls(nvars, {(0,) * _count(nvars, "nvars"): c})
 
     @classmethod
     def variable(cls, index: int, nvars: int) -> "Polynomial":
-        if not 0 <= _int_arg(index, "variable index") < nvars:
+        if _count(index, "variable index") >= _count(nvars, "nvars"):
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
         return cls(nvars, {_unit(index, nvars): 1})
 
@@ -502,7 +525,7 @@ def monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
     >>> monomials(2, 2)
     [(2, 0), (1, 1), (0, 2)]
     """
-    _int_arg(nvars, "nvars")
+    _count(nvars, "nvars")
     if _int_arg(degree, "monomial degree") < 0:
         return []
     if nvars == 0:
@@ -705,8 +728,7 @@ def solve_congruences(constraints, degree: int, mode: str = "Q") -> Polynomial:
     constraints = list(constraints)
     if not constraints:
         raise ValueError("at least one congruence is required")
-    if _int_arg(degree, "degree") < 0:
-        raise ValueError(f"degree must be non-negative, got {degree}")
+    _count(degree, "degree")
     nvars = constraints[0][0].rank
     for w, p in constraints:
         if w.is_zero():
@@ -781,6 +803,7 @@ def parse_polynomial(text: str, nvars: int, cache: dict | None = None) -> Polyno
     >>> str(parse_polynomial("3*x1^2*x2 - x3", 3))
     '3*x1^2*x2 - x3'
     """
+    _count(nvars, "nvars")
     m = _POLYNOMIAL.match(text)
     if m is None or m.end() < len(text):
         at = m.end() if m else 0

@@ -20,8 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import CutoffTooSmallError, NonIntegralError
-from .graph import GkmGraph, _count, _require_valid, _size
-from .polyring import Polynomial, _int_arg, _quo
+from .graph import GkmGraph, _require_valid
+from .polyring import Polynomial, _count, _int_arg, _quo, _size
 from .solver import GeneratorBasis, _covers_of
 
 __all__ = [
@@ -97,7 +97,7 @@ def power_coefficient(graph: GkmGraph, basis: GeneratorBasis, n: int) -> int | F
     integer.
     """
     if _int_arg(n, "power n") < 1:
-        raise ValueError("power must be >= 1")
+        raise ValueError(f"power n must be >= 1, got {n}")
     _require_valid(graph)
     if basis.graph is not graph and basis.graph != graph:
         raise ValueError("power coefficient: the basis was solved on another graph")

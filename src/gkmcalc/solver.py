@@ -49,14 +49,10 @@ Goldin-Tolman), one exact division per value:
   the recursion fills it, and the power sums of :mod:`ring_ops` on the
   same graph read it back.  ``t`` comes from one slope rule, which also
   decides the position seed's class check, and ``k`` from a closed form.
-  Beside it the graph keeps a diagonal table, ``P(v)``, the product of
-  the down-edge weights at ``v`` (the value ``f_v(v)`` of condition 4),
-  also made per vertex on first use: lifting, the recursion and the
-  condition-4 check of a basis load share it.  The ``c(v,u)`` are summed
-  as they are, fractions included.  ``D(w)`` is kept as a bare integer
-  tuple, with no ``Weight`` built per pair: it is divided through a plan
-  made from the tuple, and its direction is read with the same gcd as a
-  ``Weight``'s line.
+  The ``c(v,u)`` are summed as they are, fractions included.  ``D(w)`` is
+  kept as a bare integer tuple, with no ``Weight`` built per pair: it is
+  divided through a plan made from the tuple, and its direction is read
+  with the same gcd as a ``Weight``'s line.
 * Each value is certified.  ``g`` and ``Phi`` are classes, so the weight
   ``alpha`` of a down-edge ``(w, x)`` divides ``D(w) * (f_v(w) -
   f_v(x))``, hence ``f_v(w) - f_v(x)`` unless ``alpha`` is parallel to
@@ -98,7 +94,6 @@ from .errors import (
 from .graph import (
     CohClass,
     GkmGraph,
-    _count,
     _graph_text,
     _json_block,
     _json_of,
@@ -112,6 +107,7 @@ from .polyring import (
     _add_multiple,
     _add_product,
     _constant_terms,
+    _count,
     _divide_exact,
     _divmod_plan,
     _divmod_weight,
@@ -206,19 +202,15 @@ class GeneratorBasis:
 
 
 def _down_weight_product(graph: GkmGraph, vid: str) -> Polynomial:
-    """``f_vid(vid)``, the product of the down-edge weights at ``vid``, from
-    the graph's diagonal table: made once per graph, on first use, and
-    shared by basis loads, the recursion and lifting, so its terms must
-    never be changed.  Expansions do not read it: they divide by each
-    generator's own ``f_v(v)``."""
-    p = graph._diagonals.get(vid)
-    if p is None:
-        t = _constant_terms(1, graph.rank)
-        for e in graph.down_edges(vid):
-            t, q = {}, t
-            _add_product(t, q, e.weight.to_polynomial().terms)
-        p = graph._diagonals[vid] = Polynomial._make(graph.rank, t)
-    return p
+    """``f_vid(vid)``, the product of the down-edge weights at ``vid``, made
+    where it is read: lifting, the recursion and the condition-4 check of a
+    basis load each read it once per vertex.  Expansions do not read it:
+    they divide by each generator's own ``f_v(v)``."""
+    t = _constant_terms(1, graph.rank)
+    for e in graph.down_edges(vid):
+        t, q = {}, t
+        _add_product(t, q, e.weight.to_polynomial().terms)
+    return Polynomial._make(graph.rank, t)
 
 
 def canonical_generators(graph: GkmGraph, degree: int, mode: str | None = None) -> GeneratorBasis:

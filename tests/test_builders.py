@@ -1,7 +1,10 @@
 """Builder outputs: counts, closure, positions, and truncation behavior."""
 
 import hashlib
+import json
 import re
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -30,14 +33,15 @@ from gkmcalc.coxeter import (
     coset_orbit,
     generic_dominant_vector,
     marks,
+    real_roots,
     reflect,
     reflect_dual,
 )
 from gkmcalc.errors import InvalidParabolicError, UnsupportedTypeError
-from gkmcalc.graph import GkmGraph, Vertex, validate
-from gkmcalc.polyring import Polynomial, Weight, monomials, solve_congruences
-from gkmcalc.ring_ops import poincare_series
-from gkmcalc.solver import canonical_generators
+from gkmcalc.graph import CohClass, GkmGraph, Vertex, validate
+from gkmcalc.polyring import Polynomial, Weight, monomials, parse_polynomial, solve_congruences
+from gkmcalc.ring_ops import poincare_series, power_coefficient
+from gkmcalc.solver import GeneratorBasis, canonical_generators
 from test_coxeter import _gcm_and_parabolic, word_matrix
 from test_graph import skeleton
 
@@ -446,7 +450,7 @@ def test_chain_graph_shape():
     assert len(g.edges) == 3
     rep = validate(g)
     # a 2i-cell needs i down-edges, so the chain fails beyond the first cell
-    assert not rep.ok and "down_edge_count" in rep.failing_checks()
+    assert not rep.ok and "down_edge_count" in {e.check for e in rep.failures()}
 
 
 def test_unknown_preset():
@@ -464,8 +468,8 @@ def test_twisted_gcm_kernel_orientation():
 
 def test_builder_inputs_are_refused_with_their_messages():
     refused = [
-        (lambda: type_a(0), ValueError, "type A rank must be >= 1"),
-        (lambda: affine_type_a(0), ValueError, "affine type A rank must be >= 1"),
+        (lambda: type_a(0), ValueError, "type A rank must be >= 1, got 0"),
+        (lambda: affine_type_a(0), ValueError, "affine type A rank must be >= 1, got 0"),
         (lambda: build_flag_graph(type_a(2), (), True), ValueError, "degree cutoff must be an int, not True"),
         (lambda: build_flag_graph(type_a(2), (), 1.0), ValueError, r"degree cutoff must be an int, not 1\.0"),
         (lambda: build_flag_graph(type_a(2), (), "3"), ValueError, "degree cutoff must be an int, not '3'"),
@@ -475,8 +479,8 @@ def test_builder_inputs_are_refused_with_their_messages():
         (lambda: oracle.schubert_restrictions(type_a(2), (), True), ValueError, "degree cutoff must be an int, not True"),
         (lambda: oracle.schubert_restrictions(type_a(2), (), "3"), ValueError, "degree cutoff must be an int, not '3'"),
         (lambda: oracle.schubert_restrictions(type_a(2), (), None), ValueError, "degree cutoff must be an int, not None"),
-        (lambda: build_flag_graph(type_a(2), (True,), 2), InvalidParabolicError, "parabolic node True is not an int"),
-        (lambda: build_flag_graph(type_a(2), (1.0,), 2), InvalidParabolicError, r"parabolic node 1\.0 is not an int"),
+        (lambda: build_flag_graph(type_a(2), (True,), 2), InvalidParabolicError, "parabolic node must be an int, not True"),
+        (lambda: build_flag_graph(type_a(2), (1.0,), 2), InvalidParabolicError, r"parabolic node must be an int, not 1\.0"),
         (lambda: build_chain_graph([]), ValueError, "a chain needs at least one weight"),
     ]
     for make, error, message in refused:
@@ -504,3 +508,75 @@ def test_integer_arguments_are_refused_not_coerced(make, args, message):
     # in a rank-1 matrix, x2, a degree-1 solve or a bare TypeError
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make(*args)
+
+
+# Every public entry point with an integer parameter, as (name, call, what,
+# rule): ``call`` passes the drawn value as that parameter, ``what`` is the
+# name its refusal gives it, and ``rule`` is its range beyond the int type:
+# "int" (any), "count" (>= 0), "size" (a count below sys.maxsize) or
+# "positive" (>= 1).  Each refusal is checked before any work, on A1's full
+# flag and its basis.
+_A1 = build_preset("A1-flag")
+_A1_BASIS = canonical_generators(_A1, 1)
+_A1_BASIS_DATA = json.loads(_A1_BASIS.dumps())
+_A2 = type_a(2)
+_INT_PARAMETERS = [
+    ("type_a", type_a, "type A rank", "positive"),
+    ("affine_type_a", affine_type_a, "affine type A rank", "positive"),
+    ("build_flag_graph", lambda d: build_flag_graph(_A2, (), d), "degree cutoff", "count"),
+    ("build_preset", lambda d: build_preset("A2-flag", d), "degree cutoff", "count"),
+    ("coset_orbit", lambda d: coset_orbit(_A2, (), d), "length cutoff", "count"),
+    ("real_roots", lambda h: real_roots(_A2, h), "height cutoff", "int"),
+    ("reflection_edges degree", lambda d: oracle.reflection_edges(_A2, (), d, 2), "degree cutoff", "count"),
+    ("reflection_edges height", lambda h: oracle.reflection_edges(_A2, (), 1, h), "height cutoff", "int"),
+    ("Polynomial", lambda n: Polynomial(n, {}), "nvars", "count"),
+    ("Polynomial.zero", Polynomial.zero, "nvars", "count"),
+    ("Polynomial.one", Polynomial.one, "nvars", "count"),
+    ("Polynomial.constant", lambda n: Polynomial.constant(3, n), "nvars", "count"),
+    ("Polynomial.variable index", lambda i: Polynomial.variable(i, 2), "variable index", "count"),
+    ("Polynomial.variable nvars", lambda n: Polynomial.variable(0, n), "nvars", "count"),
+    ("monomials nvars", lambda n: monomials(n, 2), "nvars", "count"),
+    ("monomials degree", lambda d: monomials(2, d), "monomial degree", "int"),
+    ("parse_polynomial", lambda n: parse_polynomial("0", n), "nvars", "count"),
+    ("solve_congruences", lambda d: solve_congruences(_CONGRUENCES, d), "degree", "count"),
+    ("GkmGraph", lambda r: GkmGraph(r, "Z", [Vertex("e", 0)], []), "rank", "size"),
+    ("Vertex", lambda c: Vertex("a", c), "cell_dim of 'a'", "int"),
+    ("CohClass", lambda d: CohClass({"e": Polynomial.zero(1)}, d), "class degree", "count"),
+    ("CohClass.from_dict", lambda d: CohClass.from_dict({"values": {"e": "0", "0": "x1"}, "degree": d}, _A1),
+     "class degree", "count"),
+    ("canonical_generators", lambda d: canonical_generators(_A1, d), "basis degree", "count"),
+    ("GeneratorBasis.from_dict", lambda d: GeneratorBasis.from_dict({**_A1_BASIS_DATA, "degree": d}),
+     "basis degree", "count"),
+    ("poincare_series", lambda d: poincare_series(_A1, d), "degree", "size"),
+    ("power_coefficient", lambda n: power_coefficient(_A1, _A1_BASIS, n), "power n", "positive"),
+    ("schubert_restrictions", lambda d: oracle.schubert_restrictions(_A2, (), d), "degree cutoff", "count"),
+    ("brute_force_classes", lambda d: oracle.brute_force_classes(_A1, d), "degree", "int"),
+    ("expected_gkm_dimension", lambda d: oracle.expected_gkm_dimension(_A1, d), "degree", "int"),
+]
+# where None means "no value": the preset's default degree, a class of no set degree
+_NONE_IS_ABSENT = {"build_preset", "CohClass", "CohClass.from_dict"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_each_entry_point_refuses_its_own_integer_argument_in_one_wording(data):
+    name, call, what, rule = data.draw(st.sampled_from(_INT_PARAMETERS), label="entry point")
+    bad = [True, 1.0, "1", Fraction(1)] + ([] if name in _NONE_IS_ABSENT else [None])
+    bad += {"int": [], "count": [-1], "size": [-1, 10**30], "positive": [0, -1]}[rule]
+    value = data.draw(st.sampled_from(bad), label="value")
+    if type(value) is not int:
+        message = f"{what} must be an int, not {value!r}"
+    elif rule == "positive":
+        message = f"{what} must be >= 1, got {value}"
+    elif value < 0:
+        message = f"{what} must be non-negative, got {value}"
+    else:
+        message = f"{what} must be below {sys.maxsize}, got {value}"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, (name, value, peak)  # nothing sized by the value

@@ -407,8 +407,8 @@ def test_oracle_unknown_preset_is_a_usage_error(capsys):
 def test_non_integer_gcm_exit_code(tmp_path, capsys):
     gcm_path = tmp_path / "gcm.json"
     for bad, message in (
-        ({"gcm": [[2, -1.5], [-1, 2]]}, "Cartan matrix entries must be integers"),
-        ([[2, True], [-1, 2]], "Cartan matrix entries must be integers"),
+        ({"gcm": [[2, -1.5], [-1, 2]]}, "Cartan matrix entries must be ints, not (2, -1.5)"),
+        ([[2, True], [-1, 2]], "Cartan matrix entries must be ints, not (2, True)"),
         ({"gcm": 5}, "must be a list of rows"),
         ([2, -1], "must be a list of rows"),
     ):
@@ -451,7 +451,20 @@ def test_basis_non_integer_degree_exit_code(tmp_path, capsys):
     basis_path.write_text(json.dumps({**data, "degree": 2.9}))
     code, out, err = run(["multiply", str(basis_path), "0", "1"], capsys)
     assert code == 4
-    assert not out and "must be an integer" in err
+    assert not out and "basis degree must be an int, not 2.9" in err
+
+
+def test_integer_fields_are_refused_in_one_wording_exit_code(tmp_path, capsys):
+    graph_path, basis_path = tmp_path / "a2.json", tmp_path / "basis.json"
+    assert run(["build", "A2-flag", "-o", str(graph_path)], capsys)[0] == 0
+    assert run(["generators", str(graph_path), "-o", str(basis_path)], capsys)[0] == 0
+    graph, basis = json.loads(graph_path.read_text()), json.loads(basis_path.read_text())
+    graph_path.write_text(json.dumps({**graph, "rank": True}))
+    basis_path.write_text(json.dumps({**basis, "degree": -1}))
+    for argv, message in ((["generators", str(graph_path)], "ValueError('rank must be an int, not True')"),
+                          (["multiply", str(basis_path), "0", "1"], "ValueError('basis degree must be non-negative, got -1')")):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (4, "") and message in err and "Traceback" not in err
 
 
 def test_generators_negative_degree_exit_code(tmp_path, capsys):

@@ -70,7 +70,7 @@ def test_collinear_down_weights_fail():
         ],
     )
     rep = validate(g)
-    assert not rep.ok and "coprimality" in rep.failing_checks()
+    assert not rep.ok and "coprimality" in {e.check for e in rep.failures()}
 
 
 def test_builder_graph_validates():
@@ -89,7 +89,7 @@ def test_builder_graph_validates():
 def test_corrupted_fixtures(name, check):
     rep = validate(GkmGraph.load(FIXTURES / f"{name}.json"))
     assert not rep.ok
-    assert check in rep.failing_checks()
+    assert check in {e.check for e in rep.failures()}
     # the report carries a readable line for the failure
     assert any(check in line and "FAIL" in line for line in rep.format_text().splitlines())
 
@@ -97,7 +97,7 @@ def test_corrupted_fixtures(name, check):
 def test_disconnected_and_multi_bottom_fail():
     g = GkmGraph(2, "Z", [Vertex("a", 0), Vertex("b", 0)], [])
     rep = validate(g)
-    assert {"bottom_vertex", "connectivity"} <= rep.failing_checks()
+    assert {"bottom_vertex", "connectivity"} <= {e.check for e in rep.failures()}
 
 
 def test_empty_graph_validates():
@@ -262,7 +262,8 @@ def test_from_dict_rejects_non_integers(field, value):
         data["edges"][0]["weight"] = value
     else:
         data["vertices"][1]["cell_dim"] = value
-    with pytest.raises(ValueError, match="must be an integer"):
+    message = "must be an integer vector" if field == "weight" else re.escape(f"cell_dim of 's' must be an int, not {value!r}")
+    with pytest.raises(ValueError, match=message):
         GkmGraph.from_dict(data)
 
 
@@ -528,7 +529,7 @@ def test_validate_checks_connectivity_once(monkeypatch):
     assert calls == []
     for name, connects in [("two_components", False), ("wrong_down_count", True), ("odd_cell", True)]:
         g = GkmGraph.load(FIXTURES / f"{name}.json")
-        assert ("connectivity" not in validate(g).failing_checks()) == connects
+        assert ("connectivity" not in {e.check for e in validate(g).failures()}) == connects
         assert calls == [g]
         calls.clear()
 
@@ -694,7 +695,6 @@ def test_validation_entries_match_the_checks_recomputed_from_the_graph(g):
     edge_entries = [e.ok for e in rep.entries if e.check == "equal_dim_edge"]
     assert edge_entries == [dims[e.u] != dims[e.v] for e in g.edges]
     assert verdict == rep.ok == all(e.ok for e in rep.entries) == bool(rep)
-    assert rep.failing_checks() == {e.check for e in rep.entries if not e.ok}
     assert rep.failures() == [e for e in rep.entries if not e.ok]
 
 
@@ -708,7 +708,7 @@ def test_validate_writes_its_entries_once_and_only_when_read(monkeypatch):
     assert rep.ok and rep and not made
     entries = rep.entries
     assert rep.entries is entries and len(made) == len(entries) > 465
-    rep.format_text(), rep.failures(), rep.failing_checks()
+    rep.format_text(), rep.failures()
     assert len(made) == len(entries)
     bad = validate(GkmGraph.load(FIXTURES / "odd_cell.json"))
     assert not bad.ok and not bad and len(made) == len(entries)
@@ -717,13 +717,23 @@ def test_validate_writes_its_entries_once_and_only_when_read(monkeypatch):
     assert len(canonical_generators(g, 30).generators) == len(g.vertices)
 
 
+def test_graph_refuses_a_rank_that_is_no_count():
+    # each was accepted, to fail later in a solve, in dumps or on reload
+    for rank, message in ((True, "rank must be an int, not True"), (1.0, "rank must be an int, not 1.0"),
+                          (-1, "rank must be non-negative, got -1")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GkmGraph(rank, "Z", [Vertex("e", 0)], [])
+
+
 def test_graph_dumps_writes_cell_dims_as_ints():
-    # a bool, which only a Python caller can build, is written as the int
-    # it equals; a float is refused, not written as JSON the reader refuses
-    flag = GkmGraph(0, "Z", [Vertex("a", False), Vertex("b", True)], [])
-    assert [v["cell_dim"] for v in json.loads(flag.dumps())["vertices"]] == [0, 1]
-    with pytest.raises(TypeError):
-        GkmGraph(0, "Z", [Vertex("a", 0.0)], []).dumps()
+    # a vertex refuses a cell dimension that is not an int, a bool or a
+    # float included, so no graph writes JSON the reader refuses
+    for bad in (False, True, 2.0):
+        message = f"cell_dim of 'a' must be an int, not {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Vertex("a", bad)
+    g = GkmGraph(0, "Z", [Vertex("a", 0), Vertex("b", 1)], [])
+    assert [v["cell_dim"] for v in json.loads(g.dumps())["vertices"]] == [0, 1]
 
 
 @pytest.mark.parametrize(

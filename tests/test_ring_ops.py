@@ -62,7 +62,7 @@ def test_poincare_refuses_an_invalid_graph():
     for g, degree in ((odd, 2), (negative, 3)):
         with pytest.raises(ValidationFailureError) as err:
             poincare_series(g, degree)
-        assert "even_cell_dim" in err.value.report.failing_checks()
+        assert "even_cell_dim" in {e.check for e in err.value.report.failures()}
         with pytest.raises(ValueError, match="non-negative"):  # the degree is checked first
             poincare_series(g, -1)
 
@@ -179,7 +179,7 @@ def _expanded_power(g, basis, n):
     """The reference: ``f1^n`` multiplied out, expanded in the basis and
     reduced, refusing the inputs that ``power_coefficient`` refuses."""
     if n < 1:
-        raise ValueError("power must be >= 1")
+        raise ValueError("power n must be >= 1")
     if basis.degree < n:
         raise CutoffTooSmallError("basis below the power")
     v1, vn = _only_vertex(g, 2), _only_vertex(g, 2 * n)
@@ -357,4 +357,4 @@ def test_power_coefficient_validates_its_graph():
     basis = GeneratorBasis.from_dict(data)
     with pytest.raises(ValidationFailureError) as err:
         power_coefficient(basis.graph, basis, 3)
-    assert {"down_edge_count", "connectivity"} <= err.value.report.failing_checks()
+    assert {"down_edge_count", "connectivity"} <= {e.check for e in err.value.report.failures()}

@@ -9,7 +9,7 @@ from .polyring import (
     solve_congruences,
 )
 from .graph import CohClass, Edge, GkmGraph, Vertex, is_gkm_class, validate
-from .coxeter import GCM, CosetRep, Root, reflect
+from .coxeter import GCM, CosetRep, reflect
 from .builders import (
     build_chain_graph,
     build_flag_graph,

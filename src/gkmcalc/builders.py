@@ -178,8 +178,8 @@ def _positions(gcm: GCM, J: frozenset, tb: _TorusBasis, reps, parent) -> list[tu
     b = [sum(a * start[j] for a, j in zip(row, others)) for row in adj]
     num = [b + [0] * (tb.kind == "affine")]
     for k in range(1, len(reps)):
-        rep, vec = reps[k]
-        i = rep.word[0]
+        word, vec = reps[k]
+        i = word[0]
         num.append([x + vec[i] * t for x, t in zip(num[parent[k]], steps[i])])
     d = q * det
     frac = cache(lambda x: Fraction(x, d))
@@ -242,7 +242,7 @@ def build_flag_graph(
     vertices = [new(Vertex, ("e", 0, positions[0], "e"))]
     edges = []
     for k in range(1, len(reps)):
-        p, w = parent[k], reps[k][0].word
+        p, w = parent[k], reps[k][0]
         i = w[0]
         if p:
             uid, name = f"{i}-{ids[p]}", f"s{i} {names[p]}"
@@ -282,7 +282,7 @@ def moment_embedding(graph: GkmGraph, gcm: GCM, parabolic) -> GkmGraph:
         raise UnsupportedTypeError("moment embedding needs a finite or affine Cartan matrix")
     top = max((v.cell_dim for v in graph.vertices), default=0) // 2
     reps, _, parent, _ = coset_orbit(gcm, J, top)
-    positions = dict(zip([coset_id(rep.word) for rep, _ in reps], _positions(gcm, J, tb, reps, parent)))
+    positions = dict(zip([coset_id(w) for w, _ in reps], _positions(gcm, J, tb, reps, parent)))
     for v in graph.vertices:
         if v.id not in positions:
             raise ValueError(f"vertex {v.id!r} is not a coset word of the orbit")

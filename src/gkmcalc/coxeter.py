@@ -19,6 +19,8 @@ already scaled by the lcm ``S`` of its denominators, which commutes with
 the linear action and keeps the stabilizer, so cosets, words and their
 order are those of the rational vector.  Callers that need rational
 coordinates divide by ``S`` once where they write a position out.
+Each coset comes out as its reduced word, a plain tuple of the ``int``
+letters the walk built, next to its vector and index.
 
 One fraction-free elimination, ``_eliminate``, answers all three questions
 about the matrix itself: its type, the marks of an affine matrix and the
@@ -36,7 +38,6 @@ from .polyring import _count, _int_arg, _int_tuple, _primes
 
 __all__ = [
     "GCM",
-    "Root",
     "CosetRep",
     "reflect",
     "reflect_dual",
@@ -81,47 +82,23 @@ class GCM:
 
 
 @dataclass(frozen=True)
-class Root:
-    """A real root in simple-root coordinates; all entries share one sign."""
-
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _int_tuple(self.coords, "root coordinates"))
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(c) for c in self.coords) + ")"
-
-
-@dataclass(frozen=True)
 class CosetRep:
-    """A minimal-length coset representative as a reduced word of simple
-    reflection indices (0-based).
+    """A word of simple reflection indices (0-based) naming a coset, the
+    argument of :func:`~gkmcalc.oracle.divided_difference_schubert`.
 
     ``CosetRep(word)`` refuses a letter whose type is not ``int``.
-    :func:`coset_orbit` makes its representatives without that check, from
-    words it built of ``int`` letters."""
+    :func:`coset_orbit` makes none: its words are plain tuples."""
 
     word: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "word", _int_tuple(self.word, "word letters"))
 
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
-    def label(self) -> str:
-        if not self.word:
-            return "e"
-        return " ".join(f"s{i}" for i in self.word)
-
-    def __str__(self) -> str:
-        return self.label()
-
 
 def reflect(gcm: GCM, i: int, v):
     """Simple reflection on root coordinates: ``r_i(v) = v - (A v)_i e_i``.
+    An index that is not an ``int`` raises ``ValueError``, one outside
+    ``0..n-1`` ``IndexError``; so does every reflection below.
 
     >>> a2 = GCM(((2, -1), (-1, 2)))
     >>> reflect(a2, 0, (0, 1))
@@ -129,7 +106,8 @@ def reflect(gcm: GCM, i: int, v):
     >>> reflect(a2, 0, reflect(a2, 0, (3, 5)))
     (3, 5)
     """
-    if not 0 <= i < gcm.n:
+    if type(i) is not int or not 0 <= i < gcm.n:
+        _int_arg(i, "simple index")
         raise IndexError(f"simple index {i} out of range")
     pairing = sum(a * x for a, x in zip(gcm.rows[i], v))
     out = list(v)
@@ -139,7 +117,8 @@ def reflect(gcm: GCM, i: int, v):
 
 def reflect_dual(gcm: GCM, i: int, mu):
     """Simple reflection on dual coordinates ``mu_j = <mu, alpha_j^vee>``."""
-    if not 0 <= i < gcm.n:
+    if type(i) is not int or not 0 <= i < gcm.n:
+        _int_arg(i, "simple index")
         raise IndexError(f"simple index {i} out of range")
     mi = mu[i]
     return tuple(m - mi * row[i] for m, row in zip(mu, gcm.rows))
@@ -243,8 +222,9 @@ def marks(gcm: GCM) -> tuple[int, ...]:
     return _null_vector(*_eliminate(gcm.rows))
 
 
-def real_roots(gcm: GCM, height_cutoff: int) -> list[Root]:
-    """All positive real roots of height at most ``height_cutoff``.
+def real_roots(gcm: GCM, height_cutoff: int) -> list[tuple[int, ...]]:
+    """All positive real roots of height at most ``height_cutoff``, as
+    simple-root coordinates in (height, coordinates) order.
 
     Real roots are the Weyl images of simple roots; since the descent chain
     of any positive real root decreases height monotonically, closing the
@@ -252,8 +232,8 @@ def real_roots(gcm: GCM, height_cutoff: int) -> list[Root]:
     every one of them exactly once.  A cutoff below 1 finds none, and one
     that is not an ``int`` raises ``ValueError``.
 
-    >>> [str(r) for r in real_roots(GCM(((2, -1), (-1, 2))), 2)]
-    ['(0,1)', '(1,0)', '(1,1)']
+    >>> real_roots(GCM(((2, -1), (-1, 2))), 2)
+    [(0, 1), (1, 0), (1, 1)]
     """
     if _int_arg(height_cutoff, "height cutoff") < 1:
         return []
@@ -273,28 +253,34 @@ def real_roots(gcm: GCM, height_cutoff: int) -> list[Root]:
                 seen.add(w)
                 nxt.append(w)
         frontier = nxt
-    return [Root(c) for c in sorted(seen, key=lambda c: (sum(c), c))]
+    return sorted(seen, key=lambda c: (sum(c), c))
 
 
-def reflection_word(gcm: GCM, root: Root) -> tuple[int, ...]:
-    """A word for the reflection ``r_beta`` of a positive real root.
+def reflection_word(gcm: GCM, coords) -> tuple[int, ...]:
+    """A word for the reflection ``r_beta`` of the positive real root with
+    simple-root coordinates ``coords``.
 
     Computed by height descent: if ``beta`` is simple this is ``(i,)``,
     otherwise some simple reflection shortens it and
-    ``r_beta = r_i r_{r_i(beta)} r_i``.  Raises ``ValueError`` when the
-    input is not a positive real root.
+    ``r_beta = r_i r_{r_i(beta)} r_i``.  The descent is a loop, not a
+    recursion, so a root of any height gets its word.  Raises
+    ``ValueError`` when a coordinate is not an ``int`` or the input is not
+    a positive real root.
     """
-    coords = root.coords
+    coords = _int_tuple(coords, "root coordinates")
     if any(c < 0 for c in coords) or not any(coords):
-        raise ValueError(f"{root} is not a positive root")
-    if sum(coords) == 1:
-        return (coords.index(1),)
-    for i in range(gcm.n):
-        image = reflect(gcm, i, coords)
-        if sum(image) < sum(coords) and all(c >= 0 for c in image) and any(image):
-            inner = reflection_word(gcm, Root(image))
-            return (i,) + inner + (i,)
-    raise ValueError(f"{root} is not a real root")
+        raise ValueError(f"{coords} is not a positive root")
+    letters, beta = [], coords
+    while sum(beta) != 1:
+        for i in range(gcm.n):
+            image = reflect(gcm, i, beta)
+            if sum(image) < sum(beta) and all(c >= 0 for c in image) and any(image):
+                break
+        else:
+            raise ValueError(f"{coords} is not a real root")
+        letters.append(i)
+        beta = image
+    return (*letters, beta.index(1), *reversed(letters))
 
 
 def generic_dominant_vector(gcm: GCM, parabolic) -> tuple[tuple[int, ...], int]:
@@ -334,13 +320,14 @@ def coset_orbit(gcm: GCM, parabolic, length_cutoff: int):
     The orbit starts from the integer generic vector ``ints`` of
     :func:`generic_dominant_vector`, a positive multiple of the rational
     one, which has the same stabilizer and so the same cosets.  Returns
-    ``(reps, table, parent, up)``: ``reps`` is the list of
-    ``(CosetRep, vector)`` pairs sorted by (length, word), and ``table``
-    maps each orbit vector back to its representative.  The other two
-    index into ``reps``: ``parent[k]`` is the coset whose expansion named
-    ``reps[k]`` (``None`` for ``e``), and ``up[k]``, for each coset
-    shorter than the cutoff (a prefix of ``reps``), holds the cosets of
-    its ``n`` simple reflections ``reflect_dual(gcm, i, vector)``.
+    ``(reps, at, parent, up)``: ``reps`` is the list of ``(word, vector)``
+    pairs sorted by (length, word), each word a plain tuple of ``int``
+    letters, and ``at`` maps each orbit vector to its index in ``reps``.
+    The other two index into ``reps`` too: ``parent[k]`` is the coset
+    whose expansion named ``reps[k]`` (``None`` for ``e``), and ``up[k]``,
+    for each coset shorter than the cutoff (a prefix of ``reps``), holds
+    the cosets of its ``n`` simple reflections
+    ``reflect_dual(gcm, i, vector)``.
 
     The walk expands one length at a time, in word order and letter by
     letter, and names a new coset ``(i,) + word`` after the first
@@ -352,27 +339,23 @@ def coset_orbit(gcm: GCM, parabolic, length_cutoff: int):
     """
     _count(length_cutoff, "length cutoff")
     mu, _ = generic_dominant_vector(gcm, parabolic)
-    new, setattr_ = object.__new__, object.__setattr__
-    reps: list[tuple[CosetRep, tuple[int, ...]]] = [(CosetRep(()), mu)]
+    reps: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), mu)]
     at = {mu: 0}
     parent: list[int | None] = [None]
     images = []
     shell = range(1)  # the indices of one length's cosets
-    while shell and reps[shell[0]][0].length < length_cutoff:
+    while shell and len(reps[shell[0]][0]) < length_cutoff:
         found = {}  # each coset one length up -> (its word, its parent)
         for k in shell:
-            rep, vec = reps[k]
+            word, vec = reps[k]
             images.append([reflect_dual(gcm, i, vec) for i in range(gcm.n)])
             for i, v2 in enumerate(images[-1]):
                 if v2 not in at and v2 not in found:
-                    found[v2] = ((i,) + rep.word, k)
+                    found[v2] = ((i,) + word, k)
         shell = range(len(reps), len(reps) + len(found))
         for v2, (word, k) in sorted(found.items(), key=lambda item: item[1]):
             at[v2] = len(reps)
-            rep = new(CosetRep)  # unchecked: the walk built word from int letters
-            setattr_(rep, "word", word)
-            reps.append((rep, v2))
+            reps.append((word, v2))
             parent.append(k)
-    table = {vec: rep for rep, vec in reps}
     up = [tuple([at[v] for v in row]) for row in images]
-    return reps, table, parent, up
+    return reps, at, parent, up

@@ -597,8 +597,8 @@ class ValidationReport:
     """The checks of a :func:`validate` run and their outcomes.
 
     A report holds the graph and the failures the walk recorded: ``ok`` and
-    ``bool`` read those alone.  Its ``entries``, which ``failures`` and
-    ``format_text`` read, are written from the graph and that record when
+    ``bool`` read those alone.  Its ``entries``, which
+    ``format_text`` reads, are written from the graph and that record when
     first read, passing checks included, and kept.
     """
 
@@ -612,9 +612,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self._failed
-
-    def failures(self) -> list[ValidationEntry]:
-        return [e for e in self.entries if not e.ok]
 
     def format_text(self) -> str:
         lines = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .builders import _torus_basis, coset_id
 from .coxeter import (
@@ -152,12 +153,12 @@ def brute_force_classes(graph: GkmGraph, degree: int) -> list[CohClass]:
 
 def expected_gkm_dimension(graph: GkmGraph, degree: int) -> int:
     """Free-module dimension count: one generator per cell, each carrying
-    the monomials of the complementary degree; 0 for a negative
+    the monomials of the complementary degree ``k``, ``comb(k + rank - 1,
+    k)`` of them (one when ``k`` is 0, none below); 0 for a negative
     ``degree``, and :class:`ValueError` for one that is not an ``int``."""
     _int_arg(degree, "degree")
-    return sum(
-        len(monomials(graph.rank, degree - v.cell_dim // 2)) for v in graph.vertices
-    )
+    ks = [degree - v.cell_dim // 2 for v in graph.vertices]
+    return sum(comb(k + graph.rank - 1, k) if k > 0 else int(k == 0) for k in ks)
 
 
 def s2n_relative_image(weights, g: Polynomial) -> bool:
@@ -216,7 +217,7 @@ def schubert_restrictions(gcm: GCM, parabolic, degree: int) -> dict[str, CohClas
     tb = _torus_basis(gcm, J)
     n = gcm.n
     mu, _ = generic_dominant_vector(gcm, ())
-    words = [rep.word for rep, _ in reps]
+    words = [w for w, _ in reps]
     at = {apply_word_dual(gcm, w, mu): coset_id(w) for w in words}
     values = {wid: {} for wid in at.values()}  # class -> vertex -> value
     for v in words:
@@ -243,11 +244,12 @@ def schubert_restrictions(gcm: GCM, parabolic, degree: int) -> dict[str, CohClas
 
 @lru_cache(maxsize=4)
 def _full_flag(gcm: GCM):
-    """The coset orbit of a finite ``gcm``'s full flag variety, as
-    ``(reps, table)``, and every Schubert class on it, by coset id."""
+    """The generic vector of a finite ``gcm``'s full flag variety, and
+    every Schubert class on it, by the orbit vector of its coset."""
     # a finite orbit ends at its first empty shell, below any cutoff
-    reps, table, *_ = coset_orbit(gcm, (), sys.maxsize)
-    return reps, table, schubert_restrictions(gcm, (), reps[-1][0].length)
+    reps, *_ = coset_orbit(gcm, (), sys.maxsize)
+    classes = schubert_restrictions(gcm, (), len(reps[-1][0]))
+    return reps[0][1], {vec: classes[coset_id(w)] for w, vec in reps}
 
 
 def divided_difference_schubert(gcm: GCM, w: CosetRep) -> CohClass:
@@ -257,9 +259,8 @@ def divided_difference_schubert(gcm: GCM, w: CosetRep) -> CohClass:
     fresh class.  Raises :class:`NotFiniteTypeError` outside finite type."""
     if classify(gcm) != "finite":
         raise NotFiniteTypeError("Schubert restrictions require a finite Cartan matrix")
-    reps, table, classes = _full_flag(gcm)
-    canonical = table[apply_word_dual(gcm, w.word, reps[0][1])].word
-    cls = classes[coset_id(canonical)]
+    mu, classes = _full_flag(gcm)
+    cls = classes[apply_word_dual(gcm, w.word, mu)]
     return CohClass._make(dict(cls.values), cls.degree)
 
 
@@ -276,19 +277,17 @@ def reflection_edges(gcm: GCM, parabolic, degree: int, height: int) -> list[Edge
     a ``height`` that is not an ``int`` (worded as a height cutoff).
     """
     J = frozenset(parabolic)
-    reps, table, *_ = coset_orbit(gcm, J, _count(degree, "degree cutoff"))
+    reps, at, *_ = coset_orbit(gcm, J, _count(degree, "degree cutoff"))
     tb = _torus_basis(gcm, J)
     words = {root: reflection_word(gcm, root) for root in real_roots(gcm, height)}
-    found: dict[tuple[str, str, tuple[int, ...]], Edge] = {}
-    for rep, vec in reps:
-        uid = coset_id(rep.word)
+    ids = [coset_id(w) for w, _ in reps]
+    found: dict[tuple[int, int, tuple[int, ...]], Edge] = {}
+    for k, (_, vec) in enumerate(reps):
         for root, rword in words.items():
-            v2 = apply_word_dual(gcm, rword, vec)
-            other = table.get(v2)
-            if v2 == vec or other is None:
+            j = at.get(apply_word_dual(gcm, rword, vec))
+            if j is None or j == k:
                 continue
-            oid = coset_id(other.word)
-            key = (min(uid, oid), max(uid, oid), root.coords)
+            key = (min(k, j), max(k, j), root)
             if key not in found:
-                found[key] = Edge(uid, oid, tb.weight(root.coords))
+                found[key] = Edge(ids[k], ids[j], tb.weight(root))
     return list(found.values())

@@ -61,6 +61,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations_with_replacement
 from math import comb, gcd, isqrt
 from operator import add, lt
 
@@ -269,8 +270,6 @@ class Weight:
 
     >>> str(Weight((1, -2)))
     'x1 - 2*x2'
-    >>> Weight((2, 4)).content()
-    2
     """
 
     coeffs: tuple[int, ...]
@@ -294,10 +293,6 @@ class Weight:
     def _plan(self) -> tuple:
         """The division plan, as ``_plan_of`` makes it from ``coeffs``."""
         return _plan_of(self.coeffs)
-
-    def content(self) -> int:
-        """gcd of the entries (0 for the zero form)."""
-        return self._line[0]
 
     def proportional(self, other: "Weight") -> bool:
         """True when the two forms are parallel over Q (zero counts as parallel)."""
@@ -352,7 +347,7 @@ class Polynomial:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
-        _count(nvars, "nvars")
+        _size(nvars, "nvars")
         clean: dict[tuple[int, ...], int | Fraction] = {}
         for exps, c in (terms or {}).items():
             c = _coeff(c)
@@ -391,11 +386,11 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c, nvars: int) -> "Polynomial":
-        return cls(nvars, {(0,) * _count(nvars, "nvars"): c})
+        return cls(nvars, {(0,) * _size(nvars, "nvars"): c})
 
     @classmethod
     def variable(cls, index: int, nvars: int) -> "Polynomial":
-        if _count(index, "variable index") >= _count(nvars, "nvars"):
+        if _count(index, "variable index") >= _size(nvars, "nvars"):
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
         return cls(nvars, {_unit(index, nvars): 1})
 
@@ -420,10 +415,6 @@ class Polynomial:
 
     def is_integral(self) -> bool:
         return all(type(c) is int for c in self.terms.values())
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
-        """Terms in descending graded-lexicographic order."""
-        return [(e, self.terms[e]) for e in sorted(self.terms, key=_grlex_key, reverse=True)]
 
     # -- arithmetic -------------------------------------------------------
 
@@ -488,10 +479,12 @@ class Polynomial:
     # -- text -------------------------------------------------------------
 
     def __str__(self) -> str:
+        """The terms in descending graded-lexicographic order."""
         if not self.terms:
             return "0"
         parts = []
-        for exps, c in self.sorted_terms():
+        for exps in sorted(self.terms, key=_grlex_key, reverse=True):
+            c = self.terms[exps]
             factors = []
             for i, e in enumerate(exps):
                 if e == 1:
@@ -520,26 +513,23 @@ _set_nvars, _set_terms = Polynomial.nvars.__set__, Polynomial.terms.__set__
 
 
 def monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    """All exponent vectors of the given total degree, in descending lex order.
+    """All exponent vectors of the given total degree, in descending lex order:
+    one per multiset of ``degree`` variable indices, which
+    ``combinations_with_replacement`` lists in that order, with no
+    recursion, so a rank of thousands is listed too.
 
     >>> monomials(2, 2)
     [(2, 0), (1, 1), (0, 2)]
     """
-    _count(nvars, "nvars")
+    _size(nvars, "nvars")
     if _int_arg(degree, "monomial degree") < 0:
         return []
-    if nvars == 0:
-        return [()] if degree == 0 else []
     out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), degree, nvars)
+    for indices in combinations_with_replacement(range(nvars), degree):
+        e = [0] * nvars
+        for i in indices:
+            e[i] += 1
+        out.append(tuple(e))
     return out
 
 
@@ -803,7 +793,7 @@ def parse_polynomial(text: str, nvars: int, cache: dict | None = None) -> Polyno
     >>> str(parse_polynomial("3*x1^2*x2 - x3", 3))
     '3*x1^2*x2 - x3'
     """
-    _count(nvars, "nvars")
+    _size(nvars, "nvars")
     m = _POLYNOMIAL.match(text)
     if m is None or m.end() < len(text):
         at = m.end() if m else 0

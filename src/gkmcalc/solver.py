@@ -141,9 +141,6 @@ class GeneratorBasis:
             raise ValueError(f"no generator {vid!r} in the basis of degree {self.degree}")
         return self.generators[vid]
 
-    def items(self):
-        return self.generators.items()
-
     def dumps(self) -> str:
         """The basis file as ``json.dumps(indent=2)`` lays it out: the graph
         by the writer of ``GkmGraph.dumps``, then one block per generator in

@@ -291,6 +291,14 @@ def test_oracle_subcommands(tmp_path, capsys):
     assert code == 0 and "0 failures" in out
 
 
+def test_brute_rank_of_a_wide_point(tmp_path, capsys):
+    # rank 2000 at degree 0: one class, counted without a traceback
+    path = tmp_path / "rank-2000.json"
+    path.write_text(json.dumps({"rank": 2000, "mode": "Z", "vertices": [{"id": "e", "cell_dim": 0}], "edges": []}))
+    code, out, err = run(["oracle", "brute-rank", str(path), "--degree", "0"], capsys)
+    assert code == 0 and out == "degree 0: brute 1, free-module 1 [ok]\n" and not err
+
+
 def test_unknown_preset_exit(capsys):
     for name in ("E9-flag", "nosuch"):
         code, out, err = run(["build", name], capsys)

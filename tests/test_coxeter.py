@@ -18,7 +18,6 @@ from gkmcalc.coxeter import (
     _adjugate,
     _eliminate,
     CosetRep,
-    Root,
     apply_word_dual,
     classify,
     coset_orbit,
@@ -309,25 +308,26 @@ def test_generic_vector_is_the_scaled_prime_reciprocals(case):
 
 
 def test_real_roots_a2():
-    assert {r.coords for r in real_roots(A2, 2)} == {(1, 0), (0, 1), (1, 1)}
+    assert real_roots(A2, 2) == [(0, 1), (1, 0), (1, 1)]
 
 
 def test_real_roots_a1():
     for h in (1, 5, 20):
-        assert [r.coords for r in real_roots(A1, h)] == [(1,)]
+        assert real_roots(A1, h) == [(1,)]
 
 
 def test_real_roots_affine_a1():
-    # positive real roots are alpha1 + n*delta and alpha0 + n*delta
-    assert {r.coords for r in real_roots(AFF_A1, 3)} == {(1, 0), (0, 1), (2, 1), (1, 2)}
-    assert {r.coords for r in real_roots(AFF_A1, 5)} == {
-        (1, 0), (0, 1), (2, 1), (1, 2), (3, 2), (2, 3),
-    }
+    # positive real roots are alpha1 + n*delta and alpha0 + n*delta, in
+    # (height, coordinates) order
+    assert real_roots(AFF_A1, 3) == [(0, 1), (1, 0), (1, 2), (2, 1)]
+    assert real_roots(AFF_A1, 5) == [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)]
 
 
 def test_real_roots_closed_under_ball_reflections():
     for gcm, h in ((A2, 3), (B2, 4), (AFF_A1, 7), (TWISTED, 9)):
-        roots = {r.coords for r in real_roots(gcm, h)}
+        roots = real_roots(gcm, h)
+        assert all(type(c) is tuple and all(type(x) is int for x in c) for c in roots)
+        assert roots == sorted(set(roots), key=lambda c: (sum(c), c))
         for c in roots:
             for i in range(gcm.n):
                 image = reflect(gcm, i, c)
@@ -346,8 +346,21 @@ def test_reflection_word_acts_as_reflection():
             assert apply_word_dual(gcm, word, once) == mu
 
 
+def test_reflection_word_of_a_high_root_needs_no_recursion():
+    # alpha_1 + 1000 delta in affine A1: a descent of 1000 steps once ran
+    # one frame per step and ended in RecursionError
+    word = reflection_word(AFF_A1, (1001, 1000))
+    assert len(word) == 2001 and word == word[::-1]
+    mu, _ = generic_dominant_vector(AFF_A1, ())
+    assert apply_word_dual(AFF_A1, word, apply_word_dual(AFF_A1, word, mu)) == mu
+    beta = (1001, 1000)
+    for i in reversed(word):
+        beta = reflect(AFF_A1, i, beta)
+    assert beta == (-1001, -1000)  # r_beta sends beta to -beta
+
+
 def _coset_words(gcm, parabolic, cutoff):
-    return [rep.word for rep, _ in coset_orbit(gcm, parabolic, cutoff)[0]]
+    return [w for w, _ in coset_orbit(gcm, parabolic, cutoff)[0]]
 
 
 def test_coset_orbit_a2_full():
@@ -421,12 +434,16 @@ def test_coset_orbit_is_scaled_generic_orbit(case):
     gcm, parabolic, cutoff = ORBIT_CASES[case]
     ints, scale = generic_dominant_vector(gcm, parabolic)
     mu = tuple(Fraction(x, scale) for x in ints)
-    reps, table, *_ = coset_orbit(gcm, parabolic, cutoff)
+    reps, at, parent, _ = coset_orbit(gcm, parabolic, cutoff)
+    assert len(at) == len(reps) == len(parent)
     scales = set()
-    for rep, vec in reps:
+    for k, (word, vec) in enumerate(reps):
+        assert type(word) is tuple and all(type(i) is int for i in word)
         assert all(type(x) is int for x in vec)
-        assert table[vec] == rep
-        exact = apply_word_dual(gcm, rep.word, mu)
+        assert reps[at[vec]] == (word, vec)
+        if k:
+            assert reps[parent[k]][0] == word[1:]
+        exact = apply_word_dual(gcm, word, mu)
         scales.update(Fraction(a) / b for a, b in zip(vec, exact) if b)
         assert all(a == 0 for a, b in zip(vec, exact) if not b)
     assert scales == {scale}
@@ -443,15 +460,15 @@ def test_value_types_reject_non_integers():
     for bad in (((2, -1.5), (-1, 2)), ((2, True), (True, 2)), ((2, Fraction(-1)), (-1, 2))):
         with pytest.raises(ValueError, match=re.escape(f"Cartan matrix entries must be ints, not {bad[0]!r}")):
             GCM(bad)
-    for bad in ((1.7, 0), (True, 0), (Fraction(1), 0)):
+    for bad in ((1.7, 0), (True, 0), (1.0, 0), (Fraction(1), 0)):
         with pytest.raises(ValueError, match=re.escape(f"root coordinates must be ints, not {bad!r}")):
-            Root(bad)
+            reflection_word(A2, bad)
     for bad in ((0.9,), (False,), ("0",)):
         with pytest.raises(ValueError, match=re.escape(f"word letters must be ints, not {bad!r}")):
             CosetRep(bad)
     # any iterable of ints is still accepted and stored as a tuple
     assert GCM([[2, -1], [-1, 2]]).rows == ((2, -1), (-1, 2))
-    assert Root([1, 0]).coords == (1, 0)
+    assert reflection_word(A2, [1, 0]) == (0,)
     assert CosetRep([0, 1]).word == (0, 1)
 
 
@@ -459,10 +476,16 @@ def test_coxeter_inputs_are_refused_with_their_messages():
     refused = [
         (lambda: reflect(A2, 2, (0, 1)), IndexError, "simple index 2 out of range"),
         (lambda: reflect_dual(A2, -1, (1, 1)), IndexError, "simple index -1 out of range"),
-        (lambda: reflection_word(A2, Root((-1, 0))), ValueError, r"\(-1,0\) is not a positive root"),
-        (lambda: reflection_word(A2, Root((0, 0))), ValueError, r"\(0,0\) is not a positive root"),
+        # an index that is no int is refused, never coerced: True is not s1
+        (lambda: reflect(A2, True, (0, 1)), ValueError, "^simple index must be an int, not True$"),
+        (lambda: reflect(A2, 1.0, (0, 1)), ValueError, r"^simple index must be an int, not 1\.0$"),
+        (lambda: reflect_dual(A2, False, (1, 1)), ValueError, "^simple index must be an int, not False$"),
+        (lambda: apply_word_dual(A2, (0, 1.0), (1, 1)), ValueError, r"^simple index must be an int, not 1\.0$"),
+        (lambda: reflect(A2, 2.0, (0, 1)), ValueError, r"^simple index must be an int, not 2\.0$"),
+        (lambda: reflection_word(A2, (-1, 0)), ValueError, r"\(-1, 0\) is not a positive root"),
+        (lambda: reflection_word(A2, (0, 0)), ValueError, r"\(0, 0\) is not a positive root"),
         # delta = alpha_0 + alpha_1 is imaginary: no reflection shortens it
-        (lambda: reflection_word(AFF_A1, Root((1, 1))), ValueError, r"\(1,1\) is not a real root"),
+        (lambda: reflection_word(AFF_A1, (1, 1)), ValueError, r"\(1, 1\) is not a real root"),
         (lambda: coset_orbit(A2, (), -1), ValueError, "length cutoff must be non-negative, got -1"),
     ]
     for make, error, message in refused:

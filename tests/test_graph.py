@@ -70,7 +70,7 @@ def test_collinear_down_weights_fail():
         ],
     )
     rep = validate(g)
-    assert not rep.ok and "coprimality" in {e.check for e in rep.failures()}
+    assert not rep.ok and "coprimality" in {e.check for e in rep.entries if not e.ok}
 
 
 def test_builder_graph_validates():
@@ -89,7 +89,7 @@ def test_builder_graph_validates():
 def test_corrupted_fixtures(name, check):
     rep = validate(GkmGraph.load(FIXTURES / f"{name}.json"))
     assert not rep.ok
-    assert check in {e.check for e in rep.failures()}
+    assert check in {e.check for e in rep.entries if not e.ok}
     # the report carries a readable line for the failure
     assert any(check in line and "FAIL" in line for line in rep.format_text().splitlines())
 
@@ -97,7 +97,7 @@ def test_corrupted_fixtures(name, check):
 def test_disconnected_and_multi_bottom_fail():
     g = GkmGraph(2, "Z", [Vertex("a", 0), Vertex("b", 0)], [])
     rep = validate(g)
-    assert {"bottom_vertex", "connectivity"} <= {e.check for e in rep.failures()}
+    assert {"bottom_vertex", "connectivity"} <= {e.check for e in rep.entries if not e.ok}
 
 
 def test_empty_graph_validates():
@@ -132,7 +132,7 @@ def test_membership_requires_all_vertices():
 def test_solver_output_rechecked_independently():
     g = build_preset("A2-flag")
     basis = canonical_generators(g, 3)
-    for _, cls in basis.items():
+    for _, cls in basis.generators.items():
         assert is_gkm_class(g, cls).ok
 
 
@@ -182,7 +182,7 @@ def test_relative_class_examples():
     one = CohClass({v.id: Polynomial.one(2) for v in g.vertices})
     assert not is_relative_class(g, one, 0)
     basis = canonical_generators(g, 3)
-    for vid, cls in basis.items():
+    for vid, cls in basis.generators.items():
         d = g.vertex(vid).cell_dim // 2
         if d > 0:
             assert is_relative_class(g, cls, d - 1)
@@ -192,7 +192,7 @@ def test_gkm_classes_closed_under_ring_ops():
     g = build_preset("A2-flag")
     basis = canonical_generators(g, 3)
     rng = random.Random(11)
-    gens = [cls for _, cls in basis.items()]
+    gens = [cls for _, cls in basis.generators.items()]
     for _ in range(20):
         f = rng.choice(gens)
         h = rng.choice(gens)
@@ -207,7 +207,7 @@ def test_restriction_to_skeleton_stays_gkm():
     g = build_preset("omega-su2", 4)
     basis = canonical_generators(g, 4)
     sub = skeleton(g, 2)
-    for _, cls in basis.items():
+    for _, cls in basis.generators.items():
         assert is_gkm_class(sub, restrict(cls, sub.vertex_ids)).ok
 
 
@@ -529,7 +529,7 @@ def test_validate_checks_connectivity_once(monkeypatch):
     assert calls == []
     for name, connects in [("two_components", False), ("wrong_down_count", True), ("odd_cell", True)]:
         g = GkmGraph.load(FIXTURES / f"{name}.json")
-        assert ("connectivity" not in {e.check for e in validate(g).failures()}) == connects
+        assert ("connectivity" not in {e.check for e in validate(g).entries if not e.ok}) == connects
         assert calls == [g]
         calls.clear()
 
@@ -695,7 +695,6 @@ def test_validation_entries_match_the_checks_recomputed_from_the_graph(g):
     edge_entries = [e.ok for e in rep.entries if e.check == "equal_dim_edge"]
     assert edge_entries == [dims[e.u] != dims[e.v] for e in g.edges]
     assert verdict == rep.ok == all(e.ok for e in rep.entries) == bool(rep)
-    assert rep.failures() == [e for e in rep.entries if not e.ok]
 
 
 def test_validate_writes_its_entries_once_and_only_when_read(monkeypatch):
@@ -708,7 +707,7 @@ def test_validate_writes_its_entries_once_and_only_when_read(monkeypatch):
     assert rep.ok and rep and not made
     entries = rep.entries
     assert rep.entries is entries and len(made) == len(entries) > 465
-    rep.format_text(), rep.failures()
+    rep.format_text()
     assert len(made) == len(entries)
     bad = validate(GkmGraph.load(FIXTURES / "odd_cell.json"))
     assert not bad.ok and not bad and len(made) == len(entries)

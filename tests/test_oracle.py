@@ -52,6 +52,19 @@ def test_single_point_dimension():
         assert len(brute_force_classes(point, d)) == len(monomials(2, d))
 
 
+def test_free_module_count_equals_the_listed_monomials():
+    # the count is a binomial, read against the monomials it counts,
+    # at rank 0 and below degree 0 too
+    for rank in range(5):
+        cells = [Vertex("e", 0), Vertex("a", 2), Vertex("b", 6)]
+        g = GkmGraph(rank, "Z", cells, [])
+        for d in range(-2, 6):
+            want = sum(len(monomials(rank, d - v.cell_dim // 2)) for v in cells)
+            assert expected_gkm_dimension(g, d) == want
+    # a wide point is counted without listing a monomial
+    assert expected_gkm_dimension(GkmGraph(2000, "Z", [Vertex("e", 0)], []), 2) == 2001000
+
+
 def test_a2_degree_one_dimension():
     g = build_preset("A2-flag")
     assert len(brute_force_classes(g, 1)) == 4 == expected_gkm_dimension(g, 1)
@@ -83,7 +96,7 @@ def test_brute_basis_elements_expand_exactly():
 def test_canonical_generators_lie_in_brute_space():
     g = build_preset("omega-su2", 3)
     basis = canonical_generators(g, 3)
-    for vid, cls in basis.items():
+    for vid, cls in basis.generators.items():
         assert is_gkm_class(g, cls).ok
 
 

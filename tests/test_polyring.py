@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from math import comb, gcd
 from pathlib import Path
 
@@ -135,8 +136,8 @@ def test_grlex_printing_is_deterministic():
 
 def test_weight_basics():
     w = Weight((2, 4))
-    assert w.content() == 2
-    assert Weight((1, -1)).content() == 1
+    assert w._line == (2, (1, 2))
+    assert Weight((1, -1))._line[0] == 1
     assert Weight((0, 0)).is_zero()
     assert str(Weight((1, -2))) == "x1 - 2*x2"
 
@@ -318,7 +319,7 @@ def test_proportional_needs_one_torus():
 def test_weight_line_is_cached_and_invisible():
     w = Weight((-2, 4, 0))
     assert "_line" not in vars(w)
-    assert w._line == (2, (1, -2, 0)) and w.content() == 2
+    assert w._line == (2, (1, -2, 0))
     assert "_line" in vars(w)
     other = Weight((-2, 4, 0))
     assert w == other and hash(w) == hash(other) and repr(w) == repr(other) == "Weight(coeffs=(-2, 4, 0))"
@@ -821,6 +822,18 @@ def test_monomials_order():
     assert monomials(2, 2) == [(2, 0), (1, 1), (0, 2)]
     assert monomials(3, 0) == [(0, 0, 0)]
     assert monomials(2, -1) == []
+    assert monomials(0, 0) == [()] and monomials(0, 1) == []
+    # every exponent vector of the degree, in descending lex order
+    for nvars in range(6):
+        for degree in range(6):
+            want = [e for e in product(range(degree + 1), repeat=nvars) if sum(e) == degree]
+            assert monomials(nvars, degree) == sorted(want, reverse=True)
+
+
+def test_monomials_of_many_variables_need_no_recursion():
+    # one frame per variable once ended in RecursionError at rank 2000
+    assert monomials(2000, 0) == [(0,) * 2000]
+    assert len(monomials(2000, 1)) == 2000 and monomials(2000, 1)[0] == (1,) + (0,) * 1999
 
 
 # -- coefficient normal form -------------------------------------------------

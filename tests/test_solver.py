@@ -243,7 +243,7 @@ def test_uniqueness_under_vertex_relabeling():
     )
     basis = canonical_generators(g, 3)
     rebased = canonical_generators(relabeled, 3)
-    for vid, cls in basis.items():
+    for vid, cls in basis.generators.items():
         image = rebased.generator(swap.get(vid, vid))
         for wid in g.vertex_ids:
             assert cls.values[wid] == image.values[swap.get(wid, wid)]
@@ -283,7 +283,7 @@ def _expand_round_trip(basis, seed, rounds):
     for _ in range(rounds):
         chosen = {}
         total = {vid: Polynomial.zero(k) for vid in g.vertex_ids}
-        for vid, cls in basis.items():
+        for vid, cls in basis.generators.items():
             d = g.vertex(vid).cell_dim // 2
             deg = rng.choice(range(0, top + 1 - d)) if d < top else 0
             c = Polynomial(k, {m: rng.randrange(-3, 4) for m in monomials(k, deg)})
@@ -317,7 +317,7 @@ def test_expand_leaves_inputs_unchanged():
     def snapshot(cls, b):
         return copy.deepcopy(
             ({v: p.terms for v, p in cls.values.items()},
-             {u: {v: p.terms for v, p in gen.values.items()} for u, gen in b.items()})
+             {u: {v: p.terms for v, p in gen.values.items()} for u, gen in b.generators.items()})
         )
 
     for cls, b, in_span in cases:
@@ -445,7 +445,7 @@ def test_generator_support_invariant():
     for name in ("A2-flag", "B2-flag", "omega-su2"):
         g = build_preset(name)
         basis = canonical_generators(g, 4)
-        for vid, cls in basis.items():
+        for vid, cls in basis.generators.items():
             dv = g.vertex(vid).cell_dim
             for wid, p in cls.values.items():
                 if not p.is_zero():
@@ -469,7 +469,7 @@ def test_basis_serialization_round_trip(tmp_path):
     basis.save(path)
     again = GeneratorBasis.load(path)
     assert again.degree == basis.degree and again.mode == basis.mode
-    for vid, cls in basis.items():
+    for vid, cls in basis.generators.items():
         assert again.generator(vid).values == cls.values
     assert again.dumps() == basis.dumps()
     # a lowercase mode is read as Z-mode, so expansion still checks integrality
@@ -1207,7 +1207,7 @@ def test_expansion_errors_match_division(case, rng):
         assert err == _expand_by_division(tampered, basis)
         assert err[:2] == (NotInSpanError, top) and err[2] in g.down_edges(top)
     rational = GeneratorBasis(g, 4, "Q", basis.generators)
-    for vid, f in basis.items():
+    for vid, f in basis.generators.items():
         half = f * Fraction(1, 2)
         err = _expansion(half, basis)
         assert err == _expand_by_division(half, basis)

@@ -56,7 +56,7 @@ from .coxeter import (
 )
 from .errors import UnsupportedTypeError
 from .graph import Edge, GkmGraph, Vertex
-from .polyring import Weight, _count, _int_arg
+from .polyring import Weight, _count, _int_arg, _weight
 
 __all__ = [
     "type_a",
@@ -129,13 +129,14 @@ class _TorusBasis:
         """The label of the root with simple-root coordinates ``c``.  It is
         never zero for a real root: a real root is a Weyl image of a simple
         root, so ``c`` is nonzero, and this map is the identity or the
-        unimodular change of basis of the module docstring."""
+        unimodular change of basis of the module docstring.  ``c`` is a
+        tuple of ints, so the interned weight is read unchecked."""
         if self.kind == "affine":
             m = c[self.z]
             coords = [c[i] - m * self.mark_vec[i] for i in range(len(c)) if i != self.z]
             coords.append(m)
-            return Weight(tuple(coords))
-        return Weight(c)
+            return _weight(tuple(coords))
+        return _weight(c)
 
 
 def _torus_basis(gcm: GCM, parabolic) -> _TorusBasis:

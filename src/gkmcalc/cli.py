@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 
 from . import builders, oracle, render, ring_ops
@@ -73,17 +74,30 @@ def _load_gcm(path: str) -> GCM:
     return GCM(tuple(tuple(row) for row in rows))
 
 
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def integer(text: str) -> int:
+    """An integer written on the command line: an optional sign and ASCII
+    digits, with blanks around them.  ``int`` alone would also read
+    ``1_0`` as 10 and non-ASCII digits such as ``"\u0663"`` as 3.  (Not
+    underscored, since argparse names an option's type by it.)"""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_parabolic(text: str) -> frozenset[int]:
     text = text.strip()
     if not text:
         return frozenset()
-    return frozenset(int(p) for p in text.split(","))
+    return frozenset(integer(p) for p in text.split(","))
 
 
 def _cmd_build(args) -> int:
     if args.chain is not None:
         weights = [
-            Weight(tuple(int(c) for c in part.split(",")))
+            Weight(tuple(integer(c) for c in part.split(",")))
             for part in args.chain.split(";")
             if part.strip()
         ]
@@ -211,14 +225,15 @@ def _cmd_oracle(args) -> int:
     if args.kind == "brute-rank":
         graph = _load_graph(args.graph)
         degree = args.degree if args.degree is not None else 2
-        ok = True
-        for d in range(_count(degree, "degree") + 1):
-            got = len(oracle.brute_force_classes(graph, d))
-            want = oracle.expected_gkm_dimension(graph, d)
-            status = "ok" if got == want else "FAIL"
-            print(f"degree {2 * d}: brute {got}, free-module {want} [{status}]")
-            ok = ok and got == want
-        return 0 if ok else 1
+        # every degree is solved before a line is printed, so that a
+        # system above the bound prints nothing
+        counts = [
+            (len(oracle.brute_force_classes(graph, d)), oracle.expected_gkm_dimension(graph, d))
+            for d in range(_count(degree, "degree") + 1)
+        ]
+        for d, (got, want) in enumerate(counts):
+            print(f"degree {2 * d}: brute {got}, free-module {want} [{'ok' if got == want else 'FAIL'}]")
+        return 0 if all(got == want for got, want in counts) else 1
     # s2n
     rank = args.rank
     if rank < 2:
@@ -279,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gcm", help="JSON/TOML file with an integer Cartan matrix")
     p.add_argument("--parabolic", help="comma-separated 0-based node indices")
     p.add_argument("--chain", help="chain graph with these labels, e.g. '1,0;1,1;1,2'")
-    p.add_argument("--degree", type=int)
+    p.add_argument("--degree", type=integer)
     p.add_argument("--mode", default="Z", choices=("Z", "Q"))
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_build)
@@ -290,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generators", help="solve for the canonical generators")
     p.add_argument("graph", nargs="?", default="-")
-    p.add_argument("--degree", type=int)
+    p.add_argument("--degree", type=integer)
     p.add_argument("--mode", choices=("Z", "Q"))
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_generators)
@@ -309,14 +324,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poincare", help="free-module ranks per degree")
     p.add_argument("graph", nargs="?", default="-")
-    p.add_argument("--degree", type=int)
+    p.add_argument("--degree", type=integer)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_poincare)
 
     p = sub.add_parser("power", help="divided-powers coefficient of the degree-2 generator")
     p.add_argument("graph", nargs="?", default="-")
     p.add_argument("--preset", choices=sorted(builders.PRESETS))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.set_defaults(func=_cmd_power)
 
     p = sub.add_parser("render", help="emit DOT or SVG")
@@ -332,10 +347,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", nargs="?", default="-")
     p.add_argument("--preset", choices=sorted(builders.PRESETS))
     p.add_argument("--gcm")
-    p.add_argument("--degree", type=int)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--degree", type=integer)
+    p.add_argument("--trials", type=integer, default=200)
+    p.add_argument("--rank", type=integer, default=2)
+    p.add_argument("--seed", type=integer, default=7)
     p.set_defaults(func=_cmd_oracle)
 
     return parser

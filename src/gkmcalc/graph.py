@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 from .errors import MissingVertexValueError, ValidationFailureError
 from .polyring import Polynomial, Weight, _add_multiple, _add_product, _coeff, _count, _divmod_weight, _int_arg
-from .polyring import _normalize_mode, _size, parse_polynomial
+from .polyring import _normalize_mode, _size, _weight, parse_polynomial
 
 # outside the Char production of XML 1.0
 _NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
@@ -436,10 +436,8 @@ class GkmGraph:
             cell_dim = _int_arg(vd["cell_dim"], f"cell_dim of {vid!r}")
             position = _json_position(pos, vid, fracs) if pos is not None else None
             vs.append(new(Vertex, (vid, cell_dim, position, label)))
-        # one Weight per distinct label, refused once if zero; entries are
-        # type-checked before the lookup, since (True, 0) and (1.0, 0) equal
-        # (1, 0) as dict keys
-        weights: dict[tuple[int, ...], Weight] = {}
+        # entries are type-checked before the interned weight is read, since
+        # (True, 0) and (1.0, 0) equal (1, 0) as dict keys
         es = []
         for ed in _json_of(list, data["edges"], "graph edges"):
             if type(ed) is not dict or type(ed.get("from")) is not str or type(ed.get("to")) is not str:
@@ -453,13 +451,9 @@ class GkmGraph:
                 )
             if u == v:
                 raise ValueError(f"edge endpoints must be distinct, got {u!r} twice")
-            coeffs = tuple(coeffs)
-            weight = weights.get(coeffs)
-            if weight is None:
-                if not any(coeffs):
-                    raise ValueError(f"edge ({u}, {v}) has zero weight")
-                weight = weights[coeffs] = Weight(coeffs)
-            es.append(new(Edge, (u, v, weight)))
+            if not any(coeffs):
+                raise ValueError(f"edge ({u}, {v}) has zero weight")
+            es.append(new(Edge, (u, v, _weight(tuple(coeffs)))))
         return cls(data["rank"], data.get("mode", "Z"), vs, es)
 
     @classmethod

@@ -53,6 +53,10 @@ __all__ = [
     "reflection_edges",
 ]
 
+# the most unknowns ``brute_force_classes`` solves for: its dense Fraction
+# elimination takes tens of seconds near this size
+_BRUTE_UNKNOWNS = 200
+
 
 def _divides(w: Weight, p: Polynomial) -> bool:
     try:
@@ -114,15 +118,17 @@ def brute_force_classes(graph: GkmGraph, degree: int) -> list[CohClass]:
     of its nullspace.  The witness coordinates are determined by the
     vertex values, so projecting nullspace vectors to the vertex blocks
     loses nothing.  A negative ``degree`` has no classes; one that is not
-    an ``int`` raises :class:`ValueError`.
+    an ``int`` raises :class:`ValueError`, and so does a system of more
+    than ``_BRUTE_UNKNOWNS`` unknowns, counted before any is listed.
     """
-    nvars = graph.rank
-    mons_f = monomials(nvars, _int_arg(degree, "degree"))
-    mons_g = monomials(nvars, degree - 1)
-    nf, ng = len(mons_f), len(mons_g)
-    ids = graph.vertex_ids
-    f_base = {vid: i * nf for i, vid in enumerate(ids)}
+    nvars, ids = graph.rank, graph.vertex_ids
+    nf = _monomial_count(nvars, _int_arg(degree, "degree"))
+    ng = _monomial_count(nvars, degree - 1)
     ncols = nf * len(ids) + ng * len(graph.edges)
+    if ncols > _BRUTE_UNKNOWNS:
+        raise ValueError(f"brute force in degree {degree}: {ncols} unknowns, above the bound of {_BRUTE_UNKNOWNS}")
+    mons_f, mons_g = monomials(nvars, degree), monomials(nvars, degree - 1)
+    f_base = {vid: i * nf for i, vid in enumerate(ids)}
 
     rows = []
     for ei, e in enumerate(graph.edges):
@@ -157,8 +163,13 @@ def expected_gkm_dimension(graph: GkmGraph, degree: int) -> int:
     k)`` of them (one when ``k`` is 0, none below); 0 for a negative
     ``degree``, and :class:`ValueError` for one that is not an ``int``."""
     _int_arg(degree, "degree")
-    ks = [degree - v.cell_dim // 2 for v in graph.vertices]
-    return sum(comb(k + graph.rank - 1, k) if k > 0 else int(k == 0) for k in ks)
+    return sum(_monomial_count(graph.rank, degree - v.cell_dim // 2) for v in graph.vertices)
+
+
+def _monomial_count(rank: int, k: int) -> int:
+    """``len(monomials(rank, k))``, counted: ``comb(k + rank - 1, k)``, one
+    when ``k`` is 0 and none below."""
+    return comb(k + rank - 1, k) if k > 0 else int(k == 0)
 
 
 def s2n_relative_image(weights, g: Polynomial) -> bool:

@@ -41,26 +41,34 @@ shift ``d`` (a factor's vector, ``-e_j`` and ``+e_i`` in a division by a
 form, or minus the divisor's lead vector and each quotient vector in an
 exact division) and compute a vector only on a row's first miss, and
 ``parse_polynomial``, ``_constant_terms`` and ``Weight.to_polynomial``
-intern the vectors they make.  A third table holds, per rank, each unit
-vector ``+e_i`` and ``-e_i`` with its shift row.  The tables grow only with the distinct
-``(d, e)`` pairs and ranks a process computes with and are never emptied.
+intern the vectors they make.  A third table holds, per slot ``i`` of a
+rank, the unit vectors ``+e_i`` and ``-e_i`` with their shift rows.  The
+tables grow only with the distinct ``(d, e)`` pairs and slots a process
+computes with and are never emptied.
 A division's set-up (its variable, its pivot coefficient and its shift
 rows) is a plan that ``_plan_of`` makes from the integer form's
-coefficients by reading the rank's unit rows.  A ``Weight`` stores its
-plan on first use, so a graph's edge weights work it out once; a form
-computed for one division, such as the solver's ``Phi(w) - Phi(v)``, is
-divided through a plan made from its bare tuple, with no ``Weight``
-built.  Nothing else is cached across calls: the parser's term cache
-belongs to its caller.
+coefficients by reading the slots' unit rows.
+
+Weights are interned too: a fourth table maps each integer form made into
+a ``Weight`` to its one record, which holds the form's line, plan,
+polynomial and text, computed when the record is made.  So a label that
+recurs across edges, graphs and loads is worked out once per process;
+each caller still checks the entries it is given before the lookup, as
+``(True, 0)`` equals ``(1, 0)`` as a key.  The table grows by one entry
+per distinct label and is never emptied, and it needs no lock: two
+threads that miss on the same form together each build a record, and
+``dict.setdefault`` hands both the one stored first.  A form computed
+for one division, such as the solver's ``Phi(w) - Phi(v)``, is divided
+through a plan made from its bare tuple, with no ``Weight`` built.
+Nothing else is cached across calls: the parser's term cache belongs to
+its caller.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations_with_replacement
 from math import comb, gcd, isqrt
 from operator import add, lt
@@ -116,8 +124,8 @@ def _add_multiple(acc: dict, terms: dict, c) -> None:
 _VECTORS: dict[tuple[int, ...], tuple[int, ...]] = {}
 # each shift d -> its row {e: e + d}, with interned keys and values
 _SHIFTS: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
-# each rank n -> per slot i, (-e_i, row of -e_i, +e_i, row of +e_i)
-_UNITS: dict[int, tuple[tuple, ...]] = {}
+# each (slot i, rank n) -> (-e_i, row of -e_i, +e_i, row of +e_i)
+_UNITS: dict[tuple[int, int], tuple] = {}
 
 
 def _intern(e: tuple[int, ...]) -> tuple[int, ...]:
@@ -251,31 +259,56 @@ def _line_of(coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     g = gcd(*coeffs)
     if not g:
         return 0, coeffs
-    if next(c for c in coeffs if c) < 0:
+    if next(filter(None, coeffs)) < 0:
         g = -g
-    return abs(g), tuple(c // g for c in coeffs)
+    return abs(g), tuple([c // g for c in coeffs])
 
 
-@dataclass(frozen=True)
 class Weight:
     """An integer linear form ``c1*x1 + ... + ck*xk``.
 
     Weights are the degree-2 equivariant classes that label graph edges.
     The zero form is representable (so that arithmetic stays total) but is
-    rejected by every operation that uses a weight as a divisor.  Its line
-    -- content and primitive direction --, its division plan and its
-    polynomial are cached properties, computed on first use (the
-    polynomial is shared, as it is immutable); equality, hashing and
-    ``repr`` see only ``coeffs``.
+    rejected by every operation that uses a weight as a divisor.  Weights
+    are interned: ``Weight(c)`` checks ``c`` and returns the one immutable
+    record of that integer form, made on its first use with its line --
+    content and primitive direction --, its division plan (None for the
+    zero form), its polynomial and its text.  The table of records grows
+    by one entry per distinct form and is never emptied; two threads that
+    make a new form together both get the record that ``dict.setdefault``
+    stored first.  Equality, hashing and ``repr`` see only ``coeffs``, and
+    a copy or an unpickled weight is the interned one.
 
     >>> str(Weight((1, -2)))
     'x1 - 2*x2'
+    >>> Weight([1, -2]) is Weight((1, -2))
+    True
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs", "_line", "_plan", "_polynomial", "_text")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _int_tuple(self.coeffs, "weight coefficients"))
+    def __new__(cls, coeffs):
+        return _weight(_int_tuple(coeffs, "weight coefficients"))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("Weight is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Weight, (self.coeffs,)
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if type(other) is Weight else NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"Weight(coeffs={self.coeffs!r})"
+
+    def __str__(self) -> str:
+        return self._text
 
     @property
     def rank(self) -> int:
@@ -284,39 +317,47 @@ class Weight:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    @cached_property
-    def _line(self) -> tuple[int, tuple[int, ...]]:
-        """``(content, direction)``, as ``_line_of`` reads it from ``coeffs``."""
-        return _line_of(self.coeffs)
-
-    @cached_property
-    def _plan(self) -> tuple:
-        """The division plan, as ``_plan_of`` makes it from ``coeffs``."""
-        return _plan_of(self.coeffs)
-
     def proportional(self, other: "Weight") -> bool:
         """True when the two forms are parallel over Q (zero counts as parallel)."""
         if len(self.coeffs) != len(other.coeffs):
             raise ValueError("weights live in different tori")
         return self.is_zero() or other.is_zero() or self._line[1] == other._line[1]
 
-    @cached_property
-    def _polynomial(self) -> "Polynomial":
-        n = len(self.coeffs)
-        return Polynomial._make(n, {_unit(i, n): c for i, c in enumerate(self.coeffs) if c})
-
     def to_polynomial(self) -> "Polynomial":
         return self._polynomial
 
-    def __str__(self) -> str:
-        """The text of ``str(self.to_polynomial())``, formatted from ``coeffs``."""
-        parts = []
-        for i, c in enumerate(self.coeffs, 1):
-            if c:
-                body = f"x{i}" if c in (1, -1) else f"{abs(c)}*x{i}"
-                sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
-                parts.append(sign + body)
-        return " ".join(parts) or "0"
+
+class _WeightTable(dict):
+    """Each integer form made into a weight -> its one ``Weight`` (see the
+    module docstring).  A form's record is made by ``__missing__`` on its
+    first lookup; a hit is one dict read."""
+
+    def __missing__(self, c: tuple[int, ...]) -> Weight:
+        n = len(c)
+        w = object.__new__(Weight)
+        poly = Polynomial._make(n, {_unit(i, n): x for i, x in enumerate(c) if x})
+        record = (c, _line_of(c), _plan_of(c) if any(c) else None, poly, _text_of(c))
+        for setter, value in zip(_WEIGHT_SETTERS, record):
+            setter(w, value)
+        return self.setdefault(c, w)
+
+
+_WEIGHTS = _WeightTable()
+# the interned weight of a tuple whose entries the caller has checked to be
+# ints: (True, 0) would find the weight of (1, 0)
+_weight = _WEIGHTS.__getitem__
+# the slots' own setters, which pass over the refusing __setattr__
+_WEIGHT_SETTERS = tuple(getattr(Weight, name).__set__ for name in Weight.__slots__)
+
+
+def _text_of(c: tuple[int, ...]) -> str:
+    """The text of ``str(Polynomial)`` for the integer form ``c``, formatted from ``c``."""
+    parts = []
+    for i, x in enumerate(c, 1):
+        if x:
+            body = f"x{i}" if x in (1, -1) else f"{abs(x)}*x{i}"
+            parts.append((("- " if x < 0 else "+ ") if parts else ("-" if x < 0 else "")) + body)
+    return " ".join(parts) or "0"
 
 
 def _grlex_key(exps: tuple[int, ...]) -> tuple:
@@ -561,15 +602,13 @@ def divide_by_weight(p: Polynomial, w: Weight) -> Polynomial:
     return Polynomial._make(p.nvars, quot)
 
 
-def _unit_rows(n: int) -> tuple[tuple, ...]:
-    """Per slot ``i`` of rank ``n``, ``(-e_i, row of -e_i, +e_i, row of +e_i)``,
-    made on the rank's first use."""
-    units = _UNITS.get(n)
+def _unit_rows(i: int, n: int) -> tuple:
+    """``(-e_i, row of -e_i, +e_i, row of +e_i)`` for slot ``i`` of rank
+    ``n``, made on the slot's first use."""
+    units = _UNITS.get((i, n))
     if units is None:
-        units = _UNITS[n] = tuple(
-            (down, _shift_row(down), up, _shift_row(up))
-            for down, up in ((_unit(i, n, -1), _unit(i, n)) for i in range(n))
-        )
+        down, up = _unit(i, n, -1), _unit(i, n)
+        units = _UNITS.setdefault((i, n), (down, _shift_row(down), up, _shift_row(up)))
     return units
 
 
@@ -577,13 +616,13 @@ def _plan_of(coeffs: tuple[int, ...]) -> tuple:
     """``(j, c_j, -e_j, row of -e_j, others)`` for division by the nonzero
     integer form ``coeffs``: ``x_j`` is its first variable with a nonzero
     coefficient ``c_j``, and ``others`` holds ``(w_i, row of +e_i, e_i)``
-    for each other nonzero ``w_i``.  The vectors and rows are the rank's
+    for each other nonzero ``w_i``.  The vectors and rows are the slots'
     ``_unit_rows``."""
-    units = _unit_rows(len(coeffs))
+    n = len(coeffs)
     cj = next(filter(None, coeffs))
     j = coeffs.index(cj)
-    others = tuple((wi, units[i][3], units[i][2]) for i, wi in enumerate(coeffs) if wi and i != j)
-    return j, cj, units[j][0], units[j][1], others
+    others = tuple((wi, *_unit_rows(i, n)[:1:-1]) for i, wi in enumerate(coeffs) if wi and i != j)
+    return j, cj, *_unit_rows(j, n)[:2], others
 
 
 def _divmod_weight(terms, w: Weight):
@@ -676,7 +715,7 @@ def _divide_exact(terms, divisor: dict):
 def pairwise_coprime(weights) -> bool:
     """Pairwise coprimality of nonzero linear forms in Q[x1..xk].
 
-    That is non-collinearity of every pair.  Each weight's cached line
+    That is non-collinearity of every pair.  Each weight's stored line
     gives its primitive direction, so the forms are non-collinear exactly
     when their directions are distinct: one pass, not a test per pair.
     """

@@ -107,15 +107,9 @@ def _weight_direction(w: Weight, rank: int) -> tuple[float, float]:
 
 
 def _edge_labels(graph: GkmGraph) -> list[str]:
-    """The label text of each edge; each distinct label is formatted once."""
-    texts: dict[tuple[int, ...], str] = {}
-    out = []
-    for e in graph.edges:
-        text = texts.get(e.weight.coeffs)
-        if text is None:
-            text = texts[e.weight.coeffs] = str(e.weight)
-        out.append(text)
-    return out
+    """The label text of each edge, as its interned weight stores it: each
+    distinct label is formatted once per process."""
+    return [e.weight._text for e in graph.edges]
 
 
 def to_dot(graph: GkmGraph, basis=None, vertex: str | None = None) -> str:

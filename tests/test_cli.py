@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from gkmcalc import oracle, solver
 from gkmcalc.cli import main
 from gkmcalc.graph import GkmGraph
-from gkmcalc.polyring import parse_polynomial
+from gkmcalc.polyring import Weight, parse_polynomial
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -297,6 +297,53 @@ def test_brute_rank_of_a_wide_point(tmp_path, capsys):
     path.write_text(json.dumps({"rank": 2000, "mode": "Z", "vertices": [{"id": "e", "cell_dim": 0}], "edges": []}))
     code, out, err = run(["oracle", "brute-rank", str(path), "--degree", "0"], capsys)
     assert code == 0 and out == "degree 0: brute 1, free-module 1 [ok]\n" and not err
+
+
+def test_brute_rank_of_a_wide_point_at_degree_two_is_refused(tmp_path, capsys):
+    # degree 1 has 2,000 unknowns and degree 2 has 2,001,000: refused by
+    # the count, before a monomial is listed, and nothing is printed
+    path = tmp_path / "rank-2000.json"
+    path.write_text(json.dumps({"rank": 2000, "mode": "Z", "vertices": [{"id": "e", "cell_dim": 0}], "edges": []}))
+    code, out, err = run(["oracle", "brute-rank", str(path)], capsys)
+    assert code == 4 and not out
+    assert "brute force in degree 1: 2000 unknowns, above the bound of 200" in err and "Traceback" not in err
+
+
+# each command-line entry point that reads an integer, with the text in the {} slot
+_INTEGER_ENTRY_POINTS = {
+    "build --chain": ["build", "--chain", "1,0;{},1"],
+    "build --parabolic": ["build", "--gcm", "a2-gcm.json", "--parabolic", "{}"],
+    "build --degree": ["build", "A2-flag", "--degree", "{}"],
+    "generators --degree": ["generators", "a1.json", "--degree", "{}"],
+    "poincare --degree": ["poincare", "a1.json", "--degree", "{}"],
+    "power --n": ["power", "--preset", "omega-su2", "--n", "{}"],
+    "oracle --degree": ["oracle", "brute-rank", "a1.json", "--degree", "{}"],
+    "oracle --trials": ["oracle", "s2n", "--trials", "{}"],
+    "oracle --rank": ["oracle", "s2n", "--rank", "{}"],
+    "oracle --seed": ["oracle", "s2n", "--seed", "{}"],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_INTEGER_ENTRY_POINTS))
+def test_command_line_integers_have_one_grammar(tmp_path, capsys, monkeypatch, entry):
+    # an optional sign and ASCII digits, with blanks around: int() alone
+    # reads "1_0" as 10 and the Arabic-Indic digit three as 3
+    monkeypatch.chdir(tmp_path)
+    Path("a2-gcm.json").write_text("[[2, -1], [-1, 2]]")
+    assert run(["build", "A1-flag", "-o", "a1.json"], capsys)[0] == 0
+    argv = _INTEGER_ENTRY_POINTS[entry]
+    for text in ("1_0", "\u0663", "\uff11", "1.0", "0x1", "1e1", "+", "1 1", ",", "\u00b2"):
+        code, out, err = None, "", ""
+        try:
+            code, out, err = run([a.format(text) for a in argv], capsys)
+        except SystemExit as usage:  # an option's type is checked by argparse
+            code, err = usage.code, capsys.readouterr().err
+        assert code == 4, (entry, text)
+        assert not out and "Traceback" not in err, (entry, text)
+        assert "not an integer: " in err or f"invalid integer value: {text!r}" in err, (entry, text, err)
+    # blanks and a sign read as before
+    for text, same in ((" +1 ", "1"), ("\t2", "2")):
+        assert run([a.format(text) for a in argv], capsys) == run([a.format(same) for a in argv], capsys), entry
 
 
 def test_unknown_preset_exit(capsys):
@@ -787,11 +834,15 @@ def test_render_beyond_a_float_exit_code(tmp_path, capsys, where, fmt):
     [
         ({"from": "s", "to": "s", "weight": [1]}, "edge endpoints must be distinct, got 's' twice"),
         ({"from": "e", "to": "s", "weight": [0]}, "edge (e, s) has zero weight"),
+        ({"from": "e", "to": "s", "weight": [True]}, "weight of edge (e, s) must be an integer vector, got [True]"),
     ],
-    ids=["self-loop", "zero-weight"],
+    ids=["self-loop", "zero-weight", "true-weight"],
 )
 def test_bad_edge_exit_code(tmp_path, capsys, edge, message):
-    # the reader makes the edge checks itself, before the unchecked tuple.__new__
+    # the reader makes the edge checks itself, before the unchecked
+    # tuple.__new__ and before it reads the weight table, here warm with
+    # the forms (1,) and (0,)
+    assert str(Weight((1,))) == "x1" and Weight((0,)).is_zero()
     path = tmp_path / "edge.json"
     vertices = [{"id": "e", "cell_dim": 0}, {"id": "s", "cell_dim": 2}]
     path.write_text(json.dumps({"rank": 1, "vertices": vertices, "edges": [edge]}))

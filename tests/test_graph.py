@@ -374,6 +374,25 @@ def test_from_dict_shares_one_weight_per_label():
     distinct = {e.weight.coeffs for e in g.edges}
     assert len(distinct) < len(g.edges)
     assert len({id(e.weight) for e in g.edges}) == len(distinct)
+    # the shared weight is the interned one, made by the builder or a load before
+    assert all(e.weight is Weight(e.weight.coeffs) for e in g.edges)
+
+
+@pytest.mark.parametrize(
+    "weight, message",
+    [([0, 0], "edge (n, s) has zero weight"), ([True, 0], "weight of edge (n, s) must be an integer vector, got [True, 0]")],
+    ids=["zero", "true"],
+)
+def test_from_dict_refusals_survive_a_warm_weight_table(weight, message):
+    # [True, 0] equals the key (1, 0), and the table holds the zero form
+    assert Weight((1, 0)).coeffs == (1, 0) and Weight((0, 0)).is_zero()
+    data = {
+        "rank": 2,
+        "vertices": [{"id": "n", "cell_dim": 0}, {"id": "s", "cell_dim": 2}],
+        "edges": [{"from": "n", "to": "s", "weight": weight}],
+    }
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GkmGraph.loads(json.dumps(data))
 
 
 def test_builder_edges_are_made_once(monkeypatch):

@@ -1,6 +1,8 @@
 """Brute-force cohomology, sphere-lemma checks, and Schubert restrictions."""
 
 import random
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -63,6 +65,32 @@ def test_free_module_count_equals_the_listed_monomials():
             assert expected_gkm_dimension(g, d) == want
     # a wide point is counted without listing a monomial
     assert expected_gkm_dimension(GkmGraph(2000, "Z", [Vertex("e", 0)], []), 2) == 2001000
+
+
+def test_brute_force_counts_its_unknowns_before_listing_them():
+    # a wide point in degree 2 has 2,001,000 unknowns: refused from the
+    # count, with nothing listed
+    wide = GkmGraph(2000, "Z", [Vertex("e", 0)], [])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^brute force in degree 2: 2001000 unknowns, above the bound of 200$"):
+            brute_force_classes(wide, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert len(brute_force_classes(wide, 0)) == 1
+    # the bound is on vertex and edge-witness unknowns together: 200 is solved
+    points = [Vertex(f"p{i}", 0) for i in range(200)]
+    assert len(brute_force_classes(GkmGraph(1, "Z", points, []), 0)) == 200
+    message = re.escape("brute force in degree 0: 201 unknowns, above the bound of 200")
+    with pytest.raises(ValueError, match=message):
+        brute_force_classes(GkmGraph(1, "Z", [*points, Vertex("q", 0)], []), 0)
+    sphere = sphere_graph()  # 2 vertex and 1 witness unknowns per monomial
+    assert len(brute_force_classes(sphere, 1)) == 3
+    assert len(brute_force_classes(sphere, 66)) == 67 + 66  # 2 * 67 + 66 = 200 unknowns
+    with pytest.raises(ValueError, match=re.escape("brute force in degree 67: 203 unknowns")):
+        brute_force_classes(sphere, 67)
 
 
 def test_a2_degree_one_dimension():

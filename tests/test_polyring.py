@@ -1,6 +1,8 @@
 """Ring arithmetic, division by linear forms, and congruence solving."""
 
+import copy
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -31,6 +33,7 @@ from gkmcalc.polyring import (
     _divide_exact,
     _divmod_plan,
     _divmod_weight,
+    _line_of,
     _linear_coeffs,
     _plan_of,
     _quo,
@@ -317,13 +320,65 @@ def test_proportional_needs_one_torus():
 
 
 def test_weight_line_is_cached_and_invisible():
+    # the line is stored on the one record of the form, which is immutable
     w = Weight((-2, 4, 0))
-    assert "_line" not in vars(w)
     assert w._line == (2, (1, -2, 0))
-    assert "_line" in vars(w)
+    assert Weight([-2, 4, 0]) is w and polyring._WEIGHTS[(-2, 4, 0)] is w
+    assert not hasattr(w, "__dict__")
+    for name in ("coeffs", "_line", "_plan", "_polynomial", "_text", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(w, name, None)
+        with pytest.raises(AttributeError):
+            delattr(w, name)
+    assert w._line == (2, (1, -2, 0)) and w.coeffs == (-2, 4, 0)
     other = Weight((-2, 4, 0))
     assert w == other and hash(w) == hash(other) and repr(w) == repr(other) == "Weight(coeffs=(-2, 4, 0))"
-    assert Weight((0, 0))._line == (0, (0, 0))
+    assert Weight((0, 0))._line == (0, (0, 0)) and Weight((0, 0))._plan is None
+
+
+def _ref_weight_text(c):
+    """The text of the integer form ``c``, term by term from its entries."""
+    parts = []
+    for i, x in enumerate(c, 1):
+        if x:
+            body = f"x{i}" if x in (1, -1) else f"{abs(x)}*x{i}"
+            parts.append((("- " if x < 0 else "+ ") if parts else ("-" if x < 0 else "")) + body)
+    return " ".join(parts) or "0"
+
+
+_FORMS = st.lists(st.integers(-4, 4), max_size=4).map(tuple)
+
+
+@given(_FORMS, _FORMS)
+@example((), ())
+@example((0, 0), (0, 0, 0))
+@example((1, -2), (-1, 2))
+def test_weight_is_interned_with_its_line_plan_polynomial_and_text(c, d):
+    w = Weight(c)
+    assert Weight(list(c)) is w and polyring._WEIGHTS[c] is w and w.coeffs == c
+    # equality, hash, repr and str as a frozen dataclass over coeffs gave them
+    assert (w == Weight(d)) == (c == d) and (w != Weight(d)) == (c != d)
+    assert w != c and w != Polynomial.zero(len(c))
+    assert hash(w) == hash((w.coeffs,))
+    assert repr(w) == f"Weight(coeffs={c!r})"
+    assert str(w) == _ref_weight_text(c)
+    # each derived value equals a fresh one
+    assert w._line == _line_of(c)
+    assert w._plan == (_plan_of(c) if any(c) else None)
+    ref = Polynomial(len(c), {tuple(int(i == k) for i in range(len(c))): x for k, x in enumerate(c)})
+    assert w.to_polynomial() == ref and w.to_polynomial() is w.to_polynomial()
+    assert str(w) == str(ref)
+    assert copy.copy(w) is w and copy.deepcopy(w) is w and pickle.loads(pickle.dumps(w)) is w
+
+
+def test_weight_refusals_survive_a_warm_table():
+    # (True, 0), (1.0, 0) and (Fraction(1), 0) equal (1, 0) as dict keys:
+    # the type check runs before the table is read
+    assert Weight((1, 0)) is Weight((1, 0)) and Weight((0, 0)).is_zero()
+    for bad in ((True, 0), (1.0, 0), (Fraction(1), 0), (False, 0), (0.0, 0)):
+        with pytest.raises(ValueError, match=re.escape(f"weight coefficients must be ints, not {bad!r}")):
+            Weight(bad)
+    assert all(type(x) is int for key in polyring._WEIGHTS for x in key)  # no key of another type
 
 
 @st.composite
@@ -938,10 +993,11 @@ def _kernel_case(draw):
 
 
 def _empty_tables():
-    """Forget every interned vector, shift row and unit row, as in a fresh process."""
+    """Forget every interned vector, shift row, unit row and weight, as in a fresh process."""
     polyring._VECTORS.clear()
     polyring._SHIFTS.clear()
     polyring._UNITS.clear()
+    polyring._WEIGHTS.clear()
 
 
 def _run_kernels(acc, a, b, c, w):
@@ -978,12 +1034,14 @@ def test_term_kernels_match_reference(case):
 @example(({(2, 1): Fraction(1, 3), (0, 2): -2, (1, 0): Fraction(-5, 2)}, {}, {}, 1, (-3, 2)))
 def test_division_plan_is_cached_per_weight(case):
     terms, _, _, _, coeffs = case
+    _empty_tables()
     w = Weight(coeffs)
+    plan = w._plan
+    assert plan == _plan_of(coeffs)  # made with the record, from the same unit rows
     first = _divmod_weight(terms, w)
-    assert "_plan" in w.__dict__
-    again = _divmod_weight(terms, w)  # from the cached plan
-    fresh = _divmod_weight(terms, Weight(coeffs))  # an equal weight, its own plan
-    assert first == again == fresh
+    assert w._plan is plan and Weight(coeffs) is w  # one record, its plan kept
+    again = _divmod_weight(terms, w)  # from the stored plan, with warm rows
+    assert first == again
     # a plan made from the bare tuple, from empty tables and then warm ones
     _empty_tables()
     cold = _divmod_plan(terms, _plan_of(coeffs))
